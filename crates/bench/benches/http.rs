@@ -205,34 +205,30 @@ fn bench_http(c: &mut Criterion) {
         fn label(&self) -> String {
             format!("delayed({})", self.0.addr())
         }
-        fn recommend_traced(
+        fn recommend_with_traced(
             &self,
             user: UserId,
-        ) -> Result<(Arc<Vec<ganc_dataset::ItemId>>, u64), ganc_http::BackendError> {
+            opts: &ganc_serve::RequestOptions,
+        ) -> ganc_http::SingleAnswer {
             std::thread::sleep(self.1);
-            self.0.recommend_traced(user)
+            self.0.recommend_with_traced(user, opts)
         }
-        #[allow(clippy::type_complexity)]
-        fn recommend_batch_traced(
+        fn recommend_batch_with_traced(
             &self,
             users: &[UserId],
-        ) -> Result<
-            (
-                Vec<Result<Arc<Vec<ganc_dataset::ItemId>>, ganc_serve::ServeError>>,
-                u64,
-            ),
-            ganc_http::BackendError,
-        > {
+            opts: &ganc_serve::RequestOptions,
+        ) -> ganc_http::BatchAnswer {
             std::thread::sleep(self.1);
-            self.0.recommend_batch_traced(users)
+            self.0.recommend_batch_with_traced(users, opts)
         }
-        fn ingest(
+        fn ingest_keyed(
             &self,
+            key: Option<&str>,
             user: UserId,
             item: ganc_dataset::ItemId,
             rating: f32,
-        ) -> Result<(), ganc_http::BackendError> {
-            self.0.ingest(user, item, rating)
+        ) -> Result<ganc_serve::IngestAck, ganc_http::BackendError> {
+            self.0.ingest_keyed(key, user, item, rating)
         }
         fn generation(&self) -> Result<u64, ganc_http::BackendError> {
             self.0.generation()

@@ -166,10 +166,10 @@ impl RerankMode {
     }
 }
 
-/// Per-request trade-off overrides, threaded from the HTTP surface down to
-/// the fused query path. The default value (`RequestOptions::default()`)
-/// means "serve the fitted scenario" and MUST take the exact default code
-/// path — overrides are strictly pay-for-what-you-use.
+/// Per-request trade-off overrides: the one request shape every serving
+/// layer forwards, untouched, from the HTTP surface to the engine owning
+/// the user's list — the one place that reads them to pick a path (see
+/// [`RequestOptions::is_default`]). The default serves the fitted scenario.
 ///
 /// `n` truncation deliberately does **not** live here: list size is a
 /// presentation concern the HTTP layer applies (`?n=` caps the returned
@@ -189,8 +189,8 @@ pub struct RequestOptions {
 
 impl RequestOptions {
     /// True when every field is at its default — the request asks for the
-    /// fitted scenario and must be served by the unmodified default path
-    /// (including the user-keyed LRU cache).
+    /// fitted scenario, served through the engine's user-keyed LRU cache;
+    /// anything else computes fresh and never reads or writes that cache.
     pub fn is_default(&self) -> bool {
         self.theta.is_none() && self.exclude.is_empty() && self.rerank.is_none()
     }

@@ -3,7 +3,7 @@
 //! a peer serving a `bundle.shardK.ganc` slice over the same protocol.
 
 use crate::http1::{self, Response};
-use crate::transport::IngestEntry;
+use crate::transport::{BatchAnswer, IngestBatchAnswer, IngestEntry, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::WindowWire;
@@ -377,25 +377,22 @@ impl RemoteShard {
             .request_idempotent(method, path, body)
             .map_err(|e| BackendError::Transport(format!("{}: {e}", self.addr)))
     }
+}
 
-    /// `GET /v1/recommend/{user}` on the peer.
-    pub fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        self.recommend_at(&format!("/v1/recommend/{}", user.0))
+/// A `RemoteShard` *is* the production peer transport; the router only
+/// ever sees the trait, so injection doubles ([`crate::testing`]) and the
+/// coalescing wrapper ([`crate::CoalescedShard`]) slot in without the
+/// router changing.
+impl PeerTransport for RemoteShard {
+    fn label(&self) -> String {
+        self.addr.clone()
     }
 
-    /// `GET /v1/recommend/{user}?theta=…&exclude=…&rerank=…` on the peer:
-    /// the wire form of a per-request override. Default options collapse to
-    /// the plain recommend path byte-for-byte.
-    pub fn recommend_with_traced(
-        &self,
-        user: UserId,
-        opts: &RequestOptions,
-    ) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        self.recommend_at(&format!("/v1/recommend/{}{}", user.0, override_query(opts)))
-    }
-
-    fn recommend_at(&self, path: &str) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        let resp = self.call("GET", path, None)?;
+    /// `GET /v1/recommend/{user}?theta=…&exclude=…&rerank=…` on the peer;
+    /// default options add no query string at all.
+    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
+        let path = format!("/v1/recommend/{}{}", user.0, override_query(opts));
+        let resp = self.call("GET", &path, None)?;
         if resp.status != 200 {
             return Err(error_from_body(&resp));
         }
@@ -406,25 +403,11 @@ impl RemoteShard {
         Ok((Arc::new(items_from(&v["items"])?), generation))
     }
 
-    /// `POST /v1/recommend:batch` on the peer. Per-user errors come back
-    /// in-slot; the whole batch shares one generation.
-    #[allow(clippy::type_complexity)]
-    pub fn recommend_batch_traced(
-        &self,
-        users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        self.recommend_batch_with_traced(users, &RequestOptions::default())
-    }
-
-    /// `POST /v1/recommend:batch` with optional override body fields
-    /// (`theta`, `exclude`, `rerank` — present only when set, so a default
-    /// options set sends the historical `{"users":[...]}` body unchanged).
-    #[allow(clippy::type_complexity)]
-    pub fn recommend_batch_with_traced(
-        &self,
-        users: &[UserId],
-        opts: &RequestOptions,
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
+    /// `POST /v1/recommend:batch` on the peer, with optional override body
+    /// fields (`theta`, `exclude`, `rerank` — present only when set, so
+    /// default options send the plain `{"users":[...]}` body). Per-user
+    /// errors come back in-slot; the whole batch shares one generation.
+    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
         let ids = Value::Array(users.iter().map(|u| Value::from(u.0)).collect());
         let mut payload = tinyjson::obj! { "users" => ids };
         if let Some(t) = opts.theta {
@@ -471,16 +454,11 @@ impl RemoteShard {
         Ok((out, generation))
     }
 
-    /// `POST /v1/ingest` on the peer.
-    pub fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        self.ingest_keyed(None, user, item, rating).map(|_| ())
-    }
-
     /// `POST /v1/ingest` with an optional `Idempotency-Key` header. Keyed
     /// ingests ride the retry-safe request path — the key is exactly what
     /// makes a resend of a possibly-applied ingest a no-op; unkeyed ones
     /// keep the never-auto-resent rule.
-    pub fn ingest_keyed(
+    fn ingest_keyed(
         &self,
         key: Option<&str>,
         user: UserId,
@@ -512,11 +490,7 @@ impl RemoteShard {
 
     /// `POST /v1/ingest:batch` on the peer: one wire call, per-slot
     /// results (a rejected entry does not fail its companions).
-    #[allow(clippy::type_complexity)]
-    pub fn ingest_batch(
-        &self,
-        entries: &[IngestEntry],
-    ) -> Result<Vec<Result<IngestAck, ServeError>>, BackendError> {
+    fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
         let rows = Value::Array(
             entries
                 .iter()
@@ -571,7 +545,7 @@ impl RemoteShard {
     }
 
     /// The peer's current bundle generation (`GET /v1/healthz`).
-    pub fn generation(&self) -> Result<u64, BackendError> {
+    fn generation(&self) -> Result<u64, BackendError> {
         let resp = self.call("GET", "/v1/healthz", None)?;
         if resp.status != 200 {
             return Err(error_from_body(&resp));
@@ -583,7 +557,7 @@ impl RemoteShard {
 
     /// The peer's rolling window summary (`GET /v1/window`), or `None`
     /// when the peer's front exposes no window (`{"window":null}`).
-    pub fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
+    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
         let resp = self.call("GET", "/v1/window", None)?;
         if resp.status != 200 {
             return Err(error_from_body(&resp));
@@ -616,72 +590,6 @@ impl RemoteShard {
             tail_hits: field("tail_hits")?,
             distinct,
         }))
-    }
-}
-
-/// A `RemoteShard` *is* the production peer transport; the router only
-/// ever sees the trait, so injection doubles ([`crate::testing`]) and the
-/// coalescing wrapper ([`crate::CoalescedShard`]) slot in without the
-/// router changing.
-impl crate::transport::PeerTransport for RemoteShard {
-    fn label(&self) -> String {
-        self.addr.clone()
-    }
-
-    fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        RemoteShard::recommend_traced(self, user)
-    }
-
-    fn recommend_batch_traced(
-        &self,
-        users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        RemoteShard::recommend_batch_traced(self, users)
-    }
-
-    fn recommend_with_traced(
-        &self,
-        user: UserId,
-        opts: &RequestOptions,
-    ) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        RemoteShard::recommend_with_traced(self, user, opts)
-    }
-
-    fn recommend_batch_with_traced(
-        &self,
-        users: &[UserId],
-        opts: &RequestOptions,
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        RemoteShard::recommend_batch_with_traced(self, users, opts)
-    }
-
-    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        RemoteShard::ingest(self, user, item, rating)
-    }
-
-    fn ingest_keyed(
-        &self,
-        key: Option<&str>,
-        user: UserId,
-        item: ItemId,
-        rating: f32,
-    ) -> Result<IngestAck, BackendError> {
-        RemoteShard::ingest_keyed(self, key, user, item, rating)
-    }
-
-    fn ingest_batch(
-        &self,
-        entries: &[IngestEntry],
-    ) -> Result<Vec<Result<IngestAck, ServeError>>, BackendError> {
-        RemoteShard::ingest_batch(self, entries)
-    }
-
-    fn generation(&self) -> Result<u64, BackendError> {
-        RemoteShard::generation(self)
-    }
-
-    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
-        RemoteShard::window_wire(self)
     }
 }
 

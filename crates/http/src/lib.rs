@@ -30,13 +30,27 @@
 //!    [`PeerTransport`] trait every remote hop goes through:
 //!    [`RemoteShard`] in production, [`CoalescedShard`] to micro-batch
 //!    concurrent singles into one wire call, and deterministic
-//!    fault/latency-injection doubles for the test suites.
+//!    fault/latency-injection doubles for the test suites. [`Frontend`]
+//!    implements it too, and that impl is the server's whole serving
+//!    surface.
 //! 5. **Availability** ([`replica`]) — [`ReplicaSet`]: per-band replica
 //!    groups with hedged dispatch under a clock-driven latency budget,
 //!    automatic failover behind a consecutive-failure breaker, and a
 //!    background health probe that restores ejected replicas and rotates
 //!    primaries — responses stay byte-identical to a single-backend
 //!    route.
+//!
+//! One request shape runs through all of them:
+//! `recommend_with_traced(user, &RequestOptions)` and
+//! `recommend_batch_with_traced(users, &RequestOptions)` are the
+//! implementations on every layer ([`PeerTransport`], [`RouterNode`],
+//! [`ReplicaSet`], `ganc_serve::ShardedEngine`, `ganc_serve::ServingEngine`),
+//! each forwarding the options untouched; `recommend_traced` /
+//! `recommend_batch_traced` are one-line sugar passing default options.
+//! Only two places read the options to choose behaviour:
+//! `ServingEngine` (default → user-keyed LRU, override → fresh compute
+//! that never touches the cache) and [`CoalescedShard`] (default singles
+//! coalesce, override singles bypass).
 //!
 //! ## Quickstart
 //!
@@ -82,7 +96,9 @@ pub use http1::{Limits, Request, Response, StatusCode};
 pub use replica::{ProbeHandle, ReplicaConfig, ReplicaSet, ReplicaStats};
 pub use router::{RouterNode, ShardRoute};
 pub use server::{Frontend, HttpServer, RefitHook, ServerConfig};
-pub use transport::{CoalescedShard, IngestEntry, PeerTransport};
+pub use transport::{
+    BatchAnswer, CoalescedShard, IngestBatchAnswer, IngestEntry, PeerTransport, SingleAnswer,
+};
 
 use ganc_serve::ServeError;
 

@@ -36,11 +36,11 @@
 //!
 //! [`ManualClock`]: ganc_obs::ManualClock
 
-use crate::transport::PeerTransport;
+use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Clock, Counter, ObsHub, SystemClock, TraceData};
-use ganc_serve::{RequestOptions, ServeError};
+use ganc_serve::RequestOptions;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -518,54 +518,39 @@ impl ReplicaSet {
         Err(first_err.expect("rotation is never empty"))
     }
 
-    /// Answer one request from whichever replica wins.
-    pub fn recommend_traced(
-        self: &Arc<Self>,
-        user: UserId,
-    ) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        self.dispatch(Arc::new(move |peer: &dyn PeerTransport| {
-            peer.recommend_traced(user)
-        }))
+    /// [`ReplicaSet::recommend_with_traced`] at default options.
+    pub fn recommend_traced(self: &Arc<Self>, user: UserId) -> SingleAnswer {
+        self.recommend_with_traced(user, &RequestOptions::default())
     }
 
-    /// Answer one band sub-batch from whichever replica wins. The whole
-    /// sub-batch is one replica's answer, so it carries exactly one
-    /// generation — a hedge cannot mix generations into a batch.
-    #[allow(clippy::type_complexity)]
-    pub fn recommend_batch_traced(
-        self: &Arc<Self>,
-        users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        let users: Arc<Vec<UserId>> = Arc::new(users.to_vec());
-        self.dispatch(Arc::new(move |peer: &dyn PeerTransport| {
-            peer.recommend_batch_traced(&users)
-        }))
-    }
-
-    /// Answer one override-carrying request from whichever replica wins.
-    /// The options ride inside the dispatch closure, so a hedge or
-    /// failover replays the *same* θ/exclusions/re-ranker on the next
-    /// replica — an override can degrade to an error, never to another
-    /// request's defaults.
+    /// Answer one request from whichever replica wins. The options ride
+    /// inside the dispatch closure, so a hedge or failover replays the
+    /// *same* θ/exclusions/re-ranker on the next replica — an override can
+    /// degrade to an error, never to another request's defaults.
     pub fn recommend_with_traced(
         self: &Arc<Self>,
         user: UserId,
         opts: &RequestOptions,
-    ) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
+    ) -> SingleAnswer {
         let opts = opts.clone();
         self.dispatch(Arc::new(move |peer: &dyn PeerTransport| {
             peer.recommend_with_traced(user, &opts)
         }))
     }
 
-    /// Batch counterpart of [`ReplicaSet::recommend_with_traced`]; the
-    /// whole sub-batch is still one replica's answer.
-    #[allow(clippy::type_complexity)]
+    /// [`ReplicaSet::recommend_batch_with_traced`] at default options.
+    pub fn recommend_batch_traced(self: &Arc<Self>, users: &[UserId]) -> BatchAnswer {
+        self.recommend_batch_with_traced(users, &RequestOptions::default())
+    }
+
+    /// Answer one band sub-batch from whichever replica wins. The whole
+    /// sub-batch is one replica's answer, so it carries exactly one
+    /// generation — a hedge cannot mix generations into a batch.
     pub fn recommend_batch_with_traced(
         self: &Arc<Self>,
         users: &[UserId],
         opts: &RequestOptions,
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
+    ) -> BatchAnswer {
         let users: Arc<Vec<UserId>> = Arc::new(users.to_vec());
         let opts = opts.clone();
         self.dispatch(Arc::new(move |peer: &dyn PeerTransport| {

@@ -23,7 +23,7 @@
 //! in request order and the per-band results are folded **in band order**,
 //! so ordering, error selection, and the generation-skew check are
 //! byte-for-byte identical to the sequential reference
-//! ([`RouterNode::recommend_batch_traced_sequential`]), which
+//! ([`RouterNode::recommend_batch_with_traced_sequential`]), which
 //! `tests/router_fanout.rs` proves under injected slow/flaky/reordered
 //! peers. The one observable difference is side effects on the wire: the
 //! sequential path stops dispatching at the first failed band, the
@@ -31,13 +31,13 @@
 //! nothing diverges).
 
 use crate::replica::{ProbeHandle, ReplicaConfig, ReplicaSet, ReplicaStats};
-use crate::transport::PeerTransport;
+use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_core::query::shard_of;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Counter, Histogram, ObsHub, WindowFold, WindowStats, WindowWire};
 use ganc_serve::{
-    DedupWindow, IngestAck, RequestOptions, ServeError, ServingEngine, Wal, WalRecord,
+    DedupWindow, IngestAck, RequestOptions, ServeError, ServingEngine, SlotAnswer, Wal, WalRecord,
 };
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
@@ -147,23 +147,33 @@ impl ShardRoute {
         }
     }
 
-    /// Dispatch one band's sub-batch. Remote/replica failures are wrapped
+    /// Answer one request on this band.
+    fn recommend(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
+        match self {
+            ShardRoute::Local(engine) => engine
+                .recommend_with_traced(user, opts)
+                .map_err(BackendError::Serve),
+            ShardRoute::Remote(remote) => remote.recommend_with_traced(user, opts),
+            ShardRoute::Replicas(set) => set.recommend_with_traced(user, opts),
+        }
+    }
+
+    /// Answer one band's sub-batch. Remote/replica failures are wrapped
     /// with the band index so the caller knows *which* shard of the
     /// deployment is unhealthy.
-    #[allow(clippy::type_complexity)]
-    fn dispatch(
-        &self,
-        band: usize,
-        sub: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
+    fn recommend_batch(&self, band: usize, sub: &[UserId], opts: &RequestOptions) -> BatchAnswer {
         let band_err = |e: BackendError| BackendError::Band {
             band,
             message: e.to_string(),
         };
         match self {
-            ShardRoute::Local(engine) => Ok(engine.recommend_batch_traced(sub)),
-            ShardRoute::Remote(remote) => remote.recommend_batch_traced(sub).map_err(band_err),
-            ShardRoute::Replicas(set) => set.recommend_batch_traced(sub).map_err(band_err),
+            ShardRoute::Local(engine) => Ok(engine.recommend_batch_with_traced(sub, opts)),
+            ShardRoute::Remote(remote) => remote
+                .recommend_batch_with_traced(sub, opts)
+                .map_err(band_err),
+            ShardRoute::Replicas(set) => {
+                set.recommend_batch_with_traced(sub, opts).map_err(band_err)
+            }
         }
     }
 }
@@ -391,21 +401,20 @@ impl RouterNode {
         let _ = self.obs.set(RouterObs::new(hub, &self.routes));
     }
 
-    /// Dispatch one band's sub-batch with per-band timing and error
-    /// attribution. Both batch strategies (parallel fan-out and the
-    /// sequential reference) call exactly this, so instrumentation cannot
-    /// make them diverge.
-    #[allow(clippy::type_complexity)]
-    fn dispatch_timed(
+    /// Run one dispatch to band `j` under that band's latency histogram
+    /// and error counter. Every read — single or batch, fanned out or
+    /// sequential — goes through exactly this, so instrumentation cannot
+    /// make the strategies diverge.
+    fn timed<T>(
         &self,
         j: usize,
-        sub: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
+        dispatch: impl FnOnce() -> Result<T, BackendError>,
+    ) -> Result<T, BackendError> {
         let Some(obs) = self.obs.get() else {
-            return self.routes[j].dispatch(j, sub);
+            return dispatch();
         };
         let t0 = obs.hub.now_us();
-        let out = self.routes[j].dispatch(j, sub);
+        let out = dispatch();
         let band = &obs.bands[j];
         band.dispatch_us
             .observe_us(obs.hub.now_us().saturating_sub(t0));
@@ -436,217 +445,51 @@ impl RouterNode {
         }
     }
 
-    /// Answer one request from the user's band, local or remote.
-    pub fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        let j = self.route_of(user).map_err(BackendError::Serve)?;
-        let obs = self.obs.get();
-        let t0 = obs.map_or(0, |o| o.hub.now_us());
-        let out = match &self.routes[j] {
-            ShardRoute::Local(engine) => engine.recommend_traced(user).map_err(BackendError::Serve),
-            ShardRoute::Remote(remote) => remote.recommend_traced(user),
-            ShardRoute::Replicas(set) => set.recommend_traced(user),
-        };
-        if let Some(o) = obs {
-            let band = &o.bands[j];
-            band.dispatch_us
-                .observe_us(o.hub.now_us().saturating_sub(t0));
-            if out.is_err() {
-                band.errors.inc();
-            }
-        }
-        out
+    /// [`RouterNode::recommend_with_traced`] at default options.
+    pub fn recommend_traced(&self, user: UserId) -> SingleAnswer {
+        self.recommend_with_traced(user, &RequestOptions::default())
     }
 
-    /// Answer one override-carrying request ([`RequestOptions`]): a θ
-    /// override re-routes to the band *owning that θ* — any band can
-    /// serve any user at any θ, because every slice shares the full
-    /// train/model/θ state
-    /// ([`ganc_serve::ModelBundle::slice_theta_band`]) — while
-    /// exclusion/rerank-only overrides stay on the user's home band.
-    /// Default options delegate to [`RouterNode::recommend_traced`], so
-    /// the pinned default path is untouched.
-    pub fn recommend_with_traced(
-        &self,
-        user: UserId,
-        opts: &RequestOptions,
-    ) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        if opts.is_default() {
-            return self.recommend_traced(user);
-        }
+    /// Answer one request from the band that serves it, local or remote:
+    /// the user's home band, unless `opts` carries a θ override, which
+    /// re-routes to the band *owning that θ* — any band can serve any user
+    /// at any θ, because every slice shares the full train/model/θ state
+    /// ([`ganc_serve::ModelBundle::slice_theta_band`]). Exclusion/rerank-only
+    /// options stay on the home band.
+    pub fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
         let home = self.route_of(user).map_err(BackendError::Serve)?;
-        let j = match opts.theta {
-            Some(t) => shard_of(&self.cuts, t),
-            None => home,
-        };
-        let obs = self.obs.get();
-        let t0 = obs.map_or(0, |o| o.hub.now_us());
-        let out = match &self.routes[j] {
-            ShardRoute::Local(engine) => engine
-                .recommend_with_traced(user, opts)
-                .map_err(BackendError::Serve),
-            ShardRoute::Remote(remote) => remote.recommend_with_traced(user, opts),
-            ShardRoute::Replicas(set) => set.recommend_with_traced(user, opts),
-        };
-        if let Some(o) = obs {
-            let band = &o.bands[j];
-            band.dispatch_us
-                .observe_us(o.hub.now_us().saturating_sub(t0));
-            if out.is_err() {
-                band.errors.inc();
-            }
-        }
-        out
+        let j = opts.theta.map_or(home, |t| shard_of(&self.cuts, t));
+        self.timed(j, || self.routes[j].recommend(user, opts))
     }
 
-    /// Batch counterpart of [`RouterNode::recommend_with_traced`]: a θ
-    /// override collapses the whole batch onto the band owning that θ;
-    /// without one, users split across their home bands as usual.
-    /// Touched bands are visited sequentially — override batches are
-    /// control traffic, not the hot fan-out path — with the same
-    /// generation-skew check and request-order reassembly as the default
-    /// path, which default options delegate to untouched.
-    #[allow(clippy::type_complexity)]
-    pub fn recommend_batch_with_traced(
-        &self,
-        users: &[UserId],
-        opts: &RequestOptions,
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        if opts.is_default() {
-            return self.recommend_batch_traced(users);
-        }
-        let theta_band = opts.theta.map(|t| shard_of(&self.cuts, t));
-        let mut results: Vec<Option<Result<Arc<Vec<ItemId>>, ServeError>>> =
-            vec![None; users.len()];
-        let mut per_route: Vec<Vec<usize>> = vec![Vec::new(); self.routes.len()];
-        for (k, &u) in users.iter().enumerate() {
-            // Unknown users error per-slot even under a θ override: the
-            // override changes *where* a user is served, never *whether*
-            // they exist.
-            match self.route_of(u) {
-                Ok(home) => per_route[theta_band.unwrap_or(home)].push(k),
-                Err(e) => results[k] = Some(Err(e)),
-            }
-        }
-        let mut check = generation_check();
-        let mut generation = None;
-        for (j, idxs) in per_route.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let sub: Vec<UserId> = idxs.iter().map(|&k| users[k]).collect();
-            let (answers, g) = self.dispatch_with_timed(j, &sub, opts)?;
-            check(&mut generation, g)?;
-            for (&k, answer) in idxs.iter().zip(answers) {
-                results[k] = Some(answer);
-            }
-        }
-        self.finish_batch(results, generation)
-    }
-
-    /// [`RouterNode::dispatch_timed`] with per-request options threaded
-    /// through to the route.
-    #[allow(clippy::type_complexity)]
-    fn dispatch_with_timed(
-        &self,
-        j: usize,
-        sub: &[UserId],
-        opts: &RequestOptions,
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        let band_err = |e: BackendError| BackendError::Band {
-            band: j,
-            message: e.to_string(),
-        };
-        let dispatch = || match &self.routes[j] {
-            ShardRoute::Local(engine) => Ok(engine.recommend_batch_with_traced(sub, opts)),
-            ShardRoute::Remote(remote) => remote
-                .recommend_batch_with_traced(sub, opts)
-                .map_err(band_err),
-            ShardRoute::Replicas(set) => {
-                set.recommend_batch_with_traced(sub, opts).map_err(band_err)
-            }
-        };
-        let Some(obs) = self.obs.get() else {
-            return dispatch();
-        };
-        let t0 = obs.hub.now_us();
-        let out = dispatch();
-        let band = &obs.bands[j];
-        band.dispatch_us
-            .observe_us(obs.hub.now_us().saturating_sub(t0));
-        if out.is_err() {
-            band.errors.inc();
-        }
-        out
+    /// [`RouterNode::recommend_batch_with_traced`] at default options.
+    pub fn recommend_batch_traced(&self, users: &[UserId]) -> BatchAnswer {
+        self.recommend_batch_with_traced(users, &RequestOptions::default())
     }
 
     /// Split a batch across bands, dispatch every touched band's sub-batch
     /// **concurrently** (when at least one touched band is remote — an
     /// all-local dispatch runs inline, each local engine parallelizing
-    /// internally), and reassemble answers in request order. Every
-    /// touched route must report the same generation — nodes are refit
-    /// together in a real rollout, and a skewed response here means the
-    /// caller would silently mix two model versions, so skew is a hard
-    /// error instead. A failed band errors the whole batch, tagged with
-    /// the band index ([`BackendError::Band`]).
-    #[allow(clippy::type_complexity)]
-    pub fn recommend_batch_traced(
+    /// internally), and reassemble answers in request order. Users split
+    /// across their home bands; a θ override in `opts` collapses the whole
+    /// batch onto the band owning that θ. Every touched route must report
+    /// the same generation — nodes are refit together in a real rollout,
+    /// and a skewed response here means the caller would silently mix two
+    /// model versions, so skew is a hard error instead. A failed band
+    /// errors the whole batch, tagged with the band index
+    /// ([`BackendError::Band`]).
+    pub fn recommend_batch_with_traced(
         &self,
         users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        let (mut results, per_route) = self.split_batch(users);
-        let touched: Vec<(usize, &Vec<usize>)> = per_route
-            .iter()
-            .enumerate()
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .collect();
-        // Dispatch inline when fan-out can't pay: a single touched band,
-        // or all touched bands local — a local engine already spreads its
-        // sub-batch across its own worker pool, so extra threads here
-        // would only add spawn/join churn (remote hops are where the
-        // overlap buys wall clock: the round-trips run concurrently).
-        let all_local = touched
-            .iter()
-            .all(|&(j, _)| matches!(self.routes[j], ShardRoute::Local(_)));
-        let band_answers = if touched.len() <= 1 || all_local {
-            touched
-                .iter()
-                .map(|&(j, idxs)| {
-                    let sub: Vec<UserId> = idxs.iter().map(|&k| users[k]).collect();
-                    self.dispatch_timed(j, &sub)
-                })
-                .collect()
-        } else {
-            // One scoped thread per touched band: the fan-out's wall clock
-            // is the slowest band, not the sum. Answers are *collected*
-            // here and *folded* below in band order, so error selection
-            // and skew detection replay the sequential path exactly.
-            let mut band_answers = Vec::with_capacity(touched.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = touched
-                    .iter()
-                    .map(|&(j, idxs)| {
-                        scope.spawn(move || {
-                            let sub: Vec<UserId> = idxs.iter().map(|&k| users[k]).collect();
-                            self.dispatch_timed(j, &sub)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    band_answers.push(h.join().expect("band dispatch worker panicked"));
-                }
-            });
-            band_answers
-        };
-        let mut check = generation_check();
-        let mut generation = None;
-        for (&(_, idxs), answer) in touched.iter().zip(band_answers) {
-            let (answers, g) = answer?;
-            check(&mut generation, g)?;
-            for (&k, answer) in idxs.iter().zip(answers) {
-                results[k] = Some(answer);
-            }
-        }
-        self.finish_batch(results, generation)
+        opts: &RequestOptions,
+    ) -> BatchAnswer {
+        self.fold_batch(users, opts, true)
+    }
+
+    /// [`RouterNode::recommend_batch_with_traced_sequential`] at default
+    /// options.
+    pub fn recommend_batch_traced_sequential(&self, users: &[UserId]) -> BatchAnswer {
+        self.recommend_batch_with_traced_sequential(users, &RequestOptions::default())
     }
 
     /// The sequential reference dispatch: identical splitting, folding,
@@ -656,58 +499,90 @@ impl RouterNode {
     /// `tests/router_fanout.rs` pins under injected adversarial timing —
     /// and the throughput bench uses it as the baseline the fan-out must
     /// beat.
-    #[allow(clippy::type_complexity)]
-    pub fn recommend_batch_traced_sequential(
+    pub fn recommend_batch_with_traced_sequential(
         &self,
         users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        let (mut results, per_route) = self.split_batch(users);
-        let mut check = generation_check();
-        let mut generation = None;
-        for (j, idxs) in per_route.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
+        opts: &RequestOptions,
+    ) -> BatchAnswer {
+        self.fold_batch(users, opts, false)
+    }
+
+    /// The one batch fold behind both dispatch strategies; `parallel`
+    /// only chooses *when* each touched band is dispatched, never how its
+    /// answer is folded.
+    fn fold_batch(&self, users: &[UserId], opts: &RequestOptions, parallel: bool) -> BatchAnswer {
+        // Route every user: per-request errors land in their slot (even
+        // under a θ override — it changes *where* a user is served, never
+        // *whether* they exist), placeable users are grouped per route in
+        // request order.
+        let theta_band = opts.theta.map(|t| shard_of(&self.cuts, t));
+        let mut results: Vec<Option<SlotAnswer>> = vec![None; users.len()];
+        let mut per_route: Vec<Vec<usize>> = vec![Vec::new(); self.routes.len()];
+        for (k, &u) in users.iter().enumerate() {
+            match self.route_of(u) {
+                Ok(home) => per_route[theta_band.unwrap_or(home)].push(k),
+                Err(e) => results[k] = Some(Err(e)),
             }
+        }
+        let touched: Vec<(usize, &Vec<usize>)> = per_route
+            .iter()
+            .enumerate()
+            .filter(|(_, idxs)| !idxs.is_empty())
+            .collect();
+        let dispatch = |j: usize, idxs: &[usize]| {
             let sub: Vec<UserId> = idxs.iter().map(|&k| users[k]).collect();
-            let (answers, g) = self.dispatch_timed(j, &sub)?;
-            check(&mut generation, g)?;
+            self.timed(j, || self.routes[j].recommend_batch(j, &sub, opts))
+        };
+        // Fan out only where it can pay: more than one touched band, not
+        // all of them local — a local engine already spreads its sub-batch
+        // across its own worker pool, so extra threads here would only add
+        // spawn/join churn (remote hops are where the overlap buys wall
+        // clock: the round-trips run concurrently).
+        let fan_out = parallel
+            && touched.len() > 1
+            && !touched
+                .iter()
+                .all(|&(j, _)| matches!(self.routes[j], ShardRoute::Local(_)));
+        // One scoped thread per touched band: the fan-out's wall clock is
+        // the slowest band, not the sum. Answers are *collected* here and
+        // *folded* below in band order, so error selection and skew
+        // detection replay the sequential path exactly.
+        let mut fanned = fan_out.then(|| {
+            let dispatch = &dispatch;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = touched
+                    .iter()
+                    .map(|&(j, idxs)| scope.spawn(move || dispatch(j, idxs)))
+                    .collect();
+                let joined: Vec<BatchAnswer> = handles
+                    .into_iter()
+                    .map(|h| h.join().expect("band dispatch worker panicked"))
+                    .collect();
+                joined.into_iter()
+            })
+        });
+        // The first dispatched band (in band order) pins the generation,
+        // every later one must match it.
+        let mut generation: Option<u64> = None;
+        for &(j, idxs) in &touched {
+            let answer = match &mut fanned {
+                Some(answers) => answers.next().expect("one answer per touched band"),
+                None => dispatch(j, idxs),
+            };
+            let (answers, g) = answer?;
+            match generation {
+                None => generation = Some(g),
+                Some(have) if have == g => {}
+                Some(have) => {
+                    return Err(BackendError::Transport(format!(
+                        "generation skew across shards: {have} vs {g}"
+                    )))
+                }
+            }
             for (&k, answer) in idxs.iter().zip(answers) {
                 results[k] = Some(answer);
             }
         }
-        self.finish_batch(results, generation)
-    }
-
-    /// Route every user of a batch: per-request errors land in their slot,
-    /// placeable users are grouped per route in request order.
-    #[allow(clippy::type_complexity)]
-    fn split_batch(
-        &self,
-        users: &[UserId],
-    ) -> (
-        Vec<Option<Result<Arc<Vec<ItemId>>, ServeError>>>,
-        Vec<Vec<usize>>,
-    ) {
-        let mut results: Vec<Option<Result<Arc<Vec<ItemId>>, ServeError>>> =
-            vec![None; users.len()];
-        let mut per_route: Vec<Vec<usize>> = vec![Vec::new(); self.routes.len()];
-        for (k, &u) in users.iter().enumerate() {
-            match self.route_of(u) {
-                Ok(j) => per_route[j].push(k),
-                Err(e) => results[k] = Some(Err(e)),
-            }
-        }
-        (results, per_route)
-    }
-
-    /// Seal a fully folded batch, resolving the generation when nothing
-    /// was dispatched.
-    #[allow(clippy::type_complexity)]
-    fn finish_batch(
-        &self,
-        results: Vec<Option<Result<Arc<Vec<ItemId>>, ServeError>>>,
-        generation: Option<u64>,
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
         let generation = match generation {
             Some(g) => g,
             // Nothing dispatched (empty batch / all unknown): any route's
@@ -891,7 +766,6 @@ impl RouterNode {
     /// Bands that can't report (unreachable peer, replica group,
     /// observability not attached) hold `None`; the aggregate is `None`
     /// only when *no* band reported.
-    #[allow(clippy::type_complexity)]
     pub fn window_stats(&self) -> (Vec<Option<WindowStats>>, Option<WindowStats>) {
         let wires: Vec<Option<WindowWire>> = self
             .routes
@@ -950,22 +824,6 @@ impl RouterNode {
     }
 }
 
-/// The fold-time generation-skew check both dispatch strategies share:
-/// the first dispatched band (in band order) pins the generation, every
-/// later one must match it.
-fn generation_check() -> impl FnMut(&mut Option<u64>, u64) -> Result<(), BackendError> {
-    |generation: &mut Option<u64>, g: u64| match *generation {
-        None => {
-            *generation = Some(g);
-            Ok(())
-        }
-        Some(have) if have == g => Ok(()),
-        Some(have) => Err(BackendError::Transport(format!(
-            "generation skew across shards: {have} vs {g}"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -978,16 +836,19 @@ mod tests {
         fn label(&self) -> String {
             "never".to_string()
         }
-        fn recommend_traced(&self, _user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
+        fn recommend_with_traced(&self, _: UserId, _: &RequestOptions) -> SingleAnswer {
             unreachable!("key tests never dispatch")
         }
-        fn recommend_batch_traced(
+        fn recommend_batch_with_traced(&self, _: &[UserId], _: &RequestOptions) -> BatchAnswer {
+            unreachable!("key tests never dispatch")
+        }
+        fn ingest_keyed(
             &self,
-            _users: &[UserId],
-        ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-            unreachable!("key tests never dispatch")
-        }
-        fn ingest(&self, _: UserId, _: ItemId, _: f32) -> Result<(), BackendError> {
+            _: Option<&str>,
+            _: UserId,
+            _: ItemId,
+            _: f32,
+        ) -> Result<IngestAck, BackendError> {
             unreachable!("key tests never dispatch")
         }
         fn generation(&self) -> Result<u64, BackendError> {

@@ -14,7 +14,7 @@
 //! | GET  | `/v1/window` | — | `{"window":{...}}` transportable rolling-window summary |
 //! | POST | `/admin/refit` | — | runs one refit pass and hot-swaps |
 //!
-//! Batches route through the backend's `recommend_batch_traced`, so a batch
+//! Batches route through the backend's `recommend_batch_with_traced`, so a batch
 //! is always served from exactly one bundle generation even while
 //! `/admin/refit` swaps underneath it. Error responses are always JSON with
 //! an `"error"` key; unknown ids additionally carry `unknown_user` /
@@ -69,6 +69,7 @@
 
 use crate::http1::{self, Limits, ReadOutcome, Request, StatusCode};
 use crate::router::RouterNode;
+use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Counter, Gauge, Histogram, ObsHub, TraceData, TraceEvent, WindowStats, WindowWire};
@@ -155,38 +156,21 @@ pub enum Frontend {
     Router(Arc<RouterNode>),
 }
 
-impl Frontend {
-    fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
+/// A frontend's serving surface *is* its [`PeerTransport`] impl — the
+/// HTTP handlers call it, and so can anything else that wants an
+/// in-process peer: it is the loopback building block the deterministic
+/// injection doubles in [`crate::testing`] wrap, so fan-out and coalescing
+/// are provable without sockets.
+impl PeerTransport for Frontend {
+    fn label(&self) -> String {
         match self {
-            Frontend::Single(e) => e.recommend_traced(user).map_err(BackendError::Serve),
-            Frontend::Sharded(e) => e.recommend_traced(user).map_err(BackendError::Serve),
-            Frontend::Router(r) => r.recommend_traced(user),
+            Frontend::Single(_) => "in-process:single".to_string(),
+            Frontend::Sharded(_) => "in-process:sharded".to_string(),
+            Frontend::Router(_) => "in-process:router".to_string(),
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn recommend_batch_traced(
-        &self,
-        users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        match self {
-            Frontend::Single(e) => Ok(e.recommend_batch_traced(users)),
-            Frontend::Sharded(e) => Ok(e.recommend_batch_traced(users)),
-            Frontend::Router(r) => r.recommend_batch_traced(users),
-        }
-    }
-
-    /// Override-carrying dispatch ([`RequestOptions`]). Default options
-    /// delegate to the unmodified default path, so default traffic keeps
-    /// its exact code path (cache included).
-    fn recommend_with_traced(
-        &self,
-        user: UserId,
-        opts: &RequestOptions,
-    ) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        if opts.is_default() {
-            return self.recommend_traced(user);
-        }
+    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
         match self {
             Frontend::Single(e) => e
                 .recommend_with_traced(user, opts)
@@ -198,27 +182,11 @@ impl Frontend {
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn recommend_batch_with_traced(
-        &self,
-        users: &[UserId],
-        opts: &RequestOptions,
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        if opts.is_default() {
-            return self.recommend_batch_traced(users);
-        }
+    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
         match self {
             Frontend::Single(e) => Ok(e.recommend_batch_with_traced(users, opts)),
             Frontend::Sharded(e) => Ok(e.recommend_batch_with_traced(users, opts)),
             Frontend::Router(r) => r.recommend_batch_with_traced(users, opts),
-        }
-    }
-
-    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        match self {
-            Frontend::Single(e) => e.ingest(user, item, rating).map_err(BackendError::Serve),
-            Frontend::Sharded(e) => e.ingest(user, item, rating).map_err(BackendError::Serve),
-            Frontend::Router(r) => r.ingest(user, item, rating),
         }
     }
 
@@ -259,74 +227,12 @@ impl Frontend {
     /// a sharded engine the exact cross-band fold. Routers answer `None` —
     /// they aggregate *remote* windows for their own stats and re-exporting
     /// that union upstream would double-count it.
-    fn window_wire(&self) -> Option<WindowWire> {
-        match self {
+    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
+        Ok(match self {
             Frontend::Single(e) => e.window_wire(),
             Frontend::Sharded(e) => e.window_wire(),
             Frontend::Router(_) => None,
-        }
-    }
-}
-
-/// Any in-process frontend can stand in as a peer: the loopback building
-/// block the deterministic injection doubles in [`crate::testing`] wrap,
-/// so fan-out and coalescing are provable without sockets.
-impl crate::transport::PeerTransport for Frontend {
-    fn label(&self) -> String {
-        match self {
-            Frontend::Single(_) => "in-process:single".to_string(),
-            Frontend::Sharded(_) => "in-process:sharded".to_string(),
-            Frontend::Router(_) => "in-process:router".to_string(),
-        }
-    }
-
-    fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        Frontend::recommend_traced(self, user)
-    }
-
-    fn recommend_batch_traced(
-        &self,
-        users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        Frontend::recommend_batch_traced(self, users)
-    }
-
-    fn recommend_with_traced(
-        &self,
-        user: UserId,
-        opts: &RequestOptions,
-    ) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        Frontend::recommend_with_traced(self, user, opts)
-    }
-
-    fn recommend_batch_with_traced(
-        &self,
-        users: &[UserId],
-        opts: &RequestOptions,
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        Frontend::recommend_batch_with_traced(self, users, opts)
-    }
-
-    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        Frontend::ingest(self, user, item, rating)
-    }
-
-    fn ingest_keyed(
-        &self,
-        key: Option<&str>,
-        user: UserId,
-        item: ItemId,
-        rating: f32,
-    ) -> Result<ganc_serve::IngestAck, BackendError> {
-        Frontend::ingest_keyed(self, key, user, item, rating)
-    }
-
-    fn generation(&self) -> Result<u64, BackendError> {
-        Frontend::generation(self)
-    }
-
-    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
-        Ok(Frontend::window_wire(self))
+        })
     }
 }
 
@@ -1442,7 +1348,7 @@ impl App {
     /// `{"window":null}` when observability is not attached (or the node
     /// is itself a router).
     fn window(&self) -> (u16, Value) {
-        let window = match self.frontend.window_wire() {
+        let window = match self.frontend.window_wire().ok().flatten() {
             Some(w) => {
                 let distinct = Value::Array(w.distinct.iter().map(|&i| Value::from(i)).collect());
                 obj! {
@@ -2016,9 +1922,8 @@ fn parse_exclude_csv(v: &str) -> Result<Vec<u32>, &'static str> {
 }
 
 /// Per-request overrides from a `recommend:batch` body. All fields are
-/// optional; an absent field leaves its default (the historical body with
-/// only `"users"` parses to default options and takes the unchanged
-/// default path).
+/// optional; an absent field leaves its default (a body with only
+/// `"users"` parses to default options).
 fn parse_batch_opts(v: &Value) -> Result<RequestOptions, &'static str> {
     let mut opts = RequestOptions::default();
     if !matches!(&v["theta"], Value::Null) {

@@ -16,17 +16,13 @@
 //! between (`SlowPeer(LedgerPeer(Frontend))` is the canonical fan-out
 //! harness).
 
-use crate::transport::{IngestEntry, PeerTransport};
+use crate::transport::{BatchAnswer, IngestBatchAnswer, IngestEntry, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::WindowWire;
-use ganc_serve::{IngestAck, RequestOptions, ServeError};
+use ganc_serve::{IngestAck, RequestOptions};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-type SingleAnswer = Result<(Arc<Vec<ItemId>>, u64), BackendError>;
-type BatchAnswer = Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError>;
-type IngestBatchAnswer = Result<Vec<Result<IngestAck, ServeError>>, BackendError>;
 
 /// A shared completion counter the ordering doubles coordinate through:
 /// peers [`bump`](Ledger::bump) it when they answer, a [`SlowPeer`] holds
@@ -83,18 +79,6 @@ impl PeerTransport for LedgerPeer {
         format!("ledger({})", self.inner.label())
     }
 
-    fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        let answer = self.inner.recommend_traced(user);
-        self.ledger.bump();
-        answer
-    }
-
-    fn recommend_batch_traced(&self, users: &[UserId]) -> BatchAnswer {
-        let answer = self.inner.recommend_batch_traced(users);
-        self.ledger.bump();
-        answer
-    }
-
     fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
         let answer = self.inner.recommend_with_traced(user, opts);
         self.ledger.bump();
@@ -105,10 +89,6 @@ impl PeerTransport for LedgerPeer {
         let answer = self.inner.recommend_batch_with_traced(users, opts);
         self.ledger.bump();
         answer
-    }
-
-    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        self.inner.ingest(user, item, rating)
     }
 
     fn ingest_keyed(
@@ -179,16 +159,6 @@ impl PeerTransport for SlowPeer {
         format!("slow({})", self.inner.label())
     }
 
-    fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        self.stall();
-        self.inner.recommend_traced(user)
-    }
-
-    fn recommend_batch_traced(&self, users: &[UserId]) -> BatchAnswer {
-        self.stall();
-        self.inner.recommend_batch_traced(users)
-    }
-
     fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
         self.stall();
         self.inner.recommend_with_traced(user, opts)
@@ -197,10 +167,6 @@ impl PeerTransport for SlowPeer {
     fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
         self.stall();
         self.inner.recommend_batch_with_traced(users, opts)
-    }
-
-    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        self.inner.ingest(user, item, rating)
     }
 
     fn ingest_keyed(
@@ -293,16 +259,6 @@ impl PeerTransport for FlakyPeer {
         format!("flaky({})", self.inner.label())
     }
 
-    fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        self.trip()?;
-        self.inner.recommend_traced(user)
-    }
-
-    fn recommend_batch_traced(&self, users: &[UserId]) -> BatchAnswer {
-        self.trip()?;
-        self.inner.recommend_batch_traced(users)
-    }
-
     fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
         self.trip()?;
         self.inner.recommend_with_traced(user, opts)
@@ -311,10 +267,6 @@ impl PeerTransport for FlakyPeer {
     fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
         self.trip()?;
         self.inner.recommend_batch_with_traced(users, opts)
-    }
-
-    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        self.ingest_keyed(None, user, item, rating).map(|_| ())
     }
 
     fn ingest_keyed(
@@ -442,20 +394,6 @@ impl PeerTransport for ReorderingPeer {
         format!("reorder({})", self.inner.label())
     }
 
-    fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        self.gate.rendezvous();
-        let answer = self.inner.recommend_traced(user);
-        self.gate.done();
-        answer
-    }
-
-    fn recommend_batch_traced(&self, users: &[UserId]) -> BatchAnswer {
-        self.gate.rendezvous();
-        let answer = self.inner.recommend_batch_traced(users);
-        self.gate.done();
-        answer
-    }
-
     fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
         self.gate.rendezvous();
         let answer = self.inner.recommend_with_traced(user, opts);
@@ -468,10 +406,6 @@ impl PeerTransport for ReorderingPeer {
         let answer = self.inner.recommend_batch_with_traced(users, opts);
         self.gate.done();
         answer
-    }
-
-    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        self.inner.ingest(user, item, rating)
     }
 
     fn ingest_keyed(
@@ -557,20 +491,6 @@ impl PeerTransport for RecordingPeer {
         format!("recording({})", self.inner.label())
     }
 
-    fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        self.singles.fetch_add(1, Ordering::SeqCst);
-        self.inner.recommend_traced(user)
-    }
-
-    fn recommend_batch_traced(&self, users: &[UserId]) -> BatchAnswer {
-        let answer = self.inner.recommend_batch_traced(users);
-        self.batches.lock().unwrap().push(RecordedBatch {
-            users: users.to_vec(),
-            generation: answer.as_ref().ok().map(|&(_, g)| g),
-        });
-        answer
-    }
-
     fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
         self.singles.fetch_add(1, Ordering::SeqCst);
         self.inner.recommend_with_traced(user, opts)
@@ -583,10 +503,6 @@ impl PeerTransport for RecordingPeer {
             generation: answer.as_ref().ok().map(|&(_, g)| g),
         });
         answer
-    }
-
-    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        self.ingest_keyed(None, user, item, rating).map(|_| ())
     }
 
     fn ingest_keyed(
@@ -677,16 +593,6 @@ impl PeerTransport for GatedPeer {
         format!("gated({})", self.inner.label())
     }
 
-    fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        self.pass();
-        self.inner.recommend_traced(user)
-    }
-
-    fn recommend_batch_traced(&self, users: &[UserId]) -> BatchAnswer {
-        self.pass();
-        self.inner.recommend_batch_traced(users)
-    }
-
     fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
         self.pass();
         self.inner.recommend_with_traced(user, opts)
@@ -695,10 +601,6 @@ impl PeerTransport for GatedPeer {
     fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
         self.pass();
         self.inner.recommend_batch_with_traced(users, opts)
-    }
-
-    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        self.inner.ingest(user, item, rating)
     }
 
     fn ingest_keyed(

@@ -14,7 +14,9 @@
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::WindowWire;
-use ganc_serve::{BatchConfig, BatchSource, Coalescer, IngestAck, RequestOptions, ServeError};
+use ganc_serve::{
+    BatchConfig, BatchSource, Coalescer, EngineBatch, IngestAck, RequestOptions, ServeError,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -35,88 +37,70 @@ pub struct IngestEntry {
     pub rating: f32,
 }
 
+/// One request's answer from a peer: the list and the generation it was
+/// served from, or the reason the peer (or the hop to it) failed.
+pub type SingleAnswer = Result<(Arc<Vec<ItemId>>, u64), BackendError>;
+
+/// A batch's answer from a peer: per-user results in-slot and the one
+/// generation the whole batch shares, or a whole-batch failure.
+pub type BatchAnswer = Result<EngineBatch, BackendError>;
+
+/// An ingest batch's answer: per-entry acks in-slot, or a whole-batch
+/// failure.
+pub type IngestBatchAnswer = Result<Vec<Result<IngestAck, ServeError>>, BackendError>;
+
 /// A peer node serving one θ-band slice, reachable by whatever transport:
 /// real HTTP ([`crate::RemoteShard`]), an in-process engine, or an
 /// injection double wrapping either.
+///
+/// Every read carries its [`RequestOptions`]: an implementor writes
+/// [`PeerTransport::recommend_with_traced`] and
+/// [`PeerTransport::recommend_batch_with_traced`] and forwards the options
+/// untouched — what they mean is decided by the [`ganc_serve::ServingEngine`]
+/// at the end of the chain. The option-less and key-less names are sugar
+/// over those and are not meant to be overridden.
 pub trait PeerTransport: Send + Sync {
     /// Where this peer lives, for stats and error labels (an address for
     /// real peers, a description for doubles).
     fn label(&self) -> String;
 
-    /// Answer one user's request with the peer's generation.
-    fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError>;
+    /// Answer one user's request under `opts` with the peer's generation.
+    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer;
 
-    /// Answer a batch in-slot; the whole batch shares one generation.
-    #[allow(clippy::type_complexity)]
-    fn recommend_batch_traced(
-        &self,
-        users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError>;
+    /// Answer a batch in-slot; one options set applies to every user and
+    /// the whole batch shares one generation.
+    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer;
 
-    /// Answer one user's request under per-request overrides (θ, an
-    /// exclusion list, an online re-ranker). The default delegates default
-    /// options to [`PeerTransport::recommend_traced`] — override-aware
-    /// transports ([`crate::RemoteShard`], the loopback [`crate::Frontend`],
-    /// the injection doubles) forward non-default options; anything else
-    /// refuses them rather than silently serving the unmodified list.
-    fn recommend_with_traced(
-        &self,
-        user: UserId,
-        opts: &RequestOptions,
-    ) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        if opts.is_default() {
-            return self.recommend_traced(user);
-        }
-        Err(BackendError::Transport(format!(
-            "{}: transport does not support per-request overrides",
-            self.label()
-        )))
+    /// [`PeerTransport::recommend_with_traced`] at default options.
+    fn recommend_traced(&self, user: UserId) -> SingleAnswer {
+        self.recommend_with_traced(user, &RequestOptions::default())
     }
 
-    /// Batch counterpart of [`PeerTransport::recommend_with_traced`]: one
-    /// options set applies to every user of the batch.
-    #[allow(clippy::type_complexity)]
-    fn recommend_batch_with_traced(
-        &self,
-        users: &[UserId],
-        opts: &RequestOptions,
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        if opts.is_default() {
-            return self.recommend_batch_traced(users);
-        }
-        Err(BackendError::Transport(format!(
-            "{}: transport does not support per-request overrides",
-            self.label()
-        )))
+    /// [`PeerTransport::recommend_batch_with_traced`] at default options.
+    fn recommend_batch_traced(&self, users: &[UserId]) -> BatchAnswer {
+        self.recommend_batch_with_traced(users, &RequestOptions::default())
     }
 
-    /// Apply one observed interaction on the peer.
-    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError>;
-
-    /// Apply one interaction with an optional idempotency key. The default
-    /// drops the key (a transport without a durable backend has no dedup
-    /// window to honor it) and reports [`IngestAck::Applied`]; key-aware
-    /// transports ([`crate::RemoteShard`]) forward it on the wire.
+    /// Apply one observed interaction on the peer, with an optional
+    /// idempotency key the peer's dedup window honors on a resend.
     fn ingest_keyed(
         &self,
         key: Option<&str>,
         user: UserId,
         item: ItemId,
         rating: f32,
-    ) -> Result<IngestAck, BackendError> {
-        let _ = key;
-        self.ingest(user, item, rating).map(|()| IngestAck::Applied)
+    ) -> Result<IngestAck, BackendError>;
+
+    /// [`PeerTransport::ingest_keyed`] with no key.
+    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
+        self.ingest_keyed(None, user, item, rating).map(|_| ())
     }
 
     /// Apply a batch of keyed interactions in one call, answering
     /// per-slot: one rejected entry (unknown id) must not fail its
     /// coalesced companions. The default loops [`PeerTransport::ingest_keyed`];
     /// wire transports override with one `POST /v1/ingest:batch` round-trip.
-    #[allow(clippy::type_complexity)]
-    fn ingest_batch(
-        &self,
-        entries: &[IngestEntry],
-    ) -> Result<Vec<Result<IngestAck, ServeError>>, BackendError> {
+    fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
         let mut out = Vec::with_capacity(entries.len());
         for e in entries {
             match self.ingest_keyed(e.key.as_deref(), e.user, e.item, e.rating) {
@@ -162,10 +146,7 @@ struct PeerSource(Arc<dyn PeerTransport>);
 impl BatchSource for PeerSource {
     type Error = BackendError;
 
-    fn batch(
-        &self,
-        users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
+    fn batch(&self, users: &[UserId]) -> BatchAnswer {
         self.0.recommend_batch_traced(users)
     }
 }
@@ -360,50 +341,24 @@ impl PeerTransport for CoalescedShard {
         self.inner.label()
     }
 
-    fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
+    /// Default singles coalesce; override singles bypass the coalescer
+    /// straight to the inner peer: the coalescer merges callers into one
+    /// default-options batch, and a request carrying its own
+    /// θ/exclusions/re-ranker folded into that batch would be answered
+    /// with someone else's list.
+    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
+        if !opts.is_default() {
+            return self.inner.recommend_with_traced(user, opts);
+        }
         match self.coalescer.request_traced(user)? {
             (Ok(list), generation) => Ok((list, generation)),
             (Err(e), _) => Err(BackendError::Serve(e)),
         }
     }
 
-    fn recommend_batch_traced(
-        &self,
-        users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        self.inner.recommend_batch_traced(users)
-    }
-
-    /// Override singles bypass the coalescer straight to the inner peer:
-    /// the coalescer merges callers into one default-path batch, and a
-    /// request carrying its own θ/exclusions/re-ranker folded into that
-    /// batch would be answered with someone else's list. Default options
-    /// take the coalesced path unchanged.
-    fn recommend_with_traced(
-        &self,
-        user: UserId,
-        opts: &RequestOptions,
-    ) -> Result<(Arc<Vec<ItemId>>, u64), BackendError> {
-        if opts.is_default() {
-            return PeerTransport::recommend_traced(self, user);
-        }
-        self.inner.recommend_with_traced(user, opts)
-    }
-
-    fn recommend_batch_with_traced(
-        &self,
-        users: &[UserId],
-        opts: &RequestOptions,
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), BackendError> {
-        // Batches never coalesce; straight through either way.
-        if opts.is_default() {
-            return self.inner.recommend_batch_traced(users);
-        }
+    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
+        // Already a batch: straight through, one wire call.
         self.inner.recommend_batch_with_traced(users, opts)
-    }
-
-    fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        self.ingest_keyed(None, user, item, rating).map(|_| ())
     }
 
     fn ingest_keyed(
@@ -421,10 +376,7 @@ impl PeerTransport for CoalescedShard {
         })
     }
 
-    fn ingest_batch(
-        &self,
-        entries: &[IngestEntry],
-    ) -> Result<Vec<Result<IngestAck, ServeError>>, BackendError> {
+    fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
         // Already a batch: straight through, one wire call.
         self.inner.ingest_batch(entries)
     }

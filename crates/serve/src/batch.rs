@@ -24,7 +24,7 @@
 //! queue closes, so shutdown latency is one in-flight batch, not
 //! `max_wait`.
 
-use crate::engine::{ServeError, ServingEngine};
+use crate::engine::{EngineBatch, ServeError, ServingEngine, SlotAnswer};
 use ganc_dataset::{ItemId, UserId};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,28 +68,21 @@ pub trait BatchSource: Send + Sync + 'static {
     /// worker). Transports that cannot trust their peer must validate
     /// before returning `Ok` (as the HTTP `RemoteShard` client does) and
     /// report a whole-batch `Err` instead.
-    #[allow(clippy::type_complexity)]
-    fn batch(
-        &self,
-        users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), Self::Error>;
+    fn batch(&self, users: &[UserId]) -> Result<EngineBatch, Self::Error>;
 }
 
 /// A local serving engine never fails as a whole batch.
 impl BatchSource for Arc<ServingEngine> {
     type Error = Infallible;
 
-    fn batch(
-        &self,
-        users: &[UserId],
-    ) -> Result<(Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64), Infallible> {
+    fn batch(&self, users: &[UserId]) -> Result<EngineBatch, Infallible> {
         Ok(self.recommend_batch_traced(users))
     }
 }
 
 /// One caller's answer: the per-slot result plus the generation of the
 /// batch it was coalesced into, or the whole batch's failure.
-pub type CoalescedAnswer<E> = Result<(Result<Arc<Vec<ItemId>>, ServeError>, u64), E>;
+pub type CoalescedAnswer<E> = Result<(SlotAnswer, u64), E>;
 
 struct Pending<E> {
     user: UserId,

@@ -58,6 +58,13 @@ type CachedList = (u64, Arc<Vec<ItemId>>);
 /// One user's hoisted candidate `[lo, hi)` runs, shared with batch workers.
 type RunList = Arc<Vec<(u32, u32)>>;
 
+/// One user's slot in a batch answer: their list, or their own error.
+pub type SlotAnswer = Result<Arc<Vec<ItemId>>, ServeError>;
+
+/// An engine's batch answer: one slot per requested user in request order,
+/// plus the single bundle generation the whole batch was served from.
+pub type EngineBatch = (Vec<SlotAnswer>, u64);
+
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -392,6 +399,18 @@ impl EngineState {
         query.topn_excluding(user, theta_u, b.coverage.provider(), &merged)
     }
 
+    /// One user's list under non-default `opts`: the named re-ranker when
+    /// one is set, else the fused path at the overriding (or fitted) θ.
+    fn compute_override(&self, user: UserId, opts: &RequestOptions) -> Vec<ItemId> {
+        match opts.rerank {
+            Some(mode) => self.compute_rerank(user, mode, &opts.exclude),
+            None => {
+                let theta_u = opts.theta.unwrap_or_else(|| self.bundle.theta[user.idx()]);
+                self.compute_with(user, theta_u, &opts.exclude)
+            }
+        }
+    }
+
     /// The online re-rank path: run `mode`'s re-ranker as a per-request
     /// post-processor over the base model's raw scores, mirroring batch
     /// [`ganc_rerank::rerank_all`] input-for-input (raw `score_items`
@@ -484,11 +503,40 @@ impl ServingEngine {
         self.recommend_traced(user).map(|(list, _)| list)
     }
 
-    /// Answer one user's top-N request, reporting the bundle generation the
-    /// response was computed under. A cache hit may report the previous
-    /// generation for an instant around a [`ServingEngine::swap_bundle`];
-    /// the list always matches the reported generation's bundle.
+    /// [`ServingEngine::recommend_with_traced`] at default options.
     pub fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
+        self.recommend_with_traced(user, &RequestOptions::default())
+    }
+
+    /// Answer one request, reporting the bundle generation the response was
+    /// computed under. This is where a request's options pick its path — the
+    /// only such decision between the HTTP surface and the model state:
+    ///
+    /// * default `opts` serve the fitted scenario through the user-keyed
+    ///   LRU. A cache hit may report the previous generation for an instant
+    ///   around a [`ServingEngine::swap_bundle`]; the list always matches
+    ///   the reported generation's bundle.
+    /// * any override computes fresh under the state read lock and **never
+    ///   touches the response cache** in either direction: a cached default
+    ///   list must not answer an override, and an override's list must not
+    ///   be served to a later default request. θ overrides serve the fused
+    ///   path at that θ; exclusions shrink the candidate pool for this
+    ///   request only; `rerank` swaps the fused selection for the named
+    ///   batch re-ranker run online (θ then only affects routing, never the
+    ///   list).
+    pub fn recommend_with_traced(
+        &self,
+        user: UserId,
+        opts: &RequestOptions,
+    ) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
+        if opts.is_default() {
+            self.serve_cached(user)
+        } else {
+            self.serve_override(user, opts)
+        }
+    }
+
+    fn serve_cached(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
         let obs = self.obs.get();
         let t0 = obs.map_or(0, |o| o.now_us());
         // Hit fast path: never touches the model state.
@@ -527,27 +575,11 @@ impl ServingEngine {
         Ok((list, state.generation))
     }
 
-    /// Answer one request with per-request overrides. A default `opts`
-    /// delegates to the unmodified default path ([`recommend_traced`] —
-    /// cache included); any override computes fresh under the state read
-    /// lock and **never touches the user-keyed response cache** in either
-    /// direction: a cached default list must not answer an override, and an
-    /// override's list must not be served to a later default request.
-    ///
-    /// θ overrides serve the fused path at that θ (seed lists and all);
-    /// exclusions shrink the candidate pool for this request only; `rerank`
-    /// swaps the fused selection for the named batch re-ranker run online
-    /// (θ then only affects routing, never the list).
-    ///
-    /// [`recommend_traced`]: ServingEngine::recommend_traced
-    pub fn recommend_with_traced(
+    fn serve_override(
         &self,
         user: UserId,
         opts: &RequestOptions,
     ) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
-        if opts.is_default() {
-            return self.recommend_traced(user);
-        }
         let obs = self.obs.get();
         let t0 = obs.map_or(0, |o| o.now_us());
         let state = self.state.read().unwrap();
@@ -558,11 +590,7 @@ impl ServingEngine {
             return Err(ServeError::UnknownUser(user));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let theta_u = opts.theta.unwrap_or_else(|| state.bundle.theta[user.idx()]);
-        let list = Arc::new(match opts.rerank {
-            Some(mode) => state.compute_rerank(user, mode, &opts.exclude),
-            None => state.compute_with(user, theta_u, &opts.exclude),
-        });
+        let list = Arc::new(state.compute_override(user, opts));
         let generation = state.generation;
         if let Some(o) = obs {
             o.record_request(t0, user.0, generation, false, &list);
@@ -570,37 +598,56 @@ impl ServingEngine {
         Ok((list, generation))
     }
 
-    /// Batch counterpart of [`ServingEngine::recommend_with_traced`]: every
-    /// request in the batch shares one override set and one bundle
-    /// generation. A default `opts` delegates to the unmodified batch path.
-    #[allow(clippy::type_complexity)]
+    /// Answer a batch of requests, fanning cache misses across worker
+    /// threads. Results come back in request order; unknown users get the
+    /// per-request error.
+    pub fn recommend_batch(&self, users: &[UserId]) -> Vec<SlotAnswer> {
+        self.recommend_batch_traced(users).0
+    }
+
+    /// [`ServingEngine::recommend_batch_with_traced`] at default options.
+    pub fn recommend_batch_traced(&self, users: &[UserId]) -> EngineBatch {
+        self.recommend_batch_with_traced(users, &RequestOptions::default())
+    }
+
+    /// Answer a batch under one options set, reporting the single bundle
+    /// generation every response in it was served from. Options pick the
+    /// path exactly as in [`ServingEngine::recommend_with_traced`]: default
+    /// `opts` go through the LRU, any override computes every slot fresh
+    /// and leaves the cache alone.
+    ///
+    /// The state read lock is held across the *entire* batch — the cache-hit
+    /// phase included — so a concurrent [`ServingEngine::swap_bundle`]
+    /// cannot land mid-batch: every cached entry observed under the lock was
+    /// inserted under the current generation (swaps clear the cache while
+    /// holding the write lock), and every miss computes against it.
     pub fn recommend_batch_with_traced(
         &self,
         users: &[UserId],
         opts: &RequestOptions,
-    ) -> (Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64) {
+    ) -> EngineBatch {
         if opts.is_default() {
-            return self.recommend_batch_traced(users);
+            self.serve_batch_cached(users)
+        } else {
+            self.serve_batch_override(users, opts)
         }
+    }
+
+    fn serve_batch_override(&self, users: &[UserId], opts: &RequestOptions) -> EngineBatch {
         let obs = self.obs.get();
         let t0 = obs.map_or(0, |o| o.now_us());
         let state = self.state.read().unwrap();
         let generation = state.generation;
         let n_users = state.bundle.n_users() as usize;
         let mut served = 0u64;
-        let results: Vec<Option<Result<Arc<Vec<ItemId>>, ServeError>>> = users
+        let results: Vec<Option<SlotAnswer>> = users
             .iter()
             .map(|&user| {
                 if user.idx() >= n_users {
                     return Some(Err(ServeError::UnknownUser(user)));
                 }
                 served += 1;
-                let theta_u = opts.theta.unwrap_or_else(|| state.bundle.theta[user.idx()]);
-                let list = match opts.rerank {
-                    Some(mode) => state.compute_rerank(user, mode, &opts.exclude),
-                    None => state.compute_with(user, theta_u, &opts.exclude),
-                };
-                Some(Ok(Arc::new(list)))
+                Some(Ok(Arc::new(state.compute_override(user, opts))))
             })
             .collect();
         self.misses.fetch_add(served, Ordering::Relaxed);
@@ -613,33 +660,12 @@ impl ServingEngine {
         )
     }
 
-    /// Answer a batch of requests, fanning cache misses across worker
-    /// threads. Results come back in request order; unknown users get the
-    /// per-request error.
-    #[allow(clippy::type_complexity)]
-    pub fn recommend_batch(&self, users: &[UserId]) -> Vec<Result<Arc<Vec<ItemId>>, ServeError>> {
-        self.recommend_batch_traced(users).0
-    }
-
-    /// Like [`ServingEngine::recommend_batch`], also reporting the single
-    /// bundle generation every response in the batch was served from.
-    ///
-    /// The state read lock is held across the *entire* batch — the cache-hit
-    /// phase included — so a concurrent [`ServingEngine::swap_bundle`]
-    /// cannot land mid-batch: every cached entry observed under the lock was
-    /// inserted under the current generation (swaps clear the cache while
-    /// holding the write lock), and every miss computes against it.
-    #[allow(clippy::type_complexity)]
-    pub fn recommend_batch_traced(
-        &self,
-        users: &[UserId],
-    ) -> (Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64) {
+    fn serve_batch_cached(&self, users: &[UserId]) -> EngineBatch {
         let obs = self.obs.get();
         let t0 = obs.map_or(0, |o| o.now_us());
         let state = self.state.read().unwrap();
         let generation = state.generation;
-        let mut results: Vec<Option<Result<Arc<Vec<ItemId>>, ServeError>>> =
-            vec![None; users.len()];
+        let mut results: Vec<Option<SlotAnswer>> = vec![None; users.len()];
         // Serve cache hits under one short cache-lock hold (the state read
         // lock above pins their generation).
         let mut miss_idx: Vec<usize> = Vec::new();
@@ -656,16 +682,6 @@ impl ServingEngine {
         }
         self.hits
             .fetch_add((users.len() - miss_idx.len()) as u64, Ordering::Relaxed);
-        if miss_idx.is_empty() {
-            if let Some(o) = obs {
-                o.record_batch(t0, generation, &results);
-            }
-            return (
-                results.into_iter().map(|r| r.unwrap()).collect(),
-                generation,
-            );
-        }
-
         // Reject unknown users up front so the miss counter only covers
         // requests that actually compute (matching `recommend`).
         let n_users = state.bundle.n_users() as usize;
@@ -677,29 +693,45 @@ impl ServingEngine {
                 true
             }
         });
-        self.misses
-            .fetch_add(miss_idx.len() as u64, Ordering::Relaxed);
-        if miss_idx.is_empty() {
-            if let Some(o) = obs {
-                o.record_batch(t0, generation, &results);
+        if !miss_idx.is_empty() {
+            self.misses
+                .fetch_add(miss_idx.len() as u64, Ordering::Relaxed);
+            let computed = self.compute_misses(&state, users, &miss_idx);
+            // Still under the state read lock: no writer has run, so the
+            // computed lists are current and their generation tag is exact.
+            let mut cache = self.cache.lock().unwrap();
+            for (k, list) in computed {
+                cache.insert(users[k].0, (generation, Arc::clone(&list)));
+                results[k] = Some(Ok(list));
             }
-            return (
-                results.into_iter().map(|r| r.unwrap()).collect(),
-                generation,
-            );
         }
+        drop(state);
+        if let Some(o) = obs {
+            o.record_batch(t0, generation, &results);
+        }
+        (
+            results.into_iter().map(|r| r.unwrap()).collect(),
+            generation,
+        )
+    }
 
-        // Compute misses in parallel; each worker sets up its scorer and
-        // buffers once for its whole chunk. The shared accuracy vector (if
-        // the model supports one) is resolved once for the whole batch.
+    /// Compute a default batch's cache misses (`miss_idx` indexes `users`)
+    /// in parallel; each worker sets up its scorer and buffers once for its
+    /// whole chunk. The shared accuracy vector (if the model supports one)
+    /// is resolved once for the whole batch.
+    fn compute_misses(
+        &self,
+        state: &EngineState,
+        users: &[UserId],
+        miss_idx: &[usize],
+    ) -> Vec<(usize, Arc<Vec<ItemId>>)> {
         let shared_accuracy = state.shared_accuracy();
-        let mut computed: Vec<(usize, Arc<Vec<ItemId>>)> = Vec::with_capacity(miss_idx.len());
+        let mut computed = Vec::with_capacity(miss_idx.len());
         let threads = self.threads.min(miss_idx.len());
         let chunk = miss_idx.len().div_ceil(threads);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for piece in miss_idx.chunks(chunk) {
-                let state = &state;
                 let shared_accuracy = shared_accuracy.clone();
                 handles.push(scope.spawn(move || {
                     let b = &state.bundle;
@@ -740,23 +772,7 @@ impl ServingEngine {
                 computed.extend(h.join().expect("serving worker panicked"));
             }
         });
-
-        // Still under the state read lock: no writer has run, so the
-        // computed lists are current and their generation tag is exact.
-        let mut cache = self.cache.lock().unwrap();
-        for (k, list) in computed {
-            cache.insert(users[k].0, (generation, Arc::clone(&list)));
-            results[k] = Some(Ok(list));
-        }
-        drop(cache);
-        drop(state);
-        if let Some(o) = obs {
-            o.record_batch(t0, generation, &results);
-        }
-        (
-            results.into_iter().map(|r| r.unwrap()).collect(),
-            generation,
-        )
+        computed
     }
 
     /// Ingest one observed interaction: the item leaves the user's

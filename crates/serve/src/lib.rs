@@ -66,7 +66,9 @@ pub mod wal;
 
 pub use batch::{BatchConfig, BatchSource, CoalescedAnswer, Coalescer, MicroBatcher};
 pub use bundle::{make_scorer, BoundModel, CoverageState, FitConfig, FittedModel, ModelBundle};
-pub use engine::{build_reranker, EngineConfig, EngineStats, ServeError, ServingEngine};
+pub use engine::{
+    build_reranker, EngineBatch, EngineConfig, EngineStats, ServeError, ServingEngine, SlotAnswer,
+};
 pub use ganc_core::query::{RequestOptions, RerankMode};
 pub use lru::LruCache;
 pub use refit::{

@@ -15,7 +15,7 @@
 //! into the engine.
 
 use crate::bundle::ModelBundle;
-use crate::engine::ServeError;
+use crate::engine::SlotAnswer;
 use ganc_dataset::stats::LongTail;
 use ganc_dataset::ItemId;
 use ganc_obs::{
@@ -243,13 +243,7 @@ impl EngineObs {
 
     /// One batch served: per-list window observations, batch latency, and
     /// per-result error attribution.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn record_batch(
-        &self,
-        t0_us: u64,
-        generation: u64,
-        results: &[Option<Result<Arc<Vec<ItemId>>, ServeError>>],
-    ) {
+    pub(crate) fn record_batch(&self, t0_us: u64, generation: u64, results: &[Option<SlotAnswer>]) {
         let now = self.hub.now_us();
         let elapsed = now.saturating_sub(t0_us);
         self.batch_us.observe_us(elapsed);

@@ -22,7 +22,9 @@
 //! construction, which `tests/shard_equivalence.rs` checks exhaustively.
 
 use crate::bundle::ModelBundle;
-use crate::engine::{EngineConfig, EngineStats, ServeError, ServingEngine};
+use crate::engine::{
+    EngineBatch, EngineConfig, EngineStats, ServeError, ServingEngine, SlotAnswer,
+};
 use crate::saveload::{PersistError, SaveLoad};
 use crate::wal::{DurableConfig, DurableLog, IngestAck, WalReplaySummary, WalStats};
 use ganc_core::query::{band_bounds, cut_theta_bands, shard_of, RequestOptions};
@@ -415,115 +417,61 @@ impl ShardedEngine {
         self.recommend_traced(user).map(|(list, _)| list)
     }
 
-    /// Like [`ShardedEngine::recommend`], reporting the shard-set
-    /// generation the response was served from. The generation is read
-    /// under the same outer lock hold that serves the request, so the pair
-    /// is exact — a concurrent refit swap can never tear it.
+    /// [`ShardedEngine::recommend_with_traced`] at default options.
     pub fn recommend_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
+        self.recommend_with_traced(user, &RequestOptions::default())
+    }
+
+    /// Answer one request, reporting the shard-set generation it was served
+    /// from. The generation is read under the same outer lock hold that
+    /// serves the request, so the pair is exact — a concurrent refit swap
+    /// can never tear it.
+    ///
+    /// The user's home band serves the request unless `opts` carries a θ
+    /// override, which routes through the generation's cut points to the
+    /// band that **owns** that θ ([`shard_of`]) — the only band whose
+    /// coverage sub-range can resolve it. What `opts` means beyond routing
+    /// is the owning [`ServingEngine`]'s decision.
+    pub fn recommend_with_traced(
+        &self,
+        user: UserId,
+        opts: &RequestOptions,
+    ) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
         let set = self.set.read().unwrap();
-        let Some(&shard) = set.user_shard.get(user.idx()) else {
+        let Some(&home) = set.user_shard.get(user.idx()) else {
             return Err(ServeError::UnknownUser(user));
         };
-        let list = set.engines[shard as usize].recommend(user)?;
+        let shard = opts.theta.map_or(home as usize, |t| shard_of(&set.cuts, t));
+        let (list, _) = set.engines[shard].recommend_with_traced(user, opts)?;
         Ok((list, set.generation))
     }
 
     /// Answer a batch of requests, splitting it across shards (one worker
     /// thread per shard touched). Results come back in request order, the
     /// whole batch served from one shard-set generation.
-    #[allow(clippy::type_complexity)]
-    pub fn recommend_batch(&self, users: &[UserId]) -> Vec<Result<Arc<Vec<ItemId>>, ServeError>> {
+    pub fn recommend_batch(&self, users: &[UserId]) -> Vec<SlotAnswer> {
         self.recommend_batch_traced(users).0
     }
 
-    /// Like [`ShardedEngine::recommend_batch`], also reporting the single
-    /// generation the batch was served from.
-    #[allow(clippy::type_complexity)]
-    pub fn recommend_batch_traced(
-        &self,
-        users: &[UserId],
-    ) -> (Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64) {
-        let set = self.set.read().unwrap();
-        let generation = set.generation;
-        let mut results: Vec<Option<Result<Arc<Vec<ItemId>>, ServeError>>> =
-            vec![None; users.len()];
-        // Split the batch by owning shard, keeping request positions.
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); set.engines.len()];
-        for (k, u) in users.iter().enumerate() {
-            match set.user_shard.get(u.idx()) {
-                Some(&s) => per_shard[s as usize].push(k),
-                None => results[k] = Some(Err(ServeError::UnknownUser(*u))),
-            }
-        }
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (shard, idxs) in per_shard.into_iter().enumerate() {
-                if idxs.is_empty() {
-                    continue;
-                }
-                let engine = &set.engines[shard];
-                handles.push(scope.spawn(move || {
-                    let sub: Vec<UserId> = idxs.iter().map(|&k| users[k]).collect();
-                    let answers = engine.recommend_batch(&sub);
-                    idxs.into_iter().zip(answers).collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                for (k, answer) in h.join().expect("shard worker panicked") {
-                    results[k] = Some(answer);
-                }
-            }
-        });
-        (
-            results.into_iter().map(|r| r.unwrap()).collect(),
-            generation,
-        )
+    /// [`ShardedEngine::recommend_batch_with_traced`] at default options.
+    pub fn recommend_batch_traced(&self, users: &[UserId]) -> EngineBatch {
+        self.recommend_batch_with_traced(users, &RequestOptions::default())
     }
 
-    /// Answer one request with per-request overrides. A θ override routes
-    /// through the generation's cut points to the band that **owns** that θ
-    /// ([`shard_of`]) — the only band whose coverage sub-range can resolve
-    /// it — instead of the user's home band; all other overrides run on the
-    /// home band. A default `opts` delegates to the unmodified default
-    /// path.
-    pub fn recommend_with_traced(
-        &self,
-        user: UserId,
-        opts: &RequestOptions,
-    ) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
-        if opts.is_default() {
-            return self.recommend_traced(user);
-        }
-        let set = self.set.read().unwrap();
-        let Some(&home) = set.user_shard.get(user.idx()) else {
-            return Err(ServeError::UnknownUser(user));
-        };
-        let shard = match opts.theta {
-            Some(t) => shard_of(&set.cuts, t),
-            None => home as usize,
-        };
-        let (list, _) = set.engines[shard].recommend_with_traced(user, opts)?;
-        Ok((list, set.generation))
-    }
-
-    /// Batch counterpart of [`ShardedEngine::recommend_with_traced`]: a θ
-    /// override sends the whole batch to the band that owns that θ; other
-    /// overrides split per home band as usual. A default `opts` delegates
-    /// to the unmodified batch path.
-    #[allow(clippy::type_complexity)]
+    /// Batch counterpart of [`ShardedEngine::recommend_with_traced`], also
+    /// reporting the single generation the batch was served from: users
+    /// split per home band, except that a θ override sends the whole batch
+    /// to the band that owns that θ.
     pub fn recommend_batch_with_traced(
         &self,
         users: &[UserId],
         opts: &RequestOptions,
-    ) -> (Vec<Result<Arc<Vec<ItemId>>, ServeError>>, u64) {
-        if opts.is_default() {
-            return self.recommend_batch_traced(users);
-        }
+    ) -> EngineBatch {
         let set = self.set.read().unwrap();
         let generation = set.generation;
         let theta_shard = opts.theta.map(|t| shard_of(&set.cuts, t));
-        let mut results: Vec<Option<Result<Arc<Vec<ItemId>>, ServeError>>> =
-            vec![None; users.len()];
+        let mut results: Vec<Option<SlotAnswer>> = vec![None; users.len()];
+        // Split the batch by serving shard, keeping request positions.
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); set.engines.len()];
         for (k, u) in users.iter().enumerate() {
             match set.user_shard.get(u.idx()) {

@@ -679,23 +679,24 @@ pub struct DurableLog {
     obs: OnceLock<WalObs>,
 }
 
+/// The interactions a WAL replay recovered, in log order.
+pub type Recovered = Vec<(UserId, ItemId, f32)>;
+
 impl DurableLog {
     /// Open the log, replaying what survives: returns the handle plus the
     /// recovered interactions, which the caller must re-apply through its
     /// normal ingest path (the dedup window is already re-armed).
-    #[allow(clippy::type_complexity)]
-    pub fn open(cfg: DurableConfig) -> io::Result<(DurableLog, Vec<(UserId, ItemId, f32)>)> {
+    pub fn open(cfg: DurableConfig) -> io::Result<(DurableLog, Recovered)> {
         DurableLog::open_with_clock(cfg, Arc::new(SystemClock::new()))
     }
 
     /// [`DurableLog::open`] with an injected clock for the
     /// [`SyncPolicy::Interval`] group commit (tests drive a
     /// [`ganc_obs::clock::ManualClock`]).
-    #[allow(clippy::type_complexity)]
     pub fn open_with_clock(
         cfg: DurableConfig,
         clock: Arc<dyn Clock>,
-    ) -> io::Result<(DurableLog, Vec<(UserId, ItemId, f32)>)> {
+    ) -> io::Result<(DurableLog, Recovered)> {
         let (wal, records, replay) = Wal::open(&cfg.path)?;
         let mut window = DedupWindow::new(cfg.dedup_window);
         let mut recovered = Vec::new();

@@ -17,15 +17,16 @@ use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::http::testing::RecordingPeer;
 use ganc::http::{
-    Frontend, HttpServer, PeerTransport, RemoteShard, RouterNode, ServerConfig, ShardRoute,
+    CoalescedShard, Frontend, HttpServer, PeerTransport, RemoteShard, ReplicaConfig, ReplicaSet,
+    RouterNode, ServerConfig, ShardRoute,
 };
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::recommender::rsvd::{Rsvd, RsvdConfig};
 use ganc::rerank::rerank_all;
 use ganc::serve::{
-    build_reranker, EngineConfig, FitConfig, FittedModel, ModelBundle, RequestOptions, RerankMode,
-    ServeError, ServingEngine, ShardConfig, ShardedEngine,
+    build_reranker, BatchConfig, EngineConfig, EngineStats, FitConfig, FittedModel, ModelBundle,
+    RequestOptions, RerankMode, ServeError, ServingEngine, ShardConfig, ShardedEngine,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -219,6 +220,141 @@ fn override_requests_never_read_or_write_the_cache() {
         0,
         "override must not seed the cache"
     );
+}
+
+/// Default options are the cached path at every depth: through each
+/// layer's `recommend_with_traced(u, &default)` the answer is
+/// byte-identical to the `recommend_traced(u)` sugar, and on the engine
+/// owning the user the first call is the one miss and every later call a
+/// hit. A layer that ever routed default options into the cache-bypassing
+/// override arm would count a second miss here.
+#[test]
+fn default_options_hit_the_owning_engines_cache_at_every_depth() {
+    type Answer = (Arc<Vec<ItemId>>, u64);
+    fn check(
+        depth: &str,
+        stats: &dyn Fn() -> EngineStats,
+        with_opts: &dyn Fn(&RequestOptions) -> Answer,
+        sugar: &dyn Fn() -> Answer,
+    ) {
+        let default = RequestOptions::default();
+        let counters = || {
+            let s = stats();
+            (s.cache_hits, s.cache_misses)
+        };
+        let (hits, misses) = counters();
+        let first = with_opts(&default);
+        assert_eq!(
+            counters(),
+            (hits, misses + 1),
+            "{depth}: first call computes"
+        );
+        let second = sugar();
+        assert_eq!(
+            counters(),
+            (hits + 1, misses + 1),
+            "{depth}: sugar must hit"
+        );
+        let third = with_opts(&default);
+        assert_eq!(
+            counters(),
+            (hits + 2, misses + 1),
+            "{depth}: default options bypassed the cache"
+        );
+        assert_eq!(first, second, "{depth}");
+        assert_eq!(second, third, "{depth}");
+    }
+
+    let bundle = skewed_bundle(CoverageKind::Dynamic);
+    let u = UserId(1);
+    let fresh = || Arc::new(ServingEngine::new(bundle.clone(), EngineConfig::default()));
+    let loopback = |engine: &Arc<ServingEngine>| {
+        Arc::new(Frontend::Single(Arc::clone(engine))) as Arc<dyn PeerTransport>
+    };
+    let through_peer = |depth: &str, engine: &ServingEngine, peer: &dyn PeerTransport| {
+        check(
+            depth,
+            &|| engine.stats(),
+            &|o| peer.recommend_with_traced(u, o).unwrap(),
+            &|| peer.recommend_traced(u).unwrap(),
+        );
+    };
+
+    let engine = fresh();
+    check(
+        "ServingEngine",
+        &|| engine.stats(),
+        &|o| engine.recommend_with_traced(u, o).unwrap(),
+        &|| engine.recommend_traced(u).unwrap(),
+    );
+
+    let sharded = ShardedEngine::new(bundle.clone(), ShardConfig::quantile(2));
+    check(
+        "ShardedEngine",
+        &|| sharded.stats(),
+        &|o| sharded.recommend_with_traced(u, o).unwrap(),
+        &|| sharded.recommend_traced(u).unwrap(),
+    );
+
+    // A router over two band slices, once with the bands local and once
+    // behind a loopback transport; the owning engine is the user's band.
+    use ganc::core::query::{band_bounds, cut_theta_bands};
+    let cuts = cut_theta_bands(&bundle.theta, 2);
+    let owner = shard_of(&cuts, bundle.theta[u.idx()]);
+    for remote in [false, true] {
+        let slices: Vec<Arc<ServingEngine>> = (0..2)
+            .map(|j| {
+                let (lo, hi) = band_bounds(&cuts, j);
+                let slice = bundle.slice_theta_band(lo, hi);
+                Arc::new(ServingEngine::new(slice, EngineConfig::default()))
+            })
+            .collect();
+        let routes = slices
+            .iter()
+            .map(|e| match remote {
+                true => ShardRoute::Remote(loopback(e)),
+                false => ShardRoute::Local(Arc::clone(e)),
+            })
+            .collect();
+        let router = RouterNode::new(Arc::clone(&bundle.theta), cuts.clone(), routes);
+        check(
+            if remote {
+                "RouterNode remote band"
+            } else {
+                "RouterNode local band"
+            },
+            &|| slices[owner].stats(),
+            &|o| router.recommend_with_traced(u, o).unwrap(),
+            &|| router.recommend_traced(u).unwrap(),
+        );
+    }
+
+    let engine = fresh();
+    through_peer("Frontend loopback", &engine, loopback(&engine).as_ref());
+
+    let engine = fresh();
+    let replicas = ReplicaSet::new(vec![loopback(&engine)], ReplicaConfig::default());
+    check(
+        "ReplicaSet",
+        &|| engine.stats(),
+        &|o| replicas.recommend_with_traced(u, o).unwrap(),
+        &|| replicas.recommend_traced(u).unwrap(),
+    );
+
+    let engine = fresh();
+    let coalesced = CoalescedShard::new(loopback(&engine), BatchConfig::default());
+    through_peer("CoalescedShard", &engine, &coalesced);
+
+    let engine = fresh();
+    let server = HttpServer::bind(
+        Frontend::Single(Arc::clone(&engine)),
+        None,
+        ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .expect("ephemeral bind");
+    let remote = RemoteShard::connect(server.local_addr().to_string()).expect("reachable");
+    through_peer("RemoteShard over HTTP", &engine, &remote);
 }
 
 /// Online `rerank=` ≡ the batch `rerank_all` driver, for every re-ranker

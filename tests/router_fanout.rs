@@ -28,8 +28,8 @@ use ganc::http::{
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::serve::{
-    EngineConfig, FitConfig, FittedModel, ModelBundle, ServeError, ServingEngine, ShardConfig,
-    ShardedEngine,
+    EngineConfig, FitConfig, FittedModel, ModelBundle, RequestOptions, RerankMode, ServeError,
+    ServingEngine, ShardConfig, ShardedEngine,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -150,27 +150,56 @@ fn assert_equivalent(sequential: Batch, parallel: Batch, context: &str) {
     }
 }
 
+/// One of the four option shapes a batch can carry: default, exclude-only,
+/// rerank-only, θ override.
+fn arb_opts() -> impl Strategy<Value = RequestOptions> {
+    (
+        0usize..4,
+        0u32..=8,
+        proptest::collection::vec(0u32..40, 1..6),
+    )
+        .prop_map(|(shape, grid, exclude)| {
+            let mut opts = RequestOptions::default();
+            match shape {
+                0 => {}
+                1 => opts.set_exclude(exclude),
+                2 => {
+                    let modes = [RerankMode::Pra, RerankMode::Rbt, RerankMode::FiveD];
+                    opts.rerank = Some(modes[grid as usize % 3]);
+                }
+                _ => opts.theta = Some(grid as f64 / 8.0),
+            }
+            opts
+        })
+}
+
 proptest! {
     /// Across band counts {1,2,4,7}, arbitrary batches (straddling bands,
-    /// duplicates, unknown users) and an arbitrary provably-last band:
-    /// the parallel fan-out's slots, ordering, per-slot errors, and
-    /// generation tag are identical to the sequential reference.
+    /// duplicates, unknown users), every option shape, and an arbitrary
+    /// provably-last band: the parallel fan-out's slots, ordering,
+    /// per-slot errors, and generation tag are identical to the
+    /// sequential reference.
     #[test]
     fn parallel_fanout_matches_sequential_under_a_slow_band(
         s_idx in 0usize..BAND_COUNTS.len(),
         slow_pick in 0usize..7,
         raw_users in proptest::collection::vec(0u32..60, 0..30),
+        opts in arb_opts(),
     ) {
         let bands = BAND_COUNTS[s_idx];
         let h = Harness::build(bands);
         // 0..60 over a 50-user fixture: unknown users ride along in-slot.
         let users: Vec<UserId> = raw_users.iter().map(|&u| UserId(u)).collect();
-        let sequential = h.router.recommend_batch_traced_sequential(&users);
+        let sequential = h.router.recommend_batch_with_traced_sequential(&users, &opts);
         let slow_band = slow_pick % bands;
-        h.arm_slow(slow_band, &users);
-        let parallel = h.router.recommend_batch_traced(&users);
+        // A θ override collapses the batch onto the one band owning that
+        // θ: no other band ever completes, so there is nothing to wait for.
+        if opts.theta.is_none() {
+            h.arm_slow(slow_band, &users);
+        }
+        let parallel = h.router.recommend_batch_with_traced(&users, &opts);
         h.slow[slow_band].delay_until(0);
-        let context = format!("bands={bands} slow={slow_band} users={raw_users:?}");
+        let context = format!("bands={bands} slow={slow_band} opts={opts:?} users={raw_users:?}");
         match (&sequential, &parallel) {
             (Ok(_), Ok(_)) => {}
             (seq, par) => prop_assert!(false, "healthy bands must answer: {seq:?} vs {par:?}"),
