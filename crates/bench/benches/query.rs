@@ -1,6 +1,6 @@
 //! Hot-path benchmarks for the fused GANC query pipeline: cold and cached
 //! single-request latency, OSLG seed-phase (fit) wall time, and the
-//! delta-encoded snapshot footprint versus the dense v1 layout.
+//! delta-encoded snapshot footprint versus the dense `S·|I|·4`-byte floor.
 //!
 //! Runs the medium-sim profile the serving bench uses (so
 //! `BENCH_query.json` is directly comparable with `BENCH_serve.json`'s
@@ -14,7 +14,6 @@ use ganc_dataset::synth::DatasetProfile;
 use ganc_dataset::{Interactions, UserId};
 use ganc_preference::GeneralizedConfig;
 use ganc_recommender::pop::MostPopular;
-use ganc_serve::legacy::snapshots_to_v1_payload;
 use ganc_serve::{
     CoverageState, EngineConfig, FitConfig, FittedModel, ModelBundle, RequestOptions, SaveLoad,
     ServingEngine,
@@ -30,7 +29,7 @@ struct ProfileReport {
     cold: LatencyStats,
     cached: LatencyStats,
     snapshot_bytes_v2: usize,
-    snapshot_bytes_v1_dense: usize,
+    snapshot_bytes_dense_floor: usize,
     bundle_bytes: usize,
 }
 
@@ -49,7 +48,7 @@ impl ProfileReport {
                 "    \"single_request_cached\": {{\"mean_us\": {hm:.3}, \"p50_us\": {h50:.3}, ",
                 "\"p99_us\": {h99:.3}, \"requests\": {hreq}}},\n",
                 "    \"snapshot_bytes_v2\": {sv2},\n",
-                "    \"snapshot_bytes_v1_dense\": {sv1},\n",
+                "    \"snapshot_bytes_dense_floor\": {dense},\n",
                 "    \"snapshot_compression\": {comp:.1},\n",
                 "    \"bundle_bytes\": {bb}\n",
                 "  }}"
@@ -67,8 +66,8 @@ impl ProfileReport {
             h99 = self.cached.p99_us,
             hreq = self.cached.requests,
             sv2 = self.snapshot_bytes_v2,
-            sv1 = self.snapshot_bytes_v1_dense,
-            comp = self.snapshot_bytes_v1_dense as f64 / self.snapshot_bytes_v2.max(1) as f64,
+            dense = self.snapshot_bytes_dense_floor,
+            comp = self.snapshot_bytes_dense_floor as f64 / self.snapshot_bytes_v2.max(1) as f64,
             bb = self.bundle_bytes,
         )
     }
@@ -91,10 +90,11 @@ fn measure_profile(
     let bundle = ModelBundle::fit(FittedModel::Pop(pop), theta, train.clone(), &cfg);
     let fit_ms = fit_start.elapsed().as_secs_f64() * 1_000.0;
 
-    let (snapshot_bytes_v2, snapshot_bytes_v1_dense) = match &bundle.coverage {
+    // Dense floor: one `u32` count per item per snapshot, headers aside.
+    let (snapshot_bytes_v2, snapshot_bytes_dense_floor) = match &bundle.coverage {
         CoverageState::Dynamic(snaps) => (
             snaps.to_bytes().expect("snapshot encode").len(),
-            snapshots_to_v1_payload(snaps).expect("v1 encode").len() + 6,
+            snaps.len() * snaps.n_items() * 4,
         ),
         _ => (0, 0),
     };
@@ -130,7 +130,7 @@ fn measure_profile(
             cold,
             cached,
             snapshot_bytes_v2,
-            snapshot_bytes_v1_dense,
+            snapshot_bytes_dense_floor,
             bundle_bytes,
         },
         engine,

@@ -14,6 +14,7 @@
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_recommender::random::unit_hash;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::collections::TryReserveError;
 
 /// The paper's coverage gain: `1/√(f + 1)`.
 #[inline]
@@ -497,19 +498,32 @@ impl CoverageSnapshots {
     }
 
     /// Rebuild the derived state (checkpoints, overlays, tail) from the
-    /// delta chain — after decode.
-    fn rebuild_derived(&mut self) {
-        self.tail = vec![0; self.n_items];
+    /// delta chain — after decode. The dense all-zero base state is sized
+    /// by the decoded catalog size, so it is reserved fallibly: a header
+    /// claiming a catalog this process cannot hold is an error, not an
+    /// abort.
+    fn rebuild_derived(&mut self) -> Result<(), TryReserveError> {
+        fn try_filled<T: Clone>(value: T, n: usize) -> Result<Vec<T>, TryReserveError> {
+            let mut v = Vec::new();
+            v.try_reserve_exact(n)?;
+            v.resize(n, value);
+            Ok(v)
+        }
+        self.tail = try_filled(0, self.n_items)?;
         self.checkpoints.clear();
         self.overlays.clear();
         self.running.clear();
         if self.n_items == 0 {
-            return;
+            return Ok(());
         }
-        self.checkpoints.push(Checkpoint::from_counts(&self.tail));
+        self.checkpoints.push(Checkpoint {
+            counts: try_filled(0, self.n_items)?.into_boxed_slice(),
+            scores: try_filled(gain(0), self.n_items)?.into_boxed_slice(),
+        });
         for k in 0..self.deltas.len() {
             self.derive_step(k);
         }
+        Ok(())
     }
 
     /// Number of stored snapshots.
@@ -688,16 +702,14 @@ impl Default for CoverageSnapshots {
     }
 }
 
-/// v2 wire sentinel: the first `u64` of a format-v1 payload is the θ vector
-/// length (bounded by the sample size), so `u64::MAX` unambiguously marks
-/// the delta-encoded layout.
+/// Wire sentinel: the first `u64` of every payload. (Format v1 began with
+/// the θ vector length, which `u64::MAX` could never be; the value is kept
+/// so the v2 byte layout is unchanged.)
 const DELTA_WIRE_SENTINEL: u64 = u64::MAX;
 
-// Hand-written serde. v2 writes the sentinel, catalog size, θs, the chain
-// permutation, and the sparse deltas — `O(|I| + S·N)` bytes. A payload
-// without the sentinel is the legacy dense v1 layout
-// (`thetas: Vec<f64>, counts: Vec<Box<[u32]>>`) and is converted to delta
-// form on decode. Checkpoints and tail are derived and rebuilt either way.
+// Hand-written serde: the sentinel, catalog size, θs, the chain
+// permutation, and the sparse deltas — `O(|I| + S·N)` bytes. Checkpoints
+// and tail are derived and rebuilt on decode.
 impl Serialize for CoverageSnapshots {
     fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
         s.put_u64(DELTA_WIRE_SENTINEL)?;
@@ -718,60 +730,50 @@ impl Serialize for CoverageSnapshots {
 
 impl<'de> Deserialize<'de> for CoverageSnapshots {
     fn deserialize<D: Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
-        let first = d.get_u64()?;
-        let mut out = CoverageSnapshots::new();
-        if first == DELTA_WIRE_SENTINEL {
-            out.n_items = d.get_u64()? as usize;
-            out.thetas = Vec::<f64>::deserialize(d)?;
-            out.chain = Vec::<u32>::deserialize(d)?;
-            let n_deltas = d.get_seq_len()?;
-            out.deltas = Vec::with_capacity(n_deltas);
-            for _ in 0..n_deltas {
-                let len = d.get_seq_len()?;
-                let mut delta = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let i = d.get_u32()?;
-                    let ch = d.get_i64()?;
-                    delta.push((i, ch));
-                }
-                out.deltas.push(delta.into_boxed_slice());
-            }
-            if out.thetas.len() != out.chain.len() || out.deltas.len() != out.chain.len() {
-                return Err(d.invalid("CoverageSnapshots chain lengths"));
-            }
-            // A corrupt payload must surface as a decode error, not a
-            // panic in derived-state rebuilding or a later request.
-            let n_deltas = out.deltas.len() as u32;
-            if out.chain.iter().any(|&k| k >= n_deltas) {
-                return Err(d.invalid("CoverageSnapshots chain index"));
-            }
-            let n_items = out.n_items as u32;
-            if out
-                .deltas
-                .iter()
-                .any(|delta| delta.iter().any(|&(i, _)| i >= n_items))
-            {
-                return Err(d.invalid("CoverageSnapshots delta item id"));
-            }
-        } else {
-            // Legacy dense v1 layout: `first` is the θ vector length.
-            let mut thetas = Vec::with_capacity((first as usize).min(1 << 20));
-            for _ in 0..first {
-                thetas.push(d.get_f64()?);
-            }
-            let counts = Vec::<Box<[u32]>>::deserialize(d)?;
-            if counts.len() != thetas.len() {
-                return Err(d.invalid("CoverageSnapshots v1 lengths"));
-            }
-            if counts.windows(2).any(|w| w[0].len() != w[1].len()) {
-                return Err(d.invalid("CoverageSnapshots v1 row length"));
-            }
-            for (theta, dense) in thetas.into_iter().zip(counts) {
-                out.push(theta, &dense);
-            }
-            return Ok(out);
+        if d.get_u64()? != DELTA_WIRE_SENTINEL {
+            return Err(d.invalid("CoverageSnapshots layout sentinel"));
         }
-        out.rebuild_derived();
+        // The header's catalog size bounds every item id and sizes the
+        // derived dense state, so hold it to the item-id space (in `u64`:
+        // a truncating cast would wrap a huge claim to a small bound).
+        let n_items = d.get_u64()?;
+        if n_items > u32::MAX as u64 {
+            return Err(d.invalid("CoverageSnapshots catalog size"));
+        }
+        let mut out = CoverageSnapshots::new();
+        out.n_items = n_items as usize;
+        out.thetas = Vec::<f64>::deserialize(d)?;
+        out.chain = Vec::<u32>::deserialize(d)?;
+        let n_deltas = d.get_seq_len()?;
+        out.deltas = Vec::with_capacity(n_deltas);
+        for _ in 0..n_deltas {
+            let len = d.get_seq_len()?;
+            let mut delta = Vec::with_capacity(len);
+            for _ in 0..len {
+                let i = d.get_u32()?;
+                let ch = d.get_i64()?;
+                delta.push((i, ch));
+            }
+            out.deltas.push(delta.into_boxed_slice());
+        }
+        if out.thetas.len() != out.chain.len() || out.deltas.len() != out.chain.len() {
+            return Err(d.invalid("CoverageSnapshots chain lengths"));
+        }
+        // A corrupt payload must surface as a decode error, not a panic in
+        // derived-state rebuilding or a later request.
+        let n_deltas = out.deltas.len() as u32;
+        if out.chain.iter().any(|&k| k >= n_deltas) {
+            return Err(d.invalid("CoverageSnapshots chain index"));
+        }
+        if out
+            .deltas
+            .iter()
+            .any(|delta| delta.iter().any(|&(i, _)| i as u64 >= n_items))
+        {
+            return Err(d.invalid("CoverageSnapshots delta item id"));
+        }
+        out.rebuild_derived()
+            .map_err(|_| d.invalid("CoverageSnapshots catalog size"))?;
         Ok(out)
     }
 }
@@ -1021,32 +1023,27 @@ mod tests {
         p.extend(bincode::serialize(&1i64).unwrap());
         assert!(bincode::deserialize::<CoverageSnapshots>(&p).is_err());
 
-        // v1 payload with ragged dense rows.
+        // Headers claiming a catalog beyond the item-id space: 2^61 would
+        // overflow the dense state's capacity, and 2^32 + 3 would wrap a
+        // `u32` bound to 3. Neither may size an allocation.
+        for n_items in [1u64 << 61, (1u64 << 32) + 3] {
+            let mut p = bincode::serialize(&u64::MAX).unwrap();
+            p.extend(bincode::serialize(&n_items).unwrap());
+            p.extend(bincode::serialize(&Vec::<f64>::new()).unwrap());
+            p.extend(bincode::serialize(&Vec::<u32>::new()).unwrap());
+            p.extend(bincode::serialize(&0u64).unwrap()); // no deltas
+            assert_eq!(p.len(), 40);
+            assert!(bincode::deserialize::<CoverageSnapshots>(&p).is_err());
+        }
+
+        // A payload that does not open with the layout sentinel (the
+        // retired dense v1 layout began with the θ vector length).
         let thetas: Vec<f64> = vec![0.1, 0.2];
         let counts: Vec<Box<[u32]>> =
-            vec![vec![1, 2].into_boxed_slice(), vec![1].into_boxed_slice()];
+            vec![vec![1, 2].into_boxed_slice(), vec![1, 2].into_boxed_slice()];
         let mut p = bincode::serialize(&thetas).unwrap();
         p.extend(bincode::serialize(&counts).unwrap());
         assert!(bincode::deserialize::<CoverageSnapshots>(&p).is_err());
-    }
-
-    #[test]
-    fn legacy_dense_wire_is_readable() {
-        // Build the v1 payload by hand: thetas then dense counts.
-        let mut s = CoverageSnapshots::new();
-        s.push(0.2, &[1, 0, 3]);
-        s.push(0.7, &[1, 2, 3]);
-        let thetas: Vec<f64> = vec![0.2, 0.7];
-        let counts: Vec<Box<[u32]>> = vec![
-            vec![1, 0, 3].into_boxed_slice(),
-            vec![1, 2, 3].into_boxed_slice(),
-        ];
-        let mut v1 = bincode::serialize(&thetas).unwrap();
-        v1.extend(bincode::serialize(&counts).unwrap());
-        let restored: CoverageSnapshots = bincode::deserialize(&v1).unwrap();
-        assert_eq!(restored.thetas(), s.thetas());
-        assert_eq!(restored.counts_near(0.2), s.counts_near(0.2));
-        assert_eq!(restored.counts_near(0.7), s.counts_near(0.7));
     }
 
     /// A chain long enough to cross several dense-checkpoint boundaries,

@@ -34,4 +34,4 @@ pub use coverage::{
 };
 pub use ganc::{GancBuilder, TopNLists};
 pub use oslg::{oslg_seed_phase, OslgConfig, OslgSeed, UserOrdering};
-pub use query::{fused_select, CoverageProvider, RequestOptions, RerankMode, UserQuery};
+pub use query::{CoverageProvider, RequestOptions, RerankMode, UserQuery};

@@ -10,16 +10,20 @@
 //! batch paths in [`crate::oslg`] and [`crate::ganc`] are built on it, which
 //! makes "single-user query equals batch output" true by construction.
 //!
-//! ## The fused hot path
+//! ## The one fused path
 //!
 //! A request does **one** full-catalog pass (the accuracy scorer's, which
 //! is irreducible: per-user normalization needs the whole vector) and then
-//! streams candidates straight into the selection heap, evaluating
-//! `(1−θ)a + θc` per candidate against a [`CoverageView`]. No dense
-//! coverage buffer is filled, no combined-score buffer is written, and
-//! non-candidate items (the user's seen set) are never scored. The result
-//! is bit-identical to the three-buffer reference computation
-//! ([`combine_into`] over dense fills), which the property suite checks.
+//! walks its candidate pool straight into the selection heap, evaluating
+//! `(1−θ)a + θc` per candidate against a [`CoverageView`]. The pool is
+//! data: [`candidate_runs`] is its only definition (ascending `[lo, hi)`
+//! id runs), and [`fused_select_runs`] is the only function that scores
+//! it — a θ override or an extra exclusion is the same call with another θ
+//! or another run list, never another code path. No dense coverage buffer
+//! is filled, no combined-score buffer is written, and non-candidate items
+//! (the user's seen set) are never scored. The result is bit-identical to
+//! the three-buffer reference computation ([`combine_into`] over dense
+//! fills), which the property suite checks.
 
 use crate::accuracy::AccuracyScorer;
 use crate::coverage::{CoverageSnapshots, CoverageView, DynCoverage, RandCoverage, StatCoverage};
@@ -215,54 +219,17 @@ pub fn combine_into(theta_u: f64, a: &[f64], c: &[f64], out: &mut [f64]) {
     }
 }
 
-/// The fused selection core: stream the user's candidates (unseen train
-/// items minus `extra_seen`) through `(1−θ)a + θc` straight into the
-/// bounded top-N heap. One pass, no dense coverage or combined-score
-/// buffer, non-candidates never touched.
+/// The user's candidate pool — unseen train items minus `extra_seen` — as
+/// ascending, maximal `[lo, hi)` id runs: the only definition of the pool,
+/// and the data [`fused_select_runs`] scores.
 ///
 /// `non_train` is the sorted complement of the train-item mask
 /// ([`ganc_recommender::topn::non_train_items`]) — request-independent, so
 /// callers compute it once and the candidate space becomes contiguous id
 /// runs with no per-item mask branch. The exclusion merge costs
-/// `O(|seen| + |extra_seen| + |non_train|)` for the whole request; batch
-/// phases that serve the same user repeatedly can pay it once via
-/// [`candidate_runs`] + [`fused_select_runs`] instead.
-///
-/// The inner loops are monomorphized per [`CoverageView`] variant, and the
-/// scores are the exact expression [`combine_into`] computes, so results
-/// are bit-identical to the three-buffer reference.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_select(
-    n: usize,
-    theta_u: f64,
-    a: &[f64],
-    view: &CoverageView<'_>,
-    train: &Interactions,
-    non_train: &[u32],
-    user: UserId,
-    extra_seen: &[u32],
-) -> Vec<ItemId> {
-    debug_assert!(extra_seen.windows(2).all(|w| w[0] < w[1]));
-    fused_select_with(
-        n,
-        theta_u,
-        a,
-        view,
-        StreamRuns {
-            train,
-            user,
-            extra_seen,
-            non_train,
-        },
-    )
-}
-
-/// The user's candidate id space as materialized `[lo, hi)` runs — what
-/// [`for_each_candidate_run`] streams, frozen into a reusable list. The
-/// runs only change when the user's exclusion state does (an ingested
-/// interaction), so batch phases hoist them per user and replay them with
-/// [`fused_select_runs`] instead of re-merging the exclusion lists on
-/// every request.
+/// `O(|seen| + |extra_seen| + |non_train|)`; the runs only change when the
+/// user's exclusion state does (an ingested interaction), so callers that
+/// serve the same user repeatedly keep them and skip the merge.
 pub fn candidate_runs(
     train: &Interactions,
     user: UserId,
@@ -270,125 +237,42 @@ pub fn candidate_runs(
     non_train: &[u32],
 ) -> Vec<(u32, u32)> {
     let mut runs = Vec::new();
-    for_each_candidate_run(train, user, extra_seen, non_train, |lo, hi| {
-        runs.push((lo, hi));
-    });
+    candidate_runs_into(train, user, extra_seen, non_train, &mut runs);
     runs
 }
 
-/// [`fused_select`] that also *records* the candidate runs it streamed:
-/// the returned run list equals [`candidate_runs`] for the same exclusion
-/// state, captured during the selection pass itself, so a caller that
-/// wants to hoist the runs for later requests pays only the `Vec` pushes
-/// on the first serve — never a separate merge walk.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_select_recording(
-    n: usize,
-    theta_u: f64,
-    a: &[f64],
-    view: &CoverageView<'_>,
+/// [`candidate_runs`] into a reused buffer (cleared first).
+pub fn candidate_runs_into(
     train: &Interactions,
-    non_train: &[u32],
     user: UserId,
     extra_seen: &[u32],
-) -> (Vec<ItemId>, Vec<(u32, u32)>) {
+    non_train: &[u32],
+    out: &mut Vec<(u32, u32)>,
+) {
     debug_assert!(extra_seen.windows(2).all(|w| w[0] < w[1]));
-    let mut runs = Vec::new();
-    let list = fused_select_with(
-        n,
-        theta_u,
-        a,
-        view,
-        RecordingRuns {
-            inner: StreamRuns {
-                train,
-                user,
-                extra_seen,
-                non_train,
-            },
-            out: &mut runs,
-        },
-    );
-    (list, runs)
+    out.clear();
+    for_each_candidate_run(train, user, extra_seen, non_train, |lo, hi| {
+        out.push((lo, hi));
+    });
 }
 
-/// [`fused_select`] over precomputed [`candidate_runs`]: identical scoring
-/// and selection, with the exclusion merge already paid. Results are
-/// bit-identical to the streaming variant by construction (both walk the
-/// exact same runs in the same order).
+/// The fused selection core, and the only scoring body: walk the candidate
+/// `runs` ([`candidate_runs`]) through `(1−θ)a + θc` straight into the
+/// bounded top-N heap. One pass, no dense coverage or combined-score
+/// buffer, non-candidates never touched.
+///
+/// One loop nest per [`CoverageView`] variant, each computing the exact
+/// expression [`combine_into`] computes, so results are bit-identical to
+/// the three-buffer reference.
+// The negated `!(cap <= floor)` is deliberate: it must also take the slow
+// path when either side is NaN, which `cap > floor` would skip.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn fused_select_runs(
     n: usize,
     theta_u: f64,
     a: &[f64],
     view: &CoverageView<'_>,
     runs: &[(u32, u32)],
-) -> Vec<ItemId> {
-    fused_select_with(n, theta_u, a, view, SliceRuns(runs))
-}
-
-/// A producer of ascending candidate `[lo, hi)` runs the fused core can
-/// consume. A concrete type (not a `dyn` callback) so every
-/// (source, view-variant) pairing monomorphizes into the same tight loop
-/// nest the original single-function implementation compiled to —
-/// indirection here measurably deoptimizes the per-item hot loop.
-trait RunSource {
-    fn for_each(self, run: impl FnMut(u32, u32));
-}
-
-/// Stream the exclusion merge ([`for_each_candidate_run`]).
-struct StreamRuns<'a> {
-    train: &'a Interactions,
-    user: UserId,
-    extra_seen: &'a [u32],
-    non_train: &'a [u32],
-}
-
-impl RunSource for StreamRuns<'_> {
-    fn for_each(self, run: impl FnMut(u32, u32)) {
-        for_each_candidate_run(self.train, self.user, self.extra_seen, self.non_train, run);
-    }
-}
-
-/// Stream the merge while recording each run into `out`.
-struct RecordingRuns<'a> {
-    inner: StreamRuns<'a>,
-    out: &'a mut Vec<(u32, u32)>,
-}
-
-impl RunSource for RecordingRuns<'_> {
-    fn for_each(self, mut run: impl FnMut(u32, u32)) {
-        let out = self.out;
-        self.inner.for_each(|lo, hi| {
-            out.push((lo, hi));
-            run(lo, hi);
-        });
-    }
-}
-
-/// Replay precomputed runs.
-struct SliceRuns<'a>(&'a [(u32, u32)]);
-
-impl RunSource for SliceRuns<'_> {
-    fn for_each(self, mut run: impl FnMut(u32, u32)) {
-        for &(lo, hi) in self.0 {
-            run(lo, hi);
-        }
-    }
-}
-
-/// Shared core of [`fused_select`] / [`fused_select_recording`] /
-/// [`fused_select_runs`]: `runs` yields the candidate `[lo, hi)` runs in
-/// ascending order; the scoring loops are identical between the streaming
-/// and hoisted callers.
-// The negated `!(cap <= floor)` is deliberate: it must also take the slow
-// path when either side is NaN, which `cap > floor` would skip.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
-fn fused_select_with<R: RunSource>(
-    n: usize,
-    theta_u: f64,
-    a: &[f64],
-    view: &CoverageView<'_>,
-    runs: R,
 ) -> Vec<ItemId> {
     let w_a = 1.0 - theta_u;
     let mut col = TopNCollector::new(n);
@@ -404,15 +288,15 @@ fn fused_select_with<R: RunSource>(
     // the per-item loads carry no bounds checks.
     match view {
         CoverageView::Dense(c) => {
-            runs.for_each(|lo, hi| {
+            for &(lo, hi) in runs {
                 let (l, h) = (lo as usize, hi as usize);
                 for (off, (&av, &cv)) in a[l..h].iter().zip(&c[l..h]).enumerate() {
                     col.offer(lo + off as u32, w_a * av + theta_u * cv);
                 }
-            });
+            }
         }
         CoverageView::Hashed { seed, user: u } => {
-            runs.for_each(|lo, hi| {
+            for &(lo, hi) in runs {
                 let (l, h) = (lo as usize, hi as usize);
                 for (off, &av) in a[l..h].iter().enumerate() {
                     let wav = w_a * av;
@@ -421,11 +305,11 @@ fn fused_select_with<R: RunSource>(
                         col.offer(i, wav + theta_u * unit_hash(*seed, *u, i));
                     }
                 }
-            });
+            }
         }
         CoverageView::Patched { base, overlay } => {
             let mut pos = 0usize;
-            runs.for_each(|lo, hi| {
+            for &(lo, hi) in runs {
                 let (l, h) = (lo as usize, hi as usize);
                 for (off, (&av, &bv)) in a[l..h].iter().zip(&base[l..h]).enumerate() {
                     let i = lo + off as u32;
@@ -438,7 +322,7 @@ fn fused_select_with<R: RunSource>(
                     };
                     col.offer(i, w_a * av + theta_u * cv);
                 }
-            });
+            }
         }
     }
     col.finish()
@@ -446,7 +330,7 @@ fn fused_select_with<R: RunSource>(
 
 /// A reusable single-user top-N computation.
 ///
-/// Owns the per-request accuracy buffer and overlay scratch, so a
+/// Owns the per-request accuracy buffer and candidate-run scratch, so a
 /// long-lived worker allocates once and serves any number of requests. Not
 /// `Sync` (the buffers are mutable state); create one per worker thread.
 ///
@@ -478,6 +362,8 @@ pub struct UserQuery<'a> {
     non_train: Vec<u32>,
     n: usize,
     a_buf: Vec<f64>,
+    /// Scratch for the current request's [`candidate_runs`].
+    runs: Vec<(u32, u32)>,
 }
 
 impl<'a> UserQuery<'a> {
@@ -499,6 +385,7 @@ impl<'a> UserQuery<'a> {
             non_train: ganc_recommender::topn::non_train_items(in_train),
             n,
             a_buf: vec![0.0; n_items],
+            runs: Vec::new(),
         }
     }
 
@@ -520,13 +407,8 @@ impl<'a> UserQuery<'a> {
 
     /// Like [`UserQuery::topn`], additionally excluding `extra_seen`
     /// (sorted, deduplicated item ids) from the candidate pool — the hook
-    /// for interactions ingested after the train snapshot was frozen.
-    ///
-    /// Fused candidate-only scoring: after the accuracy fill, each
-    /// candidate is scored and offered to the bounded selection heap in a
-    /// single pass. The candidate iterator yields ascending item ids, which
-    /// lets the coverage cursor merge any sparse overlay in `O(|overlay|)`
-    /// total.
+    /// for interactions ingested after the train snapshot was frozen. The
+    /// user's [`candidate_runs`] are built into the owned scratch buffer.
     pub fn topn_excluding(
         &mut self,
         user: UserId,
@@ -534,49 +416,27 @@ impl<'a> UserQuery<'a> {
         coverage: &dyn CoverageProvider,
         extra_seen: &[u32],
     ) -> Vec<ItemId> {
-        self.arec.accuracy_scores(user, &mut self.a_buf);
-        let view = coverage.view(user, theta_u);
-        fused_select(
-            self.n,
-            theta_u,
-            &self.a_buf,
-            &view,
+        candidate_runs_into(
             self.train,
-            &self.non_train,
             user,
             extra_seen,
-        )
-    }
-
-    /// [`UserQuery::topn_excluding`] that also records the candidate runs
-    /// it streamed (see [`fused_select_recording`]) — the first-serve half
-    /// of run hoisting: select and capture in one pass.
-    pub fn topn_excluding_recording(
-        &mut self,
-        user: UserId,
-        theta_u: f64,
-        coverage: &dyn CoverageProvider,
-        extra_seen: &[u32],
-    ) -> (Vec<ItemId>, Vec<(u32, u32)>) {
+            &self.non_train,
+            &mut self.runs,
+        );
         self.arec.accuracy_scores(user, &mut self.a_buf);
         let view = coverage.view(user, theta_u);
-        fused_select_recording(
-            self.n,
-            theta_u,
-            &self.a_buf,
-            &view,
-            self.train,
-            &self.non_train,
-            user,
-            extra_seen,
-        )
+        fused_select_runs(self.n, theta_u, &self.a_buf, &view, &self.runs)
     }
 
-    /// Like [`UserQuery::topn_excluding`] with the candidate-run merge
-    /// already paid: `runs` must be this user's current
-    /// [`candidate_runs`]. Batch phases serving many requests per user
-    /// hoist the runs once (they only change on ingest) and replay them
-    /// here.
+    /// The user's top-N over a caller-supplied candidate pool: `runs` must
+    /// be this user's current [`candidate_runs`]. Callers serving many
+    /// requests per user keep the runs (they only change on ingest) and
+    /// skip the exclusion merge.
+    ///
+    /// Fused candidate-only scoring: after the accuracy fill, each
+    /// candidate is scored and offered to the bounded selection heap in a
+    /// single pass. Runs ascend, which lets the coverage cursor merge any
+    /// sparse overlay in `O(|overlay|)` total.
     pub fn topn_with_runs(
         &mut self,
         user: UserId,
@@ -706,28 +566,32 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_runs_match_the_streaming_merge_for_all_providers() {
-        let (train, theta, pop) = setup();
-        let arec = NormalizedScores::new(&pop);
+    fn candidate_runs_are_the_unseen_train_pool_minus_extras() {
+        let (train, _, _) = setup();
         let in_train = train_item_mask(&train);
         let non_train = ganc_recommender::topn::non_train_items(&in_train);
-        let stat = StatCoverage::fit(&train);
-        let rand = RandCoverage::new(7);
-        let mut snaps = CoverageSnapshots::for_items(train.n_items());
-        snaps.push_assigned(0.2, &[ItemId(0), ItemId(3)]);
-        snaps.push_assigned(0.6, &[ItemId(3), ItemId(5)]);
-        let providers: [&dyn CoverageProvider; 3] = [&stat, &rand, &snaps];
-        let mut q = UserQuery::new(&arec, &train, &in_train, 5);
-        for provider in providers {
-            for u in (0..train.n_users()).step_by(13) {
-                for extra in [vec![], vec![0u32, 2, 9]] {
-                    let runs = candidate_runs(&train, UserId(u), &extra, &non_train);
-                    // The runs really cover the candidate space: streaming
-                    // and hoisted selection agree bit-for-bit.
-                    let hoisted = q.topn_with_runs(UserId(u), theta[u as usize], provider, &runs);
-                    let streamed = q.topn_excluding(UserId(u), theta[u as usize], provider, &extra);
-                    assert_eq!(hoisted, streamed, "user {u} extra={extra:?}");
-                }
+        let n_items = train.n_items();
+        for u in (0..train.n_users()).step_by(13) {
+            let user = UserId(u);
+            let (seen, _) = train.user_row(user);
+            // Extras: none; overlapping the train row and adjacent ids;
+            // reaching past the catalog.
+            let mut overlapping = vec![seen[0], seen[0] + 1, seen[0] + 2, n_items - 1];
+            overlapping.sort_unstable();
+            overlapping.dedup();
+            let beyond = vec![0, 2, 9, n_items, n_items + 7, u32::MAX];
+            for extra in [vec![], overlapping, beyond] {
+                let runs = candidate_runs(&train, user, &extra, &non_train);
+                let expect: Vec<u32> = unseen_train_candidates(&train, &in_train, user)
+                    .filter(|i| extra.binary_search(i).is_err())
+                    .collect();
+                let got: Vec<u32> = runs.iter().flat_map(|&(lo, hi)| lo..hi).collect();
+                assert_eq!(got, expect, "user {u} extra={extra:?}");
+                assert!(runs.iter().all(|&(lo, hi)| lo < hi), "empty run");
+                assert!(
+                    runs.windows(2).all(|w| w[0].1 < w[1].0),
+                    "runs must ascend and be maximal (non-adjacent): {runs:?}"
+                );
             }
         }
     }

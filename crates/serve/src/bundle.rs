@@ -265,8 +265,7 @@ impl FitConfig {
 ///
 /// Persist with [`crate::SaveLoad`] (format v2: `Dyn` coverage snapshots
 /// travel as `O(|I| + S·N)` sparse deltas instead of `S` dense count
-/// vectors; v1 artifacts still load, and [`crate::legacy`] writes them);
-/// serve with [`crate::engine::ServingEngine`].
+/// vectors); serve with [`crate::engine::ServingEngine`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ModelBundle {
     /// Display name of the base model (e.g. `"Pop"`, `"PSVD100"`).

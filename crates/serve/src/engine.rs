@@ -9,8 +9,19 @@
 //! * the LRU response cache has its own mutex so cache hits never touch the
 //!   model state at all;
 //! * [`ServingEngine::recommend_batch`] fans a request batch across worker
-//!   threads, each of which builds its scorer and score buffers **once**
-//!   per batch — the amortization that makes micro-batching pay.
+//!   threads, each of which resolves its accuracy source (`accuracy()`: the
+//!   model's shared vector, or a per-user scorer and one score buffer)
+//!   **once** per batch — the amortization that makes micro-batching pay.
+//!
+//! One scoring path: between a request and
+//! [`ganc_core::query::fused_select_runs`] there are three decisions, each
+//! made in one function of the model state — where accuracy scores come
+//! from (`accuracy()`), which candidate runs are scored (`runs()`: the
+//! user's hoisted runs, or a fresh list when the request excludes items),
+//! and at which θ against which coverage view (`select()`). A default
+//! request, a θ or exclusion override, a batch slot and the online
+//! re-rankers' candidate pool all go through them; a request's options
+//! only decide whether the response cache may be read and written.
 //!
 //! Staleness contract: ingesting an interaction immediately (a) removes the
 //! item from that user's candidate pool, (b) refreshes popularity-derived
@@ -32,21 +43,21 @@
 //! [`ServingEngine::recommend_batch`] holds one read lock across the whole
 //! batch — cache hits included — so a batch is always single-generation.
 
-use crate::bundle::{make_scorer_with_mask, CoverageState, FittedModel, ModelBundle};
+use crate::bundle::{make_scorer_with_mask, BoundModel, CoverageState, FittedModel, ModelBundle};
 use crate::lru::LruCache;
 use crate::obs::EngineObs;
-use ganc_core::query::{
-    fused_select, fused_select_recording, fused_select_runs, RequestOptions, RerankMode, UserQuery,
-};
+use ganc_core::accuracy::AccuracyScorer;
+use ganc_core::query::{candidate_runs, fused_select_runs, RequestOptions, RerankMode};
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_obs::{ObsHub, WindowStats, WindowWire};
 use ganc_recommender::pop::MostPopular;
-use ganc_recommender::topn::{train_item_mask, unseen_train_candidates};
+use ganc_recommender::topn::train_item_mask;
 use ganc_recommender::Recommender;
 use ganc_rerank::five_d::FiveD;
 use ganc_rerank::pra::Pra;
 use ganc_rerank::rbt::{Rbt, RbtCriterion};
 use ganc_rerank::Reranker;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -54,9 +65,6 @@ use std::time::Duration;
 
 /// A cached response: the bundle generation that computed it plus the list.
 type CachedList = (u64, Arc<Vec<ItemId>>);
-
-/// One user's hoisted candidate `[lo, hi)` runs, shared with batch workers.
-type RunList = Arc<Vec<(u32, u32)>>;
 
 /// One user's slot in a batch answer: their list, or their own error.
 pub type SlotAnswer = Result<Arc<Vec<ItemId>>, ServeError>;
@@ -146,21 +154,20 @@ struct EngineState {
     accuracy_is_shared: bool,
     /// Whether the Pop model's stored scores are exactly the raw
     /// `pop_counts`, making the `O(1)` [`MostPopular::bump`] refresh valid.
-    /// False for models fit on other data and for legacy v1 artifacts
-    /// (which persisted min–max normalized scores) — those fall back to a
-    /// full rebuild from `pop_counts` on ingest, the pre-v2 behavior.
+    /// False for models whose scores are on another scale (fit on other
+    /// data, or normalized) — those fall back to a full rebuild from
+    /// `pop_counts` on ingest.
     pop_bump_ok: bool,
     /// Lazily built per model version: the shared normalized accuracy
     /// vector. Rebuilt on first request after an ingest invalidates it, so
     /// ingestion itself stays `O(touched items)`.
     shared_accuracy: Mutex<Option<Arc<Vec<f64>>>>,
-    /// Lazily hoisted per-user candidate runs (the ROADMAP
-    /// candidate-run-reuse item): a user's exclusion merge
+    /// Lazily hoisted per-user candidate runs: a user's exclusion merge
     /// (`seen + extra_seen + non_train`) only changes when *they* ingest,
-    /// so repeat requests — the batch parallel phase above all — replay the
-    /// frozen `[lo, hi)` runs instead of re-merging. Invalidated per user
-    /// under the ingest write lock; a bundle swap rebuilds the whole state.
-    candidate_runs: Vec<OnceLock<RunList>>,
+    /// so it is built on their first serve and every later request replays
+    /// the frozen `[lo, hi)` runs. Invalidated per user under the ingest
+    /// write lock; a bundle swap rebuilds the whole state.
+    candidate_runs: Vec<OnceLock<Vec<(u32, u32)>>>,
     /// Lazily built online re-rankers (indexed Pra/Rbt/FiveD), each fit on
     /// the bundle's train snapshot exactly like batch
     /// [`ganc_rerank::rerank_all`] callers would fit them — the equivalence
@@ -270,21 +277,6 @@ impl EngineState {
             .get_or_init(|| build_reranker(mode, &self.bundle.train, &self.bundle.model_name))
     }
 
-    /// The user's hoisted candidate runs, if a previous serve recorded
-    /// them for the current exclusion state (see the field docs). A first
-    /// serve streams the merge and records the runs as a side effect —
-    /// never a separate merge walk — so hoisting costs a cold request
-    /// nothing and repeat requests skip the merge entirely.
-    fn cached_runs(&self, user: UserId) -> Option<&RunList> {
-        self.candidate_runs[user.idx()].get()
-    }
-
-    /// Cache `runs` recorded by a first serve (a racing serve of the same
-    /// user recorded identical runs; losing the race is fine).
-    fn record_runs(&self, user: UserId, runs: Vec<(u32, u32)>) {
-        let _ = self.candidate_runs[user.idx()].set(Arc::new(runs));
-    }
-
     /// The per-user-constant normalized accuracy vector, when the model
     /// supports one — computed at most once per model version.
     fn shared_accuracy(&self) -> Option<Arc<Vec<f64>>> {
@@ -303,110 +295,77 @@ impl EngineState {
         guard.clone()
     }
 
-    /// The fused-path list for one user at an explicit θ given a prefetched
-    /// shared accuracy vector. The candidate pool is the user's default one
-    /// (runs are θ-independent), so cached runs are served and recorded as
-    /// on the default path.
-    fn compute_shared(&self, user: UserId, accuracy: &[f64], theta_u: f64) -> Vec<ItemId> {
+    /// The accuracy source for one request or one batch worker, over
+    /// `bound` (the bundle's model bound to its train set): the shared
+    /// vector when the model has one, else a per-user scorer and its score
+    /// buffer — built once here and reused for every user the caller serves.
+    fn accuracy<'a>(&'a self, bound: &'a BoundModel<'a>) -> Accuracy<'a> {
         let b = &self.bundle;
-        let view = b.coverage.provider().view(user, theta_u);
-        if let Some(runs) = self.cached_runs(user) {
-            return fused_select_runs(b.n, theta_u, accuracy, &view, runs);
+        match self.shared_accuracy() {
+            Some(a) => Accuracy::Shared(a),
+            None => Accuracy::PerUser(
+                make_scorer_with_mask(bound, b.accuracy_mode, &b.train, &self.in_train, b.n),
+                vec![0.0; b.n_items() as usize],
+            ),
         }
-        let (list, runs) = fused_select_recording(
-            b.n,
-            theta_u,
-            accuracy,
-            &view,
-            &b.train,
-            &self.non_train,
-            user,
-            &self.extra_seen[user.idx()],
-        );
-        self.record_runs(user, runs);
-        list
     }
 
-    /// Compute one user's list the way the batch optimizer would.
-    fn compute(&self, user: UserId) -> Vec<ItemId> {
+    /// The user's candidate pool minus `exclude` (sorted request
+    /// exclusions; ids outside the catalog are ignored — they can never be
+    /// recommended anyway). Without exclusions these are the user's hoisted
+    /// runs, built on first use (see the field docs); with them, a fresh
+    /// list that is never cached, so request exclusions cannot pollute a
+    /// later request's pool.
+    fn runs(&self, user: UserId, exclude: &[u32]) -> Cow<'_, [(u32, u32)]> {
+        let extra = &self.extra_seen[user.idx()];
+        let build = |seen: &[u32]| candidate_runs(&self.bundle.train, user, seen, &self.non_train);
+        if exclude.is_empty() {
+            Cow::Borrowed(self.candidate_runs[user.idx()].get_or_init(|| build(extra)))
+        } else {
+            Cow::Owned(build(&merge_sorted(extra, exclude)))
+        }
+    }
+
+    /// The fused path: one user's list at an explicit θ over their
+    /// candidate pool minus `exclude`.
+    fn select(
+        &self,
+        accuracy: &mut Accuracy<'_>,
+        user: UserId,
+        theta_u: f64,
+        exclude: &[u32],
+    ) -> Vec<ItemId> {
         let b = &self.bundle;
-        if matches!(b.coverage, CoverageState::Dynamic(_)) {
+        let view = b.coverage.provider().view(user, theta_u);
+        let runs = self.runs(user, exclude);
+        fused_select_runs(b.n, theta_u, accuracy.scores(user), &view, &runs)
+    }
+
+    /// One user's list under `opts`. `fitted` is the caller's one reading
+    /// of [`RequestOptions::is_default`]: the fitted scenario answers
+    /// sampled users under Dyn coverage from their precomputed seed list,
+    /// the way the batch optimizer would; an override never consults seed
+    /// lists (it always answers from the fused path — the oracle's
+    /// definition) and runs the named re-ranker when one is set, else the
+    /// fused path at the overriding (or fitted) θ.
+    fn list(
+        &self,
+        accuracy: &mut Accuracy<'_>,
+        user: UserId,
+        opts: &RequestOptions,
+        fitted: bool,
+    ) -> Vec<ItemId> {
+        let b = &self.bundle;
+        if fitted && matches!(b.coverage, CoverageState::Dynamic(_)) {
             if let Some(&k) = self.seed_index.get(&user.0) {
                 return b.seed_lists[k].1.clone();
             }
         }
-        if let Some(a) = self.shared_accuracy() {
-            return self.compute_shared(user, &a, b.theta[user.idx()]);
-        }
-        let bound = b.model.bind(&b.train);
-        let scorer = make_scorer_with_mask(&bound, b.accuracy_mode, &b.train, &self.in_train, b.n);
-        let mut query = UserQuery::new(scorer.as_ref(), &b.train, &self.in_train, b.n);
-        self.query_topn(&mut query, user, b.theta[user.idx()])
-    }
-
-    /// One user's list through a prepared [`UserQuery`] at an explicit θ,
-    /// serving cached candidate runs when present and recording them when
-    /// not.
-    fn query_topn(&self, query: &mut UserQuery<'_>, user: UserId, theta_u: f64) -> Vec<ItemId> {
-        let b = &self.bundle;
-        let provider = b.coverage.provider();
-        if let Some(runs) = self.cached_runs(user) {
-            return query.topn_with_runs(user, theta_u, provider, runs);
-        }
-        let (list, runs) =
-            query.topn_excluding_recording(user, theta_u, provider, &self.extra_seen[user.idx()]);
-        self.record_runs(user, runs);
-        list
-    }
-
-    /// The override fused path: one user's list at an explicit θ with extra
-    /// per-request exclusions. Never consults precomputed seed lists (an
-    /// override always answers from the fused path — the oracle's
-    /// definition), never records candidate runs polluted by request
-    /// exclusions, and ignores exclusion ids outside the catalog (they can
-    /// never be recommended anyway).
-    fn compute_with(&self, user: UserId, theta_u: f64, exclude: &[u32]) -> Vec<ItemId> {
-        let b = &self.bundle;
-        if exclude.is_empty() {
-            // Same candidate pool as the default path: the hoisted-run
-            // cache applies (runs are θ-independent).
-            if let Some(a) = self.shared_accuracy() {
-                return self.compute_shared(user, &a, theta_u);
-            }
-            let bound = b.model.bind(&b.train);
-            let scorer =
-                make_scorer_with_mask(&bound, b.accuracy_mode, &b.train, &self.in_train, b.n);
-            let mut query = UserQuery::new(scorer.as_ref(), &b.train, &self.in_train, b.n);
-            return self.query_topn(&mut query, user, theta_u);
-        }
-        let merged = merge_sorted(&self.extra_seen[user.idx()], exclude);
-        if let Some(a) = self.shared_accuracy() {
-            let view = b.coverage.provider().view(user, theta_u);
-            return fused_select(
-                b.n,
-                theta_u,
-                &a,
-                &view,
-                &b.train,
-                &self.non_train,
-                user,
-                &merged,
-            );
-        }
-        let bound = b.model.bind(&b.train);
-        let scorer = make_scorer_with_mask(&bound, b.accuracy_mode, &b.train, &self.in_train, b.n);
-        let mut query = UserQuery::new(scorer.as_ref(), &b.train, &self.in_train, b.n);
-        query.topn_excluding(user, theta_u, b.coverage.provider(), &merged)
-    }
-
-    /// One user's list under non-default `opts`: the named re-ranker when
-    /// one is set, else the fused path at the overriding (or fitted) θ.
-    fn compute_override(&self, user: UserId, opts: &RequestOptions) -> Vec<ItemId> {
         match opts.rerank {
             Some(mode) => self.compute_rerank(user, mode, &opts.exclude),
             None => {
-                let theta_u = opts.theta.unwrap_or_else(|| self.bundle.theta[user.idx()]);
-                self.compute_with(user, theta_u, &opts.exclude)
+                let theta_u = opts.theta.unwrap_or(b.theta[user.idx()]);
+                self.select(accuracy, user, theta_u, &opts.exclude)
             }
         }
     }
@@ -421,15 +380,35 @@ impl EngineState {
     fn compute_rerank(&self, user: UserId, mode: RerankMode, exclude: &[u32]) -> Vec<ItemId> {
         let b = &self.bundle;
         let reranker = self.reranker(mode);
-        let bound = b.model.bind(&b.train);
         let mut scores = vec![0.0f64; b.n_items() as usize];
-        bound.score_items(user, &mut scores);
-        let mut cands: Vec<u32> = unseen_train_candidates(&b.train, &self.in_train, user).collect();
-        let extra = &self.extra_seen[user.idx()];
-        if !extra.is_empty() || !exclude.is_empty() {
-            cands.retain(|i| extra.binary_search(i).is_err() && exclude.binary_search(i).is_err());
-        }
+        b.model.bind(&b.train).score_items(user, &mut scores);
+        let cands: Vec<u32> = self
+            .runs(user, exclude)
+            .iter()
+            .flat_map(|&(lo, hi)| lo..hi)
+            .collect();
         reranker.rerank(user, &scores, &cands, b.n)
+    }
+}
+
+/// Where a request's (or batch worker's) accuracy scores come from.
+enum Accuracy<'a> {
+    /// The model scores every user alike: one vector per model version.
+    Shared(Arc<Vec<f64>>),
+    /// A per-user scorer and the buffer it fills.
+    PerUser(Box<dyn AccuracyScorer + 'a>, Vec<f64>),
+}
+
+impl Accuracy<'_> {
+    /// `a(i)` for every item, for `user`.
+    fn scores(&mut self, user: UserId) -> &[f64] {
+        match self {
+            Accuracy::Shared(a) => a,
+            Accuracy::PerUser(scorer, buf) => {
+                scorer.accuracy_scores(user, buf);
+                buf
+            }
+        }
     }
 }
 
@@ -509,8 +488,9 @@ impl ServingEngine {
     }
 
     /// Answer one request, reporting the bundle generation the response was
-    /// computed under. This is where a request's options pick its path — the
-    /// only such decision between the HTTP surface and the model state:
+    /// computed under. [`RequestOptions::is_default`] is read once, as "may
+    /// this request read and write the LRU" — the only decision a request's
+    /// options make between the HTTP surface and the model state:
     ///
     /// * default `opts` serve the fitted scenario through the user-keyed
     ///   LRU. A cache hit may report the previous generation for an instant
@@ -529,29 +509,24 @@ impl ServingEngine {
         user: UserId,
         opts: &RequestOptions,
     ) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
-        if opts.is_default() {
-            self.serve_cached(user)
-        } else {
-            self.serve_override(user, opts)
-        }
-    }
-
-    fn serve_cached(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
         let obs = self.obs.get();
         let t0 = obs.map_or(0, |o| o.now_us());
-        // Hit fast path: never touches the model state.
-        let cached = {
-            let mut cache = self.cache.lock().unwrap();
-            cache
-                .get(&user.0)
-                .map(|&(generation, ref hit)| (generation, Arc::clone(hit)))
-        };
-        if let Some((generation, hit)) = cached {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = obs {
-                o.record_request(t0, user.0, generation, true, &hit);
+        let cacheable = opts.is_default();
+        if cacheable {
+            // Hit fast path: never touches the model state.
+            let cached = {
+                let mut cache = self.cache.lock().unwrap();
+                cache
+                    .get(&user.0)
+                    .map(|&(generation, ref hit)| (generation, Arc::clone(hit)))
+            };
+            if let Some((generation, hit)) = cached {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                if let Some(o) = obs {
+                    o.record_request(t0, user.0, generation, true, &hit);
+                }
+                return Ok((hit, generation));
             }
-            return Ok((hit, generation));
         }
         let state = self.state.read().unwrap();
         if user.idx() >= state.bundle.n_users() as usize {
@@ -561,41 +536,21 @@ impl ServingEngine {
             return Err(ServeError::UnknownUser(user));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let list = Arc::new(state.compute(user));
-        // Insert while still holding the read lock: no ingest or swap can
-        // interleave, so the generation tag is exact and an invalidation
-        // cannot be undone by this insert landing late.
-        self.cache
-            .lock()
-            .unwrap()
-            .insert(user.0, (state.generation, Arc::clone(&list)));
+        let bound = state.bundle.model.bind(&state.bundle.train);
+        let list = Arc::new(state.list(&mut state.accuracy(&bound), user, opts, cacheable));
+        if cacheable {
+            // Insert while still holding the read lock: no ingest or swap
+            // can interleave, so the generation tag is exact and an
+            // invalidation cannot be undone by this insert landing late.
+            self.cache
+                .lock()
+                .unwrap()
+                .insert(user.0, (state.generation, Arc::clone(&list)));
+        }
         if let Some(o) = obs {
             o.record_request(t0, user.0, state.generation, false, &list);
         }
         Ok((list, state.generation))
-    }
-
-    fn serve_override(
-        &self,
-        user: UserId,
-        opts: &RequestOptions,
-    ) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
-        let obs = self.obs.get();
-        let t0 = obs.map_or(0, |o| o.now_us());
-        let state = self.state.read().unwrap();
-        if user.idx() >= state.bundle.n_users() as usize {
-            if let Some(o) = obs {
-                o.record_error();
-            }
-            return Err(ServeError::UnknownUser(user));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let list = Arc::new(state.compute_override(user, opts));
-        let generation = state.generation;
-        if let Some(o) = obs {
-            o.record_request(t0, user.0, generation, false, &list);
-        }
-        Ok((list, generation))
     }
 
     /// Answer a batch of requests, fanning cache misses across worker
@@ -611,10 +566,11 @@ impl ServingEngine {
     }
 
     /// Answer a batch under one options set, reporting the single bundle
-    /// generation every response in it was served from. Options pick the
-    /// path exactly as in [`ServingEngine::recommend_with_traced`]: default
-    /// `opts` go through the LRU, any override computes every slot fresh
-    /// and leaves the cache alone.
+    /// generation every response in it was served from. Options decide
+    /// exactly what they decide in [`ServingEngine::recommend_with_traced`]:
+    /// default `opts` read and fill the LRU, any override computes every
+    /// slot fresh and leaves the cache alone; either way the slots to
+    /// compute fan out over the engine's worker threads.
     ///
     /// The state read lock is held across the *entire* batch — the cache-hit
     /// phase included — so a concurrent [`ServingEngine::swap_bundle`]
@@ -626,50 +582,16 @@ impl ServingEngine {
         users: &[UserId],
         opts: &RequestOptions,
     ) -> EngineBatch {
-        if opts.is_default() {
-            self.serve_batch_cached(users)
-        } else {
-            self.serve_batch_override(users, opts)
-        }
-    }
-
-    fn serve_batch_override(&self, users: &[UserId], opts: &RequestOptions) -> EngineBatch {
         let obs = self.obs.get();
         let t0 = obs.map_or(0, |o| o.now_us());
-        let state = self.state.read().unwrap();
-        let generation = state.generation;
-        let n_users = state.bundle.n_users() as usize;
-        let mut served = 0u64;
-        let results: Vec<Option<SlotAnswer>> = users
-            .iter()
-            .map(|&user| {
-                if user.idx() >= n_users {
-                    return Some(Err(ServeError::UnknownUser(user)));
-                }
-                served += 1;
-                Some(Ok(Arc::new(state.compute_override(user, opts))))
-            })
-            .collect();
-        self.misses.fetch_add(served, Ordering::Relaxed);
-        if let Some(o) = obs {
-            o.record_batch(t0, generation, &results);
-        }
-        (
-            results.into_iter().map(|r| r.unwrap()).collect(),
-            generation,
-        )
-    }
-
-    fn serve_batch_cached(&self, users: &[UserId]) -> EngineBatch {
-        let obs = self.obs.get();
-        let t0 = obs.map_or(0, |o| o.now_us());
+        let cacheable = opts.is_default();
         let state = self.state.read().unwrap();
         let generation = state.generation;
         let mut results: Vec<Option<SlotAnswer>> = vec![None; users.len()];
-        // Serve cache hits under one short cache-lock hold (the state read
-        // lock above pins their generation).
         let mut miss_idx: Vec<usize> = Vec::new();
-        {
+        if cacheable {
+            // Serve cache hits under one short cache-lock hold (the state
+            // read lock above pins their generation).
             let mut cache = self.cache.lock().unwrap();
             for (k, u) in users.iter().enumerate() {
                 if let Some(&(tag, ref hit)) = cache.get(&u.0) {
@@ -679,6 +601,8 @@ impl ServingEngine {
                     miss_idx.push(k);
                 }
             }
+        } else {
+            miss_idx.extend(0..users.len());
         }
         self.hits
             .fetch_add((users.len() - miss_idx.len()) as u64, Ordering::Relaxed);
@@ -696,12 +620,14 @@ impl ServingEngine {
         if !miss_idx.is_empty() {
             self.misses
                 .fetch_add(miss_idx.len() as u64, Ordering::Relaxed);
-            let computed = self.compute_misses(&state, users, &miss_idx);
+            let computed = self.compute_misses(&state, users, &miss_idx, opts, cacheable);
             // Still under the state read lock: no writer has run, so the
             // computed lists are current and their generation tag is exact.
-            let mut cache = self.cache.lock().unwrap();
+            let mut cache = cacheable.then(|| self.cache.lock().unwrap());
             for (k, list) in computed {
-                cache.insert(users[k].0, (generation, Arc::clone(&list)));
+                if let Some(cache) = &mut cache {
+                    cache.insert(users[k].0, (generation, Arc::clone(&list)));
+                }
                 results[k] = Some(Ok(list));
             }
         }
@@ -715,54 +641,29 @@ impl ServingEngine {
         )
     }
 
-    /// Compute a default batch's cache misses (`miss_idx` indexes `users`)
-    /// in parallel; each worker sets up its scorer and buffers once for its
-    /// whole chunk. The shared accuracy vector (if the model supports one)
-    /// is resolved once for the whole batch.
+    /// Compute a batch's misses (`miss_idx` indexes `users`) in parallel;
+    /// each worker resolves its accuracy source — scorer and score buffer,
+    /// or the shared vector — once for its whole chunk.
     fn compute_misses(
         &self,
         state: &EngineState,
         users: &[UserId],
         miss_idx: &[usize],
+        opts: &RequestOptions,
+        fitted: bool,
     ) -> Vec<(usize, Arc<Vec<ItemId>>)> {
-        let shared_accuracy = state.shared_accuracy();
         let mut computed = Vec::with_capacity(miss_idx.len());
         let threads = self.threads.min(miss_idx.len());
         let chunk = miss_idx.len().div_ceil(threads);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for piece in miss_idx.chunks(chunk) {
-                let shared_accuracy = shared_accuracy.clone();
                 handles.push(scope.spawn(move || {
-                    let b = &state.bundle;
-                    let is_dyn = matches!(b.coverage, CoverageState::Dynamic(_));
+                    let bound = state.bundle.model.bind(&state.bundle.train);
+                    let mut accuracy = state.accuracy(&bound);
                     let mut out = Vec::with_capacity(piece.len());
-                    if let Some(a) = shared_accuracy {
-                        for &k in piece {
-                            let user = users[k];
-                            let list = match state.seed_index.get(&user.0) {
-                                Some(&s) if is_dyn => b.seed_lists[s].1.clone(),
-                                _ => state.compute_shared(user, &a, b.theta[user.idx()]),
-                            };
-                            out.push((k, Arc::new(list)));
-                        }
-                        return out;
-                    }
-                    let bound = b.model.bind(&b.train);
-                    let scorer = make_scorer_with_mask(
-                        &bound,
-                        b.accuracy_mode,
-                        &b.train,
-                        &state.in_train,
-                        b.n,
-                    );
-                    let mut query = UserQuery::new(scorer.as_ref(), &b.train, &state.in_train, b.n);
                     for &k in piece {
-                        let user = users[k];
-                        let list = match state.seed_index.get(&user.0) {
-                            Some(&s) if is_dyn => b.seed_lists[s].1.clone(),
-                            _ => state.query_topn(&mut query, user, b.theta[user.idx()]),
-                        };
+                        let list = state.list(&mut accuracy, users[k], opts, fitted);
                         out.push((k, Arc::new(list)));
                     }
                     out
@@ -813,9 +714,9 @@ impl ServingEngine {
                     pop.bump(item);
                 }
             } else {
-                // Legacy v1 artifacts store normalized scores (and a Pop
-                // model could have been fit off-train); a +1 bump would be
-                // on the wrong scale, so rebuild from the live counts.
+                // The model's scores are not the raw train counts (fit
+                // off-train, or normalized); a +1 bump would be on the
+                // wrong scale, so rebuild from the live counts.
                 state.bundle.model = Arc::new(FittedModel::Pop(MostPopular::from_popularity(
                     &state.pop_counts,
                 )));
@@ -1016,16 +917,16 @@ mod tests {
         );
         {
             let state = e.state.read().unwrap();
-            let runs = state
-                .cached_runs(u)
-                .expect("the post-ingest serve re-recorded the runs");
+            let runs = state.candidate_runs[u.idx()]
+                .get()
+                .expect("the post-ingest serve rebuilt the runs");
             assert!(
                 !runs.iter().any(|&(lo, hi)| (lo..hi).contains(&consumed.0)),
                 "rebuilt runs still contain the consumed item"
             );
             // The untouched neighbor's pool is unchanged (popularity drift
             // is not a candidate change)...
-            assert!(state.cached_runs(neighbor).is_some());
+            assert!(state.candidate_runs[neighbor.idx()].get().is_some());
         }
         // ...even though their *scores* may move with global popularity.
         let fresh = engine(CoverageKind::Static);
@@ -1066,9 +967,9 @@ mod tests {
 
     #[test]
     fn legacy_normalized_pop_ingest_rebuilds_instead_of_bumping() {
-        // Simulate a format-v1-era Pop model, which persisted min–max
-        // normalized scores: a +1 bump on that scale would catapult the
-        // ingested item to the top of every ranking.
+        // A Pop model holding min–max normalized scores: a +1 bump on that
+        // scale would catapult the ingested item to the top of every
+        // ranking.
         let data = DatasetProfile::tiny().generate(5);
         let split = data.split_per_user(0.5, 2).unwrap();
         let theta = GeneralizedConfig::default().estimate(&split.train);

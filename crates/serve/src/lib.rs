@@ -9,8 +9,9 @@
 //!    (base recommenders, θ estimates, coverage state) serializes through a
 //!    versioned binary envelope; a [`ModelBundle`] packages a complete
 //!    serving configuration into one artifact.
-//! 2. **Query path** — single-user requests run
-//!    [`ganc_core::query::UserQuery`] against the bundle's frozen coverage
+//! 2. **Query path** — single-user requests run the one fused selection
+//!    ([`ganc_core::query::fused_select_runs`], the body of
+//!    [`ganc_core::query::UserQuery`]) against the bundle's frozen coverage
 //!    state; for `Dyn` coverage that is exactly OSLG's parallel phase
 //!    (Algorithm 1, lines 11–15), so served lists match batch output.
 //! 3. **Engine** ([`engine`], [`batch`]) — a thread-safe
@@ -56,7 +57,6 @@
 pub mod batch;
 pub mod bundle;
 pub mod engine;
-pub mod legacy;
 pub mod lru;
 pub(crate) mod obs;
 pub mod refit;
@@ -75,7 +75,7 @@ pub use refit::{
     merge_interactions, AdaptiveCadence, CadenceConfig, Clock, ManualClock, RefitController,
     RefitOutcome, Refitter, SystemClock,
 };
-pub use saveload::{PersistError, SaveLoad, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};
+pub use saveload::{PersistError, SaveLoad, FORMAT_VERSION, MAGIC};
 pub use shard::{
     save_shard_artifacts, shard_artifact_path, ShardConfig, ShardInfo, ShardPlan, ShardedEngine,
 };

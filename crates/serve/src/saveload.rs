@@ -20,13 +20,6 @@ pub const MAGIC: [u8; 4] = *b"GANC";
 /// (`O(|I| + S·N)` bytes instead of `O(S·|I|)` dense count vectors).
 pub const FORMAT_VERSION: u16 = 2;
 
-/// Oldest artifact format this build still reads. v1 payloads (dense
-/// snapshot encoding) are detected by the snapshot decoder itself and
-/// converted on load; every other persisted shape is unchanged since v1.
-/// Writing always uses [`FORMAT_VERSION`] — see [`crate::legacy`] for the
-/// explicit v1 downgrade path.
-pub const MIN_FORMAT_VERSION: u16 = 1;
-
 /// Why an artifact failed to persist or load.
 #[derive(Debug)]
 pub enum PersistError {
@@ -118,7 +111,7 @@ where
             return Err(PersistError::BadMagic);
         }
         let found = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&found) {
+        if found != FORMAT_VERSION {
             return Err(PersistError::VersionMismatch {
                 found,
                 expected: FORMAT_VERSION,
@@ -153,26 +146,16 @@ mod tests {
     #[test]
     fn version_mismatch_rejected() {
         let mut bytes = vec![7.0f64].to_bytes().unwrap();
-        bytes[4] = 99;
-        assert!(matches!(
-            Vec::<f64>::from_bytes(&bytes),
-            Err(PersistError::VersionMismatch { found: 99, .. })
-        ));
-        bytes[4] = 0;
-        assert!(matches!(
-            Vec::<f64>::from_bytes(&bytes),
-            Err(PersistError::VersionMismatch { found: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn legacy_v1_envelope_accepted() {
-        // Unchanged shapes read v1 envelopes directly.
-        let v: Vec<f64> = vec![0.5, 2.0];
-        let mut bytes = v.to_bytes().unwrap();
-        assert_eq!(bytes[4..6], FORMAT_VERSION.to_le_bytes());
-        bytes[4..6].copy_from_slice(&MIN_FORMAT_VERSION.to_le_bytes());
-        assert_eq!(Vec::<f64>::from_bytes(&bytes).unwrap(), v);
+        // A later generation, the pre-release 0, and the retired v1.
+        for other in [99u8, 0, 1] {
+            bytes[4] = other;
+            match Vec::<f64>::from_bytes(&bytes) {
+                Err(PersistError::VersionMismatch { found, expected }) => {
+                    assert_eq!((found, expected), (other as u16, FORMAT_VERSION));
+                }
+                got => panic!("v{other} header: expected VersionMismatch, got {got:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,13 @@
-//! Artifact format compatibility: the v2 envelope round-trips, and genuine
-//! format-v1 artifacts (dense snapshot encoding, written by the
-//! [`ganc::serve::legacy`] downgrade path) load through the legacy read
-//! path and serve byte-identical lists.
+//! Artifact format compatibility: the v2 envelope round-trips for every
+//! coverage kind, and every other format version — the retired v1
+//! included — is refused by the version gate instead of misread.
 
-use ganc::core::coverage::{CoverageKind, CoverageSnapshots, DynCoverage};
+use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
-use ganc::dataset::{Interactions, ItemId, UserId};
+use ganc::dataset::Interactions;
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
-use ganc::serve::legacy::{bundle_to_v1_bytes, snapshots_to_v1_payload, v1_envelope};
-use ganc::serve::{
-    EngineConfig, FitConfig, FittedModel, ModelBundle, SaveLoad, ServingEngine, FORMAT_VERSION,
-    MIN_FORMAT_VERSION,
-};
+use ganc::serve::{FitConfig, FittedModel, ModelBundle, PersistError, SaveLoad, FORMAT_VERSION};
 
 fn fixture() -> (Interactions, Vec<f64>) {
     let data = DatasetProfile::small().generate(64);
@@ -52,73 +47,17 @@ fn v2_bundles_round_trip_for_every_coverage_kind() {
 }
 
 #[test]
-fn v1_bundle_fixture_loads_and_serves_identically() {
-    let (train, theta) = fixture();
-    for kind in [
-        CoverageKind::Random,
-        CoverageKind::Static,
-        CoverageKind::Dynamic,
-    ] {
-        let bundle = fit(&train, &theta, kind);
-        let v1 = bundle_to_v1_bytes(&bundle).unwrap();
-        assert_eq!(
-            u16::from_le_bytes([v1[4], v1[5]]),
-            MIN_FORMAT_VERSION,
-            "fixture must be a genuine v1 artifact"
-        );
-        if let ganc::serve::CoverageState::Dynamic(snaps) = &bundle.coverage {
-            let dense = snapshots_to_v1_payload(snaps).unwrap().len();
-            let delta = snaps.to_bytes().unwrap().len();
-            assert!(
-                dense > 5 * delta,
-                "{kind:?}: dense snapshot encoding ({dense}) should be ≥5× the delta one ({delta})"
-            );
-        }
-
-        let restored = ModelBundle::from_bytes(&v1).unwrap();
-        let native = ServingEngine::new(bundle, EngineConfig::default());
-        let legacy = ServingEngine::new(restored, EngineConfig::default());
-        for u in 0..train.n_users() {
-            assert_eq!(
-                native.recommend(UserId(u)).unwrap(),
-                legacy.recommend(UserId(u)).unwrap(),
-                "{kind:?}: user {u} diverges after the v1 round-trip"
-            );
-        }
-    }
-}
-
-#[test]
-fn v1_snapshot_payload_converts_to_delta_form() {
-    let mut snaps = CoverageSnapshots::for_items(12);
-    let mut cov = DynCoverage::new(12);
-    for k in 0..40u32 {
-        let list = [ItemId(k % 12), ItemId((k * 5 + 1) % 12)];
-        cov.observe(&list);
-        snaps.push_assigned(k as f64 / 40.0, &list);
-    }
-    let v1_bytes = v1_envelope(&snapshots_to_v1_payload(&snaps).unwrap());
-    let restored = CoverageSnapshots::from_bytes(&v1_bytes).unwrap();
-    assert_eq!(restored.thetas(), snaps.thetas());
-    let mut a = vec![0.0; 12];
-    let mut b = vec![0.0; 12];
-    for q in 0..=10 {
-        let t = q as f64 / 10.0;
-        assert_eq!(restored.counts_near(t), snaps.counts_near(t));
-        restored.scores_near(t, &mut a);
-        snaps.scores_near(t, &mut b);
-        assert_eq!(a, b, "θ={t}");
-    }
-}
-
-#[test]
 fn unsupported_versions_still_rejected() {
     let (train, theta) = fixture();
     let bundle = fit(&train, &theta, CoverageKind::Static);
     let mut bytes = bundle.to_bytes().unwrap();
-    bytes[4] = (FORMAT_VERSION + 1) as u8;
-    bytes[5] = 0;
-    assert!(ModelBundle::from_bytes(&bytes).is_err());
-    bytes[4] = 0;
-    assert!(ModelBundle::from_bytes(&bytes).is_err());
+    for found in [FORMAT_VERSION + 1, 1, 0] {
+        bytes[4..6].copy_from_slice(&found.to_le_bytes());
+        match ModelBundle::from_bytes(&bytes).map(|_| ()) {
+            Err(PersistError::VersionMismatch { found: f, expected }) => {
+                assert_eq!((f, expected), (found, FORMAT_VERSION));
+            }
+            other => panic!("v{found} header: expected VersionMismatch, got {other:?}"),
+        }
+    }
 }

@@ -220,6 +220,34 @@ fn override_requests_never_read_or_write_the_cache() {
         0,
         "override must not seed the cache"
     );
+
+    // Below the response cache sit the user's hoisted candidate runs,
+    // which Static coverage serves every user from (Dyn answers sampled
+    // users from seed lists). An exclusion request served first must not
+    // leave its shrunken pool behind: the following default list equals a
+    // fresh engine's and still contains the excluded item.
+    let bundle = skewed_bundle(CoverageKind::Static);
+    let u = (0..bundle.n_users())
+        .map(UserId)
+        .find(|u| bundle.seed_lists.iter().all(|(s, _)| s != u))
+        .expect("a non-sampled user");
+    let default = ServingEngine::new(bundle.clone(), EngineConfig::default())
+        .recommend(u)
+        .unwrap();
+    let opts = RequestOptions {
+        exclude: vec![default[0].0],
+        ..RequestOptions::default()
+    };
+    let engine = ServingEngine::new(bundle, EngineConfig::default());
+    let (excluded, _) = engine.recommend_with_traced(u, &opts).unwrap();
+    assert!(!excluded.contains(&default[0]));
+    let after = engine.recommend(u).unwrap();
+    assert_eq!(
+        after.as_slice(),
+        default.as_slice(),
+        "an exclusion request polluted the user's hoisted runs"
+    );
+    assert!(after.contains(&default[0]));
 }
 
 /// Default options are the cached path at every depth: through each
@@ -436,39 +464,67 @@ fn sharded_rerank_matches_single_across_bands_and_kinds() {
 }
 
 /// Batch overrides equal the per-user single override path slot for slot,
-/// and unknown users error in their slot without failing the batch.
+/// and unknown users error in their slot without failing the batch — for
+/// each kind of override, whether the engine computes the batch's slots on
+/// one worker thread or fans them out over four.
 #[test]
 fn batch_override_matches_singles_and_flags_unknown_users() {
     let bundle = skewed_bundle(CoverageKind::Dynamic);
     let n_users = bundle.n_users();
-    let opts = RequestOptions {
-        theta: Some(0.75),
-        exclude: vec![0, 3],
-        ..RequestOptions::default()
-    };
-    for bands in BAND_COUNTS {
-        let engine = ShardedEngine::new(bundle.clone(), ShardConfig::quantile(bands));
-        let mut users: Vec<UserId> = (0..n_users).map(UserId).collect();
-        users.push(UserId(n_users + 7)); // unknown
-        let (answers, generation) = engine.recommend_batch_with_traced(&users, &opts);
-        assert_eq!(generation, 0);
-        for (k, answer) in answers.iter().enumerate() {
-            if users[k].0 < n_users {
-                assert_eq!(
-                    answer.as_ref().unwrap().as_slice(),
-                    engine
-                        .recommend_with_traced(users[k], &opts)
-                        .unwrap()
-                        .0
-                        .as_slice(),
-                    "bands {bands} slot {k}"
-                );
-            } else {
-                assert_eq!(
-                    answer.as_ref().unwrap_err(),
-                    &ServeError::UnknownUser(users[k]),
-                    "unknown user must error in its slot"
-                );
+    let cases = [
+        RequestOptions {
+            theta: Some(0.75),
+            exclude: vec![0, 3],
+            ..RequestOptions::default()
+        },
+        RequestOptions {
+            theta: Some(0.25),
+            ..RequestOptions::default()
+        },
+        RequestOptions {
+            exclude: vec![1, 4, 6],
+            ..RequestOptions::default()
+        },
+        RequestOptions {
+            exclude: vec![2],
+            rerank: Some(RerankMode::Rbt),
+            ..RequestOptions::default()
+        },
+    ];
+    let mut users: Vec<UserId> = (0..n_users).map(UserId).collect();
+    users.push(UserId(n_users + 7)); // unknown
+    for opts in &cases {
+        for threads in [1, 4] {
+            for bands in BAND_COUNTS {
+                let cfg = ShardConfig {
+                    engine: EngineConfig {
+                        threads,
+                        ..EngineConfig::default()
+                    },
+                    ..ShardConfig::quantile(bands)
+                };
+                let engine = ShardedEngine::new(bundle.clone(), cfg);
+                let (answers, generation) = engine.recommend_batch_with_traced(&users, opts);
+                assert_eq!(generation, 0);
+                for (k, answer) in answers.iter().enumerate() {
+                    if users[k].0 < n_users {
+                        assert_eq!(
+                            answer.as_ref().unwrap().as_slice(),
+                            engine
+                                .recommend_with_traced(users[k], opts)
+                                .unwrap()
+                                .0
+                                .as_slice(),
+                            "{opts:?} threads {threads} bands {bands} slot {k}"
+                        );
+                    } else {
+                        assert_eq!(
+                            answer.as_ref().unwrap_err(),
+                            &ServeError::UnknownUser(users[k]),
+                            "unknown user must error in its slot"
+                        );
+                    }
+                }
             }
         }
     }
