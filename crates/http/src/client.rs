@@ -131,7 +131,7 @@ impl HttpClient {
         path_and_query: &str,
         body: Option<&str>,
     ) -> io::Result<Response> {
-        self.request_with(method, path_and_query, body, method == "GET")
+        self.request_full(method, path_and_query, body, method == "GET", None)
     }
 
     /// Like [`HttpClient::request`], but the caller vouches the request is
@@ -165,16 +165,6 @@ impl HttpClient {
         ganc_serve::wal::validate_key(key)
             .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
         self.request_full(method, path_and_query, body, true, Some(key))
-    }
-
-    fn request_with(
-        &mut self,
-        method: &str,
-        path_and_query: &str,
-        body: Option<&str>,
-        idempotent: bool,
-    ) -> io::Result<Response> {
-        self.request_full(method, path_and_query, body, idempotent, None)
     }
 
     fn request_full(
@@ -270,11 +260,10 @@ fn parse_json(resp: &Response) -> Result<Value, BackendError> {
 /// `unknown_item`) precisely so this mapping never parses prose.
 fn error_from_body(resp: &Response) -> BackendError {
     if let Ok(v) = parse_json(resp) {
-        if let Some(u) = v["unknown_user"].as_u64() {
-            return BackendError::Serve(ServeError::UnknownUser(UserId(u as u32)));
-        }
-        if let Some(i) = v["unknown_item"].as_u64() {
-            return BackendError::Serve(ServeError::UnknownItem(ItemId(i as u32)));
+        match serve_error_from(&v) {
+            Ok(Some(e)) => return BackendError::Serve(e),
+            Ok(None) => {}
+            Err(e) => return e,
         }
         if let Some(msg) = v["error"].as_str() {
             return BackendError::Transport(format!("peer error {}: {msg}", resp.status));
@@ -307,16 +296,108 @@ fn override_query(opts: &RequestOptions) -> String {
     }
 }
 
-fn items_from(v: &Value) -> Result<Vec<ItemId>, BackendError> {
+/// A peer-supplied user or item id: `None` when `v` is not an integer,
+/// and — as the server does for ids in a request — refused when it does
+/// not fit the id type, so `4294967297` is never served as id 1.
+fn id_from(v: &Value) -> Result<Option<u32>, BackendError> {
+    v.as_u64()
+        .map(|i| {
+            u32::try_from(i)
+                .map_err(|_| BackendError::Transport(format!("peer sent out-of-range id {i}")))
+        })
+        .transpose()
+}
+
+/// The typed rejection an error body or a batch slot carries, if any.
+fn serve_error_from(v: &Value) -> Result<Option<ServeError>, BackendError> {
+    if let Some(u) = id_from(&v["unknown_user"])? {
+        return Ok(Some(ServeError::UnknownUser(UserId(u))));
+    }
+    if let Some(i) = id_from(&v["unknown_item"])? {
+        return Ok(Some(ServeError::UnknownItem(ItemId(i))));
+    }
+    Ok(None)
+}
+
+fn ids_from(v: &Value, what: &str) -> Result<Vec<u32>, BackendError> {
     v.as_array()
-        .ok_or_else(|| BackendError::Transport("missing items array".to_string()))?
+        .ok_or_else(|| BackendError::Transport(format!("missing {what} array")))?
         .iter()
-        .map(|item| {
-            item.as_u64()
-                .map(|i| ItemId(i as u32))
-                .ok_or_else(|| BackendError::Transport("non-integer item id".to_string()))
+        .map(|id| {
+            id_from(id)?.ok_or_else(|| BackendError::Transport(format!("non-integer {what} id")))
         })
         .collect()
+}
+
+fn items_from(v: &Value) -> Result<Vec<ItemId>, BackendError> {
+    Ok(ids_from(v, "items")?.into_iter().map(ItemId).collect())
+}
+
+/// Decode a `POST /v1/recommend:batch` answer for `n` users.
+fn batch_from(v: &Value, n: usize) -> BatchAnswer {
+    let generation = v["generation"]
+        .as_u64()
+        .ok_or_else(|| BackendError::Transport("missing generation".to_string()))?;
+    let results = v["results"]
+        .as_array()
+        .ok_or_else(|| BackendError::Transport("missing results".to_string()))?;
+    if results.len() != n {
+        return Err(BackendError::Transport(format!(
+            "peer answered {} slots for {n} users",
+            results.len()
+        )));
+    }
+    let mut out = Vec::with_capacity(n);
+    for slot in results {
+        out.push(match serve_error_from(slot)? {
+            Some(e) => Err(e),
+            None => Ok(Arc::new(items_from(&slot["items"])?)),
+        });
+    }
+    Ok((out, generation))
+}
+
+/// Decode a `POST /v1/ingest:batch` answer for `n` entries.
+fn ingest_batch_from(v: &Value, n: usize) -> IngestBatchAnswer {
+    let results = v["results"]
+        .as_array()
+        .ok_or_else(|| BackendError::Transport("missing results".to_string()))?;
+    if results.len() != n {
+        return Err(BackendError::Transport(format!(
+            "peer answered {} slots for {n} entries",
+            results.len()
+        )));
+    }
+    let mut out = Vec::with_capacity(n);
+    for slot in results {
+        out.push(if let Some(e) = serve_error_from(slot)? {
+            Err(e)
+        } else if slot["durability"].as_bool() == Some(true) {
+            Err(ServeError::Durability)
+        } else if slot["status"].as_str() == Some("deduplicated") {
+            Ok(IngestAck::Deduplicated)
+        } else {
+            Ok(IngestAck::Applied)
+        });
+    }
+    Ok(out)
+}
+
+/// Decode the `window` object of a `GET /v1/window` answer.
+fn window_from(w: &Value) -> Result<WindowWire, BackendError> {
+    let field = |name: &str| -> Result<u64, BackendError> {
+        w[name]
+            .as_u64()
+            .ok_or_else(|| BackendError::Transport(format!("window missing {name}")))
+    };
+    Ok(WindowWire {
+        n_items: field("n_items")? as usize,
+        lists: field("lists")?,
+        items: field("items")?,
+        novelty_microbits: field("novelty_microbits")?,
+        tail_hits: field("tail_hits")?,
+        distinct: ids_from(&w["distinct"], "distinct")?,
+    })
 }
 
 /// Typed client for a peer node serving one θ-band slice (or any other
@@ -429,29 +510,7 @@ impl PeerTransport for RemoteShard {
         if resp.status != 200 {
             return Err(error_from_body(&resp));
         }
-        let v = parse_json(&resp)?;
-        let generation = v["generation"]
-            .as_u64()
-            .ok_or_else(|| BackendError::Transport("missing generation".to_string()))?;
-        let results = v["results"]
-            .as_array()
-            .ok_or_else(|| BackendError::Transport("missing results".to_string()))?;
-        if results.len() != users.len() {
-            return Err(BackendError::Transport(format!(
-                "peer answered {} slots for {} users",
-                results.len(),
-                users.len()
-            )));
-        }
-        let mut out = Vec::with_capacity(results.len());
-        for slot in results {
-            if let Some(u) = slot["unknown_user"].as_u64() {
-                out.push(Err(ServeError::UnknownUser(UserId(u as u32))));
-            } else {
-                out.push(Ok(Arc::new(items_from(&slot["items"])?)));
-            }
-        }
-        Ok((out, generation))
+        batch_from(&parse_json(&resp)?, users.len())
     }
 
     /// `POST /v1/ingest` with an optional `Idempotency-Key` header. Keyed
@@ -516,32 +575,7 @@ impl PeerTransport for RemoteShard {
         if resp.status != 200 {
             return Err(error_from_body(&resp));
         }
-        let v = parse_json(&resp)?;
-        let results = v["results"]
-            .as_array()
-            .ok_or_else(|| BackendError::Transport("missing results".to_string()))?;
-        if results.len() != entries.len() {
-            return Err(BackendError::Transport(format!(
-                "peer answered {} slots for {} entries",
-                results.len(),
-                entries.len()
-            )));
-        }
-        let mut out = Vec::with_capacity(results.len());
-        for slot in results {
-            if let Some(u) = slot["unknown_user"].as_u64() {
-                out.push(Err(ServeError::UnknownUser(UserId(u as u32))));
-            } else if let Some(i) = slot["unknown_item"].as_u64() {
-                out.push(Err(ServeError::UnknownItem(ItemId(i as u32))));
-            } else if slot["durability"].as_bool() == Some(true) {
-                out.push(Err(ServeError::Durability));
-            } else if slot["status"].as_str() == Some("deduplicated") {
-                out.push(Ok(IngestAck::Deduplicated));
-            } else {
-                out.push(Ok(IngestAck::Applied));
-            }
-        }
-        Ok(out)
+        ingest_batch_from(&parse_json(&resp)?, entries.len())
     }
 
     /// The peer's current bundle generation (`GET /v1/healthz`).
@@ -567,29 +601,7 @@ impl PeerTransport for RemoteShard {
         if w.is_null() {
             return Ok(None);
         }
-        let field = |name: &str| -> Result<u64, BackendError> {
-            w[name]
-                .as_u64()
-                .ok_or_else(|| BackendError::Transport(format!("window missing {name}")))
-        };
-        let distinct = w["distinct"]
-            .as_array()
-            .ok_or_else(|| BackendError::Transport("window missing distinct".to_string()))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .map(|i| i as u32)
-                    .ok_or_else(|| BackendError::Transport("non-integer distinct id".to_string()))
-            })
-            .collect::<Result<Vec<u32>, BackendError>>()?;
-        Ok(Some(WindowWire {
-            n_items: field("n_items")? as usize,
-            lists: field("lists")?,
-            items: field("items")?,
-            novelty_microbits: field("novelty_microbits")?,
-            tail_hits: field("tail_hits")?,
-            distinct,
-        }))
+        window_from(w).map(Some)
     }
 }
 
@@ -653,6 +665,72 @@ mod tests {
         }
         assert!(client.conn.is_none(), "refusal must precede dialing");
         assert!(client.backoff.is_none(), "no dial, no backoff penalty");
+    }
+
+    /// Every peer-supplied id is range-checked, one field at a time.
+    #[test]
+    fn out_of_range_ids_from_a_peer_fail_closed() {
+        // ID = 2^32 + 1, which `as u32` would have served as id 1.
+        let fill = |text: &str| text.replace("ID", "4294967297");
+        let json = |text: &str| tinyjson::from_str(&fill(text)).unwrap();
+        let error_body = |text: &str| {
+            error_from_body(&Response {
+                status: 404,
+                keep_alive: true,
+                body: fill(text).into_bytes(),
+            })
+        };
+        let decodes: [(&str, Result<(), BackendError>); 8] = [
+            ("items", items_from(&json("[3,ID]")).map(drop)),
+            (
+                "error body unknown_user",
+                Err(error_body(r#"{"error":"x","unknown_user":ID}"#)),
+            ),
+            (
+                "error body unknown_item",
+                Err(error_body(r#"{"error":"x","unknown_item":ID}"#)),
+            ),
+            (
+                "batch slot unknown_user",
+                batch_from(
+                    &json(r#"{"generation":0,"results":[{"items":[1]},{"unknown_user":ID}]}"#),
+                    2,
+                )
+                .map(drop),
+            ),
+            (
+                "batch slot items",
+                batch_from(&json(r#"{"generation":0,"results":[{"items":[ID]}]}"#), 1).map(drop),
+            ),
+            (
+                "ingest slot unknown_user",
+                ingest_batch_from(&json(r#"{"results":[{"unknown_user":ID}]}"#), 1).map(drop),
+            ),
+            (
+                "ingest slot unknown_item",
+                ingest_batch_from(&json(r#"{"results":[{"unknown_item":ID}]}"#), 1).map(drop),
+            ),
+            (
+                "window distinct",
+                window_from(&json(
+                    r#"{"n_items":9,"lists":1,"items":2,"novelty_microbits":3,"tail_hits":0,"distinct":[4,ID]}"#,
+                ))
+                .map(drop),
+            ),
+        ];
+        for (field, outcome) in decodes {
+            match outcome {
+                Err(BackendError::Transport(msg)) => {
+                    assert!(msg.contains("out-of-range"), "{field}: {msg}")
+                }
+                other => panic!("{field}: expected a transport error, got {other:?}"),
+            }
+        }
+        // The largest id that fits still decodes.
+        assert_eq!(
+            items_from(&json("[4294967295]")).unwrap(),
+            [ItemId(u32::MAX)]
+        );
     }
 
     #[test]

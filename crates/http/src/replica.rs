@@ -109,6 +109,29 @@ struct Replica {
     consecutive_failures: AtomicU32,
 }
 
+/// The band-availability counters, `(name, help)` in [`ReplicaObs`] field
+/// order. The router registers them at zero for every band and a replica
+/// group fetches the same atomics back (the registry keys on name +
+/// labels), so both read this one table.
+pub(crate) const BAND_AVAILABILITY_SERIES: [(&str, &str); 4] = [
+    (
+        "ganc_router_band_hedges_total",
+        "Hedged router dispatches, by band",
+    ),
+    (
+        "ganc_router_band_failovers_total",
+        "Dispatches retried on another replica, by band",
+    ),
+    (
+        "ganc_router_band_ejections_total",
+        "Replicas ejected by the consecutive-failure breaker, by band",
+    ),
+    (
+        "ganc_router_band_restores_total",
+        "Ejected replicas restored by a health probe, by band",
+    ),
+];
+
 /// Registry handles + trace sink, attached once by the router.
 struct ReplicaObs {
     hub: Arc<ObsHub>,
@@ -229,26 +252,8 @@ impl ReplicaSet {
         }
         let band_label = band.to_string();
         let labels: Vec<(&str, &str)> = vec![("band", &band_label), ("kind", kind)];
-        let hedges = hub.metrics.counter(
-            "ganc_router_band_hedges_total",
-            "Hedged router dispatches, by band",
-            &labels,
-        );
-        let failovers = hub.metrics.counter(
-            "ganc_router_band_failovers_total",
-            "Dispatches retried on another replica, by band",
-            &labels,
-        );
-        let ejections = hub.metrics.counter(
-            "ganc_router_band_ejections_total",
-            "Replicas ejected by the consecutive-failure breaker, by band",
-            &labels,
-        );
-        let restores = hub.metrics.counter(
-            "ganc_router_band_restores_total",
-            "Ejected replicas restored by a health probe, by band",
-            &labels,
-        );
+        let [hedges, failovers, ejections, restores] =
+            BAND_AVAILABILITY_SERIES.map(|(name, help)| hub.metrics.counter(name, help, &labels));
         let _ = self.obs.set(ReplicaObs {
             hub,
             band,

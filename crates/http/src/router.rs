@@ -30,7 +30,9 @@
 //! parallel path has already started the rest (read-only calls, so
 //! nothing diverges).
 
-use crate::replica::{ProbeHandle, ReplicaConfig, ReplicaSet, ReplicaStats};
+use crate::replica::{
+    ProbeHandle, ReplicaConfig, ReplicaSet, ReplicaStats, BAND_AVAILABILITY_SERIES,
+};
 use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_core::query::shard_of;
@@ -213,24 +215,7 @@ impl RouterObs {
                 // band so dashboards stay stable: replica groups fetch
                 // the same handles (registry keying is name + labels)
                 // and bump them; single-backend bands stay pinned at 0.
-                for (name, help) in [
-                    (
-                        "ganc_router_band_hedges_total",
-                        "Hedged router dispatches, by band",
-                    ),
-                    (
-                        "ganc_router_band_failovers_total",
-                        "Dispatches retried on another replica, by band",
-                    ),
-                    (
-                        "ganc_router_band_ejections_total",
-                        "Replicas ejected by the consecutive-failure breaker, by band",
-                    ),
-                    (
-                        "ganc_router_band_restores_total",
-                        "Ejected replicas restored by a health probe, by band",
-                    ),
-                ] {
+                for (name, help) in BAND_AVAILABILITY_SERIES {
                     hub.metrics.counter(name, help, &labels);
                 }
                 BandObs {

@@ -1907,8 +1907,6 @@ fn trace_event_value(e: TraceEvent) -> Value {
     }
 }
 
-/// The `{user,item,rating}` triple shared by `/v1/ingest` and each
-/// `/v1/ingest:batch` entry.
 /// Parse `exclude=1,2,3` — comma-separated item ids. Empty segments are
 /// tolerated, so `exclude=` means "none".
 fn parse_exclude_csv(v: &str) -> Result<Vec<u32>, &'static str> {
@@ -1957,6 +1955,8 @@ fn parse_batch_opts(v: &Value) -> Result<RequestOptions, &'static str> {
     Ok(opts)
 }
 
+/// The `{user,item,rating}` triple shared by `/v1/ingest` and each
+/// `/v1/ingest:batch` entry.
 fn parse_ingest_fields(v: &Value) -> Result<(UserId, ItemId, f32), &'static str> {
     let user = v["user"]
         .as_u64()

@@ -16,11 +16,9 @@ use ganc_dataset::{ItemId, UserId};
 use ganc_obs::WindowWire;
 use ganc_serve::{
     BatchConfig, BatchSource, Coalescer, EngineBatch, IngestAck, RequestOptions, ServeError,
+    SlotAnswer,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::Arc;
 
 /// One ingest in a coalesced fan-out batch: the interaction plus the
 /// idempotency key that makes retrying it safe.
@@ -139,155 +137,53 @@ pub trait PeerTransport: Send + Sync {
     }
 }
 
-/// Adapter: a shared peer is a [`BatchSource`], so the generic serve-side
-/// [`Coalescer`] can drive it.
-struct PeerSource(Arc<dyn PeerTransport>);
+/// Adapter: a shared peer's default-options recommends are a
+/// [`BatchSource`], so the generic serve-side [`Coalescer`] can drive them.
+/// Every slot carries the one generation its wire batch was served from.
+struct PeerReads(Arc<dyn PeerTransport>);
 
-impl BatchSource for PeerSource {
+impl BatchSource for PeerReads {
+    type Request = UserId;
+    type Reply = (SlotAnswer, u64);
     type Error = BackendError;
 
-    fn batch(&self, users: &[UserId]) -> BatchAnswer {
-        self.0.recommend_batch_traced(users)
+    fn batch(&self, users: &[UserId]) -> Result<Vec<(SlotAnswer, u64)>, BackendError> {
+        let (slots, generation) = self.0.recommend_batch_traced(users)?;
+        Ok(slots.into_iter().map(|slot| (slot, generation)).collect())
     }
 }
 
-/// Micro-batching for the ingest direction: concurrent single ingests to
-/// one peer merge into one [`PeerTransport::ingest_batch`] wire call.
+/// Adapter for the ingest direction: concurrent single ingests to one peer
+/// merge into one [`PeerTransport::ingest_batch`] wire call.
 ///
-/// Same worker shape, linger policy, and flush-on-shutdown contract as the
-/// serve-side [`Coalescer`], but for writes the safety argument is
+/// Same worker as the reads, but for writes the safety argument is
 /// different: batching writes is only sound because every entry carries
 /// (or can carry) an idempotency key — a caller that retries after a
 /// whole-batch transport failure re-sends entries that may already have
 /// landed, and the peer's dedup window is what makes that a no-op.
-struct IngestCoalescer {
-    tx: Mutex<Option<mpsc::Sender<PendingIngest>>>,
-    worker: Mutex<Option<JoinHandle<()>>>,
-    accepted: Arc<AtomicUsize>,
-    answered: Arc<AtomicUsize>,
-}
+struct PeerIngests(Arc<dyn PeerTransport>);
 
-struct PendingIngest {
-    entry: IngestEntry,
-    reply: mpsc::Sender<Result<IngestAck, BackendError>>,
-}
+impl BatchSource for PeerIngests {
+    type Request = IngestEntry;
+    type Reply = Result<IngestAck, ServeError>;
+    type Error = BackendError;
 
-impl IngestCoalescer {
-    fn spawn(peer: Arc<dyn PeerTransport>, cfg: BatchConfig) -> IngestCoalescer {
-        let (tx, rx) = mpsc::channel::<PendingIngest>();
-        let max_batch = cfg.max_batch.max(1);
-        let max_wait = cfg.max_wait;
-        let accepted = Arc::new(AtomicUsize::new(0));
-        let answered = Arc::new(AtomicUsize::new(0));
-        let worker = {
-            let answered = Arc::clone(&answered);
-            std::thread::spawn(move || {
-                while let Ok(first) = rx.recv() {
-                    let mut batch = vec![first];
-                    let deadline = Instant::now() + max_wait;
-                    // Backlog first (free), then linger for stragglers.
-                    while batch.len() < max_batch {
-                        match rx.try_recv() {
-                            Ok(req) => batch.push(req),
-                            Err(_) => break,
-                        }
-                    }
-                    while batch.len() < max_batch {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        match rx.recv_timeout(deadline - now) {
-                            Ok(req) => batch.push(req),
-                            Err(_) => break,
-                        }
-                    }
-                    let entries: Vec<IngestEntry> = batch.iter().map(|r| r.entry.clone()).collect();
-                    match peer.ingest_batch(&entries) {
-                        Ok(slots) => {
-                            assert_eq!(
-                                slots.len(),
-                                batch.len(),
-                                "ingest_batch contract violation: {} slots for {} entries",
-                                slots.len(),
-                                batch.len()
-                            );
-                            for (req, slot) in batch.iter().zip(slots) {
-                                let _ = req.reply.send(slot.map_err(BackendError::Serve));
-                            }
-                        }
-                        Err(e) => {
-                            for req in &batch {
-                                let _ = req.reply.send(Err(e.clone()));
-                            }
-                        }
-                    }
-                    answered.fetch_add(batch.len(), Ordering::Release);
-                }
-            })
-        };
-        IngestCoalescer {
-            tx: Mutex::new(Some(tx)),
-            worker: Mutex::new(Some(worker)),
-            accepted,
-            answered,
-        }
-    }
-
-    fn submit(&self, entry: IngestEntry) -> Result<IngestAck, BackendError> {
-        // Racing shutdown or a dead worker fails this one request — never
-        // the serving thread. The caller sees a transport error exactly
-        // as if the peer went away, and a retry under the same key is
-        // safe (that is the idempotency contract).
-        let Some(tx) = self.tx.lock().unwrap().as_ref().cloned() else {
-            return Err(BackendError::Transport(
-                "ingest coalescer shut down".to_string(),
-            ));
-        };
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if tx
-            .send(PendingIngest {
-                entry,
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            return Err(BackendError::Transport(
-                "ingest batch worker died".to_string(),
-            ));
-        }
-        self.accepted.fetch_add(1, Ordering::Release);
-        drop(tx);
-        reply_rx.recv().unwrap_or_else(|_| {
-            // Count the orphaned request as answered so pending() drains.
-            self.answered.fetch_add(1, Ordering::Release);
-            Err(BackendError::Transport(
-                "ingest batch worker died before answering".to_string(),
-            ))
-        })
-    }
-
-    fn pending(&self) -> usize {
-        let answered = self.answered.load(Ordering::Acquire);
-        self.accepted
-            .load(Ordering::Acquire)
-            .saturating_sub(answered)
-    }
-
-    fn shutdown(&self) {
-        // Drop the sender first: the worker drains the queue (flushing
-        // accepted ingests) and exits; then join it.
-        self.tx.lock().unwrap().take();
-        if let Some(worker) = self.worker.lock().unwrap().take() {
-            let _ = worker.join();
-        }
+    fn batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
+        self.0.ingest_batch(entries)
     }
 }
 
-impl Drop for IngestCoalescer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+/// Submit to `queue`. A closed queue (racing [`CoalescedShard::shutdown`],
+/// or a dead worker) fails this one request as if the peer went away —
+/// never the serving thread — and a keyed ingest refused this way is safe
+/// to retry (that is the idempotency contract).
+fn coalesced<S: BatchSource<Error = BackendError>>(
+    queue: &Coalescer<S>,
+    request: S::Request,
+) -> Result<S::Reply, BackendError> {
+    queue
+        .request_traced(request)
+        .unwrap_or_else(|| Err(BackendError::Transport("coalescer shut down".to_string())))
 }
 
 /// A coalescing wrapper around a peer: concurrent *single* requests merge
@@ -307,8 +203,8 @@ impl Drop for IngestCoalescer {
 /// and the peer's dedup window absorbs any entry that already landed.
 pub struct CoalescedShard {
     inner: Arc<dyn PeerTransport>,
-    coalescer: Coalescer<PeerSource>,
-    ingests: IngestCoalescer,
+    reads: Coalescer<PeerReads>,
+    ingests: Coalescer<PeerIngests>,
 }
 
 impl CoalescedShard {
@@ -316,8 +212,8 @@ impl CoalescedShard {
     /// traffic under `cfg`.
     pub fn new(inner: Arc<dyn PeerTransport>, cfg: BatchConfig) -> CoalescedShard {
         CoalescedShard {
-            coalescer: Coalescer::spawn(PeerSource(Arc::clone(&inner)), cfg),
-            ingests: IngestCoalescer::spawn(Arc::clone(&inner), cfg),
+            reads: Coalescer::spawn(PeerReads(Arc::clone(&inner)), cfg),
+            ingests: Coalescer::spawn(PeerIngests(Arc::clone(&inner)), cfg),
             inner,
         }
     }
@@ -325,13 +221,13 @@ impl CoalescedShard {
     /// Requests and ingests accepted by the coalescers but not yet
     /// answered.
     pub fn pending(&self) -> usize {
-        self.coalescer.pending() + self.ingests.pending()
+        self.reads.pending() + self.ingests.pending()
     }
 
     /// Close both queues, flush accepted work, and join the workers (see
     /// [`Coalescer::shutdown`]). Also runs on drop.
     pub fn shutdown(&self) {
-        self.coalescer.shutdown();
+        self.reads.shutdown();
         self.ingests.shutdown();
     }
 }
@@ -350,10 +246,8 @@ impl PeerTransport for CoalescedShard {
         if !opts.is_default() {
             return self.inner.recommend_with_traced(user, opts);
         }
-        match self.coalescer.request_traced(user)? {
-            (Ok(list), generation) => Ok((list, generation)),
-            (Err(e), _) => Err(BackendError::Serve(e)),
-        }
+        let (slot, generation) = coalesced(&self.reads, user)?;
+        Ok((slot.map_err(BackendError::Serve)?, generation))
     }
 
     fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
@@ -368,12 +262,13 @@ impl PeerTransport for CoalescedShard {
         item: ItemId,
         rating: f32,
     ) -> Result<IngestAck, BackendError> {
-        self.ingests.submit(IngestEntry {
+        let entry = IngestEntry {
             key: key.map(str::to_string),
             user,
             item,
             rating,
-        })
+        };
+        coalesced(&self.ingests, entry)?.map_err(BackendError::Serve)
     }
 
     fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {

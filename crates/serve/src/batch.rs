@@ -1,5 +1,6 @@
-//! Micro-batching front door: coalesce concurrent single-user requests
-//! into one batch call against a [`BatchSource`].
+//! Micro-batching front door: coalesce concurrent single requests into
+//! one batch call against a [`BatchSource`] — single-user recommends here
+//! and in the `ganc-http` router, and that router's single ingests.
 //!
 //! Callers block on [`Coalescer::request_traced`]; a background worker
 //! drains the queue, waits up to `max_wait` (the *linger*) for up to
@@ -13,8 +14,8 @@
 //!   coalescing layer exists for.
 //!
 //! Generation contract: every request coalesced into one batch is answered
-//! from that batch's single generation (a [`BatchSource::batch`] call
-//! reports exactly one), so coalescing can never hand two callers of the
+//! from that batch's single generation (a recommend source stamps the one
+//! its batch call reported on every reply), so coalescing can never hand two callers of the
 //! same batch different model versions — the staleness invariant
 //! `tests/remote_coalescing.rs` locks down under refit churn.
 //!
@@ -24,7 +25,7 @@
 //! queue closes, so shutdown latency is one in-flight batch, not
 //! `max_wait`.
 
-use crate::engine::{EngineBatch, ServeError, ServingEngine, SlotAnswer};
+use crate::engine::{ServeError, ServingEngine, SlotAnswer};
 use ganc_dataset::{ItemId, UserId};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,54 +52,60 @@ impl Default for BatchConfig {
     }
 }
 
-/// Something that can answer a whole batch of single-user requests in one
-/// call, reporting per-slot results and the **single** generation the
-/// batch was served from.
+/// Something that can answer a whole batch of requests in one call, one
+/// reply per request.
 ///
 /// `Error` is a whole-batch failure (e.g. the transport to a remote peer
 /// died); it is cloned to every caller the batch coalesced.
 pub trait BatchSource: Send + Sync + 'static {
+    /// One caller's request.
+    type Request: Send + 'static;
+    /// One caller's in-slot answer.
+    type Reply: Send + 'static;
     /// Whole-batch failure type. [`Infallible`] for in-process sources.
     type Error: Clone + Send + 'static;
 
-    /// Answer `users` in one call. A successful answer MUST contain
-    /// exactly `users.len()` slots, in order — the coalescer distributes
-    /// them positionally, and a short answer would strand callers, so the
-    /// contract is enforced (a violating implementation panics the batch
-    /// worker). Transports that cannot trust their peer must validate
-    /// before returning `Ok` (as the HTTP `RemoteShard` client does) and
-    /// report a whole-batch `Err` instead.
-    fn batch(&self, users: &[UserId]) -> Result<EngineBatch, Self::Error>;
+    /// Answer `requests` in one call. A successful answer MUST contain
+    /// exactly `requests.len()` replies, in order — the coalescer
+    /// distributes them positionally, and a short answer would strand
+    /// callers, so the contract is enforced (a violating implementation
+    /// panics the batch worker). Transports that cannot trust their peer
+    /// must validate before returning `Ok` (as the HTTP `RemoteShard`
+    /// client does) and report a whole-batch `Err` instead.
+    fn batch(&self, requests: &[Self::Request]) -> Result<Vec<Self::Reply>, Self::Error>;
 }
 
-/// A local serving engine never fails as a whole batch.
+/// A local serving engine never fails as a whole batch; every slot carries
+/// the one generation its batch was served from.
 impl BatchSource for Arc<ServingEngine> {
+    type Request = UserId;
+    type Reply = (SlotAnswer, u64);
     type Error = Infallible;
 
-    fn batch(&self, users: &[UserId]) -> Result<EngineBatch, Infallible> {
-        Ok(self.recommend_batch_traced(users))
+    fn batch(&self, users: &[UserId]) -> Result<Vec<(SlotAnswer, u64)>, Infallible> {
+        let (slots, generation) = self.recommend_batch_traced(users);
+        Ok(slots.into_iter().map(|slot| (slot, generation)).collect())
     }
 }
 
-/// One caller's answer: the per-slot result plus the generation of the
-/// batch it was coalesced into, or the whole batch's failure.
-pub type CoalescedAnswer<E> = Result<(SlotAnswer, u64), E>;
+/// One caller's answer: its reply, or the whole batch's failure.
+pub type CoalescedAnswer<S> = Result<<S as BatchSource>::Reply, <S as BatchSource>::Error>;
 
-struct Pending<E> {
-    user: UserId,
-    reply: mpsc::Sender<CoalescedAnswer<E>>,
+struct Pending<S: BatchSource> {
+    request: S::Request,
+    reply: mpsc::Sender<CoalescedAnswer<S>>,
 }
 
 /// A handle submitting single requests into the batching queue of some
 /// [`BatchSource`]. [`MicroBatcher`] is the engine-backed special case.
 pub struct Coalescer<S: BatchSource> {
-    tx: Mutex<Option<mpsc::Sender<Pending<S::Error>>>>,
+    tx: Mutex<Option<mpsc::Sender<Pending<S>>>>,
     worker: Mutex<Option<JoinHandle<()>>>,
     /// Requests enqueued so far (bumped strictly *after* the send lands),
     /// monotonic. Paired with `answered` so `pending()` never over-counts
     /// a request that is still mid-submit — the injection tests wait on
     /// exact queue depths without sleeps.
-    accepted: Arc<AtomicUsize>,
+    accepted: AtomicUsize,
     /// Requests answered (or failed) by the worker, monotonic.
     answered: Arc<AtomicUsize>,
 }
@@ -106,10 +113,9 @@ pub struct Coalescer<S: BatchSource> {
 impl<S: BatchSource> Coalescer<S> {
     /// Start a batching worker over `source`.
     pub fn spawn(source: S, cfg: BatchConfig) -> Coalescer<S> {
-        let (tx, rx) = mpsc::channel::<Pending<S::Error>>();
+        let (tx, rx) = mpsc::channel::<Pending<S>>();
         let max_batch = cfg.max_batch.max(1);
         let max_wait = cfg.max_wait;
-        let accepted = Arc::new(AtomicUsize::new(0));
         let answered = Arc::new(AtomicUsize::new(0));
         let worker = {
             let answered = Arc::clone(&answered);
@@ -118,98 +124,82 @@ impl<S: BatchSource> Coalescer<S> {
                 // companions until the window closes, the batch fills, or
                 // the queue shuts down (which flushes immediately).
                 while let Ok(first) = rx.recv() {
-                    let mut batch = vec![first];
+                    let mut requests = vec![first.request];
+                    let mut replies = vec![first.reply];
                     let deadline = Instant::now() + max_wait;
-                    // Backlog coalescing is free: drain whatever already
-                    // queued (e.g. while the previous batch was in flight)
-                    // before spending any linger budget.
-                    while batch.len() < max_batch {
-                        match rx.try_recv() {
-                            Ok(req) => batch.push(req),
-                            Err(_) => break,
-                        }
-                    }
-                    // Then linger for stragglers.
-                    while batch.len() < max_batch {
-                        let now = Instant::now();
-                        if now >= deadline {
+                    while requests.len() < max_batch {
+                        // Whatever already queued (e.g. while the previous
+                        // batch was in flight) is taken at once, even past
+                        // the deadline; the wait is only for stragglers. A
+                        // timeout ends the linger; a disconnect means
+                        // shutdown started — flush what we have now.
+                        let linger = deadline.saturating_duration_since(Instant::now());
+                        let Ok(req) = rx.recv_timeout(linger) else {
                             break;
-                        }
-                        match rx.recv_timeout(deadline - now) {
-                            Ok(req) => batch.push(req),
-                            // Timeout ends the linger; Disconnected means
-                            // shutdown started — flush what we have now.
-                            Err(_) => break,
-                        }
+                        };
+                        requests.push(req.request);
+                        replies.push(req.reply);
                     }
-                    let users: Vec<UserId> = batch.iter().map(|r| r.user).collect();
-                    let answer = source.batch(&users);
-                    match answer {
-                        Ok((slots, generation)) => {
+                    match source.batch(&requests) {
+                        Ok(answers) => {
                             // Release-mode check: a short answer would
                             // silently strand the unmatched callers on a
                             // dead reply channel; fail loudly at the
                             // source of the contract violation instead.
                             assert_eq!(
-                                slots.len(),
-                                batch.len(),
-                                "BatchSource contract violation: {} slots for {} requests",
-                                slots.len(),
-                                batch.len()
+                                answers.len(),
+                                replies.len(),
+                                "BatchSource contract violation: {} replies for {} requests",
+                                answers.len(),
+                                replies.len()
                             );
-                            for (req, slot) in batch.iter().zip(slots) {
+                            for (reply, answer) in replies.iter().zip(answers) {
                                 // A receiver that gave up is not an error
                                 // for the rest of the batch.
-                                let _ = req.reply.send(Ok((slot, generation)));
+                                let _ = reply.send(Ok(answer));
                             }
                         }
                         Err(e) => {
-                            for req in &batch {
-                                let _ = req.reply.send(Err(e.clone()));
+                            for reply in &replies {
+                                let _ = reply.send(Err(e.clone()));
                             }
                         }
                     }
-                    answered.fetch_add(batch.len(), Ordering::Release);
+                    answered.fetch_add(replies.len(), Ordering::Release);
                 }
             })
         };
         Coalescer {
             tx: Mutex::new(Some(tx)),
             worker: Mutex::new(Some(worker)),
-            accepted,
+            accepted: AtomicUsize::new(0),
             answered,
         }
     }
 
-    /// Submit one request and block until its batch is answered: the
-    /// per-slot result plus the single generation the whole batch shares.
+    /// Submit one request and block until its batch is answered.
     ///
-    /// Panics if called after [`Coalescer::shutdown`].
-    pub fn request_traced(&self, user: UserId) -> CoalescedAnswer<S::Error> {
-        let tx = self
-            .tx
-            .lock()
-            .unwrap()
-            .as_ref()
-            .cloned()
-            .expect("coalescer running");
-        let (reply_tx, reply_rx) = mpsc::channel();
-        tx.send(Pending {
-            user,
-            reply: reply_tx,
-        })
-        .expect("batch worker alive");
+    /// `None` when the queue is closed: racing [`Coalescer::shutdown`] or a
+    /// dead worker refuses this one request — never panics the calling
+    /// thread.
+    pub fn request_traced(&self, request: S::Request) -> Option<CoalescedAnswer<S>> {
+        let tx = self.tx.lock().unwrap().as_ref().cloned()?;
+        let (reply, answer) = mpsc::channel();
+        tx.send(Pending { request, reply }).ok()?;
         // Count strictly after the send: `pending() == n` must certify n
         // requests are really in the queue (or in the in-flight batch) —
         // never a caller still mid-submit.
         self.accepted.fetch_add(1, Ordering::Release);
         // The send is in: even if shutdown races us from here on, the
-        // worker drains the queue before exiting, so this recv always gets
-        // an answer (the flush-on-shutdown contract).
+        // worker drains the queue before exiting, so this recv gets an
+        // answer (the flush-on-shutdown contract) unless the worker died.
         drop(tx);
-        reply_rx
-            .recv()
-            .expect("batch worker died before answering (BatchSource contract violation?)")
+        let answer = answer.recv().ok();
+        if answer.is_none() {
+            // Count the orphaned request as answered so pending() drains.
+            self.answered.fetch_add(1, Ordering::Release);
+        }
+        answer
     }
 
     /// Requests enqueued but not yet answered. Transiently *under*-counts
@@ -226,7 +216,7 @@ impl<S: BatchSource> Coalescer<S> {
 
     /// Close the queue and flush: requests already accepted are answered,
     /// a pending linger ends immediately, then the worker is joined. New
-    /// [`Coalescer::request_traced`] calls panic after this.
+    /// [`Coalescer::request_traced`] calls answer `None` after this.
     pub fn shutdown(&self) {
         drop(self.tx.lock().unwrap().take());
         if let Some(worker) = self.worker.lock().unwrap().take() {
@@ -266,7 +256,9 @@ impl MicroBatcher {
     /// Like [`MicroBatcher::request`], also reporting the generation of
     /// the engine batch this request was coalesced into.
     pub fn request_traced(&self, user: UserId) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
-        match self.inner.request_traced(user) {
+        // The queue closes only in `Drop`, and an engine answers every
+        // slot, so the worker outlives every caller.
+        match self.inner.request_traced(user).expect("batch worker alive") {
             Ok((slot, generation)) => slot.map(|list| (list, generation)),
             Err(infallible) => match infallible {},
         }

@@ -3,12 +3,11 @@
 //! after construction.
 //!
 //! Attachment is optional and one-shot (`OnceLock`): an un-attached
-//! engine pays one atomic load per request and nothing else, which is
-//! what keeps the pre-existing serve/query benches (and their CI guards)
-//! measuring the same code they always did. When attached, the hot path
-//! adds two clock reads, a histogram observation, a counter bump, and one
-//! short mutex hold to feed the rolling window — the cost the
-//! `BENCH_obs` CI guard bounds at ≤ 1.15× the un-instrumented cold path.
+//! engine pays one atomic load per request and nothing else. When
+//! attached, the hot path adds two clock reads, a histogram observation,
+//! a counter bump, and one short mutex hold to feed the rolling window —
+//! the cost `ci/stack_guard.py` bounds at ≤ 1.15× the un-instrumented
+//! cold path (`obs.miss_overhead_us` over `serve.engine.miss_us`).
 //!
 //! Lock discipline: every `EngineObs` lock is a leaf — taken after the
 //! engine's state/cache locks, never before, and never while calling back

@@ -817,6 +817,7 @@ mod tests {
             crate::bundle::CoverageState::Dynamic(s) => s.len(),
             _ => unreachable!(),
         };
+        let unsharded_bytes = bincode::serialize(&b.coverage).unwrap().len();
         let sharded = ShardedEngine::new(b, ShardConfig::quantile(4));
         let info = sharded.shard_info();
         assert_eq!(info.len(), 4);
@@ -839,6 +840,12 @@ mod tests {
         assert!(
             info.iter().any(|i| i.snapshots < total_snaps),
             "at least one shard must hold a strict sub-range"
+        );
+        // The point of slicing: no band carries the whole coverage store.
+        let per_shard_max = info.iter().map(|i| i.coverage_bytes).max().unwrap();
+        assert!(
+            per_shard_max < unsharded_bytes,
+            "largest band holds {per_shard_max} coverage bytes, unsharded {unsharded_bytes}"
         );
     }
 

@@ -390,6 +390,29 @@ fn shutdown_flushes_accepted_requests() {
     assert_eq!(total, 3, "every accepted request went out exactly once");
 }
 
+/// A request that loses the race with `shutdown()` is refused as a
+/// transport failure in both directions — the caller (an HTTP worker in
+/// production) gets an error it can answer with, never a panic.
+#[test]
+fn requests_after_shutdown_fail_as_transport_errors() {
+    let engine = Arc::new(ServingEngine::new(pop_bundle(), EngineConfig::default()));
+    let frontend: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(engine));
+    let coalesced = CoalescedShard::new(frontend, no_linger());
+    assert!(coalesced.recommend_traced(UserId(0)).is_ok());
+    coalesced.shutdown();
+    let read = coalesced.recommend_traced(UserId(0));
+    assert!(
+        matches!(read, Err(BackendError::Transport(_))),
+        "recommend after shutdown: {read:?}"
+    );
+    let write = coalesced.ingest_keyed(Some("k-1"), UserId(0), ItemId(1), 4.0);
+    assert!(
+        matches!(write, Err(BackendError::Transport(_))),
+        "ingest after shutdown: {write:?}"
+    );
+    assert_eq!(coalesced.pending(), 0, "a refused request is not pending");
+}
+
 /// A whole-batch wire failure is delivered to *every* caller the batch
 /// coalesced — no one hangs, no one gets a stale answer.
 #[test]
