@@ -395,18 +395,28 @@ impl RouterNode {
         j: usize,
         dispatch: impl FnOnce() -> Result<T, BackendError>,
     ) -> Result<T, BackendError> {
-        let Some(obs) = self.obs.get() else {
-            return dispatch();
-        };
-        let t0 = obs.hub.now_us();
+        let t0 = self.dispatch_clock();
         let out = dispatch();
+        self.dispatched(j, t0, out.is_err());
+        out
+    }
+
+    /// When a dispatch starts, on the attached hub's clock (0 un-attached).
+    fn dispatch_clock(&self) -> u64 {
+        self.obs.get().map_or(0, |obs| obs.hub.now_us())
+    }
+
+    /// Record one finished dispatch to band `j` that started at `t0_us`.
+    fn dispatched(&self, j: usize, t0_us: u64, failed: bool) {
+        let Some(obs) = self.obs.get() else {
+            return;
+        };
         let band = &obs.bands[j];
         band.dispatch_us
-            .observe_us(obs.hub.now_us().saturating_sub(t0));
-        if out.is_err() {
+            .observe_us(obs.hub.now_us().saturating_sub(t0_us));
+        if failed {
             band.errors.inc();
         }
-        out
     }
 
     /// Number of bands.
@@ -445,6 +455,24 @@ impl RouterNode {
         let home = self.route_of(user).map_err(BackendError::Serve)?;
         let j = opts.theta.map_or(home, |t| shard_of(&self.cuts, t));
         self.timed(j, || self.routes[j].recommend(user, opts))
+    }
+
+    /// Non-blocking probe for `user`'s cached default-options answer
+    /// ([`PeerTransport::recommend_cached`]): routing is lock-free, and a
+    /// band served by a local slice is probed in place. A hit is a dispatch
+    /// to its band like any other and lands in that band's latency
+    /// histogram; a miss records nothing. Remote and replicated bands
+    /// always answer `None` — reaching them is a wire call, which is a
+    /// worker's job.
+    pub fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
+        let j = self.route_of(user).ok()?;
+        let ShardRoute::Local(engine) = &self.routes[j] else {
+            return None;
+        };
+        let t0 = self.dispatch_clock();
+        let hit = engine.recommend_cached(user)?;
+        self.dispatched(j, t0, false);
+        Some(hit)
     }
 
     /// [`RouterNode::recommend_batch_with_traced`] at default options.

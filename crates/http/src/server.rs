@@ -21,7 +21,7 @@
 //! `unknown_item` so a [`crate::RemoteShard`] can reconstruct the typed
 //! error without parsing prose.
 //!
-//! ## Architecture: one event loop, a compute-only worker pool
+//! ## Architecture: one event loop, a worker pool, and an inline hit path
 //!
 //! A single event-loop thread owns the listener and every connection
 //! through a readiness poller ([`polling::Poller`], oneshot delivery). It
@@ -33,16 +33,46 @@
 //! to the previous blocking implementation, which `tests/http_equivalence.rs`
 //! and `tests/http_protocol.rs` pin unmodified.
 //!
-//! Complete requests are dispatched to a small worker pool that only
-//! *computes*: route, serialize, and write the response straight to the
-//! socket (safe: oneshot delivery disarmed the fd when its readable event
-//! fired, so the loop won't touch it until the worker posts a completion).
-//! A worker never blocks on a slow peer — an `EWOULDBLOCK` hands the
-//! unwritten tail back to the event loop, which finishes the flush on
-//! write readiness. The result is that concurrent connections are bounded
-//! by file descriptors, not by `workers`: 10k idle keep-alive connections
-//! cost one `HashMap` entry each, while `workers` sizes only the compute
-//! concurrency.
+//! A complete request is answered in one of two places, by the same code
+//! (`App::respond`: route, serialize, one `write`, stage timings, request
+//! counter, trace event):
+//!
+//! * **On a worker.** The request is handed to a small pool that computes
+//!   and writes the response straight to the socket (safe: oneshot
+//!   delivery disarmed the fd when its readable event fired, so the loop
+//!   won't touch it until the worker posts a completion). A worker never
+//!   blocks on a slow peer — an `EWOULDBLOCK` hands the unwritten tail
+//!   back to the event loop, which finishes the flush on write readiness.
+//!   Misses, overrides, unknown users, writes, batches and every other
+//!   endpoint go this way.
+//! * **On the loop thread itself**, when the answer is already in hand. A
+//!   `GET /v1/recommend/{user}` at default options (`?n=` included — it
+//!   only truncates) first asks the backend's non-blocking
+//!   [`PeerTransport::recommend_cached`] probe; a cached list is answered
+//!   where it was found, because the two cross-thread wake-ups of a
+//!   hand-off (job channel + futex out, completion + pipe notify + poller
+//!   re-arm back) cost several hundred times the ≈ 50 ns the LRU hit
+//!   does. `ganc_http_inline_total` counts these.
+//!
+//! Two rules keep the inline path safe on the one thread every connection
+//! depends on:
+//!
+//! 1. **The loop thread never waits on a lock that can be held across
+//!    compute or I/O.** The probe only `try_*`-locks what the blocking
+//!    path locks (a sharded ingest holds its outer write lock across a WAL
+//!    append that may `fsync`); a failed try is a worker dispatch, never a
+//!    spin or a wait.
+//! 2. **Inline answers come in a bounded, iterative burst.** Pipelined
+//!    requests are framed in a loop, not by recursion, and after
+//!    [`INLINE_BURST`] consecutive inline answers on one connection the
+//!    next request goes to a worker regardless — so a client pipelining
+//!    tens of thousands of cached GETs can neither grow the loop's stack
+//!    nor keep other connections from their turn.
+//!
+//! Concurrent connections are bounded by file descriptors, not by
+//! `workers`: 10k idle keep-alive connections cost one `HashMap` entry
+//! each (deadline sweeps and the per-state gauges run once per poll tick,
+//! not per event), while `workers` sizes only the compute concurrency.
 //!
 //! ## Connection state machine
 //!
@@ -179,6 +209,14 @@ impl PeerTransport for Frontend {
                 .recommend_with_traced(user, opts)
                 .map_err(BackendError::Serve),
             Frontend::Router(r) => r.recommend_with_traced(user, opts),
+        }
+    }
+
+    fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
+        match self {
+            Frontend::Single(e) => e.recommend_cached(user),
+            Frontend::Sharded(e) => e.recommend_cached(user),
+            Frontend::Router(r) => r.recommend_cached(user),
         }
     }
 
@@ -337,13 +375,7 @@ impl HttpServer {
                         Ok(job) => job,
                         Err(_) => return, // event loop gone, queue drained
                     };
-                    let key = job.key;
-                    // A handler panic must not take the worker down with it
-                    // (the fuzz suite's "never crash" property); the
-                    // connection is simply dropped.
-                    let done =
-                        std::panic::catch_unwind(AssertUnwindSafe(|| app.respond(&job, &stop)));
-                    let done = done.unwrap_or(Completion::Failed { key });
+                    let done = app.respond_guarded(&job, &stop);
                     completions.lock().unwrap().push(done);
                     let _ = poller.notify();
                 })
@@ -405,8 +437,16 @@ const READ_CHUNK: usize = 16 * 1024;
 /// time — a `ManualClock` never advances during shutdown.
 const DRAIN_CAP: Duration = Duration::from_secs(5);
 /// Poll tick while connections exist: deadline checks observe a
-/// `ManualClock` advance within one tick without any socket activity.
+/// `ManualClock` advance within one tick without any socket activity. Also
+/// the wall-time period of the per-connection housekeeping scans (deadline
+/// sweep, state gauges), which would otherwise cost every request O(open
+/// connections).
 const POLL_TICK: Duration = Duration::from_millis(10);
+/// Most consecutive requests one connection may have answered inline (on
+/// the event-loop thread) per readiness event or completion; the next one
+/// is handed to a worker even if cached, which returns the loop to its
+/// poller and every other connection.
+const INLINE_BURST: u32 = 32;
 
 /// What the event loop does once a response flush completes.
 enum AfterWrite {
@@ -472,7 +512,13 @@ struct Job {
     /// Request ordinal on this connection (keep-alive budget).
     served: u32,
     parse_us: u64,
+    /// The event loop's cache probe already answered this recommend: the
+    /// reply is in hand and [`App::respond`] runs on the loop thread.
+    cached: Option<CachedAnswer>,
 }
+
+/// A [`PeerTransport::recommend_cached`] hit: the list and its generation.
+type CachedAnswer = (Arc<Vec<ItemId>>, u64);
 
 /// What a worker posts back to the event loop.
 enum Completion {
@@ -511,6 +557,7 @@ struct EventLoop {
     stop: Arc<AtomicBool>,
     gauges: [Arc<Gauge>; 4],
     accepted: Arc<Counter>,
+    inline: Arc<Counter>,
 }
 
 impl EventLoop {
@@ -540,6 +587,11 @@ impl EventLoop {
             "Connections accepted by the event loop",
             &[],
         );
+        let inline = app.hub.metrics.counter(
+            "ganc_http_inline_total",
+            "Cached recommends answered on the event-loop thread, without a worker hand-off",
+            &[],
+        );
         EventLoop {
             app,
             listener,
@@ -551,6 +603,7 @@ impl EventLoop {
             stop,
             gauges,
             accepted,
+            inline,
         }
     }
 
@@ -558,6 +611,7 @@ impl EventLoop {
         let mut events: Vec<Event> = Vec::new();
         let mut draining = false;
         let mut drain_deadline = Instant::now();
+        let mut last_tick = Instant::now();
         loop {
             if !draining && self.stop.load(Ordering::Relaxed) {
                 draining = true;
@@ -613,8 +667,16 @@ impl EventLoop {
                     self.conn_ready(ev);
                 }
             }
-            self.sweep_deadlines();
-            self.publish_gauges();
+            // Both scans walk every open connection, so they run once per
+            // tick of wall time, not once per event (a `wait` that timed
+            // out is a tick by construction). With no connection left the
+            // loop is about to block indefinitely: publish the zeros first.
+            let now = Instant::now();
+            if self.conns.is_empty() || now.duration_since(last_tick) >= POLL_TICK {
+                last_tick = now;
+                self.sweep_deadlines();
+                self.publish_gauges();
+            }
         }
     }
 
@@ -715,6 +777,13 @@ impl EventLoop {
                     }
                     conn.buf.extend_from_slice(&scratch[..n]);
                     progressed = true;
+                    // A short read drained the socket: skip the `read` that
+                    // would only collect `EWOULDBLOCK`. Interest is re-armed
+                    // level-triggered, so bytes (or a half-close) arriving
+                    // after this still raise an event.
+                    if n < READ_CHUNK {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -732,57 +801,94 @@ impl EventLoop {
         self.advance(key);
     }
 
-    /// Run the framing gate over a connection's buffer: dispatch a complete
-    /// request, answer a framing violation, re-arm for more bytes, or
-    /// close a finished stream. Entered from read readiness and from a
-    /// keep-alive completion (pipelined requests parse from the buffer
-    /// without touching the socket).
+    /// Run the framing gate over a connection's buffer: answer or dispatch
+    /// a complete request, answer a framing violation, re-arm for more
+    /// bytes, or close a finished stream. Entered from read readiness and
+    /// from a keep-alive completion (pipelined requests parse from the
+    /// buffer without touching the socket).
+    ///
+    /// A recommend the cache probe can answer is answered right here, and
+    /// the loop below then frames the next pipelined request — iteratively,
+    /// and for at most [`INLINE_BURST`] answers before one goes to a
+    /// worker (see the module docs for both rules).
     fn advance(&mut self, key: usize) {
-        let Some(conn) = self.conns.get_mut(&key) else {
-            return;
-        };
-        conn.state = ConnState::Reading;
-        let gate = try_frame(&conn.buf, self.app.cfg.limits, conn.eof, &self.app.hub);
-        match gate {
-            Gate::Closed => self.close(key, None),
-            Gate::NeedMore => {
-                if conn.eof {
-                    // Half-closed with a partial request: the parser over
-                    // the final bytes yields the right fatal answer, and
-                    // `try_frame` only reports NeedMore at eof for an
-                    // empty buffer (handled as Closed).
+        let mut burst = 0;
+        loop {
+            let Some(conn) = self.conns.get_mut(&key) else {
+                return;
+            };
+            conn.state = ConnState::Reading;
+            let gate = try_frame(&conn.buf, self.app.cfg.limits, conn.eof, &self.app.hub);
+            match gate {
+                Gate::Closed => {
                     self.close(key, None);
                     return;
                 }
-                let _ = self.poller.modify(&*conn.stream, Event::readable(key));
-            }
-            Gate::Request(req, consumed, parse_us) => {
-                conn.buf.drain(..consumed);
-                let now = self.app.hub.now_us();
-                conn.request_start_us = if conn.buf.is_empty() { None } else { Some(now) };
-                conn.served += 1;
-                conn.state = ConnState::Dispatched;
-                let job = Job {
-                    key,
-                    stream: Arc::clone(&conn.stream),
-                    req: *req,
-                    served: conn.served,
-                    parse_us,
-                };
-                // The fd is disarmed (oneshot), so the worker owns the
-                // socket until its completion comes back.
-                if self.jobs.send(job).is_err() {
-                    self.close(key, None);
+                Gate::NeedMore => {
+                    if conn.eof {
+                        // Half-closed with a partial request: the parser over
+                        // the final bytes yields the right fatal answer, and
+                        // `try_frame` only reports NeedMore at eof for an
+                        // empty buffer (handled as Closed).
+                        self.close(key, None);
+                        return;
+                    }
+                    let _ = self.poller.modify(&*conn.stream, Event::readable(key));
+                    return;
                 }
-            }
-            Gate::Fatal { status, message } => {
-                self.app.count_request("malformed", status);
-                let body = tinyjson::to_string(&obj! { "error" => message });
-                let mut bytes = Vec::new();
-                let _ = http1::write_response(&mut bytes, status, body.as_bytes(), false);
-                conn.buf.clear();
-                conn.request_start_us = None;
-                self.start_write(key, bytes, 0, AfterWrite::Drain);
+                Gate::Request(req, consumed, parse_us) => {
+                    conn.buf.drain(..consumed);
+                    let now = self.app.hub.now_us();
+                    conn.request_start_us = if conn.buf.is_empty() { None } else { Some(now) };
+                    conn.served += 1;
+                    conn.state = ConnState::Dispatched;
+                    let mut job = Job {
+                        key,
+                        stream: Arc::clone(&conn.stream),
+                        req: *req,
+                        served: conn.served,
+                        parse_us,
+                        cached: None,
+                    };
+                    if burst < INLINE_BURST {
+                        job.cached = self.app.probe(&job.req);
+                    }
+                    if job.cached.is_none() {
+                        // The fd is disarmed (oneshot), so the worker owns
+                        // the socket until its completion comes back.
+                        if self.jobs.send(job).is_err() {
+                            self.close(key, None);
+                        }
+                        return;
+                    }
+                    burst += 1;
+                    self.inline.inc();
+                    match self.app.respond_guarded(&job, &self.stop) {
+                        // Flushed, keep-alive: what `complete` would do is
+                        // call back into `advance`; loop instead.
+                        Completion::Done {
+                            keep_alive: true,
+                            unwritten,
+                            ..
+                        } if unwritten.is_empty() => {
+                            conn.last_progress_us = self.app.hub.now_us();
+                        }
+                        done => {
+                            self.complete(done);
+                            return;
+                        }
+                    }
+                }
+                Gate::Fatal { status, message } => {
+                    self.app.count_request("malformed", status);
+                    let body = tinyjson::to_string(&obj! { "error" => message });
+                    let mut bytes = Vec::new();
+                    let _ = http1::write_response(&mut bytes, status, body.as_bytes(), false);
+                    conn.buf.clear();
+                    conn.request_start_us = None;
+                    self.start_write(key, bytes, 0, AfterWrite::Drain);
+                    return;
+                }
             }
         }
     }
@@ -1097,12 +1203,32 @@ fn body_hint(head: &[u8], limits: Limits) -> Option<usize> {
     Some(declared.unwrap_or(0))
 }
 
-/// Request-stage timing handles, resolved once at bind.
+/// Per-request metric handles, resolved once at bind: the hot path then
+/// touches atomics only, never the registry's lock (which `/v1/metrics`
+/// holds while it renders — a wait the event-loop thread must not inherit).
 struct HttpObs {
     parse_us: Arc<Histogram>,
     dispatch_us: Arc<Histogram>,
     write_us: Arc<Histogram>,
+    /// `ganc_http_requests_total{endpoint, status="200"}` per routable
+    /// endpoint; every other status is get-or-create at the call.
+    ok_total: Vec<(&'static str, Arc<Counter>)>,
 }
+
+/// Endpoint labels [`App::route`] can answer 200 under. A label missing
+/// here is still counted, through the get-or-create fallback.
+const ENDPOINTS: [&str; 10] = [
+    "recommend",
+    "recommend_batch",
+    "ingest",
+    "ingest_batch",
+    "healthz",
+    "stats",
+    "metrics",
+    "trace",
+    "window",
+    "admin_refit",
+];
 
 impl HttpObs {
     fn new(hub: &ObsHub) -> HttpObs {
@@ -1117,8 +1243,22 @@ impl HttpObs {
             parse_us: stage("parse"),
             dispatch_us: stage("dispatch"),
             write_us: stage("write"),
+            ok_total: ENDPOINTS
+                .iter()
+                .map(|&endpoint| (endpoint, requests_total(hub, endpoint, StatusCode::OK)))
+                .collect(),
         }
     }
+}
+
+/// Get-or-create `ganc_http_requests_total{endpoint,status}` — takes the
+/// registry's write lock and allocates the label key.
+fn requests_total(hub: &ObsHub, endpoint: &str, status: u16) -> Arc<Counter> {
+    hub.metrics.counter(
+        "ganc_http_requests_total",
+        "HTTP requests answered, by endpoint and status",
+        &[("endpoint", endpoint), ("status", &status.to_string())],
+    )
 }
 
 /// How a routed request answers: JSON for the API, plain text for the
@@ -1145,14 +1285,44 @@ struct App {
 }
 
 impl App {
-    /// Serve one dispatched request on a worker thread: route, serialize,
-    /// and write the response straight to the (non-blocking) socket. The
-    /// fd is disarmed while the worker owns it, so this write never races
-    /// the event loop; an `EWOULDBLOCK` tail rides back on the completion
-    /// for the loop to flush.
+    /// [`App::respond`] behind a panic guard: a handler panic must take
+    /// neither a worker nor the event loop down with it (the fuzz suite's
+    /// "never crash" property); the connection is simply dropped.
+    fn respond_guarded(&self, job: &Job, stop: &AtomicBool) -> Completion {
+        std::panic::catch_unwind(AssertUnwindSafe(|| self.respond(job, stop)))
+            .unwrap_or(Completion::Failed { key: job.key })
+    }
+
+    /// The event loop's question before a hand-off: is this a recommend
+    /// whose answer is already in hand? Only default-options requests
+    /// qualify (`?n=` is presentation and does); a malformed one is a
+    /// worker's 400 to write, so it is simply not a hit. Neither is a panic
+    /// in the backend: the loop thread outlives it and a worker meets it
+    /// again behind [`App::respond_guarded`].
+    fn probe(&self, req: &Request) -> Option<CachedAnswer> {
+        if req.method != "GET" {
+            return None;
+        }
+        let user_part = req.path.strip_prefix("/v1/recommend/")?;
+        let query = RecommendQuery::parse(user_part, req.query.as_deref()).ok()?;
+        if !query.opts.is_default() {
+            return None;
+        }
+        let user = UserId(query.user);
+        std::panic::catch_unwind(AssertUnwindSafe(|| self.frontend.recommend_cached(user)))
+            .unwrap_or(None)
+    }
+
+    /// Serve one framed request: route, serialize, and write the response
+    /// straight to the (non-blocking) socket. Runs on a worker thread — or
+    /// on the event-loop thread when `job.cached` already holds the answer
+    /// — and is the only place a response is serialized, written and
+    /// accounted. The fd is disarmed while the job owns it, so this write
+    /// never races the event loop; an `EWOULDBLOCK` tail rides back on the
+    /// completion for the loop to flush.
     fn respond(&self, job: &Job, stop: &AtomicBool) -> Completion {
         let t_dispatch = self.hub.now_us();
-        let (reply, endpoint) = self.route(&job.req);
+        let (reply, endpoint) = self.route(&job.req, job.cached.as_ref());
         let (status, content_type, body) = match reply {
             Reply::Json(status, value) => (status, "application/json", tinyjson::to_string(&value)),
             Reply::Text(status, text) => (status, "text/plain; version=0.0.4", text),
@@ -1217,19 +1387,16 @@ impl App {
         }
     }
 
-    /// Bump `ganc_http_requests_total{endpoint,status}`. Get-or-create on
-    /// every call: the label space is tiny (endpoints × a handful of
-    /// statuses), and the registry lookup is one shared-lock map probe.
+    /// Bump `ganc_http_requests_total{endpoint,status}`: a 200 is one atomic
+    /// add on a handle resolved at bind; any other status (errors — a tiny
+    /// label space, off the hot path) goes through the registry's
+    /// get-or-create.
     fn count_request(&self, endpoint: &'static str, status: u16) {
-        let status = status.to_string();
-        self.hub
-            .metrics
-            .counter(
-                "ganc_http_requests_total",
-                "HTTP requests answered, by endpoint and status",
-                &[("endpoint", endpoint), ("status", &status)],
-            )
-            .inc();
+        let resolved = self.http.ok_total.iter().find(|(e, _)| *e == endpoint);
+        match resolved {
+            Some((_, ok)) if status == StatusCode::OK => ok.inc(),
+            _ => requests_total(&self.hub, endpoint, status).inc(),
+        }
     }
 
     /// Dispatch one well-framed request, returning the reply plus the
@@ -1237,7 +1404,7 @@ impl App {
     /// Everything answers JSON (status contract 200 / 400 / 404 / 413, +
     /// 502 for router upstream failures) except `/v1/metrics`, which
     /// answers Prometheus text exposition.
-    fn route(&self, req: &Request) -> (Reply, &'static str) {
+    fn route(&self, req: &Request, cached: Option<&CachedAnswer>) -> (Reply, &'static str) {
         let (reply, endpoint) = match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/v1/healthz") => (self.healthz(), "healthz"),
             ("GET", "/v1/stats") => (self.stats(), "stats"),
@@ -1254,7 +1421,11 @@ impl App {
             ("POST", "/v1/ingest:batch") => (self.ingest_batch(&req.body), "ingest_batch"),
             ("POST", "/admin/refit") => (self.admin_refit(), "admin_refit"),
             ("GET", path) if path.starts_with("/v1/recommend/") => (
-                self.recommend(&path["/v1/recommend/".len()..], req.query.as_deref()),
+                self.recommend(
+                    &path["/v1/recommend/".len()..],
+                    req.query.as_deref(),
+                    cached,
+                ),
                 "recommend",
             ),
             _ => (error(StatusCode::NOT_FOUND, "not found"), "other"),
@@ -1407,42 +1578,27 @@ impl App {
         }
     }
 
-    fn recommend(&self, user_part: &str, query: Option<&str>) -> (u16, Value) {
-        let Ok(user) = user_part.parse::<u32>() else {
-            return error(StatusCode::BAD_REQUEST, "user id must be an integer");
+    /// `GET /v1/recommend/{user}`. `cached` is the event loop's probe hit,
+    /// when it had one: the same answer the backend would give, already in
+    /// hand.
+    fn recommend(
+        &self,
+        user_part: &str,
+        query: Option<&str>,
+        cached: Option<&CachedAnswer>,
+    ) -> (u16, Value) {
+        let RecommendQuery { user, take, opts } = match RecommendQuery::parse(user_part, query) {
+            Ok(q) => q,
+            Err(message) => return error(StatusCode::BAD_REQUEST, message),
         };
-        let mut take: Option<usize> = None;
-        let mut opts = RequestOptions::default();
-        for pair in query.unwrap_or("").split('&').filter(|p| !p.is_empty()) {
-            match pair.split_once('=') {
-                Some(("n", v)) => match v.parse::<usize>() {
-                    Ok(n) => take = Some(n),
-                    Err(_) => return error(StatusCode::BAD_REQUEST, "n must be an integer"),
-                },
-                Some(("theta", v)) => match v.parse::<f64>() {
-                    Ok(t) if t.is_finite() && (0.0..=1.0).contains(&t) => opts.theta = Some(t),
-                    _ => return error(StatusCode::BAD_REQUEST, "theta must be a number in [0, 1]"),
-                },
-                Some(("exclude", v)) => match parse_exclude_csv(v) {
-                    Ok(ids) => opts.set_exclude(ids),
-                    Err(msg) => return error(StatusCode::BAD_REQUEST, msg),
-                },
-                Some(("rerank", v)) => match RerankMode::parse(v) {
-                    Some(m) => opts.rerank = Some(m),
-                    None => {
-                        return error(
-                            StatusCode::BAD_REQUEST,
-                            "rerank must be one of pra, rbt, 5d",
-                        )
-                    }
-                },
-                _ => return error(StatusCode::BAD_REQUEST, "unknown query parameter"),
-            }
-        }
         if take.is_some() || !opts.is_default() {
             self.note_overrides(take.is_some(), &opts);
         }
-        match self.frontend.recommend_with_traced(UserId(user), &opts) {
+        let answer = match cached {
+            Some(hit) => Ok(hit.clone()),
+            None => self.frontend.recommend_with_traced(UserId(user), &opts),
+        };
+        match answer {
             Ok((list, generation)) => {
                 let shown = take.unwrap_or(list.len()).min(list.len());
                 let items = Value::Array(list[..shown].iter().map(|i| Value::from(i.0)).collect());
@@ -1904,6 +2060,44 @@ fn trace_event_value(e: TraceEvent) -> Value {
         "at_us" => e.at_us,
         "kind" => kind,
         "data" => data,
+    }
+}
+
+/// A parsed `GET /v1/recommend/{user}?…` request line.
+struct RecommendQuery {
+    user: u32,
+    /// `?n=`: show only a prefix of the served list.
+    take: Option<usize>,
+    opts: RequestOptions,
+}
+
+impl RecommendQuery {
+    /// Parse the path's user segment and the query string; the error is
+    /// the 400 message.
+    fn parse(user_part: &str, query: Option<&str>) -> Result<RecommendQuery, &'static str> {
+        let user = user_part
+            .parse::<u32>()
+            .map_err(|_| "user id must be an integer")?;
+        let mut take = None;
+        let mut opts = RequestOptions::default();
+        for pair in query.unwrap_or("").split('&').filter(|p| !p.is_empty()) {
+            match pair.split_once('=') {
+                Some(("n", v)) => {
+                    take = Some(v.parse::<usize>().map_err(|_| "n must be an integer")?);
+                }
+                Some(("theta", v)) => match v.parse::<f64>() {
+                    Ok(t) if t.is_finite() && (0.0..=1.0).contains(&t) => opts.theta = Some(t),
+                    _ => return Err("theta must be a number in [0, 1]"),
+                },
+                Some(("exclude", v)) => opts.set_exclude(parse_exclude_csv(v)?),
+                Some(("rerank", v)) => {
+                    opts.rerank =
+                        Some(RerankMode::parse(v).ok_or("rerank must be one of pra, rbt, 5d")?);
+                }
+                _ => return Err("unknown query parameter"),
+            }
+        }
+        Ok(RecommendQuery { user, take, opts })
     }
 }
 

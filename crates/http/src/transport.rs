@@ -69,6 +69,16 @@ pub trait PeerTransport: Send + Sync {
     /// the whole batch shares one generation.
     fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer;
 
+    /// Non-blocking probe for `user`'s default-options answer, for a caller
+    /// that must not wait (the server's event-loop thread): `Some` only
+    /// when the answer is already in this process's response cache and can
+    /// be had without waiting on a lock. `None` means "ask
+    /// [`PeerTransport::recommend_with_traced`]" — never "unknown user" —
+    /// and is the right answer for anything that would cross a wire.
+    fn recommend_cached(&self, _user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
+        None
+    }
+
     /// [`PeerTransport::recommend_with_traced`] at default options.
     fn recommend_traced(&self, user: UserId) -> SingleAnswer {
         self.recommend_with_traced(user, &RequestOptions::default())

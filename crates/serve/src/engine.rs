@@ -60,7 +60,7 @@ use ganc_rerank::Reranker;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Duration;
 
 /// A cached response: the bundle generation that computed it plus the list.
@@ -433,7 +433,7 @@ pub struct ServingEngine {
 // contents always belong to the current state — an invalidation or swap can
 // never be undone by a racing compute, so no separate version counter is
 // needed. The one path that touches the cache without the state lock is the
-// single-request hit fast path, which only reads.
+// single-request hit fast path (`hit`, blocking or probed), which only reads.
 impl ServingEngine {
     /// Start serving a bundle.
     pub fn new(bundle: ModelBundle, cfg: EngineConfig) -> ServingEngine {
@@ -513,19 +513,8 @@ impl ServingEngine {
         let t0 = obs.map_or(0, |o| o.now_us());
         let cacheable = opts.is_default();
         if cacheable {
-            // Hit fast path: never touches the model state.
-            let cached = {
-                let mut cache = self.cache.lock().unwrap();
-                cache
-                    .get(&user.0)
-                    .map(|&(generation, ref hit)| (generation, Arc::clone(hit)))
-            };
-            if let Some((generation, hit)) = cached {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = obs {
-                    o.record_request(t0, user.0, generation, true, &hit);
-                }
-                return Ok((hit, generation));
+            if let Some(hit) = self.hit(self.cache.lock().unwrap(), user, t0) {
+                return Ok(hit);
             }
         }
         let state = self.state.read().unwrap();
@@ -551,6 +540,39 @@ impl ServingEngine {
             o.record_request(t0, user.0, state.generation, false, &list);
         }
         Ok((list, state.generation))
+    }
+
+    /// The hit fast path: `user`'s cached default-options response, counted
+    /// and recorded as a served hit. Never touches the model state. The
+    /// caller decides how the cache lock was obtained; it is released
+    /// before anything is recorded.
+    #[inline]
+    fn hit(
+        &self,
+        mut cache: MutexGuard<'_, LruCache<u32, CachedList>>,
+        user: UserId,
+        t0_us: u64,
+    ) -> Option<(Arc<Vec<ItemId>>, u64)> {
+        let &(generation, ref list) = cache.get(&user.0)?;
+        let list = Arc::clone(list);
+        drop(cache);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = self.obs.get() {
+            o.record_request(t0_us, user.0, generation, true, &list);
+        }
+        Some((list, generation))
+    }
+
+    /// Non-blocking probe for `user`'s cached default-options response —
+    /// the hit fast path of [`ServingEngine::recommend_with_traced`] for a
+    /// caller that must not wait (an event-loop thread). `Some` is a served
+    /// hit, counted and recorded exactly as the blocking path records it.
+    /// `None` means "ask `recommend_with_traced`" — the user is not cached,
+    /// is unknown, or the cache lock is held right now — and records
+    /// nothing.
+    pub fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
+        let t0 = self.obs.get().map_or(0, |o| o.now_us());
+        self.hit(self.cache.try_lock().ok()?, user, t0)
     }
 
     /// Answer a batch of requests, fanning cache misses across worker
@@ -842,6 +864,35 @@ mod tests {
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.cached, 1);
+    }
+
+    #[test]
+    fn recommend_cached_probes_without_blocking_or_counting_a_miss() {
+        let e = engine(CoverageKind::Dynamic);
+        let u = UserId(0);
+        assert_eq!(e.recommend_cached(u), None, "nothing cached yet");
+        assert_eq!(e.recommend_cached(UserId(e.n_users() + 10)), None);
+        let served = e.recommend_traced(u).unwrap();
+        // Another thread holds the cache mutex: the probe must come back
+        // empty-handed. Were it to wait, the holder (released only after
+        // the probe returns) would never let go and the test would hang.
+        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let e = &e;
+            scope.spawn(move || {
+                let _guard = e.cache.lock().unwrap();
+                locked_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            });
+            locked_rx.recv().unwrap();
+            assert_eq!(e.recommend_cached(u), None, "contended probe is a miss");
+            release_tx.send(()).unwrap();
+        });
+        assert_eq!(e.recommend_cached(u), Some(served));
+        let s = e.stats();
+        assert_eq!(s.cache_hits, 1, "only the successful probe counts");
+        assert_eq!(s.cache_misses, 1, "a probe never counts a miss");
     }
 
     #[test]

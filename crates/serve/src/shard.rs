@@ -446,6 +446,20 @@ impl ShardedEngine {
         Ok((list, set.generation))
     }
 
+    /// Non-blocking probe for `user`'s cached default-options response on
+    /// their home band ([`ServingEngine::recommend_cached`]), reporting the
+    /// shard-set generation like the blocking path. `None` means "ask
+    /// [`ShardedEngine::recommend_with_traced`]": besides an uncached or
+    /// unknown user, the outer lock is write-held (or awaited) right now —
+    /// an ingest holds it across its WAL append, which may `fsync`, so a
+    /// caller that must not wait never queues behind it.
+    pub fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
+        let set = self.set.try_read().ok()?;
+        let &home = set.user_shard.get(user.idx())?;
+        let (list, _) = set.engines[home as usize].recommend_cached(user)?;
+        Some((list, set.generation))
+    }
+
     /// Answer a batch of requests, splitting it across shards (one worker
     /// thread per shard touched). Results come back in request order, the
     /// whole batch served from one shard-set generation.
@@ -760,6 +774,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn recommend_cached_never_waits_behind_the_shard_set_write_lock() {
+        let sharded = ShardedEngine::new(bundle(CoverageKind::Dynamic), ShardConfig::quantile(3));
+        let u = UserId(1);
+        assert_eq!(sharded.recommend_cached(u), None, "nothing cached yet");
+        assert_eq!(
+            sharded.recommend_cached(UserId(sharded.n_users() + 3)),
+            None,
+            "an unknown user is the blocking path's error to report"
+        );
+        let served = sharded.recommend_traced(u).unwrap();
+        // A writer (an ingest mid-WAL-append) holds the outer lock: the
+        // probe must return at once. Were it to wait, the holder (released
+        // only after the probe returns) would never let go.
+        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let sharded = &sharded;
+            scope.spawn(move || {
+                let _guard = sharded.set.write().unwrap();
+                locked_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            });
+            locked_rx.recv().unwrap();
+            assert_eq!(sharded.recommend_cached(u), None);
+            release_tx.send(()).unwrap();
+        });
+        assert_eq!(sharded.recommend_cached(u), Some(served));
+        let s = sharded.stats();
+        assert_eq!((s.cache_hits, s.cache_misses), (1, 1));
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //! `ShardedEngine`.
 
 use ganc::core::coverage::CoverageKind;
+use ganc::core::query::{cut_theta_bands, shard_of};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::http::{
-    Frontend, HttpClient, HttpServer, RemoteShard, RouterNode, ServerConfig, ShardRoute,
+    Frontend, HttpClient, HttpServer, PeerTransport, RemoteShard, RouterNode, ServerConfig,
+    ShardRoute,
 };
+use ganc::obs::ObsHub;
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::item_avg::ItemAvg;
 use ganc::recommender::knn::{ItemKnn, ItemKnnConfig};
@@ -278,6 +281,149 @@ fn recommend_n_param_truncates_to_prefix() {
             expected_recommend_body(2, generation, &full[..shown]),
             "n={n}"
         );
+    }
+}
+
+/// Sum of every rendered sample of `family` whose label set contains
+/// `labels` (bands report under their own series; the sum is the front's).
+fn metric(hub: &ObsHub, family: &str, labels: &str) -> f64 {
+    hub.metrics
+        .render()
+        .lines()
+        .filter(|l| match l.strip_prefix(family) {
+            Some(rest) => (rest.starts_with('{') || rest.starts_with(' ')) && l.contains(labels),
+            None => false,
+        })
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+        .sum()
+}
+
+/// A cached default-options recommend is answered on the event-loop thread
+/// (`ganc_http_inline_total`), and nothing but that counter can tell: the
+/// bytes equal the worker-answered first response, and the engine, stage
+/// and request counters read what the same sequence read when every
+/// request went through a worker — one miss per user, then hits; a probe
+/// never counts a miss. Overrides, unknown users and bands behind a peer
+/// transport are never probed into an inline answer.
+#[test]
+fn cached_recommends_are_answered_inline_with_identical_bytes_and_counters() {
+    let bundle = bundle_for(
+        FittedModel::Pop(MostPopular::fit(&fixture().0)),
+        CoverageKind::Dynamic,
+    );
+    // Users a, b on band 0 of a two-band cut and c on band 1: the router
+    // front below serves band 0 from a local slice and band 1 through a
+    // peer transport, so c is the user a router must never answer inline.
+    let cuts = cut_theta_bands(&bundle.theta, 2);
+    let band = |u: &u32| shard_of(&cuts, bundle.theta[*u as usize]);
+    let on_band0: Vec<u32> = (0..bundle.n_users()).filter(|u| band(u) == 0).collect();
+    let (a, b) = (on_band0[0], on_band0[1]);
+    let c = (0..bundle.n_users()).find(|u| band(u) == 1).unwrap();
+
+    let single = Frontend::Single(Arc::new(ServingEngine::new(
+        bundle.clone(),
+        EngineConfig::default(),
+    )));
+    let sharded = Frontend::Sharded(Arc::new(ShardedEngine::new(
+        bundle.clone(),
+        ShardConfig::quantile(2),
+    )));
+    let slice = |lo, hi| {
+        Arc::new(ServingEngine::new(
+            bundle.slice_theta_band(lo, hi),
+            EngineConfig::default(),
+        ))
+    };
+    let peer: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(slice(cuts[0], f64::INFINITY)));
+    let router = Frontend::Router(Arc::new(RouterNode::new(
+        Arc::clone(&bundle.theta),
+        cuts.clone(),
+        vec![
+            ShardRoute::Local(slice(f64::NEG_INFINITY, cuts[0])),
+            ShardRoute::Remote(peer),
+        ],
+    )));
+
+    // (front, is c's band probed in place?) — c's second request is an
+    // inline hit everywhere but behind the router's peer transport, whose
+    // engine also reports to no hub of this server.
+    for (label, frontend, c_is_local) in [
+        ("single", single, true),
+        ("sharded", sharded, true),
+        ("router", router, false),
+    ] {
+        let hub = ObsHub::new();
+        let cfg = ServerConfig {
+            obs: Some(Arc::clone(&hub)),
+            ..ServerConfig::default()
+        };
+        let server = HttpServer::bind(frontend, None, cfg, "127.0.0.1:0").unwrap();
+        let mut client = HttpClient::new(server.local_addr().to_string());
+        let inline = || metric(&hub, "ganc_http_inline_total", "");
+        let mut get = |path: String, status: u16| {
+            let resp = client.request("GET", &path, None).unwrap();
+            assert_eq!(resp.status, status, "{label}: {path}");
+            resp.body
+        };
+
+        // First ask: a miss, computed on a worker. Second: the LRU hit,
+        // answered inline — byte for byte the same response.
+        let first = get(format!("/v1/recommend/{a}"), 200);
+        assert_eq!(inline(), 0.0, "{label}: a miss is a worker's");
+        assert_eq!(get(format!("/v1/recommend/{a}"), 200), first, "{label}");
+        assert_eq!(inline(), 1.0, "{label}: the hit is answered inline");
+        // `?n=` only truncates: it qualifies, and truncates the same way.
+        let first = get(format!("/v1/recommend/{b}?n=3"), 200);
+        assert_eq!(inline(), 1.0, "{label}");
+        assert_eq!(get(format!("/v1/recommend/{b}?n=3"), 200), first, "{label}");
+        assert_eq!(inline(), 2.0, "{label}: ?n= qualifies");
+        // An override never reads the cache, so it is never probed; an
+        // unknown user is the worker's 404 to write.
+        get(format!("/v1/recommend/{a}?exclude=1"), 200);
+        get("/v1/recommend/999999".to_string(), 404);
+        assert_eq!(inline(), 2.0, "{label}: override / unknown user");
+        // Band 1: local to the single and sharded fronts, a peer hop for
+        // the router.
+        let first = get(format!("/v1/recommend/{c}"), 200);
+        assert_eq!(get(format!("/v1/recommend/{c}"), 200), first, "{label}");
+        let c_hits = if c_is_local { 1.0 } else { 0.0 };
+        assert_eq!(inline(), 2.0 + c_hits, "{label}: band 1");
+
+        // A response is accounted after it is written: joining the
+        // server's threads orders every count before the reads below.
+        drop(server);
+        // What the same eight requests counted before any was answered
+        // inline: a, b, the override (and c where its engine reports here)
+        // computed once each; the repeats of a, b (and c) hit.
+        let engine = |result: &str| {
+            metric(
+                &hub,
+                "ganc_engine_requests_total",
+                &format!("result=\"{result}\""),
+            )
+        };
+        assert_eq!(engine("miss"), 3.0 + c_hits, "{label}: engine misses");
+        assert_eq!(engine("hit"), 2.0 + c_hits, "{label}: engine hits");
+        let answered = |status: &str| {
+            metric(
+                &hub,
+                "ganc_http_requests_total",
+                &format!("endpoint=\"recommend\",status=\"{status}\""),
+            )
+        };
+        assert_eq!(answered("200"), 7.0, "{label}");
+        assert_eq!(answered("404"), 1.0, "{label}");
+        for stage in ["parse", "dispatch", "write"] {
+            assert_eq!(
+                metric(
+                    &hub,
+                    "ganc_http_stage_us_count",
+                    &format!("stage=\"{stage}\"")
+                ),
+                8.0,
+                "{label}: every answer observes stage {stage} once"
+            );
+        }
     }
 }
 

@@ -14,6 +14,7 @@ use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::http::{Frontend, HttpClient, HttpServer, RefitHook, ServerConfig};
+use ganc::obs::ObsHub;
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::item_avg::ItemAvg;
 use ganc::serve::refit::{merge_interactions, Refitter};
@@ -336,6 +337,94 @@ fn http_ingests_survive_swaps_and_match_from_scratch_fit() {
             "user {u} diverges from the from-scratch fit on everything POSTed"
         );
     }
+}
+
+/// The event loop answers cached recommends itself, so the cache it probes
+/// must never outlive the state it was computed from: the first request
+/// after an ingest for that user, and after a refit swap, is a miss a
+/// worker computes on the new state — never a stale list answered inline —
+/// and only the request after *that* is an inline hit again.
+#[test]
+fn ingest_and_swap_are_followed_by_a_worker_miss_never_a_stale_inline_hit() {
+    let (_, bundle) = fixture();
+    let engine = Arc::new(ShardedEngine::new(bundle, ShardConfig::quantile(3)));
+    let hub = ObsHub::new();
+    let server = HttpServer::bind(
+        Frontend::Sharded(Arc::clone(&engine)),
+        Some(RefitHook {
+            fitter: item_avg_fitter(),
+            cfg: fit_cfg(),
+            cadence: None,
+        }),
+        ServerConfig {
+            obs: Some(Arc::clone(&hub)),
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = HttpClient::new(server.local_addr().to_string());
+    // (inline answers, engine misses across bands): both are counted
+    // before the response they belong to is written.
+    let counts = || {
+        let text = hub.metrics.render();
+        let sum = |family: &str, label: &str| -> f64 {
+            text.lines()
+                .filter(|l| l.starts_with(family) && l.contains(label))
+                .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+                .sum()
+        };
+        (
+            sum("ganc_http_inline_total", ""),
+            sum("ganc_engine_requests_total", "result=\"miss\""),
+        )
+    };
+    let u = 4u32;
+    let mut ask = || {
+        let resp = client
+            .request("GET", &format!("/v1/recommend/{u}"), None)
+            .unwrap();
+        assert_eq!(resp.status, 200);
+        parse_recommend(&resp.body)
+    };
+
+    let (g0, computed) = ask();
+    assert_eq!((g0, counts()), (0, (0.0, 1.0)), "first ask computes");
+    assert_eq!(ask(), (0, computed.clone()));
+    assert_eq!(counts(), (1.0, 1.0), "second ask is the inline hit");
+
+    // Ingest: the consumed item must be gone from the very next answer,
+    // which therefore cannot have come from the loop's cache probe.
+    let consumed = computed[0];
+    let body = format!("{{\"user\":{u},\"item\":{},\"rating\":5.0}}", consumed.0);
+    let mut writer = HttpClient::new(server.local_addr().to_string());
+    assert_eq!(
+        writer
+            .request("POST", "/v1/ingest", Some(&body))
+            .unwrap()
+            .status,
+        200
+    );
+    let (g, after_ingest) = ask();
+    assert_eq!(counts(), (1.0, 2.0), "post-ingest ask is a worker's miss");
+    assert_eq!(g, 0);
+    assert!(
+        !after_ingest.contains(&consumed),
+        "stale list after ingest: {consumed:?} still recommended"
+    );
+    assert_eq!(ask(), (0, after_ingest));
+    assert_eq!(counts(), (2.0, 2.0), "then it is cached again");
+
+    // Refit swap: new shard set, empty caches, next generation.
+    let resp = writer.request("POST", "/admin/refit", None).unwrap();
+    assert_eq!(resp.status, 200);
+    let expected = expected_lists((*engine.baseline_bundle()).clone(), u + 1);
+    let (g, after_swap) = ask();
+    assert_eq!(counts(), (2.0, 3.0), "post-swap ask is a worker's miss");
+    assert_eq!(g, 1, "answered from the new generation");
+    assert_eq!(after_swap, *expected[u as usize]);
+    assert_eq!(ask(), (1, after_swap));
+    assert_eq!(counts(), (3.0, 3.0));
 }
 
 /// The refit endpoint without a configured hook (or on a single-engine

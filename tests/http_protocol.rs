@@ -398,6 +398,91 @@ fn pipelined_valid_requests_all_answer() {
     assert_eq!(statuses, vec![200, 200, 200]);
 }
 
+/// One `write` of 50 000 pipelined recommends, every one of them cached and
+/// so answerable on the event-loop thread: all are answered, in order, from
+/// a loop that frames them iteratively (a `respond → advance` recursion
+/// this deep overflows its stack) — and in bounded bursts, so a request on
+/// a second connection gets its turn long before the pipeline is through.
+#[test]
+fn pipelined_cached_burst_answers_in_order_and_yields_to_other_connections() {
+    use ganc::obs::ObsHub;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const BURST: usize = 50_000;
+    let engine = Arc::new(ServingEngine::new(bundle(), EngineConfig::default()));
+    let n_users = engine.n_users() as usize;
+    let hub = ObsHub::new();
+    let cfg = ServerConfig {
+        obs: Some(Arc::clone(&hub)),
+        ..ServerConfig::default()
+    };
+    let server = HttpServer::bind(Frontend::Single(engine), None, cfg, "127.0.0.1:0").unwrap();
+    let mut other = HttpClient::new(server.local_addr().to_string());
+    for u in 0..n_users {
+        let resp = other
+            .request("GET", &format!("/v1/recommend/{u}"), None)
+            .unwrap();
+        assert_eq!(resp.status, 200, "priming user {u}");
+    }
+
+    let wire: Vec<u8> = (0..BURST)
+        .flat_map(|i| format!("GET /v1/recommend/{} HTTP/1.1\r\n\r\n", i % n_users).into_bytes())
+        .collect();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let answered = AtomicUsize::new(0);
+    let answered_when_other_was_served = std::thread::scope(|scope| {
+        scope.spawn(|| (&stream).write_all(&wire).unwrap());
+        scope.spawn(|| {
+            let mut reader = BufReader::new(&stream);
+            for i in 0..BURST {
+                let resp = http1::read_response(&mut reader)
+                    .unwrap_or_else(|e| panic!("response {i} of {BURST}: {e}"));
+                assert_eq!(resp.status, 200, "response {i}");
+                let v = tinyjson::from_str(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+                assert_eq!(
+                    v["user"].as_u64(),
+                    Some((i % n_users) as u64),
+                    "response {i} out of order"
+                );
+                answered.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        // Mid-pipeline (the first answers are in): the second connection's
+        // request must not wait for the other 50 000.
+        while answered.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let resp = other.request("GET", "/v1/healthz", None).unwrap();
+        assert_eq!(resp.status, 200);
+        answered.load(Ordering::SeqCst)
+    });
+    assert_eq!(answered.load(Ordering::SeqCst), BURST);
+    assert!(
+        answered_when_other_was_served < BURST,
+        "the second connection waited out the whole pipeline"
+    );
+    // Nearly all of it was answered inline — and not all of it: after a
+    // bounded burst the next request is a worker's, which is how the loop
+    // got back to its poller.
+    let inline = hub
+        .metrics
+        .render()
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("ganc_http_inline_total ")?
+                .parse::<usize>()
+                .ok()
+        })
+        .expect("inline counter rendered");
+    assert!(
+        (BURST * 9 / 10..BURST).contains(&inline),
+        "{inline} of {BURST} answered inline"
+    );
+}
+
 /// The router batch error contract: a failed θ-band answers 502 with a
 /// JSON body whose `band` field names the failed band — not a bare
 /// positional error — while per-user rejections stay in-slot 200s.
