@@ -200,19 +200,6 @@ impl HttpClient {
         }
         unreachable!("loop returns on success or final error")
     }
-
-    /// One-shot request over a brand-new connection (no keep-alive reuse).
-    pub fn request_once(
-        addr: &str,
-        method: &str,
-        path_and_query: &str,
-        body: Option<&str>,
-    ) -> io::Result<Response> {
-        let mut client = HttpClient::new(addr);
-        let mut conn = client.connect()?;
-        send_request(&mut conn, method, path_and_query, body, None)?;
-        http1::read_response(&mut conn)
-    }
 }
 
 fn send_request(

@@ -12,6 +12,33 @@
 //!   bad (handled a layer up: bad JSON, unknown route): respond and keep
 //!   the connection.
 //!
+//! ## One framer
+//!
+//! [`frame`] is the only code that decides where a request ends. It is a
+//! stateless function of the bytes buffered so far, so the event loop calls
+//! it on a connection's buffer as that grows and [`read_request`] feeds it
+//! from a `BufRead`; neither has a framing rule of its own. What it answers,
+//! by what is buffered (the *head* is the request line and header lines up
+//! to and including the first empty line):
+//!
+//! | buffered | stream still open | peer finished sending (`eof`) |
+//! |----------|-------------------|-------------------------------|
+//! | nothing | need more | closed |
+//! | head unfinished, at most `max_head_bytes` | need more | fatal |
+//! | head unfinished after `max_head_bytes` | fatal | fatal |
+//! | head finished, breaks a rule | fatal | the same |
+//! | head finished and valid, declared body short | need more | fatal |
+//! | head and declared body | request + bytes consumed | the same |
+//!
+//! *Need more* is `None`, *closed* is [`ReadOutcome::Disconnected`]. A fatal
+//! answer is a 400 (413 for a `Content-Length` beyond `max_body_bytes`) that
+//! names the first rule broken among the lines that arrived, in wire order;
+//! an unfinished head that broke none is `malformed request head`. A
+//! violation is answered the moment the head finishes — never after waiting
+//! for a body the head has no right to — and never before: a request is
+//! judged whole, so its answer does not depend on how the bytes were split
+//! across reads.
+//!
 //! Responses carry a fixed, deterministic header set (no `Date`), so a
 //! response's bytes depend only on status, body, and keep-alive flag —
 //! which is what lets the equivalence suite assert byte-identical output.
@@ -65,7 +92,7 @@ impl StatusCode {
 }
 
 /// One parsed request.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Request {
     /// Method verbatim (e.g. `GET`).
     pub method: String,
@@ -100,30 +127,69 @@ pub enum ReadOutcome {
     },
 }
 
-/// Read one line (through `\n`), enforcing the remaining head budget.
-/// Returns the line without its terminator, or `None` for a clean EOF
-/// before any byte.
-fn read_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Result<Option<Vec<u8>>> {
-    let mut line = Vec::new();
-    let n = reader
-        .take(*budget as u64 + 1)
-        .read_until(b'\n', &mut line)?;
-    if n == 0 {
-        return Ok(None);
+/// A broken framing rule: the status to answer with and the cause.
+type Violation = (u16, &'static str);
+
+const fn bad_request(message: &'static str) -> Violation {
+    (StatusCode::BAD_REQUEST, message)
+}
+
+/// Frame one request from the front of `buf`, the bytes a connection has
+/// delivered and not yet consumed. `None` means the request is still
+/// arriving; otherwise the outcome and how many bytes of `buf` it used up
+/// (a request's length — what follows is the next pipelined request — and 0
+/// for the other two). `eof` says the peer finished sending, so `buf` is all
+/// there will ever be and the answer is never `None`. The module docs
+/// tabulate which answer is given when. Stateless: call it again with a
+/// longer `buf` after a `None`, and with the remainder after a request.
+pub fn frame(buf: &[u8], limits: Limits, eof: bool) -> Option<(ReadOutcome, usize)> {
+    if buf.is_empty() {
+        return eof.then_some((ReadOutcome::Disconnected, 0));
     }
-    if n > *budget {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "head too large"));
-    }
-    *budget -= n;
-    if line.last() == Some(&b'\n') {
-        line.pop();
-        if line.last() == Some(&b'\r') {
-            line.pop();
+    let mut req = Request::default();
+    let mut content_length = None;
+    let mut verdict = Ok(());
+    let mut head_len = 0;
+    let mut finished = false;
+    // A head may be `max_head_bytes` long, empty line included; bytes past
+    // that are never read as head.
+    let window = &buf[..buf.len().min(limits.max_head_bytes)];
+    for (i, raw) in window.split_inclusive(|&b| b == b'\n').enumerate() {
+        let Some(line) = raw.strip_suffix(b"\n") else {
+            break; // the line is still arriving
+        };
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        head_len += raw.len();
+        if i > 0 && line.is_empty() {
+            finished = true;
+            break;
         }
-        Ok(Some(line))
-    } else {
-        // EOF mid-line: torn request head.
-        Err(io::Error::new(io::ErrorKind::UnexpectedEof, "torn head"))
+        if verdict.is_ok() {
+            verdict = if i == 0 {
+                request_line(line, &mut req)
+            } else {
+                header_line(line, &mut req, &mut content_length, limits.max_body_bytes)
+            };
+        }
+    }
+    if !finished {
+        if !eof && buf.len() <= limits.max_head_bytes {
+            return None;
+        }
+        verdict = verdict.and(Err(bad_request("malformed request head")));
+    }
+    let end = head_len.saturating_add(content_length.unwrap_or(0));
+    let body = buf.get(head_len..end);
+    if body.is_none() && eof {
+        verdict = verdict.and(Err(bad_request("body shorter than content-length")));
+    }
+    match (verdict, body) {
+        (Err((status, message)), _) => Some((ReadOutcome::Fatal { status, message }, 0)),
+        (Ok(()), Some(body)) => {
+            req.body = body.to_vec();
+            Some((ReadOutcome::Request(req), end))
+        }
+        (Ok(()), None) => None,
     }
 }
 
@@ -133,136 +199,137 @@ fn is_token(s: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b))
 }
 
-/// Read and parse one request. `reader` must wrap a stream with a read
-/// timeout if idle connections should ever be reclaimed.
-pub fn read_request<R: BufRead>(reader: &mut R, limits: Limits) -> ReadOutcome {
-    let mut budget = limits.max_head_bytes;
-    let fatal = |message| ReadOutcome::Fatal {
-        status: StatusCode::BAD_REQUEST,
-        message,
-    };
-
-    // ---- request line ----
-    let line = match read_line(reader, &mut budget) {
-        Ok(None) => return ReadOutcome::Disconnected,
-        Ok(Some(line)) => line,
-        Err(e) if idle_disconnect(&e) => return ReadOutcome::Disconnected,
-        Err(_) => return fatal("malformed request head"),
-    };
-    let Ok(line) = String::from_utf8(line) else {
-        return fatal("request line is not UTF-8");
-    };
+/// `METHOD /path?query HTTP/1.x` into `req`; the version sets the
+/// keep-alive default a `Connection` header may then override.
+fn request_line(line: &[u8], req: &mut Request) -> Result<(), Violation> {
+    let line = std::str::from_utf8(line).map_err(|_| bad_request("request line is not UTF-8"))?;
     let mut parts = line.split(' ');
     let (Some(method), Some(target), Some(version), None) =
         (parts.next(), parts.next(), parts.next(), parts.next())
     else {
-        return fatal("malformed request line");
+        return Err(bad_request("malformed request line"));
     };
     if !is_token(method) {
-        return fatal("malformed method");
+        return Err(bad_request("malformed method"));
     }
-    let http11 = match version {
+    req.keep_alive = match version {
         "HTTP/1.1" => true,
         "HTTP/1.0" => false,
-        _ => return fatal("unsupported HTTP version"),
+        _ => return Err(bad_request("unsupported HTTP version")),
     };
     if !target.starts_with('/') {
-        return fatal("request target must be absolute path");
+        return Err(bad_request("request target must be absolute path"));
     }
     let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), Some(q.to_string())),
-        None => (target.to_string(), None),
+        Some((path, query)) => (path, Some(query.to_string())),
+        None => (target, None),
     };
-
-    // ---- headers ----
-    let mut content_length: Option<usize> = None;
-    let mut keep_alive = http11;
-    let mut idempotency_key: Option<String> = None;
-    loop {
-        let line = match read_line(reader, &mut budget) {
-            Ok(Some(line)) => line,
-            Ok(None) | Err(_) => return fatal("malformed request head"),
-        };
-        if line.is_empty() {
-            break;
-        }
-        let Ok(line) = String::from_utf8(line) else {
-            return fatal("header is not UTF-8");
-        };
-        let Some((name, value)) = line.split_once(':') else {
-            return fatal("malformed header");
-        };
-        if !is_token(name) {
-            return fatal("malformed header name");
-        }
-        let name = name.to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            // Digits only — `u64::from_str` would accept a leading '+',
-            // and any framing disagreement with a standards-conformant
-            // intermediary is a smuggling vector.
-            "content-length" if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) => {
-                return fatal("invalid content-length")
-            }
-            "content-length" => match value.parse::<u64>() {
-                Ok(len) if len <= limits.max_body_bytes as u64 => {
-                    if content_length.replace(len as usize).is_some() {
-                        return fatal("duplicate content-length");
-                    }
-                }
-                Ok(_) => {
-                    // Too large to even drain within budget: refuse + close.
-                    return ReadOutcome::Fatal {
-                        status: StatusCode::PAYLOAD_TOO_LARGE,
-                        message: "request body too large",
-                    };
-                }
-                Err(_) => return fatal("invalid content-length"),
-            },
-            "transfer-encoding" => return fatal("transfer-encoding not supported"),
-            "idempotency-key" if !value.is_empty() => {
-                idempotency_key = Some(value.to_string());
-            }
-            "connection" => {
-                let v = value.to_ascii_lowercase();
-                if v.split(',').any(|t| t.trim() == "close") {
-                    keep_alive = false;
-                } else if v.split(',').any(|t| t.trim() == "keep-alive") {
-                    keep_alive = true;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // ---- body ----
-    let mut body = Vec::new();
-    if let Some(len) = content_length {
-        body.resize(len, 0);
-        if reader.read_exact(&mut body).is_err() {
-            return fatal("body shorter than content-length");
-        }
-    }
-
-    ReadOutcome::Request(Request {
-        method: method.to_string(),
-        path,
-        query,
-        body,
-        keep_alive,
-        idempotency_key,
-    })
+    req.method = method.to_string();
+    req.path = path.to_string();
+    req.query = query;
+    Ok(())
 }
 
-/// Whether a read error means the peer simply went away between requests.
-fn idle_disconnect(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock
-            | io::ErrorKind::TimedOut
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::ConnectionAborted
-    )
+/// One request header line into `req` / `content_length`.
+fn header_line(
+    line: &[u8],
+    req: &mut Request,
+    content_length: &mut Option<usize>,
+    max_body: usize,
+) -> Result<(), Violation> {
+    let (name, value) = header_field(line)?;
+    body_framing_field(name, value, content_length, max_body)?;
+    if name.eq_ignore_ascii_case("idempotency-key") && !value.is_empty() {
+        req.idempotency_key = Some(value.to_string());
+    } else if name.eq_ignore_ascii_case("connection") {
+        let has = |token: &str| {
+            value
+                .split(',')
+                .any(|t| t.trim().eq_ignore_ascii_case(token))
+        };
+        if has("close") {
+            req.keep_alive = false;
+        } else if has("keep-alive") {
+            req.keep_alive = true;
+        }
+    }
+    Ok(())
+}
+
+/// Split one header line into its name and trimmed value.
+fn header_field(line: &[u8]) -> Result<(&str, &str), Violation> {
+    let line = std::str::from_utf8(line).map_err(|_| bad_request("header is not UTF-8"))?;
+    let (name, value) = line
+        .split_once(':')
+        .ok_or(bad_request("malformed header"))?;
+    if !is_token(name) {
+        return Err(bad_request("malformed header name"));
+    }
+    Ok((name, value.trim()))
+}
+
+/// The body-framing rule, the same for a request and for a peer's response
+/// so the two ingresses cannot drift: `Content-Length` is decimal digits
+/// only, at most `max`, and appears once; `Transfer-Encoding` is refused.
+/// Any other field passes. (The 413 is worded for a request;
+/// [`read_response`] rewords it.)
+fn body_framing_field(
+    name: &str,
+    value: &str,
+    content_length: &mut Option<usize>,
+    max: usize,
+) -> Result<(), Violation> {
+    if name.eq_ignore_ascii_case("transfer-encoding") {
+        return Err(bad_request("transfer-encoding not supported"));
+    }
+    if !name.eq_ignore_ascii_case("content-length") {
+        return Ok(());
+    }
+    // Digits only — `u64::from_str` would accept a leading '+', and any
+    // framing disagreement with a standards-conformant intermediary is a
+    // smuggling vector.
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(bad_request("invalid content-length"));
+    }
+    match value.parse::<u64>() {
+        Err(_) => Err(bad_request("invalid content-length")),
+        // Too large to even drain within budget: refuse + close.
+        Ok(len) if len > max as u64 => {
+            Err((StatusCode::PAYLOAD_TOO_LARGE, "request body too large"))
+        }
+        Ok(len) => match content_length.replace(len as usize) {
+            Some(_) => Err(bad_request("duplicate content-length")),
+            None => Ok(()),
+        },
+    }
+}
+
+/// Read one request off a blocking reader: feed [`frame`] until it decides,
+/// consuming exactly the request's bytes so a pipelined successor stays
+/// unread. A read error ends the stream like a close does. `reader` must
+/// wrap a stream with a read timeout if idle connections should ever be
+/// reclaimed.
+pub fn read_request<R: BufRead>(reader: &mut R, limits: Limits) -> ReadOutcome {
+    // Every byte taken from the reader so far.
+    let mut held = Vec::new();
+    loop {
+        let fresh = match reader.fill_buf() {
+            Ok(chunk) => {
+                held.extend_from_slice(chunk);
+                chunk.len()
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => 0,
+        };
+        match frame(&held, limits, fresh == 0) {
+            None => reader.consume(fresh),
+            Some((outcome, consumed)) => {
+                // Of the last chunk, only what the request itself used.
+                reader.consume(fresh.saturating_sub(held.len() - consumed));
+                return outcome;
+            }
+        }
+    }
 }
 
 /// Write one response with the fixed deterministic header set.
@@ -298,29 +365,6 @@ pub fn write_response_with_type(
     w.flush()
 }
 
-/// Outcome of [`wait_for_data`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum WaitOutcome {
-    /// Bytes are buffered and ready to parse.
-    Data,
-    /// The peer closed or idled past the read timeout — nothing to parse.
-    Disconnected,
-}
-
-/// Block until the next request's first bytes arrive (or the peer goes
-/// away). Splitting the keep-alive *wait* from the request *parse* is what
-/// lets the server's per-stage parse timer measure parsing instead of
-/// client think-time; any real read error is deferred to the parser so the
-/// error path stays single.
-pub fn wait_for_data<R: BufRead>(reader: &mut R) -> WaitOutcome {
-    match reader.fill_buf() {
-        Ok([]) => WaitOutcome::Disconnected,
-        Ok(_) => WaitOutcome::Data,
-        Err(e) if idle_disconnect(&e) => WaitOutcome::Disconnected,
-        Err(_) => WaitOutcome::Data,
-    }
-}
-
 /// A parsed response (client side).
 #[derive(Debug)]
 pub struct Response {
@@ -337,7 +381,36 @@ pub struct Response {
 /// attempting an arbitrary allocation.
 pub const MAX_RESPONSE_BODY: usize = 16 * 1024 * 1024;
 
-/// Read one response off a client connection.
+/// Read one line (through `\n`) of a response head, enforcing the remaining
+/// head budget. Returns the line without its terminator, or `None` for a
+/// clean EOF before any byte.
+fn read_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Result<Option<Vec<u8>>> {
+    let mut line = Vec::new();
+    let n = reader
+        .take(*budget as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if n > *budget {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "head too large"));
+    }
+    *budget -= n;
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        Ok(Some(line))
+    } else {
+        // EOF mid-line: torn head.
+        Err(io::Error::new(io::ErrorKind::UnexpectedEof, "torn head"))
+    }
+}
+
+/// Read one response off a client connection. A peer's answer is an ingress
+/// like any other: its header lines pass the same field and body-framing
+/// rules as a request's, and a violation is `InvalidData`.
 pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
     let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
     let mut budget = 64 * 1024;
@@ -351,32 +424,25 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
         return Err(bad("not an HTTP response"));
     }
     let status: u16 = code.parse().map_err(|_| bad("malformed status code"))?;
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut keep_alive = true;
     loop {
         let line = read_line(reader, &mut budget)?.ok_or_else(|| bad("truncated head"))?;
         if line.is_empty() {
             break;
         }
-        let line = String::from_utf8(line).map_err(|_| bad("header not UTF-8"))?;
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(bad("malformed header"));
-        };
-        match name.to_ascii_lowercase().as_str() {
-            "content-length" => {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad("invalid content-length"))?;
-                if content_length > MAX_RESPONSE_BODY {
-                    return Err(bad("response body too large"));
-                }
-            }
-            "connection" => keep_alive = !value.trim().eq_ignore_ascii_case("close"),
-            _ => {}
+        let (name, value) = header_field(&line).map_err(|(_, m)| bad(m))?;
+        body_framing_field(name, value, &mut content_length, MAX_RESPONSE_BODY).map_err(
+            |(status, m)| match status {
+                StatusCode::PAYLOAD_TOO_LARGE => bad("response body too large"),
+                _ => bad(m),
+            },
+        )?;
+        if name.eq_ignore_ascii_case("connection") {
+            keep_alive = !value.eq_ignore_ascii_case("close");
         }
     }
-    let mut body = vec![0u8; content_length];
+    let mut body = vec![0u8; content_length.unwrap_or(0)];
     reader.read_exact(&mut body)?;
     Ok(Response {
         status,
@@ -388,11 +454,71 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(bytes: &[u8]) -> ReadOutcome {
         read_request(&mut BufReader::new(bytes), Limits::default())
     }
+
+    /// Heads that break a framing rule, with the status each is refused by.
+    const FATAL_HEADS: [(&[u8], u16); 9] = [
+        (b"GARBAGE\r\n\r\n", StatusCode::BAD_REQUEST),
+        (b"GET /x\r\n\r\n", StatusCode::BAD_REQUEST),
+        (b"GET /x HTTP/2.0\r\n\r\n", StatusCode::BAD_REQUEST),
+        (
+            b"GET /x HTTP/1.1\r\nBad Header\r\n\r\n",
+            StatusCode::BAD_REQUEST,
+        ),
+        (
+            b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+            StatusCode::BAD_REQUEST,
+        ),
+        (
+            // u64::from_str would take the '+'; strict framing must not
+            // (request-smuggling disagreement with conformant proxies).
+            b"POST /x HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd",
+            StatusCode::BAD_REQUEST,
+        ),
+        (
+            b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd",
+            StatusCode::BAD_REQUEST,
+        ),
+        (
+            b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            StatusCode::BAD_REQUEST,
+        ),
+        (
+            b"POST /x HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+            StatusCode::PAYLOAD_TOO_LARGE,
+        ),
+    ];
+
+    /// A stream that ends before the body its head declared.
+    const SHORT_BODY: &[u8] = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
+
+    /// Well-framed streams and the body length the first request declares:
+    /// both newline dialects, with and without a pipelined successor.
+    const VALID: [(&[u8], usize); 6] = [
+        (b"GET /v1/recommend/3?n=5 HTTP/1.1\r\nHost: x\r\n\r\n", 0),
+        (
+            b"POST /v1/recommend:batch HTTP/1.1\r\nContent-Length: 13\r\n\r\n{\"users\":[1]}",
+            13,
+        ),
+        (
+            b"POST /v1/ingest HTTP/1.1\r\nIdempotency-Key: order-42\r\nContent-Length: 2\r\n\r\n{}",
+            2,
+        ),
+        (
+            b"POST /v1/ingest HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcdGET /v1/healthz HTTP/1.1\r\n\r\n",
+            4,
+        ),
+        (b"GET /v1/healthz HTTP/1.0\n\nGET /v1/stats HTTP/1.1\n\n", 0),
+        (
+            b"POST /x HTTP/1.1\nContent-Length: 4\r\n\nabcdGET /y HTTP/1.1\r\n\r\n",
+            4,
+        ),
+    ];
 
     #[test]
     fn parses_get_with_query_and_keep_alive_default() {
@@ -424,41 +550,8 @@ mod tests {
 
     #[test]
     fn framing_violations_are_fatal() {
-        let cases: [(&[u8], u16); 9] = [
-            (b"GARBAGE\r\n\r\n".as_slice(), StatusCode::BAD_REQUEST),
-            (b"GET /x\r\n\r\n".as_slice(), StatusCode::BAD_REQUEST),
-            (
-                b"GET /x HTTP/2.0\r\n\r\n".as_slice(),
-                StatusCode::BAD_REQUEST,
-            ),
-            (
-                b"GET /x HTTP/1.1\r\nBad Header\r\n\r\n".as_slice(),
-                StatusCode::BAD_REQUEST,
-            ),
-            (
-                b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n".as_slice(),
-                StatusCode::BAD_REQUEST,
-            ),
-            (
-                // u64::from_str would take the '+'; strict framing must not
-                // (request-smuggling disagreement with conformant proxies).
-                b"POST /x HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd".as_slice(),
-                StatusCode::BAD_REQUEST,
-            ),
-            (
-                b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".as_slice(),
-                StatusCode::BAD_REQUEST,
-            ),
-            (
-                b"POST /x HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n".as_slice(),
-                StatusCode::PAYLOAD_TOO_LARGE,
-            ),
-            (
-                b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort".as_slice(),
-                StatusCode::BAD_REQUEST,
-            ),
-        ];
-        for (bytes, want) in cases {
+        let short_body = (SHORT_BODY, StatusCode::BAD_REQUEST);
+        for (bytes, want) in FATAL_HEADS.into_iter().chain([short_body]) {
             match parse(bytes) {
                 ReadOutcome::Fatal { status, .. } => {
                     assert_eq!(status, want, "{:?}", String::from_utf8_lossy(bytes))
@@ -472,10 +565,214 @@ mod tests {
     }
 
     #[test]
+    fn response_framing_violations_are_invalid_data() {
+        let too_large = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+            MAX_RESPONSE_BODY + 1
+        );
+        let cases: [&[u8]; 6] = [
+            b"HTTP/1.1 200 OK\r\nContent-Length: +4\r\n\r\nabcd",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\nContent-Length: 2\r\n\r\nabcd",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcd\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 4 4\r\n\r\nabcd",
+            b"HTTP/1.1 200 OK\r\nBad Header\r\n\r\n",
+            too_large.as_bytes(),
+        ];
+        for bytes in cases {
+            let err = read_response(&mut BufReader::new(bytes))
+                .expect_err(&String::from_utf8_lossy(bytes));
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "{:?}",
+                String::from_utf8_lossy(bytes)
+            );
+        }
+    }
+
+    /// Offset just past the first empty line — the tests' own, naive notion
+    /// of where a head ends.
+    fn head_len(bytes: &[u8]) -> usize {
+        (1..bytes.len())
+            .find_map(|i| {
+                let rest = &bytes[i..];
+                let empty = [&b"\n\n"[..], b"\n\r\n"]
+                    .into_iter()
+                    .find(|t| rest.starts_with(t))?;
+                Some(i + empty.len())
+            })
+            .expect("corpus heads are finished")
+    }
+
+    /// However a stream is split across reads, the framer says *need more*
+    /// strictly before the point where the request (or its violation) is
+    /// whole, and the whole stream's answer from there on; a peer that stops
+    /// sending before that point gets the torn-head / short-body answer.
+    #[test]
+    fn every_split_point_gets_need_more_then_the_whole_stream_answer() {
+        let limits = Limits::default();
+        let show = |f: Option<(ReadOutcome, usize)>| format!("{f:?}");
+        let fatal_heads = FATAL_HEADS.iter().map(|&(bytes, _)| (bytes, 0));
+        for (bytes, body_len) in VALID
+            .into_iter()
+            .chain(fatal_heads)
+            .chain([(SHORT_BODY, 10)])
+        {
+            let name = String::from_utf8_lossy(bytes);
+            let head = head_len(bytes);
+            let decided = head + body_len;
+            let whole = show(frame(bytes, limits, true));
+            let head_fatal = match frame(bytes, limits, true) {
+                Some((ReadOutcome::Fatal { message, .. }, 0)) if body_len == 0 => Some(message),
+                Some((ReadOutcome::Request(_), consumed)) => {
+                    assert_eq!(consumed, decided, "{name}: a request is head + body");
+                    None
+                }
+                _ => None,
+            };
+            assert_eq!(show(frame(&[], limits, false)), "None");
+            assert_eq!(show(frame(&[], limits, true)), "Some((Disconnected, 0))");
+            for cut in 1..=bytes.len() {
+                let prefix = &bytes[..cut];
+                let (open, closed) = (frame(prefix, limits, false), frame(prefix, limits, true));
+                if cut >= decided {
+                    assert_eq!(show(open), whole, "{name} cut at {cut}");
+                    assert_eq!(show(closed), whole, "{name} cut at {cut}, eof");
+                    continue;
+                }
+                assert!(open.is_none(), "{name} cut at {cut}: {open:?}");
+                let Some((ReadOutcome::Fatal { status, message }, 0)) = closed else {
+                    panic!("{name} cut at {cut}, eof: expected fatal, got {closed:?}");
+                };
+                if cut >= head {
+                    assert_eq!(
+                        message, "body shorter than content-length",
+                        "{name} at {cut}"
+                    );
+                } else {
+                    // A torn head: the violation already on the wire, if
+                    // its line arrived whole, else the torn head itself.
+                    assert!(
+                        message == "malformed request head" || Some(message) == head_fatal,
+                        "{name} cut at {cut}, eof: {message}"
+                    );
+                }
+                assert!(
+                    status == StatusCode::BAD_REQUEST || Some(message) == head_fatal,
+                    "{name} cut at {cut}, eof: {status}"
+                );
+            }
+        }
+    }
+
+    /// `read_request` has no rule of its own: fed a byte at a time it gives
+    /// the framer's answer for the whole stream, and stops reading exactly
+    /// where the request ends.
+    #[test]
+    fn read_request_a_byte_at_a_time_equals_frame_and_leaves_the_remainder() {
+        let limits = Limits::default();
+        let streams = VALID
+            .iter()
+            .map(|&(bytes, _)| bytes)
+            .chain(FATAL_HEADS.iter().map(|&(bytes, _)| bytes))
+            .chain([SHORT_BODY, b"", b"GET /v1/reco"]);
+        for bytes in streams {
+            let name = String::from_utf8_lossy(bytes);
+            let mut reader = BufReader::with_capacity(1, bytes);
+            let got = read_request(&mut reader, limits);
+            let (want, consumed) = frame(bytes, limits, true).expect("a finished stream");
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{name}");
+            if matches!(got, ReadOutcome::Request(_)) {
+                let mut rest = Vec::new();
+                reader.read_to_end(&mut rest).unwrap();
+                assert_eq!(rest, &bytes[consumed..], "{name}: pipelined remainder");
+            }
+        }
+    }
+
+    /// Pieces a hostile or broken peer might send, for the random streams
+    /// below: request-shaped fragments next to raw bytes.
+    const FRAGMENTS: [&[u8]; 16] = [
+        b"GET /x HTTP/1.1\r\n",
+        b"POST /y?n=1 HTTP/1.0\n",
+        b"GET /x HTTP/1.1\r\n\r\n",
+        b"Content-Length: 3\r\n\r\n",
+        b"Content-Length: 3\r\n",
+        b"Content-Length: ",
+        b"Transfer-Encoding: chunked\r\n",
+        b"Connection: close\r\n",
+        b"Host: h\n",
+        b"\r\n",
+        b"\n",
+        b"\r",
+        b"abc",
+        b"3",
+        b"+",
+        b": ",
+    ];
+
+    proptest! {
+        /// Random streams cut at every point: never a panic, never more
+        /// consumed than was buffered, never *need more* from a finished
+        /// stream, and an answer once given is the answer for every longer
+        /// buffer too.
+        #[test]
+        fn random_streams_are_framed_safely_at_every_split_point(
+            pieces in collection::vec((0usize..18, 0u32..256), 0..12),
+        ) {
+            let limits = Limits { max_head_bytes: 64, max_body_bytes: 8 };
+            let mut bytes = Vec::new();
+            for (pick, raw) in pieces {
+                match FRAGMENTS.get(pick) {
+                    Some(fragment) => bytes.extend_from_slice(fragment),
+                    None => bytes.push(raw as u8),
+                }
+            }
+            let whole = format!("{:?}", frame(&bytes, limits, false));
+            for cut in 0..=bytes.len() {
+                let prefix = &bytes[..cut];
+                let closed = frame(prefix, limits, true);
+                prop_assert!(closed.is_some(), "{prefix:?}: need more at eof");
+                let open = frame(prefix, limits, false);
+                if let Some((_, consumed)) = &open {
+                    prop_assert!(*consumed <= cut, "{prefix:?}: consumed {consumed}");
+                    let open = format!("{open:?}");
+                    prop_assert_eq!(&open, &format!("{closed:?}"), "{:?}", prefix);
+                    prop_assert_eq!(&open, &whole, "{:?} then {:?}", prefix, &bytes[cut..]);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn oversized_head_is_fatal() {
         let mut bytes = b"GET /x HTTP/1.1\r\n".to_vec();
         bytes.extend(std::iter::repeat_n(b'a', 9000));
         assert!(matches!(parse(&bytes), ReadOutcome::Fatal { .. }));
+
+        // The budget is exact and counts the empty line: a head of
+        // `max_head_bytes` is served, one byte more is refused — as soon as
+        // that byte is buffered, finished or not.
+        let max = Limits::default().max_head_bytes;
+        let head_of = |len: usize| {
+            let mut head = b"GET /x HTTP/1.1\r\nX-Pad: ".to_vec();
+            head.resize(len - 4, b'a');
+            head.extend_from_slice(b"\r\n\r\n");
+            head
+        };
+        let limits = Limits::default();
+        let served = frame(&head_of(max), limits, false);
+        assert!(matches!(served, Some((ReadOutcome::Request(_), n)) if n == max));
+        let over = head_of(max + 1);
+        assert!(frame(&over[..max], limits, false).is_none());
+        for buffered in [&over[..], &bytes[..max + 1]] {
+            match frame(buffered, limits, false) {
+                Some((ReadOutcome::Fatal { status, message }, 0)) => {
+                    assert_eq!((status, message), (400, "malformed request head"))
+                }
+                other => panic!("expected fatal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -25,13 +25,13 @@
 //!
 //! A single event-loop thread owns the listener and every connection
 //! through a readiness poller ([`polling::Poller`], oneshot delivery). It
-//! accepts, reads non-blockingly into per-connection buffers, and frames
-//! requests *incrementally*: a cheap gate (head terminator found +
-//! `Content-Length` bytes buffered) decides when a request is complete,
-//! and only then is the unchanged [`http1::read_request`] parser run over
-//! the buffered bytes — framing behaviour and response bytes are identical
-//! to the previous blocking implementation, which `tests/http_equivalence.rs`
-//! and `tests/http_protocol.rs` pin unmodified.
+//! accepts, reads non-blockingly into per-connection buffers, and asks
+//! [`http1::frame`] about each buffer as it grows: *need more*, one
+//! *request* and the bytes it occupied, a *fatal* framing violation, or a
+//! stream its peer *closed*. Where a request ends is decided there and nowhere in
+//! this module, which only moves bytes and acts on the answer;
+//! `tests/http_equivalence.rs` and `tests/http_protocol.rs` pin the
+//! resulting response bytes and close-vs-keep decisions.
 //!
 //! A complete request is answered in one of two places, by the same code
 //! (`App::respond`: route, serialize, one `write`, stage timings, request
@@ -109,7 +109,7 @@ use ganc_serve::{
 };
 use polling::{Event, Poller};
 use std::collections::HashMap;
-use std::io::{self, Cursor, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -433,6 +433,10 @@ const LISTENER_KEY: usize = 0;
 const FATAL_DRAIN_BYTES: usize = 1024 * 1024;
 /// Per-`read(2)` scratch size on the event loop.
 const READ_CHUNK: usize = 16 * 1024;
+/// Read-buffer capacity a connection keeps once its buffer empties; what a
+/// large body grew beyond this goes back to the allocator instead of
+/// staying pinned for the connection's keep-alive lifetime.
+const READ_BUF_RETAINED: usize = 4 * READ_CHUNK;
 /// Wall-clock cap on the graceful shutdown drain. Real time, not hub
 /// time — a `ManualClock` never advances during shutdown.
 const DRAIN_CAP: Duration = Duration::from_secs(5);
@@ -488,10 +492,47 @@ impl ConnState {
 /// Gauge labels, indexed by [`ConnState::tag`].
 const STATE_LABELS: [&str; 4] = ["reading", "dispatched", "writing", "draining"];
 
+/// A connection's buffered, not yet framed input. A framed request is
+/// consumed by advancing a read offset; the consumed prefix is shifted out
+/// once, before more bytes are read, not once per pipelined request.
+#[derive(Default)]
+struct ReadBuf {
+    bytes: Vec<u8>,
+    /// Offset of the first unconsumed byte.
+    start: usize,
+}
+
+impl ReadBuf {
+    fn unread(&self) -> &[u8] {
+        &self.bytes[self.start..]
+    }
+
+    fn push(&mut self, chunk: &[u8]) {
+        self.bytes.extend_from_slice(chunk);
+    }
+
+    /// Mark `n` more bytes framed; an emptied buffer gives back what it
+    /// grew beyond [`READ_BUF_RETAINED`].
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start >= self.bytes.len() {
+            self.bytes.clear();
+            self.bytes.shrink_to(READ_BUF_RETAINED);
+            self.start = 0;
+        }
+    }
+
+    /// Shift the consumed prefix out.
+    fn compact(&mut self) {
+        self.bytes.drain(..self.start);
+        self.start = 0;
+    }
+}
+
 struct Conn {
     stream: Arc<TcpStream>,
     /// Buffered unparsed input.
-    buf: Vec<u8>,
+    buf: ReadBuf,
     /// Peer half-closed its write side; whatever is buffered is the whole
     /// request stream.
     eof: bool,
@@ -517,8 +558,9 @@ struct Job {
     cached: Option<CachedAnswer>,
 }
 
-/// A [`PeerTransport::recommend_cached`] hit: the list and its generation.
-type CachedAnswer = (Arc<Vec<ItemId>>, u64);
+/// A [`PeerTransport::recommend_cached`] hit: the query the probe parsed
+/// to ask it, then the list and its generation.
+type CachedAnswer = (RecommendQuery, Arc<Vec<ItemId>>, u64);
 
 /// What a worker posts back to the event loop.
 enum Completion {
@@ -532,18 +574,6 @@ enum Completion {
     Failed {
         key: usize,
     },
-}
-
-/// What the incremental framing gate decided about a connection's buffer.
-enum Gate {
-    /// Not enough bytes yet to hold one complete request.
-    NeedMore,
-    /// One complete request, consuming this many buffered bytes.
-    Request(Box<Request>, usize, u64),
-    /// Framing violation: answer once, then drain + close.
-    Fatal { status: u16, message: &'static str },
-    /// Clean end of stream between requests.
-    Closed,
 }
 
 struct EventLoop {
@@ -713,7 +743,7 @@ impl EventLoop {
                         key,
                         Conn {
                             stream: Arc::new(stream),
-                            buf: Vec::new(),
+                            buf: ReadBuf::default(),
                             eof: false,
                             state: ConnState::Reading,
                             served: 0,
@@ -760,52 +790,33 @@ impl EventLoop {
 
     fn read_ready(&mut self, key: usize) {
         let now = self.app.hub.now_us();
-        let mut scratch = [0u8; READ_CHUNK];
-        let mut progressed = false;
-        loop {
-            let Some(conn) = self.conns.get_mut(&key) else {
-                return;
-            };
-            match (&*conn.stream).read(&mut scratch) {
-                Ok(0) => {
-                    conn.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    if conn.buf.is_empty() && conn.request_start_us.is_none() {
+        let Some(conn) = self.conns.get_mut(&key) else {
+            return;
+        };
+        let fresh = conn.buf.unread().is_empty() && conn.request_start_us.is_none();
+        match read_some(&conn.stream, usize::MAX, |chunk| conn.buf.push(chunk)) {
+            Ok((n, eof)) => {
+                conn.eof |= eof;
+                if n > 0 {
+                    conn.last_progress_us = now;
+                    if fresh {
                         conn.request_start_us = Some(now);
                     }
-                    conn.buf.extend_from_slice(&scratch[..n]);
-                    progressed = true;
-                    // A short read drained the socket: skip the `read` that
-                    // would only collect `EWOULDBLOCK`. Interest is re-armed
-                    // level-triggered, so bytes (or a half-close) arriving
-                    // after this still raise an event.
-                    if n < READ_CHUNK {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(key, None);
-                    return;
                 }
             }
-        }
-        if progressed {
-            if let Some(conn) = self.conns.get_mut(&key) {
-                conn.last_progress_us = now;
+            Err(_) => {
+                self.close(key, None);
+                return;
             }
         }
         self.advance(key);
     }
 
-    /// Run the framing gate over a connection's buffer: answer or dispatch
-    /// a complete request, answer a framing violation, re-arm for more
-    /// bytes, or close a finished stream. Entered from read readiness and
-    /// from a keep-alive completion (pipelined requests parse from the
-    /// buffer without touching the socket).
+    /// Ask the framer about a connection's buffer: answer or dispatch a
+    /// complete request, answer a framing violation, re-arm for more bytes,
+    /// or close a finished stream. Entered from read readiness and from a
+    /// keep-alive completion (pipelined requests frame from the buffer
+    /// without touching the socket).
     ///
     /// A recommend the cache probe can answer is answered right here, and
     /// the loop below then frames the next pipelined request — iteratively,
@@ -818,34 +829,32 @@ impl EventLoop {
                 return;
             };
             conn.state = ConnState::Reading;
-            let gate = try_frame(&conn.buf, self.app.cfg.limits, conn.eof, &self.app.hub);
-            match gate {
-                Gate::Closed => {
+            let t0 = self.app.hub.now_us();
+            match http1::frame(conn.buf.unread(), self.app.cfg.limits, conn.eof) {
+                Some((ReadOutcome::Disconnected, _)) => {
                     self.close(key, None);
                     return;
                 }
-                Gate::NeedMore => {
-                    if conn.eof {
-                        // Half-closed with a partial request: the parser over
-                        // the final bytes yields the right fatal answer, and
-                        // `try_frame` only reports NeedMore at eof for an
-                        // empty buffer (handled as Closed).
-                        self.close(key, None);
-                        return;
-                    }
+                None => {
+                    conn.buf.compact();
                     let _ = self.poller.modify(&*conn.stream, Event::readable(key));
                     return;
                 }
-                Gate::Request(req, consumed, parse_us) => {
-                    conn.buf.drain(..consumed);
+                Some((ReadOutcome::Request(req), consumed)) => {
                     let now = self.app.hub.now_us();
-                    conn.request_start_us = if conn.buf.is_empty() { None } else { Some(now) };
+                    let parse_us = now.saturating_sub(t0);
+                    conn.buf.consume(consumed);
+                    conn.request_start_us = if conn.buf.unread().is_empty() {
+                        None
+                    } else {
+                        Some(now)
+                    };
                     conn.served += 1;
                     conn.state = ConnState::Dispatched;
                     let mut job = Job {
                         key,
                         stream: Arc::clone(&conn.stream),
-                        req: *req,
+                        req,
                         served: conn.served,
                         parse_us,
                         cached: None,
@@ -879,12 +888,12 @@ impl EventLoop {
                         }
                     }
                 }
-                Gate::Fatal { status, message } => {
+                Some((ReadOutcome::Fatal { status, message }, _)) => {
                     self.app.count_request("malformed", status);
                     let body = tinyjson::to_string(&obj! { "error" => message });
                     let mut bytes = Vec::new();
                     let _ = http1::write_response(&mut bytes, status, body.as_bytes(), false);
-                    conn.buf.clear();
+                    conn.buf = ReadBuf::default();
                     conn.request_start_us = None;
                     self.start_write(key, bytes, 0, AfterWrite::Drain);
                     return;
@@ -899,34 +908,18 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&key) else {
             return;
         };
-        let mut pos = pos;
-        loop {
-            if pos == bytes.len() {
-                break;
-            }
-            match (&*conn.stream).write(&bytes[pos..]) {
-                Ok(0) => {
-                    self.close(key, None);
-                    return;
-                }
-                Ok(n) => pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    conn.state = ConnState::Writing {
-                        buf: bytes,
-                        pos,
-                        then,
-                    };
-                    let _ = self.poller.modify(&*conn.stream, Event::writable(key));
-                    return;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(key, None);
-                    return;
-                }
+        match write_some(&conn.stream, &bytes[pos..]) {
+            Err(_) => self.close(key, None),
+            Ok(n) if pos + n == bytes.len() => self.finish_write(key, then),
+            Ok(n) => {
+                conn.state = ConnState::Writing {
+                    buf: bytes,
+                    pos: pos + n,
+                    then,
+                };
+                let _ = self.poller.modify(&*conn.stream, Event::writable(key));
             }
         }
-        self.finish_write(key, then);
     }
 
     fn write_ready(&mut self, key: usize) {
@@ -966,37 +959,22 @@ impl EventLoop {
 
     fn drain_ready(&mut self, key: usize) {
         let now = self.app.hub.now_us();
-        let mut scratch = [0u8; READ_CHUNK];
-        loop {
-            let Some(conn) = self.conns.get_mut(&key) else {
-                return;
-            };
-            let ConnState::Draining { budget } = &mut conn.state else {
-                return;
-            };
-            match (&*conn.stream).read(&mut scratch) {
-                Ok(0) => {
-                    self.close(key, None);
-                    return;
-                }
-                Ok(n) => {
+        let Some(conn) = self.conns.get_mut(&key) else {
+            return;
+        };
+        let ConnState::Draining { budget } = &mut conn.state else {
+            return;
+        };
+        match read_some(&conn.stream, *budget, |_| {}) {
+            Ok((n, false)) if n < *budget => {
+                *budget -= n;
+                if n > 0 {
                     conn.last_progress_us = now;
-                    if *budget <= n {
-                        self.close(key, None);
-                        return;
-                    }
-                    *budget -= n;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let _ = self.poller.modify(&*conn.stream, Event::readable(key));
-                    return;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(key, None);
-                    return;
-                }
+                let _ = self.poller.modify(&*conn.stream, Event::readable(key));
             }
+            // Peer finished, budget spent, or the socket failed.
+            _ => self.close(key, None),
         }
     }
 
@@ -1018,18 +996,9 @@ impl EventLoop {
                 } else {
                     AfterWrite::Close
                 };
-                if unwritten.is_empty() {
-                    self.finish_write(key, then);
-                } else {
-                    // The worker stopped at EWOULDBLOCK; don't re-attempt
-                    // inline, wait for write readiness.
-                    conn.state = ConnState::Writing {
-                        buf: unwritten,
-                        pos: 0,
-                        then,
-                    };
-                    let _ = self.poller.modify(&*conn.stream, Event::writable(key));
-                }
+                // Nothing unwritten is the usual case; a tail the worker
+                // stopped on at EWOULDBLOCK is tried once more, then parked.
+                self.start_write(key, unwritten, 0, then);
             }
         }
     }
@@ -1105,102 +1074,52 @@ impl EventLoop {
     }
 }
 
-/// The incremental framing gate: decide — without consuming anything —
-/// whether `buf` holds one complete request, then run the unchanged
-/// [`http1::read_request`] parser over it. The gate mirrors the parser's
-/// `Content-Length` rules exactly; on any disagreement-shaped input
-/// (malformed/duplicate/oversized lengths, transfer-encoding) it parses
-/// immediately and lets the parser produce its canonical fatal answer.
-fn try_frame(buf: &[u8], limits: Limits, eof: bool, hub: &ObsHub) -> Gate {
-    if buf.is_empty() {
-        return if eof { Gate::Closed } else { Gate::NeedMore };
-    }
-    if !eof {
-        match head_end(buf) {
-            None => {
-                if buf.len() <= limits.max_head_bytes {
-                    return Gate::NeedMore;
+/// Read what a non-blocking socket has ready, handing each chunk to `keep`:
+/// until a short read or `EWOULDBLOCK` says it is drained, the peer
+/// half-closes, or `limit` bytes have come in. Answers the bytes read and
+/// whether the peer half-closed. Interest is re-armed level-triggered, so
+/// bytes (or a half-close) arriving after a short read still raise an event
+/// and the `read` that would only collect `EWOULDBLOCK` is skipped.
+fn read_some(
+    mut stream: &TcpStream,
+    limit: usize,
+    mut keep: impl FnMut(&[u8]),
+) -> io::Result<(usize, bool)> {
+    let mut scratch = [0u8; READ_CHUNK];
+    let mut total = 0;
+    while total < limit {
+        match stream.read(&mut scratch) {
+            Ok(0) => return Ok((total, true)),
+            Ok(n) => {
+                keep(&scratch[..n]);
+                total += n;
+                if n < READ_CHUNK {
+                    break;
                 }
-                // Oversized head: parse now for the canonical 400.
             }
-            Some(end) => {
-                let hint = body_hint(&buf[..end], limits);
-                if let Some(body_len) = hint {
-                    if buf.len() < end + body_len {
-                        return Gate::NeedMore;
-                    }
-                }
-                // `None` hint: the head already violates framing — parse
-                // now, the parser answers before ever reading a body byte.
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         }
     }
-    let t0 = hub.now_us();
-    let mut cursor = Cursor::new(buf);
-    let outcome = http1::read_request(&mut cursor, limits);
-    let parse_us = hub.now_us().saturating_sub(t0);
-    match outcome {
-        ReadOutcome::Request(req) => {
-            Gate::Request(Box::new(req), cursor.position() as usize, parse_us)
-        }
-        ReadOutcome::Fatal { status, message } => Gate::Fatal { status, message },
-        ReadOutcome::Disconnected => Gate::Closed,
-    }
+    Ok((total, false))
 }
 
-/// Byte offset just past the head terminator (the empty line), if the
-/// buffer holds a complete head. Lines end in `\n` with an optional `\r`,
-/// matching the parser's `read_line`.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    let mut i = 0;
-    while i < buf.len() {
-        match buf[i] {
-            b'\n' => {
-                // A line just ended; an immediately following empty line
-                // terminates the head.
-                if buf.get(i + 1) == Some(&b'\n') {
-                    return Some(i + 2);
-                }
-                if buf.get(i + 1) == Some(&b'\r') && buf.get(i + 2) == Some(&b'\n') {
-                    return Some(i + 3);
-                }
-                i += 1;
-            }
-            _ => i += 1,
+/// Write `bytes` to a non-blocking socket until all are taken or it would
+/// block; answers how many went out. A socket that takes nothing without
+/// blocking has failed.
+fn write_some(mut stream: &TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    let mut pos = 0;
+    while pos < bytes.len() {
+        match stream.write(&bytes[pos..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => pos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         }
     }
-    None
-}
-
-/// How many body bytes the head declares, mirroring the parser's
-/// `Content-Length` rules. `Some(n)` = a well-formed declaration within
-/// limits (0 when absent); `None` = the head already violates framing
-/// (malformed/duplicate/oversized length, transfer-encoding) and should be
-/// parsed immediately for its canonical fatal answer.
-fn body_hint(head: &[u8], limits: Limits) -> Option<usize> {
-    let mut declared: Option<usize> = None;
-    for line in head.split(|&b| b == b'\n') {
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        let Some(colon) = line.iter().position(|&b| b == b':') else {
-            continue;
-        };
-        let name = &line[..colon];
-        if name.eq_ignore_ascii_case(b"transfer-encoding") {
-            return None;
-        }
-        if !name.eq_ignore_ascii_case(b"content-length") {
-            continue;
-        }
-        let value = std::str::from_utf8(&line[colon + 1..]).ok()?.trim();
-        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        let len = value.parse::<u64>().ok()?;
-        if len > limits.max_body_bytes as u64 || declared.replace(len as usize).is_some() {
-            return None;
-        }
-    }
-    Some(declared.unwrap_or(0))
+    Ok(pos)
 }
 
 /// Per-request metric handles, resolved once at bind: the hot path then
@@ -1309,8 +1228,10 @@ impl App {
             return None;
         }
         let user = UserId(query.user);
-        std::panic::catch_unwind(AssertUnwindSafe(|| self.frontend.recommend_cached(user)))
-            .unwrap_or(None)
+        let (list, generation) =
+            std::panic::catch_unwind(AssertUnwindSafe(|| self.frontend.recommend_cached(user)))
+                .unwrap_or(None)?;
+        Some((query, list, generation))
     }
 
     /// Serve one framed request: route, serialize, and write the response
@@ -1339,23 +1260,7 @@ impl App {
             body.as_bytes(),
             keep_alive,
         );
-        let mut pos = 0;
-        let mut failed = false;
-        while pos < bytes.len() {
-            match (&*job.stream).write(&bytes[pos..]) {
-                Ok(0) => {
-                    failed = true;
-                    break;
-                }
-                Ok(n) => pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
+        let written = write_some(&job.stream, &bytes);
         let t_done = self.hub.now_us();
         let (dispatch_us, write_us) = (
             t_write.saturating_sub(t_dispatch),
@@ -1376,14 +1281,13 @@ impl App {
                 write_us,
             },
         );
-        if failed {
-            Completion::Failed { key: job.key }
-        } else {
-            Completion::Done {
+        match written {
+            Ok(n) => Completion::Done {
                 key: job.key,
                 keep_alive,
-                unwritten: bytes[pos..].to_vec(),
-            }
+                unwritten: bytes[n..].to_vec(),
+            },
+            Err(_) => Completion::Failed { key: job.key },
         }
     }
 
@@ -1579,23 +1483,26 @@ impl App {
     }
 
     /// `GET /v1/recommend/{user}`. `cached` is the event loop's probe hit,
-    /// when it had one: the same answer the backend would give, already in
-    /// hand.
+    /// when it had one: the query as the probe parsed it and the same
+    /// answer the backend would give, already in hand.
     fn recommend(
         &self,
         user_part: &str,
         query: Option<&str>,
         cached: Option<&CachedAnswer>,
     ) -> (u16, Value) {
-        let RecommendQuery { user, take, opts } = match RecommendQuery::parse(user_part, query) {
-            Ok(q) => q,
-            Err(message) => return error(StatusCode::BAD_REQUEST, message),
+        let RecommendQuery { user, take, opts } = match cached {
+            Some((query, ..)) => query.clone(),
+            None => match RecommendQuery::parse(user_part, query) {
+                Ok(query) => query,
+                Err(message) => return error(StatusCode::BAD_REQUEST, message),
+            },
         };
         if take.is_some() || !opts.is_default() {
             self.note_overrides(take.is_some(), &opts);
         }
         let answer = match cached {
-            Some(hit) => Ok(hit.clone()),
+            Some((_, list, generation)) => Ok((Arc::clone(list), *generation)),
             None => self.frontend.recommend_with_traced(UserId(user), &opts),
         };
         match answer {
@@ -2064,6 +1971,7 @@ fn trace_event_value(e: TraceEvent) -> Value {
 }
 
 /// A parsed `GET /v1/recommend/{user}?…` request line.
+#[derive(Clone)]
 struct RecommendQuery {
     user: u32,
     /// `?n=`: show only a prefix of the served list.
@@ -2219,58 +2127,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn head_end_finds_the_empty_line_in_both_newline_dialects() {
-        assert_eq!(head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
-        assert_eq!(head_end(b"GET / HTTP/1.1\n\n"), Some(16));
-        assert_eq!(head_end(b"GET / HTTP/1.1\r\n\nbody"), Some(17));
-        assert_eq!(head_end(b"GET / HTTP/1.1\r\nHost: x\r\n"), None);
-        assert_eq!(head_end(b""), None);
-    }
+    fn read_buf_consumes_by_offset_and_gives_memory_back_when_it_empties() {
+        let mut buf = ReadBuf::default();
+        buf.push(b"first second ");
+        buf.consume(6);
+        assert_eq!(buf.unread(), b"second ");
+        // Compaction drops exactly the consumed prefix; later pushes append.
+        buf.compact();
+        assert_eq!(buf.unread(), b"second ");
+        buf.push(b"third");
+        assert_eq!(buf.unread(), b"second third");
 
-    #[test]
-    fn body_hint_mirrors_parser_content_length_rules() {
-        let limits = Limits {
-            max_head_bytes: 1024,
-            max_body_bytes: 100,
-        };
-        let head = |s: &str| s.as_bytes().to_vec();
-        assert_eq!(body_hint(&head("GET / HTTP/1.1\r\n"), limits), Some(0));
-        assert_eq!(
-            body_hint(&head("POST / HTTP/1.1\r\nContent-Length: 42\r\n"), limits),
-            Some(42)
-        );
-        // Parser-fatal shapes parse immediately (None): oversized,
-        // malformed, duplicated, signed, transfer-encoded.
-        assert_eq!(
-            body_hint(&head("POST / HTTP/1.1\r\nContent-Length: 101\r\n"), limits),
-            None
-        );
-        assert_eq!(
-            body_hint(&head("POST / HTTP/1.1\r\nContent-Length: nope\r\n"), limits),
-            None
-        );
-        assert_eq!(
-            body_hint(&head("POST / HTTP/1.1\r\nContent-Length: +4\r\n"), limits),
-            None
-        );
-        assert_eq!(
-            body_hint(
-                &head("POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n"),
-                limits
-            ),
-            None
-        );
-        assert_eq!(
-            body_hint(
-                &head("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"),
-                limits
-            ),
-            None
-        );
-        // Case-insensitive names, like the parser.
-        assert_eq!(
-            body_hint(&head("POST / HTTP/1.1\r\ncontent-LENGTH: 7\r\n"), limits),
-            Some(7)
-        );
+        // One large body must not pin its capacity once it is consumed.
+        let body = vec![b'x'; 1024 * 1024];
+        buf.push(&body);
+        assert!(buf.bytes.capacity() >= body.len());
+        buf.consume(buf.unread().len());
+        assert!(buf.unread().is_empty());
+        assert!(buf.bytes.capacity() <= READ_BUF_RETAINED);
+        // A part-consumed buffer is left alone: the rest is still needed.
+        buf.push(&body);
+        buf.consume(body.len() - 1);
+        assert_eq!(buf.unread(), b"x");
+        buf.consume(1);
+        assert!(buf.unread().is_empty() && buf.bytes.capacity() <= READ_BUF_RETAINED);
     }
 }
