@@ -18,7 +18,7 @@ use ganc_core::accuracy::NormalizedScores;
 use ganc_core::oslg::{assignment_order_objective, oslg_topn, OslgConfig, UserOrdering};
 use ganc_core::{AccuracyMode, CoverageKind};
 use ganc_dataset::UserId;
-use ganc_metrics::evaluate_topn;
+use ganc_metrics::{evaluate_topn, TopNMetrics};
 use ganc_preference::simple::theta_constant;
 use ganc_preference::GeneralizedConfig;
 
@@ -126,16 +126,11 @@ pub fn run(cfg: &ExpConfig) -> String {
                 sample,
                 cfg,
             );
-            let k = runs.len() as f64;
-            let (mut f, mut c, mut g) = (0.0, 0.0, 0.0);
-            for r in &runs {
-                let m = evaluate_topn(r, &bundle.ctx);
-                f += m.f_measure / k;
-                c += m.coverage / k;
-                g += m.gini / k;
-            }
-            t.row(vec![label, f4(f), f4(c), f4(g)]);
-            (f, c)
+            let per_run: Vec<TopNMetrics> =
+                runs.iter().map(|r| evaluate_topn(r, &bundle.ctx)).collect();
+            let m = TopNMetrics::mean(&per_run);
+            t.row(vec![label, f4(m.f_measure), f4(m.coverage), f4(m.gini)]);
+            (m.f_measure, m.coverage)
         };
         let (f_g, c_g) = evaluate("θG (learned)".into(), &theta);
         let mut best_const = (0.0f64, 0.0f64, 0.0f64);

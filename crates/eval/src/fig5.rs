@@ -27,28 +27,7 @@ pub const NS: [usize; 4] = [5, 10, 15, 20];
 /// Average the full metric row over repeated runs.
 fn mean_metrics(runs: &[TopN], bundle: &DataBundle) -> TopNMetrics {
     let rows: Vec<TopNMetrics> = runs.iter().map(|r| evaluate_topn(r, &bundle.ctx)).collect();
-    let n = rows.len().max(1) as f64;
-    let mut acc = TopNMetrics {
-        precision: 0.0,
-        recall: 0.0,
-        f_measure: 0.0,
-        strat_recall: 0.0,
-        lt_accuracy: 0.0,
-        coverage: 0.0,
-        gini: 0.0,
-        ndcg: 0.0,
-    };
-    for r in &rows {
-        acc.precision += r.precision / n;
-        acc.recall += r.recall / n;
-        acc.f_measure += r.f_measure / n;
-        acc.strat_recall += r.strat_recall / n;
-        acc.lt_accuracy += r.lt_accuracy / n;
-        acc.coverage += r.coverage / n;
-        acc.gini += r.gini / n;
-        acc.ndcg += r.ndcg / n;
-    }
-    acc
+    TopNMetrics::mean(&rows)
 }
 
 /// Run the Figure 5 grid (dataset is ML-1M in the paper; parameterized for

@@ -96,30 +96,9 @@ fn evaluate_dataset(cfg: &ExpConfig, bundle: &DataBundle) -> Vec<Row> {
         );
         let per_run: Vec<TopNMetrics> =
             runs.iter().map(|r| evaluate_topn(r, &bundle.ctx)).collect();
-        let k = per_run.len().max(1) as f64;
-        let mut m = TopNMetrics {
-            precision: 0.0,
-            recall: 0.0,
-            f_measure: 0.0,
-            strat_recall: 0.0,
-            lt_accuracy: 0.0,
-            coverage: 0.0,
-            gini: 0.0,
-            ndcg: 0.0,
-        };
-        for r in &per_run {
-            m.precision += r.precision / k;
-            m.recall += r.recall / k;
-            m.f_measure += r.f_measure / k;
-            m.strat_recall += r.strat_recall / k;
-            m.lt_accuracy += r.lt_accuracy / k;
-            m.coverage += r.coverage / k;
-            m.gini += r.gini / k;
-            m.ndcg += r.ndcg / k;
-        }
         rows.push(Row {
             name: format!("GANC(RSVD, {label}, Dyn)"),
-            metrics: m,
+            metrics: TopNMetrics::mean(&per_run),
         });
     }
     rows

@@ -4,13 +4,13 @@
 
 use crate::http1::{self, Response};
 use crate::transport::{BatchAnswer, IngestBatchAnswer, IngestEntry, PeerTransport, SingleAnswer};
-use crate::BackendError;
+use crate::{wire, BackendError};
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::WindowWire;
-use ganc_serve::{IngestAck, RequestOptions, ServeError};
+use ganc_serve::{IngestAck, RequestOptions};
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tinyjson::Value;
 
@@ -233,160 +233,6 @@ fn send_request(
     stream.flush()
 }
 
-/// Parse a JSON response body, mapping malformed payloads to transport
-/// errors.
-fn parse_json(resp: &Response) -> Result<Value, BackendError> {
-    let text = std::str::from_utf8(&resp.body)
-        .map_err(|_| BackendError::Transport("peer sent non-UTF-8 body".to_string()))?;
-    tinyjson::from_str(text)
-        .map_err(|e| BackendError::Transport(format!("peer sent invalid JSON: {e}")))
-}
-
-/// Map a non-200 JSON error body to the structured error it encodes.
-/// Error bodies carry machine-readable fields (`unknown_user` /
-/// `unknown_item`) precisely so this mapping never parses prose.
-fn error_from_body(resp: &Response) -> BackendError {
-    if let Ok(v) = parse_json(resp) {
-        match serve_error_from(&v) {
-            Ok(Some(e)) => return BackendError::Serve(e),
-            Ok(None) => {}
-            Err(e) => return e,
-        }
-        if let Some(msg) = v["error"].as_str() {
-            return BackendError::Transport(format!("peer error {}: {msg}", resp.status));
-        }
-    }
-    BackendError::Transport(format!("peer error {}", resp.status))
-}
-
-/// Per-request overrides as the query-string suffix the server parses:
-/// `?theta=…&exclude=1,2,3&rerank=pra`, empty for default options. θ uses
-/// Rust's shortest-round-trip float formatting, so the peer's
-/// `parse::<f64>()` recovers the exact bits and the served list is
-/// byte-identical to an in-process override at that θ.
-fn override_query(opts: &RequestOptions) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    if let Some(t) = opts.theta {
-        parts.push(format!("theta={t}"));
-    }
-    if !opts.exclude.is_empty() {
-        let ids: Vec<String> = opts.exclude.iter().map(|i| i.to_string()).collect();
-        parts.push(format!("exclude={}", ids.join(",")));
-    }
-    if let Some(m) = opts.rerank {
-        parts.push(format!("rerank={}", m.as_str()));
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("?{}", parts.join("&"))
-    }
-}
-
-/// A peer-supplied user or item id: `None` when `v` is not an integer,
-/// and — as the server does for ids in a request — refused when it does
-/// not fit the id type, so `4294967297` is never served as id 1.
-fn id_from(v: &Value) -> Result<Option<u32>, BackendError> {
-    v.as_u64()
-        .map(|i| {
-            u32::try_from(i)
-                .map_err(|_| BackendError::Transport(format!("peer sent out-of-range id {i}")))
-        })
-        .transpose()
-}
-
-/// The typed rejection an error body or a batch slot carries, if any.
-fn serve_error_from(v: &Value) -> Result<Option<ServeError>, BackendError> {
-    if let Some(u) = id_from(&v["unknown_user"])? {
-        return Ok(Some(ServeError::UnknownUser(UserId(u))));
-    }
-    if let Some(i) = id_from(&v["unknown_item"])? {
-        return Ok(Some(ServeError::UnknownItem(ItemId(i))));
-    }
-    Ok(None)
-}
-
-fn ids_from(v: &Value, what: &str) -> Result<Vec<u32>, BackendError> {
-    v.as_array()
-        .ok_or_else(|| BackendError::Transport(format!("missing {what} array")))?
-        .iter()
-        .map(|id| {
-            id_from(id)?.ok_or_else(|| BackendError::Transport(format!("non-integer {what} id")))
-        })
-        .collect()
-}
-
-fn items_from(v: &Value) -> Result<Vec<ItemId>, BackendError> {
-    Ok(ids_from(v, "items")?.into_iter().map(ItemId).collect())
-}
-
-/// Decode a `POST /v1/recommend:batch` answer for `n` users.
-fn batch_from(v: &Value, n: usize) -> BatchAnswer {
-    let generation = v["generation"]
-        .as_u64()
-        .ok_or_else(|| BackendError::Transport("missing generation".to_string()))?;
-    let results = v["results"]
-        .as_array()
-        .ok_or_else(|| BackendError::Transport("missing results".to_string()))?;
-    if results.len() != n {
-        return Err(BackendError::Transport(format!(
-            "peer answered {} slots for {n} users",
-            results.len()
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for slot in results {
-        out.push(match serve_error_from(slot)? {
-            Some(e) => Err(e),
-            None => Ok(Arc::new(items_from(&slot["items"])?)),
-        });
-    }
-    Ok((out, generation))
-}
-
-/// Decode a `POST /v1/ingest:batch` answer for `n` entries.
-fn ingest_batch_from(v: &Value, n: usize) -> IngestBatchAnswer {
-    let results = v["results"]
-        .as_array()
-        .ok_or_else(|| BackendError::Transport("missing results".to_string()))?;
-    if results.len() != n {
-        return Err(BackendError::Transport(format!(
-            "peer answered {} slots for {n} entries",
-            results.len()
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for slot in results {
-        out.push(if let Some(e) = serve_error_from(slot)? {
-            Err(e)
-        } else if slot["durability"].as_bool() == Some(true) {
-            Err(ServeError::Durability)
-        } else if slot["status"].as_str() == Some("deduplicated") {
-            Ok(IngestAck::Deduplicated)
-        } else {
-            Ok(IngestAck::Applied)
-        });
-    }
-    Ok(out)
-}
-
-/// Decode the `window` object of a `GET /v1/window` answer.
-fn window_from(w: &Value) -> Result<WindowWire, BackendError> {
-    let field = |name: &str| -> Result<u64, BackendError> {
-        w[name]
-            .as_u64()
-            .ok_or_else(|| BackendError::Transport(format!("window missing {name}")))
-    };
-    Ok(WindowWire {
-        n_items: field("n_items")? as usize,
-        lists: field("lists")?,
-        items: field("items")?,
-        novelty_microbits: field("novelty_microbits")?,
-        tail_hits: field("tail_hits")?,
-        distinct: ids_from(&w["distinct"], "distinct")?,
-    })
-}
-
 /// Typed client for a peer node serving one θ-band slice (or any other
 /// ganc-http server): the transport that turns PR 3's per-node
 /// `bundle.shardK.ganc` artifacts into a working multi-node deployment.
@@ -423,81 +269,42 @@ impl RemoteShard {
         &self.addr
     }
 
-    fn call(&self, method: &str, path: &str, body: Option<&str>) -> Result<Response, BackendError> {
-        self.client
-            .lock()
-            .unwrap()
-            .request(method, path, body)
-            .map_err(|e| BackendError::Transport(format!("{}: {e}", self.addr)))
-    }
-
-    /// For read-only calls that happen to be POSTs: retry-safe on a
-    /// reaped keep-alive connection.
-    fn call_idempotent(
+    /// One round-trip under `send`; the answer's JSON, or the error a
+    /// non-200 answer encodes.
+    fn call(
         &self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Result<Response, BackendError> {
-        self.client
-            .lock()
-            .unwrap()
-            .request_idempotent(method, path, body)
-            .map_err(|e| BackendError::Transport(format!("{}: {e}", self.addr)))
+        send: impl FnOnce(&mut HttpClient) -> io::Result<Response>,
+    ) -> Result<Value, BackendError> {
+        let resp = send(&mut self.client.lock().unwrap())
+            .map_err(|e| BackendError::Transport(format!("{}: {e}", self.addr)))?;
+        wire::answer_json(&resp)
     }
 }
 
 /// A `RemoteShard` *is* the production peer transport; the router only
 /// ever sees the trait, so injection doubles ([`crate::testing`]) and the
 /// coalescing wrapper ([`crate::CoalescedShard`]) slot in without the
-/// router changing.
+/// router changing. Every body and query string is [`crate::wire`]'s.
 impl PeerTransport for RemoteShard {
     fn label(&self) -> String {
         self.addr.clone()
     }
 
-    /// `GET /v1/recommend/{user}?theta=…&exclude=…&rerank=…` on the peer;
-    /// default options add no query string at all.
+    /// `GET /v1/recommend/{user}` on the peer.
     fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
-        let path = format!("/v1/recommend/{}{}", user.0, override_query(opts));
-        let resp = self.call("GET", &path, None)?;
-        if resp.status != 200 {
-            return Err(error_from_body(&resp));
-        }
-        let v = parse_json(&resp)?;
-        let generation = v["generation"]
-            .as_u64()
-            .ok_or_else(|| BackendError::Transport("missing generation".to_string()))?;
-        Ok((Arc::new(items_from(&v["items"])?), generation))
+        let path = wire::recommend_path(user, opts);
+        wire::recommend_answer_from(&self.call(|c| c.request("GET", &path, None))?)
     }
 
-    /// `POST /v1/recommend:batch` on the peer, with optional override body
-    /// fields (`theta`, `exclude`, `rerank` — present only when set, so
-    /// default options send the plain `{"users":[...]}` body). Per-user
-    /// errors come back in-slot; the whole batch shares one generation.
+    /// `POST /v1/recommend:batch` on the peer. Per-user errors come back
+    /// in-slot; the whole batch shares one generation.
     fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
-        let ids = Value::Array(users.iter().map(|u| Value::from(u.0)).collect());
-        let mut payload = tinyjson::obj! { "users" => ids };
-        if let Some(t) = opts.theta {
-            payload.insert("theta", Value::from(t));
-        }
-        if !opts.exclude.is_empty() {
-            payload.insert(
-                "exclude",
-                Value::Array(opts.exclude.iter().map(|&i| Value::from(i)).collect()),
-            );
-        }
-        if let Some(m) = opts.rerank {
-            payload.insert("rerank", Value::from(m.as_str().to_string()));
-        }
-        let body = tinyjson::to_string(&payload);
+        let body = tinyjson::to_string(&wire::batch_request(users, opts));
         // Read-only despite being a POST: safe to retry on a dead reused
         // connection, so an idle deployment doesn't 502 its first batch.
-        let resp = self.call_idempotent("POST", "/v1/recommend:batch", Some(&body))?;
-        if resp.status != 200 {
-            return Err(error_from_body(&resp));
-        }
-        batch_from(&parse_json(&resp)?, users.len())
+        let answer =
+            self.call(|c| c.request_idempotent("POST", "/v1/recommend:batch", Some(&body)))?;
+        wire::batch_answer_from(&answer, users.len())
     }
 
     /// `POST /v1/ingest` with an optional `Idempotency-Key` header. Keyed
@@ -511,84 +318,36 @@ impl PeerTransport for RemoteShard {
         item: ItemId,
         rating: f32,
     ) -> Result<IngestAck, BackendError> {
-        let body = tinyjson::to_string(&tinyjson::obj! {
-            "user" => user.0,
-            "item" => item.0,
-            "rating" => rating as f64,
-        });
-        let resp = {
-            let mut client = self.client.lock().unwrap();
-            let result = match key {
-                Some(k) => client.request_keyed("POST", "/v1/ingest", Some(&body), k),
-                None => client.request("POST", "/v1/ingest", Some(&body)),
-            };
-            result.map_err(|e| BackendError::Transport(format!("{}: {e}", self.addr)))?
-        };
-        if resp.status != 200 {
-            return Err(error_from_body(&resp));
-        }
-        let v = parse_json(&resp)?;
-        Ok(match v["deduplicated"].as_bool() {
-            Some(true) => IngestAck::Deduplicated,
-            _ => IngestAck::Applied,
-        })
+        let body = tinyjson::to_string(&wire::ingest_request(None, user, item, rating));
+        let answer = self.call(|c| match key {
+            Some(k) => c.request_keyed("POST", "/v1/ingest", Some(&body), k),
+            None => c.request("POST", "/v1/ingest", Some(&body)),
+        })?;
+        Ok(wire::ingest_ack_from(&answer))
     }
 
     /// `POST /v1/ingest:batch` on the peer: one wire call, per-slot
     /// results (a rejected entry does not fail its companions).
     fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
-        let rows = Value::Array(
-            entries
-                .iter()
-                .map(|e| {
-                    let mut row = tinyjson::obj! {
-                        "user" => e.user.0,
-                        "item" => e.item.0,
-                        "rating" => e.rating as f64,
-                    };
-                    if let Some(k) = &e.key {
-                        row.insert("key", Value::from(k.clone()));
-                    }
-                    row
-                })
-                .collect(),
-        );
-        let body = tinyjson::to_string(&tinyjson::obj! { "entries" => rows });
+        let body = tinyjson::to_string(&wire::ingest_batch_request(entries));
         // Retry-safe as a whole: every entry that already landed on the
         // peer dedups by its key, so a resend after a torn connection
         // cannot double-apply (unkeyed entries are the caller's risk and
         // the router always generates keys for fan-out).
-        let resp = self.call_idempotent("POST", "/v1/ingest:batch", Some(&body))?;
-        if resp.status != 200 {
-            return Err(error_from_body(&resp));
-        }
-        ingest_batch_from(&parse_json(&resp)?, entries.len())
+        let answer =
+            self.call(|c| c.request_idempotent("POST", "/v1/ingest:batch", Some(&body)))?;
+        wire::ingest_batch_answer_from(&answer, entries.len())
     }
 
     /// The peer's current bundle generation (`GET /v1/healthz`).
     fn generation(&self) -> Result<u64, BackendError> {
-        let resp = self.call("GET", "/v1/healthz", None)?;
-        if resp.status != 200 {
-            return Err(error_from_body(&resp));
-        }
-        parse_json(&resp)?["generation"]
-            .as_u64()
-            .ok_or_else(|| BackendError::Transport("missing generation".to_string()))
+        wire::generation_from(&self.call(|c| c.request("GET", "/v1/healthz", None))?)
     }
 
     /// The peer's rolling window summary (`GET /v1/window`), or `None`
-    /// when the peer's front exposes no window (`{"window":null}`).
+    /// when the peer's front exposes no window.
     fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
-        let resp = self.call("GET", "/v1/window", None)?;
-        if resp.status != 200 {
-            return Err(error_from_body(&resp));
-        }
-        let v = parse_json(&resp)?;
-        let w = &v["window"];
-        if w.is_null() {
-            return Ok(None);
-        }
-        window_from(w).map(Some)
+        wire::window_from(&self.call(|c| c.request("GET", "/v1/window", None))?)
     }
 }
 
@@ -652,72 +411,6 @@ mod tests {
         }
         assert!(client.conn.is_none(), "refusal must precede dialing");
         assert!(client.backoff.is_none(), "no dial, no backoff penalty");
-    }
-
-    /// Every peer-supplied id is range-checked, one field at a time.
-    #[test]
-    fn out_of_range_ids_from_a_peer_fail_closed() {
-        // ID = 2^32 + 1, which `as u32` would have served as id 1.
-        let fill = |text: &str| text.replace("ID", "4294967297");
-        let json = |text: &str| tinyjson::from_str(&fill(text)).unwrap();
-        let error_body = |text: &str| {
-            error_from_body(&Response {
-                status: 404,
-                keep_alive: true,
-                body: fill(text).into_bytes(),
-            })
-        };
-        let decodes: [(&str, Result<(), BackendError>); 8] = [
-            ("items", items_from(&json("[3,ID]")).map(drop)),
-            (
-                "error body unknown_user",
-                Err(error_body(r#"{"error":"x","unknown_user":ID}"#)),
-            ),
-            (
-                "error body unknown_item",
-                Err(error_body(r#"{"error":"x","unknown_item":ID}"#)),
-            ),
-            (
-                "batch slot unknown_user",
-                batch_from(
-                    &json(r#"{"generation":0,"results":[{"items":[1]},{"unknown_user":ID}]}"#),
-                    2,
-                )
-                .map(drop),
-            ),
-            (
-                "batch slot items",
-                batch_from(&json(r#"{"generation":0,"results":[{"items":[ID]}]}"#), 1).map(drop),
-            ),
-            (
-                "ingest slot unknown_user",
-                ingest_batch_from(&json(r#"{"results":[{"unknown_user":ID}]}"#), 1).map(drop),
-            ),
-            (
-                "ingest slot unknown_item",
-                ingest_batch_from(&json(r#"{"results":[{"unknown_item":ID}]}"#), 1).map(drop),
-            ),
-            (
-                "window distinct",
-                window_from(&json(
-                    r#"{"n_items":9,"lists":1,"items":2,"novelty_microbits":3,"tail_hits":0,"distinct":[4,ID]}"#,
-                ))
-                .map(drop),
-            ),
-        ];
-        for (field, outcome) in decodes {
-            match outcome {
-                Err(BackendError::Transport(msg)) => {
-                    assert!(msg.contains("out-of-range"), "{field}: {msg}")
-                }
-                other => panic!("{field}: expected a transport error, got {other:?}"),
-            }
-        }
-        // The largest id that fits still decodes.
-        assert_eq!(
-            items_from(&json("[4294967295]")).unwrap(),
-            [ItemId(u32::MAX)]
-        );
     }
 
     #[test]

@@ -6,12 +6,16 @@
 //! readiness from the vendored `polling` stand-in, each swappable for the
 //! real crate later).
 //!
-//! Three layers:
+//! Six layers:
 //!
-//! 1. **Wire** ([`http1`]) — request/response framing with hard limits and
-//!    a deterministic response header set (no `Date`), so identical state
-//!    produces byte-identical responses.
-//! 2. **Server** ([`server`]) — [`HttpServer`]: an event-driven front-end
+//! 1. **Framing** ([`http1`]) — request/response framing with hard limits
+//!    and a deterministic response header set (no `Date`), so identical
+//!    state produces byte-identical responses.
+//! 2. **Protocol** ([`wire`]) — every `/v1` body, query string and error
+//!    body that is both written and read in this crate, encoder beside
+//!    decoder; its module doc is the protocol reference. The server's
+//!    handlers and [`RemoteShard`]'s methods name no field of their own.
+//! 3. **Server** ([`server`]) — [`HttpServer`]: an event-driven front-end
 //!    (one readiness-polling event loop owning every connection, a small
 //!    compute-only worker pool for handler dispatch), with keep-alive,
 //!    content-length framing, clock-driven idle/slow-loris eviction, and
@@ -19,21 +23,22 @@
 //!    descriptors, not workers. Fronts a [`Frontend`] (single engine,
 //!    in-process sharded engine, or router), with `POST /admin/refit`
 //!    wired to the background-refit machinery.
-//! 3. **Client** ([`client`], [`router`]) — [`HttpClient`] /
+//! 4. **Client** ([`client`], [`router`]) — [`HttpClient`] /
 //!    [`RemoteShard`] / [`RouterNode`]: a router node loads θ + cuts,
 //!    serves some bands from local bundle slices, and dispatches the rest
 //!    to peer nodes serving `bundle.shardK.ganc` artifacts over the same
 //!    protocol — PR 3's per-node slices become a working multi-node
 //!    deployment. Batch sub-requests fan out to the touched bands in
 //!    parallel (byte-identical to the sequential reference).
-//! 4. **Transport seam** ([`transport`], [`testing`]) — the
+//! 5. **Transport seam** ([`transport`], [`testing`]) — the
 //!    [`PeerTransport`] trait every remote hop goes through:
 //!    [`RemoteShard`] in production, [`CoalescedShard`] to micro-batch
 //!    concurrent singles into one wire call, and deterministic
-//!    fault/latency-injection doubles for the test suites. [`Frontend`]
-//!    implements it too, and that impl is the server's whole serving
-//!    surface.
-//! 5. **Availability** ([`replica`]) — [`ReplicaSet`]: per-band replica
+//!    fault/latency-injection doubles for the test suites (one wrapper,
+//!    [`testing::Injected`], with before/after hooks). [`Frontend`]
+//!    implements it too, and the server's handlers reach the engines
+//!    through that impl alone.
+//! 6. **Availability** ([`replica`]) — [`ReplicaSet`]: per-band replica
 //!    groups with hedged dispatch under a clock-driven latency budget,
 //!    automatic failover behind a consecutive-failure breaker, and a
 //!    background health probe that restores ejected replicas and rotates
@@ -90,6 +95,7 @@ pub mod router;
 pub mod server;
 pub mod testing;
 pub mod transport;
+pub mod wire;
 
 pub use client::{HttpClient, RemoteShard};
 pub use http1::{Limits, Request, Response, StatusCode};
@@ -107,7 +113,7 @@ use ganc_serve::ServeError;
 ///
 /// `Clone` because a coalesced remote batch answers many callers with the
 /// same failure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BackendError {
     /// The engine rejected the request (unknown user/item).
     Serve(ServeError),

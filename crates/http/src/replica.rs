@@ -40,7 +40,7 @@ use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Clock, Counter, ObsHub, SystemClock, TraceData};
-use ganc_serve::RequestOptions;
+use ganc_serve::{RequestOptions, ServeError};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -599,9 +599,14 @@ impl ReplicaSet {
                         last = None;
                         break;
                     }
-                    // A serve-side rejection (unknown id) is deterministic:
-                    // retrying cannot change it.
-                    Err(e @ BackendError::Serve(_)) => {
+                    // An unknown id is deterministic: retrying cannot change
+                    // it. A failed WAL append is a node fault like any
+                    // transport error, and is retried.
+                    Err(
+                        e @ BackendError::Serve(
+                            ServeError::UnknownUser(_) | ServeError::UnknownItem(_),
+                        ),
+                    ) => {
                         last = Some(e);
                         break;
                     }

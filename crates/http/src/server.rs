@@ -3,23 +3,24 @@
 //!
 //! ## Endpoints
 //!
-//! | method | path | body | answers |
-//! |--------|------|------|---------|
-//! | GET  | `/v1/recommend/{user}?n=K` | — | `{"user":u,"generation":g,"items":[...]}` (top-K prefix of the bundle's top-N) |
-//! | POST | `/v1/recommend:batch` | `{"users":[...]}` | `{"generation":g,"results":[...]}` — one generation for the whole batch |
-//! | POST | `/v1/ingest` | `{"user":u,"item":i,"rating":r,"key"?}` | `{"ok":true}` (keyed: + `"deduplicated"`) |
-//! | POST | `/v1/ingest:batch` | `{"entries":[{"user","item","rating","key"?},...]}` | `{"results":[...]}` per entry |
-//! | GET  | `/v1/healthz` | — | `{"ok":true,"generation":g}` |
-//! | GET  | `/v1/stats` | — | generation, cache hit rate, shard map |
-//! | GET  | `/v1/window` | — | `{"window":{...}}` transportable rolling-window summary |
-//! | POST | `/admin/refit` | — | runs one refit pass and hot-swaps |
+//! | method | path | answers |
+//! |--------|------|---------|
+//! | GET  | `/v1/recommend/{user}` | the user's list, or a prefix of it |
+//! | POST | `/v1/recommend:batch` | one slot per user, one generation for the whole batch |
+//! | POST | `/v1/ingest` | an acknowledgement (keyed: applied or deduplicated) |
+//! | POST | `/v1/ingest:batch` | one acknowledgement or rejection per entry |
+//! | GET  | `/v1/healthz` | liveness, generation, WAL / dedup / replica health |
+//! | GET  | `/v1/window` | the transportable rolling-window summary |
+//! | GET  | `/v1/stats`, `/v1/metrics`, `/v1/trace` | operator views |
+//! | POST | `/admin/refit` | runs one refit pass and hot-swaps |
 //!
-//! Batches route through the backend's `recommend_batch_with_traced`, so a batch
-//! is always served from exactly one bundle generation even while
-//! `/admin/refit` swaps underneath it. Error responses are always JSON with
-//! an `"error"` key; unknown ids additionally carry `unknown_user` /
-//! `unknown_item` so a [`crate::RemoteShard`] can reconstruct the typed
-//! error without parsing prose.
+//! The bodies, query parameters and error bodies of the first six — what a
+//! [`crate::RemoteShard`] writes and reads back — are defined in
+//! [`crate::wire`]; the handlers here parse with it, call the backend, and
+//! encode with it. Batches route through the backend's
+//! `recommend_batch_with_traced`, so a batch is always served from exactly
+//! one bundle generation even while `/admin/refit` swaps underneath it.
+//! Error responses are always JSON with an `"error"` key.
 //!
 //! ## Architecture: one event loop, a worker pool, and an inline hit path
 //!
@@ -100,13 +101,12 @@
 use crate::http1::{self, Limits, ReadOutcome, Request, StatusCode};
 use crate::router::RouterNode;
 use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
+use crate::wire::{self, RecommendQuery};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Counter, Gauge, Histogram, ObsHub, TraceData, TraceEvent, WindowStats, WindowWire};
 use ganc_serve::refit::{RefitController, RefitOutcome, Refitter};
-use ganc_serve::{
-    CadenceConfig, FitConfig, RequestOptions, RerankMode, ServeError, ServingEngine, ShardedEngine,
-};
+use ganc_serve::{CadenceConfig, FitConfig, RequestOptions, ServingEngine, ShardedEngine};
 use polling::{Event, Poller};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -890,7 +890,7 @@ impl EventLoop {
                 }
                 Some((ReadOutcome::Fatal { status, message }, _)) => {
                     self.app.count_request("malformed", status);
-                    let body = tinyjson::to_string(&obj! { "error" => message });
+                    let body = tinyjson::to_string(&wire::error(status, message).1);
                     let mut bytes = Vec::new();
                     let _ = http1::write_response(&mut bytes, status, body.as_bytes(), false);
                     conn.buf = ReadBuf::default();
@@ -1222,7 +1222,7 @@ impl App {
         if req.method != "GET" {
             return None;
         }
-        let user_part = req.path.strip_prefix("/v1/recommend/")?;
+        let user_part = req.path.strip_prefix(wire::RECOMMEND)?;
         let query = RecommendQuery::parse(user_part, req.query.as_deref()).ok()?;
         if !query.opts.is_default() {
             return None;
@@ -1324,15 +1324,11 @@ impl App {
             ("POST", "/v1/ingest") => (self.ingest(req), "ingest"),
             ("POST", "/v1/ingest:batch") => (self.ingest_batch(&req.body), "ingest_batch"),
             ("POST", "/admin/refit") => (self.admin_refit(), "admin_refit"),
-            ("GET", path) if path.starts_with("/v1/recommend/") => (
-                self.recommend(
-                    &path["/v1/recommend/".len()..],
-                    req.query.as_deref(),
-                    cached,
-                ),
+            ("GET", path) if path.starts_with(wire::RECOMMEND) => (
+                self.recommend(&path[wire::RECOMMEND.len()..], req.query.as_deref(), cached),
                 "recommend",
             ),
-            _ => (error(StatusCode::NOT_FOUND, "not found"), "other"),
+            _ => (wire::error(StatusCode::NOT_FOUND, "not found"), "other"),
         };
         let (status, value) = reply;
         (Reply::Json(status, value), endpoint)
@@ -1341,7 +1337,7 @@ impl App {
     fn healthz(&self) -> (u16, Value) {
         match self.frontend.generation() {
             Ok(g) => {
-                let mut body = obj! { "ok" => true, "generation" => g };
+                let mut body = wire::healthz(g);
                 if let Frontend::Sharded(e) = &self.frontend {
                     body.insert("pending_ingests", Value::from(e.pending_ingests()));
                     // WAL footprint, when a durable log is attached: how
@@ -1397,7 +1393,7 @@ impl App {
                 }
                 (StatusCode::OK, body)
             }
-            Err(e) => backend_error(e),
+            Err(e) => wire::error_reply(e),
         }
     }
 
@@ -1423,21 +1419,8 @@ impl App {
     /// `{"window":null}` when observability is not attached (or the node
     /// is itself a router).
     fn window(&self) -> (u16, Value) {
-        let window = match self.frontend.window_wire().ok().flatten() {
-            Some(w) => {
-                let distinct = Value::Array(w.distinct.iter().map(|&i| Value::from(i)).collect());
-                obj! {
-                    "n_items" => w.n_items,
-                    "lists" => w.lists,
-                    "items" => w.items,
-                    "novelty_microbits" => w.novelty_microbits,
-                    "tail_hits" => w.tail_hits,
-                    "distinct" => distinct,
-                }
-            }
-            None => Value::Null,
-        };
-        (StatusCode::OK, obj! { "window" => window })
+        let window = self.frontend.window_wire().ok().flatten();
+        (StatusCode::OK, wire::window(window.as_ref()))
     }
 
     /// Bump `ganc_request_overrides_total{kind}` for every per-request
@@ -1495,7 +1478,7 @@ impl App {
             Some((query, ..)) => query.clone(),
             None => match RecommendQuery::parse(user_part, query) {
                 Ok(query) => query,
-                Err(message) => return error(StatusCode::BAD_REQUEST, message),
+                Err(message) => return wire::error(StatusCode::BAD_REQUEST, message),
             },
         };
         if take.is_some() || !opts.is_default() {
@@ -1505,161 +1488,62 @@ impl App {
             Some((_, list, generation)) => Ok((Arc::clone(list), *generation)),
             None => self.frontend.recommend_with_traced(UserId(user), &opts),
         };
-        match answer {
-            Ok((list, generation)) => {
-                let shown = take.unwrap_or(list.len()).min(list.len());
-                let items = Value::Array(list[..shown].iter().map(|i| Value::from(i.0)).collect());
-                (
-                    StatusCode::OK,
-                    obj! { "user" => user, "generation" => generation, "items" => items },
-                )
-            }
-            Err(e) => backend_error(e),
-        }
+        wire::reply(answer.map(|(list, generation)| {
+            let shown = take.unwrap_or(list.len()).min(list.len());
+            wire::recommend_answer(user, generation, &list[..shown])
+        }))
     }
 
     fn recommend_batch(&self, body: &[u8]) -> (u16, Value) {
-        let (users, opts) = match parse_body(body).and_then(|v| {
-            let users = v["users"]
-                .as_array()
-                .ok_or("body must be {\"users\":[...]}")?
-                .iter()
-                .map(|u| {
-                    u.as_u64()
-                        .filter(|&u| u <= u32::MAX as u64)
-                        .map(|u| UserId(u as u32))
-                        .ok_or("user ids must be u32 integers")
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok((users, parse_batch_opts(&v)?))
-        }) {
-            Ok(t) => t,
-            Err(msg) => return error(StatusCode::BAD_REQUEST, msg),
+        let parsed = wire::request_json(body).and_then(|v| wire::batch_request_from(&v));
+        let (users, opts) = match parsed {
+            Ok(request) => request,
+            Err(message) => return wire::error(StatusCode::BAD_REQUEST, message),
         };
         if !opts.is_default() {
             self.note_overrides(false, &opts);
         }
-        match self.frontend.recommend_batch_with_traced(&users, &opts) {
-            Ok((answers, generation)) => {
-                let results: Vec<Value> = users
-                    .iter()
-                    .zip(answers)
-                    .map(|(u, answer)| match answer {
-                        Ok(list) => {
-                            let items =
-                                Value::Array(list.iter().map(|i| Value::from(i.0)).collect());
-                            obj! { "user" => u.0, "items" => items }
-                        }
-                        Err(e) => serve_error_value(&e),
-                    })
-                    .collect();
-                (
-                    StatusCode::OK,
-                    obj! { "generation" => generation, "results" => Value::Array(results) },
-                )
-            }
-            Err(e) => backend_error(e),
-        }
+        let answer = self.frontend.recommend_batch_with_traced(&users, &opts);
+        wire::reply(answer.map(|(slots, generation)| wire::batch_answer(&users, slots, generation)))
     }
 
     fn ingest(&self, req: &Request) -> (u16, Value) {
-        let parsed = parse_body(&req.body).and_then(|v| {
-            let (user, item, rating) = parse_ingest_fields(&v)?;
-            // The idempotency key rides in the `Idempotency-Key` header
-            // or a body `"key"` field; the header wins when both are set.
-            let key = match &req.idempotency_key {
-                Some(k) => Some(k.clone()),
-                None => match &v["key"] {
-                    Value::Null => None,
-                    Value::String(s) if !s.is_empty() => Some(s.clone()),
-                    _ => return Err("key must be a non-empty string"),
-                },
-            };
-            // Reject malformed keys at ingress (400): a key the WAL
-            // decoder would refuse on replay, or one carrying CR/LF /
-            // control bytes that could smuggle headers into the router's
-            // fan-out requests, must never be acknowledged.
-            if let Some(k) = &key {
-                ganc_serve::validate_key(k)?;
-            }
-            Ok((user, item, rating, key))
-        });
-        let (user, item, rating, key) = match parsed {
-            Ok(t) => t,
-            Err(msg) => return error(StatusCode::BAD_REQUEST, msg),
+        let parsed = wire::request_json(&req.body)
+            .and_then(|v| wire::ingest_request_from(&v, req.idempotency_key.as_deref()));
+        let entry = match parsed {
+            Ok(entry) => entry,
+            Err(message) => return wire::error(StatusCode::BAD_REQUEST, message),
         };
-        match key {
-            // Unkeyed requests keep the historical byte-exact `{"ok":true}`
-            // body — the byte-determinism suites pin it.
-            None => match self.frontend.ingest(user, item, rating) {
-                Ok(()) => (StatusCode::OK, obj! { "ok" => true }),
-                Err(e) => backend_error(e),
-            },
-            Some(key) => match self.frontend.ingest_keyed(Some(&key), user, item, rating) {
-                Ok(ack) => (
-                    StatusCode::OK,
-                    obj! {
-                        "ok" => true,
-                        "deduplicated" => matches!(ack, ganc_serve::IngestAck::Deduplicated),
-                    },
-                ),
-                Err(e) => backend_error(e),
-            },
-        }
+        let key = entry.key.as_deref();
+        let ack = self
+            .frontend
+            .ingest_keyed(key, entry.user, entry.item, entry.rating);
+        wire::reply(ack.map(|ack| wire::ingest_ack(key.is_some(), ack)))
     }
 
     /// `POST /v1/ingest:batch` — the coalesced ingest wire call: many
-    /// entries, one round-trip, per-entry results so one unknown id never
-    /// fails its companions. Serve-level rejections land in their slot;
-    /// a transport/band failure (router fronts) fails the whole batch,
-    /// mirroring [`crate::PeerTransport::ingest_batch`].
+    /// entries, one round-trip. The backend's
+    /// [`PeerTransport::ingest_batch`] answers per entry, so one unknown id
+    /// never fails its companions; a transport/band failure (router fronts)
+    /// fails the whole batch.
     fn ingest_batch(&self, body: &[u8]) -> (u16, Value) {
-        let entries = match parse_body(body).and_then(|v| {
-            v["entries"]
-                .as_array()
-                .ok_or("body must be {\"entries\":[...]}")?
-                .iter()
-                .map(|entry| {
-                    let (user, item, rating) = parse_ingest_fields(entry)?;
-                    let key = match &entry["key"] {
-                        Value::Null => None,
-                        Value::String(s) if !s.is_empty() => Some(s.clone()),
-                        _ => return Err("key must be a non-empty string"),
-                    };
-                    // Same ingress validation as the single-ingest path.
-                    if let Some(k) = &key {
-                        ganc_serve::validate_key(k)?;
-                    }
-                    Ok((user, item, rating, key))
-                })
-                .collect::<Result<Vec<_>, _>>()
-        }) {
-            Ok(entries) => entries,
-            Err(msg) => return error(StatusCode::BAD_REQUEST, msg),
-        };
-        let mut results = Vec::with_capacity(entries.len());
-        for (user, item, rating, key) in &entries {
-            match self
-                .frontend
-                .ingest_keyed(key.as_deref(), *user, *item, *rating)
-            {
-                Ok(ganc_serve::IngestAck::Applied) => results.push(obj! { "ok" => true }),
-                Ok(ganc_serve::IngestAck::Deduplicated) => {
-                    results.push(obj! { "ok" => true, "status" => "deduplicated" })
-                }
-                Err(BackendError::Serve(e)) => results.push(serve_error_value(&e)),
-                Err(e) => return backend_error(e),
-            }
+        let parsed = wire::request_json(body).and_then(|v| wire::ingest_batch_request_from(&v));
+        match parsed {
+            Ok(entries) => wire::reply(
+                self.frontend
+                    .ingest_batch(&entries)
+                    .map(|slots| wire::ingest_batch_answer(&slots)),
+            ),
+            Err(message) => wire::error(StatusCode::BAD_REQUEST, message),
         }
-        (StatusCode::OK, obj! { "results" => Value::Array(results) })
     }
 
     fn admin_refit(&self) -> (u16, Value) {
         let Some(hook) = &self.refit else {
-            return error(StatusCode::BAD_REQUEST, "refit not configured");
+            return wire::error(StatusCode::BAD_REQUEST, "refit not configured");
         };
         let Frontend::Sharded(engine) = &self.frontend else {
-            return error(
+            return wire::error(
                 StatusCode::BAD_REQUEST,
                 "refit requires a sharded engine front",
             );
@@ -1817,7 +1701,7 @@ impl App {
                             "window" => window,
                         },
                     ),
-                    Err(e) => backend_error(e),
+                    Err(e) => wire::error_reply(e),
                 }
             }
         }
@@ -1967,158 +1851,6 @@ fn trace_event_value(e: TraceEvent) -> Value {
         "at_us" => e.at_us,
         "kind" => kind,
         "data" => data,
-    }
-}
-
-/// A parsed `GET /v1/recommend/{user}?…` request line.
-#[derive(Clone)]
-struct RecommendQuery {
-    user: u32,
-    /// `?n=`: show only a prefix of the served list.
-    take: Option<usize>,
-    opts: RequestOptions,
-}
-
-impl RecommendQuery {
-    /// Parse the path's user segment and the query string; the error is
-    /// the 400 message.
-    fn parse(user_part: &str, query: Option<&str>) -> Result<RecommendQuery, &'static str> {
-        let user = user_part
-            .parse::<u32>()
-            .map_err(|_| "user id must be an integer")?;
-        let mut take = None;
-        let mut opts = RequestOptions::default();
-        for pair in query.unwrap_or("").split('&').filter(|p| !p.is_empty()) {
-            match pair.split_once('=') {
-                Some(("n", v)) => {
-                    take = Some(v.parse::<usize>().map_err(|_| "n must be an integer")?);
-                }
-                Some(("theta", v)) => match v.parse::<f64>() {
-                    Ok(t) if t.is_finite() && (0.0..=1.0).contains(&t) => opts.theta = Some(t),
-                    _ => return Err("theta must be a number in [0, 1]"),
-                },
-                Some(("exclude", v)) => opts.set_exclude(parse_exclude_csv(v)?),
-                Some(("rerank", v)) => {
-                    opts.rerank =
-                        Some(RerankMode::parse(v).ok_or("rerank must be one of pra, rbt, 5d")?);
-                }
-                _ => return Err("unknown query parameter"),
-            }
-        }
-        Ok(RecommendQuery { user, take, opts })
-    }
-}
-
-/// Parse `exclude=1,2,3` — comma-separated item ids. Empty segments are
-/// tolerated, so `exclude=` means "none".
-fn parse_exclude_csv(v: &str) -> Result<Vec<u32>, &'static str> {
-    v.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse::<u32>()
-                .map_err(|_| "exclude must be a comma-separated list of u32 item ids")
-        })
-        .collect()
-}
-
-/// Per-request overrides from a `recommend:batch` body. All fields are
-/// optional; an absent field leaves its default (a body with only
-/// `"users"` parses to default options).
-fn parse_batch_opts(v: &Value) -> Result<RequestOptions, &'static str> {
-    let mut opts = RequestOptions::default();
-    if !matches!(&v["theta"], Value::Null) {
-        let t = v["theta"]
-            .as_f64()
-            .filter(|t| t.is_finite() && (0.0..=1.0).contains(t))
-            .ok_or("theta must be a number in [0, 1]")?;
-        opts.theta = Some(t);
-    }
-    if !matches!(&v["exclude"], Value::Null) {
-        let ids = v["exclude"]
-            .as_array()
-            .ok_or("exclude must be an array of u32 item ids")?
-            .iter()
-            .map(|i| {
-                i.as_u64()
-                    .filter(|&i| i <= u32::MAX as u64)
-                    .map(|i| i as u32)
-                    .ok_or("exclude must be an array of u32 item ids")
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        opts.set_exclude(ids);
-    }
-    if !matches!(&v["rerank"], Value::Null) {
-        let s = v["rerank"]
-            .as_str()
-            .and_then(RerankMode::parse)
-            .ok_or("rerank must be one of pra, rbt, 5d")?;
-        opts.rerank = Some(s);
-    }
-    Ok(opts)
-}
-
-/// The `{user,item,rating}` triple shared by `/v1/ingest` and each
-/// `/v1/ingest:batch` entry.
-fn parse_ingest_fields(v: &Value) -> Result<(UserId, ItemId, f32), &'static str> {
-    let user = v["user"]
-        .as_u64()
-        .filter(|&u| u <= u32::MAX as u64)
-        .ok_or("user must be a u32 integer")?;
-    let item = v["item"]
-        .as_u64()
-        .filter(|&i| i <= u32::MAX as u64)
-        .ok_or("item must be a u32 integer")?;
-    let rating = v["rating"].as_f64().ok_or("rating must be a number")?;
-    Ok((UserId(user as u32), ItemId(item as u32), rating as f32))
-}
-
-fn parse_body(body: &[u8]) -> Result<Value, &'static str> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8")?;
-    tinyjson::from_str(text).map_err(|_| "body is not valid JSON")
-}
-
-fn error(status: u16, message: &str) -> (u16, Value) {
-    (status, obj! { "error" => message })
-}
-
-/// Error body for an unknown id, with the machine-readable field a remote
-/// client maps back to [`ServeError`].
-fn serve_error_value(e: &ServeError) -> Value {
-    match e {
-        ServeError::UnknownUser(u) => obj! {
-            "error" => format!("unknown user {}", u.0),
-            "unknown_user" => u.0,
-        },
-        ServeError::UnknownItem(i) => obj! {
-            "error" => format!("unknown item {}", i.0),
-            "unknown_item" => i.0,
-        },
-        ServeError::Durability => obj! {
-            "error" => "write-ahead log append failed",
-            "durability" => true,
-        },
-    }
-}
-
-fn backend_error(e: BackendError) -> (u16, Value) {
-    match e {
-        // A durability failure is a node fault (retry-safe), not a bad id.
-        BackendError::Serve(ServeError::Durability) => (
-            StatusCode::BAD_GATEWAY,
-            serve_error_value(&ServeError::Durability),
-        ),
-        BackendError::Serve(e) => (StatusCode::NOT_FOUND, serve_error_value(&e)),
-        BackendError::Transport(msg) => (StatusCode::BAD_GATEWAY, obj! { "error" => msg }),
-        // A failed θ-band names itself: "band" is machine-readable so an
-        // operator (or a retrying client) knows which shard of the
-        // deployment is unhealthy instead of reading it out of prose.
-        BackendError::Band { band, message } => (
-            StatusCode::BAD_GATEWAY,
-            obj! {
-                "error" => format!("band {band}: {message}"),
-                "band" => band,
-            },
-        ),
     }
 }
 

@@ -11,10 +11,14 @@
 //! `tests/remote_coalescing.rs` can pin byte-equivalence under timings a
 //! real network only produces by accident.
 //!
-//! Composition: every double wraps an `Arc<dyn PeerTransport>` — usually a
+//! One wrapper, [`Injected`], holds the only [`PeerTransport`] impl: it
+//! forwards every call to an inner `Arc<dyn PeerTransport>` — usually a
 //! [`crate::Frontend`] loopback at the bottom, possibly other doubles in
 //! between (`SlowPeer(LedgerPeer(Frontend))` is the canonical fan-out
-//! harness).
+//! harness) — and runs its [`Hooks`] before and after each read and each
+//! ingest. A double is a `Hooks` impl over its state, plus a constructor
+//! and its control methods on the wrapper; a suite that needs a fault none
+//! of them injects writes its own hooks and [`Injected::wrap`]s them.
 
 use crate::transport::{BatchAnswer, IngestBatchAnswer, IngestEntry, PeerTransport, SingleAnswer};
 use crate::BackendError;
@@ -23,6 +27,97 @@ use ganc_obs::WindowWire;
 use ganc_serve::{IngestAck, RequestOptions};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+
+/// What a double does around its inner peer's calls. Every hook defaults
+/// to nothing; `batch` is `None` for a single call and the batch's users
+/// or entries otherwise.
+pub trait Hooks: Send + Sync {
+    /// Label prefix: the double reports as `NAME(inner label)`.
+    const NAME: &'static str;
+
+    /// Before a read reaches the inner peer; an `Err` answers it instead.
+    fn before_read(&self, _batch: Option<&[UserId]>) -> Result<(), BackendError> {
+        Ok(())
+    }
+
+    /// After the inner peer answered a read (`generation`: the one it
+    /// reported, `None` when it failed).
+    fn after_read(&self, _batch: Option<&[UserId]>, _generation: Option<u64>) {}
+
+    /// Before an ingest reaches the inner peer; an `Err` loses the write.
+    fn before_ingest(&self, _batch: Option<&[IngestEntry]>) -> Result<(), BackendError> {
+        Ok(())
+    }
+
+    /// After the inner peer applied an ingest; an `Err` loses the ack.
+    fn after_ingest(&self) -> Result<(), BackendError> {
+        Ok(())
+    }
+}
+
+/// An inner peer with `H`'s hooks around its reads and ingests; everything
+/// else (`generation`, `window_wire`) passes straight through.
+pub struct Injected<H> {
+    inner: Arc<dyn PeerTransport>,
+    hooks: H,
+}
+
+impl<H: Hooks> Injected<H> {
+    /// Wrap `inner` in `hooks`.
+    pub fn wrap(inner: Arc<dyn PeerTransport>, hooks: H) -> Injected<H> {
+        Injected { inner, hooks }
+    }
+}
+
+impl<H: Hooks> PeerTransport for Injected<H> {
+    fn label(&self) -> String {
+        format!("{}({})", H::NAME, self.inner.label())
+    }
+
+    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
+        self.hooks.before_read(None)?;
+        let answer = self.inner.recommend_with_traced(user, opts);
+        self.hooks
+            .after_read(None, answer.as_ref().ok().map(|a| a.1));
+        answer
+    }
+
+    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
+        self.hooks.before_read(Some(users))?;
+        let answer = self.inner.recommend_batch_with_traced(users, opts);
+        let generation = answer.as_ref().ok().map(|a| a.1);
+        self.hooks.after_read(Some(users), generation);
+        answer
+    }
+
+    fn ingest_keyed(
+        &self,
+        key: Option<&str>,
+        user: UserId,
+        item: ItemId,
+        rating: f32,
+    ) -> Result<IngestAck, BackendError> {
+        self.hooks.before_ingest(None)?;
+        let ack = self.inner.ingest_keyed(key, user, item, rating)?;
+        self.hooks.after_ingest()?;
+        Ok(ack)
+    }
+
+    fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
+        self.hooks.before_ingest(Some(entries))?;
+        let acks = self.inner.ingest_batch(entries)?;
+        self.hooks.after_ingest()?;
+        Ok(acks)
+    }
+
+    fn generation(&self) -> Result<u64, BackendError> {
+        self.inner.generation()
+    }
+
+    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
+        self.inner.window_wire()
+    }
+}
 
 /// A shared completion counter the ordering doubles coordinate through:
 /// peers [`bump`](Ledger::bump) it when they answer, a [`SlowPeer`] holds
@@ -62,55 +157,20 @@ impl Ledger {
 
 /// Bumps a [`Ledger`] after every answered read call — the "everyone else
 /// finished" signal a [`SlowPeer`] waits on.
-pub struct LedgerPeer {
-    inner: Arc<dyn PeerTransport>,
-    ledger: Arc<Ledger>,
-}
+pub type LedgerPeer = Injected<Arc<Ledger>>;
 
 impl LedgerPeer {
     /// Wrap `inner`, bumping `ledger` per answered read.
     pub fn new(inner: Arc<dyn PeerTransport>, ledger: Arc<Ledger>) -> LedgerPeer {
-        LedgerPeer { inner, ledger }
+        Injected::wrap(inner, ledger)
     }
 }
 
-impl PeerTransport for LedgerPeer {
-    fn label(&self) -> String {
-        format!("ledger({})", self.inner.label())
-    }
+impl Hooks for Arc<Ledger> {
+    const NAME: &'static str = "ledger";
 
-    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
-        let answer = self.inner.recommend_with_traced(user, opts);
-        self.ledger.bump();
-        answer
-    }
-
-    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
-        let answer = self.inner.recommend_batch_with_traced(users, opts);
-        self.ledger.bump();
-        answer
-    }
-
-    fn ingest_keyed(
-        &self,
-        key: Option<&str>,
-        user: UserId,
-        item: ItemId,
-        rating: f32,
-    ) -> Result<IngestAck, BackendError> {
-        self.inner.ingest_keyed(key, user, item, rating)
-    }
-
-    fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
-        self.inner.ingest_batch(entries)
-    }
-
-    fn generation(&self) -> Result<u64, BackendError> {
-        self.inner.generation()
-    }
-
-    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
-        self.inner.window_wire()
+    fn after_read(&self, _batch: Option<&[UserId]>, _generation: Option<u64>) {
+        self.bump();
     }
 }
 
@@ -124,8 +184,10 @@ impl PeerTransport for LedgerPeer {
 /// dispatcher visiting the slow band first would wait forever, which is
 /// precisely the scheduling hazard the double exists to surface — disarm
 /// it when driving the sequential reference.
-pub struct SlowPeer {
-    inner: Arc<dyn PeerTransport>,
+pub type SlowPeer = Injected<Slow>;
+
+/// [`SlowPeer`]'s hooks and state.
+pub struct Slow {
     ledger: Arc<Ledger>,
     wait_until: AtomicU64,
 }
@@ -133,62 +195,25 @@ pub struct SlowPeer {
 impl SlowPeer {
     /// Wrap `inner`; disarmed until [`SlowPeer::delay_until`].
     pub fn new(inner: Arc<dyn PeerTransport>, ledger: Arc<Ledger>) -> Arc<SlowPeer> {
-        Arc::new(SlowPeer {
-            inner,
-            ledger,
-            wait_until: AtomicU64::new(0),
-        })
+        let wait_until = AtomicU64::new(0);
+        Arc::new(Injected::wrap(inner, Slow { ledger, wait_until }))
     }
 
     /// Delay every subsequent read until the ledger shows `target`
     /// completions; 0 disarms.
     pub fn delay_until(&self, target: u64) {
-        self.wait_until.store(target, Ordering::SeqCst);
-    }
-
-    fn stall(&self) {
-        let target = self.wait_until.load(Ordering::SeqCst);
-        if target > 0 {
-            self.ledger.wait_until(target);
-        }
+        self.hooks.wait_until.store(target, Ordering::SeqCst);
     }
 }
 
-impl PeerTransport for SlowPeer {
-    fn label(&self) -> String {
-        format!("slow({})", self.inner.label())
-    }
+impl Hooks for Slow {
+    const NAME: &'static str = "slow";
 
-    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
-        self.stall();
-        self.inner.recommend_with_traced(user, opts)
-    }
-
-    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
-        self.stall();
-        self.inner.recommend_batch_with_traced(users, opts)
-    }
-
-    fn ingest_keyed(
-        &self,
-        key: Option<&str>,
-        user: UserId,
-        item: ItemId,
-        rating: f32,
-    ) -> Result<IngestAck, BackendError> {
-        self.inner.ingest_keyed(key, user, item, rating)
-    }
-
-    fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
-        self.inner.ingest_batch(entries)
-    }
-
-    fn generation(&self) -> Result<u64, BackendError> {
-        self.inner.generation()
-    }
-
-    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
-        self.inner.window_wire()
+    fn before_read(&self, _batch: Option<&[UserId]>) -> Result<(), BackendError> {
+        // Target 0 is already reached: a disarmed peer never waits.
+        self.ledger
+            .wait_until(self.wait_until.load(Ordering::SeqCst));
+        Ok(())
     }
 }
 
@@ -199,8 +224,11 @@ impl PeerTransport for SlowPeer {
 /// inner peer sees it (lost request), [`FlakyPeer::fail_ingest_acks`]
 /// applies the write and *then* reports failure (lost ack — the retry that
 /// would double-apply without idempotency keys).
-pub struct FlakyPeer {
-    inner: Arc<dyn PeerTransport>,
+pub type FlakyPeer = Injected<Flaky>;
+
+/// [`FlakyPeer`]'s hooks and state.
+#[derive(Default)]
+pub struct Flaky {
     fail_next: AtomicU32,
     fail_ingests: AtomicU32,
     fail_ingest_acks: AtomicU32,
@@ -209,100 +237,49 @@ pub struct FlakyPeer {
 impl FlakyPeer {
     /// Wrap `inner`; healthy until a `fail_*` knob arms.
     pub fn new(inner: Arc<dyn PeerTransport>) -> Arc<FlakyPeer> {
-        Arc::new(FlakyPeer {
-            inner,
-            fail_next: AtomicU32::new(0),
-            fail_ingests: AtomicU32::new(0),
-            fail_ingest_acks: AtomicU32::new(0),
-        })
+        Arc::new(Injected::wrap(inner, Flaky::default()))
     }
 
     /// Make the next `k` reads fail.
     pub fn fail_next(&self, k: u32) {
-        self.fail_next.store(k, Ordering::SeqCst);
+        self.hooks.fail_next.store(k, Ordering::SeqCst);
     }
 
     /// Make the next `k` ingest calls fail *before* reaching the inner
     /// peer — the interaction is lost, a retry must deliver it.
     pub fn fail_ingests(&self, k: u32) {
-        self.fail_ingests.store(k, Ordering::SeqCst);
+        self.hooks.fail_ingests.store(k, Ordering::SeqCst);
     }
 
     /// Make the next `k` ingest calls apply on the inner peer and *then*
     /// fail — the applied-but-unacked case a retry would double-apply
     /// without key dedup downstream.
     pub fn fail_ingest_acks(&self, k: u32) {
-        self.fail_ingest_acks.store(k, Ordering::SeqCst);
-    }
-
-    fn tripped(counter: &AtomicU32) -> bool {
-        counter
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-    }
-
-    fn injected(&self) -> BackendError {
-        BackendError::Transport(format!("injected failure on {}", self.inner.label()))
-    }
-
-    fn trip(&self) -> Result<(), BackendError> {
-        if FlakyPeer::tripped(&self.fail_next) {
-            Err(self.injected())
-        } else {
-            Ok(())
-        }
+        self.hooks.fail_ingest_acks.store(k, Ordering::SeqCst);
     }
 }
 
-impl PeerTransport for FlakyPeer {
-    fn label(&self) -> String {
-        format!("flaky({})", self.inner.label())
+/// Spend one armed failure of `counter`, if any is left.
+fn trip(counter: &AtomicU32) -> Result<(), BackendError> {
+    match counter.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)) {
+        Ok(_) => Err(BackendError::Transport("injected failure".to_string())),
+        Err(_) => Ok(()),
+    }
+}
+
+impl Hooks for Flaky {
+    const NAME: &'static str = "flaky";
+
+    fn before_read(&self, _batch: Option<&[UserId]>) -> Result<(), BackendError> {
+        trip(&self.fail_next)
     }
 
-    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
-        self.trip()?;
-        self.inner.recommend_with_traced(user, opts)
+    fn before_ingest(&self, _batch: Option<&[IngestEntry]>) -> Result<(), BackendError> {
+        trip(&self.fail_ingests)
     }
 
-    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
-        self.trip()?;
-        self.inner.recommend_batch_with_traced(users, opts)
-    }
-
-    fn ingest_keyed(
-        &self,
-        key: Option<&str>,
-        user: UserId,
-        item: ItemId,
-        rating: f32,
-    ) -> Result<IngestAck, BackendError> {
-        if FlakyPeer::tripped(&self.fail_ingests) {
-            return Err(self.injected());
-        }
-        let ack = self.inner.ingest_keyed(key, user, item, rating)?;
-        if FlakyPeer::tripped(&self.fail_ingest_acks) {
-            return Err(self.injected());
-        }
-        Ok(ack)
-    }
-
-    fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
-        if FlakyPeer::tripped(&self.fail_ingests) {
-            return Err(self.injected());
-        }
-        let acks = self.inner.ingest_batch(entries)?;
-        if FlakyPeer::tripped(&self.fail_ingest_acks) {
-            return Err(self.injected());
-        }
-        Ok(acks)
-    }
-
-    fn generation(&self) -> Result<u64, BackendError> {
-        self.inner.generation()
-    }
-
-    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
-        self.inner.window_wire()
+    fn after_ingest(&self) -> Result<(), BackendError> {
+        trip(&self.fail_ingest_acks)
     }
 }
 
@@ -377,57 +354,25 @@ impl ReorderGate {
 /// A peer whose reads pass through a shared [`ReorderGate`]: wrap every
 /// band's route in one of these over the same gate and an armed round
 /// completes the bands in reverse dispatch-arrival order.
-pub struct ReorderingPeer {
-    inner: Arc<dyn PeerTransport>,
-    gate: Arc<ReorderGate>,
-}
+pub type ReorderingPeer = Injected<Arc<ReorderGate>>;
 
 impl ReorderingPeer {
     /// Wrap `inner` behind `gate`.
     pub fn new(inner: Arc<dyn PeerTransport>, gate: Arc<ReorderGate>) -> ReorderingPeer {
-        ReorderingPeer { inner, gate }
+        Injected::wrap(inner, gate)
     }
 }
 
-impl PeerTransport for ReorderingPeer {
-    fn label(&self) -> String {
-        format!("reorder({})", self.inner.label())
+impl Hooks for Arc<ReorderGate> {
+    const NAME: &'static str = "reorder";
+
+    fn before_read(&self, _batch: Option<&[UserId]>) -> Result<(), BackendError> {
+        self.rendezvous();
+        Ok(())
     }
 
-    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
-        self.gate.rendezvous();
-        let answer = self.inner.recommend_with_traced(user, opts);
-        self.gate.done();
-        answer
-    }
-
-    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
-        self.gate.rendezvous();
-        let answer = self.inner.recommend_batch_with_traced(users, opts);
-        self.gate.done();
-        answer
-    }
-
-    fn ingest_keyed(
-        &self,
-        key: Option<&str>,
-        user: UserId,
-        item: ItemId,
-        rating: f32,
-    ) -> Result<IngestAck, BackendError> {
-        self.inner.ingest_keyed(key, user, item, rating)
-    }
-
-    fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
-        self.inner.ingest_batch(entries)
-    }
-
-    fn generation(&self) -> Result<u64, BackendError> {
-        self.inner.generation()
-    }
-
-    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
-        self.inner.window_wire()
+    fn after_read(&self, _batch: Option<&[UserId]>, _generation: Option<u64>) {
+        self.done();
     }
 }
 
@@ -441,11 +386,14 @@ pub struct RecordedBatch {
     pub generation: Option<u64>,
 }
 
-/// Records every read call — the witness that coalescing really merged
-/// singles into batches, and that every merged batch reported exactly one
-/// generation.
-pub struct RecordingPeer {
-    inner: Arc<dyn PeerTransport>,
+/// Records every read and ingest call — the witness that coalescing really
+/// merged singles into batches, and that every merged batch reported
+/// exactly one generation.
+pub type RecordingPeer = Injected<Recording>;
+
+/// [`RecordingPeer`]'s hooks and state.
+#[derive(Default)]
+pub struct Recording {
     batches: Mutex<Vec<RecordedBatch>>,
     singles: AtomicU64,
     ingest_batches: Mutex<Vec<Vec<IngestEntry>>>,
@@ -455,91 +403,68 @@ pub struct RecordingPeer {
 impl RecordingPeer {
     /// Wrap `inner` and start recording.
     pub fn new(inner: Arc<dyn PeerTransport>) -> Arc<RecordingPeer> {
-        Arc::new(RecordingPeer {
-            inner,
-            batches: Mutex::new(Vec::new()),
-            singles: AtomicU64::new(0),
-            ingest_batches: Mutex::new(Vec::new()),
-            ingest_singles: AtomicU64::new(0),
-        })
+        Arc::new(Injected::wrap(inner, Recording::default()))
     }
 
     /// Every batch call so far, in completion order.
     pub fn batches(&self) -> Vec<RecordedBatch> {
-        self.batches.lock().unwrap().clone()
+        self.hooks.batches.lock().unwrap().clone()
     }
 
     /// Single (non-batch) read calls so far.
     pub fn singles(&self) -> u64 {
-        self.singles.load(Ordering::SeqCst)
+        self.hooks.singles.load(Ordering::SeqCst)
     }
 
     /// Every ingest batch call so far — the witness that ingest
     /// coalescing really merged singles into wire batches.
     pub fn ingest_batches(&self) -> Vec<Vec<IngestEntry>> {
-        self.ingest_batches.lock().unwrap().clone()
+        self.hooks.ingest_batches.lock().unwrap().clone()
     }
 
     /// Single (non-batch) ingest calls so far, keyed or not.
     pub fn ingest_singles(&self) -> u64 {
-        self.ingest_singles.load(Ordering::SeqCst)
+        self.hooks.ingest_singles.load(Ordering::SeqCst)
     }
 }
 
-impl PeerTransport for RecordingPeer {
-    fn label(&self) -> String {
-        format!("recording({})", self.inner.label())
+impl Hooks for Recording {
+    const NAME: &'static str = "recording";
+
+    fn after_read(&self, batch: Option<&[UserId]>, generation: Option<u64>) {
+        let Some(users) = batch else {
+            self.singles.fetch_add(1, Ordering::SeqCst);
+            return;
+        };
+        let users = users.to_vec();
+        let mut batches = self.batches.lock().unwrap();
+        batches.push(RecordedBatch { users, generation });
     }
 
-    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
-        self.singles.fetch_add(1, Ordering::SeqCst);
-        self.inner.recommend_with_traced(user, opts)
+    fn before_ingest(&self, batch: Option<&[IngestEntry]>) -> Result<(), BackendError> {
+        if let Some(entries) = batch {
+            self.ingest_batches.lock().unwrap().push(entries.to_vec());
+        } else {
+            self.ingest_singles.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok(())
     }
-
-    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
-        let answer = self.inner.recommend_batch_with_traced(users, opts);
-        self.batches.lock().unwrap().push(RecordedBatch {
-            users: users.to_vec(),
-            generation: answer.as_ref().ok().map(|&(_, g)| g),
-        });
-        answer
-    }
-
-    fn ingest_keyed(
-        &self,
-        key: Option<&str>,
-        user: UserId,
-        item: ItemId,
-        rating: f32,
-    ) -> Result<IngestAck, BackendError> {
-        self.ingest_singles.fetch_add(1, Ordering::SeqCst);
-        self.inner.ingest_keyed(key, user, item, rating)
-    }
-
-    fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
-        self.ingest_batches.lock().unwrap().push(entries.to_vec());
-        self.inner.ingest_batch(entries)
-    }
-
-    fn generation(&self) -> Result<u64, BackendError> {
-        self.inner.generation()
-    }
-
-    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
-        self.inner.window_wire()
-    }
-}
-
-struct Gate {
-    open: bool,
-    arrivals: usize,
 }
 
 /// A peer whose reads block at a gate until the test opens it — the
 /// controlled-congestion double: park the wire, pile up concurrent
 /// callers behind it, observe what coalesces when it lifts.
-pub struct GatedPeer {
-    inner: Arc<dyn PeerTransport>,
+pub type GatedPeer = Injected<Gated>;
+
+#[derive(Default)]
+struct Gate {
+    open: bool,
+    arrivals: usize,
+}
+
+/// [`GatedPeer`]'s hooks and state.
+#[derive(Default)]
+pub struct Gated {
     state: Mutex<Gate>,
     cv: Condvar,
 }
@@ -547,81 +472,41 @@ pub struct GatedPeer {
 impl GatedPeer {
     /// Wrap `inner` with the gate **closed**.
     pub fn new(inner: Arc<dyn PeerTransport>) -> Arc<GatedPeer> {
-        Arc::new(GatedPeer {
-            inner,
-            state: Mutex::new(Gate {
-                open: false,
-                arrivals: 0,
-            }),
-            cv: Condvar::new(),
-        })
+        Arc::new(Injected::wrap(inner, Gated::default()))
     }
 
     /// Let all parked and future reads through.
     pub fn open(&self) {
-        self.state.lock().unwrap().open = true;
-        self.cv.notify_all();
+        self.hooks.state.lock().unwrap().open = true;
+        self.hooks.cv.notify_all();
     }
 
     /// Close the gate again: future reads park until the next
     /// [`GatedPeer::open`]. Lets one harness replay park-then-release
     /// scenarios (e.g. a replica-set primary that stalls per dispatch).
     pub fn close(&self) {
-        self.state.lock().unwrap().open = false;
+        self.hooks.state.lock().unwrap().open = false;
     }
 
     /// Block until `n` reads have reached the gate (parked or passed).
     pub fn wait_arrivals(&self, n: usize) {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.hooks.state.lock().unwrap();
         while state.arrivals < n {
-            state = self.cv.wait(state).unwrap();
+            state = self.hooks.cv.wait(state).unwrap();
         }
     }
+}
 
-    fn pass(&self) {
+impl Hooks for Gated {
+    const NAME: &'static str = "gated";
+
+    fn before_read(&self, _batch: Option<&[UserId]>) -> Result<(), BackendError> {
         let mut state = self.state.lock().unwrap();
         state.arrivals += 1;
         self.cv.notify_all();
         while !state.open {
             state = self.cv.wait(state).unwrap();
         }
-    }
-}
-
-impl PeerTransport for GatedPeer {
-    fn label(&self) -> String {
-        format!("gated({})", self.inner.label())
-    }
-
-    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
-        self.pass();
-        self.inner.recommend_with_traced(user, opts)
-    }
-
-    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
-        self.pass();
-        self.inner.recommend_batch_with_traced(users, opts)
-    }
-
-    fn ingest_keyed(
-        &self,
-        key: Option<&str>,
-        user: UserId,
-        item: ItemId,
-        rating: f32,
-    ) -> Result<IngestAck, BackendError> {
-        self.inner.ingest_keyed(key, user, item, rating)
-    }
-
-    fn ingest_batch(&self, entries: &[IngestEntry]) -> IngestBatchAnswer {
-        self.inner.ingest_batch(entries)
-    }
-
-    fn generation(&self) -> Result<u64, BackendError> {
-        self.inner.generation()
-    }
-
-    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
-        self.inner.window_wire()
+        Ok(())
     }
 }

@@ -50,7 +50,7 @@ impl EvalContext {
 
 /// A full metric row: the five Table IV columns plus the components the
 /// figures plot.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TopNMetrics {
     /// Precision@N.
     pub precision: f64,
@@ -92,6 +92,26 @@ pub fn evaluate_topn(topn: &TopN, ctx: &EvalContext) -> TopNMetrics {
 }
 
 impl TopNMetrics {
+    /// The mean row over repeated runs (all zeros over none). Accumulates
+    /// `x / k` per run, field by field — the order of operations the
+    /// experiment drivers print from, so a refactor that sums first and
+    /// divides once would move their last digits.
+    pub fn mean(rows: &[TopNMetrics]) -> TopNMetrics {
+        let k = rows.len().max(1) as f64;
+        let mut m = TopNMetrics::default();
+        for r in rows {
+            m.precision += r.precision / k;
+            m.recall += r.recall / k;
+            m.f_measure += r.f_measure / k;
+            m.strat_recall += r.strat_recall / k;
+            m.lt_accuracy += r.lt_accuracy / k;
+            m.coverage += r.coverage / k;
+            m.gini += r.gini / k;
+            m.ndcg += r.ndcg / k;
+        }
+        m
+    }
+
     /// The Table IV column order: (F, S, L, C, G).
     pub fn table4_columns(&self) -> [f64; 5] {
         [

@@ -14,12 +14,13 @@
 
 use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
+use ganc::http::http1::read_response;
 use ganc::http::{Frontend, HttpClient, HttpServer, ServerConfig};
 use ganc::obs::{Clock, ManualClock, ObsHub, TraceData};
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::serve::{EngineConfig, FitConfig, FittedModel, ModelBundle, ServingEngine};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -74,38 +75,6 @@ fn sample(hub: &ObsHub, needle: &str) -> f64 {
 
 const HEALTHZ: &[u8] = b"GET /v1/healthz HTTP/1.1\r\n\r\n";
 
-/// Read one response off the wire; errors on EOF before a full response.
-fn read_response(reader: &mut BufReader<&TcpStream>) -> std::io::Result<(u16, Vec<u8>)> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed before a response",
-        ));
-    }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("malformed status line")
-        .parse()
-        .expect("non-numeric status");
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some(v) = header.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().expect("bad content-length");
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok((status, body))
-}
-
 /// True once `stream` reaches EOF (the server closed it). Bounded by a
 /// real-time read timeout so a missed eviction fails loudly, not by hang.
 fn assert_server_closed(stream: &TcpStream, what: &str) {
@@ -138,9 +107,9 @@ fn idle_keep_alive_connection_is_evicted_on_the_manual_clock() {
     let stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut reader = BufReader::new(&stream);
     (&stream).write_all(HEALTHZ).unwrap();
-    let (status, body) = read_response(&mut reader).unwrap();
-    assert_eq!(status, 200);
-    assert_eq!(body, b"{\"ok\":true,\"generation\":0}");
+    let resp = read_response(&mut reader).unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body, b"{\"ok\":true,\"generation\":0}");
 
     // Served and now idle: the connection survives as long as the clock
     // stands still…
@@ -237,14 +206,12 @@ fn split_request_completing_within_deadline_is_served() {
     clock.advance(Duration::from_secs(8));
     std::thread::sleep(Duration::from_millis(40));
     (&stream).write_all(rest).unwrap();
-    let (status, _) = read_response(&mut reader).unwrap();
-    assert_eq!(status, 200);
+    assert_eq!(read_response(&mut reader).unwrap().status, 200);
     assert_eq!(sample(&hub, "ganc_http_conn_evicted_total"), 0.0);
 
     // Keep-alive: the same connection serves the next request whole.
     (&stream).write_all(HEALTHZ).unwrap();
-    let (status, _) = read_response(&mut reader).unwrap();
-    assert_eq!(status, 200);
+    assert_eq!(read_response(&mut reader).unwrap().status, 200);
 }
 
 /// Structural decoupling proof: with a compute pool of ONE worker, far
@@ -313,7 +280,7 @@ fn connections_beyond_capacity_are_rejected_not_queued() {
             let stream = TcpStream::connect(server.local_addr()).unwrap();
             let mut reader = BufReader::new(&stream);
             (&stream).write_all(HEALTHZ).unwrap();
-            assert_eq!(read_response(&mut reader).unwrap().0, 200);
+            assert_eq!(read_response(&mut reader).unwrap().status, 200);
             stream
         })
         .collect();
@@ -329,7 +296,7 @@ fn connections_beyond_capacity_are_rejected_not_queued() {
     for stream in &keep {
         let mut reader = BufReader::new(stream);
         (&*stream).write_all(HEALTHZ).unwrap();
-        assert_eq!(read_response(&mut reader).unwrap().0, 200);
+        assert_eq!(read_response(&mut reader).unwrap().status, 200);
     }
 }
 
@@ -349,7 +316,7 @@ fn graceful_shutdown_closes_idle_connections_and_joins() {
     let stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(&stream);
     (&stream).write_all(HEALTHZ).unwrap();
-    assert_eq!(read_response(&mut reader).unwrap().0, 200);
+    assert_eq!(read_response(&mut reader).unwrap().status, 200);
 
     let begun = Instant::now();
     server.shutdown();

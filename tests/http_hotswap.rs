@@ -13,7 +13,7 @@
 use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
-use ganc::http::{Frontend, HttpClient, HttpServer, RefitHook, ServerConfig};
+use ganc::http::{wire, Frontend, HttpClient, HttpServer, RefitHook, Response, ServerConfig};
 use ganc::obs::ObsHub;
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::item_avg::ItemAvg;
@@ -62,16 +62,11 @@ fn expected_lists(bundle: ModelBundle, users: u32) -> Vec<Arc<Vec<ItemId>>> {
         .collect()
 }
 
-fn parse_recommend(resp_body: &[u8]) -> (u64, Vec<ItemId>) {
-    let v = tinyjson::from_str(std::str::from_utf8(resp_body).unwrap()).unwrap();
-    let generation = v["generation"].as_u64().unwrap();
-    let items = v["items"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|i| ItemId(i.as_u64().unwrap() as u32))
-        .collect();
-    (generation, items)
+/// A recommend answer, decoded by the product's own decoder.
+fn parse_recommend(resp: &Response) -> (u64, Vec<ItemId>) {
+    let answer = wire::answer_json(resp).unwrap();
+    let (items, generation) = wire::recommend_answer_from(&answer).unwrap();
+    (generation, items.to_vec())
 }
 
 /// Readers over HTTP while an HTTP-triggered refit loop swaps: every
@@ -133,7 +128,7 @@ fn http_swap_stress_has_no_torn_reads() {
                         let resp = client
                             .request("GET", &format!("/v1/recommend/{u}"), None)
                             .unwrap();
-                        let (_, items) = parse_recommend(&resp.body);
+                        let (_, items) = parse_recommend(&resp);
                         let pick = items[(round as usize + k) % N];
                         let body = format!("{{\"user\":{u},\"item\":{},\"rating\":4.0}}", pick.0);
                         let resp = client.request("POST", "/v1/ingest", Some(&body)).unwrap();
@@ -171,7 +166,7 @@ fn http_swap_stress_has_no_torn_reads() {
             readers.push(scope.spawn(move || {
                 let mut client = HttpClient::new(addr);
                 let mut samples: Vec<(u32, u64, Vec<ItemId>)> = Vec::new();
-                let mut batches: Vec<(u64, Vec<Vec<ItemId>>)> = Vec::new();
+                let mut batches: Vec<(u64, Vec<Arc<Vec<ItemId>>>)> = Vec::new();
                 let batch_body = {
                     let ids: Vec<String> = reader_users.iter().map(|u| u.to_string()).collect();
                     format!("{{\"users\":[{}]}}", ids.join(","))
@@ -183,7 +178,7 @@ fn http_swap_stress_has_no_torn_reads() {
                         .request("GET", &format!("/v1/recommend/{u}"), None)
                         .unwrap();
                     assert_eq!(resp.status, 200);
-                    let (generation, items) = parse_recommend(&resp.body);
+                    let (generation, items) = parse_recommend(&resp);
                     samples.push((u, generation, items));
                     sampled.fetch_add(1, Ordering::Relaxed);
                     if k % 5 == 0 {
@@ -191,22 +186,12 @@ fn http_swap_stress_has_no_torn_reads() {
                             .request("POST", "/v1/recommend:batch", Some(&batch_body))
                             .unwrap();
                         assert_eq!(resp.status, 200);
-                        let v =
-                            tinyjson::from_str(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-                        let generation = v["generation"].as_u64().unwrap();
-                        let lists: Vec<Vec<ItemId>> = v["results"]
-                            .as_array()
-                            .unwrap()
-                            .iter()
-                            .map(|slot| {
-                                slot["items"]
-                                    .as_array()
-                                    .unwrap()
-                                    .iter()
-                                    .map(|i| ItemId(i.as_u64().unwrap() as u32))
-                                    .collect()
-                            })
-                            .collect();
+                        let (slots, generation) = wire::batch_answer_from(
+                            &wire::answer_json(&resp).unwrap(),
+                            reader_users.len(),
+                        )
+                        .unwrap();
+                        let lists: Vec<_> = slots.into_iter().map(Result::unwrap).collect();
                         batches.push((generation, lists));
                     }
                     k += 1;
@@ -237,7 +222,7 @@ fn http_swap_stress_has_no_torn_reads() {
                     .unwrap_or_else(|| panic!("batch from unknown generation {generation}"));
                 for (&u, items) in reader_users.iter().zip(lists) {
                     assert_eq!(
-                        items, *gen_lists[u as usize],
+                        items, gen_lists[u as usize],
                         "mixed-generation HTTP batch: user {u} diverges from {generation}"
                     );
                 }
@@ -296,7 +281,7 @@ fn http_ingests_survive_swaps_and_match_from_scratch_fit() {
                     let resp = client
                         .request("GET", &format!("/v1/recommend/{user}"), None)
                         .unwrap();
-                    let (_, items) = parse_recommend(&resp.body);
+                    let (_, items) = parse_recommend(&resp);
                     let item = items[k as usize % N];
                     let rating = 3.0 + (k % 3) as f32;
                     let body = format!(
@@ -330,7 +315,7 @@ fn http_ingests_survive_swaps_and_match_from_scratch_fit() {
         let resp = client
             .request("GET", &format!("/v1/recommend/{u}"), None)
             .unwrap();
-        let (_, items) = parse_recommend(&resp.body);
+        let (_, items) = parse_recommend(&resp);
         assert_eq!(
             items,
             *reference.recommend(UserId(u)).unwrap(),
@@ -385,7 +370,7 @@ fn ingest_and_swap_are_followed_by_a_worker_miss_never_a_stale_inline_hit() {
             .request("GET", &format!("/v1/recommend/{u}"), None)
             .unwrap();
         assert_eq!(resp.status, 200);
-        parse_recommend(&resp.body)
+        parse_recommend(&resp)
     };
 
     let (g0, computed) = ask();

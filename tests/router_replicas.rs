@@ -22,10 +22,10 @@ use ganc::core::coverage::CoverageKind;
 use ganc::core::query::{band_bounds, cut_theta_bands, shard_of};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{ItemId, UserId};
-use ganc::http::testing::{FlakyPeer, GatedPeer, RecordingPeer};
+use ganc::http::testing::{FlakyPeer, GatedPeer, Hooks, Injected, RecordingPeer};
 use ganc::http::{
-    BackendError, CoalescedShard, Frontend, HttpClient, HttpServer, PeerTransport, ReplicaConfig,
-    ReplicaSet, RouterNode, ServerConfig, ShardRoute,
+    BackendError, CoalescedShard, Frontend, HttpClient, HttpServer, IngestEntry, PeerTransport,
+    RemoteShard, ReplicaConfig, ReplicaSet, RouterNode, ServerConfig, ShardRoute,
 };
 use ganc::obs::{Clock, ManualClock};
 use ganc::preference::generalized::GeneralizedConfig;
@@ -35,6 +35,7 @@ use ganc::serve::{
     ServingEngine, ShardConfig, ShardedEngine,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -587,6 +588,84 @@ fn flaky_replica_keyed_ingest_fan_out_is_exactly_once() {
     assert_eq!(e1.wal_stats().unwrap().dedup_hits, 3);
     let _ = std::fs::remove_file(p0);
     let _ = std::fs::remove_file(p1);
+}
+
+/// Hooks that fail the next `k` ingests the way a node does whose WAL
+/// append failed: before the write is applied, with the typed error.
+struct WalFault(AtomicU32);
+
+impl Hooks for WalFault {
+    const NAME: &'static str = "wal-fault";
+
+    fn before_ingest(&self, _batch: Option<&[IngestEntry]>) -> Result<(), BackendError> {
+        match self
+            .0
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+        {
+            Ok(_) => Err(BackendError::Serve(ServeError::Durability)),
+            Err(_) => Ok(()),
+        }
+    }
+}
+
+/// A single-engine peer whose next `failures` ingests fail as [`WalFault`]s.
+fn wal_faulty_peer(failures: u32) -> (Arc<ServingEngine>, Arc<dyn PeerTransport>) {
+    let engine = Arc::new(ServingEngine::new(
+        fixture_bundle().clone(),
+        EngineConfig::default(),
+    ));
+    let inner = Arc::new(Frontend::Single(Arc::clone(&engine)));
+    let hooks = WalFault(AtomicU32::new(failures));
+    (engine, Arc::new(Injected::wrap(inner, hooks)))
+}
+
+/// A failed WAL append is a node fault, not a verdict on the request: a
+/// replica that answers it once and then applies is delivered within the
+/// in-call retry budget (only unknown ids skip the retry), and a remote
+/// caller sees the same typed error whichever endpoint carried it — the
+/// 502 body of `/v1/ingest` on a plain route, a slot of `/v1/ingest:batch`
+/// on a coalesced one.
+#[test]
+fn durability_failures_are_retried_and_decode_alike_on_every_route() {
+    let (engine, peer) = wal_faulty_peer(1);
+    let cfg = ReplicaConfig {
+        ingest_retries: 2,
+        ..ReplicaConfig::default()
+    };
+    let set = ReplicaSet::new(vec![peer], cfg);
+    set.ingest_keyed(Some("wal-0"), UserId(0), ItemId(1), 5.0)
+        .expect("one durability failure is inside the retry budget");
+    assert_eq!(engine.stats().ingested, 1, "applied once, by the retry");
+    // An unknown id is deterministic and still answers without a retry.
+    let unknown = set.ingest_keyed(Some("wal-1"), UserId(0), ItemId(u32::MAX), 5.0);
+    let rejected = BackendError::Serve(ServeError::UnknownItem(ItemId(u32::MAX)));
+    assert_eq!(unknown.unwrap_err(), rejected);
+
+    // Over the wire: the node fronts a router whose one band is the
+    // faulty peer, so its handlers see `Serve(Durability)` from a backend.
+    let (engine, peer) = wal_faulty_peer(2);
+    let theta = Arc::clone(&fixture_bundle().theta);
+    let router = RouterNode::new(theta, Vec::new(), vec![ShardRoute::Remote(peer)]);
+    let server = HttpServer::bind(
+        Frontend::Router(Arc::new(router)),
+        None,
+        ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let connect = || Arc::new(RemoteShard::connect(server.local_addr().to_string()).unwrap());
+    let plain: Arc<dyn PeerTransport> = connect();
+    let coalesced = CoalescedShard::new(connect(), BatchConfig::default());
+    let durability = BackendError::Serve(ServeError::Durability);
+    let over_plain = plain.ingest_keyed(Some("wal-2"), UserId(0), ItemId(1), 5.0);
+    assert_eq!(over_plain.unwrap_err(), durability, "plain route");
+    let over_batch = coalesced.ingest_keyed(Some("wal-3"), UserId(0), ItemId(1), 5.0);
+    assert_eq!(over_batch.unwrap_err(), durability, "coalesced route");
+    assert_eq!(
+        engine.stats().ingested,
+        0,
+        "a failed append applies nothing"
+    );
 }
 
 /// Hedged dispatch composes with [`CoalescedShard`]-wrapped replicas: a
