@@ -23,7 +23,7 @@
 //!
 //! ML-10M and Netflix profiles are **downscaled** (fewer users/items, same
 //! density and skew) to fit a laptop budget; scale factors are documented on
-//! each constructor and in `EXPERIMENTS.md`.
+//! each constructor.
 
 use crate::dataset::{Dataset, DatasetBuilder, RatingScale};
 use crate::sampling::{log_normal, normal, AliasTable};

@@ -1,5 +1,8 @@
 //! Run the full experiment suite (every table and figure) and print one
-//! combined report — the source of EXPERIMENTS.md's measured blocks.
+//! combined report. At `--scale smoke --seed 1` the report, minus its
+//! timing (the `[elapsed …]` suffixes and the last line), is the golden
+//! `tests/golden/experiments_smoke_seed1.txt` that `tests/paper_golden.rs`
+//! and CI assert byte-for-byte — so keep timing out of the section bodies.
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = ganc_eval::parse_cli(&args);

@@ -12,7 +12,8 @@ pub enum Scale {
     /// shapes quickly and by CI-style runs.
     Smoke,
     /// The calibrated Table II scales (ML-10M and Netflix already
-    /// downscaled as documented in DESIGN.md §2).
+    /// downscaled, same density and skew, to fit a laptop budget — the
+    /// factors are on `DatasetProfile::{ml_10m, netflix}`).
     Paper,
 }
 

@@ -16,8 +16,8 @@
 //! | [`table5`] | Table V — RSVD hyper-parameter study | `table5` |
 //! | [`fig7_8`] | Figures 7–8 — test-protocol comparison | `fig7`, `fig8` |
 //!
-//! [`ablation`] adds the design-choice studies DESIGN.md calls out
-//! (ordering, sample size, personalization) under the `ablation` binary.
+//! [`ablation`] adds studies of the design choices OSLG makes (user
+//! ordering, sample size, personalization) under the `ablation` binary.
 //!
 //! The `experiments` binary runs the full suite. Every binary accepts
 //! `--scale smoke|paper` (smoke ≈ 8× downscaled datasets for quick checks)

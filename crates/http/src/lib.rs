@@ -99,7 +99,7 @@ pub mod wire;
 
 pub use client::{HttpClient, RemoteShard};
 pub use http1::{Limits, Request, Response, StatusCode};
-pub use replica::{ProbeHandle, ReplicaConfig, ReplicaSet, ReplicaStats};
+pub use replica::{ReplicaConfig, ReplicaSet, ReplicaStats};
 pub use router::{RouterNode, ShardRoute};
 pub use server::{Frontend, HttpServer, RefitHook, ServerConfig};
 pub use transport::{

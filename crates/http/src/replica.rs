@@ -39,19 +39,11 @@
 use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
-use ganc_obs::{Clock, Counter, ObsHub, SystemClock, TraceData};
+use ganc_obs::{Background, Clock, Counter, ObsHub, SystemClock, TraceData};
 use ganc_serve::{RequestOptions, ServeError};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Wall-clock slice for waits that must observe an injected clock: the
-/// hedge coordinator and the probe loop sleep in slices this long and
-/// re-read the [`Clock`] each wakeup, so a [`ganc_obs::ManualClock`]
-/// advance is noticed within one slice without any test ever sleeping
-/// for a *budget's* worth of wall time.
-const CLOCK_POLL: Duration = Duration::from_millis(1);
 
 /// Tuning for one band's replica group.
 #[derive(Clone, Copy, Debug)]
@@ -412,8 +404,8 @@ impl ReplicaSet {
     /// One hedged attempt: primary first; when the budget elapses without
     /// an answer the call is re-issued to `hedge` and the first `Ok`
     /// wins. Both attempts are accounted, so a hedged pass consumes two
-    /// rotation slots. Waits are condvar waits in [`CLOCK_POLL`] slices
-    /// re-reading the injected clock, never a budget-length wall sleep.
+    /// rotation slots. The budget wait is a condvar wait of
+    /// [`Clock::wall_until`] the deadline, re-reading the injected clock.
     fn hedged_attempt<T: Send + 'static>(
         self: &Arc<Self>,
         primary: usize,
@@ -452,12 +444,13 @@ impl ReplicaSet {
                     }
                 };
             }
-            let now = self.clock.now();
-            if now >= deadline {
+            if self.clock.now() >= deadline {
                 break;
             }
-            let wall = (deadline - now).min(CLOCK_POLL);
-            st = cv.wait_timeout(st, wall).unwrap().0;
+            st = cv
+                .wait_timeout(st, self.clock.wall_until(deadline))
+                .unwrap()
+                .0;
         }
         drop(st);
         // Budget blown: re-issue to the next replica; first answer wins.
@@ -663,50 +656,17 @@ impl ReplicaSet {
     }
 
     /// Run [`ReplicaSet::probe_once`] every
-    /// [`ReplicaConfig::probe_interval`] on a background thread. The
-    /// interval is read through the injected clock in [`CLOCK_POLL`]-ish
-    /// wall slices, so a frozen [`ganc_obs::ManualClock`] keeps the loop
-    /// provably idle in tests. The handle stops and joins the thread on
-    /// drop.
-    pub fn spawn_probe(self: &Arc<Self>) -> ProbeHandle {
-        let stop = Arc::new(AtomicBool::new(false));
+    /// [`ReplicaConfig::probe_interval`] of the injected clock as a
+    /// [`Background`] job, so a frozen [`ganc_obs::ManualClock`] keeps it
+    /// provably idle in tests. The handle stops and joins it on drop.
+    pub fn spawn_probe(self: &Arc<Self>) -> Background {
         let set = Arc::clone(self);
-        let stop_flag = Arc::clone(&stop);
-        let worker = std::thread::spawn(move || {
-            let interval = set.cfg.probe_interval;
-            let slice = (interval / 10).clamp(CLOCK_POLL, Duration::from_millis(20));
-            loop {
-                let deadline = set.clock.now() + interval;
-                while set.clock.now() < deadline {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(slice);
-                }
-                if stop_flag.load(Ordering::SeqCst) {
-                    return;
-                }
-                set.probe_once();
-            }
-        });
-        ProbeHandle {
-            stop,
-            worker: Some(worker),
-        }
-    }
-}
-
-/// Owns one band's background probe loop; stops and joins it on drop.
-pub struct ProbeHandle {
-    stop: Arc<AtomicBool>,
-    worker: Option<JoinHandle<()>>,
-}
-
-impl Drop for ProbeHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
+        let interval = self.cfg.probe_interval;
+        let first = self.clock.now() + interval;
+        Background::spawn(Arc::clone(&self.clock), first, move |_| {
+            set.probe_once();
+            // The pause between passes, counted from the end of this one.
+            set.clock.now() + interval
+        })
     }
 }

@@ -30,14 +30,12 @@
 //! parallel path has already started the rest (read-only calls, so
 //! nothing diverges).
 
-use crate::replica::{
-    ProbeHandle, ReplicaConfig, ReplicaSet, ReplicaStats, BAND_AVAILABILITY_SERIES,
-};
+use crate::replica::{ReplicaConfig, ReplicaSet, ReplicaStats, BAND_AVAILABILITY_SERIES};
 use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_core::query::shard_of;
 use ganc_dataset::{ItemId, UserId};
-use ganc_obs::{Counter, Histogram, ObsHub, WindowFold, WindowStats, WindowWire};
+use ganc_obs::{Background, Counter, Histogram, ObsHub, WindowFold, WindowStats, WindowWire};
 use ganc_serve::{
     DedupWindow, IngestAck, RequestOptions, ServeError, ServingEngine, SlotAnswer, Wal, WalRecord,
 };
@@ -829,7 +827,7 @@ impl RouterNode {
     /// Start one background health-probe loop per replicated band; the
     /// returned handles stop and join the loops on drop. Bands without
     /// replicas need no probe.
-    pub fn spawn_probes(&self) -> Vec<ProbeHandle> {
+    pub fn spawn_probes(&self) -> Vec<Background> {
         self.routes
             .iter()
             .filter_map(|route| route.replicas().map(|set| set.spawn_probe()))

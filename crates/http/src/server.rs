@@ -104,7 +104,9 @@ use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
 use crate::wire::{self, RecommendQuery};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
-use ganc_obs::{Counter, Gauge, Histogram, ObsHub, TraceData, TraceEvent, WindowStats, WindowWire};
+use ganc_obs::{
+    Background, Counter, Gauge, Histogram, ObsHub, TraceData, TraceEvent, WindowStats, WindowWire,
+};
 use ganc_serve::refit::{RefitController, RefitOutcome, Refitter};
 use ganc_serve::{CadenceConfig, FitConfig, RequestOptions, ServingEngine, ShardedEngine};
 use polling::{Event, Poller};
@@ -1200,7 +1202,7 @@ struct App {
     /// Background health-probe loops, one per replicated router band.
     /// Held for the server's lifetime; dropping the last `App` clone stops
     /// and joins them.
-    _probes: Vec<crate::replica::ProbeHandle>,
+    _probes: Vec<Background>,
 }
 
 impl App {

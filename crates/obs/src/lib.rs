@@ -22,7 +22,7 @@ pub mod metrics;
 pub mod trace;
 pub mod window;
 
-pub use clock::{Clock, ManualClock, SystemClock};
+pub use clock::{Background, Clock, ManualClock, SystemClock};
 pub use metrics::{
     bucket_bounds_us, Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS,
 };

@@ -201,16 +201,18 @@ impl RollingWindow {
         }
     }
 
-    /// Record one served top-N list at time `at_us`.
+    /// Record one served top-N list at time `at_us`. The window keeps
+    /// `list` until it expires, so it is taken by value: the caller's
+    /// allocation (made outside any lock) is the only one.
     ///
     /// Timestamps must be non-decreasing (they come from one monotonic
     /// clock seam per engine).
-    pub fn observe(&mut self, at_us: u64, list: &[u32], catalog: &CatalogProfile) {
+    pub fn observe(&mut self, at_us: u64, list: Vec<u32>, catalog: &CatalogProfile) {
         debug_assert_eq!(catalog.n_items(), self.n_items);
         self.expire(at_us);
         let mut novelty = 0u64;
         let mut tail = 0u64;
-        for &item in list {
+        for &item in &list {
             let f = &mut self.freq[item as usize];
             if *f == 0 {
                 self.distinct += 1;
@@ -224,7 +226,7 @@ impl RollingWindow {
         self.items += list.len() as u64;
         self.entries.push_back(Entry {
             at_us,
-            items: list.to_vec(),
+            items: list,
             novelty_microbits: novelty,
             tail_hits: tail,
         });
@@ -417,8 +419,8 @@ mod tests {
     fn observe_accumulates_and_expires_at_exact_boundary() {
         let cat = catalog();
         let mut w = RollingWindow::new(Duration::from_micros(100), 4);
-        w.observe(0, &[0, 2], &cat);
-        w.observe(50, &[1], &cat);
+        w.observe(0, vec![0, 2], &cat);
+        w.observe(50, vec![1], &cat);
         let s = w.stats(99);
         assert_eq!(s.lists, 2);
         assert_eq!(s.items, 3);
@@ -450,8 +452,8 @@ mod tests {
         let cat = catalog();
         let mut a = RollingWindow::new(Duration::from_micros(100), 4);
         let mut b = RollingWindow::new(Duration::from_micros(100), 4);
-        a.observe(0, &[0, 1, 1], &cat);
-        b.observe(5, &[1, 2], &cat);
+        a.observe(0, vec![0, 1, 1], &cat);
+        b.observe(5, vec![1, 2], &cat);
 
         // Dense reference fold.
         let mut dense = WindowFold::new(4);
@@ -477,8 +479,8 @@ mod tests {
         let cat = catalog();
         let mut a = RollingWindow::new(Duration::from_micros(100), 4);
         let mut b = RollingWindow::new(Duration::from_micros(100), 4);
-        a.observe(0, &[0, 1], &cat);
-        b.observe(0, &[1, 2], &cat);
+        a.observe(0, vec![0, 1], &cat);
+        b.observe(0, vec![1, 2], &cat);
         let mut fold = WindowFold::new(4);
         let sa = a.fold_into(10, &mut fold);
         let sb = b.fold_into(10, &mut fold);

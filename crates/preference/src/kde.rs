@@ -5,8 +5,8 @@
 //! uses Silverman's rule of thumb `h = 0.9·min(σ̂, IQR/1.34)·n^{-1/5}`, which
 //! agrees within a bounded constant factor on unimodal data — OSLG only uses
 //! the density to *sample representative preference values*, so the sampled
-//! user sets are statistically indistinguishable (documented substitution,
-//! DESIGN.md §2).
+//! user sets are statistically indistinguishable, and the rule of thumb
+//! needs no iterative solver.
 
 use ganc_dataset::UserId;
 use rand::rngs::StdRng;

@@ -4,8 +4,9 @@
 //! *ranking-loss* latent-factor baseline, distinct from the squared-error
 //! RSVD. RankMF maximizes `σ(p_u·q_i − p_u·q_j)` over sampled pairs of a
 //! rated item `i` and an unrated item `j` (Rendle et al.'s BPR objective) —
-//! like CofiR100 it optimizes list order directly rather than rating values.
-//! The substitution is documented in DESIGN.md §2.
+//! like CofiR100 it optimizes list order directly rather than rating values,
+//! which is the property the paper's comparison uses it for; CoFiRank's
+//! bundle-method solver is not reimplemented here.
 
 use crate::Recommender;
 use ganc_dataset::{Interactions, ItemId, UserId};

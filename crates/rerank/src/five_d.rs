@@ -1,7 +1,8 @@
 //! 5D resource-allocation re-ranking (Ho, Chiang & Hsu, WSDM 2014; §IV-A).
 //!
-//! Reconstructed from the paper's summary (the original is not openly
-//! redistributable; substitution documented in DESIGN.md §2):
+//! Reconstructed from the paper's summary: Ho et al.'s implementation is
+//! not openly redistributable, so this stands in for it — same criteria,
+//! aggregation and variant grid, our own resource-allocation pass:
 //!
 //! 1. **Resource allocation.** Items seed resource proportional to their
 //!    per-rater rating mass; a heat-conduction pass (degree-normalized on

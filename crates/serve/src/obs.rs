@@ -41,6 +41,11 @@ pub(crate) fn catalog_profile(bundle: &ModelBundle) -> CatalogProfile {
     )
 }
 
+/// A served list as the window stores it: the raw item indices, owned.
+fn raw_ids(list: &[ItemId]) -> Vec<u32> {
+    list.iter().map(|i| i.0).collect()
+}
+
 /// The rolling window plus the catalog profile it scores against. The
 /// profile is frozen per bundle generation (rebuilt on hot-swap, *not* on
 /// every ingest — novelty attribution stays stable between fits, exactly
@@ -196,11 +201,13 @@ impl EngineObs {
     }
 
     fn observe_list(&self, at_us: u64, list: &[ItemId]) {
+        // The list's one allocation (the window keeps it until it
+        // expires) happens before the lock: hits record on the event-loop
+        // thread, which must not allocate while holding up `/v1/stats`.
+        let items = raw_ids(list);
         let mut state = self.window.lock().unwrap();
         let WindowState { window, catalog } = &mut *state;
-        // ItemId is a transparent u32 wrapper; map without allocating twice.
-        let items: Vec<u32> = list.iter().map(|i| i.0).collect();
-        window.observe(at_us, &items, catalog);
+        window.observe(at_us, items, catalog);
     }
 
     /// One single-user request served (hit or computed).
@@ -248,20 +255,22 @@ impl EngineObs {
         self.batch_us.observe_us(elapsed);
         self.batch_users_total.add(results.len() as u64);
         let mut errors = 0u64;
+        let lists: Vec<Vec<u32>> = results
+            .iter()
+            .filter_map(|r| match r {
+                Some(Ok(list)) => Some(raw_ids(list)),
+                Some(Err(_)) => {
+                    errors += 1;
+                    None
+                }
+                None => None,
+            })
+            .collect();
         {
             let mut state = self.window.lock().unwrap();
             let WindowState { window, catalog } = &mut *state;
-            let mut items: Vec<u32> = Vec::new();
-            for r in results {
-                match r {
-                    Some(Ok(list)) => {
-                        items.clear();
-                        items.extend(list.iter().map(|i| i.0));
-                        window.observe(now, &items, catalog);
-                    }
-                    Some(Err(_)) => errors += 1,
-                    None => {}
-                }
+            for items in lists {
+                window.observe(now, items, catalog);
             }
         }
         self.error_total.add(errors);

@@ -25,13 +25,14 @@
 //! equivalence `tests/refit_hotswap.rs` pins down, concurrently.
 
 use crate::bundle::{FitConfig, FittedModel, ModelBundle};
+use crate::saveload::SaveLoad;
 use crate::shard::ShardedEngine;
 use ganc_dataset::dataset::Rating;
 use ganc_dataset::{Interactions, ItemId, UserId};
+use ganc_obs::clock::Background;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 // The clock seam moved to `ganc-obs` in the observability PR so metrics,
@@ -73,25 +74,6 @@ pub fn merge_interactions(base: &Interactions, ingested: &[(UserId, ItemId, f32)
     Interactions::from_ratings(base.n_users(), base.n_items(), &ratings)
 }
 
-/// Atomically persist a refitted bundle: write a sibling file, sync it,
-/// `rename` over the target. A crash at any point leaves either the old
-/// artifact or the new one — never a torn envelope (which would strand the
-/// WAL records the following truncation drops).
-fn persist_artifact(bundle: &ModelBundle, path: &std::path::Path) -> std::io::Result<()> {
-    use crate::saveload::SaveLoad;
-    let bytes = bundle
-        .to_bytes()
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
-    let tmp = path.with_extension("ganc.tmp");
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
 /// What one refit pass did.
 #[derive(Debug, Clone)]
 pub enum RefitOutcome {
@@ -126,12 +108,13 @@ impl ShardedEngine {
                 self.obs_refit_swapped(generation);
                 // Durable engines compact the WAL now that the consumed
                 // ingests are inside the installed bundle — but only once
-                // the refitted artifact is safely on disk, so every
-                // acknowledged interaction is always recoverable from
-                // WAL ∪ artifact. With no artifact path configured the
-                // swap exists only in memory and the WAL is the sole
-                // durable copy of the consumed ingests: truncation is
-                // skipped entirely (the log grows until restart) rather
+                // the refitted artifact is safely on disk (`save` is atomic:
+                // a torn envelope would strand the records the truncation
+                // drops), so every acknowledged interaction is always
+                // recoverable from WAL ∪ artifact. With no artifact path
+                // configured the swap exists only in memory and the WAL is
+                // the sole durable copy of the consumed ingests: truncation
+                // is skipped entirely (the log grows until restart) rather
                 // than orphaning acknowledged history behind a crash. A
                 // crash between persist and truncate replays interactions
                 // the artifact already holds; the merge is
@@ -139,7 +122,7 @@ impl ShardedEngine {
                 // the next truncation clears it.
                 if let Some(durable) = self.durable() {
                     if let Some(path) = durable.artifact_path() {
-                        if persist_artifact(&bundle, path).is_ok() {
+                        if SaveLoad::save(bundle.as_ref(), path).is_ok() {
                             // A failed truncation only delays compaction;
                             // the un-truncated records replay harmlessly.
                             let _ = durable.truncate(consumed, generation);
@@ -232,96 +215,58 @@ impl AdaptiveCadence {
     pub fn note_refit(&mut self, now: Duration) {
         self.last_refit = now;
     }
+
+    /// The clock time to ask [`AdaptiveCadence::should_refit`] again, seen
+    /// from `now`: the end of the floor while it gates; past it only ingest
+    /// volume can fire early, and volume is not a clock event, so it is
+    /// polled — in clock time, at a quarter of the floor within
+    /// [100 µs, 20 ms] (also what reaches the ceiling).
+    pub fn next_check(&self, now: Duration) -> Duration {
+        let poll = (self.cfg.min_interval / 4)
+            .clamp(Duration::from_micros(100), Duration::from_millis(20));
+        (self.last_refit + self.cfg.min_interval).max(now + poll)
+    }
 }
 
-/// A background thread that refits a [`ShardedEngine`] and hot-swaps the
-/// result — on a fixed timer ([`RefitController::spawn`]) or adaptively on
-/// ingest volume/staleness ([`RefitController::spawn_adaptive`]). Dropping
-/// the controller stops and joins it.
+/// A [`Background`] job that refits a [`ShardedEngine`] and hot-swaps the
+/// result when an [`AdaptiveCadence`] says so. Dropping the controller
+/// stops and joins it.
 pub struct RefitController {
-    stop: Arc<AtomicBool>,
     refits: Arc<AtomicU64>,
-    worker: Option<JoinHandle<()>>,
+    worker: Background,
 }
 
 impl RefitController {
-    /// Start refitting `engine` every `interval` with `fitter` under `cfg`.
-    /// The interval is the *pause between* passes; each pass itself runs
-    /// snapshot → fit → swap to completion. Unlike the adaptive cadence,
-    /// the timer fires whether or not anything was ingested.
-    pub fn spawn(
-        engine: Arc<ShardedEngine>,
-        fitter: Arc<Refitter>,
-        cfg: FitConfig,
-        interval: Duration,
-    ) -> RefitController {
-        Self::spawn_with(move |stop, refits| {
-            // Sleep in short slices so drop-stop stays responsive even
-            // under long intervals.
-            let slice = interval
-                .min(Duration::from_millis(20))
-                .max(Duration::from_micros(50));
-            let mut slept = Duration::ZERO;
-            while !stop.load(Ordering::Relaxed) {
-                if slept < interval {
-                    std::thread::sleep(slice);
-                    slept += slice;
-                    continue;
-                }
-                slept = Duration::ZERO;
-                engine.refit_once(fitter.as_ref(), &cfg);
-                refits.fetch_add(1, Ordering::Relaxed);
-            }
-        })
-    }
-
-    /// Start an adaptive controller: refit when `cadence` says so, judged
-    /// against `clock` and the engine's pending-ingest count. The worker
-    /// polls its stop flag and the clock in short real-time slices, but
-    /// every *decision* reads only the injected clock, so a [`ManualClock`]
-    /// makes the firing pattern deterministic.
-    pub fn spawn_adaptive<C: Clock>(
+    /// Start an adaptive controller: refit when `cadence_cfg` says so,
+    /// judged against `clock` and the engine's pending-ingest count. Every
+    /// decision and every wait reads only the injected clock, so a
+    /// [`ManualClock`] makes the firing pattern deterministic.
+    pub fn spawn_adaptive(
         engine: Arc<ShardedEngine>,
         fitter: Arc<Refitter>,
         cfg: FitConfig,
         cadence_cfg: CadenceConfig,
-        clock: C,
+        clock: Arc<dyn Clock>,
     ) -> RefitController {
         // Validate on the caller's thread: a bad config must panic here,
-        // not inside the worker (where the panic would be swallowed by the
-        // shutdown join and the controller would just silently never
-        // refit).
-        let mut cadence = AdaptiveCadence::new(cadence_cfg, clock.now());
-        Self::spawn_with(move |stop, refits| {
-            let slice = (cadence_cfg.min_interval / 4)
-                .clamp(Duration::from_micros(100), Duration::from_millis(20));
-            while !stop.load(Ordering::Relaxed) {
-                if cadence.should_refit(clock.now(), engine.pending_ingests()) {
-                    engine.refit_once(fitter.as_ref(), &cfg);
-                    cadence.note_refit(clock.now());
-                    refits.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                std::thread::sleep(slice);
-            }
-        })
-    }
-
-    fn spawn_with(
-        body: impl FnOnce(Arc<AtomicBool>, Arc<AtomicU64>) + Send + 'static,
-    ) -> RefitController {
-        let stop = Arc::new(AtomicBool::new(false));
+        // not inside the worker (where it would only read as `!alive()`).
+        let start = clock.now();
+        let mut cadence = AdaptiveCadence::new(cadence_cfg, start);
+        let first = cadence.next_check(start);
         let refits = Arc::new(AtomicU64::new(0));
-        let worker = {
-            let stop = Arc::clone(&stop);
-            let refits = Arc::clone(&refits);
-            std::thread::spawn(move || body(stop, refits))
-        };
-        RefitController {
-            stop,
-            refits,
-            worker: Some(worker),
-        }
+        let done = Arc::clone(&refits);
+        let step_clock = Arc::clone(&clock);
+        let worker = Background::spawn(clock, first, move |mut now| {
+            if cadence.should_refit(now, engine.pending_ingests()) {
+                engine.refit_once(fitter.as_ref(), &cfg);
+                // The floor counts from the end of the pass, not its start.
+                now = step_clock.now();
+                cadence.note_refit(now);
+                done.fetch_add(1, Ordering::Relaxed);
+            }
+            cadence.next_check(now)
+        });
+        RefitController { refits, worker }
     }
 
     /// Completed refit passes so far.
@@ -334,21 +279,12 @@ impl RefitController {
     /// panic) — surfaced by `/v1/healthz` so a silently dead controller
     /// is visible to operators.
     pub fn alive(&self) -> bool {
-        self.worker.as_ref().is_some_and(|w| !w.is_finished())
+        self.worker.alive()
     }
 
     /// Signal the worker to stop and wait for it to finish.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for RefitController {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.worker.stop();
     }
 }
 
@@ -514,14 +450,26 @@ mod tests {
         let (model, theta) = fitter(&train);
         let bundle = ModelBundle::fit(model, theta, train, &cfg);
         let engine = Arc::new(ShardedEngine::new(bundle, ShardConfig::quantile(2)));
-        let controller = RefitController::spawn(
+        // Every pending ingest is due after 1 ms: the tightest cadence.
+        let every_ms = CadenceConfig {
+            volume_threshold: 1,
+            min_interval: Duration::from_millis(1),
+            max_interval: Duration::from_millis(1),
+        };
+        let controller = RefitController::spawn_adaptive(
             Arc::clone(&engine),
             Arc::clone(&fitter),
             cfg,
-            Duration::from_millis(1),
+            every_ms,
+            Arc::new(SystemClock::new()),
         );
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut item = 0;
         while controller.refits() < 2 && std::time::Instant::now() < deadline {
+            if engine.pending_ingests() == 0 {
+                engine.ingest(UserId(0), ItemId(item), 5.0).unwrap();
+                item += 1;
+            }
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(controller.refits() >= 2, "controller never refitted");
@@ -635,7 +583,7 @@ mod tests {
             Arc::clone(&fitter),
             cfg,
             cadence,
-            Arc::clone(&clock),
+            clock.clone(),
         );
         let wait_for = |target: u64| {
             let deadline = std::time::Instant::now() + Duration::from_secs(10);

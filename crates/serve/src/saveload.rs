@@ -8,7 +8,8 @@
 //! different format generation instead of misinterpreting them.
 
 use std::fmt;
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 /// Leading magic bytes of every artifact written by this crate.
 pub const MAGIC: [u8; 4] = *b"GANC";
@@ -19,6 +20,26 @@ pub const MAGIC: [u8; 4] = *b"GANC";
 /// v2 (this build): coverage snapshots are delta-encoded
 /// (`O(|I| + S·N)` bytes instead of `O(S·|I|)` dense count vectors).
 pub const FORMAT_VERSION: u16 = 2;
+
+/// Replace the file at `path` with `bytes` atomically: write a sibling
+/// `<name>.tmp`, `sync_data` it, `rename` it over `path`. A crash or an
+/// error at any point leaves the old file or the new one, never a torn
+/// one — the only way this crate writes a file a node later loads.
+pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_data()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
 
 /// Why an artifact failed to persist or load.
 #[derive(Debug)]
@@ -74,11 +95,11 @@ pub trait SaveLoad: Sized {
     /// Decode, verifying magic and version.
     fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError>;
 
-    /// Write the artifact to a file.
+    /// Write the artifact to a file, atomically (see [`atomic_write`]).
     fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
         let path = path.as_ref();
         let bytes = self.to_bytes()?;
-        std::fs::write(path, bytes).map_err(|e| PersistError::Io(path.display().to_string(), e))
+        atomic_write(path, &bytes).map_err(|e| PersistError::Io(path.display().to_string(), e))
     }
 
     /// Read an artifact from a file.
@@ -175,5 +196,34 @@ mod tests {
         theta.save(&path).unwrap();
         assert_eq!(Vec::<f64>::load(&path).unwrap(), theta);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn save_replaces_atomically_or_not_at_all() {
+        let dir = std::env::temp_dir().join(format!("ganc_atomic_save_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bundle.shard0.ganc");
+        let sibling = dir.join("bundle.shard0.ganc.tmp");
+        let old: Vec<f64> = vec![1.0, 2.0, 3.0];
+        old.save(&path).unwrap();
+        let old_bytes = std::fs::read(&path).unwrap();
+        let entries = || std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(entries(), 1, "a successful save leaves no sibling behind");
+
+        // The sibling cannot be created (a directory squats on its name):
+        // the save fails and the existing artifact is untouched.
+        std::fs::create_dir(&sibling).unwrap();
+        let err = vec![9.0f64; 64].save(&path).unwrap_err();
+        assert!(matches!(err, PersistError::Io(..)), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), old_bytes);
+        std::fs::remove_dir(&sibling).unwrap();
+
+        // Unblocked, the same save replaces the artifact whole.
+        let new = vec![9.0f64; 64];
+        new.save(&path).unwrap();
+        assert_eq!(Vec::<f64>::load(&path).unwrap(), new);
+        assert_eq!(entries(), 1, "no `*.tmp` survives a successful save");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -28,7 +28,7 @@
 //! clock-driven group commit, or the OS-flush-only default.
 
 use ganc_dataset::{ItemId, UserId};
-use ganc_obs::clock::{Clock, SystemClock};
+use ganc_obs::clock::{Background, Clock, SystemClock};
 use ganc_obs::{Counter, ObsHub, TraceData};
 use std::collections::{HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -435,19 +435,13 @@ impl Wal {
     /// it, `rename` over the live path. A crash at any point leaves either
     /// the old log or the new one — never a torn mix.
     pub fn rewrite(&mut self, records: &[WalRecord]) -> io::Result<()> {
-        let tmp = self.path.with_extension("wal.tmp");
         let mut out = Vec::new();
         out.extend_from_slice(&WAL_MAGIC);
         out.extend_from_slice(&WAL_VERSION.to_le_bytes());
         for rec in records {
             out.extend_from_slice(&encode_record(rec));
         }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
+        crate::saveload::atomic_write(&self.path, &out)?;
         self.file = OpenOptions::new()
             .read(true)
             .append(true)
@@ -573,9 +567,12 @@ pub enum SyncPolicy {
     PerAppend,
     /// Group commit: an append `fdatasync`s only when the last sync is at
     /// least this old (measured on the injected [`Clock`]), so a burst of
-    /// appends shares one device sync. A power cut can lose at most the
-    /// appends acknowledged since the last sync — a bounded window traded
-    /// for near-[`SyncPolicy::Flush`] throughput.
+    /// appends shares one device sync, and a [`Background`] job owned by
+    /// the log syncs what a burst's last appends left behind once the
+    /// interval has passed with no further append. A power cut can lose
+    /// at most the appends acknowledged since the last sync — a window
+    /// one interval long, on an idle node too — traded for
+    /// near-[`SyncPolicy::Flush`] throughput.
     Interval(Duration),
 }
 
@@ -622,6 +619,24 @@ struct DurableInner {
     /// When the log last reached stable storage (clock time), for
     /// [`SyncPolicy::Interval`] group commit.
     last_sync: Duration,
+    /// Records were appended since `last_sync`.
+    dirty: bool,
+    /// Device syncs issued so far ([`WalStats::syncs`]).
+    syncs: u64,
+}
+
+impl DurableInner {
+    /// Group commit: `fdatasync` when something was appended since the
+    /// last sync and that sync is at least `every` old at `now`.
+    fn sync_if_due(&mut self, now: Duration, every: Duration) -> io::Result<()> {
+        if self.dirty && now.saturating_sub(self.last_sync) >= every {
+            self.wal.sync_data()?;
+            self.last_sync = now;
+            self.dirty = false;
+            self.syncs += 1;
+        }
+        Ok(())
+    }
 }
 
 /// WAL metric handles, registered at [`DurableLog::attach_obs`].
@@ -664,7 +679,7 @@ pub struct WalStats {
 /// The WAL + dedup window + counters bundle a durable node threads through
 /// its ingest path. Thread-safe; one per node.
 pub struct DurableLog {
-    inner: Mutex<DurableInner>,
+    inner: Arc<Mutex<DurableInner>>,
     artifact_path: Option<PathBuf>,
     replay: WalReplaySummary,
     sync_policy: SyncPolicy,
@@ -674,8 +689,10 @@ pub struct DurableLog {
     appends: AtomicU64,
     truncations: AtomicU64,
     dedup_hits: AtomicU64,
-    syncs: AtomicU64,
     obs: OnceLock<WalObs>,
+    /// The [`SyncPolicy::Interval`] flusher (no other policy has one);
+    /// stopped and joined when the log drops.
+    _flusher: Option<Background>,
 }
 
 /// The interactions a WAL replay recovered, in log order.
@@ -721,13 +738,37 @@ impl DurableLog {
             }
         }
         let last_sync = clock.now();
+        let inner = Arc::new(Mutex::new(DurableInner {
+            wal,
+            window,
+            pending,
+            last_sync,
+            dirty: false,
+            syncs: 0,
+        }));
+        let flusher = match cfg.sync_policy {
+            SyncPolicy::Interval(every) => {
+                let inner = Arc::clone(&inner);
+                let step = move |now: Duration| {
+                    let mut inner = inner.lock().unwrap();
+                    match inner.sync_if_due(now, every) {
+                        // Appends are waiting on a window still open.
+                        Ok(()) if inner.dirty => inner.last_sync + every,
+                        // Clean — or the sync failed, which is retried
+                        // (an append-side failure reaches its caller).
+                        _ => now + every,
+                    }
+                };
+                Some(Background::spawn(
+                    Arc::clone(&clock),
+                    last_sync + every,
+                    step,
+                ))
+            }
+            SyncPolicy::Flush | SyncPolicy::PerAppend => None,
+        };
         let log = DurableLog {
-            inner: Mutex::new(DurableInner {
-                wal,
-                window,
-                pending,
-                last_sync,
-            }),
+            inner,
             artifact_path: cfg.artifact_path,
             replay,
             sync_policy: cfg.sync_policy,
@@ -735,8 +776,8 @@ impl DurableLog {
             appends: AtomicU64::new(0),
             truncations: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
-            syncs: AtomicU64::new(0),
             obs: OnceLock::new(),
+            _flusher: flusher,
         };
         Ok((log, recovered))
     }
@@ -791,24 +832,18 @@ impl DurableLog {
             key: key.map(str::to_string),
         };
         inner.wal.append(&rec)?;
+        inner.dirty = true;
         // Apply the power-loss policy before the acknowledgement escapes
         // the mutex: under `PerAppend` the ack implies the record is on
-        // stable storage, under `Interval` at most one interval's appends
-        // ride the page cache.
+        // stable storage (an interval of zero, no clock read), under
+        // `Interval` at most one interval's appends ride the page cache.
         match self.sync_policy {
             SyncPolicy::Flush => {}
             SyncPolicy::PerAppend => {
-                inner.wal.sync_data()?;
-                self.syncs.fetch_add(1, Ordering::Relaxed);
+                let at = inner.last_sync;
+                inner.sync_if_due(at, Duration::ZERO)?;
             }
-            SyncPolicy::Interval(every) => {
-                let now = self.clock.now();
-                if now.saturating_sub(inner.last_sync) >= every {
-                    inner.wal.sync_data()?;
-                    inner.last_sync = now;
-                    self.syncs.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            SyncPolicy::Interval(every) => inner.sync_if_due(self.clock.now(), every)?,
         }
         if let Some(k) = key {
             inner.window.observe(k);
@@ -927,7 +962,7 @@ impl DurableLog {
             dedup_keys: inner.window.len(),
             dedup_window: inner.window.cap(),
             dedup_evictions: inner.window.evictions(),
-            syncs: self.syncs.load(Ordering::Relaxed),
+            syncs: inner.syncs,
         }
     }
 }
@@ -1196,6 +1231,39 @@ mod tests {
         clock.advance(Duration::from_millis(1));
         log.append(None, 0, UserId(0), ItemId(8), 3.0).unwrap();
         assert_eq!(log.stats().syncs, 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sync_policy_interval_syncs_an_idle_log_once_the_interval_passes() {
+        use ganc_obs::clock::ManualClock;
+        let path = tmp("sync_idle");
+        let clock = Arc::new(ManualClock::new());
+        let cfg = DurableConfig {
+            sync_policy: SyncPolicy::Interval(Duration::from_millis(10)),
+            ..DurableConfig::new(&path)
+        };
+        let (log, _) = DurableLog::open_with_clock(cfg, clock.clone()).unwrap();
+        let syncs_reach = |n: u64| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while log.stats().syncs < n && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            log.stats().syncs
+        };
+
+        // The last appends of a burst, then silence: no later append will
+        // ever carry their group commit.
+        log.append(None, 0, UserId(0), ItemId(0), 3.0).unwrap();
+        log.append(None, 0, UserId(0), ItemId(1), 3.0).unwrap();
+        assert_eq!(log.stats().syncs, 0, "interval not yet elapsed");
+        clock.advance(Duration::from_millis(11));
+        assert_eq!(syncs_reach(1), 1, "an idle log must still reach the disk");
+
+        // Nothing appended since: later intervals have nothing to sync.
+        clock.advance(Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(log.stats().syncs, 1, "a clean log must not be synced");
         std::fs::remove_file(&path).ok();
     }
 

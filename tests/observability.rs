@@ -208,8 +208,8 @@ proptest! {
 fn rolling_window_expires_exactly_at_boundary() {
     let catalog = CatalogProfile::new(vec![1_000_000; 4], vec![false; 4]);
     let mut window = RollingWindow::new(Duration::from_micros(100), 4);
-    window.observe(0, &[0, 1], &catalog);
-    window.observe(40, &[2], &catalog);
+    window.observe(0, vec![0, 1], &catalog);
+    window.observe(40, vec![2], &catalog);
     assert_eq!(window.stats(0).lists, 2);
     assert_eq!(window.stats(99).lists, 2, "one tick before expiry");
     let at_100 = window.stats(100);
@@ -291,7 +291,7 @@ proptest! {
             at += gap;
             // Clamp list entries so they only reference catalog items.
             let list: Vec<u32> = list.iter().map(|&i| i % n_items as u32).collect();
-            window.observe(at, &list, &catalog);
+            window.observe(at, list.clone(), &catalog);
             arrivals.push((at, list));
         }
         let now = at + query_offset;

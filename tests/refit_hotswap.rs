@@ -19,8 +19,8 @@ use ganc::recommender::item_avg::ItemAvg;
 use ganc::recommender::pop::MostPopular;
 use ganc::serve::refit::{merge_interactions, RefitOutcome, Refitter};
 use ganc::serve::{
-    EngineConfig, FitConfig, FittedModel, ModelBundle, RefitController, ServingEngine, ShardConfig,
-    ShardedEngine,
+    CadenceConfig, EngineConfig, FitConfig, FittedModel, ModelBundle, RefitController,
+    ServingEngine, ShardConfig, ShardedEngine, SystemClock,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -264,11 +264,17 @@ fn controller_swaps_under_load_stay_consistent() {
     let engine = Arc::new(ShardedEngine::new(bundle, ShardConfig::quantile(3)));
     let fitter = item_avg_fitter();
     let cfg = fit_cfg();
-    let mut controller = RefitController::spawn(
+    // Anything pending is refitted after 1 ms: the tightest cadence.
+    let mut controller = RefitController::spawn_adaptive(
         Arc::clone(&engine),
         Arc::clone(&fitter),
         cfg,
-        Duration::from_millis(1),
+        CadenceConfig {
+            volume_threshold: 1,
+            min_interval: Duration::from_millis(1),
+            max_interval: Duration::from_millis(1),
+        },
+        Arc::new(SystemClock::new()),
     );
 
     let sent: Vec<(UserId, ItemId, f32)> = std::thread::scope(|scope| {

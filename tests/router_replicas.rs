@@ -37,7 +37,7 @@ use ganc::serve::{
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const N: usize = 5;
 const BAND_COUNTS: [usize; 3] = [1, 2, 4];
@@ -353,6 +353,42 @@ fn probe_restores_the_ejected_replica_and_rotates_back() {
     let after = h.replicated.recommend_batch_traced(&users);
     let reference = h.reference.recommend_batch_traced(&users);
     assert_equivalent(reference, after, "after restore");
+}
+
+/// The background probe is that same pass on the injected clock: a frozen
+/// clock keeps it idle however much wall time passes, and reaching
+/// `probe_interval` restores the replica with no one calling `probe_once`.
+#[test]
+fn background_probe_restores_when_the_clock_reaches_its_interval() {
+    let cfg = ReplicaConfig {
+        failure_threshold: 1,
+        probe_interval: Duration::from_secs(5),
+        ..ReplicaConfig::default()
+    };
+    let h = Harness::build(1, 2, cfg);
+    h.flaky[0][0].fail_next(1);
+    h.replicated
+        .recommend_batch_traced(&h.straddling_batch())
+        .unwrap();
+    assert_eq!(h.sets[0].stats().healthy, 1, "replica 0 ejected");
+
+    let probe = h.sets[0].spawn_probe();
+    h.clock.advance(Duration::from_secs(4));
+    std::thread::sleep(Duration::from_millis(30));
+    assert_eq!(h.sets[0].stats().restores, 0, "4 s < the 5 s interval");
+
+    h.clock.advance(Duration::from_secs(1));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    // A pass restores first and rotates the primary back last.
+    while h.sets[0].stats().primary != 0 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let restored = h.sets[0].stats();
+    assert_eq!(
+        (restored.restores, restored.healthy, restored.primary),
+        (1, 2, 0)
+    );
+    assert!(probe.alive());
 }
 
 /// Every replica of one band down: both dispatch strategies surface the
