@@ -12,8 +12,8 @@ use crate::accuracy::{AccuracyMode, AccuracyScorer, NormalizedScores, TopNIndica
 use crate::coverage::{CoverageKind, RandCoverage, StatCoverage};
 use crate::oslg::{oslg_topn, OslgConfig, UserOrdering};
 use crate::query::{CoverageProvider, UserQuery};
-use ganc_dataset::{Interactions, ItemId, UserId};
-use ganc_recommender::topn::train_item_mask;
+use ganc_dataset::{Interactions, ItemId};
+use ganc_recommender::topn::{per_user_lists, train_item_mask};
 use ganc_recommender::Recommender;
 
 /// A produced top-N collection: one list per user.
@@ -182,24 +182,12 @@ impl GancBuilder {
         let n_users = train.n_users() as usize;
         assert_eq!(theta.len(), n_users, "one θ per user required");
         let in_train = train_item_mask(train);
-        let mut lists: Vec<Vec<ItemId>> = vec![Vec::new(); n_users];
-        let threads = self.threads.min(n_users.max(1));
-        let chunk = n_users.div_ceil(threads);
-        let n = self.n;
-        std::thread::scope(|scope| {
-            for (t, out_chunk) in lists.chunks_mut(chunk).enumerate() {
-                let in_train = &in_train;
-                scope.spawn(move || {
-                    let mut query = UserQuery::new(arec, train, in_train, n);
-                    let base = t * chunk;
-                    for (off, slot) in out_chunk.iter_mut().enumerate() {
-                        let u = UserId((base + off) as u32);
-                        *slot = query.topn(u, theta[base + off], coverage);
-                    }
-                });
-            }
-        });
-        lists
+        per_user_lists(
+            n_users,
+            self.threads,
+            || UserQuery::new(arec, train, &in_train, self.n),
+            |query, u| Some(query.topn(u, theta[u.idx()], coverage)),
+        )
     }
 }
 
@@ -207,6 +195,7 @@ impl GancBuilder {
 mod tests {
     use super::*;
     use ganc_dataset::synth::DatasetProfile;
+    use ganc_dataset::UserId;
     use ganc_preference::GeneralizedConfig;
     use ganc_recommender::pop::MostPopular;
 

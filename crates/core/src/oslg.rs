@@ -23,7 +23,7 @@ use crate::coverage::{CoverageSnapshots, DynCoverage};
 use crate::query::UserQuery;
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_preference::kde::sample_users_by_kde;
-use ganc_recommender::topn::train_item_mask;
+use ganc_recommender::topn::{per_user_lists, train_item_mask};
 
 /// Processing order of the sequential phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,38 +165,23 @@ pub fn oslg_topn(
     let n_users = train.n_users() as usize;
     let in_train = train_item_mask(train);
     let seed = seed_phase_with_mask(arec, theta, train, cfg, &in_train);
-    let mut lists: Vec<Vec<ItemId>> = vec![Vec::new(); n_users];
-    let mut in_sample = vec![false; n_users];
-    let sample_len = seed.assignments.len();
-    for (u, list) in seed.assignments {
-        in_sample[u.idx()] = true;
-        lists[u.idx()] = list;
-    }
-
     // ---- lines 11-15: parallel phase for users outside the sample ----
-    if sample_len < n_users {
-        let threads = cfg.threads.max(1);
-        let chunk = n_users.div_ceil(threads);
-        let snapshots = &seed.snapshots;
-        let in_sample = &in_sample;
-        let in_train = &in_train;
-        std::thread::scope(|scope| {
-            for (t, out_chunk) in lists.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    let mut query = UserQuery::new(arec, train, in_train, cfg.n);
-                    let base = t * chunk;
-                    for (off, slot) in out_chunk.iter_mut().enumerate() {
-                        let uid = base + off;
-                        if in_sample[uid] {
-                            continue;
-                        }
-                        // line 12: score against the nearest sampled θ's
-                        // snapshot.
-                        *slot = query.topn(UserId(uid as u32), theta[uid], snapshots);
-                    }
-                });
-            }
-        });
+    let mut lists = if seed.assignments.len() < n_users {
+        per_user_lists(
+            n_users,
+            cfg.threads,
+            || UserQuery::new(arec, train, &in_train, cfg.n),
+            // line 12: score against the nearest sampled θ's snapshot.
+            |query, u| {
+                let unassigned = !seed.contains(u);
+                unassigned.then(|| query.topn(u, theta[u.idx()], &seed.snapshots))
+            },
+        )
+    } else {
+        vec![Vec::new(); n_users]
+    };
+    for (u, list) in seed.assignments {
+        lists[u.idx()] = list;
     }
     lists
 }

@@ -11,13 +11,12 @@
 use crate::context::{DataBundle, ExpConfig};
 use crate::models::{train_psvd, train_rankmf, train_rsvd};
 use crate::tables::{f4, TextTable};
-use ganc_dataset::{Interactions, UserId};
-use ganc_metrics::protocol::train_item_mask;
+use ganc_dataset::Interactions;
 use ganc_metrics::{evaluate_topn, RankingProtocol, TopN};
 use ganc_recommender::pop::MostPopular;
 use ganc_recommender::random::RandomRec;
 use ganc_recommender::rsvd::{Rsvd, RsvdConfig};
-use ganc_recommender::topn::select_top_n;
+use ganc_recommender::topn::{per_user_lists, select_top_n, train_item_mask};
 use ganc_recommender::Recommender;
 
 const N: usize = 5;
@@ -33,28 +32,18 @@ pub fn topn_under_protocol(
     n: usize,
     threads: usize,
 ) -> TopN {
-    let n_users = train.n_users() as usize;
     let n_items = train.n_items() as usize;
     let in_train = train_item_mask(train);
-    let mut lists = vec![Vec::new(); n_users];
-    let threads = threads.max(1).min(n_users.max(1));
-    let chunk = n_users.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, out_chunk) in lists.chunks_mut(chunk).enumerate() {
-            let in_train = &in_train;
-            scope.spawn(move || {
-                let mut scores = vec![0.0f64; n_items];
-                let mut cands: Vec<u32> = Vec::new();
-                let base = t * chunk;
-                for (off, slot) in out_chunk.iter_mut().enumerate() {
-                    let u = UserId((base + off) as u32);
-                    rec.score_items(u, &mut scores);
-                    protocol.candidates(train, test, in_train, u, &mut cands);
-                    *slot = select_top_n(&scores, cands.iter().copied(), n);
-                }
-            });
-        }
-    });
+    let lists = per_user_lists(
+        train.n_users() as usize,
+        threads,
+        || (vec![0.0f64; n_items], Vec::<u32>::new()),
+        |(scores, cands), u| {
+            rec.score_items(u, scores);
+            protocol.candidates(train, test, &in_train, u, cands);
+            Some(select_top_n(scores, cands.iter().copied(), n))
+        },
+    );
     TopN::new(n, lists)
 }
 

@@ -15,14 +15,15 @@
 //!    body that is both written and read in this crate, encoder beside
 //!    decoder; its module doc is the protocol reference. The server's
 //!    handlers and [`RemoteShard`]'s methods name no field of their own.
-//! 3. **Server** ([`server`]) — [`HttpServer`]: an event-driven front-end
-//!    (one readiness-polling event loop owning every connection, a small
-//!    compute-only worker pool for handler dispatch), with keep-alive,
-//!    content-length framing, clock-driven idle/slow-loris eviction, and
-//!    graceful drain — connection concurrency is bounded by file
-//!    descriptors, not workers. Fronts a [`Frontend`] (single engine,
-//!    in-process sharded engine, or router), with `POST /admin/refit`
-//!    wired to the background-refit machinery.
+//! 3. **Server** ([`server`], [`app`]) — [`HttpServer`]: an event-driven
+//!    front-end (one readiness-polling event loop owning every connection,
+//!    a small compute-only worker pool for handler dispatch), with
+//!    keep-alive, content-length framing, clock-driven idle/slow-loris
+//!    eviction, and graceful drain — connection concurrency is bounded by
+//!    file descriptors, not workers. [`server`] is that machinery; [`app`]
+//!    is what it answers with: the route table and handlers over a mounted
+//!    [`Frontend`] (single engine, in-process sharded engine, or router),
+//!    with `POST /admin/refit` wired to the background-refit machinery.
 //! 4. **Client** ([`client`], [`router`]) — [`HttpClient`] /
 //!    [`RemoteShard`] / [`RouterNode`]: a router node loads θ + cuts,
 //!    serves some bands from local bundle slices, and dispatches the rest
@@ -30,14 +31,19 @@
 //!    protocol — PR 3's per-node slices become a working multi-node
 //!    deployment. Batch sub-requests fan out to the touched bands in
 //!    parallel (byte-identical to the sequential reference).
-//! 5. **Transport seam** ([`transport`], [`testing`]) — the
-//!    [`PeerTransport`] trait every remote hop goes through:
-//!    [`RemoteShard`] in production, [`CoalescedShard`] to micro-batch
-//!    concurrent singles into one wire call, and deterministic
-//!    fault/latency-injection doubles for the test suites (one wrapper,
-//!    [`testing::Injected`], with before/after hooks). [`Frontend`]
-//!    implements it too, and the server's handlers reach the engines
-//!    through that impl alone.
+//! 5. **Serving seam** ([`transport`], [`testing`]) — the [`PeerTransport`]
+//!    trait is the one serving surface, and every backend type implements
+//!    it itself, once: `ganc_serve::ServingEngine` and
+//!    `ganc_serve::ShardedEngine` (in-process), [`RemoteShard`] (over
+//!    HTTP), [`CoalescedShard`] (micro-batching concurrent singles into one
+//!    wire call), [`RouterNode`], `Arc<`[`ReplicaSet`]`>`, and the
+//!    deterministic fault/latency-injection doubles for the test suites
+//!    (one wrapper, [`testing::Injected`], with before/after hooks). The
+//!    server's handlers and the router's band dispatch both call a
+//!    `&dyn PeerTransport` and never ask which kind is behind it, so any
+//!    node mounts anywhere: an engine as a `Remote` band, a router under a
+//!    router. [`Frontend`] and [`ShardRoute`] name the mounts; their
+//!    variants are matched only for what one kind alone has.
 //! 6. **Availability** ([`replica`]) — [`ReplicaSet`]: per-band replica
 //!    groups with hedged dispatch under a clock-driven latency budget,
 //!    automatic failover behind a consecutive-failure breaker, and a
@@ -47,12 +53,12 @@
 //!
 //! One request shape runs through all of them:
 //! `recommend_with_traced(user, &RequestOptions)` and
-//! `recommend_batch_with_traced(users, &RequestOptions)` are the
-//! implementations on every layer ([`PeerTransport`], [`RouterNode`],
-//! [`ReplicaSet`], `ganc_serve::ShardedEngine`, `ganc_serve::ServingEngine`),
-//! each forwarding the options untouched; `recommend_traced` /
-//! `recommend_batch_traced` are one-line sugar passing default options.
-//! Only two places read the options to choose behaviour:
+//! `recommend_batch_with_traced(users, &RequestOptions)` are what a
+//! [`PeerTransport`] implementor writes, each forwarding the options
+//! untouched (the engines' impls delegate to their inherent methods of the
+//! same names); `recommend_traced` / `recommend_batch_traced` / `ingest`
+//! are the trait's provided one-line sugar passing default options or no
+//! key. Only two places read the options to choose behaviour:
 //! `ServingEngine` (default → user-keyed LRU, override → fresh compute
 //! that never touches the cache) and [`CoalescedShard`] (default singles
 //! coalesce, override singles bypass).
@@ -88,6 +94,7 @@
 //! assert_eq!(resp.status, 200);
 //! ```
 
+pub mod app;
 pub mod client;
 pub mod http1;
 pub mod replica;
@@ -97,11 +104,12 @@ pub mod testing;
 pub mod transport;
 pub mod wire;
 
+pub use app::{Frontend, RefitHook};
 pub use client::{HttpClient, RemoteShard};
 pub use http1::{Limits, Request, Response, StatusCode};
 pub use replica::{ReplicaConfig, ReplicaSet, ReplicaStats};
 pub use router::{RouterNode, ShardRoute};
-pub use server::{Frontend, HttpServer, RefitHook, ServerConfig};
+pub use server::{HttpServer, ServerConfig};
 pub use transport::{
     BatchAnswer, CoalescedShard, IngestBatchAnswer, IngestEntry, PeerTransport, SingleAnswer,
 };

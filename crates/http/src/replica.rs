@@ -4,7 +4,10 @@
 //! PR 3 pinned each θ-band of the trade-off curve to exactly one backend,
 //! so one slow or dead peer stalled or failed every batch touching its
 //! band. A [`ReplicaSet`] widens a band to a small group of
-//! [`PeerTransport`] replicas serving the *same* slice:
+//! [`PeerTransport`] replicas serving the *same* slice — and is one itself
+//! (`impl PeerTransport for Arc<ReplicaSet>`, at the end of this module,
+//! holds its read and ingest entry points), so the router dispatches to a
+//! group exactly as it does to a single peer:
 //!
 //! 1. **Hedged dispatch** — the primary gets the sub-request first; when
 //!    it has not answered within [`ReplicaConfig::hedge_budget`] the
@@ -40,7 +43,7 @@ use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Background, Clock, Counter, ObsHub, SystemClock, TraceData};
-use ganc_serve::{RequestOptions, ServeError};
+use ganc_serve::{IngestAck, RequestOptions, ServeError};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
@@ -143,7 +146,8 @@ struct HedgeSlot<T> {
 
 /// A band's replica group. Construct with [`ReplicaSet::new`] (production
 /// clock) or [`ReplicaSet::with_clock`] (tests), then mount it on the
-/// router via `ShardRoute::Replicas`.
+/// router via `ShardRoute::Replicas`; the `Arc` it comes in is its
+/// [`PeerTransport`].
 pub struct ReplicaSet {
     replicas: Vec<Replica>,
     cfg: ReplicaConfig,
@@ -215,12 +219,6 @@ impl ReplicaSet {
             .iter()
             .filter(|r| r.healthy.load(Ordering::SeqCst))
             .count()
-    }
-
-    /// Stats label: the member peers' labels, primary first marker aside.
-    pub fn label(&self) -> String {
-        let members: Vec<String> = self.replicas.iter().map(|r| r.peer.label()).collect();
-        format!("replicas[{}]", members.join(", "))
     }
 
     /// Point-in-time stats snapshot.
@@ -516,120 +514,6 @@ impl ReplicaSet {
         Err(first_err.expect("rotation is never empty"))
     }
 
-    /// [`ReplicaSet::recommend_with_traced`] at default options.
-    pub fn recommend_traced(self: &Arc<Self>, user: UserId) -> SingleAnswer {
-        self.recommend_with_traced(user, &RequestOptions::default())
-    }
-
-    /// Answer one request from whichever replica wins. The options ride
-    /// inside the dispatch closure, so a hedge or failover replays the
-    /// *same* θ/exclusions/re-ranker on the next replica — an override can
-    /// degrade to an error, never to another request's defaults.
-    pub fn recommend_with_traced(
-        self: &Arc<Self>,
-        user: UserId,
-        opts: &RequestOptions,
-    ) -> SingleAnswer {
-        let opts = opts.clone();
-        self.dispatch(Arc::new(move |peer: &dyn PeerTransport| {
-            peer.recommend_with_traced(user, &opts)
-        }))
-    }
-
-    /// [`ReplicaSet::recommend_batch_with_traced`] at default options.
-    pub fn recommend_batch_traced(self: &Arc<Self>, users: &[UserId]) -> BatchAnswer {
-        self.recommend_batch_with_traced(users, &RequestOptions::default())
-    }
-
-    /// Answer one band sub-batch from whichever replica wins. The whole
-    /// sub-batch is one replica's answer, so it carries exactly one
-    /// generation — a hedge cannot mix generations into a batch.
-    pub fn recommend_batch_with_traced(
-        self: &Arc<Self>,
-        users: &[UserId],
-        opts: &RequestOptions,
-    ) -> BatchAnswer {
-        let users: Arc<Vec<UserId>> = Arc::new(users.to_vec());
-        let opts = opts.clone();
-        self.dispatch(Arc::new(move |peer: &dyn PeerTransport| {
-            peer.recommend_batch_with_traced(&users, &opts)
-        }))
-    }
-
-    /// Fan an ingested interaction to **every** replica (healthy or not —
-    /// an ejected replica that misses ingests would serve stale popularity
-    /// after restore). Equivalent to [`ReplicaSet::ingest_keyed`] with no
-    /// key: each replica still gets [`ReplicaConfig::ingest_retries`]
-    /// attempts, but without a key a retry of an applied-but-unacked
-    /// ingest can double-apply — which is why the router generates keys
-    /// for its fan-out.
-    pub fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        self.ingest_keyed(None, user, item, rating)
-    }
-
-    /// Keyed exactly-once fan-out: every replica gets up to
-    /// [`ReplicaConfig::ingest_retries`] attempts, one replica's failure
-    /// never aborts delivery to the others, and the idempotency key makes
-    /// each retry (and any caller-level resend after an `Err`) a no-op on
-    /// replicas that already applied it. An `Err` (the first failing
-    /// replica's, deterministically) therefore means "at least one replica
-    /// is missing this interaction — resend with the same key", not "the
-    /// replicas are irrecoverably diverged". No breaker accounting: ingest
-    /// delivery is a write-side obligation, not a dispatch health signal.
-    pub fn ingest_keyed(
-        &self,
-        key: Option<&str>,
-        user: UserId,
-        item: ItemId,
-        rating: f32,
-    ) -> Result<(), BackendError> {
-        let mut first_err: Option<BackendError> = None;
-        for r in &self.replicas {
-            let mut last: Option<BackendError> = None;
-            for _ in 0..self.cfg.ingest_retries {
-                match r.peer.ingest_keyed(key, user, item, rating) {
-                    Ok(_) => {
-                        last = None;
-                        break;
-                    }
-                    // An unknown id is deterministic: retrying cannot change
-                    // it. A failed WAL append is a node fault like any
-                    // transport error, and is retried.
-                    Err(
-                        e @ BackendError::Serve(
-                            ServeError::UnknownUser(_) | ServeError::UnknownItem(_),
-                        ),
-                    ) => {
-                        last = Some(e);
-                        break;
-                    }
-                    Err(e) => last = Some(e),
-                }
-            }
-            if let Some(e) = last {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// The group's generation: first replica in rotation order that
-    /// answers. No breaker accounting — this is a read-side health view,
-    /// not a dispatch.
-    pub fn generation(&self) -> Result<u64, BackendError> {
-        let mut last = None;
-        for i in self.rotation() {
-            match self.replicas[i].peer.generation() {
-                Ok(g) => return Ok(g),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.expect("rotation is never empty"))
-    }
-
     /// One probe pass: ask every *ejected* replica for its generation
     /// (`/v1/healthz` over HTTP) and restore responders, then rotate the
     /// primary to the lowest healthy index — so a recovered original
@@ -668,5 +552,116 @@ impl ReplicaSet {
             // The pause between passes, counted from the end of this one.
             set.clock.now() + interval
         })
+    }
+}
+
+/// A replica group is itself a peer, answering what any one of its members
+/// would. The receivers are `&Arc<ReplicaSet>` because a hedged attempt's
+/// detached thread must own a handle on the set. The option-less
+/// `recommend_traced` / `recommend_batch_traced` and the key-less `ingest`
+/// are the trait's provided methods.
+impl PeerTransport for Arc<ReplicaSet> {
+    /// Stats label: the member peers' labels, primary first marker aside.
+    fn label(&self) -> String {
+        let members: Vec<String> = self.replicas.iter().map(|r| r.peer.label()).collect();
+        format!("replicas[{}]", members.join(", "))
+    }
+
+    fn kind(&self) -> &'static str {
+        "replicas"
+    }
+
+    /// Answer one request from whichever replica wins. The options ride
+    /// inside the dispatch closure, so a hedge or failover replays the
+    /// *same* θ/exclusions/re-ranker on the next replica — an override can
+    /// degrade to an error, never to another request's defaults.
+    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
+        let opts = opts.clone();
+        self.dispatch(Arc::new(move |peer: &dyn PeerTransport| {
+            peer.recommend_with_traced(user, &opts)
+        }))
+    }
+
+    /// Answer one band sub-batch from whichever replica wins. The whole
+    /// sub-batch is one replica's answer, so it carries exactly one
+    /// generation — a hedge cannot mix generations into a batch.
+    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
+        let users: Arc<Vec<UserId>> = Arc::new(users.to_vec());
+        let opts = opts.clone();
+        self.dispatch(Arc::new(move |peer: &dyn PeerTransport| {
+            peer.recommend_batch_with_traced(&users, &opts)
+        }))
+    }
+
+    /// Keyed exactly-once fan-out to **every** replica (healthy or not —
+    /// an ejected replica that misses ingests would serve stale popularity
+    /// after restore): each gets up to [`ReplicaConfig::ingest_retries`]
+    /// attempts, one replica's failure never aborts delivery to the
+    /// others, and the idempotency key makes each retry (and any
+    /// caller-level resend after an `Err`) a no-op on replicas that already
+    /// applied it — without a key a retry of an applied-but-unacked ingest
+    /// can double-apply, which is why the router generates keys for its
+    /// fan-out. An `Err` (the first failing replica's, deterministically)
+    /// therefore means "at least one replica is missing this interaction —
+    /// resend with the same key", not "the replicas are irrecoverably
+    /// diverged"; `Ok` is [`IngestAck::Deduplicated`] only when every
+    /// replica had already seen the key. No breaker accounting: ingest
+    /// delivery is a write-side obligation, not a dispatch health signal.
+    fn ingest_keyed(
+        &self,
+        key: Option<&str>,
+        user: UserId,
+        item: ItemId,
+        rating: f32,
+    ) -> Result<IngestAck, BackendError> {
+        let mut first_err: Option<BackendError> = None;
+        let mut ack = IngestAck::Deduplicated;
+        for r in &self.replicas {
+            let mut last: Option<BackendError> = None;
+            for _ in 0..self.cfg.ingest_retries {
+                match r.peer.ingest_keyed(key, user, item, rating) {
+                    Ok(replica_ack) => {
+                        if replica_ack == IngestAck::Applied {
+                            ack = IngestAck::Applied;
+                        }
+                        last = None;
+                        break;
+                    }
+                    // An unknown id is deterministic: retrying cannot change
+                    // it. A failed WAL append is a node fault like any
+                    // transport error, and is retried.
+                    Err(
+                        e @ BackendError::Serve(
+                            ServeError::UnknownUser(_) | ServeError::UnknownItem(_),
+                        ),
+                    ) => {
+                        last = Some(e);
+                        break;
+                    }
+                    Err(e) => last = Some(e),
+                }
+            }
+            if let Some(e) = last {
+                first_err.get_or_insert(e);
+            }
+        }
+        match first_err {
+            None => Ok(ack),
+            Some(e) => Err(e),
+        }
+    }
+
+    /// The group's generation: first replica in rotation order that
+    /// answers. No breaker accounting — this is a read-side health view,
+    /// not a dispatch.
+    fn generation(&self) -> Result<u64, BackendError> {
+        let mut last = None;
+        for i in self.rotation() {
+            match self.replicas[i].peer.generation() {
+                Ok(g) => return Ok(g),
+                Err(e) => last = Some(e),
+            }
+        }
+        Err(last.expect("rotation is never empty"))
     }
 }

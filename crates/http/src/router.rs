@@ -7,6 +7,15 @@
 //! either way, so a band can be moved across nodes without the router's
 //! callers noticing.
 //!
+//! Dispatch never asks which kind a band is: every [`ShardRoute`] is
+//! reached as a `&dyn PeerTransport`, the impl the mounted engine, peer or
+//! replica group carries itself, and the router is one too (its `impl
+//! PeerTransport` below holds its serving entry points) — so an engine
+//! mounts as a `Remote` band and a router under a router. The variants are
+//! matched only for what being *local* decides (the stats label, the inline
+//! cache probe, the fan-out threads, who dedups an ingest), for the obs
+//! attach, and for the replica view.
+//!
 //! Output equivalence: a user's request is answered by the engine holding
 //! their band's slice, and serving from a slice is byte-identical to
 //! serving from the full bundle ([`ganc_serve::ModelBundle::slice_theta_band`]),
@@ -71,46 +80,39 @@ impl ShardRoute {
         ShardRoute::Replicas(ReplicaSet::new(peers, cfg))
     }
 
-    /// Short label for stats: `"local"` for in-process slices, the
-    /// transport's own kind (`"remote"`, `"coalesced"`) for peers,
-    /// `"replicas"` for replica groups.
-    pub(crate) fn kind(&self) -> &'static str {
+    /// The band's backend as the one serving surface every kind shares:
+    /// reads, ingests, generation and the stats probes all go through it.
+    pub(crate) fn peer(&self) -> &dyn PeerTransport {
         match self {
-            ShardRoute::Local(_) => "local",
-            ShardRoute::Remote(r) => r.kind(),
-            ShardRoute::Replicas(_) => "replicas",
+            ShardRoute::Local(engine) => engine.as_ref(),
+            ShardRoute::Remote(peer) => peer.as_ref(),
+            ShardRoute::Replicas(set) => set,
+        }
+    }
+
+    /// Whether the band is mounted as an in-process slice — what decides
+    /// the label it reports under, whether the event loop may probe its
+    /// cache inline, whether a batch touching it needs a fan-out thread,
+    /// and whether the router dedups its ingests itself. An engine mounted
+    /// as `Remote` is a peer like any other and answers `false`.
+    fn is_local(&self) -> bool {
+        matches!(self, ShardRoute::Local(_))
+    }
+
+    /// Short label for stats: `"local"` for in-process slices, the
+    /// transport's own kind (`"remote"`, `"coalesced"`, `"replicas"`) for
+    /// everything mounted as a peer.
+    pub(crate) fn kind(&self) -> &'static str {
+        if self.is_local() {
+            "local"
+        } else {
+            self.peer().kind()
         }
     }
 
     /// Peer address (or double label) for remote routes.
     pub(crate) fn addr(&self) -> Option<String> {
-        match self {
-            ShardRoute::Local(_) => None,
-            ShardRoute::Remote(r) => Some(r.label()),
-            ShardRoute::Replicas(set) => Some(set.label()),
-        }
-    }
-
-    /// Coalescer queue depth, when this route micro-batches.
-    pub(crate) fn pending(&self) -> Option<usize> {
-        match self {
-            ShardRoute::Local(_) => None,
-            ShardRoute::Remote(r) => r.pending_depth(),
-            ShardRoute::Replicas(_) => None,
-        }
-    }
-
-    /// This band's rolling-window summary, when the route can produce
-    /// one: local slices export their own window, remote peers are asked
-    /// over the wire (`GET /v1/window`), replica groups are skipped —
-    /// each replica serves a copy of the same traffic, so folding them
-    /// would multiply-count every served list.
-    pub(crate) fn window_wire(&self) -> Option<WindowWire> {
-        match self {
-            ShardRoute::Local(engine) => engine.window_wire(),
-            ShardRoute::Remote(remote) => remote.window_wire().ok().flatten(),
-            ShardRoute::Replicas(_) => None,
-        }
+        (!self.is_local()).then(|| self.peer().label())
     }
 
     /// The band's replica group, when this route is replicated.
@@ -125,9 +127,9 @@ impl ShardRoute {
     /// as a degenerate group of one healthy replica, so the stats shape
     /// is uniform across route kinds.
     pub(crate) fn replica_view(&self) -> ReplicaStats {
-        match self {
-            ShardRoute::Replicas(set) => set.stats(),
-            _ => ReplicaStats {
+        match self.replicas() {
+            Some(set) => set.stats(),
+            None => ReplicaStats {
                 replicas: 1,
                 healthy: 1,
                 primary: 0,
@@ -136,44 +138,6 @@ impl ShardRoute {
                 ejections: 0,
                 restores: 0,
             },
-        }
-    }
-
-    pub(crate) fn generation(&self) -> Result<u64, BackendError> {
-        match self {
-            ShardRoute::Local(e) => Ok(e.generation()),
-            ShardRoute::Remote(r) => r.generation(),
-            ShardRoute::Replicas(set) => set.generation(),
-        }
-    }
-
-    /// Answer one request on this band.
-    fn recommend(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
-        match self {
-            ShardRoute::Local(engine) => engine
-                .recommend_with_traced(user, opts)
-                .map_err(BackendError::Serve),
-            ShardRoute::Remote(remote) => remote.recommend_with_traced(user, opts),
-            ShardRoute::Replicas(set) => set.recommend_with_traced(user, opts),
-        }
-    }
-
-    /// Answer one band's sub-batch. Remote/replica failures are wrapped
-    /// with the band index so the caller knows *which* shard of the
-    /// deployment is unhealthy.
-    fn recommend_batch(&self, band: usize, sub: &[UserId], opts: &RequestOptions) -> BatchAnswer {
-        let band_err = |e: BackendError| BackendError::Band {
-            band,
-            message: e.to_string(),
-        };
-        match self {
-            ShardRoute::Local(engine) => Ok(engine.recommend_batch_with_traced(sub, opts)),
-            ShardRoute::Remote(remote) => remote
-                .recommend_batch_with_traced(sub, opts)
-                .map_err(band_err),
-            ShardRoute::Replicas(set) => {
-                set.recommend_batch_with_traced(sub, opts).map_err(band_err)
-            }
         }
     }
 }
@@ -438,65 +402,6 @@ impl RouterNode {
         }
     }
 
-    /// [`RouterNode::recommend_with_traced`] at default options.
-    pub fn recommend_traced(&self, user: UserId) -> SingleAnswer {
-        self.recommend_with_traced(user, &RequestOptions::default())
-    }
-
-    /// Answer one request from the band that serves it, local or remote:
-    /// the user's home band, unless `opts` carries a θ override, which
-    /// re-routes to the band *owning that θ* — any band can serve any user
-    /// at any θ, because every slice shares the full train/model/θ state
-    /// ([`ganc_serve::ModelBundle::slice_theta_band`]). Exclusion/rerank-only
-    /// options stay on the home band.
-    pub fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
-        let home = self.route_of(user).map_err(BackendError::Serve)?;
-        let j = opts.theta.map_or(home, |t| shard_of(&self.cuts, t));
-        self.timed(j, || self.routes[j].recommend(user, opts))
-    }
-
-    /// Non-blocking probe for `user`'s cached default-options answer
-    /// ([`PeerTransport::recommend_cached`]): routing is lock-free, and a
-    /// band served by a local slice is probed in place. A hit is a dispatch
-    /// to its band like any other and lands in that band's latency
-    /// histogram; a miss records nothing. Remote and replicated bands
-    /// always answer `None` — reaching them is a wire call, which is a
-    /// worker's job.
-    pub fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
-        let j = self.route_of(user).ok()?;
-        let ShardRoute::Local(engine) = &self.routes[j] else {
-            return None;
-        };
-        let t0 = self.dispatch_clock();
-        let hit = engine.recommend_cached(user)?;
-        self.dispatched(j, t0, false);
-        Some(hit)
-    }
-
-    /// [`RouterNode::recommend_batch_with_traced`] at default options.
-    pub fn recommend_batch_traced(&self, users: &[UserId]) -> BatchAnswer {
-        self.recommend_batch_with_traced(users, &RequestOptions::default())
-    }
-
-    /// Split a batch across bands, dispatch every touched band's sub-batch
-    /// **concurrently** (when at least one touched band is remote — an
-    /// all-local dispatch runs inline, each local engine parallelizing
-    /// internally), and reassemble answers in request order. Users split
-    /// across their home bands; a θ override in `opts` collapses the whole
-    /// batch onto the band owning that θ. Every touched route must report
-    /// the same generation — nodes are refit together in a real rollout,
-    /// and a skewed response here means the caller would silently mix two
-    /// model versions, so skew is a hard error instead. A failed band
-    /// errors the whole batch, tagged with the band index
-    /// ([`BackendError::Band`]).
-    pub fn recommend_batch_with_traced(
-        &self,
-        users: &[UserId],
-        opts: &RequestOptions,
-    ) -> BatchAnswer {
-        self.fold_batch(users, opts, true)
-    }
-
     /// [`RouterNode::recommend_batch_with_traced_sequential`] at default
     /// options.
     pub fn recommend_batch_traced_sequential(&self, users: &[UserId]) -> BatchAnswer {
@@ -542,7 +447,17 @@ impl RouterNode {
             .collect();
         let dispatch = |j: usize, idxs: &[usize]| {
             let sub: Vec<UserId> = idxs.iter().map(|&k| users[k]).collect();
-            self.timed(j, || self.routes[j].recommend_batch(j, &sub, opts))
+            // A failed band says *which* shard of the deployment is
+            // unhealthy.
+            self.timed(j, || {
+                let answer = self.routes[j]
+                    .peer()
+                    .recommend_batch_with_traced(&sub, opts);
+                answer.map_err(|e| BackendError::Band {
+                    band: j,
+                    message: e.to_string(),
+                })
+            })
         };
         // Fan out only where it can pay: more than one touched band, not
         // all of them local — a local engine already spreads its sub-batch
@@ -551,9 +466,7 @@ impl RouterNode {
         // clock: the round-trips run concurrently).
         let fan_out = parallel
             && touched.len() > 1
-            && !touched
-                .iter()
-                .all(|&(j, _)| matches!(self.routes[j], ShardRoute::Local(_)));
+            && !touched.iter().all(|&(j, _)| self.routes[j].is_local());
         // One scoped thread per touched band: the fan-out's wall clock is
         // the slowest band, not the sum. Answers are *collected* here and
         // *folded* below in band order, so error selection and skew
@@ -598,20 +511,12 @@ impl RouterNode {
             Some(g) => g,
             // Nothing dispatched (empty batch / all unknown): any route's
             // generation describes the deployment.
-            None => self.routes[0].generation()?,
+            None => self.routes[0].peer().generation()?,
         };
         Ok((
             results.into_iter().map(|r| r.unwrap()).collect(),
             generation,
         ))
-    }
-
-    /// Fan an ingested interaction to every route: popularity is global
-    /// state each band replica tracks, exactly like
-    /// [`ganc_serve::ShardedEngine`]'s in-process fan-out.
-    /// Sugar for [`RouterNode::ingest_keyed`] with no client key.
-    pub fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), BackendError> {
-        self.ingest_keyed(None, user, item, rating).map(|_| ())
     }
 
     /// The next router-generated fan-out key: construction-time epoch
@@ -658,116 +563,6 @@ impl RouterNode {
         }
     }
 
-    /// Fan an ingested interaction to every route under one idempotency
-    /// key, so the fan-out is safe to retry.
-    ///
-    /// Cross-process fan-out cannot be atomic, so this path is built to
-    /// be *resent*: every route of one call shares one key (the client's,
-    /// or a router-generated one for unkeyed requests), WAL-backed nodes
-    /// dedup that key durably, and a failed route no longer aborts the
-    /// fan-out — every other route still gets the interaction, and the
-    /// first failure is returned. An `Err` therefore means "at least one
-    /// route is missing this interaction — resend with the same key":
-    /// routes that already applied it answer [`IngestAck::Deduplicated`]
-    /// and only the missing ones mutate. Client keys are recorded in a
-    /// bounded in-memory window only after a *fully* successful fan-out,
-    /// so a resend after partial failure repairs instead of no-opping.
-    ///
-    /// Local [`ServingEngine`] slices have no durable log, so the router
-    /// itself dedups their applies: a bounded window of client keys whose
-    /// local applies landed is consulted before any local mutation, so a
-    /// resend after partial fan-out failure repairs the remotes without
-    /// double-bumping local live popularity. The window is in-memory and
-    /// bounded ([`RouterNode::dedup_stats`] surfaces the retention
-    /// contract) — a key evicted or lost to a router restart degrades to
-    /// at-least-once for local *live counters only* (refit state is
-    /// immune — [`ganc_serve::merge_interactions`] is last-rating-wins).
-    pub fn ingest_keyed(
-        &self,
-        key: Option<&str>,
-        user: UserId,
-        item: ItemId,
-        rating: f32,
-    ) -> Result<IngestAck, BackendError> {
-        if user.idx() >= self.theta.len() {
-            return Err(BackendError::Serve(ServeError::UnknownUser(user)));
-        }
-        if let Some(k) = key {
-            // The HTTP front 400s malformed keys before reaching here;
-            // this guards programmatic callers, failing before any route
-            // (local included) mutates — a malformed key would otherwise
-            // be refused by every WAL node and wire client anyway.
-            if let Err(msg) = ganc_serve::validate_key(k) {
-                return Err(BackendError::Transport(format!(
-                    "invalid idempotency key: {msg}"
-                )));
-            }
-            if self.ingest_keys.lock().unwrap().contains(k) {
-                return Ok(IngestAck::Deduplicated);
-            }
-        }
-        let generated;
-        let fan_key = match key {
-            Some(k) => k,
-            None => {
-                generated = self.next_key();
-                generated.as_str()
-            }
-        };
-        let mut first_err: Option<BackendError> = None;
-        // Remote hops first — an unreachable peer is the common failure,
-        // and failing before any local mutation keeps this node clean.
-        for route in &self.routes {
-            let out = match route {
-                ShardRoute::Remote(remote) => remote
-                    .ingest_keyed(Some(fan_key), user, item, rating)
-                    .map(|_| ()),
-                ShardRoute::Replicas(set) => set.ingest_keyed(Some(fan_key), user, item, rating),
-                ShardRoute::Local(_) => Ok(()),
-            };
-            if let Err(e) = out {
-                first_err.get_or_insert(e);
-            }
-        }
-        // Local slices dedup here, not in a WAL: skip them when this
-        // client key's local applies already landed on an earlier
-        // (partially failed) fan-out, so a resend repairs the remotes
-        // without double-bumping local live popularity.
-        let locals_done = key.is_some_and(|k| self.local_keys.lock().unwrap().contains(k));
-        if !locals_done {
-            let mut locals_ok = true;
-            for route in &self.routes {
-                if let ShardRoute::Local(engine) = route {
-                    if let Err(e) = engine.ingest(user, item, rating) {
-                        first_err.get_or_insert(BackendError::Serve(e));
-                        locals_ok = false;
-                    }
-                }
-            }
-            if locals_ok {
-                if let Some(k) = key {
-                    self.local_keys.lock().unwrap().observe(k);
-                    self.persist_key(LOCAL_KEYS_TAG, k);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => {
-                if let Some(k) = key {
-                    self.ingest_keys.lock().unwrap().observe(k);
-                    self.persist_key(INGEST_KEYS_TAG, k);
-                }
-                Ok(IngestAck::Applied)
-            }
-        }
-    }
-
-    /// The deployment's generation (route 0's view).
-    pub fn generation(&self) -> Result<u64, BackendError> {
-        self.routes[0].generation()
-    }
-
     /// Per-band rolling-window summaries and their cross-band union:
     /// local slices export their window in-process, remote bands are
     /// fetched over the wire ([`PeerTransport::window_wire`]), and the
@@ -781,7 +576,7 @@ impl RouterNode {
         let wires: Vec<Option<WindowWire>> = self
             .routes
             .iter()
-            .map(|route| route.window_wire())
+            .map(|route| route.peer().window_wire().ok().flatten())
             .collect();
         let n_items = wires.iter().flatten().map(|w| w.n_items).max().unwrap_or(0);
         let mut fold = WindowFold::new(n_items);
@@ -832,6 +627,167 @@ impl RouterNode {
             .iter()
             .filter_map(|route| route.replicas().map(|set| set.spawn_probe()))
             .collect()
+    }
+}
+
+/// A router is itself a peer: what it answers is what its bands answer, so
+/// it mounts behind a server ([`crate::Frontend::Router`]) or as a band of
+/// another router. The option-less `recommend_traced` /
+/// `recommend_batch_traced` and the key-less `ingest` are the trait's
+/// provided methods.
+impl PeerTransport for RouterNode {
+    fn label(&self) -> String {
+        "in-process:router".to_string()
+    }
+
+    /// Answer one request from the band that serves it, local or remote:
+    /// the user's home band, unless `opts` carries a θ override, which
+    /// re-routes to the band *owning that θ* — any band can serve any user
+    /// at any θ, because every slice shares the full train/model/θ state
+    /// ([`ganc_serve::ModelBundle::slice_theta_band`]). Exclusion/rerank-only
+    /// options stay on the home band.
+    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
+        let home = self.route_of(user).map_err(BackendError::Serve)?;
+        let j = opts.theta.map_or(home, |t| shard_of(&self.cuts, t));
+        self.timed(j, || {
+            self.routes[j].peer().recommend_with_traced(user, opts)
+        })
+    }
+
+    /// Non-blocking probe for `user`'s cached default-options answer:
+    /// routing is lock-free, and a band served by a local slice is probed
+    /// in place. A hit is a dispatch to its band like any other and lands
+    /// in that band's latency histogram; a miss records nothing. Every
+    /// other band answers `None` — reaching it is (or stands for) a wire
+    /// call, which is a worker's job.
+    fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
+        let j = self.route_of(user).ok()?;
+        let route = &self.routes[j];
+        if !route.is_local() {
+            return None;
+        }
+        let t0 = self.dispatch_clock();
+        let hit = route.peer().recommend_cached(user)?;
+        self.dispatched(j, t0, false);
+        Some(hit)
+    }
+
+    /// Split a batch across bands, dispatch every touched band's sub-batch
+    /// **concurrently** (when at least one touched band is remote — an
+    /// all-local dispatch runs inline, each local engine parallelizing
+    /// internally), and reassemble answers in request order. Users split
+    /// across their home bands; a θ override in `opts` collapses the whole
+    /// batch onto the band owning that θ. Every touched route must report
+    /// the same generation — nodes are refit together in a real rollout,
+    /// and a skewed response here means the caller would silently mix two
+    /// model versions, so skew is a hard error instead. A failed band
+    /// errors the whole batch, tagged with the band index
+    /// ([`BackendError::Band`]).
+    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
+        self.fold_batch(users, opts, true)
+    }
+
+    /// Fan an ingested interaction to every route under one idempotency
+    /// key, so the fan-out is safe to retry — popularity is global state
+    /// each band replica tracks, exactly like
+    /// [`ganc_serve::ShardedEngine`]'s in-process fan-out.
+    ///
+    /// Cross-process fan-out cannot be atomic, so this path is built to
+    /// be *resent*: every route of one call shares one key (the client's,
+    /// or a router-generated one for unkeyed requests), WAL-backed nodes
+    /// dedup that key durably, and a failed route no longer aborts the
+    /// fan-out — every other route still gets the interaction, and the
+    /// first failure is returned. An `Err` therefore means "at least one
+    /// route is missing this interaction — resend with the same key":
+    /// routes that already applied it answer [`IngestAck::Deduplicated`]
+    /// and only the missing ones mutate. Client keys are recorded in a
+    /// bounded in-memory window only after a *fully* successful fan-out,
+    /// so a resend after partial failure repairs instead of no-opping.
+    ///
+    /// Local [`ServingEngine`] slices have no durable log, so the router
+    /// itself dedups their applies: a bounded window of client keys whose
+    /// local applies landed is consulted before any local mutation, so a
+    /// resend after partial fan-out failure repairs the remotes without
+    /// double-bumping local live popularity. The window is in-memory and
+    /// bounded ([`RouterNode::dedup_stats`] surfaces the retention
+    /// contract) — a key evicted or lost to a router restart degrades to
+    /// at-least-once for local *live counters only* (refit state is
+    /// immune — [`ganc_serve::merge_interactions`] is last-rating-wins).
+    fn ingest_keyed(
+        &self,
+        key: Option<&str>,
+        user: UserId,
+        item: ItemId,
+        rating: f32,
+    ) -> Result<IngestAck, BackendError> {
+        if user.idx() >= self.theta.len() {
+            return Err(BackendError::Serve(ServeError::UnknownUser(user)));
+        }
+        if let Some(k) = key {
+            // The HTTP front 400s malformed keys before reaching here;
+            // this guards programmatic callers, failing before any route
+            // (local included) mutates — a malformed key would otherwise
+            // be refused by every WAL node and wire client anyway.
+            if let Err(msg) = ganc_serve::validate_key(k) {
+                return Err(BackendError::Transport(format!(
+                    "invalid idempotency key: {msg}"
+                )));
+            }
+            if self.ingest_keys.lock().unwrap().contains(k) {
+                return Ok(IngestAck::Deduplicated);
+            }
+        }
+        let generated;
+        let fan_key = match key {
+            Some(k) => k,
+            None => {
+                generated = self.next_key();
+                generated.as_str()
+            }
+        };
+        let mut first_err: Option<BackendError> = None;
+        // Remote hops first — an unreachable peer is the common failure,
+        // and failing before any local mutation keeps this node clean.
+        for route in self.routes.iter().filter(|r| !r.is_local()) {
+            if let Err(e) = route.peer().ingest_keyed(Some(fan_key), user, item, rating) {
+                first_err.get_or_insert(e);
+            }
+        }
+        // Local slices dedup here, not in a WAL: skip them when this
+        // client key's local applies already landed on an earlier
+        // (partially failed) fan-out, so a resend repairs the remotes
+        // without double-bumping local live popularity.
+        let locals_done = key.is_some_and(|k| self.local_keys.lock().unwrap().contains(k));
+        if !locals_done {
+            let mut locals_ok = true;
+            for route in self.routes.iter().filter(|r| r.is_local()) {
+                if let Err(e) = route.peer().ingest_keyed(None, user, item, rating) {
+                    first_err.get_or_insert(e);
+                    locals_ok = false;
+                }
+            }
+            if locals_ok {
+                if let Some(k) = key {
+                    self.local_keys.lock().unwrap().observe(k);
+                    self.persist_key(LOCAL_KEYS_TAG, k);
+                }
+            }
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => {
+                if let Some(k) = key {
+                    self.ingest_keys.lock().unwrap().observe(k);
+                    self.persist_key(INGEST_KEYS_TAG, k);
+                }
+                Ok(IngestAck::Applied)
+            }
+        }
+    }
+
+    /// The deployment's generation (route 0's view).
+    fn generation(&self) -> Result<u64, BackendError> {
+        self.routes[0].peer().generation()
     }
 }
 

@@ -12,9 +12,9 @@
 //! real network only produces by accident.
 //!
 //! One wrapper, [`Injected`], holds the only [`PeerTransport`] impl: it
-//! forwards every call to an inner `Arc<dyn PeerTransport>` — usually a
-//! [`crate::Frontend`] loopback at the bottom, possibly other doubles in
-//! between (`SlowPeer(LedgerPeer(Frontend))` is the canonical fan-out
+//! forwards every call to an inner `Arc<dyn PeerTransport>` — usually an
+//! in-process `Arc<ServingEngine>` at the bottom, possibly other doubles in
+//! between (`SlowPeer(LedgerPeer(engine))` is the canonical fan-out
 //! harness) — and runs its [`Hooks`] before and after each read and each
 //! ingest. A double is a `Hooks` impl over its state, plus a constructor
 //! and its control methods on the wrapper; a suite that needs a fault none

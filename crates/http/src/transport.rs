@@ -1,12 +1,16 @@
-//! The peer-transport abstraction a [`crate::RouterNode`] dispatches
-//! remote θ-bands through, plus the micro-batching wrapper that coalesces
+//! The one serving surface — [`PeerTransport`] — its impls for the two
+//! in-process engines, and the micro-batching wrapper that coalesces
 //! concurrent singles to one peer into one wire call.
 //!
-//! [`PeerTransport`] is the seam that makes the router's concurrency
-//! testable: production wires [`crate::RemoteShard`] (real HTTP) into it,
-//! while the deterministic fault/latency doubles in [`crate::testing`]
-//! implement the same trait to inject slow, flaky, or reordered peers
-//! without real sockets or sleeps — `tests/router_fanout.rs` and
+//! Every backend type implements the trait itself: the engines here,
+//! [`crate::RemoteShard`] (real HTTP) in [`crate::client`],
+//! [`crate::RouterNode`] and `Arc<`[`crate::ReplicaSet`]`>` beside their
+//! types. The server's handlers and the router's band dispatch call it and
+//! nothing else, so a θ-band answers the same list wherever it is mounted.
+//! It is also the seam that makes the router's concurrency testable: the
+//! deterministic fault/latency doubles in [`crate::testing`] implement the
+//! same trait to inject slow, flaky, or reordered peers without real
+//! sockets or sleeps — `tests/router_fanout.rs` and
 //! `tests/remote_coalescing.rs` prove the parallel fan-out and the
 //! coalescer byte-equivalent to their naive counterparts under that
 //! adversarial timing.
@@ -16,7 +20,7 @@ use ganc_dataset::{ItemId, UserId};
 use ganc_obs::WindowWire;
 use ganc_serve::{
     BatchConfig, BatchSource, Coalescer, EngineBatch, IngestAck, RequestOptions, ServeError,
-    SlotAnswer,
+    ServingEngine, ShardedEngine, SlotAnswer,
 };
 use std::sync::Arc;
 
@@ -47,9 +51,10 @@ pub type BatchAnswer = Result<EngineBatch, BackendError>;
 /// failure.
 pub type IngestBatchAnswer = Result<Vec<Result<IngestAck, ServeError>>, BackendError>;
 
-/// A peer node serving one θ-band slice, reachable by whatever transport:
-/// real HTTP ([`crate::RemoteShard`]), an in-process engine, or an
-/// injection double wrapping either.
+/// A backend that answers recommends and takes ingests, reachable by
+/// whatever transport: real HTTP ([`crate::RemoteShard`]), an in-process
+/// engine, a router or replica group over more of the same, or an injection
+/// double wrapping any of them.
 ///
 /// Every read carries its [`RequestOptions`]: an implementor writes
 /// [`PeerTransport::recommend_with_traced`] and
@@ -144,6 +149,97 @@ pub trait PeerTransport: Send + Sync {
     /// wrappers forward to their inner peer.
     fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
         Ok(None)
+    }
+}
+
+/// A [`ServingEngine`] is its own in-process peer: each method is the
+/// inherent one with [`ServeError`] widened to [`BackendError::Serve`], so
+/// an engine mounts wherever a peer does — behind a server, as a router
+/// band, under the injection doubles in [`crate::testing`] — and fan-out
+/// and coalescing are provable without sockets.
+impl PeerTransport for ServingEngine {
+    fn label(&self) -> String {
+        "in-process:single".to_string()
+    }
+
+    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
+        ServingEngine::recommend_with_traced(self, user, opts).map_err(BackendError::Serve)
+    }
+
+    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
+        Ok(ServingEngine::recommend_batch_with_traced(
+            self, users, opts,
+        ))
+    }
+
+    fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
+        ServingEngine::recommend_cached(self, user)
+    }
+
+    /// A single engine has no durable log — the key is accepted but not
+    /// remembered, so exactly-once there relies on the upstream (router or
+    /// replica set) dedup.
+    fn ingest_keyed(
+        &self,
+        _key: Option<&str>,
+        user: UserId,
+        item: ItemId,
+        rating: f32,
+    ) -> Result<IngestAck, BackendError> {
+        ServingEngine::ingest(self, user, item, rating)
+            .map(|()| IngestAck::Applied)
+            .map_err(BackendError::Serve)
+    }
+
+    fn generation(&self) -> Result<u64, BackendError> {
+        Ok(ServingEngine::generation(self))
+    }
+
+    /// The engine's own window, when observability is attached.
+    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
+        Ok(ServingEngine::window_wire(self))
+    }
+}
+
+/// A [`ShardedEngine`] as an in-process peer, like [`ServingEngine`]'s
+/// impl; a keyed ingest dedups through its WAL window when a durable log
+/// is attached.
+impl PeerTransport for ShardedEngine {
+    fn label(&self) -> String {
+        "in-process:sharded".to_string()
+    }
+
+    fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
+        ShardedEngine::recommend_with_traced(self, user, opts).map_err(BackendError::Serve)
+    }
+
+    fn recommend_batch_with_traced(&self, users: &[UserId], opts: &RequestOptions) -> BatchAnswer {
+        Ok(ShardedEngine::recommend_batch_with_traced(
+            self, users, opts,
+        ))
+    }
+
+    fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
+        ShardedEngine::recommend_cached(self, user)
+    }
+
+    fn ingest_keyed(
+        &self,
+        key: Option<&str>,
+        user: UserId,
+        item: ItemId,
+        rating: f32,
+    ) -> Result<IngestAck, BackendError> {
+        ShardedEngine::ingest_keyed(self, key, user, item, rating).map_err(BackendError::Serve)
+    }
+
+    fn generation(&self) -> Result<u64, BackendError> {
+        Ok(ShardedEngine::generation(self))
+    }
+
+    /// The exact cross-band fold of the band windows.
+    fn window_wire(&self) -> Result<Option<WindowWire>, BackendError> {
+        Ok(ShardedEngine::window_wire(self))
     }
 }
 

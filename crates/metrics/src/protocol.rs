@@ -28,7 +28,7 @@ impl RankingProtocol {
     ///
     /// `in_train` must be the precomputed mask of items with at least one
     /// train rating (`I^R`), reused across users; pass
-    /// [`train_item_mask`]'s output.
+    /// `ganc_recommender::topn::train_item_mask`'s output.
     pub fn candidates(
         &self,
         train: &Interactions,
@@ -69,15 +69,11 @@ impl RankingProtocol {
     }
 }
 
-/// Mask of items that appear in the train set (`I^R`), indexed by item id.
-pub fn train_item_mask(train: &Interactions) -> Vec<bool> {
-    train.item_popularity().iter().map(|&f| f > 0).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ganc_dataset::{DatasetBuilder, ItemId, RatingScale};
+    use ganc_recommender::topn::train_item_mask;
 
     fn fixture() -> (Interactions, Interactions) {
         // items 0..=3; item 3 never rated in train.

@@ -156,8 +156,7 @@ pub fn select_top_n(
 /// Candidate iterator for the paper's main protocol: all train items the
 /// user has not rated (`I^R \ I_u^R`).
 ///
-/// `in_train` is the item mask from `ganc_metrics::protocol::train_item_mask`
-/// (recomputed here to avoid a cyclic dependency).
+/// `in_train` is the item mask from [`train_item_mask`].
 pub fn unseen_train_candidates<'a>(
     train: &'a Interactions,
     in_train: &'a [bool],
@@ -248,39 +247,69 @@ pub fn for_each_candidate_run(
     }
 }
 
-/// Generate top-N lists for every user under the all-unrated protocol,
-/// in parallel across `threads` OS threads.
+/// One list per user, computed in parallel: the `n_users` ids are split
+/// into contiguous ranges across at most `threads` scoped OS threads (at
+/// least one, never more than there are users), each worker builds its
+/// scratch state once with `init` and calls `per_user` for every id in its
+/// range. `None` leaves that user's list empty (OSLG skips the users its
+/// sequential phase already assigned).
 ///
-/// Each thread owns one score buffer and processes a contiguous user range;
-/// results are written into disjoint slices of the output, so no
-/// synchronization is needed beyond the scope join.
+/// Workers write disjoint slices of the output, so no synchronization is
+/// needed beyond the scope join, and because each list depends on its user
+/// alone the result is the same at every thread count. No users, no
+/// threads: the collection is empty.
+pub fn per_user_lists<S>(
+    n_users: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    per_user: impl Fn(&mut S, UserId) -> Option<Vec<ItemId>> + Sync,
+) -> Vec<Vec<ItemId>> {
+    let mut lists: Vec<Vec<ItemId>> = vec![Vec::new(); n_users];
+    if n_users == 0 {
+        return lists;
+    }
+    let chunk = n_users.div_ceil(threads.clamp(1, n_users));
+    std::thread::scope(|scope| {
+        for (t, out_chunk) in lists.chunks_mut(chunk).enumerate() {
+            let (init, per_user) = (&init, &per_user);
+            scope.spawn(move || {
+                let mut scratch = init();
+                for (off, slot) in out_chunk.iter_mut().enumerate() {
+                    let user = UserId((t * chunk + off) as u32);
+                    if let Some(list) = per_user(&mut scratch, user) {
+                        *slot = list;
+                    }
+                }
+            });
+        }
+    });
+    lists
+}
+
+/// Generate top-N lists for every user under the all-unrated protocol,
+/// in parallel across `threads` OS threads ([`per_user_lists`]), one score
+/// buffer per thread.
 pub fn generate_topn_lists(
     rec: &dyn Recommender,
     train: &Interactions,
     n: usize,
     threads: usize,
 ) -> Vec<Vec<ItemId>> {
-    let n_users = train.n_users() as usize;
     let n_items = train.n_items() as usize;
     let in_train = train_item_mask(train);
-    let mut lists: Vec<Vec<ItemId>> = vec![Vec::new(); n_users];
-    let threads = threads.max(1).min(n_users.max(1));
-    let chunk = n_users.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, out_chunk) in lists.chunks_mut(chunk).enumerate() {
-            let in_train = &in_train;
-            scope.spawn(move || {
-                let mut scores = vec![0.0f64; n_items];
-                let base = t * chunk;
-                for (off, slot) in out_chunk.iter_mut().enumerate() {
-                    let u = UserId((base + off) as u32);
-                    rec.score_items(u, &mut scores);
-                    *slot = select_top_n(&scores, unseen_train_candidates(train, in_train, u), n);
-                }
-            });
-        }
-    });
-    lists
+    per_user_lists(
+        train.n_users() as usize,
+        threads,
+        || vec![0.0f64; n_items],
+        |scores, u| {
+            rec.score_items(u, scores);
+            Some(select_top_n(
+                scores,
+                unseen_train_candidates(train, &in_train, u),
+                n,
+            ))
+        },
+    )
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ pub mod pra;
 pub mod rbt;
 
 use ganc_dataset::{Interactions, ItemId, UserId};
-use ganc_recommender::topn::{train_item_mask, unseen_train_candidates};
+use ganc_recommender::topn::{per_user_lists, train_item_mask, unseen_train_candidates};
 use ganc_recommender::Recommender;
 
 /// A post-processor of base-recommender scores for a single user.
@@ -56,30 +56,19 @@ pub fn rerank_all(
     n: usize,
     threads: usize,
 ) -> Vec<Vec<ItemId>> {
-    let n_users = train.n_users() as usize;
     let n_items = train.n_items() as usize;
     let in_train = train_item_mask(train);
-    let mut lists: Vec<Vec<ItemId>> = vec![Vec::new(); n_users];
-    let threads = threads.max(1).min(n_users.max(1));
-    let chunk = n_users.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, out_chunk) in lists.chunks_mut(chunk).enumerate() {
-            let in_train = &in_train;
-            scope.spawn(move || {
-                let mut scores = vec![0.0f64; n_items];
-                let mut cands: Vec<u32> = Vec::with_capacity(n_items);
-                let base_user = t * chunk;
-                for (off, slot) in out_chunk.iter_mut().enumerate() {
-                    let u = UserId((base_user + off) as u32);
-                    base.score_items(u, &mut scores);
-                    cands.clear();
-                    cands.extend(unseen_train_candidates(train, in_train, u));
-                    *slot = reranker.rerank(u, &scores, &cands, n);
-                }
-            });
-        }
-    });
-    lists
+    per_user_lists(
+        train.n_users() as usize,
+        threads,
+        || (vec![0.0f64; n_items], Vec::<u32>::with_capacity(n_items)),
+        |(scores, cands), u| {
+            base.score_items(u, scores);
+            cands.clear();
+            cands.extend(unseen_train_candidates(train, &in_train, u));
+            Some(reranker.rerank(u, scores, cands, n))
+        },
+    )
 }
 
 #[cfg(test)]

@@ -11,12 +11,11 @@
 
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::UserId;
-use ganc::metrics::protocol::train_item_mask;
 use ganc::metrics::{evaluate_topn, EvalContext, RankingProtocol, TopN};
 use ganc::recommender::pop::MostPopular;
 use ganc::recommender::random::RandomRec;
 use ganc::recommender::rsvd::{Rsvd, RsvdConfig};
-use ganc::recommender::topn::select_top_n;
+use ganc::recommender::topn::{select_top_n, train_item_mask};
 use ganc::recommender::Recommender;
 
 const N: usize = 5;

@@ -5,13 +5,16 @@
 use ganc::core::{CoverageKind, GancBuilder};
 use ganc::dataset::dataset::{DatasetBuilder, RatingScale};
 use ganc::dataset::{Interactions, ItemId, UserId};
-use ganc::metrics::{evaluate_topn, EvalContext, TopN};
+use ganc::eval::fig7_8::topn_under_protocol;
+use ganc::metrics::{evaluate_topn, EvalContext, RankingProtocol, TopN};
 use ganc::preference::simple::theta_constant;
 use ganc::preference::tfidf::theta_tfidf;
 use ganc::preference::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::recommender::rsvd::{Rsvd, RsvdConfig};
 use ganc::recommender::topn::generate_topn_lists;
+use ganc::rerank::rbt::{Rbt, RbtCriterion};
+use ganc::rerank::rerank_all;
 
 /// A catalog with exactly one item.
 #[test]
@@ -167,4 +170,30 @@ fn test_only_items_do_not_break_metrics() {
     let m = evaluate_topn(&topn, &ctx);
     assert!((m.strat_recall - 1.0).abs() < 1e-9);
     assert!(m.precision.is_finite());
+}
+
+/// A train set with a catalog but no users (a band that lost every member,
+/// a filter that matched nobody): every per-user generator answers an empty
+/// collection at every thread count instead of dividing zero users among
+/// its workers.
+#[test]
+fn zero_users_yield_empty_collections() {
+    let train = Interactions::from_ratings(0, 5, &[]);
+    let pop = MostPopular::fit(&train);
+    let rbt = Rbt::new(&train, RbtCriterion::Popularity, "Pop");
+    for threads in [1, 2, 8] {
+        assert!(generate_topn_lists(&pop, &train, 3, threads).is_empty());
+        assert!(rerank_all(&rbt, &pop, &train, 3, threads).is_empty());
+        for kind in [CoverageKind::Static, CoverageKind::Dynamic] {
+            let top = GancBuilder::new(3)
+                .coverage(kind)
+                .threads(threads)
+                .build_topn(&pop, &[], &train, 1);
+            assert!(top.lists().is_empty(), "{kind:?} at {threads} threads");
+        }
+        for protocol in [RankingProtocol::AllUnrated, RankingProtocol::RatedTestItems] {
+            let top = topn_under_protocol(&pop, &train, &train, protocol, 3, threads);
+            assert!(top.lists().is_empty());
+        }
+    }
 }

@@ -334,7 +334,7 @@ fn cached_recommends_are_answered_inline_with_identical_bytes_and_counters() {
             EngineConfig::default(),
         ))
     };
-    let peer: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(slice(cuts[0], f64::INFINITY)));
+    let peer: Arc<dyn PeerTransport> = slice(cuts[0], f64::INFINITY);
     let router = Frontend::Router(Arc::new(RouterNode::new(
         Arc::clone(&bundle.theta),
         cuts.clone(),

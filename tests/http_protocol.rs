@@ -498,7 +498,7 @@ fn failed_band_carries_its_index_in_the_error_body() {
     let slice1 = b.slice_theta_band(cuts[0], f64::INFINITY);
     let local = Arc::new(ServingEngine::new(slice0, EngineConfig::default()));
     let remote_engine = Arc::new(ServingEngine::new(slice1, EngineConfig::default()));
-    let flaky = FlakyPeer::new(Arc::new(Frontend::Single(remote_engine)) as Arc<dyn PeerTransport>);
+    let flaky = FlakyPeer::new(remote_engine as Arc<dyn PeerTransport>);
     let router = RouterNode::new(
         Arc::clone(&b.theta),
         cuts,
@@ -574,7 +574,7 @@ fn healthz_reports_degraded_bands_until_a_probe_restores() {
     let mut flaky = Vec::new();
     for _ in 0..2 {
         let engine = Arc::new(ServingEngine::new(slice1.clone(), EngineConfig::default()));
-        let f = FlakyPeer::new(Arc::new(Frontend::Single(engine)) as Arc<dyn PeerTransport>);
+        let f = FlakyPeer::new(engine as Arc<dyn PeerTransport>);
         peers.push(Arc::clone(&f) as Arc<dyn PeerTransport>);
         flaky.push(f);
     }

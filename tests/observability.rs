@@ -606,7 +606,7 @@ fn router_stats_reports_per_band_kind_generation_and_pending() {
         bundle.slice_theta_band(lo1, hi1),
         EngineConfig::default(),
     ));
-    let peer: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(remote_engine));
+    let peer: Arc<dyn PeerTransport> = remote_engine;
     let coalesced = CoalescedShard::new(peer, BatchConfig::default());
     let router = Arc::new(RouterNode::new(
         Arc::clone(&bundle.theta),
@@ -749,7 +749,7 @@ fn router_replica_counters_and_trace_events_move_under_faults() {
         let mut band_flaky = Vec::new();
         for _ in 0..2 {
             let engine = Arc::new(ServingEngine::new(slice.clone(), EngineConfig::default()));
-            let frontend: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(engine));
+            let frontend: Arc<dyn PeerTransport> = engine;
             let flaky_r = FlakyPeer::new(frontend);
             let gate = GatedPeer::new(Arc::clone(&flaky_r) as Arc<dyn PeerTransport>);
             gate.open();

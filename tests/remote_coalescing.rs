@@ -86,7 +86,7 @@ fn await_cond(context: &str, cond: impl Fn() -> bool) {
 #[test]
 fn backlogged_singles_coalesce_into_one_wire_batch() {
     let engine = Arc::new(ServingEngine::new(pop_bundle(), EngineConfig::default()));
-    let frontend: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(Arc::clone(&engine)));
+    let frontend: Arc<dyn PeerTransport> = engine.clone();
     let gated = GatedPeer::new(frontend);
     let recording = RecordingPeer::new(Arc::clone(&gated) as Arc<dyn PeerTransport>);
     let coalesced = CoalescedShard::new(
@@ -336,7 +336,7 @@ fn coalesced_batches_are_never_mixed_generation_under_refit_churn() {
 #[test]
 fn lone_request_flushes_within_the_linger_bound() {
     let engine = Arc::new(ServingEngine::new(pop_bundle(), EngineConfig::default()));
-    let frontend: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(Arc::clone(&engine)));
+    let frontend: Arc<dyn PeerTransport> = engine.clone();
     let recording = RecordingPeer::new(frontend);
     let coalesced = CoalescedShard::new(
         Arc::clone(&recording) as Arc<dyn PeerTransport>,
@@ -363,7 +363,7 @@ fn lone_request_flushes_within_the_linger_bound() {
 #[test]
 fn shutdown_flushes_accepted_requests() {
     let engine = Arc::new(ServingEngine::new(pop_bundle(), EngineConfig::default()));
-    let frontend: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(Arc::clone(&engine)));
+    let frontend: Arc<dyn PeerTransport> = engine.clone();
     let recording = RecordingPeer::new(frontend);
     let coalesced = CoalescedShard::new(
         Arc::clone(&recording) as Arc<dyn PeerTransport>,
@@ -396,7 +396,7 @@ fn shutdown_flushes_accepted_requests() {
 #[test]
 fn requests_after_shutdown_fail_as_transport_errors() {
     let engine = Arc::new(ServingEngine::new(pop_bundle(), EngineConfig::default()));
-    let frontend: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(engine));
+    let frontend: Arc<dyn PeerTransport> = engine;
     let coalesced = CoalescedShard::new(frontend, no_linger());
     assert!(coalesced.recommend_traced(UserId(0)).is_ok());
     coalesced.shutdown();
@@ -418,7 +418,7 @@ fn requests_after_shutdown_fail_as_transport_errors() {
 #[test]
 fn wire_failure_reaches_every_coalesced_caller() {
     let engine = Arc::new(ServingEngine::new(pop_bundle(), EngineConfig::default()));
-    let frontend: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(engine));
+    let frontend: Arc<dyn PeerTransport> = engine;
     let gated = GatedPeer::new(frontend);
     let flaky = FlakyPeer::new(Arc::clone(&gated) as Arc<dyn PeerTransport>);
     let coalesced = CoalescedShard::new(Arc::clone(&flaky) as Arc<dyn PeerTransport>, no_linger());
@@ -454,7 +454,7 @@ fn wire_failure_reaches_every_coalesced_caller() {
 fn unknown_user_stays_a_per_caller_error() {
     let engine = Arc::new(ServingEngine::new(pop_bundle(), EngineConfig::default()));
     let n_users = engine.n_users();
-    let frontend: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(Arc::clone(&engine)));
+    let frontend: Arc<dyn PeerTransport> = engine.clone();
     let gated = GatedPeer::new(frontend);
     let coalesced = CoalescedShard::new(Arc::clone(&gated) as Arc<dyn PeerTransport>, no_linger());
     let bad = UserId(n_users + 9);

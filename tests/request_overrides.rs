@@ -296,9 +296,7 @@ fn default_options_hit_the_owning_engines_cache_at_every_depth() {
     let bundle = skewed_bundle(CoverageKind::Dynamic);
     let u = UserId(1);
     let fresh = || Arc::new(ServingEngine::new(bundle.clone(), EngineConfig::default()));
-    let loopback = |engine: &Arc<ServingEngine>| {
-        Arc::new(Frontend::Single(Arc::clone(engine))) as Arc<dyn PeerTransport>
-    };
+    let loopback = |engine: &Arc<ServingEngine>| Arc::clone(engine) as Arc<dyn PeerTransport>;
     let through_peer = |depth: &str, engine: &ServingEngine, peer: &dyn PeerTransport| {
         check(
             depth,
@@ -544,7 +542,7 @@ fn recording_router(
         let (lo, hi) = band_bounds(&cuts, j);
         let slice = bundle.slice_theta_band(lo, hi);
         let engine = Arc::new(ServingEngine::new(slice, EngineConfig::default()));
-        let frontend: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(engine));
+        let frontend: Arc<dyn PeerTransport> = engine;
         let rec = RecordingPeer::new(frontend);
         routes.push(ShardRoute::Remote(
             Arc::clone(&rec) as Arc<dyn PeerTransport>

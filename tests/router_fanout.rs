@@ -22,14 +22,14 @@ use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{ItemId, UserId};
 use ganc::http::testing::{FlakyPeer, Ledger, LedgerPeer, ReorderGate, ReorderingPeer, SlowPeer};
 use ganc::http::{
-    BackendError, Frontend, HttpClient, HttpServer, PeerTransport, RouterNode, ServerConfig,
-    ShardRoute,
+    BackendError, Frontend, HttpClient, HttpServer, PeerTransport, ReplicaConfig, ReplicaSet,
+    RouterNode, ServerConfig, ShardRoute,
 };
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::serve::{
-    EngineConfig, FitConfig, FittedModel, ModelBundle, RequestOptions, RerankMode, ServeError,
-    ServingEngine, ShardConfig, ShardedEngine,
+    EngineConfig, FitConfig, FittedModel, IngestAck, ModelBundle, RequestOptions, RerankMode,
+    ServeError, ServingEngine, ShardConfig, ShardedEngine,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -81,7 +81,7 @@ impl Harness {
             let (lo, hi) = band_bounds(&cuts, j);
             let slice = bundle.slice_theta_band(lo, hi);
             let engine = Arc::new(ServingEngine::new(slice.clone(), EngineConfig::default()));
-            let frontend: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(Arc::clone(&engine)));
+            let frontend: Arc<dyn PeerTransport> = engine.clone();
             let flaky_j = FlakyPeer::new(frontend);
             let ledgered: Arc<dyn PeerTransport> = Arc::new(LedgerPeer::new(
                 Arc::clone(&flaky_j) as Arc<dyn PeerTransport>,
@@ -245,7 +245,7 @@ fn reordered_band_completion_preserves_order_and_results() {
                 bundle.slice_theta_band(lo, hi),
                 EngineConfig::default(),
             ));
-            let frontend: Arc<dyn PeerTransport> = Arc::new(Frontend::Single(engine));
+            let frontend: Arc<dyn PeerTransport> = engine;
             ShardRoute::remote(ReorderingPeer::new(frontend, Arc::clone(&gate)))
         })
         .collect();
@@ -404,4 +404,197 @@ fn unknown_users_stay_in_slot_under_parallel_dispatch() {
     assert!(slots[0].is_ok());
     assert_eq!(slots[0], slots[2]);
     assert_equivalent(sequential, parallel, "unknown users in-slot");
+}
+
+/// The serving stack's promise, as a table: the same fitted slice answers
+/// the same list, generation, typed rejection and ingest ack however it is
+/// mounted — called directly, as a `dyn PeerTransport`, as a router's
+/// `Local` or `Remote` band, as a one-member replica group, or behind a
+/// router that is itself another router's `Remote` band.
+#[test]
+fn a_mount_does_not_change_an_answer() {
+    let bundle = fixture_bundle();
+    let n_users = bundle.n_users();
+    let engine = || Arc::new(ServingEngine::new(bundle.clone(), EngineConfig::default()));
+    let one_band = |route: ShardRoute| -> Arc<RouterNode> {
+        let theta = Arc::clone(&bundle.theta);
+        Arc::new(RouterNode::new(theta, Vec::new(), vec![route]))
+    };
+    // Every mount over an engine of its own, so each sees the same history.
+    let mounts: Vec<(&str, Arc<dyn PeerTransport>)> = vec![
+        ("engine as dyn PeerTransport", engine()),
+        ("ShardRoute::Local", one_band(ShardRoute::Local(engine()))),
+        ("ShardRoute::Remote", one_band(ShardRoute::Remote(engine()))),
+        (
+            "one-member ReplicaSet",
+            Arc::new(ReplicaSet::new(vec![engine()], ReplicaConfig::default())),
+        ),
+        (
+            "router under a router",
+            one_band(ShardRoute::Remote(one_band(ShardRoute::Remote(engine())))),
+        ),
+    ];
+    let reference = engine();
+
+    let mut excluding = RequestOptions::default();
+    excluding.set_exclude(
+        reference.recommend(UserId(3)).unwrap()[..2]
+            .iter()
+            .map(|i| i.0)
+            .collect(),
+    );
+    let request_shapes = [
+        ("default options", RequestOptions::default()),
+        (
+            "θ override",
+            RequestOptions {
+                theta: Some(0.9),
+                ..RequestOptions::default()
+            },
+        ),
+        ("exclusion", excluding),
+    ];
+    let stranger = UserId(n_users + 3);
+    let batch = [UserId(3), stranger, UserId(0), UserId(3)];
+    let compare_reads = |when: &str| {
+        for (shape, opts) in &request_shapes {
+            for user in [UserId(0), UserId(3), stranger] {
+                let want = reference
+                    .recommend_with_traced(user, opts)
+                    .map_err(BackendError::Serve);
+                for (mount, peer) in &mounts {
+                    let got = peer.recommend_with_traced(user, opts);
+                    assert_eq!(got, want, "{mount}, {shape}, user {}, {when}", user.0);
+                }
+            }
+            let want = reference.recommend_batch_with_traced(&batch, opts);
+            assert_eq!(want.0[1], Err(ServeError::UnknownUser(stranger)));
+            for (mount, peer) in &mounts {
+                let got = peer.recommend_batch_with_traced(&batch, opts);
+                assert_eq!(got, Ok(want.clone()), "{mount}, {shape} batch, {when}");
+            }
+        }
+        for (mount, peer) in &mounts {
+            assert_eq!(peer.generation(), Ok(reference.generation()), "{mount}");
+        }
+    };
+    compare_reads("before any ingest");
+
+    // Ingests: an applied one (keyed and unkeyed) and both typed rejections.
+    let writes = [
+        (Some("mount-0"), UserId(3), ItemId(1)),
+        (None, UserId(0), ItemId(2)),
+        (Some("mount-1"), stranger, ItemId(1)),
+        (Some("mount-2"), UserId(3), ItemId(u32::MAX)),
+    ];
+    for (key, user, item) in writes {
+        let want = reference
+            .ingest(user, item, 5.0)
+            .map(|()| IngestAck::Applied)
+            .map_err(BackendError::Serve);
+        for (mount, peer) in &mounts {
+            let got = peer.ingest_keyed(key, user, item, 5.0);
+            assert_eq!(
+                got, want,
+                "{mount}, ingest by user {} of {}",
+                user.0, item.0
+            );
+        }
+    }
+    assert_eq!(
+        reference.stats().ingested,
+        2,
+        "two of the four writes apply"
+    );
+    compare_reads("after the ingests");
+}
+
+/// What an operator sees of a mount is its *mount*, not the type behind
+/// it: the same in-process engine reports `kind="local"` with no address
+/// as a `Local` band, `kind="remote"` under its label as a `Remote` band
+/// (never probed inline, dispatched like any peer), and `kind="replicas"`
+/// inside a group — in `/v1/stats` and in the router's metric label sets.
+#[test]
+fn the_operator_view_names_the_mount_not_the_type_behind_it() {
+    let bundle = fixture_bundle();
+    let cuts = cut_theta_bands(&bundle.theta, 3);
+    let band_engine = |j: usize| {
+        let (lo, hi) = band_bounds(&cuts, j);
+        let slice = bundle.slice_theta_band(lo, hi);
+        Arc::new(ServingEngine::new(slice, EngineConfig::default()))
+    };
+    let routes = vec![
+        ShardRoute::Local(band_engine(0)),
+        ShardRoute::Remote(band_engine(1)),
+        ShardRoute::replicated(vec![band_engine(2)], ReplicaConfig::default()),
+    ];
+    let router = RouterNode::new(Arc::clone(&bundle.theta), cuts.clone(), routes);
+    let server = HttpServer::bind(
+        Frontend::Router(Arc::new(router)),
+        None,
+        ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = HttpClient::new(server.local_addr().to_string());
+    // Twice each, so the second GET of a `Local` band's user is a cache hit.
+    for user in (0..bundle.n_users()).chain(0..bundle.n_users()) {
+        let path = format!("/v1/recommend/{user}");
+        assert_eq!(client.request("GET", &path, None).unwrap().status, 200);
+    }
+
+    let stats = client.request("GET", "/v1/stats", None).unwrap();
+    let stats = String::from_utf8(stats.body).unwrap();
+    let replica_view = |count_healthy: &str| {
+        format!("\"replicas\":{{{count_healthy},\"primary\":0,\"hedges\":0,\"failovers\":0,\"ejections\":0,\"restores\":0}}")
+    };
+    let one = replica_view("\"count\":1,\"healthy\":1");
+    let shards = format!(
+        "\"shards\":[\
+         {{\"band\":0,\"kind\":\"local\",\"addr\":null,\"generation\":0,\"pending\":null,{one}}},\
+         {{\"band\":1,\"kind\":\"remote\",\"addr\":\"in-process:single\",\"generation\":0,\"pending\":null,{one}}},\
+         {{\"band\":2,\"kind\":\"replicas\",\"addr\":\"replicas[in-process:single]\",\"generation\":0,\"pending\":null,{one}}}]"
+    );
+    assert!(
+        stats.starts_with(&format!(
+            "{{\"backend\":\"router\",\"generation\":0,{shards},"
+        )),
+        "{stats}"
+    );
+
+    let metrics = client.request("GET", "/v1/metrics", None).unwrap();
+    let metrics = String::from_utf8(metrics.body).unwrap();
+    let mounts = ["local", "remote", "replicas"];
+    for (band, kind) in mounts.into_iter().enumerate() {
+        let labels = format!("{{band=\"{band}\",kind=\"{kind}\"}}");
+        for series in [
+            "ganc_router_band_dispatch_us_count",
+            "ganc_router_band_errors_total",
+            "ganc_router_band_hedges_total",
+            "ganc_router_band_failovers_total",
+            "ganc_router_band_ejections_total",
+            "ganc_router_band_restores_total",
+        ] {
+            let line = format!("{series}{labels} ");
+            assert!(metrics.contains(&line), "missing {line}");
+        }
+    }
+    // Only the `Local` band's repeats were answered on the loop thread.
+    let in_band_0 = |&&t: &&f64| shard_of(&cuts, t) == 0;
+    let inline = bundle.theta.iter().filter(in_band_0).count();
+    assert!(inline > 0, "the fixture leaves band 0 empty");
+    let inline_line = format!("ganc_http_inline_total {inline}\n");
+    assert!(metrics.contains(&inline_line), "want {inline_line}");
+    let mislabelled = metrics
+        .lines()
+        .filter(|l| l.starts_with("ganc_router_band_"))
+        .filter(|l| {
+            // Bucket lines carry a third label, `le`, after these two.
+            let named = |(band, kind): (usize, &str)| {
+                l.contains(&format!("band=\"{band}\",kind=\"{kind}\""))
+            };
+            !mounts.into_iter().enumerate().any(named)
+        })
+        .count();
+    assert_eq!(mislabelled, 0, "a band series under another mount's labels");
 }

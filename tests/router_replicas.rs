@@ -108,8 +108,7 @@ impl Harness {
             let mut band_engines = Vec::new();
             for _ in 0..replicas {
                 let engine = Arc::new(ServingEngine::new(slice.clone(), EngineConfig::default()));
-                let frontend: Arc<dyn PeerTransport> =
-                    Arc::new(Frontend::Single(Arc::clone(&engine)));
+                let frontend: Arc<dyn PeerTransport> = engine.clone();
                 let flaky_r = FlakyPeer::new(frontend);
                 let gate = GatedPeer::new(Arc::clone(&flaky_r) as Arc<dyn PeerTransport>);
                 gate.open();
@@ -563,8 +562,7 @@ fn durable_replica(tag: &str) -> (Arc<ShardedEngine>, Arc<FlakyPeer>, std::path:
     ));
     let _ = std::fs::remove_file(&path);
     engine.attach_durable(DurableConfig::new(&path)).unwrap();
-    let flaky =
-        FlakyPeer::new(Arc::new(Frontend::Sharded(Arc::clone(&engine))) as Arc<dyn PeerTransport>);
+    let flaky = FlakyPeer::new(Arc::clone(&engine) as Arc<dyn PeerTransport>);
     (engine, flaky, path)
 }
 
@@ -650,7 +648,7 @@ fn wal_faulty_peer(failures: u32) -> (Arc<ServingEngine>, Arc<dyn PeerTransport>
         fixture_bundle().clone(),
         EngineConfig::default(),
     ));
-    let inner = Arc::new(Frontend::Single(Arc::clone(&engine)));
+    let inner = Arc::clone(&engine);
     let hooks = WalFault(AtomicU32::new(failures));
     (engine, Arc::new(Injected::wrap(inner, hooks)))
 }
@@ -713,7 +711,7 @@ fn durability_failures_are_retried_and_decode_alike_on_every_route() {
 fn coalesced_replicas_hedge_byte_identically_under_a_parked_primary() {
     let bundle = fixture_bundle();
     let oracle_engine = Arc::new(ServingEngine::new(bundle.clone(), EngineConfig::default()));
-    let oracle = Frontend::Single(Arc::clone(&oracle_engine));
+    let oracle: Arc<dyn PeerTransport> = oracle_engine.clone();
 
     let mut peers: Vec<Arc<dyn PeerTransport>> = Vec::new();
     let mut gates = Vec::new();
@@ -721,9 +719,7 @@ fn coalesced_replicas_hedge_byte_identically_under_a_parked_primary() {
     let mut engines = Vec::new();
     for _ in 0..2 {
         let engine = Arc::new(ServingEngine::new(bundle.clone(), EngineConfig::default()));
-        let gate = GatedPeer::new(
-            Arc::new(Frontend::Single(Arc::clone(&engine))) as Arc<dyn PeerTransport>
-        );
+        let gate = GatedPeer::new(Arc::clone(&engine) as Arc<dyn PeerTransport>);
         gate.open();
         let recorder = RecordingPeer::new(Arc::clone(&gate) as Arc<dyn PeerTransport>);
         peers.push(Arc::new(CoalescedShard::new(

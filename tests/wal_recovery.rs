@@ -503,9 +503,7 @@ fn resent_keyed_ingest_after_partial_fanout_bumps_locals_once() {
         bundle.slice_theta_band(lo1, hi1),
         EngineConfig::default(),
     ));
-    let flaky = FlakyPeer::new(
-        Arc::new(Frontend::Single(Arc::clone(&remote_engine))) as Arc<dyn PeerTransport>
-    );
+    let flaky = FlakyPeer::new(Arc::clone(&remote_engine) as Arc<dyn PeerTransport>);
     let router = Arc::new(RouterNode::new(
         Arc::clone(&bundle.theta),
         cuts,
@@ -578,9 +576,7 @@ fn router_restart_remembers_consumed_keys_mid_repair() {
         bundle.slice_theta_band(lo1, hi1),
         EngineConfig::default(),
     ));
-    let flaky = FlakyPeer::new(
-        Arc::new(Frontend::Single(Arc::clone(&remote_engine))) as Arc<dyn PeerTransport>
-    );
+    let flaky = FlakyPeer::new(Arc::clone(&remote_engine) as Arc<dyn PeerTransport>);
     let routes = || {
         vec![
             ShardRoute::Local(Arc::clone(&local)),
