@@ -39,10 +39,13 @@ use crate::router::RouterNode;
 use crate::server::{write_some, CachedAnswer, Completion, Job, ServerConfig};
 use crate::transport::PeerTransport;
 use crate::wire::{self, RecommendQuery};
+use crate::BackendError;
 use ganc_dataset::UserId;
 use ganc_obs::{Background, Counter, Histogram, ObsHub, TraceData, TraceEvent, WindowStats};
 use ganc_serve::refit::{RefitController, RefitOutcome, Refitter};
-use ganc_serve::{CadenceConfig, FitConfig, RequestOptions, ServingEngine, ShardedEngine};
+use ganc_serve::{
+    CadenceConfig, EngineStats, FitConfig, RequestOptions, ServingEngine, ShardInfo, ShardedEngine,
+};
 use std::io;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -588,141 +591,138 @@ impl App {
         }
     }
 
+    /// `/v1/stats`: the mount's own view, then its rolling windows, which
+    /// every mount answers as per-band stats plus their union and which
+    /// render one way — `null` when no band reports.
     fn stats(&self) -> (u16, Value) {
-        // The two in-process kinds answer one shape; a single engine is a
-        // sharded one with no bands to list.
-        let (backend, generation, n, s, shards, window) = match &self.frontend {
-            Frontend::Single(e) => {
-                let (shards, window) = (Vec::new(), e.window_stats().map(|w| (Vec::new(), w)));
-                ("single", e.generation(), e.n(), e.stats(), shards, window)
-            }
-            Frontend::Sharded(e) => {
-                let (shards, window) = (e.shard_info(), e.window_stats());
-                ("sharded", e.generation(), e.n(), e.stats(), shards, window)
-            }
-            Frontend::Router(r) => return self.router_stats(r),
-        };
-        let shards: Vec<Value> = shards
-            .into_iter()
-            .map(|i| {
-                obj! {
-                    // ±∞ band edges encode as null (JSON has no Inf).
-                    "theta_lo" => i.theta_lo,
-                    "theta_hi" => i.theta_hi,
-                    "users" => i.users,
-                    "snapshots" => i.snapshots,
-                    "coverage_bytes" => i.coverage_bytes,
-                }
-            })
-            .collect();
-        let total = s.cache_hits + s.cache_misses;
-        let hit_rate = if total == 0 {
-            0.0
-        } else {
-            s.cache_hits as f64 / total as f64
-        };
-        let window = window
-            .map(|(bands, aggregate)| {
-                self.window_obj(aggregate, bands.into_iter().map(window_value).collect())
-            })
-            .unwrap_or(Value::Null);
-        (
-            StatusCode::OK,
-            obj! {
-                "backend" => backend,
-                "generation" => generation,
-                "n" => n,
-                "cache" => obj! {
-                    "hits" => s.cache_hits,
-                    "misses" => s.cache_misses,
-                    "hit_rate" => hit_rate,
-                    "cached" => s.cached,
-                },
-                "ingested" => s.ingested,
-                "shards" => Value::Array(shards),
-                "window" => window,
+        let (mut body, (bands, aggregate)) = match &self.frontend {
+            // A single engine is a sharded one with no bands to list.
+            Frontend::Single(e) => (
+                engine_stats("single", e.generation(), e.n(), e.stats(), Vec::new()),
+                (Vec::new(), e.window_stats()),
+            ),
+            Frontend::Sharded(e) => (
+                engine_stats("sharded", e.generation(), e.n(), e.stats(), e.shard_info()),
+                e.window_stats(),
+            ),
+            Frontend::Router(r) => match router_stats(r) {
+                Ok(stats) => stats,
+                Err(e) => return wire::error_reply(e),
             },
-        )
-    }
-
-    /// The `window` object of `/v1/stats`.
-    fn window_obj(&self, aggregate: WindowStats, bands: Vec<Value>) -> Value {
-        obj! {
-            "seconds" => self.cfg.stats_window.as_secs_f64(),
-            "aggregate" => window_value(aggregate),
-            "bands" => Value::Array(bands),
-        }
-    }
-
-    /// `/v1/stats` for a router.
-    fn router_stats(&self, r: &RouterNode) -> (u16, Value) {
-        // Per-band deployment view: band index, route kind
-        // (local / remote / coalesced), peer address, the band's
-        // *own* generation (null when the peer is unreachable —
-        // exactly the band an operator should look at), and the
-        // coalescer queue depth where one exists.
-        let shards: Vec<Value> = r
-            .routes()
-            .iter()
-            .enumerate()
-            .map(|(band, route)| {
-                let peer = route.peer();
-                let addr = route.addr().map(Value::from).unwrap_or(Value::Null);
-                let generation = peer.generation().map(Value::from).unwrap_or(Value::Null);
-                let pending = peer.pending_depth().map(Value::from).unwrap_or(Value::Null);
-                // Replica view is uniform across route kinds: a
-                // single-backend band reports as a degenerate
-                // group of one healthy replica with pinned-zero
-                // availability counters.
-                let rs = route.replica_view();
-                obj! {
-                    "band" => band,
-                    "kind" => route.kind(),
-                    "addr" => addr,
-                    "generation" => generation,
-                    "pending" => pending,
-                    "replicas" => obj! {
-                        "count" => rs.replicas,
-                        "healthy" => rs.healthy,
-                        "primary" => rs.primary,
-                        "hedges" => rs.hedges,
-                        "failovers" => rs.failovers,
-                        "ejections" => rs.ejections,
-                        "restores" => rs.restores,
-                    },
-                }
-            })
-            .collect();
-        // Rolling windows across the deployment: local bands fold
-        // in-process, remote bands over the wire (`GET
-        // /v1/window`), the aggregate is the exact union. A band
-        // that can't report (unreachable peer, replica group)
-        // holds null without hiding the others.
-        let (bands, aggregate) = r.window_stats();
-        let window = aggregate
-            .map(|agg| {
-                self.window_obj(
-                    agg,
+        };
+        let window = aggregate.map(|aggregate| {
+            obj! {
+                "seconds" => self.cfg.stats_window.as_secs_f64(),
+                "aggregate" => window_value(aggregate),
+                "bands" => Value::Array(
                     bands
                         .into_iter()
                         .map(|b| b.map(window_value).unwrap_or(Value::Null))
                         .collect(),
-                )
-            })
-            .unwrap_or(Value::Null);
-        match r.generation() {
-            Ok(g) => (
-                StatusCode::OK,
-                obj! {
-                    "backend" => "router",
-                    "generation" => g,
-                    "shards" => Value::Array(shards),
-                    "window" => window,
-                },
-            ),
-            Err(e) => wire::error_reply(e),
-        }
+                ),
+            }
+        });
+        body.insert("window", window.unwrap_or(Value::Null));
+        (StatusCode::OK, body)
     }
+}
+
+/// Per-band windows and their union, as every mount reports them.
+type Windows = (Vec<Option<WindowStats>>, Option<WindowStats>);
+
+/// `/v1/stats` for an in-process engine, single or sharded, bar the window.
+fn engine_stats(
+    backend: &str,
+    generation: u64,
+    n: usize,
+    s: EngineStats,
+    shards: Vec<ShardInfo>,
+) -> Value {
+    let shards: Vec<Value> = shards
+        .into_iter()
+        .map(|i| {
+            obj! {
+                // ±∞ band edges encode as null (JSON has no Inf).
+                "theta_lo" => i.theta_lo,
+                "theta_hi" => i.theta_hi,
+                "users" => i.users,
+                "snapshots" => i.snapshots,
+                "coverage_bytes" => i.coverage_bytes,
+            }
+        })
+        .collect();
+    let total = s.cache_hits + s.cache_misses;
+    let hit_rate = if total == 0 {
+        0.0
+    } else {
+        s.cache_hits as f64 / total as f64
+    };
+    obj! {
+        "backend" => backend,
+        "generation" => generation,
+        "n" => n,
+        "cache" => obj! {
+            "hits" => s.cache_hits,
+            "misses" => s.cache_misses,
+            "hit_rate" => hit_rate,
+            "cached" => s.cached,
+        },
+        "ingested" => s.ingested,
+        "shards" => Value::Array(shards),
+    }
+}
+
+/// `/v1/stats` for a router, bar the window, and its band windows.
+fn router_stats(r: &RouterNode) -> Result<(Value, Windows), BackendError> {
+    // Per-band deployment view: band index, route kind
+    // (local / remote / coalesced), peer address, the band's
+    // *own* generation (null when the peer is unreachable —
+    // exactly the band an operator should look at), and the
+    // coalescer queue depth where one exists.
+    let shards: Vec<Value> = r
+        .routes()
+        .iter()
+        .enumerate()
+        .map(|(band, route)| {
+            let peer = route.peer();
+            let addr = route.addr().map(Value::from).unwrap_or(Value::Null);
+            let generation = peer.generation().map(Value::from).unwrap_or(Value::Null);
+            let pending = peer.pending_depth().map(Value::from).unwrap_or(Value::Null);
+            // Replica view is uniform across route kinds: a
+            // single-backend band reports as a degenerate
+            // group of one healthy replica with pinned-zero
+            // availability counters.
+            let rs = route.replica_view();
+            obj! {
+                "band" => band,
+                "kind" => route.kind(),
+                "addr" => addr,
+                "generation" => generation,
+                "pending" => pending,
+                "replicas" => obj! {
+                    "count" => rs.replicas,
+                    "healthy" => rs.healthy,
+                    "primary" => rs.primary,
+                    "hedges" => rs.hedges,
+                    "failovers" => rs.failovers,
+                    "ejections" => rs.ejections,
+                    "restores" => rs.restores,
+                },
+            }
+        })
+        .collect();
+    // Rolling windows across the deployment: local bands fold
+    // in-process, remote bands over the wire (`GET
+    // /v1/window`), the aggregate is the exact union. A band
+    // that can't report (unreachable peer, replica group)
+    // holds null without hiding the others.
+    let windows = r.window_stats();
+    let body = obj! {
+        "backend" => "router",
+        "generation" => r.generation()?,
+        "shards" => Value::Array(shards),
+    };
+    Ok((body, windows))
 }
 
 /// Rolling-window stats as a JSON object (shared by every backend arm).

@@ -29,8 +29,11 @@
 //!    serves some bands from local bundle slices, and dispatches the rest
 //!    to peer nodes serving `bundle.shardK.ganc` artifacts over the same
 //!    protocol — PR 3's per-node slices become a working multi-node
-//!    deployment. Batch sub-requests fan out to the touched bands in
-//!    parallel (byte-identical to the sequential reference).
+//!    deployment. Placement, the batch split and the cross-band fold are
+//!    `ganc_serve::band`'s, the same an in-process `ShardedEngine` runs;
+//!    sub-batches go out in parallel only when a touched band is not
+//!    local (byte-identical to the sequential reference), and band windows
+//!    meet in the one `ganc_obs::WindowWire::union` `/v1/stats` renders.
 //! 5. **Serving seam** ([`transport`], [`testing`]) — the [`PeerTransport`]
 //!    trait is the one serving surface, and every backend type implements
 //!    it itself, once: `ganc_serve::ServingEngine` and

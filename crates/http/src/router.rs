@@ -23,30 +23,32 @@
 //! in-process [`ganc_serve::ShardedEngine`] produces — which
 //! `tests/http_equivalence.rs` asserts across a real two-node topology.
 //!
-//! Batch dispatch is **parallel**: every touched band's sub-batch goes out
-//! concurrently (scoped threads, one per touched band, skipped when all
-//! touched bands are local engines that already parallelize internally),
-//! so a batch's wall clock is the *slowest* band's round-trip instead of
-//! the sum — the win that matters once bands live on remote nodes.
-//! Responses are reassembled
-//! in request order and the per-band results are folded **in band order**,
-//! so ordering, error selection, and the generation-skew check are
+//! Placement and the batch fan-out are [`ganc_serve::band`]'s, the same an
+//! in-process [`ganc_serve::ShardedEngine`] runs: one [`BandMap`] built
+//! from `theta` and the cuts places every user, and [`band_batch`] splits a
+//! batch, dispatches each touched band and folds the answers **in band
+//! order**. A batch touching a band that is not `Local` goes out on one
+//! scoped thread per touched band, so its wall clock is the *slowest*
+//! band's round-trip instead of the sum — the win that matters once bands
+//! live on remote nodes; an all-local batch runs its bands in sequence,
+//! each local engine already spreading its sub-batch over its own workers.
+//! Ordering, error selection, and the generation-skew check are therefore
 //! byte-for-byte identical to the sequential reference
-//! ([`RouterNode::recommend_batch_with_traced_sequential`]), which
-//! `tests/router_fanout.rs` proves under injected slow/flaky/reordered
-//! peers. The one observable difference is side effects on the wire: the
-//! sequential path stops dispatching at the first failed band, the
-//! parallel path has already started the rest (read-only calls, so
-//! nothing diverges).
+//! ([`RouterNode::recommend_batch_with_traced_sequential`], the same fold
+//! with every band treated as in-process), which `tests/router_fanout.rs`
+//! proves under injected slow/flaky/reordered peers. The one observable
+//! difference is side effects on the wire: the sequential path stops
+//! dispatching at the first failed band, the parallel path has already
+//! started the rest (read-only calls, so nothing diverges).
 
 use crate::replica::{ReplicaConfig, ReplicaSet, ReplicaStats, BAND_AVAILABILITY_SERIES};
 use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
-use ganc_core::query::shard_of;
 use ganc_dataset::{ItemId, UserId};
-use ganc_obs::{Background, Counter, Histogram, ObsHub, WindowFold, WindowStats, WindowWire};
+use ganc_obs::{Background, Counter, Histogram, ObsHub, WindowStats, WindowWire};
 use ganc_serve::{
-    DedupWindow, IngestAck, RequestOptions, ServeError, ServingEngine, SlotAnswer, Wal, WalRecord,
+    band_batch, BandFault, BandMap, DedupWindow, IngestAck, RequestOptions, ServingEngine, Wal,
+    WalRecord,
 };
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
@@ -205,10 +207,9 @@ const LOCAL_KEYS_TAG: u64 = 1;
 
 /// Routes each user's request to the engine serving their θ band.
 pub struct RouterNode {
-    /// Per-user θ (the full population — routing needs every user).
-    theta: Arc<Vec<f64>>,
-    /// Ascending cut points; `cuts.len() + 1` bands.
-    cuts: Vec<f64>,
+    /// Where every user of the full population is served; one route per
+    /// band.
+    map: BandMap,
     routes: Vec<ShardRoute>,
     obs: OnceLock<RouterObs>,
     /// Client-supplied idempotency keys whose fan-out fully succeeded:
@@ -250,16 +251,13 @@ pub struct RouterNode {
 impl RouterNode {
     /// Build a router over `cuts.len() + 1` routes. `theta` must be the
     /// full bundle's per-user vector (every route's slice carries it, so
-    /// any node can stand up a router without extra state).
+    /// any node can stand up a router without extra state); the router
+    /// places every user once, here, and keeps only the placement.
     pub fn new(theta: Arc<Vec<f64>>, cuts: Vec<f64>, routes: Vec<ShardRoute>) -> RouterNode {
         assert_eq!(
             routes.len(),
             cuts.len() + 1,
             "k cuts require k+1 shard routes"
-        );
-        assert!(
-            cuts.windows(2).all(|w| w[0] <= w[1]),
-            "cuts must be ascending"
         );
         let key_epoch = SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -272,8 +270,7 @@ impl RouterNode {
             h.finish()
         };
         RouterNode {
-            theta,
-            cuts,
+            map: BandMap::new(&theta, cuts),
             routes,
             obs: OnceLock::new(),
             ingest_keys: Mutex::new(DedupWindow::new(ROUTER_DEDUP_WINDOW)),
@@ -388,18 +385,11 @@ impl RouterNode {
 
     /// Users this router can place.
     pub fn n_users(&self) -> u32 {
-        self.theta.len() as u32
+        self.map.n_users()
     }
 
     pub(crate) fn routes(&self) -> &[ShardRoute] {
         &self.routes
-    }
-
-    fn route_of(&self, user: UserId) -> Result<usize, ServeError> {
-        match self.theta.get(user.idx()) {
-            Some(&t) => Ok(shard_of(&self.cuts, t)),
-            None => Err(ServeError::UnknownUser(user)),
-        }
     }
 
     /// [`RouterNode::recommend_batch_with_traced_sequential`] at default
@@ -423,100 +413,31 @@ impl RouterNode {
         self.fold_batch(users, opts, false)
     }
 
-    /// The one batch fold behind both dispatch strategies; `parallel`
-    /// only chooses *when* each touched band is dispatched, never how its
-    /// answer is folded.
+    /// The one batch fold behind both dispatch strategies ([`band_batch`]);
+    /// `parallel` only decides whether a non-`Local` band counts as
+    /// in-process — whether a fan-out thread may be spawned — never how an
+    /// answer is folded. A failed band says *which* shard of the deployment
+    /// is unhealthy.
     fn fold_batch(&self, users: &[UserId], opts: &RequestOptions, parallel: bool) -> BatchAnswer {
-        // Route every user: per-request errors land in their slot (even
-        // under a θ override — it changes *where* a user is served, never
-        // *whether* they exist), placeable users are grouped per route in
-        // request order.
-        let theta_band = opts.theta.map(|t| shard_of(&self.cuts, t));
-        let mut results: Vec<Option<SlotAnswer>> = vec![None; users.len()];
-        let mut per_route: Vec<Vec<usize>> = vec![Vec::new(); self.routes.len()];
-        for (k, &u) in users.iter().enumerate() {
-            match self.route_of(u) {
-                Ok(home) => per_route[theta_band.unwrap_or(home)].push(k),
-                Err(e) => results[k] = Some(Err(e)),
-            }
-        }
-        let touched: Vec<(usize, &Vec<usize>)> = per_route
-            .iter()
-            .enumerate()
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .collect();
-        let dispatch = |j: usize, idxs: &[usize]| {
-            let sub: Vec<UserId> = idxs.iter().map(|&k| users[k]).collect();
-            // A failed band says *which* shard of the deployment is
-            // unhealthy.
+        let in_process = |j: usize| !parallel || self.routes[j].is_local();
+        let dispatch = |j: usize, sub: &[UserId]| {
             self.timed(j, || {
-                let answer = self.routes[j]
-                    .peer()
-                    .recommend_batch_with_traced(&sub, opts);
-                answer.map_err(|e| BackendError::Band {
-                    band: j,
-                    message: e.to_string(),
-                })
+                self.routes[j].peer().recommend_batch_with_traced(sub, opts)
             })
         };
-        // Fan out only where it can pay: more than one touched band, not
-        // all of them local — a local engine already spreads its sub-batch
-        // across its own worker pool, so extra threads here would only add
-        // spawn/join churn (remote hops are where the overlap buys wall
-        // clock: the round-trips run concurrently).
-        let fan_out = parallel
-            && touched.len() > 1
-            && !touched.iter().all(|&(j, _)| self.routes[j].is_local());
-        // One scoped thread per touched band: the fan-out's wall clock is
-        // the slowest band, not the sum. Answers are *collected* here and
-        // *folded* below in band order, so error selection and skew
-        // detection replay the sequential path exactly.
-        let mut fanned = fan_out.then(|| {
-            let dispatch = &dispatch;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = touched
-                    .iter()
-                    .map(|&(j, idxs)| scope.spawn(move || dispatch(j, idxs)))
-                    .collect();
-                let joined: Vec<BatchAnswer> = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("band dispatch worker panicked"))
-                    .collect();
-                joined.into_iter()
-            })
-        });
-        // The first dispatched band (in band order) pins the generation,
-        // every later one must match it.
-        let mut generation: Option<u64> = None;
-        for &(j, idxs) in &touched {
-            let answer = match &mut fanned {
-                Some(answers) => answers.next().expect("one answer per touched band"),
-                None => dispatch(j, idxs),
-            };
-            let (answers, g) = answer?;
-            match generation {
-                None => generation = Some(g),
-                Some(have) if have == g => {}
-                Some(have) => {
-                    return Err(BackendError::Transport(format!(
-                        "generation skew across shards: {have} vs {g}"
-                    )))
-                }
-            }
-            for (&k, answer) in idxs.iter().zip(answers) {
-                results[k] = Some(answer);
-            }
-        }
-        let generation = match generation {
-            Some(g) => g,
+        match band_batch(&self.map, users, opts.theta, in_process, dispatch) {
+            Ok((slots, Some(generation))) => Ok((slots, generation)),
             // Nothing dispatched (empty batch / all unknown): any route's
             // generation describes the deployment.
-            None => self.routes[0].peer().generation()?,
-        };
-        Ok((
-            results.into_iter().map(|r| r.unwrap()).collect(),
-            generation,
-        ))
+            Ok((slots, None)) => Ok((slots, self.routes[0].peer().generation()?)),
+            Err(BandFault::Band(band, e)) => Err(BackendError::Band {
+                band,
+                message: e.to_string(),
+            }),
+            Err(BandFault::Skew(have, g)) => Err(BackendError::Transport(format!(
+                "generation skew across shards: {have} vs {g}"
+            ))),
+        }
     }
 
     /// The next router-generated fan-out key: construction-time epoch
@@ -578,21 +499,8 @@ impl RouterNode {
             .iter()
             .map(|route| route.peer().window_wire().ok().flatten())
             .collect();
-        let n_items = wires.iter().flatten().map(|w| w.n_items).max().unwrap_or(0);
-        let mut fold = WindowFold::new(n_items);
-        let mut any = false;
-        let per_band = wires
-            .iter()
-            .map(|wire| {
-                let wire = wire.as_ref()?;
-                if wire.n_items == n_items {
-                    fold.absorb_wire(wire);
-                    any = true;
-                }
-                Some(wire.stats())
-            })
-            .collect();
-        (per_band, any.then(|| fold.stats()))
+        let (bands, union) = WindowWire::union(&wires);
+        (bands, union.map(|w| w.stats()))
     }
 
     /// The fan-out dedup window's retention contract for `/v1/healthz`:
@@ -647,8 +555,10 @@ impl PeerTransport for RouterNode {
     /// ([`ganc_serve::ModelBundle::slice_theta_band`]). Exclusion/rerank-only
     /// options stay on the home band.
     fn recommend_with_traced(&self, user: UserId, opts: &RequestOptions) -> SingleAnswer {
-        let home = self.route_of(user).map_err(BackendError::Serve)?;
-        let j = opts.theta.map_or(home, |t| shard_of(&self.cuts, t));
+        let j = self
+            .map
+            .band(user, opts.theta)
+            .map_err(BackendError::Serve)?;
         self.timed(j, || {
             self.routes[j].peer().recommend_with_traced(user, opts)
         })
@@ -661,7 +571,7 @@ impl PeerTransport for RouterNode {
     /// other band answers `None` — reaching it is (or stands for) a wire
     /// call, which is a worker's job.
     fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
-        let j = self.route_of(user).ok()?;
+        let j = self.map.band(user, None).ok()?;
         let route = &self.routes[j];
         if !route.is_local() {
             return None;
@@ -673,9 +583,9 @@ impl PeerTransport for RouterNode {
     }
 
     /// Split a batch across bands, dispatch every touched band's sub-batch
-    /// **concurrently** (when at least one touched band is remote — an
-    /// all-local dispatch runs inline, each local engine parallelizing
-    /// internally), and reassemble answers in request order. Users split
+    /// **concurrently** (when at least one touched band is not `Local` — an
+    /// all-local dispatch runs its bands in sequence, each local engine
+    /// parallelizing internally), and reassemble answers in request order. Users split
     /// across their home bands; a θ override in `opts` collapses the whole
     /// batch onto the band owning that θ. Every touched route must report
     /// the same generation — nodes are refit together in a real rollout,
@@ -720,9 +630,7 @@ impl PeerTransport for RouterNode {
         item: ItemId,
         rating: f32,
     ) -> Result<IngestAck, BackendError> {
-        if user.idx() >= self.theta.len() {
-            return Err(BackendError::Serve(ServeError::UnknownUser(user)));
-        }
+        self.map.band(user, None).map_err(BackendError::Serve)?;
         if let Some(k) = key {
             // The HTTP front 400s malformed keys before reaching here;
             // this guards programmatic callers, failing before any route

@@ -27,7 +27,7 @@ pub use metrics::{
     bucket_bounds_us, Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS,
 };
 pub use trace::{TraceData, TraceEvent, TraceRing, DEFAULT_TRACE_CAPACITY};
-pub use window::{CatalogProfile, RollingWindow, WindowFold, WindowStats, WindowWire};
+pub use window::{CatalogProfile, RollingWindow, WindowStats, WindowWire};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -13,6 +13,10 @@
 //! (`round(−log₂ p × 1e6)`), so the running sum subtracts exactly on
 //! expiry and a from-scratch recompute matches bit-for-bit — no float
 //! drift over long uptimes.
+//!
+//! A window leaves its engine in one form, the [`WindowWire`] summary, and
+//! bands are combined by one fold, [`WindowWire::union`] — whether the
+//! bands live in one process or behind a router's peers.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -246,21 +250,8 @@ impl RollingWindow {
         )
     }
 
-    /// Expire, merge this window's live state into `fold`, and return
-    /// this window's own stats.
-    pub fn fold_into(&mut self, now_us: u64, fold: &mut WindowFold) -> WindowStats {
-        let stats = self.stats(now_us);
-        fold.absorb(
-            &self.freq,
-            self.entries.len() as u64,
-            self.items,
-            self.novelty_microbits,
-            self.tail_hits,
-        );
-        stats
-    }
-
-    /// Expire, then export the live state as a [`WindowWire`] summary.
+    /// Expire, then export the live state as a [`WindowWire`] summary — the
+    /// one form a window leaves its engine in.
     pub fn wire(&mut self, now_us: u64) -> WindowWire {
         self.expire(now_us);
         WindowWire {
@@ -278,11 +269,11 @@ impl RollingWindow {
 
 /// A window's live state in transportable form: the four running sums
 /// plus the **distinct served item ids** instead of the dense frequency
-/// vector. Because [`WindowFold`] only uses frequencies to count
-/// distinct items, folding a wire summary reproduces the union coverage
-/// *exactly* — multiplicity is already summarized in `items`,
-/// `novelty_microbits`, and `tail_hits`. This is what a remote θ-band
-/// ships to a router so multi-node deployments keep aggregate windows.
+/// vector. Union coverage only needs to know *which* items were served —
+/// multiplicity is already summarized in `items`, `novelty_microbits`, and
+/// `tail_hits` — so [`WindowWire::union`] over summaries is exact. Every
+/// band exports this, in-process or over the wire, and every cross-band
+/// view (a sharded engine, a router, `/v1/stats`) folds it one way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowWire {
     /// Catalog size the window was built over.
@@ -312,97 +303,45 @@ impl WindowWire {
             self.tail_hits,
         )
     }
-}
 
-/// Cross-window union: aggregates several [`RollingWindow`]s (one per
-/// shard/band) into one catalog-level view. Coverage is computed over
-/// the **union** of served items, so it is not simply the mean of the
-/// per-band coverages.
-#[derive(Debug)]
-pub struct WindowFold {
-    n_items: usize,
-    freq: Vec<u64>,
-    lists: u64,
-    items: u64,
-    novelty_microbits: u64,
-    tail_hits: u64,
-}
-
-impl WindowFold {
-    /// An empty fold over a catalog of `n_items` items.
-    pub fn new(n_items: usize) -> WindowFold {
-        WindowFold {
+    /// The one cross-band window fold: each band's own stats (`None` where
+    /// a band could not report) and one summary of their **union** (`None`
+    /// when no band reported). The sums add; coverage counts an item served
+    /// by several bands once, so it is not the mean of the band coverages.
+    /// The union is over the largest catalog any band reports; a band built
+    /// over another catalog is listed but left out of it.
+    pub fn union(bands: &[Option<WindowWire>]) -> (Vec<Option<WindowStats>>, Option<WindowWire>) {
+        let stats = bands
+            .iter()
+            .map(|w| w.as_ref().map(WindowWire::stats))
+            .collect();
+        let Some(n_items) = bands.iter().flatten().map(|w| w.n_items).max() else {
+            return (stats, None);
+        };
+        let mut served = vec![false; n_items];
+        let mut union = WindowWire {
             n_items,
-            freq: vec![0; n_items],
             lists: 0,
             items: 0,
             novelty_microbits: 0,
             tail_hits: 0,
-        }
-    }
-
-    fn absorb(
-        &mut self,
-        freq: &[u32],
-        lists: u64,
-        items: u64,
-        novelty_microbits: u64,
-        tail_hits: u64,
-    ) {
-        debug_assert_eq!(freq.len(), self.n_items);
-        for (acc, &f) in self.freq.iter_mut().zip(freq) {
-            *acc += f as u64;
-        }
-        self.lists += lists;
-        self.items += items;
-        self.novelty_microbits += novelty_microbits;
-        self.tail_hits += tail_hits;
-    }
-
-    /// Merge a transportable window summary. Distinct ids mark their
-    /// frequency slot (multiplicity is already folded into the sums), so
-    /// union coverage stays exact across local windows and wire
-    /// summaries mixed in one fold.
-    pub fn absorb_wire(&mut self, wire: &WindowWire) {
-        debug_assert_eq!(wire.n_items, self.n_items);
-        for &item in &wire.distinct {
-            if let Some(f) = self.freq.get_mut(item as usize) {
-                *f += 1;
+            distinct: Vec::new(),
+        };
+        for wire in bands.iter().flatten().filter(|w| w.n_items == n_items) {
+            for &item in &wire.distinct {
+                if let Some(s) = served.get_mut(item as usize) {
+                    *s = true;
+                }
             }
+            union.lists += wire.lists;
+            union.items += wire.items;
+            union.novelty_microbits += wire.novelty_microbits;
+            union.tail_hits += wire.tail_hits;
         }
-        self.lists += wire.lists;
-        self.items += wire.items;
-        self.novelty_microbits += wire.novelty_microbits;
-        self.tail_hits += wire.tail_hits;
-    }
-
-    /// Export everything absorbed so far as one [`WindowWire`] summary —
-    /// how a sharded node answers a router's window fetch with a single
-    /// cross-band aggregate.
-    pub fn wire(&self) -> WindowWire {
-        WindowWire {
-            n_items: self.n_items,
-            lists: self.lists,
-            items: self.items,
-            novelty_microbits: self.novelty_microbits,
-            tail_hits: self.tail_hits,
-            distinct: (0..self.n_items as u32)
-                .filter(|&i| self.freq[i as usize] > 0)
-                .collect(),
-        }
-    }
-
-    /// Aggregate metrics over everything absorbed so far.
-    pub fn stats(&self) -> WindowStats {
-        let distinct = self.freq.iter().filter(|&&f| f > 0).count();
-        finalize(
-            self.lists,
-            self.items,
-            distinct,
-            self.n_items,
-            self.novelty_microbits,
-            self.tail_hits,
-        )
+        union.distinct = (0..n_items as u32)
+            .filter(|&i| served[i as usize])
+            .collect();
+        (stats, Some(union))
     }
 }
 
@@ -448,49 +387,52 @@ mod tests {
     }
 
     #[test]
-    fn wire_summary_folds_identically_to_the_dense_window() {
+    fn union_of_band_wires_equals_one_window_over_every_list() {
         let cat = catalog();
-        let mut a = RollingWindow::new(Duration::from_micros(100), 4);
-        let mut b = RollingWindow::new(Duration::from_micros(100), 4);
-        a.observe(0, vec![0, 1, 1], &cat);
-        b.observe(5, vec![1, 2], &cat);
-
-        // Dense reference fold.
-        let mut dense = WindowFold::new(4);
-        a.fold_into(10, &mut dense);
-        b.fold_into(10, &mut dense);
-
-        // Wire-summary fold: one window local, one over the wire.
-        let mut wired = WindowFold::new(4);
-        a.fold_into(10, &mut wired);
+        let window = || RollingWindow::new(Duration::from_micros(100), 4);
+        let (mut a, mut b, mut all) = (window(), window(), window());
+        for (at, list) in [(0, vec![0, 1, 1]), (5, vec![1, 2])] {
+            all.observe(at, list.clone(), &cat);
+            let band = if at == 0 { &mut a } else { &mut b };
+            band.observe(at, list, &cat);
+        }
         let wire = b.wire(10);
         assert_eq!(wire.stats(), b.stats(10), "wire stats match the source");
-        wired.absorb_wire(&wire);
-
-        assert_eq!(dense.stats(), wired.stats());
-        // A fold re-exported as a wire summary keeps the same stats.
-        assert_eq!(wired.wire().stats(), wired.stats());
+        let (bands, union) = WindowWire::union(&[Some(a.wire(10)), Some(wire)]);
+        assert_eq!(bands, vec![Some(a.stats(10)), Some(b.stats(10))]);
+        let union = union.unwrap();
+        assert_eq!(union.stats(), all.stats(10));
+        assert_eq!(union.distinct, vec![0, 1, 2]);
         // Expiry is honored before export.
         assert_eq!(b.wire(200).lists, 0);
     }
 
     #[test]
-    fn fold_unions_coverage_across_windows() {
+    fn union_counts_shared_items_once_and_skips_silent_bands() {
         let cat = catalog();
         let mut a = RollingWindow::new(Duration::from_micros(100), 4);
         let mut b = RollingWindow::new(Duration::from_micros(100), 4);
         a.observe(0, vec![0, 1], &cat);
         b.observe(0, vec![1, 2], &cat);
-        let mut fold = WindowFold::new(4);
-        let sa = a.fold_into(10, &mut fold);
-        let sb = b.fold_into(10, &mut fold);
-        assert_eq!(sa.coverage, 0.5);
-        assert_eq!(sb.coverage, 0.5);
-        let s = fold.stats();
+        let foreign = WindowWire {
+            n_items: 2,
+            lists: 7,
+            items: 7,
+            novelty_microbits: 0,
+            tail_hits: 0,
+            distinct: vec![0],
+        };
+        let (bands, union) =
+            WindowWire::union(&[Some(a.wire(10)), None, Some(b.wire(10)), Some(foreign)]);
+        assert_eq!(bands[0].unwrap().coverage, 0.5);
+        assert_eq!(bands[1], None, "a band that could not report stays listed");
+        assert_eq!(bands[3].unwrap().lists, 7, "another catalog is listed...");
+        let s = union.unwrap().stats();
+        assert_eq!(s.lists, 2, "...but left out of the union");
         // Union is {0,1,2}: 3/4, not the mean of the per-window halves.
         assert_eq!(s.coverage, 3.0 / 4.0);
         assert_eq!(s.items, 4);
-        assert_eq!(s.lists, 2);
         assert_eq!(s.long_tail_share, 1.0 / 4.0);
+        assert_eq!(WindowWire::union(&[None, None]), (vec![None, None], None));
     }
 }

@@ -247,43 +247,60 @@ pub fn for_each_candidate_run(
     }
 }
 
-/// One list per user, computed in parallel: the `n_users` ids are split
-/// into contiguous ranges across at most `threads` scoped OS threads (at
-/// least one, never more than there are users), each worker builds its
-/// scratch state once with `init` and calls `per_user` for every id in its
-/// range. `None` leaves that user's list empty (OSLG skips the users its
-/// sequential phase already assigned).
+/// One list per id of `users`, computed in parallel: the ids are split into
+/// contiguous ranges across at most `threads` scoped OS threads (at least
+/// one, never more than there are ids), each worker builds its scratch
+/// state once with `init` and calls `per_user` for every id in its range.
+/// A list is whatever `per_user` returns, so the worker that computed it
+/// also wraps it (the serving engine's `Arc`s): wrapping 6 000 lists on the
+/// joining thread instead made a batch ≈ 5 % slower.
 ///
-/// Workers write disjoint slices of the output, so no synchronization is
-/// needed beyond the scope join, and because each list depends on its user
-/// alone the result is the same at every thread count. No users, no
-/// threads: the collection is empty.
+/// The workers' ranges are concatenated in order, and because each list
+/// depends on its user alone the result is the same at every thread count.
+/// No ids, no threads: the collection is empty.
+pub fn lists_for<S, L: Send>(
+    users: &[UserId],
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    per_user: impl Fn(&mut S, UserId) -> L + Sync,
+) -> Vec<L> {
+    if users.is_empty() {
+        return Vec::new();
+    }
+    let chunk = users.len().div_ceil(threads.clamp(1, users.len()));
+    let (init, per_user) = (&init, &per_user);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = users
+            .chunks(chunk)
+            .map(|ids| {
+                scope.spawn(move || {
+                    let mut scratch = init();
+                    let lists = ids.iter().map(|&user| per_user(&mut scratch, user));
+                    lists.collect::<Vec<L>>()
+                })
+            })
+            .collect();
+        let mut lists = Vec::with_capacity(users.len());
+        for worker in workers {
+            lists.extend(worker.join().expect("per-user worker panicked"));
+        }
+        lists
+    })
+}
+
+/// [`lists_for`] over every user of a population, `0..n_users`. `None`
+/// leaves that user's list empty (OSLG skips the users its sequential phase
+/// already assigned).
 pub fn per_user_lists<S>(
     n_users: usize,
     threads: usize,
     init: impl Fn() -> S + Sync,
     per_user: impl Fn(&mut S, UserId) -> Option<Vec<ItemId>> + Sync,
 ) -> Vec<Vec<ItemId>> {
-    let mut lists: Vec<Vec<ItemId>> = vec![Vec::new(); n_users];
-    if n_users == 0 {
-        return lists;
-    }
-    let chunk = n_users.div_ceil(threads.clamp(1, n_users));
-    std::thread::scope(|scope| {
-        for (t, out_chunk) in lists.chunks_mut(chunk).enumerate() {
-            let (init, per_user) = (&init, &per_user);
-            scope.spawn(move || {
-                let mut scratch = init();
-                for (off, slot) in out_chunk.iter_mut().enumerate() {
-                    let user = UserId((t * chunk + off) as u32);
-                    if let Some(list) = per_user(&mut scratch, user) {
-                        *slot = list;
-                    }
-                }
-            });
-        }
-    });
-    lists
+    let users: Vec<UserId> = (0..n_users as u32).map(UserId).collect();
+    lists_for(&users, threads, init, |scratch, user| {
+        per_user(scratch, user).unwrap_or_default()
+    })
 }
 
 /// Generate top-N lists for every user under the all-unrated protocol,

@@ -51,7 +51,7 @@ use ganc_core::query::{candidate_runs, fused_select_runs, RequestOptions, Rerank
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_obs::{ObsHub, WindowStats, WindowWire};
 use ganc_recommender::pop::MostPopular;
-use ganc_recommender::topn::train_item_mask;
+use ganc_recommender::topn::{lists_for, train_item_mask};
 use ganc_recommender::Recommender;
 use ganc_rerank::five_d::FiveD;
 use ganc_rerank::pra::Pra;
@@ -219,11 +219,7 @@ fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 }
 
 impl EngineState {
-    fn new(bundle: ModelBundle) -> EngineState {
-        EngineState::with_generation(bundle, 0)
-    }
-
-    fn with_generation(bundle: ModelBundle, generation: u64) -> EngineState {
+    fn new(bundle: ModelBundle, generation: u64) -> EngineState {
         let in_train = train_item_mask(&bundle.train);
         let pop_counts = bundle.train.item_popularity();
         let extra_seen = vec![Vec::new(); bundle.train.n_users() as usize];
@@ -437,8 +433,20 @@ pub struct ServingEngine {
 impl ServingEngine {
     /// Start serving a bundle.
     pub fn new(bundle: ModelBundle, cfg: EngineConfig) -> ServingEngine {
+        ServingEngine::at_generation(bundle, cfg, 0)
+    }
+
+    /// Start serving a bundle as `generation` — how a sharded engine's
+    /// bands are built at their shard set's generation, so what they
+    /// report (responses, trace events, the generation gauge) is the
+    /// generation they serve.
+    pub(crate) fn at_generation(
+        bundle: ModelBundle,
+        cfg: EngineConfig,
+        generation: u64,
+    ) -> ServingEngine {
         ServingEngine {
-            state: RwLock::new(EngineState::new(bundle)),
+            state: RwLock::new(EngineState::new(bundle, generation)),
             cache: Mutex::new(LruCache::new(cfg.cache_capacity)),
             threads: cfg.threads.max(1),
             hits: AtomicU64::new(0),
@@ -470,11 +478,6 @@ impl ServingEngine {
     /// so the router's aggregate window stays an exact union.
     pub fn window_wire(&self) -> Option<WindowWire> {
         self.obs.get().map(|o| o.window_wire())
-    }
-
-    /// The attached observability handles, if any (sharding layer + tests).
-    pub(crate) fn engine_obs(&self) -> Option<&Arc<EngineObs>> {
-        self.obs.get()
     }
 
     /// Answer one user's top-N request.
@@ -642,11 +645,21 @@ impl ServingEngine {
         if !miss_idx.is_empty() {
             self.misses
                 .fetch_add(miss_idx.len() as u64, Ordering::Relaxed);
-            let computed = self.compute_misses(&state, users, &miss_idx, opts, cacheable);
+            // The misses fan out over the worker threads; each worker
+            // resolves its accuracy source — scorer and score buffer, or the
+            // shared vector — once for its whole chunk.
+            let bound = state.bundle.model.bind(&state.bundle.train);
+            let missed: Vec<UserId> = miss_idx.iter().map(|&k| users[k]).collect();
+            let computed = lists_for(
+                &missed,
+                self.threads,
+                || state.accuracy(&bound),
+                |accuracy, user| Arc::new(state.list(accuracy, user, opts, cacheable)),
+            );
             // Still under the state read lock: no writer has run, so the
             // computed lists are current and their generation tag is exact.
             let mut cache = cacheable.then(|| self.cache.lock().unwrap());
-            for (k, list) in computed {
+            for (k, list) in miss_idx.into_iter().zip(computed) {
                 if let Some(cache) = &mut cache {
                     cache.insert(users[k].0, (generation, Arc::clone(&list)));
                 }
@@ -661,41 +674,6 @@ impl ServingEngine {
             results.into_iter().map(|r| r.unwrap()).collect(),
             generation,
         )
-    }
-
-    /// Compute a batch's misses (`miss_idx` indexes `users`) in parallel;
-    /// each worker resolves its accuracy source — scorer and score buffer,
-    /// or the shared vector — once for its whole chunk.
-    fn compute_misses(
-        &self,
-        state: &EngineState,
-        users: &[UserId],
-        miss_idx: &[usize],
-        opts: &RequestOptions,
-        fitted: bool,
-    ) -> Vec<(usize, Arc<Vec<ItemId>>)> {
-        let mut computed = Vec::with_capacity(miss_idx.len());
-        let threads = self.threads.min(miss_idx.len());
-        let chunk = miss_idx.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for piece in miss_idx.chunks(chunk) {
-                handles.push(scope.spawn(move || {
-                    let bound = state.bundle.model.bind(&state.bundle.train);
-                    let mut accuracy = state.accuracy(&bound);
-                    let mut out = Vec::with_capacity(piece.len());
-                    for &k in piece {
-                        let list = state.list(&mut accuracy, users[k], opts, fitted);
-                        out.push((k, Arc::new(list)));
-                    }
-                    out
-                }));
-            }
-            for h in handles {
-                computed.extend(h.join().expect("serving worker panicked"));
-            }
-        });
-        computed
     }
 
     /// Ingest one observed interaction: the item leaves the user's
@@ -779,7 +757,7 @@ impl ServingEngine {
     pub fn swap_bundle(&self, bundle: ModelBundle) -> u64 {
         let mut state = self.state.write().unwrap();
         let generation = state.generation + 1;
-        *state = EngineState::with_generation(bundle, generation);
+        *state = EngineState::new(bundle, generation);
         self.cache.lock().unwrap().clear();
         // Record under the write lock (obs locks are leaves) so the swap
         // event and the catalog refreeze are atomic with the swap itself.

@@ -18,9 +18,12 @@
 //!    [`ServingEngine`] with an LRU response cache, batched request
 //!    fan-out, interaction ingestion with cache invalidation, generation
 //!    counters, and a [`MicroBatcher`] coalescing concurrent callers.
-//! 4. **Scale-out** ([`shard`], [`refit`]) — a [`ShardedEngine`] that
-//!    partitions users into θ bands (each shard holds only its band's
-//!    snapshot sub-range; per-shard artifacts deploy to nodes), plus a
+//! 4. **Scale-out** ([`band`], [`shard`], [`refit`]) — the θ-band fan-out
+//!    an in-process [`ShardedEngine`] and a multi-node router share (one
+//!    [`BandMap`] places users, one [`band_batch`] splits and folds a
+//!    batch), a [`ShardedEngine`] that partitions users into θ bands (each
+//!    shard holds only its band's snapshot sub-range; per-shard artifacts
+//!    deploy to nodes), plus a
 //!    [`RefitController`] that refits on train + ingested interactions in
 //!    the background and hot-swaps all shards atomically, rebalancing the
 //!    θ bands on every refit.
@@ -54,6 +57,7 @@
 //! assert_eq!(list.len(), 10);
 //! ```
 
+pub mod band;
 pub mod batch;
 pub mod bundle;
 pub mod engine;
@@ -64,6 +68,7 @@ pub mod saveload;
 pub mod shard;
 pub mod wal;
 
+pub use band::{band_batch, BandFault, BandMap};
 pub use batch::{BatchConfig, BatchSource, CoalescedAnswer, Coalescer, MicroBatcher};
 pub use bundle::{make_scorer, BoundModel, CoverageState, FitConfig, FittedModel, ModelBundle};
 pub use engine::{

@@ -18,8 +18,8 @@ use crate::engine::SlotAnswer;
 use ganc_dataset::stats::LongTail;
 use ganc_dataset::ItemId;
 use ganc_obs::{
-    CatalogProfile, Counter, Gauge, Histogram, ObsHub, RollingWindow, TraceData, WindowFold,
-    WindowStats, WindowWire,
+    CatalogProfile, Counter, Gauge, Histogram, ObsHub, RollingWindow, TraceData, WindowStats,
+    WindowWire,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -333,17 +333,9 @@ impl EngineObs {
         stats
     }
 
-    /// Expire + merge this engine's window into a cross-band fold,
-    /// returning (and publishing) its own stats.
-    pub(crate) fn fold_window(&self, fold: &mut WindowFold) -> WindowStats {
-        let now = self.hub.now_us();
-        let stats = self.window.lock().unwrap().window.fold_into(now, fold);
-        self.publish(stats);
-        stats
-    }
-
     /// Expire + export this engine's window as a transportable summary
-    /// (what `GET /v1/window` answers), publishing the gauges alongside.
+    /// (what `GET /v1/window` answers and every cross-band union folds),
+    /// publishing the gauges alongside.
     pub(crate) fn window_wire(&self) -> WindowWire {
         let now = self.hub.now_us();
         let wire = self.window.lock().unwrap().window.wire(now);

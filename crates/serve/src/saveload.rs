@@ -95,7 +95,8 @@ pub trait SaveLoad: Sized {
     /// Decode, verifying magic and version.
     fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError>;
 
-    /// Write the artifact to a file, atomically (see [`atomic_write`]).
+    /// Write the artifact to a file, atomically: a sibling `<name>.tmp` is
+    /// written, synced and renamed over `path`.
     fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
         let path = path.as_ref();
         let bytes = self.to_bytes()?;

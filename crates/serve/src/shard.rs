@@ -20,16 +20,27 @@
 //! ingesting user's candidate exclusion only matters on the shard that
 //! serves them. Output is byte-identical to an unsharded engine by
 //! construction, which `tests/shard_equivalence.rs` checks exhaustively.
+//!
+//! Placement, batch splitting and the cross-band fold are the router's
+//! too, so they live in [`crate::band`]: each generation holds one
+//! [`BandMap`] and a batch goes through [`band_batch`]. Every band here is
+//! in-process, so a batch's bands are served **in sequence**: each band
+//! engine already spreads its sub-batch over `EngineConfig::threads`
+//! workers, and a thread per band on top only oversubscribed the box.
+//! Concurrency across bands pays only across the wire, where a band is a
+//! round-trip away (the router's remote bands).
 
+use crate::band::{band_batch, BandMap};
 use crate::bundle::ModelBundle;
 use crate::engine::{
     EngineBatch, EngineConfig, EngineStats, ServeError, ServingEngine, SlotAnswer,
 };
 use crate::saveload::{PersistError, SaveLoad};
 use crate::wal::{DurableConfig, DurableLog, IngestAck, WalReplaySummary, WalStats};
-use ganc_core::query::{band_bounds, cut_theta_bands, shard_of, RequestOptions};
+use ganc_core::query::{band_bounds, cut_theta_bands, RequestOptions};
 use ganc_dataset::{ItemId, UserId};
-use ganc_obs::{Counter, Gauge, ObsHub, TraceData, WindowFold, WindowStats, WindowWire};
+use ganc_obs::{Counter, Gauge, ObsHub, TraceData, WindowStats, WindowWire};
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
@@ -100,16 +111,12 @@ pub struct ShardInfo {
 /// One generation's complete shard topology. Swapped wholesale under the
 /// outer lock so a refit replaces every shard atomically.
 struct ShardSet {
+    /// One engine per band, built at this set's generation.
     engines: Vec<ServingEngine>,
     info: Vec<ShardInfo>,
-    /// Per-user shard index, derived from the bundle's θ and the cuts.
-    user_shard: Vec<u16>,
-    /// The ascending θ cut points this generation was built with — the
-    /// routing table a per-request θ override resolves through
-    /// ([`shard_of`]): the overridden request runs on the band that *owns*
-    /// that θ (whose snapshot sub-range can resolve it), not the user's
-    /// home band.
-    cuts: Vec<f64>,
+    /// Where each user is served this generation: their home band under
+    /// the cuts, and the band that owns an overriding θ.
+    map: BandMap,
     /// The unsliced bundle this generation was built from — the baseline
     /// the next refit merges ingested interactions into. Shared (`Arc`)
     /// with the [`crate::refit::RefitOutcome`] that installed it, so
@@ -125,18 +132,11 @@ impl ShardSet {
         engine_cfg: EngineConfig,
         generation: u64,
     ) -> ShardSet {
-        let cuts = plan.cuts(&bundle.theta);
-        let shards = cuts.len() + 1;
-        assert!(shards <= u16::MAX as usize, "shard count exceeds router");
-        let user_shard: Vec<u16> = bundle
-            .theta
-            .iter()
-            .map(|&t| shard_of(&cuts, t) as u16)
-            .collect();
-        let mut engines = Vec::with_capacity(shards);
-        let mut info = Vec::with_capacity(shards);
-        for j in 0..shards {
-            let (lo, hi) = band_bounds(&cuts, j);
+        let map = BandMap::new(&bundle.theta, plan.cuts(&bundle.theta));
+        let mut engines = Vec::with_capacity(map.bands());
+        let mut info = Vec::with_capacity(map.bands());
+        for j in 0..map.bands() {
+            let (lo, hi) = band_bounds(map.cuts(), j);
             let sliced = bundle.slice_theta_band(lo, hi);
             let snapshots = match &sliced.coverage {
                 crate::bundle::CoverageState::Dynamic(s) => s.len(),
@@ -148,17 +148,16 @@ impl ShardSet {
             info.push(ShardInfo {
                 theta_lo: lo,
                 theta_hi: hi,
-                users: user_shard.iter().filter(|&&s| s as usize == j).count(),
+                users: map.users(j),
                 snapshots,
                 coverage_bytes,
             });
-            engines.push(ServingEngine::new(sliced, engine_cfg));
+            engines.push(ServingEngine::at_generation(sliced, engine_cfg, generation));
         }
         ShardSet {
             engines,
             info,
-            user_shard,
-            cuts,
+            map,
             bundle,
             generation,
         }
@@ -176,8 +175,7 @@ impl ShardSet {
 }
 
 /// A θ-band sharded serving engine: byte-identical output to a single
-/// [`ServingEngine`] over the same bundle, with per-band coverage state and
-/// per-band request parallelism.
+/// [`ServingEngine`] over the same bundle, with per-band coverage state.
 pub struct ShardedEngine {
     set: RwLock<ShardSet>,
     /// Interactions ingested since the current baseline bundle was fitted,
@@ -345,36 +343,23 @@ impl ShardedEngine {
     }
 
     /// Per-band rolling-window metrics plus their cross-band aggregate
-    /// (coverage over the **union** of served items), when observability is
-    /// attached.
-    pub fn window_stats(&self) -> Option<(Vec<WindowStats>, WindowStats)> {
-        self.obs.get()?;
-        let set = self.set.read().unwrap();
-        let mut fold = WindowFold::new(set.bundle.n_items() as usize);
-        let mut bands = Vec::with_capacity(set.engines.len());
-        for engine in &set.engines {
-            let obs = engine
-                .engine_obs()
-                .expect("attach_obs threads onto every generation");
-            bands.push(obs.fold_window(&mut fold));
-        }
-        Some((bands, fold.stats()))
+    /// (coverage over the **union** of served items, [`WindowWire::union`]);
+    /// every entry is `None` until observability is attached.
+    pub fn window_stats(&self) -> (Vec<Option<WindowStats>>, Option<WindowStats>) {
+        let (bands, union) = WindowWire::union(&self.band_windows());
+        (bands, union.map(|w| w.stats()))
     }
 
     /// The cross-band aggregate window as one transportable summary,
     /// when observability is attached — a sharded node answers a
     /// router's window fetch with its bands already unioned.
     pub fn window_wire(&self) -> Option<WindowWire> {
-        self.obs.get()?;
+        WindowWire::union(&self.band_windows()).1
+    }
+
+    fn band_windows(&self) -> Vec<Option<WindowWire>> {
         let set = self.set.read().unwrap();
-        let mut fold = WindowFold::new(set.bundle.n_items() as usize);
-        for engine in &set.engines {
-            let obs = engine
-                .engine_obs()
-                .expect("attach_obs threads onto every generation");
-            obs.fold_window(&mut fold);
-        }
-        Some(fold.wire())
+        set.engines.iter().map(ServingEngine::window_wire).collect()
     }
 
     /// Refit lifecycle hooks, called by [`crate::refit`].
@@ -423,27 +408,22 @@ impl ShardedEngine {
     }
 
     /// Answer one request, reporting the shard-set generation it was served
-    /// from. The generation is read under the same outer lock hold that
-    /// serves the request, so the pair is exact — a concurrent refit swap
-    /// can never tear it.
+    /// from. The band serves it under the same outer lock hold, and band
+    /// engines are built at their set's generation, so the pair is exact —
+    /// a concurrent refit swap can never tear it.
     ///
     /// The user's home band serves the request unless `opts` carries a θ
-    /// override, which routes through the generation's cut points to the
-    /// band that **owns** that θ ([`shard_of`]) — the only band whose
-    /// coverage sub-range can resolve it. What `opts` means beyond routing
-    /// is the owning [`ServingEngine`]'s decision.
+    /// override, which the generation's [`BandMap`] routes to the band that
+    /// **owns** that θ — the only band whose coverage sub-range can resolve
+    /// it. What `opts` means beyond routing is the owning
+    /// [`ServingEngine`]'s decision.
     pub fn recommend_with_traced(
         &self,
         user: UserId,
         opts: &RequestOptions,
     ) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
         let set = self.set.read().unwrap();
-        let Some(&home) = set.user_shard.get(user.idx()) else {
-            return Err(ServeError::UnknownUser(user));
-        };
-        let shard = opts.theta.map_or(home as usize, |t| shard_of(&set.cuts, t));
-        let (list, _) = set.engines[shard].recommend_with_traced(user, opts)?;
-        Ok((list, set.generation))
+        set.engines[set.map.band(user, opts.theta)?].recommend_with_traced(user, opts)
     }
 
     /// Non-blocking probe for `user`'s cached default-options response on
@@ -455,14 +435,13 @@ impl ShardedEngine {
     /// caller that must not wait never queues behind it.
     pub fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
         let set = self.set.try_read().ok()?;
-        let &home = set.user_shard.get(user.idx())?;
-        let (list, _) = set.engines[home as usize].recommend_cached(user)?;
-        Some((list, set.generation))
+        set.engines[set.map.band(user, None).ok()?].recommend_cached(user)
     }
 
-    /// Answer a batch of requests, splitting it across shards (one worker
-    /// thread per shard touched). Results come back in request order, the
-    /// whole batch served from one shard-set generation.
+    /// Answer a batch of requests, splitting it across shards served one
+    /// after another (each over its own worker threads). Results come back
+    /// in request order, the whole batch served from one shard-set
+    /// generation.
     pub fn recommend_batch(&self, users: &[UserId]) -> Vec<SlotAnswer> {
         self.recommend_batch_traced(users).0
     }
@@ -475,47 +454,20 @@ impl ShardedEngine {
     /// Batch counterpart of [`ShardedEngine::recommend_with_traced`], also
     /// reporting the single generation the batch was served from: users
     /// split per home band, except that a θ override sends the whole batch
-    /// to the band that owns that θ.
+    /// to the band that owns that θ ([`band_batch`], every band
+    /// in-process, so served in sequence).
     pub fn recommend_batch_with_traced(
         &self,
         users: &[UserId],
         opts: &RequestOptions,
     ) -> EngineBatch {
         let set = self.set.read().unwrap();
-        let generation = set.generation;
-        let theta_shard = opts.theta.map(|t| shard_of(&set.cuts, t));
-        let mut results: Vec<Option<SlotAnswer>> = vec![None; users.len()];
-        // Split the batch by serving shard, keeping request positions.
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); set.engines.len()];
-        for (k, u) in users.iter().enumerate() {
-            match set.user_shard.get(u.idx()) {
-                Some(&home) => per_shard[theta_shard.unwrap_or(home as usize)].push(k),
-                None => results[k] = Some(Err(ServeError::UnknownUser(*u))),
-            }
-        }
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (shard, idxs) in per_shard.into_iter().enumerate() {
-                if idxs.is_empty() {
-                    continue;
-                }
-                let engine = &set.engines[shard];
-                handles.push(scope.spawn(move || {
-                    let sub: Vec<UserId> = idxs.iter().map(|&k| users[k]).collect();
-                    let (answers, _) = engine.recommend_batch_with_traced(&sub, opts);
-                    idxs.into_iter().zip(answers).collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                for (k, answer) in h.join().expect("shard worker panicked") {
-                    results[k] = Some(answer);
-                }
-            }
-        });
-        (
-            results.into_iter().map(|r| r.unwrap()).collect(),
-            generation,
-        )
+        let serve = |j: usize, sub: &[UserId]| {
+            Ok::<_, Infallible>(set.engines[j].recommend_batch_with_traced(sub, opts))
+        };
+        let (slots, generation) = band_batch(&set.map, users, opts.theta, |_| true, serve)
+            .expect("every band of a shard set serves its generation");
+        (slots, generation.unwrap_or(set.generation))
     }
 
     /// Ingest one observed interaction: recorded in the refit log and
@@ -647,8 +599,7 @@ impl ShardedEngine {
         base: impl AsRef<Path>,
     ) -> Result<Vec<PathBuf>, PersistError> {
         let set = self.set.read().unwrap();
-        let cuts: Vec<f64> = set.info[1..].iter().map(|i| i.theta_lo).collect();
-        save_shard_artifacts(&set.bundle, &cuts, base)
+        save_shard_artifacts(&set.bundle, set.map.cuts(), base)
     }
 
     /// Internal hook for [`crate::refit`]: the current generation, the

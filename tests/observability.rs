@@ -360,7 +360,12 @@ fn sharded_window_aggregate_matches_union_oracle() {
         let list = engine.recommend(UserId(u)).unwrap();
         union.extend(list.iter().map(|i| i.0));
     }
-    let (bands, aggregate) = engine.window_stats().expect("obs attached");
+    let (bands, aggregate) = engine.window_stats();
+    let aggregate = aggregate.expect("obs attached");
+    let bands: Vec<_> = bands
+        .into_iter()
+        .map(|b| b.expect("obs attached"))
+        .collect();
     assert_eq!(bands.len(), 3);
     assert_eq!(
         bands.iter().map(|b| b.lists).sum::<u64>(),
@@ -526,6 +531,56 @@ fn http_trace_records_request_and_refit_lifecycle() {
         kinds.iter().all(|k| k == "http"),
         "second drain must not replay engine events: {kinds:?}"
     );
+}
+
+/// A sharded engine's bands report the generation they serve: after a
+/// refit, the `request` event a band records and its
+/// `ganc_engine_generation{band=…}` gauge both say 1, as the response does.
+/// (Each refit used to build its band engines at generation 0.)
+#[test]
+fn sharded_band_events_and_gauges_carry_the_generation_after_a_refit() {
+    let engine = Arc::new(ShardedEngine::new(
+        fixture_bundle(61),
+        ShardConfig::quantile(2),
+    ));
+    let hook = RefitHook {
+        fitter: fitter(),
+        cfg: fit_cfg(),
+        cadence: None,
+    };
+    let server = HttpServer::bind(
+        Frontend::Sharded(engine),
+        Some(hook),
+        ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = HttpClient::new(server.local_addr().to_string());
+    let refit = client.request("POST", "/admin/refit", None).unwrap();
+    assert_eq!(refit.status, 200);
+    let answer = get_json(&mut client, "/v1/recommend/0");
+    assert_eq!(answer["generation"].as_u64(), Some(1));
+
+    let trace = get_json(&mut client, "/v1/trace");
+    let events = trace["events"].as_array().unwrap();
+    let swapped = events
+        .iter()
+        .position(|e| e["kind"].as_str() == Some("refit_swapped"))
+        .expect("refit_swapped recorded");
+    let request = events[swapped..]
+        .iter()
+        .find(|e| e["kind"].as_str() == Some("request"))
+        .expect("the recommend after the refit is recorded");
+    assert_eq!(request["data"]["generation"].as_u64(), Some(1));
+
+    let resp = client.request("GET", "/v1/metrics", None).unwrap();
+    let samples = parse_prometheus(std::str::from_utf8(&resp.body).unwrap());
+    let gauge = samples
+        .iter()
+        .find(|(n, l, _)| n == "ganc_engine_generation" && l.contains("band=\"0\""))
+        .expect("band 0 generation gauge")
+        .2;
+    assert_eq!(gauge, 1.0);
 }
 
 /// With `RefitHook::cadence` set, bind spawns the background adaptive

@@ -4,16 +4,19 @@
 //! [`ServingEngine`] over the same bundle, and to the batch OSLG optimizer,
 //! for random datasets, every coverage kind, shard counts S ∈ {1, 2, 4, 7},
 //! uneven explicit band cuts (including duplicate cuts that leave bands
-//! empty), and after online ingestion.
+//! empty), and after online ingestion — and the encodings of band
+//! membership (the [`BandMap`] both cross-band layers place users with,
+//! `shard_of`, and `slice_theta_band`'s θ filter) agree.
 
+use ganc::core::query::{band_bounds, shard_of};
 use ganc::core::{AccuracyMode, CoverageKind, GancBuilder, UserOrdering};
 use ganc::dataset::dataset::{DatasetBuilder, RatingScale};
 use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::serve::{
-    EngineConfig, FitConfig, FittedModel, ModelBundle, ServingEngine, ShardConfig, ShardPlan,
-    ShardedEngine,
+    BandMap, EngineConfig, FitConfig, FittedModel, ModelBundle, ServeError, ServingEngine,
+    ShardConfig, ShardPlan, ShardedEngine,
 };
 use proptest::prelude::*;
 
@@ -174,6 +177,79 @@ proptest! {
     ) {
         for kind in ALL_KINDS {
             check_kind(&train, &theta, kind, &ingests, &all_plans());
+        }
+    }
+}
+
+proptest! {
+    /// One placement, four encodings that must agree: for random θ
+    /// populations on a coarse grid (duplicated θs, θs exactly on a cut,
+    /// zero users) under random cut sets (none — a single band —, duplicated
+    /// cuts leaving bands empty), every user's band under the map is
+    /// `shard_of` of their θ, each band's `band_bounds` interval holds
+    /// exactly its users under `slice_theta_band`'s `lo <= θ < hi` filter,
+    /// the per-band counts sum to the population, a θ override lands on
+    /// `shard_of` of that θ, and a split keeps request order and answers an
+    /// unknown user in its own slot.
+    #[test]
+    fn band_membership_encodings_agree(
+        grid in proptest::collection::vec(0u32..=8, 0..40),
+        cut_grid in proptest::collection::vec(0u32..=16, 0..6),
+        override_k in 0u32..=8,
+        requests in proptest::collection::vec(0u32..48, 0..30),
+    ) {
+        let theta: Vec<f64> = grid.iter().map(|&k| k as f64 / 8.0).collect();
+        let mut cuts: Vec<f64> = cut_grid.iter().map(|&k| k as f64 / 16.0).collect();
+        cuts.sort_by(f64::total_cmp);
+        let map = BandMap::new(&theta, cuts.clone());
+        prop_assert_eq!(map.n_users() as usize, theta.len());
+        prop_assert_eq!(map.bands(), cuts.len() + 1);
+        for (u, &t) in theta.iter().enumerate() {
+            prop_assert_eq!(map.band(UserId(u as u32), None), Ok(shard_of(&cuts, t)));
+        }
+        let mut placed = 0;
+        for j in 0..map.bands() {
+            let (lo, hi) = band_bounds(&cuts, j);
+            let sliced: Vec<usize> = (0..theta.len())
+                .filter(|&u| theta[u] >= lo && theta[u] < hi)
+                .collect();
+            let banded: Vec<usize> = (0..theta.len())
+                .filter(|&u| map.band(UserId(u as u32), None) == Ok(j))
+                .collect();
+            prop_assert_eq!(&sliced, &banded, "band {}", j);
+            prop_assert_eq!(map.users(j), banded.len());
+            placed += map.users(j);
+        }
+        prop_assert_eq!(placed, theta.len());
+
+        let t = override_k as f64 / 8.0;
+        let users: Vec<UserId> = requests.iter().map(|&u| UserId(u)).collect();
+        for user in &users {
+            let expect = if user.idx() < theta.len() {
+                Ok(shard_of(&cuts, t))
+            } else {
+                Err(ServeError::UnknownUser(*user))
+            };
+            prop_assert_eq!(map.band(*user, Some(t)), expect);
+        }
+        for theta_override in [None, Some(t)] {
+            let (per_band, slots) = map.split(&users, theta_override);
+            prop_assert_eq!(per_band.len(), map.bands());
+            prop_assert_eq!(slots.len(), users.len());
+            let mut seen = vec![false; users.len()];
+            for (j, positions) in per_band.iter().enumerate() {
+                prop_assert!(positions.windows(2).all(|w| w[0] < w[1]), "request order");
+                for &k in positions {
+                    prop_assert_eq!(map.band(users[k], theta_override), Ok(j));
+                    prop_assert!(slots[k].is_none());
+                    seen[k] = true;
+                }
+            }
+            for (k, user) in users.iter().enumerate() {
+                if !seen[k] {
+                    prop_assert_eq!(&slots[k], &Some(Err(ServeError::UnknownUser(*user))));
+                }
+            }
         }
     }
 }
