@@ -45,7 +45,7 @@ use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Background, Clock, Counter, ObsHub, SystemClock, TraceData};
 use ganc_serve::{IngestAck, RequestOptions, ServeError};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
 /// Tuning for one band's replica group.
@@ -137,13 +137,6 @@ struct ReplicaObs {
     restores: Arc<Counter>,
 }
 
-/// The winner-takes-first slot a hedged attempt's two dispatch threads
-/// write into.
-struct HedgeSlot<T> {
-    primary: Option<Result<T, BackendError>>,
-    hedge: Option<Result<T, BackendError>>,
-}
-
 /// A band's replica group. Construct with [`ReplicaSet::new`] (production
 /// clock) or [`ReplicaSet::with_clock`] (tests), then mount it on the
 /// router via `ShardRoute::Replicas`; the `Arc` it comes in is its
@@ -163,6 +156,9 @@ pub struct ReplicaSet {
 /// The dispatch closure a hedged/failover attempt replays verbatim on
 /// whichever replica it lands on.
 type Call<T> = Arc<dyn Fn(&dyn PeerTransport) -> Result<T, BackendError> + Send + Sync>;
+
+/// Where a hedged attempt's dispatch threads send `(replica, result)`.
+type Answers<T> = mpsc::Sender<(usize, Result<T, BackendError>)>;
 
 impl ReplicaSet {
     /// A replica group on the production [`SystemClock`].
@@ -372,38 +368,25 @@ impl ReplicaSet {
         out
     }
 
-    /// Fire `call` against `idx` on a detached thread, landing the result
-    /// in the hedge slot. Detached on purpose: the straggler must not
-    /// block the winner's return; it self-accounts into the breaker when
-    /// it eventually finishes.
-    fn launch<T: Send + 'static>(
-        self: &Arc<Self>,
-        idx: usize,
-        is_primary: bool,
-        call: &Call<T>,
-        slot: &Arc<(Mutex<HedgeSlot<T>>, Condvar)>,
-    ) {
+    /// Fire `call` against `idx` on a detached thread that sends
+    /// `(idx, result)` into `tx`. Detached on purpose: the straggler must
+    /// not block the winner's return; it self-accounts into the breaker
+    /// when it eventually finishes.
+    fn launch<T: Send + 'static>(self: &Arc<Self>, idx: usize, call: &Call<T>, tx: &Answers<T>) {
         let set = Arc::clone(self);
         let call = Arc::clone(call);
-        let slot = Arc::clone(slot);
+        let tx = tx.clone();
         std::thread::spawn(move || {
-            let out = set.attempt(idx, &call);
-            let (lock, cv) = &*slot;
-            let mut st = lock.lock().unwrap();
-            if is_primary {
-                st.primary = Some(out);
-            } else {
-                st.hedge = Some(out);
-            }
-            cv.notify_all();
+            let _ = tx.send((idx, set.attempt(idx, &call)));
         });
     }
 
     /// One hedged attempt: primary first; when the budget elapses without
     /// an answer the call is re-issued to `hedge` and the first `Ok`
     /// wins. Both attempts are accounted, so a hedged pass consumes two
-    /// rotation slots. The budget wait is a condvar wait of
-    /// [`Clock::wall_until`] the deadline, re-reading the injected clock.
+    /// rotation slots. Both attempts answer on one channel; the budget
+    /// wait blocks for [`Clock::wall_until`] the deadline, re-reading the
+    /// injected clock.
     fn hedged_attempt<T: Send + 'static>(
         self: &Arc<Self>,
         primary: usize,
@@ -414,69 +397,42 @@ impl ReplicaSet {
             .cfg
             .hedge_budget
             .expect("hedged_attempt requires a budget");
-        let slot: Arc<(Mutex<HedgeSlot<T>>, Condvar)> = Arc::new((
-            Mutex::new(HedgeSlot {
-                primary: None,
-                hedge: None,
-            }),
-            Condvar::new(),
-        ));
+        let (tx, rx) = mpsc::channel();
         // Deadline first, launch second: once the primary's thread is
         // observable (e.g. parked at a test gate) the budget must already
         // be armed, or an injected clock advanced "after dispatch" could
         // land before the deadline was computed and push it out of reach.
         let deadline = self.clock.now() + budget;
-        self.launch(primary, true, call, &slot);
-        let (lock, cv) = &*slot;
-        let mut st = lock.lock().unwrap();
+        self.launch(primary, call, &tx);
         loop {
-            if let Some(out) = st.primary.take() {
-                return match out {
-                    Ok(v) => Ok(v),
-                    Err(_) => {
-                        // The primary failed *within* its budget: that is
-                        // plain failover, no hedge — retry inline.
-                        drop(st);
-                        self.note_failover(primary, hedge);
-                        self.attempt(hedge, call)
-                    }
-                };
+            match rx.recv_timeout(self.clock.wall_until(deadline)) {
+                Ok((_, Ok(v))) => return Ok(v),
+                Ok((_, Err(_))) => {
+                    // The primary failed *within* its budget: that is
+                    // plain failover, no hedge — retry inline.
+                    self.note_failover(primary, hedge);
+                    return self.attempt(hedge, call);
+                }
+                Err(_) if self.clock.now() >= deadline => break,
+                Err(_) => {}
             }
-            if self.clock.now() >= deadline {
-                break;
-            }
-            st = cv
-                .wait_timeout(st, self.clock.wall_until(deadline))
-                .unwrap()
-                .0;
         }
-        drop(st);
         // Budget blown: re-issue to the next replica; first answer wins.
-        // An error waits for the other attempt; both failing surfaces the
-        // primary's error so the outcome is deterministic.
+        // An error waits for the other attempt (the channel closes once
+        // both have sent); both failing surfaces the primary's error so the
+        // outcome is deterministic.
         self.note_hedge(primary, hedge);
-        self.launch(hedge, false, call, &slot);
-        let mut primary_err: Option<BackendError> = None;
-        let mut hedge_err: Option<BackendError> = None;
-        let mut st = lock.lock().unwrap();
-        loop {
-            if let Some(out) = st.primary.take() {
-                match out {
-                    Ok(v) => return Ok(v),
-                    Err(e) => primary_err = Some(e),
-                }
+        self.launch(hedge, call, &tx);
+        drop(tx);
+        let mut primary_err = None;
+        for (idx, out) in rx {
+            match out {
+                Ok(v) => return Ok(v),
+                Err(e) if idx == primary => primary_err = Some(e),
+                Err(_) => {}
             }
-            if let Some(out) = st.hedge.take() {
-                match out {
-                    Ok(v) => return Ok(v),
-                    Err(e) => hedge_err = Some(e),
-                }
-            }
-            if let (Some(p), Some(_)) = (&primary_err, &hedge_err) {
-                return Err(p.clone());
-            }
-            st = cv.wait(st).unwrap();
         }
+        Err(primary_err.expect("both hedged attempts answered"))
     }
 
     /// The shared dispatch ladder: hedged first attempt (when configured

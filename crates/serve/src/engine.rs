@@ -92,7 +92,7 @@ impl Default for EngineConfig {
 }
 
 /// A snapshot of the engine's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Requests answered from the response cache.
     pub cache_hits: u64,

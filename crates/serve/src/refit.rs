@@ -23,9 +23,13 @@
 //! The swap result is *exactly* the bundle a from-scratch
 //! [`ModelBundle::fit`] on the accumulated interactions produces — the
 //! equivalence `tests/refit_hotswap.rs` pins down, concurrently.
+//!
+//! The pass itself, [`ShardedEngine::refit_once`] with its durable
+//! persist-then-compact step, lives in [`crate::shard`] beside the refit
+//! log it drains; this module holds the merge, the adaptive cadence and
+//! the background [`RefitController`].
 
 use crate::bundle::{FitConfig, FittedModel, ModelBundle};
-use crate::saveload::SaveLoad;
 use crate::shard::ShardedEngine;
 use ganc_dataset::dataset::Rating;
 use ganc_dataset::{Interactions, ItemId, UserId};
@@ -74,7 +78,7 @@ pub fn merge_interactions(base: &Interactions, ingested: &[(UserId, ItemId, f32)
     Interactions::from_ratings(base.n_users(), base.n_items(), &ratings)
 }
 
-/// What one refit pass did.
+/// What one refit pass ([`ShardedEngine::refit_once`]) did.
 #[derive(Debug, Clone)]
 pub enum RefitOutcome {
     /// A new generation is live; the refitted (unsliced) bundle is returned
@@ -89,54 +93,6 @@ pub enum RefitOutcome {
     /// A competing swap changed the generation while this fit ran; the
     /// result was discarded without touching the engine.
     Raced,
-}
-
-impl ShardedEngine {
-    /// Run one complete refit pass synchronously: snapshot, fit on
-    /// train + ingested, rebalance θ bands, and hot-swap. Serving continues
-    /// on the old generation for the whole fit; only the final install
-    /// takes the write lock.
-    pub fn refit_once(&self, fitter: &Refitter, cfg: &FitConfig) -> RefitOutcome {
-        let (generation, baseline, log) = self.refit_snapshot();
-        let consumed = log.len();
-        self.obs_refit_started(generation, consumed as u64);
-        let train = merge_interactions(&baseline.train, &log);
-        let (model, theta) = fitter(&train);
-        let bundle = Arc::new(ModelBundle::fit(model, theta, train, cfg));
-        match self.install_refit(generation, Arc::clone(&bundle), consumed) {
-            Some(generation) => {
-                self.obs_refit_swapped(generation);
-                // Durable engines compact the WAL now that the consumed
-                // ingests are inside the installed bundle — but only once
-                // the refitted artifact is safely on disk (`save` is atomic:
-                // a torn envelope would strand the records the truncation
-                // drops), so every acknowledged interaction is always
-                // recoverable from WAL ∪ artifact. With no artifact path
-                // configured the swap exists only in memory and the WAL is
-                // the sole durable copy of the consumed ingests: truncation
-                // is skipped entirely (the log grows until restart) rather
-                // than orphaning acknowledged history behind a crash. A
-                // crash between persist and truncate replays interactions
-                // the artifact already holds; the merge is
-                // last-rating-wins, so that double-apply is harmless and
-                // the next truncation clears it.
-                if let Some(durable) = self.durable() {
-                    if let Some(path) = durable.artifact_path() {
-                        if SaveLoad::save(bundle.as_ref(), path).is_ok() {
-                            // A failed truncation only delays compaction;
-                            // the un-truncated records replay harmlessly.
-                            let _ = durable.truncate(consumed, generation);
-                        }
-                    }
-                }
-                RefitOutcome::Swapped { generation, bundle }
-            }
-            None => {
-                self.obs_refit_raced(generation);
-                RefitOutcome::Raced
-            }
-        }
-    }
 }
 
 /// Adaptive refit cadence: refit when enough has been ingested (volume
@@ -292,7 +248,9 @@ impl RefitController {
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, ServingEngine};
+    use crate::saveload::SaveLoad;
     use crate::shard::ShardConfig;
+    use crate::wal::DurableConfig;
     use ganc_core::coverage::CoverageKind;
     use ganc_dataset::synth::DatasetProfile;
     use ganc_preference::GeneralizedConfig;
@@ -318,21 +276,16 @@ mod tests {
         })
     }
 
+    /// A from-scratch fit of `train`: the bundle a refit must equal.
+    fn fit(train: Interactions, cfg: &FitConfig) -> ModelBundle {
+        let (model, theta) = pop_fitter()(&train);
+        ModelBundle::fit(model, theta, train, cfg)
+    }
+
     #[test]
     fn merge_keeps_latest_rating_and_appends_new_pairs() {
         let (train, _) = fixture();
-        let (u, i) = {
-            let mut found = (UserId(0), ItemId(0));
-            'outer: for uu in 0..train.n_users() {
-                for ii in 0..train.n_items() {
-                    if train.contains(UserId(uu), ItemId(ii)) {
-                        found = (UserId(uu), ItemId(ii));
-                        break 'outer;
-                    }
-                }
-            }
-            found
-        };
+        let (u, i, _) = train.iter().next().unwrap();
         let fresh = (0..train.n_items())
             .map(ItemId)
             .find(|&it| !train.contains(u, it))
@@ -350,23 +303,16 @@ mod tests {
     fn refit_once_swaps_to_the_from_scratch_fit() {
         let (train, cfg) = fixture();
         let fitter = pop_fitter();
-        let (model, theta) = fitter(&train);
-        let bundle = ModelBundle::fit(model, theta, train.clone(), &cfg);
-        let engine = ShardedEngine::new(bundle, ShardConfig::quantile(3));
+        let engine = ShardedEngine::new(fit(train.clone(), &cfg), ShardConfig::quantile(3));
 
         // Ingest a few interactions, then refit.
-        let lists: Vec<_> = (0..3)
-            .map(|u| engine.recommend(UserId(u)).unwrap())
+        let ingested: Vec<_> = (0..3)
+            .map(|u| (UserId(u), engine.recommend(UserId(u)).unwrap()[0], 5.0))
             .collect();
-        for (u, list) in lists.iter().enumerate() {
-            engine.ingest(UserId(u as u32), list[0], 5.0).unwrap();
+        for &(u, i, r) in &ingested {
+            engine.ingest(u, i, r).unwrap();
         }
         assert_eq!(engine.pending_ingests(), 3);
-        let ingested: Vec<(UserId, ItemId, f32)> = lists
-            .iter()
-            .enumerate()
-            .map(|(u, l)| (UserId(u as u32), l[0], 5.0))
-            .collect();
 
         let outcome = engine.refit_once(fitter.as_ref(), &cfg);
         let RefitOutcome::Swapped { generation, bundle } = outcome else {
@@ -378,9 +324,7 @@ mod tests {
 
         // The installed bundle equals a from-scratch fit on accumulated
         // interactions, and the engine serves exactly that fit.
-        let expected_train = merge_interactions(&train, &ingested);
-        let (model, theta) = fitter(&expected_train);
-        let expected = ModelBundle::fit(model, theta, expected_train, &cfg);
+        let expected = fit(merge_interactions(&train, &ingested), &cfg);
         assert_eq!(*bundle, expected);
         let reference = ServingEngine::new(expected, EngineConfig::default());
         for u in 0..engine.n_users() {
@@ -399,10 +343,7 @@ mod tests {
         // still reflect the late ingest, and the log must keep it for the
         // next refit.
         let (train, cfg) = fixture();
-        let fitter = pop_fitter();
-        let (model, theta) = fitter(&train);
-        let bundle = ModelBundle::fit(model, theta, train, &cfg);
-        let engine = ShardedEngine::new(bundle, ShardConfig::quantile(2));
+        let engine = ShardedEngine::new(fit(train, &cfg), ShardConfig::quantile(2));
 
         let (generation, baseline, log) = engine.refit_snapshot();
         assert!(log.is_empty());
@@ -412,9 +353,7 @@ mod tests {
         let late = engine.recommend(u).unwrap()[0];
         engine.ingest(u, late, 4.0).unwrap();
 
-        let merged = merge_interactions(&baseline.train, &log);
-        let (model, theta) = fitter(&merged);
-        let refit = Arc::new(ModelBundle::fit(model, theta, merged, &cfg));
+        let refit = Arc::new(fit(merge_interactions(&baseline.train, &log), &cfg));
         assert!(engine.install_refit(generation, refit, consumed).is_some());
 
         assert_eq!(engine.pending_ingests(), 1, "late ingest survives the swap");
@@ -429,9 +368,7 @@ mod tests {
     fn stale_refit_is_discarded() {
         let (train, cfg) = fixture();
         let fitter = pop_fitter();
-        let (model, theta) = fitter(&train);
-        let bundle = ModelBundle::fit(model, theta, train, &cfg);
-        let engine = ShardedEngine::new(bundle, ShardConfig::quantile(2));
+        let engine = ShardedEngine::new(fit(train, &cfg), ShardConfig::quantile(2));
         let (generation, baseline, _) = engine.refit_snapshot();
         // A competing refit wins first.
         assert!(matches!(
@@ -444,12 +381,54 @@ mod tests {
     }
 
     #[test]
+    fn an_overtaken_pass_neither_persists_nor_compacts() {
+        // Pass A installs, pass B runs whole, then A's persist step runs:
+        // A's older artifact must not land over B's, nor may A cut the WAL
+        // to B's log, or a crash would lose what only B's bundle holds.
+        let (train, cfg) = fixture();
+        let dir = std::env::temp_dir().join(format!("ganc_overtaken_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let artifact = dir.join("bundle.ganc");
+        let durable = DurableConfig {
+            artifact_path: Some(artifact.clone()),
+            ..DurableConfig::new(dir.join("ingest.wal"))
+        };
+        let engine = ShardedEngine::new(fit(train.clone(), &cfg), ShardConfig::quantile(2));
+        engine.attach_durable(durable.clone()).unwrap();
+        let sent: Vec<_> = (0..4).map(|k| (UserId(k), ItemId(k + 1), 4.0)).collect();
+        engine.ingest(sent[0].0, sent[0].1, sent[0].2).unwrap();
+        let (generation, baseline, log) = engine.refit_snapshot();
+        let a = Arc::new(fit(merge_interactions(&baseline.train, &log), &cfg));
+        let installed = engine.install_refit(generation, Arc::clone(&a), log.len());
+        assert_eq!(installed, Some(1));
+        for &(u, i, r) in &sent[1..] {
+            engine.ingest(u, i, r).unwrap();
+        }
+        let b = engine.refit_once(pop_fitter().as_ref(), &cfg);
+        assert!(matches!(b, RefitOutcome::Swapped { generation: 2, .. }));
+        engine.persist_refit(1, &a);
+        drop(engine);
+
+        let persisted = ModelBundle::load(&artifact).unwrap();
+        let revived = ShardedEngine::new(persisted, ShardConfig::quantile(2));
+        revived.attach_durable(durable).unwrap();
+        let oracle = fit(merge_interactions(&train, &sent), &cfg);
+        let oracle = ServingEngine::new(oracle, EngineConfig::default());
+        for u in 0..revived.n_users() {
+            let got = revived.recommend(UserId(u)).unwrap();
+            assert_eq!(got, oracle.recommend(UserId(u)).unwrap(), "user {u}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn controller_refits_in_background_and_stops_on_drop() {
         let (train, cfg) = fixture();
         let fitter = pop_fitter();
-        let (model, theta) = fitter(&train);
-        let bundle = ModelBundle::fit(model, theta, train, &cfg);
-        let engine = Arc::new(ShardedEngine::new(bundle, ShardConfig::quantile(2)));
+        let engine = Arc::new(ShardedEngine::new(
+            fit(train, &cfg),
+            ShardConfig::quantile(2),
+        ));
         // Every pending ingest is due after 1 ms: the tightest cadence.
         let every_ms = CadenceConfig {
             volume_threshold: 1,
@@ -569,9 +548,10 @@ mod tests {
     fn adaptive_controller_follows_the_injected_clock() {
         let (train, cfg) = fixture();
         let fitter = pop_fitter();
-        let (model, theta) = fitter(&train);
-        let bundle = ModelBundle::fit(model, theta, train, &cfg);
-        let engine = Arc::new(ShardedEngine::new(bundle, ShardConfig::quantile(2)));
+        let engine = Arc::new(ShardedEngine::new(
+            fit(train, &cfg),
+            ShardConfig::quantile(2),
+        ));
         let clock = Arc::new(ManualClock::new());
         let cadence = CadenceConfig {
             volume_threshold: 2,

@@ -14,9 +14,11 @@
 //!
 //! [`ShardedEngine`] runs the same topology in-process: one
 //! [`ServingEngine`] per band over a sliced bundle, an outer `RwLock` that
-//! makes bundle hot-swaps atomic across *all* shards (see
-//! [`crate::refit`]), and an ingest path that fans each interaction to
-//! every shard — popularity is global state every replica tracks, while the
+//! makes bundle hot-swaps atomic across *all* shards (the refit pass,
+//! [`ShardedEngine::refit_once`], lives here beside the refit log it
+//! drains; [`crate::refit`] holds the merge, cadence and controller), and
+//! an ingest path that fans each interaction to every shard —
+//! popularity is global state every replica tracks, while the
 //! ingesting user's candidate exclusion only matters on the shard that
 //! serves them. Output is byte-identical to an unsharded engine by
 //! construction, which `tests/shard_equivalence.rs` checks exhaustively.
@@ -31,10 +33,11 @@
 //! round-trip away (the router's remote bands).
 
 use crate::band::{band_batch, BandMap};
-use crate::bundle::ModelBundle;
+use crate::bundle::{FitConfig, ModelBundle};
 use crate::engine::{
     EngineBatch, EngineConfig, EngineStats, ServeError, ServingEngine, SlotAnswer,
 };
+use crate::refit::{merge_interactions, RefitOutcome, Refitter};
 use crate::saveload::{PersistError, SaveLoad};
 use crate::wal::{DurableConfig, DurableLog, IngestAck, WalReplaySummary, WalStats};
 use ganc_core::query::{band_bounds, cut_theta_bands, RequestOptions};
@@ -163,12 +166,31 @@ impl ShardSet {
         }
     }
 
-    /// Apply one ingested interaction to every shard: the popularity bump
-    /// is global state all replicas must track; the candidate exclusion
-    /// only matters on the owner shard but is consistent everywhere.
-    fn apply_ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), ServeError> {
-        for engine in &self.engines {
-            engine.ingest(user, item, rating)?;
+    /// Refuse an interaction outside this generation's id space.
+    fn check(&self, user: UserId, item: ItemId) -> Result<(), ServeError> {
+        if user.idx() >= self.bundle.n_users() as usize {
+            return Err(ServeError::UnknownUser(user));
+        }
+        if item.idx() >= self.bundle.n_items() as usize {
+            return Err(ServeError::UnknownItem(item));
+        }
+        Ok(())
+    }
+
+    /// Apply acknowledged ingests to every shard, in order — a fresh one,
+    /// a WAL's recovered records, or the ingests a refit's fit did not
+    /// see — all or nothing: an id outside this generation refuses the lot
+    /// before any shard moves. The popularity bump is global state all
+    /// replicas must track; the candidate exclusion only matters on the
+    /// owner shard but is consistent everywhere.
+    fn apply(&self, ingests: &[(UserId, ItemId, f32)]) -> Result<(), ServeError> {
+        for &(u, i, _) in ingests {
+            self.check(u, i)?;
+        }
+        for &(u, i, r) in ingests {
+            for engine in &self.engines {
+                engine.ingest(u, i, r)?;
+            }
         }
         Ok(())
     }
@@ -179,8 +201,12 @@ impl ShardSet {
 pub struct ShardedEngine {
     set: RwLock<ShardSet>,
     /// Interactions ingested since the current baseline bundle was fitted,
-    /// in arrival order — the refit path's input (see [`crate::refit`]).
+    /// in arrival order: the refit pass's input, and on a durable engine
+    /// the only list of acknowledged ingests no persisted artifact holds.
     ingest_log: Mutex<Vec<(UserId, ItemId, f32)>>,
+    /// Persist lock: one refit pass at a time saves its artifact and
+    /// compacts the WAL ([`ShardedEngine::persist_refit`]).
+    persist: Mutex<()>,
     engine_cfg: EngineConfig,
     plan: ShardPlan,
     /// Optional observability ([`ShardedEngine::attach_obs`]): the hub and
@@ -188,8 +214,9 @@ pub struct ShardedEngine {
     /// refit lifecycle counters.
     obs: OnceLock<ShardObs>,
     /// Optional durability ([`ShardedEngine::attach_durable`]): the WAL +
-    /// dedup window every acknowledged ingest goes through.
-    durable: OnceLock<Arc<DurableLog>>,
+    /// dedup window every acknowledged ingest goes through. Set only under
+    /// the shard-set write lock.
+    durable: OnceLock<DurableLog>,
 }
 
 /// Shard-level observability state: what every new generation's engines
@@ -245,6 +272,10 @@ impl ShardObs {
             engine.attach_obs(Arc::clone(&self.hub), Some(j as u32), self.window);
         }
     }
+
+    fn trace(&self, data: TraceData) {
+        self.hub.trace.record(self.hub.now_us(), data);
+    }
 }
 
 // Lock discipline: outer `set` lock before `ingest_log`, and outer before
@@ -252,13 +283,17 @@ impl ShardObs {
 // refit swaps take the outer write side — an ingest mutates *every* shard,
 // and holding the write lock is what keeps a multi-shard batch from
 // observing some shards pre-ingest and others post-ingest (the same batch
-// atomicity the unsharded engine gets from its single state lock).
+// atomicity the unsharded engine gets from its single state lock). An
+// ingest holds it from WAL append to refit-log push, so a WAL compaction
+// — persist lock, then `set` read, then `ingest_log`, then the WAL's own
+// mutex — sees every appended ingest in the log it rewrites from.
 impl ShardedEngine {
     /// Shard a fitted bundle and start serving.
     pub fn new(bundle: ModelBundle, cfg: ShardConfig) -> ShardedEngine {
         ShardedEngine {
             set: RwLock::new(ShardSet::build(Arc::new(bundle), &cfg.plan, cfg.engine, 0)),
             ingest_log: Mutex::new(Vec::new()),
+            persist: Mutex::new(()),
             engine_cfg: cfg.engine,
             plan: cfg.plan,
             obs: OnceLock::new(),
@@ -287,54 +322,36 @@ impl ShardedEngine {
     /// Attach a write-ahead log: open (or create) the WAL at `cfg.path`,
     /// replay whatever survives through the normal ingest path, and route
     /// every subsequent ingest through the log before acknowledgement.
-    /// One-shot; must happen before serving starts (a second attach is
-    /// refused). Returns what the startup replay recovered.
+    /// One-shot; must happen before serving starts: a second attach is
+    /// refused before it opens anything. Returns what the startup replay
+    /// recovered.
     ///
     /// Fails with `InvalidData` if a recovered interaction is outside the
     /// bundle's id space — a WAL paired with the wrong artifact is a
     /// deployment error worth refusing loudly, not a reason to silently
     /// drop acknowledged ratings.
     pub fn attach_durable(&self, cfg: DurableConfig) -> std::io::Result<WalReplaySummary> {
-        let (log, recovered) = DurableLog::open(cfg)?;
-        let summary = log.replay_summary();
         #[allow(clippy::readonly_write_lock)]
         let set = self.set.write().unwrap();
-        for &(u, i, _) in &recovered {
-            if u.idx() >= set.bundle.n_users() as usize || i.idx() >= set.bundle.n_items() as usize
-            {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "WAL record (user {}, item {}) is outside the artifact's id space",
-                        u.0, i.0
-                    ),
-                ));
-            }
+        if self.durable.get().is_some() {
+            return Err(std::io::Error::other("durable log already attached"));
         }
-        // Recovered interactions re-enter through the normal path — refit
-        // log then shards, keeping the WAL's pending records 1:1 with the
-        // log — but are NOT re-appended (they are already in the WAL).
-        let mut ingest_log = self.ingest_log.lock().unwrap();
-        for &(u, i, r) in &recovered {
-            ingest_log.push((u, i, r));
-            set.apply_ingest(u, i, r)
-                .expect("validated against the bundle above");
-        }
-        drop(ingest_log);
-        drop(set);
-        self.durable
-            .set(Arc::new(log))
-            .map_err(|_| std::io::Error::other("durable log already attached"))?;
+        let (log, recovered) = DurableLog::open(cfg)?;
+        // Recovered interactions re-enter the refit log and the shards
+        // like an ingest, but are not re-appended: they are in the WAL.
+        set.apply(&recovered).map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("WAL record outside the artifact's id space: {e}"),
+            )
+        })?;
+        self.ingest_log.lock().unwrap().extend(&recovered);
+        let summary = log.replay_summary();
+        let _ = self.durable.set(log);
         if let (Some(obs), Some(durable)) = (self.obs.get(), self.durable.get()) {
             durable.attach_obs(Arc::clone(&obs.hub));
         }
         Ok(summary)
-    }
-
-    /// The attached durable log, when any ([`crate::refit`] truncates it
-    /// after a swap).
-    pub(crate) fn durable(&self) -> Option<&Arc<DurableLog>> {
-        self.durable.get()
     }
 
     /// WAL counters and sizes, when a durable log is attached.
@@ -360,41 +377,6 @@ impl ShardedEngine {
     fn band_windows(&self) -> Vec<Option<WindowWire>> {
         let set = self.set.read().unwrap();
         set.engines.iter().map(ServingEngine::window_wire).collect()
-    }
-
-    /// Refit lifecycle hooks, called by [`crate::refit`].
-    pub(crate) fn obs_refit_started(&self, generation: u64, pending: u64) {
-        if let Some(obs) = self.obs.get() {
-            obs.refit_started.inc();
-            obs.pending_gauge.set(pending as f64);
-            obs.hub.trace.record(
-                obs.hub.now_us(),
-                TraceData::RefitStarted {
-                    generation,
-                    pending,
-                },
-            );
-        }
-    }
-
-    pub(crate) fn obs_refit_swapped(&self, generation: u64) {
-        if let Some(obs) = self.obs.get() {
-            obs.refit_swapped.inc();
-            obs.generation_gauge.set(generation as f64);
-            obs.pending_gauge.set(self.pending_ingests() as f64);
-            obs.hub
-                .trace
-                .record(obs.hub.now_us(), TraceData::RefitSwapped { generation });
-        }
-    }
-
-    pub(crate) fn obs_refit_raced(&self, generation: u64) {
-        if let Some(obs) = self.obs.get() {
-            obs.refit_raced.inc();
-            obs.hub
-                .trace
-                .record(obs.hub.now_us(), TraceData::RefitRaced { generation });
-        }
     }
 
     /// Answer one user's top-N request from their θ band's shard.
@@ -501,12 +483,7 @@ impl ShardedEngine {
         // Validate against the baseline bundle before touching anything so
         // a rejected ingest leaves neither the WAL, the log, nor any shard
         // modified.
-        if user.idx() >= set.bundle.n_users() as usize {
-            return Err(ServeError::UnknownUser(user));
-        }
-        if item.idx() >= set.bundle.n_items() as usize {
-            return Err(ServeError::UnknownItem(item));
-        }
+        set.check(user, item)?;
         // WAL first (still under the outer write lock, so WAL order, log
         // order, and shard application order all agree), then the refit
         // log, then the shards: a refit swap can never observe the shards
@@ -522,7 +499,7 @@ impl ShardedEngine {
             }
         }
         self.ingest_log.lock().unwrap().push((user, item, rating));
-        set.apply_ingest(user, item, rating)?;
+        set.apply(&[(user, item, rating)])?;
         Ok(IngestAck::Applied)
     }
 
@@ -552,13 +529,7 @@ impl ShardedEngine {
     /// Aggregate counters across all shards of the current generation.
     pub fn stats(&self) -> EngineStats {
         let set = self.set.read().unwrap();
-        let mut total = EngineStats {
-            cache_hits: 0,
-            cache_misses: 0,
-            ingested: 0,
-            invalidated: 0,
-            cached: 0,
-        };
+        let mut total = EngineStats::default();
         for engine in &set.engines {
             let s = engine.stats();
             total.cache_hits += s.cache_hits;
@@ -602,15 +573,53 @@ impl ShardedEngine {
         save_shard_artifacts(&set.bundle, set.map.cuts(), base)
     }
 
-    /// Internal hook for [`crate::refit`]: the current generation, the
-    /// shared baseline bundle, and a snapshot of the ingest log.
+    /// Run one complete refit pass synchronously: snapshot, fit on
+    /// train + ingested ([`merge_interactions`]), rebalance θ bands,
+    /// hot-swap, and on a durable engine persist-then-compact. Serving
+    /// continues on the old generation for the whole fit; only the final
+    /// install takes the write lock.
+    pub fn refit_once(&self, fitter: &Refitter, cfg: &FitConfig) -> RefitOutcome {
+        let (generation, baseline, log) = self.refit_snapshot();
+        let obs = self.obs.get();
+        if let Some(obs) = obs {
+            let pending = log.len() as u64;
+            obs.refit_started.inc();
+            obs.pending_gauge.set(pending as f64);
+            obs.trace(TraceData::RefitStarted {
+                generation,
+                pending,
+            });
+        }
+        let train = merge_interactions(&baseline.train, &log);
+        let (model, theta) = fitter(&train);
+        let bundle = Arc::new(ModelBundle::fit(model, theta, train, cfg));
+        let Some(generation) = self.install_refit(generation, Arc::clone(&bundle), log.len())
+        else {
+            if let Some(obs) = obs {
+                obs.refit_raced.inc();
+                obs.trace(TraceData::RefitRaced { generation });
+            }
+            return RefitOutcome::Raced;
+        };
+        if let Some(obs) = obs {
+            obs.refit_swapped.inc();
+            obs.generation_gauge.set(generation as f64);
+            obs.pending_gauge.set(self.pending_ingests() as f64);
+            obs.trace(TraceData::RefitSwapped { generation });
+        }
+        self.persist_refit(generation, &bundle);
+        RefitOutcome::Swapped { generation, bundle }
+    }
+
+    /// The refit pass's first step: the current generation, the shared
+    /// baseline bundle, and a snapshot of the ingest log.
     pub(crate) fn refit_snapshot(&self) -> (u64, Arc<ModelBundle>, Vec<(UserId, ItemId, f32)>) {
         let set = self.set.read().unwrap();
         let log = self.ingest_log.lock().unwrap();
         (set.generation, Arc::clone(&set.bundle), log.clone())
     }
 
-    /// Internal hook for [`crate::refit`]: atomically install a refitted
+    /// The refit pass's install step: atomically install a refitted
     /// bundle. `consumed` is how many log entries the refit merged; the
     /// remainder (ingests that raced the background fit) is replayed onto
     /// the new shards before they go live. Returns the new generation, or
@@ -641,17 +650,40 @@ impl ShardedEngine {
         log.drain(..consumed);
         // Replay ingests that arrived while the fit ran, so the swap loses
         // nothing: they stay in the log for the *next* refit and are live
-        // in the new shards immediately.
-        for &(u, i, r) in log.iter() {
-            // The refitted bundle spans the same id space; replay cannot
-            // fail for entries the old generation accepted.
-            new_set
-                .apply_ingest(u, i, r)
-                .expect("refit bundle must cover previously accepted ids");
-        }
+        // in the new shards immediately. The refitted bundle spans the
+        // same id space, so entries the old generation accepted replay.
+        new_set
+            .apply(&log)
+            .expect("refit bundle must cover previously accepted ids");
         let generation = new_set.generation;
         *set = new_set;
         Some(generation)
+    }
+
+    /// The refit pass's persist step for the pass that installed
+    /// `generation`: save its bundle as the artifact, then compact the WAL
+    /// to the refit log's survivors. One pass at a time (the persist lock),
+    /// and only while `generation` is installed: an overtaken pass must
+    /// neither land its older artifact over a newer one nor rewrite the
+    /// WAL from a newer generation's log. Without an artifact path the WAL
+    /// is the consumed ingests' only durable copy and stays whole. A
+    /// failure only delays compaction; what the WAL still holds replays
+    /// harmlessly (the merge is last-rating-wins).
+    pub(crate) fn persist_refit(&self, generation: u64, bundle: &ModelBundle) {
+        let durable = self.durable.get();
+        let Some((durable, path)) = durable.and_then(|d| Some((d, d.artifact_path()?))) else {
+            return;
+        };
+        let _persist = self.persist.lock().unwrap();
+        if self.generation() != generation || bundle.save(path).is_err() {
+            return;
+        }
+        // Under the read lock no ingest lands between reading the
+        // survivors and rewriting the file.
+        let set = self.set.read().unwrap();
+        if set.generation == generation {
+            let _ = durable.truncate(&self.ingest_log.lock().unwrap(), generation);
+        }
     }
 }
 

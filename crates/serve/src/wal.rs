@@ -15,13 +15,17 @@
 //! * **Exactly-once** — ingests may carry an idempotency key; a bounded
 //!   dedup window remembers recently acknowledged keys, and the window
 //!   itself is persisted in the WAL (keys ride on their ingest records;
-//!   truncation rewrites surviving keys as key-only stubs), so a retried
-//!   or replayed request is a no-op **across restarts** too.
+//!   truncation rewrites the window as key-only stubs), so a retried or
+//!   replayed request is a no-op **across restarts** too.
 //!
-//! Truncation is atomic (write a fresh log beside the live one, then
-//! `rename` over it) and keeps everything still unaccounted for: ingests
-//! that raced the refit stay as full records, already-refitted keys shrink
-//! to stubs. Process-death durability (the crash-recovery oracle in
+//! The log keeps no list of unrefitted ingests: the sharded engine's refit
+//! log is that list, and a compaction hands its survivors (the ingests the
+//! persisted artifact does not hold) to [`DurableLog::truncate`]. The
+//! rewrite is atomic (write a fresh log beside the live one, then `rename`
+//! over it) and holds one `Key` stub per remembered key, in window order,
+//! then the survivors without keys — replay re-arms the same window and
+//! re-applies the same interactions. [`Wal::open`] refuses, untouched, a
+//! file that is not such a log. Process-death durability (the oracle in
 //! `tests/wal_recovery.rs` SIGKILLs a node mid-storm) comes from the
 //! ack-after-append discipline alone; **power-loss** durability is the
 //! [`SyncPolicy`] knob on [`DurableConfig`] — `fdatasync` per append,
@@ -45,7 +49,10 @@ pub const WAL_MAGIC: [u8; 4] = *b"GWAL";
 pub const WAL_VERSION: u16 = 1;
 
 /// File header: magic + version.
-const HEADER_LEN: u64 = 6;
+const HEADER: [u8; 6] = {
+    let ([m0, m1, m2, m3], [v0, v1]) = (WAL_MAGIC, WAL_VERSION.to_le_bytes());
+    [m0, m1, m2, m3, v0, v1]
+};
 
 /// Frame prefix: payload length (u32) + CRC32 of the payload (u32).
 const FRAME_PREFIX: usize = 8;
@@ -127,8 +134,9 @@ pub enum WalRecord {
         /// Idempotency key the ingest carried, if any.
         key: Option<String>,
     },
-    /// A dedup-key stub: its interaction is already inside a persisted
-    /// artifact, so replay only re-arms the dedup window.
+    /// A dedup-key stub, one per remembered key after a compaction: replay
+    /// only re-arms the dedup window (an interaction the persisted
+    /// artifact lacks follows as a keyless `Ingest`).
     Key {
         /// Generation whose truncation wrote the stub.
         generation: u64,
@@ -328,7 +336,8 @@ pub fn decode_stream(buf: &[u8]) -> (Vec<WalRecord>, WalReplaySummary) {
 ///
 /// [`Wal::open`] replays the existing file (recovering the longest valid
 /// prefix and truncating any corrupt tail away, so later appends extend a
-/// clean log), [`Wal::append`] adds one framed record, and
+/// clean log, but refusing a file that is not a log of this format),
+/// [`Wal::append`] adds one framed record, and
 /// [`Wal::rewrite`] atomically replaces the whole file (write-beside +
 /// `rename`).
 pub struct Wal {
@@ -340,6 +349,11 @@ pub struct Wal {
 
 impl Wal {
     /// Open (or create) the WAL at `path`, replaying whatever it holds.
+    ///
+    /// A missing or empty file, or a torn prefix of the header (a crash
+    /// during creation), starts a fresh log. Any other file without this
+    /// format's header — an artifact, a newer log, a flipped header bit —
+    /// is refused with `InvalidData` and left untouched.
     pub fn open(path: impl AsRef<Path>) -> io::Result<(Wal, Vec<WalRecord>, WalReplaySummary)> {
         let path = path.as_ref().to_path_buf();
         let mut buf = Vec::new();
@@ -350,58 +364,31 @@ impl Wal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
-        let (records, mut summary, valid_len) = if buf.is_empty() {
-            (
-                Vec::new(),
-                WalReplaySummary {
-                    records: 0,
-                    bytes: 0,
-                    corrupted: false,
-                },
-                0,
-            )
-        } else if buf.len() < HEADER_LEN as usize
-            || buf[..4] != WAL_MAGIC
-            || u16::from_le_bytes([buf[4], buf[5]]) != WAL_VERSION
-        {
-            // A foreign or mangled header means there is no valid prefix at
-            // all: recover nothing, start a fresh log.
-            (
-                Vec::new(),
-                WalReplaySummary {
-                    records: 0,
-                    bytes: 0,
-                    corrupted: true,
-                },
-                0,
-            )
-        } else {
-            let (records, summary) = decode_stream(&buf[HEADER_LEN as usize..]);
-            let valid = HEADER_LEN + summary.bytes;
-            (records, summary, valid)
-        };
+        let fresh = buf.len() < HEADER.len() && HEADER.starts_with(&buf);
+        if !fresh && !buf.starts_with(&HEADER) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{} is not a GWAL v{WAL_VERSION} log", path.display()),
+            ));
+        }
+        let (records, mut summary) = decode_stream(buf.get(HEADER.len()..).unwrap_or(&[]));
+        // A torn header is a torn write, and nothing behind it was acked.
+        summary.corrupted |= fresh && !buf.is_empty();
+        let bytes = (HEADER.len() as u64) + summary.bytes;
         let mut file = OpenOptions::new()
             .create(true)
             .read(true)
             .append(true)
             .open(&path)?;
-        if valid_len == 0 {
-            // Fresh or unreadable: rewrite the header in place.
+        if fresh {
             file.set_len(0)?;
-            file.write_all(&WAL_MAGIC)?;
-            file.write_all(&WAL_VERSION.to_le_bytes())?;
-        } else if (valid_len) < buf.len() as u64 {
+            file.write_all(&HEADER)?;
+        } else if bytes < buf.len() as u64 {
             // Drop the corrupt tail so future appends extend the valid
             // prefix instead of burying records behind garbage.
-            file.set_len(valid_len)?;
+            file.set_len(bytes)?;
         }
         file.flush()?;
-        let bytes = if valid_len == 0 {
-            HEADER_LEN
-        } else {
-            valid_len
-        };
-        summary.bytes = bytes.saturating_sub(HEADER_LEN);
         let wal = Wal {
             path,
             file,
@@ -435,9 +422,7 @@ impl Wal {
     /// it, `rename` over the live path. A crash at any point leaves either
     /// the old log or the new one — never a torn mix.
     pub fn rewrite(&mut self, records: &[WalRecord]) -> io::Result<()> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&WAL_MAGIC);
-        out.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        let mut out = HEADER.to_vec();
         for rec in records {
             out.extend_from_slice(&encode_record(rec));
         }
@@ -612,10 +597,6 @@ impl DurableConfig {
 struct DurableInner {
     wal: Wal,
     window: DedupWindow,
-    /// Ingest records since the last truncation, append order — kept 1:1
-    /// with the engine's in-memory refit log so a truncation knows which
-    /// prefix a refit consumed.
-    pending: Vec<WalRecord>,
     /// When the log last reached stable storage (clock time), for
     /// [`SyncPolicy::Interval`] group commit.
     last_sync: Duration,
@@ -716,9 +697,8 @@ impl DurableLog {
         let (wal, records, replay) = Wal::open(&cfg.path)?;
         let mut window = DedupWindow::new(cfg.dedup_window);
         let mut recovered = Vec::new();
-        let mut pending = Vec::new();
         for rec in records {
-            match &rec {
+            match rec {
                 WalRecord::Ingest {
                     user,
                     item,
@@ -727,13 +707,12 @@ impl DurableLog {
                     ..
                 } => {
                     if let Some(k) = key {
-                        window.observe(k);
+                        window.observe(&k);
                     }
-                    recovered.push((*user, *item, *rating));
-                    pending.push(rec);
+                    recovered.push((user, item, rating));
                 }
                 WalRecord::Key { key, .. } => {
-                    window.observe(key);
+                    window.observe(&key);
                 }
             }
         }
@@ -741,7 +720,6 @@ impl DurableLog {
         let inner = Arc::new(Mutex::new(DurableInner {
             wal,
             window,
-            pending,
             last_sync,
             dirty: false,
             syncs: 0,
@@ -824,14 +802,13 @@ impl DurableLog {
                 return Ok(IngestAck::Deduplicated);
             }
         }
-        let rec = WalRecord::Ingest {
+        inner.wal.append(&WalRecord::Ingest {
             generation,
             user,
             item,
             rating,
             key: key.map(str::to_string),
-        };
-        inner.wal.append(&rec)?;
+        })?;
         inner.dirty = true;
         // Apply the power-loss policy before the acknowledgement escapes
         // the mutex: under `PerAppend` the ack implies the record is on
@@ -848,7 +825,6 @@ impl DurableLog {
         if let Some(k) = key {
             inner.window.observe(k);
         }
-        inner.pending.push(rec);
         self.appends.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = self.obs.get() {
             obs.appends.inc();
@@ -856,43 +832,30 @@ impl DurableLog {
         Ok(IngestAck::Applied)
     }
 
-    /// Compact after a refit swap: the first `consumed` pending ingests
-    /// are inside the newly installed (and, when configured, persisted)
-    /// bundle, so their full records are no longer needed — their keys
-    /// shrink to stubs, racing ingests stay whole. Atomic.
-    pub fn truncate(&self, consumed: usize, generation: u64) -> io::Result<()> {
+    /// Compact after a refit swap whose bundle is persisted: rewrite the
+    /// log as one `Key` stub per remembered key (window order), then the
+    /// `survivors` — the acknowledged ingests the persisted artifact does
+    /// not hold — without keys, so a replay re-arms the same window and
+    /// re-applies exactly the survivors. Atomic; the caller must keep
+    /// appends out until it returns, or a racing record would be lost.
+    pub fn truncate(&self, survivors: &[(UserId, ItemId, f32)], generation: u64) -> io::Result<()> {
         let mut inner = self.inner.lock().unwrap();
-        let consumed = consumed.min(inner.pending.len());
-        let racers = inner.pending.split_off(consumed);
-        let racer_keys: HashSet<&str> = racers
+        let stubs = inner.window.keys().map(|k| WalRecord::Key {
+            generation,
+            key: k.to_string(),
+        });
+        let whole = survivors
             .iter()
-            .filter_map(|r| match r {
-                WalRecord::Ingest { key: Some(k), .. } => Some(k.as_str()),
-                _ => None,
-            })
-            .collect();
-        let mut recs: Vec<WalRecord> = inner
-            .window
-            .keys()
-            .filter(|k| !racer_keys.contains(k))
-            .map(|k| WalRecord::Key {
+            .map(|&(user, item, rating)| WalRecord::Ingest {
                 generation,
-                key: k.to_string(),
-            })
-            .collect();
-        recs.extend(racers.iter().cloned());
+                user,
+                item,
+                rating,
+                key: None,
+            });
+        let recs: Vec<WalRecord> = stubs.chain(whole).collect();
         let retained = recs.len() as u64;
-        match inner.wal.rewrite(&recs) {
-            Ok(()) => {}
-            Err(e) => {
-                // Put the racers back so pending stays 1:1 with the refit
-                // log; the un-truncated records replay harmlessly (the
-                // merge is last-rating-wins) until the next compaction.
-                inner.pending = racers;
-                return Err(e);
-            }
-        }
-        inner.pending = racers;
+        inner.wal.rewrite(&recs)?;
         self.truncations.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = self.obs.get() {
             obs.truncations.inc();
@@ -1053,16 +1016,39 @@ mod tests {
     }
 
     #[test]
-    fn foreign_header_starts_fresh_without_panicking() {
+    fn foreign_header_is_refused_and_left_untouched() {
         let path = tmp("header");
-        std::fs::write(&path, b"definitely not a wal").unwrap();
+        let record = encode_record(&ingest(1, 1, None));
+        let mut flipped = HEADER;
+        flipped[2] ^= 0x04;
+        // Not a log at all, a future version, one flipped header bit.
+        for head in [
+            &b"definitely not a wal"[..],
+            b"GWAL\x02\x00",
+            &flipped,
+            b"GX",
+        ] {
+            let bytes = [head, &record[..]].concat();
+            std::fs::write(&path, &bytes).unwrap();
+            let err = Wal::open(&path).err().expect("a foreign file was opened");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "refusal wrote");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn torn_header_prefix_starts_fresh() {
+        let path = tmp("torn_header");
+        std::fs::write(&path, &HEADER[..3]).unwrap();
         let (mut wal, recs, summary) = Wal::open(&path).unwrap();
         assert!(recs.is_empty());
-        assert!(summary.corrupted);
+        assert!(summary.corrupted, "the torn header is reported");
         wal.append(&ingest(1, 1, None)).unwrap();
         drop(wal);
-        let (_, recs, _) = Wal::open(&path).unwrap();
-        assert_eq!(recs.len(), 1);
+        let (_, recs, summary) = Wal::open(&path).unwrap();
+        assert_eq!(recs, vec![ingest(1, 1, None)]);
+        assert!(!summary.corrupted);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1095,11 +1081,11 @@ mod tests {
         assert_eq!(log.stats().dedup_hits, 1);
 
         // Refit consumed the first two ingests; k2's record raced it.
-        log.truncate(2, 1).unwrap();
+        log.truncate(&[(UserId(2), ItemId(1), 5.0)], 1).unwrap();
         let stats = log.stats();
         assert_eq!(stats.truncations, 1);
-        // k1 stub + k2 full record.
-        assert_eq!(stats.records, 2);
+        // k1 and k2 stubs + k2's interaction, keyless.
+        assert_eq!(stats.records, 3);
         assert_eq!(ack(&log, Some("k1"), 0), IngestAck::Deduplicated);
         assert_eq!(ack(&log, Some("k2"), 2), IngestAck::Deduplicated);
         drop(log);

@@ -19,7 +19,9 @@
 //!    (the WAL survives, nothing else does), re-attach, and compare
 //!    against the from-scratch oracle — including a torn tail and a
 //!    crash *between* artifact persist and WAL truncation (the bounded
-//!    double-apply that must self-heal).
+//!    double-apply that must self-heal); and generated schedules of
+//!    ingests, refits and crash-restarts, after every step of which a node
+//!    rebuilt from disk must serve exactly what the live node serves.
 //! 3. **Two-process SIGKILL oracle**: a real HTTP node (this test binary
 //!    re-executed, the `examples/http_demo.rs` pattern) is killed with
 //!    SIGKILL in the middle of a keyed ingest storm, restarted on the
@@ -43,6 +45,7 @@ use ganc::serve::{
     IngestAck, ModelBundle, SaveLoad, ServingEngine, ShardConfig, ShardedEngine, WalRecord,
 };
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -275,10 +278,12 @@ fn truncate_retains_racers_and_remembers_consumed_keys() {
                 .unwrap();
         }
         // A refit consumed the first 3; records 3 and 4 raced it.
-        log.truncate(3, 7).unwrap();
+        let survivors: Vec<(UserId, ItemId, f32)> =
+            (3..5).map(|k| (UserId(k), ItemId(k), 1.5)).collect();
+        log.truncate(&survivors, 7).unwrap();
         let stats = log.stats();
         assert_eq!(stats.truncations, 1);
-        assert_eq!(stats.records, 5, "3 key stubs + 2 whole racers");
+        assert_eq!(stats.records, 7, "5 key stubs + 2 keyless racers");
     }
     let (log, recovered) = DurableLog::open(DurableConfig::new(&path)).unwrap();
     let racers: Vec<(UserId, ItemId, f32)> = (3..5).map(|k| (UserId(k), ItemId(k), 1.5)).collect();
@@ -638,6 +643,123 @@ fn router_restart_remembers_consumed_keys_mid_repair() {
     assert_eq!(ack, IngestAck::Deduplicated);
     assert_eq!(remote_engine.stats().ingested, 2);
     assert_eq!(local.stats().ingested, 2);
+    std::fs::remove_file(&path).ok();
+}
+
+/// The dedup window of the generated schedules below: small, so schedules
+/// also resend keys the window has already forgotten.
+const WINDOW: usize = 6;
+
+/// A node rebuilt from what is on disk alone: the persisted artifact (the
+/// base bundle before any refit persisted one) plus the WAL.
+fn rebuild(base: &ModelBundle, wal: &Path, artifact: &Path) -> ShardedEngine {
+    let bundle = match artifact.exists() {
+        true => ModelBundle::load(artifact).expect("load the persisted artifact"),
+        false => base.clone(),
+    };
+    let engine = ShardedEngine::new(bundle, ShardConfig::quantile(2));
+    let cfg = DurableConfig {
+        dedup_window: WINDOW,
+        artifact_path: Some(artifact.to_path_buf()),
+        ..DurableConfig::new(wal)
+    };
+    engine.attach_durable(cfg).expect("attach the WAL");
+    engine
+}
+
+proptest! {
+    /// Generated schedules of keyed, unkeyed and resent ingests, refit
+    /// passes and crash-restarts (drop the engine, rebuild it from disk)
+    /// against a durable engine with an artifact path. After every step a
+    /// node rebuilt from disk serves every user the live engine's list,
+    /// byte for byte, and answers every acknowledged key still inside the
+    /// dedup window `Deduplicated`: the refit log and the WAL agree.
+    #[test]
+    fn prop_a_node_rebuilt_from_disk_matches_the_live_engine(
+        steps in proptest::collection::vec((0u32..10, 0u32..1000, 0u32..1000, 0u32..8), 1..10),
+    ) {
+        let (wal, artifact) = (scratch("schedule_wal"), scratch("schedule_artifact"));
+        let (_, base) = fixture();
+        let fitter = item_avg_fitter();
+        let mut live = rebuild(&base, &wal, &artifact);
+        // The window the schedule should have left, and every fresh key.
+        let mut window: VecDeque<String> = VecDeque::new();
+        let mut keyed: Vec<(String, (UserId, ItemId, f32))> = Vec::new();
+        for (n, &(op, a, b, r)) in steps.iter().enumerate() {
+            let (u, i) = (UserId(a % base.n_users()), ItemId(b % base.n_items()));
+            let fresh = (u, i, 1.0 + r as f32 * 0.5);
+            let send = match op {
+                0..=3 => Some((format!("k{n}"), fresh)),
+                6..=7 if !keyed.is_empty() => Some(keyed[a as usize % keyed.len()].clone()),
+                4..=7 => {
+                    live.ingest(fresh.0, fresh.1, fresh.2).unwrap();
+                    None
+                }
+                8 => {
+                    let outcome = live.refit_once(fitter.as_ref(), &fit_cfg());
+                    prop_assert!(matches!(outcome, RefitOutcome::Swapped { .. }));
+                    None
+                }
+                _ => {
+                    drop(live);
+                    live = rebuild(&base, &wal, &artifact);
+                    None
+                }
+            };
+            if let Some((key, (u, i, r))) = send {
+                let ack = live.ingest_keyed(Some(&key), u, i, r).unwrap();
+                let known = window.contains(&key);
+                prop_assert_eq!(ack == IngestAck::Deduplicated, known, "step {}: {}", n, key);
+                if !known {
+                    window.push_back(key.clone());
+                    if window.len() > WINDOW {
+                        window.pop_front();
+                    }
+                }
+                if op <= 3 {
+                    keyed.push((key, (u, i, r)));
+                }
+            }
+            let disk = rebuild(&base, &wal, &artifact);
+            for u in 0..base.n_users() {
+                let (got, want) = (disk.recommend(UserId(u)), live.recommend(UserId(u)));
+                prop_assert_eq!(got.unwrap(), want.unwrap(), "step {}: user {}", n, u);
+            }
+            for key in &window {
+                let ack = disk.ingest_keyed(Some(key), UserId(0), ItemId(0), 1.0).unwrap();
+                prop_assert_eq!(ack, IngestAck::Deduplicated, "step {}: {} forgotten", n, key);
+            }
+        }
+        drop(live);
+        std::fs::remove_file(&wal).ok();
+        std::fs::remove_file(&artifact).ok();
+    }
+}
+
+/// A refused second `attach_durable` mutates nothing: it is refused before
+/// it opens the WAL, so the records the first attach replayed and the
+/// ingests since are neither pushed onto the refit log nor applied again.
+#[test]
+fn second_attach_is_refused_before_it_replays_anything() {
+    let path = scratch("second_attach");
+    let (_, bundle) = fixture();
+    let engine = ShardedEngine::new(bundle, ShardConfig::quantile(2));
+    engine.attach_durable(DurableConfig::new(&path)).unwrap();
+    for k in 0..3u32 {
+        engine
+            .ingest_keyed(Some(&format!("a{k}")), UserId(k), ItemId(k + 1), 4.0)
+            .unwrap();
+    }
+    let lists = |e: &ShardedEngine| -> Vec<_> {
+        (0..e.n_users())
+            .map(|u| e.recommend(UserId(u)).unwrap())
+            .collect()
+    };
+    let (before, ingested) = (lists(&engine), engine.stats().ingested);
+    assert!(engine.attach_durable(DurableConfig::new(&path)).is_err());
+    assert_eq!(engine.pending_ingests(), 3, "the refit log grew");
+    assert_eq!(engine.stats().ingested, ingested, "the bands re-applied");
+    assert_eq!(lists(&engine), before);
     std::fs::remove_file(&path).ok();
 }
 
