@@ -1,11 +1,19 @@
-//! Row-major dense `f64` matrices.
+//! Row-major dense `f64` matrices, and the one scoring kernel of the
+//! factor models.
 //!
 //! Deliberately small: only the operations the randomized SVD pipeline and
-//! the recommenders need. Rows are contiguous, so per-row slices can feed
-//! dot-product kernels without copies.
+//! the recommenders need. The factor models keep their item factors
+//! transposed (`k × n_items`), so [`dot_columns`] scores one user against
+//! every item with the inner loop running *across* items.
+
+use serde::{Deserialize, Deserializer};
+
+/// Items scored per pass over the `k` factor rows in [`dot_columns`]: one
+/// accumulator per item, kept in registers.
+const TILE: usize = 16;
 
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct DMat {
     rows: usize,
     cols: usize,
@@ -168,16 +176,74 @@ impl DMat {
     }
 }
 
-/// Dot product of two equal-length slices.
+// A decoded matrix is refused unless its buffer holds exactly
+// `rows × cols` values, so every accessor's index arithmetic stays in bounds.
+impl<'de> Deserialize<'de> for DMat {
+    fn deserialize<D: Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
+        let rows = usize::deserialize(d)?;
+        let cols = usize::deserialize(d)?;
+        let data = Vec::<f64>::deserialize(d)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(d.invalid("DMat buffer length"));
+        }
+        Ok(DMat { rows, cols, data })
+    }
+}
+
+/// `Σ_f p[f] · qt[f][i]`: user weights `p` against column `i` of `qt`
+/// (`k × n`), summed left to right from `-0.0` — the identity `f64: Sum`
+/// starts from — so it is bit-identical to the row-major dot product of
+/// `p` and the item's factors, and to the entry [`dot_columns`] writes.
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+pub fn dot_column(p: &[f64], qt: &DMat, i: usize) -> f64 {
+    assert_eq!(p.len(), qt.rows, "one weight per row of qt");
+    assert!(i < qt.cols, "column {i} out of range");
+    p.iter()
+        .zip(qt.data.iter().skip(i).step_by(qt.cols))
+        .fold(-0.0, |sum, (w, q)| sum + w * q)
+}
+
+/// `out[i] = dot_column(p, qt, i)` for every `i < out.len()`, bit for bit.
+///
+/// Scores a tile of [`TILE`] columns per pass over the `k` rows of `qt`:
+/// each column keeps its own accumulator and takes its products in the
+/// order `f = 0..k`, as [`dot_column`] does, so no sum is reassociated;
+/// the inner loop runs across the tile and vectorises. Columns past the
+/// last whole tile take [`dot_column`] itself.
+pub fn dot_columns(p: &[f64], qt: &DMat, out: &mut [f64]) {
+    assert_eq!(p.len(), qt.rows, "one weight per row of qt");
+    assert!(out.len() <= qt.cols, "more scores than columns");
+    let whole = out.len() - out.len() % TILE;
+    let (tiles, tail) = out.split_at_mut(whole);
+    for (t, tile) in tiles.chunks_exact_mut(TILE).enumerate() {
+        let mut acc = [-0.0f64; TILE];
+        for (f, &w) in p.iter().enumerate() {
+            let start = f * qt.cols + t * TILE;
+            let q: &[f64; TILE] = qt.data[start..start + TILE].try_into().unwrap();
+            for (a, &v) in acc.iter_mut().zip(q) {
+                *a += w * v;
+            }
+        }
+        tile.copy_from_slice(&acc);
+    }
+    for (j, o) in tail.iter_mut().enumerate() {
+        *o = dot_column(p, qt, whole + j);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The row-major dot product the factor models scored with before
+    /// their item factors were stored transposed: the oracle the kernel
+    /// must equal bit for bit.
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(a.len(), b.len());
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
 
     #[test]
     fn construction_and_access() {
@@ -249,5 +315,57 @@ mod tests {
     #[test]
     fn dot_of_slices() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
+    }
+
+    /// A value drawn from a mix that includes both zeros and subnormals,
+    /// whose products and sums are where a reordered or re-seeded sum
+    /// would show.
+    fn value(rng: &mut StdRng) -> f64 {
+        match rng.random_range(0..8u32) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(rng.random_range(1..1u64 << 52)), // subnormal
+            3 => -f64::MIN_POSITIVE * rng.random::<f64>(),        // subnormal
+            _ => rng.random::<f64>() * 2.0 - 1.0,
+        }
+    }
+
+    #[test]
+    fn dot_columns_is_bitwise_the_row_major_dot_for_every_shape() {
+        let mut rng = StdRng::seed_from_u64(0xD07C);
+        for k in [0, 1, 2, 7, 50, 64] {
+            for n in [0, 1, TILE - 1, TILE, TILE + 1, 4_003] {
+                let q = DMat::from_fn(n, k, |_, _| value(&mut rng));
+                let qt = q.transpose();
+                let p: Vec<f64> = (0..k).map(|_| value(&mut rng)).collect();
+                // Every prefix length the contract allows, not just `n`.
+                for len in [n, n / 2, n.saturating_sub(1), n.min(TILE + 1)] {
+                    let mut out = vec![f64::NAN; len];
+                    dot_columns(&p, &qt, &mut out);
+                    for (i, &s) in out.iter().enumerate() {
+                        let want = dot(&p, q.row(i));
+                        assert_eq!(s.to_bits(), want.to_bits(), "k={k} n={n} len={len} i={i}");
+                        assert_eq!(dot_column(&p, &qt, i).to_bits(), want.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more scores than columns")]
+    fn dot_columns_refuses_more_scores_than_columns() {
+        dot_columns(&[1.0], &DMat::zeros(1, 2), &mut [0.0; 3]);
+    }
+
+    #[test]
+    fn decode_refuses_a_buffer_of_the_wrong_length() {
+        let m = DMat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let bytes = bincode::serialize(&m).unwrap();
+        assert_eq!(bincode::deserialize::<DMat>(&bytes).unwrap(), m);
+        // rows 2 → 3: the six values no longer fill a 3 × 3 buffer.
+        let mut bad = bytes.clone();
+        bad[..8].copy_from_slice(&3u64.to_le_bytes());
+        assert!(bincode::deserialize::<DMat>(&bad).is_err());
     }
 }

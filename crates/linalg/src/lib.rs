@@ -3,7 +3,9 @@
 //! Minimal dense linear algebra substrate for the PureSVD recommender:
 //!
 //! * [`DMat`] — row-major dense `f64` matrices with the handful of products
-//!   the SVD pipeline needs.
+//!   the SVD pipeline needs, and [`dmat::dot_columns`], the one scoring
+//!   kernel of the factor recommenders (one user against every column of
+//!   a `k × n_items` matrix, bit-identical to a per-item dot product).
 //! * [`qr::thin_qr`] — thin QR via modified Gram–Schmidt with
 //!   re-orthogonalization (numerically robust enough for range finding).
 //! * [`eig::symmetric_eigen`] — cyclic Jacobi eigendecomposition of small

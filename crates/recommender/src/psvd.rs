@@ -10,6 +10,7 @@
 
 use crate::Recommender;
 use ganc_dataset::{Interactions, ItemId, UserId};
+use ganc_linalg::dmat::{dot_column, dot_columns};
 use ganc_linalg::{randomized_svd, DMat, LinOp, SvdConfig};
 
 /// Sparse rating matrix viewed as a linear operator (no densification).
@@ -62,11 +63,11 @@ impl LinOp for CsrOp<'_> {
 /// A fitted PureSVD model: `score(u, i) = (U_k Σ_k)_u · (V_k)_i`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Psvd {
-    /// `n_users × k` — left singular vectors scaled by Σ.
+    /// `n_users × k` — left singular vectors scaled by Σ, one row per user.
     user_factors: DMat,
-    /// `n_items × k` — right singular vectors.
+    /// `k × n_items` — right singular vectors stored transposed, one column
+    /// per item, the layout [`dot_columns`] scores across.
     item_factors: DMat,
-    rank: usize,
 }
 
 impl Psvd {
@@ -80,36 +81,39 @@ impl Psvd {
         user_factors.scale_cols(&svd.s);
         Psvd {
             user_factors,
-            item_factors: svd.v,
-            rank: svd.s.len(),
+            item_factors: svd.v.transpose(),
         }
     }
 
     /// The truncation rank actually used.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.item_factors.rows()
     }
 
-    /// Association score between a user and an item.
+    /// Association score between a user and an item: the entry
+    /// [`Recommender::score_items`] writes for `i`, bit for bit.
     #[inline]
     pub fn score(&self, u: UserId, i: ItemId) -> f64 {
-        ganc_linalg::dmat::dot(
-            self.user_factors.row(u.idx()),
-            self.item_factors.row(i.idx()),
-        )
+        dot_column(self.user_factors.row(u.idx()), &self.item_factors, i.idx())
+    }
+
+    /// `(n_users, n_items)` this model scores, or which factor matrix
+    /// disagrees with the other on `k`.
+    pub fn shape(&self) -> Result<(usize, usize), &'static str> {
+        if self.user_factors.cols() != self.item_factors.rows() {
+            return Err("PSVD user factors not n_users × k");
+        }
+        Ok((self.user_factors.rows(), self.item_factors.cols()))
     }
 }
 
 impl Recommender for Psvd {
     fn name(&self) -> String {
-        format!("PSVD{}", self.rank)
+        format!("PSVD{}", self.rank())
     }
 
     fn score_items(&self, user: UserId, out: &mut [f64]) {
-        let pu = self.user_factors.row(user.idx());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = ganc_linalg::dmat::dot(pu, self.item_factors.row(i));
-        }
+        dot_columns(self.user_factors.row(user.idx()), &self.item_factors, out);
     }
 }
 
@@ -170,6 +174,21 @@ mod tests {
         let y = DMat::from_fn(m.n_users() as usize, 3, |r, c| ((r * c) as f64).cos());
         assert!(op.apply(&x).max_abs_diff(&dense.matmul(&x)) < 1e-9);
         assert!(op.apply_t(&y).max_abs_diff(&dense.t_matmul(&y)) < 1e-9);
+    }
+
+    #[test]
+    fn score_items_matches_score_bitwise() {
+        let data = DatasetProfile::tiny().generate(6);
+        let m = data.interactions();
+        let model = Psvd::train(&m, 7, 3);
+        let mut buf = vec![0.0; m.n_items() as usize];
+        for u in [0, m.n_users() / 2, m.n_users() - 1] {
+            model.score_items(UserId(u), &mut buf);
+            for (i, &s) in buf.iter().enumerate() {
+                let want = model.score(UserId(u), ItemId(i as u32));
+                assert_eq!(s.to_bits(), want.to_bits(), "user {u} item {i}");
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,8 @@
 
 use crate::Recommender;
 use ganc_dataset::{Interactions, ItemId, UserId};
+use ganc_linalg::dmat::{dot_column, dot_columns};
+use ganc_linalg::DMat;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -45,11 +47,11 @@ impl Default for RankMfConfig {
 /// A trained pairwise ranking MF model.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RankMf {
-    factors: usize,
-    /// `n_users × factors`.
-    p: Vec<f64>,
-    /// `n_items × factors`.
-    q: Vec<f64>,
+    /// `n_users × factors` — `p_u`, one row per user.
+    p: DMat,
+    /// `factors × n_items` — `q_i` stored transposed, one column per item,
+    /// the layout [`dot_columns`] scores across.
+    q: DMat,
 }
 
 impl RankMf {
@@ -109,36 +111,43 @@ impl RankMf {
                 }
             }
         }
-        RankMf { factors: k, p, q }
+        // SGD touches one item's factors at a time, so training keeps them
+        // row-major (`n_items × k`) and the fitted model stores the transpose.
+        RankMf {
+            p: DMat::from_vec(n_users, k, p),
+            q: DMat::from_vec(n_items, k, q).transpose(),
+        }
     }
 
-    /// Ranking score (not a rating).
+    /// Ranking score (not a rating): the entry
+    /// [`Recommender::score_items`] writes for `i`, bit for bit.
     #[inline]
     pub fn score(&self, u: UserId, i: ItemId) -> f64 {
-        let k = self.factors;
-        let pu = &self.p[u.idx() * k..(u.idx() + 1) * k];
-        let qi = &self.q[i.idx() * k..(i.idx() + 1) * k];
-        pu.iter().zip(qi).map(|(a, b)| a * b).sum()
+        dot_column(self.p.row(u.idx()), &self.q, i.idx())
     }
 
     /// Latent dimensionality.
     pub fn factors(&self) -> usize {
-        self.factors
+        self.q.rows()
+    }
+
+    /// `(n_users, n_items)` this model scores, or which factor matrix
+    /// disagrees with the other on `k`.
+    pub fn shape(&self) -> Result<(usize, usize), &'static str> {
+        if self.p.cols() != self.q.rows() {
+            return Err("RankMF user factors not n_users × k");
+        }
+        Ok((self.p.rows(), self.q.cols()))
     }
 }
 
 impl Recommender for RankMf {
     fn name(&self) -> String {
-        format!("RankMF{}", self.factors)
+        format!("RankMF{}", self.factors())
     }
 
     fn score_items(&self, user: UserId, out: &mut [f64]) {
-        let k = self.factors;
-        let pu = &self.p[user.idx() * k..(user.idx() + 1) * k];
-        for (i, o) in out.iter_mut().enumerate() {
-            let qi = &self.q[i * k..(i + 1) * k];
-            *o = pu.iter().zip(qi).map(|(a, b)| a * b).sum();
-        }
+        dot_columns(self.p.row(user.idx()), &self.q, out);
     }
 }
 
@@ -206,7 +215,8 @@ mod tests {
         let mut buf = vec![0.0; m.n_items() as usize];
         model.score_items(UserId(2), &mut buf);
         for (i, &s) in buf.iter().enumerate() {
-            assert_eq!(s, model.score(UserId(2), ItemId(i as u32)));
+            let want = model.score(UserId(2), ItemId(i as u32));
+            assert_eq!(s.to_bits(), want.to_bits(), "item {i}");
         }
     }
 

@@ -8,6 +8,8 @@
 
 use crate::Recommender;
 use ganc_dataset::{Interactions, ItemId, UserId};
+use ganc_linalg::dmat::{dot_column, dot_columns};
+use ganc_linalg::DMat;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -48,14 +50,16 @@ impl Default for RsvdConfig {
 /// A trained RSVD model.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Rsvd {
-    factors: usize,
     global_mean: f64,
+    /// `b_u`, one per user.
     user_bias: Vec<f64>,
+    /// `b_i`, one per item.
     item_bias: Vec<f64>,
-    /// `n_users × factors`, row-major.
-    p: Vec<f64>,
-    /// `n_items × factors`, row-major.
-    q: Vec<f64>,
+    /// `n_users × factors` — `p_u`, one row per user.
+    p: DMat,
+    /// `factors × n_items` — `q_i` stored transposed, one column per item,
+    /// the layout [`dot_columns`] scores across.
+    q: DMat,
     name: String,
 }
 
@@ -92,17 +96,24 @@ impl Rsvd {
                 })
                 .collect()
         };
-        let mut model = Rsvd {
-            factors: k,
-            global_mean: if cfg.use_biases {
-                train.global_mean()
-            } else {
-                0.0
-            },
-            user_bias: vec![0.0; n_users],
-            item_bias: vec![0.0; n_items],
-            p: init(&mut rng, n_users * k),
-            q: init(&mut rng, n_items * k),
+        // SGD reads and writes one item's factors at a time, so training
+        // keeps them row-major (`n_items × k`) and the fitted model stores
+        // their transpose.
+        let global_mean = if cfg.use_biases {
+            train.global_mean()
+        } else {
+            0.0
+        };
+        let mut user_bias = vec![0.0; n_users];
+        let mut item_bias = vec![0.0; n_items];
+        let mut p = init(&mut rng, n_users * k);
+        let mut q = init(&mut rng, n_items * k);
+        let fitted = |user_bias: Vec<f64>, item_bias: Vec<f64>, p: Vec<f64>, q: &[f64]| Rsvd {
+            global_mean,
+            user_bias,
+            item_bias,
+            p: DMat::from_vec(n_users, k, p),
+            q: DMat::from_fn(k, n_items, |f, i| q[i * k + f]),
             name: format!("RSVD{}", if cfg.non_negative { "N" } else { "" }),
         };
         // Materialize triplets once; shuffle an index array per epoch.
@@ -120,44 +131,40 @@ impl Rsvd {
                 let qi = i * k;
                 let mut dot = 0.0;
                 for f in 0..k {
-                    dot += model.p[pu + f] * model.q[qi + f];
+                    dot += p[pu + f] * q[qi + f];
                 }
-                let pred = model.global_mean + model.user_bias[u] + model.item_bias[i] + dot;
+                let pred = global_mean + user_bias[u] + item_bias[i] + dot;
                 let err = r as f64 - pred;
                 if cfg.use_biases {
-                    model.user_bias[u] += lr * (err - reg * model.user_bias[u]);
-                    model.item_bias[i] += lr * (err - reg * model.item_bias[i]);
+                    user_bias[u] += lr * (err - reg * user_bias[u]);
+                    item_bias[i] += lr * (err - reg * item_bias[i]);
                 }
                 for f in 0..k {
-                    let pf = model.p[pu + f];
-                    let qf = model.q[qi + f];
+                    let pf = p[pu + f];
+                    let qf = q[qi + f];
                     let mut new_p = pf + lr * (err * qf - reg * pf);
                     let mut new_q = qf + lr * (err * pf - reg * qf);
                     if cfg.non_negative {
                         new_p = new_p.max(0.0);
                         new_q = new_q.max(0.0);
                     }
-                    model.p[pu + f] = new_p;
-                    model.q[qi + f] = new_q;
+                    p[pu + f] = new_p;
+                    q[qi + f] = new_q;
                 }
             }
             if let Some(val) = validation {
-                curve.push(ganc_metrics_free_rmse(val, &model));
+                let snapshot = fitted(user_bias.clone(), item_bias.clone(), p.clone(), &q);
+                curve.push(snapshot.rmse(val));
             }
         }
-        (model, curve)
+        (fitted(user_bias, item_bias, p, &q), curve)
     }
 
-    /// Predicted rating `r̂_ui` (unclamped).
+    /// Predicted rating `r̂_ui` (unclamped): the entry
+    /// [`Recommender::score_items`] writes for `i`, bit for bit.
     #[inline]
     pub fn predict(&self, u: UserId, i: ItemId) -> f64 {
-        let k = self.factors;
-        let pu = u.idx() * k;
-        let qi = i.idx() * k;
-        let mut dot = 0.0;
-        for f in 0..k {
-            dot += self.p[pu + f] * self.q[qi + f];
-        }
+        let dot = dot_column(self.p.row(u.idx()), &self.q, i.idx());
         self.global_mean + self.user_bias[u.idx()] + self.item_bias[i.idx()] + dot
     }
 
@@ -168,7 +175,24 @@ impl Rsvd {
 
     /// Latent dimensionality.
     pub fn factors(&self) -> usize {
-        self.factors
+        self.q.rows()
+    }
+
+    /// `(n_users, n_items)` this model scores, or which part disagrees
+    /// with the others: factors not `n_users × k` / `k × n_items`, or a
+    /// bias vector not one per user / item.
+    pub fn shape(&self) -> Result<(usize, usize), &'static str> {
+        let (n_users, n_items) = (self.p.rows(), self.q.cols());
+        if self.p.cols() != self.q.rows() {
+            return Err("RSVD user factors not n_users × k");
+        }
+        if self.user_bias.len() != n_users {
+            return Err("RSVD user_bias not one per user");
+        }
+        if self.item_bias.len() != n_items {
+            return Err("RSVD item_bias not one per item");
+        }
+        Ok((n_users, n_items))
     }
 }
 
@@ -195,13 +219,11 @@ impl Recommender for Rsvd {
     }
 
     fn score_items(&self, user: UserId, out: &mut [f64]) {
-        let k = self.factors;
-        let pu = &self.p[user.idx() * k..(user.idx() + 1) * k];
+        dot_columns(self.p.row(user.idx()), &self.q, out);
         let base = self.global_mean + self.user_bias[user.idx()];
-        for (i, o) in out.iter_mut().enumerate() {
-            let qi = &self.q[i * k..(i + 1) * k];
-            let dot: f64 = pu.iter().zip(qi).map(|(a, b)| a * b).sum();
-            *o = base + self.item_bias[i] + dot;
+        for (o, &b) in out.iter_mut().zip(&self.item_bias) {
+            // `(base + b_i) + dot`, as `predict` adds it (`+` commutes).
+            *o += base + b;
         }
     }
 
@@ -284,8 +306,8 @@ mod tests {
             ..quick_cfg()
         };
         let model = Rsvd::train(&split.train, cfg);
-        assert!(model.p.iter().all(|&x| x >= 0.0));
-        assert!(model.q.iter().all(|&x| x >= 0.0));
+        assert!(model.p.data().iter().all(|&x| x >= 0.0));
+        assert!(model.q.data().iter().all(|&x| x >= 0.0));
         assert_eq!(Recommender::name(&model), "RSVDN");
     }
 
@@ -297,7 +319,8 @@ mod tests {
         let mut buf = vec![0.0; split.train.n_items() as usize];
         model.score_items(UserId(3), &mut buf);
         for (i, &s) in buf.iter().enumerate() {
-            assert!((s - model.predict(UserId(3), ItemId(i as u32))).abs() < 1e-12);
+            let want = model.predict(UserId(3), ItemId(i as u32));
+            assert_eq!(s.to_bits(), want.to_bits(), "item {i}");
         }
     }
 

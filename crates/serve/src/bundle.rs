@@ -96,6 +96,18 @@ impl FittedModel {
         }
     }
 
+    /// For the three factor models, the `(n_users, n_items)` their factor
+    /// matrices are shaped for, or which part disagrees; `None` for the
+    /// models without factors.
+    fn factor_shape(&self) -> Option<Result<(usize, usize), &'static str>> {
+        match self {
+            FittedModel::Rsvd(m) => Some(m.shape()),
+            FittedModel::Psvd(m) => Some(m.shape()),
+            FittedModel::RankMf(m) => Some(m.shape()),
+            FittedModel::Pop(_) | FittedModel::ItemAvg(_) | FittedModel::ItemKnn(_) => None,
+        }
+    }
+
     fn variant_index(&self) -> u32 {
         match self {
             FittedModel::Pop(_) => 0,
@@ -126,7 +138,7 @@ impl Serialize for FittedModel {
 
 impl<'de> Deserialize<'de> for FittedModel {
     fn deserialize<D: Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
-        Ok(match d.get_variant()? {
+        let model = match d.get_variant()? {
             0 => FittedModel::Pop(MostPopular::deserialize(d)?),
             1 => FittedModel::ItemAvg(ItemAvg::deserialize(d)?),
             2 => FittedModel::ItemKnn(ItemKnn::deserialize(d)?),
@@ -134,7 +146,13 @@ impl<'de> Deserialize<'de> for FittedModel {
             4 => FittedModel::Psvd(Psvd::deserialize(d)?),
             5 => FittedModel::RankMf(RankMf::deserialize(d)?),
             _ => return Err(d.invalid("FittedModel variant")),
-        })
+        };
+        // The scoring kernel indexes the factor matrices by their shapes:
+        // a model whose parts disagree is refused here, not panicked on there.
+        if let Some(Err(what)) = model.factor_shape() {
+            return Err(d.invalid(what));
+        }
+        Ok(model)
     }
 }
 
@@ -263,10 +281,11 @@ impl FitConfig {
 
 /// Everything needed to serve GANC top-N requests, frozen at fit time.
 ///
-/// Persist with [`crate::SaveLoad`] (format v2: `Dyn` coverage snapshots
+/// Persist with [`crate::SaveLoad`] (format v3: `Dyn` coverage snapshots
 /// travel as `O(|I| + S·N)` sparse deltas instead of `S` dense count
-/// vectors); serve with [`crate::engine::ServingEngine`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// vectors, factor models' item factors as `k × n_items`); serve with
+/// [`crate::engine::ServingEngine`].
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct ModelBundle {
     /// Display name of the base model (e.g. `"Pop"`, `"PSVD100"`).
     pub model_name: String,
@@ -295,6 +314,28 @@ pub struct ModelBundle {
     /// train set is the largest replicated component, and nothing mutates
     /// it after fit.
     pub train: Arc<Interactions>,
+}
+
+// Field by field as the derive would, then the one cross-field check the
+// scoring path relies on: a factor model is shaped for this train set.
+impl<'de> Deserialize<'de> for ModelBundle {
+    fn deserialize<D: Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
+        let bundle = ModelBundle {
+            model_name: Deserialize::deserialize(d)?,
+            n: Deserialize::deserialize(d)?,
+            accuracy_mode: Deserialize::deserialize(d)?,
+            theta: Deserialize::deserialize(d)?,
+            model: Deserialize::deserialize(d)?,
+            coverage: Deserialize::deserialize(d)?,
+            seed_lists: Deserialize::deserialize(d)?,
+            train: Deserialize::deserialize(d)?,
+        };
+        let served = (bundle.n_users() as usize, bundle.n_items() as usize);
+        if matches!(bundle.model.factor_shape(), Some(Ok(shape)) if shape != served) {
+            return Err(d.invalid("factor model shape for this train set"));
+        }
+        Ok(bundle)
+    }
 }
 
 impl ModelBundle {

@@ -1,12 +1,17 @@
-//! Artifact format compatibility: the v2 envelope round-trips for every
-//! coverage kind, and every other format version — the retired v1
-//! included — is refused by the version gate instead of misread.
+//! Artifact format compatibility: the v3 envelope round-trips for every
+//! coverage kind, every other format version — the retired v1 and v2
+//! included — is refused by the version gate instead of misread, and a
+//! factor model whose shapes disagree (with each other or with the train
+//! set) is refused at decode instead of panicking in the scoring kernel.
 
 use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::Interactions;
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
+use ganc::recommender::psvd::Psvd;
+use ganc::recommender::rankmf::{RankMf, RankMfConfig};
+use ganc::recommender::rsvd::{Rsvd, RsvdConfig};
 use ganc::serve::{FitConfig, FittedModel, ModelBundle, PersistError, SaveLoad, FORMAT_VERSION};
 
 fn fixture() -> (Interactions, Vec<f64>) {
@@ -31,7 +36,7 @@ fn fit(train: &Interactions, theta: &[f64], kind: CoverageKind) -> ModelBundle {
 }
 
 #[test]
-fn v2_bundles_round_trip_for_every_coverage_kind() {
+fn v3_bundles_round_trip_for_every_coverage_kind() {
     let (train, theta) = fixture();
     for kind in [
         CoverageKind::Random,
@@ -51,7 +56,9 @@ fn unsupported_versions_still_rejected() {
     let (train, theta) = fixture();
     let bundle = fit(&train, &theta, CoverageKind::Static);
     let mut bytes = bundle.to_bytes().unwrap();
-    for found in [FORMAT_VERSION + 1, 1, 0] {
+    // v2 stored item factors `n_items × k`; read as v3 they would be
+    // scored as `k × n_items`.
+    for found in [FORMAT_VERSION + 1, 2, 1, 0] {
         bytes[4..6].copy_from_slice(&found.to_le_bytes());
         match ModelBundle::from_bytes(&bytes).map(|_| ()) {
             Err(PersistError::VersionMismatch { found: f, expected }) => {
@@ -59,5 +66,137 @@ fn unsupported_versions_still_rejected() {
             }
             other => panic!("v{found} header: expected VersionMismatch, got {other:?}"),
         }
+    }
+}
+
+const K: usize = 4;
+
+fn tiny_train() -> Interactions {
+    DatasetProfile::tiny().generate(3).interactions()
+}
+
+/// Offset of the one `rows, cols, rows·cols` matrix header in `bytes`.
+fn matrix_header(bytes: &[u8], rows: usize, cols: usize) -> usize {
+    let header: Vec<u8> = [rows, cols, rows * cols]
+        .iter()
+        .flat_map(|&v| (v as u64).to_le_bytes())
+        .collect();
+    let mut at = bytes.windows(header.len()).enumerate();
+    let found = at.find(|(_, w)| *w == header).expect("matrix header").0;
+    assert!(at.all(|(_, w)| w != header), "ambiguous matrix header");
+    found
+}
+
+/// Hand-edit a `rows × cols` matrix into a `cols × rows` one: the buffer
+/// still fits, so only a shape check can tell.
+fn transpose_header(bytes: &[u8], rows: usize, cols: usize) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let at = matrix_header(bytes, rows, cols);
+    out[at..at + 8].copy_from_slice(&(cols as u64).to_le_bytes());
+    out[at + 8..at + 16].copy_from_slice(&(rows as u64).to_le_bytes());
+    out
+}
+
+/// Hand-edit the `len`-long `f64` vector that ends at byte `end` to drop
+/// its last value.
+fn drop_last(bytes: &[u8], end: usize, len: usize) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let len_at = end - 8 * len - 8;
+    out[len_at..len_at + 8].copy_from_slice(&(len as u64 - 1).to_le_bytes());
+    out.drain(end - 8..end);
+    out
+}
+
+/// The untouched bytes decode; every edit is `Err`, not a panic.
+fn assert_refused(model: FittedModel, edits: impl Fn(&[u8]) -> Vec<(&'static str, Vec<u8>)>) {
+    let bytes = model.to_bytes().unwrap();
+    assert_eq!(FittedModel::from_bytes(&bytes).unwrap(), model);
+    for (what, edited) in edits(&bytes) {
+        match FittedModel::from_bytes(&edited) {
+            Err(PersistError::Codec(_)) => {}
+            Err(e) => panic!("{what}: expected a codec error, got {e}"),
+            Ok(_) => panic!("{what}: decoded a model the scoring kernel would index out of bounds"),
+        }
+    }
+}
+
+#[test]
+fn psvd_with_disagreeing_factor_shapes_is_refused_at_decode() {
+    let train = tiny_train();
+    let (users, items) = (train.n_users() as usize, train.n_items() as usize);
+    let model = Psvd::train(&train, K, 1);
+    assert_eq!(model.rank(), K);
+    assert_refused(FittedModel::Psvd(model), |b| {
+        vec![
+            ("item factors n_items × k", transpose_header(b, K, items)),
+            ("user factors k × n_users", transpose_header(b, users, K)),
+        ]
+    });
+}
+
+#[test]
+fn rsvd_with_disagreeing_factor_or_bias_shapes_is_refused_at_decode() {
+    let train = tiny_train();
+    let (users, items) = (train.n_users() as usize, train.n_items() as usize);
+    let cfg = RsvdConfig {
+        factors: K,
+        epochs: 1,
+        ..RsvdConfig::default()
+    };
+    let model = Rsvd::train(&train, cfg);
+    // `user_bias` then `item_bias` sit right before the user factors.
+    assert_refused(FittedModel::Rsvd(model), |b| {
+        let p_at = matrix_header(b, users, K);
+        let item_bias_end = p_at;
+        let user_bias_end = p_at - 8 * items - 8;
+        vec![
+            ("item factors n_items × k", transpose_header(b, K, items)),
+            ("user factors k × n_users", transpose_header(b, users, K)),
+            ("item_bias one short", drop_last(b, item_bias_end, items)),
+            ("user_bias one short", drop_last(b, user_bias_end, users)),
+        ]
+    });
+}
+
+#[test]
+fn rankmf_with_disagreeing_factor_shapes_is_refused_at_decode() {
+    let train = tiny_train();
+    let (users, items) = (train.n_users() as usize, train.n_items() as usize);
+    let cfg = RankMfConfig {
+        factors: K,
+        epochs: 1,
+        ..RankMfConfig::default()
+    };
+    assert_refused(FittedModel::RankMf(RankMf::train(&train, cfg)), |b| {
+        vec![
+            ("item factors n_items × k", transpose_header(b, K, items)),
+            ("user factors k × n_users", transpose_header(b, users, K)),
+        ]
+    });
+}
+
+#[test]
+fn a_bundle_whose_factor_model_fits_another_catalogue_is_refused_at_decode() {
+    let (train, theta) = fixture();
+    let other = tiny_train();
+    assert_ne!(other.n_items(), train.n_items());
+    let cfg = FitConfig {
+        coverage: CoverageKind::Random,
+        ..FitConfig::new(5)
+    };
+    let fitting = FittedModel::Psvd(Psvd::train(&train, K, 1));
+    let bundle = ModelBundle::fit(fitting, theta.clone(), train.clone(), &cfg);
+    assert_eq!(
+        ModelBundle::from_bytes(&bundle.to_bytes().unwrap()).unwrap(),
+        bundle
+    );
+
+    let foreign = FittedModel::Psvd(Psvd::train(&other, K, 1));
+    let bytes = ModelBundle::fit(foreign, theta, train, &cfg)
+        .to_bytes()
+        .unwrap();
+    match ModelBundle::from_bytes(&bytes) {
+        Err(PersistError::Codec(_)) => {}
+        other => panic!("expected a codec error, got {other:?}"),
     }
 }
