@@ -44,6 +44,15 @@ pub fn run(cfg: &ExpConfig) -> String {
         let mut add = |name: String, f: f64, c: f64, l: f64| {
             t.row(vec![name, f4(f), f4(c), f4(l)]);
         };
+        // Each run evaluated once; every plotted column averages its rows.
+        let means = |runs: &[TopN]| {
+            let rows: Vec<_> = runs.iter().map(|r| evaluate_topn(r, &bundle.ctx)).collect();
+            [
+                mean_of(&rows, |m| m.f_measure),
+                mean_of(&rows, |m| m.coverage),
+                mean_of(&rows, |m| m.lt_accuracy),
+            ]
+        };
         // Rand: averaged over runs with varying seeds.
         {
             let runs: Vec<TopN> = (0..cfg.runs.max(1))
@@ -52,12 +61,8 @@ pub fn run(cfg: &ExpConfig) -> String {
                     TopN::new(N, generate_topn_lists(&rec, train, N, cfg.threads))
                 })
                 .collect();
-            add(
-                "Rand".into(),
-                mean_of(&runs, |r| evaluate_topn(r, &bundle.ctx).f_measure),
-                mean_of(&runs, |r| evaluate_topn(r, &bundle.ctx).coverage),
-                mean_of(&runs, |r| evaluate_topn(r, &bundle.ctx).lt_accuracy),
-            );
+            let [f, c, l] = means(&runs);
+            add("Rand".into(), f, c, l);
         }
         // Deterministic baselines.
         let baselines: Vec<&dyn Recommender> = vec![&pop, &rsvd, &rankmf, &psvd10, &psvd100];
@@ -84,12 +89,8 @@ pub fn run(cfg: &ExpConfig) -> String {
             CoverageKind::Random,
         ] {
             let runs = ganc_runs(arec, arec_mode, &theta, &bundle, N, kind, sample_size, cfg);
-            add(
-                format!("GANC({arec_name}, θG, {})", kind.label()),
-                mean_of(&runs, |r| evaluate_topn(r, &bundle.ctx).f_measure),
-                mean_of(&runs, |r| evaluate_topn(r, &bundle.ctx).coverage),
-                mean_of(&runs, |r| evaluate_topn(r, &bundle.ctx).lt_accuracy),
-            );
+            let [f, c, l] = means(&runs);
+            add(format!("GANC({arec_name}, θG, {})", kind.label()), f, c, l);
         }
         out.push_str(&format!(
             "\n[{}] (ARec = {arec_name})\n{}",

@@ -110,8 +110,9 @@ pub fn ganc_runs(
         .collect()
 }
 
-/// Average a metric extracted from several runs.
-pub fn mean_of<F: Fn(&TopN) -> f64>(runs: &[TopN], f: F) -> f64 {
+/// Average a metric extracted from several runs (or from their evaluated
+/// rows): summed in order, then divided once.
+pub fn mean_of<T, F: Fn(&T) -> f64>(runs: &[T], f: F) -> f64 {
     if runs.is_empty() {
         return 0.0;
     }

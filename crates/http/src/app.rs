@@ -393,8 +393,8 @@ impl App {
                     );
                     // The fan-out dedup window's retention contract (same
                     // shape as the WAL one): an evicted key only loses its
-                    // resend short-circuit — WAL-backed routes still dedup
-                    // durably.
+                    // resend short-circuit — the engines behind the routes
+                    // still dedup it in their own windows.
                     let (window, len, evictions) = r.dedup_stats();
                     body.insert(
                         "dedup",

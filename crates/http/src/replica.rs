@@ -31,6 +31,11 @@
 //!    again. [`ReplicaSet::spawn_probe`] runs that on a clock-driven
 //!    background loop.
 //!
+//! Writes go to every replica through the fan-out a router uses too
+//! ([`crate::transport`]), with [`ReplicaConfig::ingest_retries`] tries
+//! each. The retries are exactly-once against memory-only replicas as
+//! well as durable ones: a `ServingEngine` remembers the keys it applied.
+//!
 //! Replica answers are byte-identical to a single-backend route by the
 //! same argument the router makes for slices: every replica serves the
 //! same deterministic slice, so *which* replica answers is invisible —
@@ -39,11 +44,11 @@
 //!
 //! [`ManualClock`]: ganc_obs::ManualClock
 
-use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
+use crate::transport::{fan_out_ingest, BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Background, Clock, Counter, ObsHub, SystemClock, TraceData};
-use ganc_serve::{IngestAck, RequestOptions, ServeError};
+use ganc_serve::{IngestAck, RequestOptions};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
@@ -63,7 +68,8 @@ pub struct ReplicaConfig {
     /// Attempts per replica for the keyed ingest fan-out (min 1). Retries
     /// are safe precisely because every fan-out entry carries an
     /// idempotency key: a replica that applied the ingest but lost the
-    /// acknowledgement dedups the retry.
+    /// acknowledgement dedups the retry — a `ServingEngine` in its memory
+    /// window, a durable `ShardedEngine` in its WAL's.
     pub ingest_retries: u32,
 }
 
@@ -551,17 +557,12 @@ impl PeerTransport for Arc<ReplicaSet> {
 
     /// Keyed exactly-once fan-out to **every** replica (healthy or not —
     /// an ejected replica that misses ingests would serve stale popularity
-    /// after restore): each gets up to [`ReplicaConfig::ingest_retries`]
-    /// attempts, one replica's failure never aborts delivery to the
-    /// others, and the idempotency key makes each retry (and any
-    /// caller-level resend after an `Err`) a no-op on replicas that already
-    /// applied it — without a key a retry of an applied-but-unacked ingest
-    /// can double-apply, which is why the router generates keys for its
-    /// fan-out. An `Err` (the first failing replica's, deterministically)
-    /// therefore means "at least one replica is missing this interaction —
-    /// resend with the same key", not "the replicas are irrecoverably
-    /// diverged"; `Ok` is [`IngestAck::Deduplicated`] only when every
-    /// replica had already seen the key. No breaker accounting: ingest
+    /// after restore) through `transport::fan_out_ingest`, each replica
+    /// getting [`ReplicaConfig::ingest_retries`] attempts. The idempotency
+    /// key makes each retry (and any caller-level resend after an `Err`) a
+    /// no-op on replicas that already applied it — without a key a retry of
+    /// an applied-but-unacked ingest can double-apply, which is why the
+    /// router generates keys for its fan-out. No breaker accounting: ingest
     /// delivery is a write-side obligation, not a dispatch health signal.
     fn ingest_keyed(
         &self,
@@ -570,41 +571,8 @@ impl PeerTransport for Arc<ReplicaSet> {
         item: ItemId,
         rating: f32,
     ) -> Result<IngestAck, BackendError> {
-        let mut first_err: Option<BackendError> = None;
-        let mut ack = IngestAck::Deduplicated;
-        for r in &self.replicas {
-            let mut last: Option<BackendError> = None;
-            for _ in 0..self.cfg.ingest_retries {
-                match r.peer.ingest_keyed(key, user, item, rating) {
-                    Ok(replica_ack) => {
-                        if replica_ack == IngestAck::Applied {
-                            ack = IngestAck::Applied;
-                        }
-                        last = None;
-                        break;
-                    }
-                    // An unknown id is deterministic: retrying cannot change
-                    // it. A failed WAL append is a node fault like any
-                    // transport error, and is retried.
-                    Err(
-                        e @ BackendError::Serve(
-                            ServeError::UnknownUser(_) | ServeError::UnknownItem(_),
-                        ),
-                    ) => {
-                        last = Some(e);
-                        break;
-                    }
-                    Err(e) => last = Some(e),
-                }
-            }
-            if let Some(e) = last {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(ack),
-            Some(e) => Err(e),
-        }
+        let members = self.replicas.iter().map(|r| &*r.peer);
+        fan_out_ingest(members, self.cfg.ingest_retries, key, user, item, rating)
     }
 
     /// The group's generation: first replica in rotation order that

@@ -13,8 +13,9 @@
 //! PeerTransport` below holds its serving entry points) — so an engine
 //! mounts as a `Remote` band and a router under a router. The variants are
 //! matched only for what being *local* decides (the stats label, the inline
-//! cache probe, the fan-out threads, who dedups an ingest), for the obs
-//! attach, and for the replica view.
+//! cache probe, the fan-out threads), for the obs attach, and for the
+//! replica view. An ingest goes to every route alike under one key, and
+//! each engine behind a route dedups that key itself.
 //!
 //! Output equivalence: a user's request is answered by the engine holding
 //! their band's slice, and serving from a slice is byte-identical to
@@ -42,13 +43,13 @@
 //! started the rest (read-only calls, so nothing diverges).
 
 use crate::replica::{ReplicaConfig, ReplicaSet, ReplicaStats, BAND_AVAILABILITY_SERIES};
-use crate::transport::{BatchAnswer, PeerTransport, SingleAnswer};
+use crate::transport::{fan_out_ingest, BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Background, Counter, Histogram, ObsHub, WindowStats, WindowWire};
 use ganc_serve::{
     band_batch, BandFault, BandMap, DedupWindow, IngestAck, RequestOptions, ServingEngine, Wal,
-    WalRecord,
+    WalRecord, DEDUP_WINDOW,
 };
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
@@ -94,9 +95,9 @@ impl ShardRoute {
 
     /// Whether the band is mounted as an in-process slice — what decides
     /// the label it reports under, whether the event loop may probe its
-    /// cache inline, whether a batch touching it needs a fan-out thread,
-    /// and whether the router dedups its ingests itself. An engine mounted
-    /// as `Remote` is a peer like any other and answers `false`.
+    /// cache inline, and whether a batch touching it needs a fan-out
+    /// thread. An engine mounted as `Remote` is a peer like any other and
+    /// answers `false`.
     fn is_local(&self) -> bool {
         matches!(self, ShardRoute::Local(_))
     }
@@ -192,19 +193,6 @@ impl RouterObs {
     }
 }
 
-/// How many client-supplied idempotency keys a router remembers for
-/// fan-out dedup ([`RouterNode::ingest_keyed`]). Matches the per-node WAL
-/// default ([`ganc_serve::DurableConfig`]).
-const ROUTER_DEDUP_WINDOW: usize = 4096;
-
-/// Dedup-key WAL window tags. The router repurposes
-/// [`WalRecord::Key`]'s `generation` field (it has no model generation
-/// to stamp) to say *which* in-memory window a persisted key belongs
-/// to — replaying a local-only key into `ingest_keys` would
-/// short-circuit its resend and lose the remote repair it still needs.
-const INGEST_KEYS_TAG: u64 = 0;
-const LOCAL_KEYS_TAG: u64 = 1;
-
 /// Routes each user's request to the engine serving their θ band.
 pub struct RouterNode {
     /// Where every user of the full population is served; one route per
@@ -213,24 +201,16 @@ pub struct RouterNode {
     routes: Vec<ShardRoute>,
     obs: OnceLock<RouterObs>,
     /// Client-supplied idempotency keys whose fan-out fully succeeded:
-    /// a resend of such a key is a no-op at the router, before any wire
-    /// call. In-memory only — the durable dedup lives in each WAL-backed
-    /// node; this window just short-circuits the common retry.
+    /// a resend of such a key is a no-op at the router, before any
+    /// dispatch. Only a short-circuit — the engines behind the routes
+    /// remember the keys they applied and dedup a resend themselves.
     ingest_keys: Mutex<DedupWindow>,
-    /// Client-supplied keys whose **local** applies already landed. Local
-    /// slices have no WAL, so without this window a resend after partial
-    /// fan-out failure (remote down, locals applied) would bump local
-    /// live-popularity a second time. Recorded once every local route has
-    /// applied — even when a remote route failed — so the resend repairs
-    /// the remotes and skips the locals.
-    local_keys: Mutex<DedupWindow>,
-    /// Optional durable mirror of both dedup windows: consumed keys are
-    /// appended as [`WalRecord::Key`] stubs and replayed on construction
-    /// ([`RouterNode::with_wal`]), so a router restart no longer forgets
-    /// which keys it consumed — without this, a resend arriving after a
-    /// restart mid-repair re-applies local live counters. Appends are
-    /// best-effort: losing one degrades that key to the in-memory-only
-    /// at-least-once behavior; it never fails an acknowledged ingest.
+    /// Optional durable mirror of that window: each fully acknowledged
+    /// key is appended as a [`WalRecord::Key`] stub with generation 0 and
+    /// replayed on construction ([`RouterNode::with_wal`]), so a restarted
+    /// router still short-circuits it. Appends are best-effort: losing one
+    /// only costs that key's short-circuit; it never fails an
+    /// acknowledged ingest.
     wal: Option<Mutex<Wal>>,
     /// Key-generation state for unkeyed ingests:
     /// `ganc-{epoch:x}-{nonce:x}-{seq:x}` is unique per router instance
@@ -273,8 +253,7 @@ impl RouterNode {
             map: BandMap::new(&theta, cuts),
             routes,
             obs: OnceLock::new(),
-            ingest_keys: Mutex::new(DedupWindow::new(ROUTER_DEDUP_WINDOW)),
-            local_keys: Mutex::new(DedupWindow::new(ROUTER_DEDUP_WINDOW)),
+            ingest_keys: Mutex::new(DedupWindow::new(DEDUP_WINDOW)),
             wal: None,
             key_epoch,
             key_nonce,
@@ -282,13 +261,12 @@ impl RouterNode {
         }
     }
 
-    /// Build a router whose dedup windows survive restarts: consumed
-    /// keys are persisted to a small WAL at `path` as [`WalRecord::Key`]
-    /// stubs (tagged by window) and replayed here, so a key consumed
-    /// before a crash still answers `Deduplicated` — and still skips the
-    /// already-applied local mutations on a resend — after the restart.
-    /// Only keys are persisted: interactions themselves are durably
-    /// owned by each WAL-backed node, never by the router.
+    /// Build a router whose resend short-circuit survives restarts: fully
+    /// acknowledged keys are persisted to a small WAL at `path` as
+    /// generation-0 [`WalRecord::Key`] stubs and replayed here, so such a
+    /// key still answers `Deduplicated` after the restart without a
+    /// dispatch. Only keys are persisted: interactions are applied, and
+    /// their keys remembered, by the engines behind the routes.
     pub fn with_wal(
         theta: Arc<Vec<f64>>,
         cuts: Vec<f64>,
@@ -297,27 +275,18 @@ impl RouterNode {
     ) -> io::Result<RouterNode> {
         let mut node = RouterNode::new(theta, cuts, routes);
         let (wal, records, _) = Wal::open(path)?;
-        {
-            let mut ingest = node.ingest_keys.lock().unwrap();
-            let mut local = node.local_keys.lock().unwrap();
-            for rec in &records {
-                if let WalRecord::Key { generation, key } = rec {
-                    match *generation {
-                        INGEST_KEYS_TAG => {
-                            ingest.observe(key);
-                        }
-                        LOCAL_KEYS_TAG => {
-                            local.observe(key);
-                        }
-                        // Unknown tags (a future window) are skipped, as
-                        // are full `Ingest` records: a router pointed at
-                        // a node WAL by mistake must not invent dedup
-                        // state from them.
-                        _ => {}
-                    }
-                }
+        let mut keys = node.ingest_keys.lock().unwrap();
+        // Any other record is skipped: a stub of another generation (a
+        // file written when the router also logged keys only its local
+        // slices had applied) must not mark a partial fan-out as fully
+        // acknowledged, and a router pointed at a node WAL by mistake must
+        // not invent dedup state from its `Ingest` records.
+        for rec in &records {
+            if let WalRecord::Key { generation: 0, key } = rec {
+                keys.observe(key);
             }
         }
+        drop(keys);
         node.wal = Some(Mutex::new(wal));
         Ok(node)
     }
@@ -449,37 +418,27 @@ impl RouterNode {
         format!("ganc-{:x}-{:x}-{:x}", self.key_epoch, self.key_nonce, seq)
     }
 
-    /// Mirror one consumed key into the dedup WAL, best-effort: an
-    /// append failure degrades that key to the in-memory-only behavior
-    /// (at-least-once after a restart) and must never fail an ingest
-    /// every route already acknowledged. `append` flushes to the OS, so
-    /// the record survives a process crash/restart — the hole this WAL
-    /// closes; an ill-timed power loss only costs the same graceful
-    /// degradation. Past 4× the window capacity the log is compacted to
-    /// the keys the windows still remember (evicted keys would fall out
-    /// of the replayed windows anyway).
-    fn persist_key(&self, tag: u64, key: &str) {
+    /// Mirror one fully acknowledged key into the key WAL, best-effort:
+    /// an append failure only costs that key its short-circuit after a
+    /// restart and must never fail an ingest every route already
+    /// acknowledged. `append` flushes to the OS, so the record survives a
+    /// process crash/restart; an ill-timed power loss costs the same.
+    /// Past 4× the window capacity the log is compacted to the keys the
+    /// window still remembers (evicted keys would fall out of the
+    /// replayed window anyway).
+    fn persist_key(&self, key: &str) {
         let Some(wal) = &self.wal else { return };
-        let mut wal = wal.lock().unwrap();
-        let _ = wal.append(&WalRecord::Key {
-            generation: tag,
+        let stub = |key: &str| WalRecord::Key {
+            generation: 0,
             key: key.to_string(),
-        });
-        if wal.records() as usize > 4 * ROUTER_DEDUP_WINDOW {
-            let mut live = Vec::new();
-            for (tag, window) in [
-                (INGEST_KEYS_TAG, &self.ingest_keys),
-                (LOCAL_KEYS_TAG, &self.local_keys),
-            ] {
-                // Oldest first, so replay rebuilds eviction order. Safe
-                // to lock here: observers release their window lock
-                // before calling into the WAL, so no thread holds a
-                // window while waiting on the WAL mutex.
-                live.extend(window.lock().unwrap().keys().map(|k| WalRecord::Key {
-                    generation: tag,
-                    key: k.to_string(),
-                }));
-            }
+        };
+        let mut wal = wal.lock().unwrap();
+        let _ = wal.append(&stub(key));
+        if wal.records() as usize > 4 * DEDUP_WINDOW {
+            // Oldest first, so replay rebuilds eviction order. Safe to
+            // lock here: observers release the window lock before calling
+            // into the WAL, so no thread holds it while waiting on the WAL.
+            let live: Vec<WalRecord> = self.ingest_keys.lock().unwrap().keys().map(stub).collect();
             let _ = wal.rewrite(&live);
         }
     }
@@ -505,8 +464,9 @@ impl RouterNode {
 
     /// The fan-out dedup window's retention contract for `/v1/healthz`:
     /// (capacity, keys currently remembered, keys forgotten to the cap).
-    /// A key evicted here is only a lost *short-circuit* — WAL-backed
-    /// routes still dedup it durably on resend.
+    /// A key evicted here is only a lost *short-circuit* — the engines
+    /// behind the routes still dedup it on resend while their own windows
+    /// hold it.
     pub fn dedup_stats(&self) -> (usize, usize, u64) {
         let w = self.ingest_keys.lock().unwrap();
         (w.cap(), w.len(), w.evictions())
@@ -603,26 +563,23 @@ impl PeerTransport for RouterNode {
     /// [`ganc_serve::ShardedEngine`]'s in-process fan-out.
     ///
     /// Cross-process fan-out cannot be atomic, so this path is built to
-    /// be *resent*: every route of one call shares one key (the client's,
-    /// or a router-generated one for unkeyed requests), WAL-backed nodes
-    /// dedup that key durably, and a failed route no longer aborts the
-    /// fan-out — every other route still gets the interaction, and the
-    /// first failure is returned. An `Err` therefore means "at least one
-    /// route is missing this interaction — resend with the same key":
-    /// routes that already applied it answer [`IngestAck::Deduplicated`]
-    /// and only the missing ones mutate. Client keys are recorded in a
-    /// bounded in-memory window only after a *fully* successful fan-out,
-    /// so a resend after partial failure repairs instead of no-opping.
+    /// be *resent*: every route of one call — local or not — gets the
+    /// same key (the client's, or a router-generated one for unkeyed
+    /// requests) through the one fan-out a replica group uses too, in band
+    /// order and one try each; a failed route never stops delivery to the
+    /// others and the first failure is returned. An `Err` therefore means
+    /// "at least one route is missing this interaction — resend with the
+    /// same key": the engines that already applied it remember the key and
+    /// answer [`IngestAck::Deduplicated`], so only the missing ones mutate.
+    /// `Ok` is `Deduplicated` only when every route answered it.
     ///
-    /// Local [`ServingEngine`] slices have no durable log, so the router
-    /// itself dedups their applies: a bounded window of client keys whose
-    /// local applies landed is consulted before any local mutation, so a
-    /// resend after partial fan-out failure repairs the remotes without
-    /// double-bumping local live popularity. The window is in-memory and
-    /// bounded ([`RouterNode::dedup_stats`] surfaces the retention
-    /// contract) — a key evicted or lost to a router restart degrades to
-    /// at-least-once for local *live counters only* (refit state is
-    /// immune — [`ganc_serve::merge_interactions`] is last-rating-wins).
+    /// Client keys whose fan-out fully succeeded are also kept in the
+    /// router's own bounded window ([`RouterNode::dedup_stats`]), so a
+    /// resend of one is answered before any dispatch; a resend after a
+    /// partial failure is not in it and repairs. A key evicted from an
+    /// engine's window applies there again — live counters only: refit
+    /// state is immune, [`ganc_serve::merge_interactions`] is
+    /// last-rating-wins.
     fn ingest_keyed(
         &self,
         key: Option<&str>,
@@ -634,8 +591,8 @@ impl PeerTransport for RouterNode {
         if let Some(k) = key {
             // The HTTP front 400s malformed keys before reaching here;
             // this guards programmatic callers, failing before any route
-            // (local included) mutates — a malformed key would otherwise
-            // be refused by every WAL node and wire client anyway.
+            // mutates — a malformed key would otherwise be refused by
+            // every WAL node and wire client anyway.
             if let Err(msg) = ganc_serve::validate_key(k) {
                 return Err(BackendError::Transport(format!(
                     "invalid idempotency key: {msg}"
@@ -653,44 +610,13 @@ impl PeerTransport for RouterNode {
                 generated.as_str()
             }
         };
-        let mut first_err: Option<BackendError> = None;
-        // Remote hops first — an unreachable peer is the common failure,
-        // and failing before any local mutation keeps this node clean.
-        for route in self.routes.iter().filter(|r| !r.is_local()) {
-            if let Err(e) = route.peer().ingest_keyed(Some(fan_key), user, item, rating) {
-                first_err.get_or_insert(e);
-            }
+        let routes = self.routes.iter().map(ShardRoute::peer);
+        let ack = fan_out_ingest(routes, 1, Some(fan_key), user, item, rating)?;
+        if let Some(k) = key {
+            self.ingest_keys.lock().unwrap().observe(k);
+            self.persist_key(k);
         }
-        // Local slices dedup here, not in a WAL: skip them when this
-        // client key's local applies already landed on an earlier
-        // (partially failed) fan-out, so a resend repairs the remotes
-        // without double-bumping local live popularity.
-        let locals_done = key.is_some_and(|k| self.local_keys.lock().unwrap().contains(k));
-        if !locals_done {
-            let mut locals_ok = true;
-            for route in self.routes.iter().filter(|r| r.is_local()) {
-                if let Err(e) = route.peer().ingest_keyed(None, user, item, rating) {
-                    first_err.get_or_insert(e);
-                    locals_ok = false;
-                }
-            }
-            if locals_ok {
-                if let Some(k) = key {
-                    self.local_keys.lock().unwrap().observe(k);
-                    self.persist_key(LOCAL_KEYS_TAG, k);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => {
-                if let Some(k) = key {
-                    self.ingest_keys.lock().unwrap().observe(k);
-                    self.persist_key(INGEST_KEYS_TAG, k);
-                }
-                Ok(IngestAck::Applied)
-            }
-        }
+        Ok(ack)
     }
 
     /// The deployment's generation (route 0's view).

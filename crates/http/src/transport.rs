@@ -1,6 +1,7 @@
 //! The one serving surface — [`PeerTransport`] — its impls for the two
-//! in-process engines, and the micro-batching wrapper that coalesces
-//! concurrent singles to one peer into one wire call.
+//! in-process engines, the one keyed-ingest fan-out a router and a replica
+//! group both deliver through, and the micro-batching wrapper that
+//! coalesces concurrent singles to one peer into one wire call.
 //!
 //! Every backend type implements the trait itself: the engines here,
 //! [`crate::RemoteShard`] (real HTTP) in [`crate::client`],
@@ -152,11 +153,55 @@ pub trait PeerTransport: Send + Sync {
     }
 }
 
+/// Deliver one keyed interaction to every member of a fan-out — a
+/// router's routes in band order, a replica group's replicas — under the
+/// same key: each member gets up to `attempts` tries (at least one), an
+/// unknown id is never retried (it cannot change), and one member's
+/// failure never stops delivery to the rest. The error is the first
+/// failing member's, in member order, and means "resend with the same
+/// key": members that already applied it answer `Deduplicated`. `Ok` is
+/// [`IngestAck::Deduplicated`] only when every member answered it.
+pub(crate) fn fan_out_ingest<'a, P: PeerTransport + ?Sized + 'a>(
+    members: impl IntoIterator<Item = &'a P>,
+    attempts: u32,
+    key: Option<&str>,
+    user: UserId,
+    item: ItemId,
+    rating: f32,
+) -> Result<IngestAck, BackendError> {
+    let mut first_err = None;
+    let mut ack = IngestAck::Deduplicated;
+    for peer in members {
+        let mut outcome = peer.ingest_keyed(key, user, item, rating);
+        for _ in 1..attempts {
+            match outcome {
+                // A failed WAL append is a node fault like any transport
+                // error, and is retried.
+                Err(BackendError::Serve(
+                    ServeError::UnknownUser(_) | ServeError::UnknownItem(_),
+                ))
+                | Ok(_) => break,
+                Err(_) => outcome = peer.ingest_keyed(key, user, item, rating),
+            }
+        }
+        match outcome {
+            Ok(IngestAck::Applied) => ack = IngestAck::Applied,
+            Ok(IngestAck::Deduplicated) => {}
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    first_err.map_or(Ok(ack), Err)
+}
+
 /// A [`ServingEngine`] is its own in-process peer: each method is the
 /// inherent one with [`ServeError`] widened to [`BackendError::Serve`], so
 /// an engine mounts wherever a peer does — behind a server, as a router
 /// band, under the injection doubles in [`crate::testing`] — and fan-out
-/// and coalescing are provable without sockets.
+/// and coalescing are provable without sockets. A keyed ingest dedups in
+/// the engine's own memory window, as a durable [`ShardedEngine`]'s does
+/// in its WAL's.
 impl PeerTransport for ServingEngine {
     fn label(&self) -> String {
         "in-process:single".to_string()
@@ -176,19 +221,16 @@ impl PeerTransport for ServingEngine {
         ServingEngine::recommend_cached(self, user)
     }
 
-    /// A single engine has no durable log — the key is accepted but not
-    /// remembered, so exactly-once there relies on the upstream (router or
-    /// replica set) dedup.
+    /// The engine remembers the key itself, in memory: a resend within
+    /// its window answers `Deduplicated` wherever the engine is mounted.
     fn ingest_keyed(
         &self,
-        _key: Option<&str>,
+        key: Option<&str>,
         user: UserId,
         item: ItemId,
         rating: f32,
     ) -> Result<IngestAck, BackendError> {
-        ServingEngine::ingest(self, user, item, rating)
-            .map(|()| IngestAck::Applied)
-            .map_err(BackendError::Serve)
+        ServingEngine::ingest_keyed(self, key, user, item, rating).map_err(BackendError::Serve)
     }
 
     fn generation(&self) -> Result<u64, BackendError> {

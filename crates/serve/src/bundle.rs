@@ -316,8 +316,9 @@ pub struct ModelBundle {
     pub train: Arc<Interactions>,
 }
 
-// Field by field as the derive would, then the one cross-field check the
-// scoring path relies on: a factor model is shaped for this train set.
+// Field by field as the derive would, then the cross-field checks the
+// serving path indexes by: a factor model is shaped for this train set,
+// θ holds one value per train user, and every seed list names one.
 impl<'de> Deserialize<'de> for ModelBundle {
     fn deserialize<D: Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
         let bundle = ModelBundle {
@@ -333,6 +334,12 @@ impl<'de> Deserialize<'de> for ModelBundle {
         let served = (bundle.n_users() as usize, bundle.n_items() as usize);
         if matches!(bundle.model.factor_shape(), Some(Ok(shape)) if shape != served) {
             return Err(d.invalid("factor model shape for this train set"));
+        }
+        if bundle.theta.len() != served.0 {
+            return Err(d.invalid("one θ per train user"));
+        }
+        if bundle.seed_lists.iter().any(|(u, _)| u.idx() >= served.0) {
+            return Err(d.invalid("seed list user in the train set"));
         }
         Ok(bundle)
     }

@@ -29,7 +29,11 @@
 //! that user's cached response. Other users' cached responses may serve
 //! scores from before the ingest until they expire from the LRU — bounded
 //! staleness, the standard serving trade-off. [`ServingEngine::flush_cache`]
-//! forces global freshness.
+//! forces global freshness. The keyed half: an ingest whose idempotency key
+//! is among the last [`DEDUP_WINDOW`] keys this engine applied
+//! ([`ServingEngine::ingest_keyed`]) changes none of (a)–(c) and answers
+//! [`IngestAck::Deduplicated`]. The window lives in memory and survives
+//! swaps, so an evicted key, or any key after a restart, applies again.
 //!
 //! Generation contract: [`ServingEngine::swap_bundle`] atomically replaces
 //! the fitted state (background refit publishes through it) and bumps the
@@ -46,6 +50,7 @@
 use crate::bundle::{make_scorer_with_mask, BoundModel, CoverageState, FittedModel, ModelBundle};
 use crate::lru::LruCache;
 use crate::obs::EngineObs;
+use crate::wal::{DedupWindow, IngestAck, DEDUP_WINDOW};
 use ganc_core::accuracy::AccuracyScorer;
 use ganc_core::query::{candidate_runs, fused_select_runs, RequestOptions, RerankMode};
 use ganc_dataset::{Interactions, ItemId, UserId};
@@ -417,14 +422,17 @@ pub struct ServingEngine {
     misses: AtomicU64,
     ingested: AtomicU64,
     invalidated: AtomicU64,
+    /// Idempotency keys of the keyed ingests this engine applied, across
+    /// swaps; locked only under the state write lock.
+    keys: Mutex<DedupWindow>,
     /// Optional observability handles ([`ServingEngine::attach_obs`]).
     /// Un-attached engines pay one atomic load per request and nothing
     /// else; attachment is one-shot.
     obs: OnceLock<Arc<EngineObs>>,
 }
 
-// Lock discipline: `state` before `cache`, or `cache` alone. Writers
-// (ingest, swap) mutate the cache while still holding the state write lock;
+// Lock discipline: `state` before `cache` or `keys`, or `cache` alone.
+// Writers (ingest, swap) mutate the cache while still holding the state write lock;
 // computes insert while still holding the state read lock. That makes cache
 // contents always belong to the current state — an invalidation or swap can
 // never be undone by a racing compute, so no separate version counter is
@@ -453,6 +461,7 @@ impl ServingEngine {
             misses: AtomicU64::new(0),
             ingested: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
+            keys: Mutex::new(DedupWindow::new(DEDUP_WINDOW)),
             obs: OnceLock::new(),
         }
     }
@@ -680,13 +689,33 @@ impl ServingEngine {
     /// candidate pool, popularity-derived state refreshes, and the user's
     /// cached response is invalidated (see the module docs for the
     /// staleness contract).
-    pub fn ingest(&self, user: UserId, item: ItemId, _rating: f32) -> Result<(), ServeError> {
+    pub fn ingest(&self, user: UserId, item: ItemId, rating: f32) -> Result<(), ServeError> {
+        self.ingest_keyed(None, user, item, rating).map(|_| ())
+    }
+
+    /// [`ServingEngine::ingest`] under an optional idempotency key: a key
+    /// this engine applied among its last [`DEDUP_WINDOW`] keyed ingests
+    /// answers [`IngestAck::Deduplicated`] and changes nothing — no pool,
+    /// popularity count, cache entry, counter or trace event. Ids are
+    /// checked first, so a rejected ingest never consumes its key.
+    pub fn ingest_keyed(
+        &self,
+        key: Option<&str>,
+        user: UserId,
+        item: ItemId,
+        _rating: f32,
+    ) -> Result<IngestAck, ServeError> {
         let mut state = self.state.write().unwrap();
         if user.idx() >= state.bundle.n_users() as usize {
             return Err(ServeError::UnknownUser(user));
         }
         if item.idx() >= state.bundle.n_items() as usize {
             return Err(ServeError::UnknownItem(item));
+        }
+        // Nothing below can fail, so remembering the key first is the
+        // apply's commit point.
+        if key.is_some_and(|k| !self.keys.lock().unwrap().observe(k)) {
+            return Ok(IngestAck::Deduplicated);
         }
         if !state.bundle.train.contains(user, item) {
             let extra = &mut state.extra_seen[user.idx()];
@@ -744,7 +773,7 @@ impl ServingEngine {
         if let Some(o) = self.obs.get() {
             o.record_ingest(user.0, item.0);
         }
-        Ok(())
+        Ok(IngestAck::Applied)
     }
 
     /// Atomically replace the fitted state with a freshly fitted bundle —
@@ -1052,6 +1081,46 @@ mod tests {
             }
             _ => panic!("expected Pop model"),
         }
+    }
+
+    /// A keyed resend is a no-op across a swap — pool, popularity, cache
+    /// and counters untouched — until `DEDUP_WINDOW` newer keys evict its
+    /// key, after which it applies again: the retention contract.
+    #[test]
+    fn keyed_resend_dedups_across_a_swap_until_its_key_is_evicted() {
+        let e = engine(CoverageKind::Static);
+        let fresh = e.with_bundle(ModelBundle::clone);
+        let u = UserId(1);
+        let item = e.recommend(u).unwrap()[0];
+        let ingest = |key: &str| e.ingest_keyed(Some(key), u, item, 5.0);
+        assert_eq!(ingest("k-0"), Ok(IngestAck::Applied));
+        assert_eq!(e.swap_bundle(fresh), 1);
+
+        let served = e.recommend_traced(u).unwrap();
+        let pool = |e: &ServingEngine| {
+            let state = e.state.read().unwrap();
+            let runs = state.candidate_runs[u.idx()].get().cloned();
+            (
+                state.pop_counts.clone(),
+                state.extra_seen[u.idx()].clone(),
+                runs,
+            )
+        };
+        let (stats, before) = (e.stats(), pool(&e));
+        assert!(before.2.is_some(), "the serve hoisted the user's runs");
+        assert_eq!(ingest("k-0"), Ok(IngestAck::Deduplicated));
+        assert_eq!(e.stats(), stats, "no counter moved");
+        assert_eq!(pool(&e), before, "no pool or popularity moved");
+        assert_eq!(e.recommend_cached(u), Some(served), "the cached list stays");
+
+        for k in 1..DEDUP_WINDOW {
+            assert_eq!(ingest(&format!("k-{k}")), Ok(IngestAck::Applied));
+        }
+        assert_eq!(ingest("k-0"), Ok(IngestAck::Deduplicated), "still inside");
+        let applied = e.stats().ingested;
+        assert_eq!(ingest("k-newest"), Ok(IngestAck::Applied), "evicts k-0");
+        assert_eq!(ingest("k-0"), Ok(IngestAck::Applied), "k-0 applies again");
+        assert_eq!(e.stats().ingested, applied + 2);
     }
 
     #[test]

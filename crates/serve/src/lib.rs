@@ -86,6 +86,6 @@ pub use shard::{
 };
 pub use wal::{
     crc32, decode_stream, encode_record, validate_key, DedupWindow, DurableConfig, DurableLog,
-    IngestAck, SyncPolicy, Wal, WalRecord, WalReplaySummary, WalStats, MAX_KEY_LEN, MAX_PAYLOAD,
-    WAL_MAGIC, WAL_VERSION,
+    IngestAck, SyncPolicy, Wal, WalRecord, WalReplaySummary, WalStats, DEDUP_WINDOW, MAX_KEY_LEN,
+    MAX_PAYLOAD, WAL_MAGIC, WAL_VERSION,
 };

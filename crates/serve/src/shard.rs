@@ -34,9 +34,7 @@
 
 use crate::band::{band_batch, BandMap};
 use crate::bundle::{FitConfig, ModelBundle};
-use crate::engine::{
-    EngineBatch, EngineConfig, EngineStats, ServeError, ServingEngine, SlotAnswer,
-};
+use crate::engine::{EngineBatch, EngineConfig, EngineStats, ServeError, ServingEngine};
 use crate::refit::{merge_interactions, RefitOutcome, Refitter};
 use crate::saveload::{PersistError, SaveLoad};
 use crate::wal::{DurableConfig, DurableLog, IngestAck, WalReplaySummary, WalStats};
@@ -418,14 +416,6 @@ impl ShardedEngine {
     pub fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
         let set = self.set.try_read().ok()?;
         set.engines[set.map.band(user, None).ok()?].recommend_cached(user)
-    }
-
-    /// Answer a batch of requests, splitting it across shards served one
-    /// after another (each over its own worker threads). Results come back
-    /// in request order, the whole batch served from one shard-set
-    /// generation.
-    pub fn recommend_batch(&self, users: &[UserId]) -> Vec<SlotAnswer> {
-        self.recommend_batch_traced(users).0
     }
 
     /// [`ShardedEngine::recommend_batch_with_traced`] at default options.
@@ -1000,7 +990,7 @@ mod tests {
         let sharded = ShardedEngine::new(b, ShardConfig::quantile(1));
         assert_eq!(sharded.shards(), 1);
         let users: Vec<UserId> = (0..sharded.n_users()).map(UserId).collect();
-        let batch = sharded.recommend_batch(&users);
+        let batch = sharded.recommend_batch_traced(&users).0;
         for (u, got) in users.iter().zip(batch) {
             assert_eq!(got.unwrap(), single.recommend(*u).unwrap(), "user {u:?}");
         }

@@ -64,6 +64,11 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024;
 /// Longest idempotency key accepted anywhere in the stack.
 pub const MAX_KEY_LEN: usize = 128;
 
+/// How many distinct idempotency keys a dedup window remembers: a
+/// [`crate::ServingEngine`]'s, a durable log's by default
+/// ([`DurableConfig::new`]) and a router's.
+pub const DEDUP_WINDOW: usize = 4096;
+
 /// Validate an idempotency key at ingress: 1..=[`MAX_KEY_LEN`] bytes of
 /// visible ASCII (`0x21..=0x7E`).
 ///
@@ -454,12 +459,13 @@ impl Wal {
 
 // --------------------------------------------------------- dedup window
 
-/// Bounded FIFO window of recently acknowledged idempotency keys.
+/// Bounded FIFO window of recently acknowledged idempotency keys. Each key
+/// is stored once, shared by the lookup set and the eviction queue.
 #[derive(Debug)]
 pub struct DedupWindow {
     cap: usize,
-    seen: HashSet<String>,
-    order: VecDeque<String>,
+    seen: HashSet<Arc<str>>,
+    order: VecDeque<Arc<str>>,
     evictions: u64,
 }
 
@@ -491,14 +497,15 @@ impl DedupWindow {
                 self.evictions += 1;
             }
         }
-        self.seen.insert(key.to_string());
-        self.order.push_back(key.to_string());
+        let key: Arc<str> = Arc::from(key);
+        self.seen.insert(Arc::clone(&key));
+        self.order.push_back(key);
         true
     }
 
     /// Keys currently remembered, oldest first.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.order.iter().map(|k| k.as_str())
+        self.order.iter().map(|k| &**k)
     }
 
     /// Keys currently remembered.
@@ -582,12 +589,12 @@ pub struct DurableConfig {
 }
 
 impl DurableConfig {
-    /// Defaults: 4096-key window, no artifact persistence, OS-flush-only
-    /// sync policy.
+    /// Defaults: a [`DEDUP_WINDOW`]-key window, no artifact persistence,
+    /// OS-flush-only sync policy.
     pub fn new(path: impl Into<PathBuf>) -> DurableConfig {
         DurableConfig {
             path: path.into(),
-            dedup_window: 4096,
+            dedup_window: DEDUP_WINDOW,
             artifact_path: None,
             sync_policy: SyncPolicy::Flush,
         }

@@ -2,7 +2,9 @@
 //! coverage kind, every other format version — the retired v1 and v2
 //! included — is refused by the version gate instead of misread, and a
 //! factor model whose shapes disagree (with each other or with the train
-//! set) is refused at decode instead of panicking in the scoring kernel.
+//! set), a θ vector not one per train user, or a seed list naming a user
+//! outside the train set is refused at decode instead of panicking later
+//! in the serving path.
 
 use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
@@ -75,16 +77,21 @@ fn tiny_train() -> Interactions {
     DatasetProfile::tiny().generate(3).interactions()
 }
 
+/// Offset of the one occurrence of `needle` in `bytes`.
+fn find_once(bytes: &[u8], needle: &[u8]) -> usize {
+    let mut at = bytes.windows(needle.len()).enumerate();
+    let found = at.find(|(_, w)| *w == needle).expect("needle present").0;
+    assert!(at.all(|(_, w)| w != needle), "ambiguous needle");
+    found
+}
+
 /// Offset of the one `rows, cols, rows·cols` matrix header in `bytes`.
 fn matrix_header(bytes: &[u8], rows: usize, cols: usize) -> usize {
     let header: Vec<u8> = [rows, cols, rows * cols]
         .iter()
         .flat_map(|&v| (v as u64).to_le_bytes())
         .collect();
-    let mut at = bytes.windows(header.len()).enumerate();
-    let found = at.find(|(_, w)| *w == header).expect("matrix header").0;
-    assert!(at.all(|(_, w)| w != header), "ambiguous matrix header");
-    found
+    find_once(bytes, &header)
 }
 
 /// Hand-edit a `rows × cols` matrix into a `cols × rows` one: the buffer
@@ -195,8 +202,46 @@ fn a_bundle_whose_factor_model_fits_another_catalogue_is_refused_at_decode() {
     let bytes = ModelBundle::fit(foreign, theta, train, &cfg)
         .to_bytes()
         .unwrap();
-    match ModelBundle::from_bytes(&bytes) {
+    assert_bundle_refused(&bytes, "a foreign catalogue's factor model");
+}
+
+/// A bundle's bytes that decode to a bundle the serving path would index
+/// out of bounds are a codec error, not a panic.
+fn assert_bundle_refused(bytes: &[u8], what: &str) {
+    match ModelBundle::from_bytes(bytes) {
         Err(PersistError::Codec(_)) => {}
-        other => panic!("expected a codec error, got {other:?}"),
+        Err(e) => panic!("{what}: expected a codec error, got {e}"),
+        Ok(_) => panic!("{what}: decoded a bundle the serving path would index out of bounds"),
     }
+}
+
+#[test]
+fn a_theta_vector_not_one_per_train_user_is_refused_at_decode() {
+    let (train, theta) = fixture();
+    let bytes = fit(&train, &theta, CoverageKind::Static)
+        .to_bytes()
+        .unwrap();
+    // θ is the one `n_users`-long f64 vector starting with θ(0).
+    let head = [(theta.len() as u64).to_le_bytes(), theta[0].to_le_bytes()].concat();
+    let end = find_once(&bytes, &head) + 8 + 8 * theta.len();
+    assert_bundle_refused(&drop_last(&bytes, end, theta.len()), "θ one short");
+}
+
+#[test]
+fn a_seed_list_naming_a_user_outside_the_train_set_is_refused_at_decode() {
+    let (train, theta) = fixture();
+    let bundle = fit(&train, &theta, CoverageKind::Dynamic);
+    let bytes = bundle.to_bytes().unwrap();
+    // The seed lists' length, then the first entry's user and list length.
+    let (user, list) = &bundle.seed_lists[0];
+    let head = [
+        &(bundle.seed_lists.len() as u64).to_le_bytes()[..],
+        &user.0.to_le_bytes(),
+        &(list.len() as u64).to_le_bytes(),
+    ]
+    .concat();
+    let at = find_once(&bytes, &head) + 8;
+    let mut edited = bytes.clone();
+    edited[at..at + 4].copy_from_slice(&train.n_users().to_le_bytes());
+    assert_bundle_refused(&edited, "a seed list for user n_users");
 }

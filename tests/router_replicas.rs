@@ -31,8 +31,8 @@ use ganc::obs::{Clock, ManualClock};
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::serve::{
-    BatchConfig, DurableConfig, EngineConfig, FitConfig, FittedModel, ModelBundle, ServeError,
-    ServingEngine, ShardConfig, ShardedEngine,
+    BatchConfig, DurableConfig, EngineConfig, FitConfig, FittedModel, IngestAck, ModelBundle,
+    ServeError, ServingEngine, ShardConfig, ShardedEngine,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -622,6 +622,34 @@ fn flaky_replica_keyed_ingest_fan_out_is_exactly_once() {
     assert_eq!(e1.wal_stats().unwrap().dedup_hits, 3);
     let _ = std::fs::remove_file(p0);
     let _ = std::fs::remove_file(p1);
+}
+
+/// The in-call retry is exactly-once against memory-only replicas too: a
+/// replica whose engine applied the ingest but lost the ack answers the
+/// retry `Deduplicated` from the engine's own key window.
+#[test]
+fn memory_only_replica_dedups_the_retry_after_a_lost_ack() {
+    let engines: Vec<Arc<ServingEngine>> = (0..2)
+        .map(|_| {
+            let bundle = fixture_bundle().clone();
+            Arc::new(ServingEngine::new(bundle, EngineConfig::default()))
+        })
+        .collect();
+    let flaky: Vec<Arc<FlakyPeer>> = engines
+        .iter()
+        .map(|e| FlakyPeer::new(Arc::clone(e) as Arc<dyn PeerTransport>))
+        .collect();
+    let peers = flaky
+        .iter()
+        .map(|f| Arc::clone(f) as Arc<dyn PeerTransport>);
+    let set = ReplicaSet::new(peers.collect(), ReplicaConfig::default());
+
+    flaky[0].fail_ingest_acks(1);
+    let ack = set.ingest_keyed(Some("lost-ack"), UserId(0), ItemId(1), 5.0);
+    assert_eq!(ack, Ok(IngestAck::Applied));
+    for (r, engine) in engines.iter().enumerate() {
+        assert_eq!(engine.stats().ingested, 1, "replica {r} applied it once");
+    }
 }
 
 /// Hooks that fail the next `k` ingests the way a node does whose WAL

@@ -279,7 +279,7 @@ fn sharded_matches_batch_on_skewed_profile() {
     for shards in SHARD_COUNTS {
         let engine = ShardedEngine::new(bundle.clone(), ShardConfig::quantile(shards));
         let users: Vec<UserId> = (0..train.n_users()).map(UserId).collect();
-        let answers = engine.recommend_batch(&users);
+        let answers = engine.recommend_batch_traced(&users).0;
         for (u, got) in users.iter().zip(answers) {
             assert_eq!(
                 got.unwrap().as_slice(),

@@ -42,7 +42,7 @@ use ganc::recommender::item_avg::ItemAvg;
 use ganc::serve::refit::{merge_interactions, RefitOutcome, Refitter};
 use ganc::serve::{
     decode_stream, encode_record, DurableConfig, DurableLog, EngineConfig, FitConfig, FittedModel,
-    IngestAck, ModelBundle, SaveLoad, ServingEngine, ShardConfig, ShardedEngine, WalRecord,
+    IngestAck, ModelBundle, SaveLoad, ServingEngine, ShardConfig, ShardedEngine, Wal, WalRecord,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -643,6 +643,76 @@ fn router_restart_remembers_consumed_keys_mid_repair() {
     assert_eq!(ack, IngestAck::Deduplicated);
     assert_eq!(remote_engine.stats().ingested, 2);
     assert_eq!(local.stats().ingested, 2);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A lost ack on a router's remote band: the remote engine applied the
+/// ingest but the router saw an error, so the first send is not
+/// acknowledged. The resend under the same key reaches every route again,
+/// and each engine — the local slice and the memory-only remote alike —
+/// recognises the key it applied: nothing is applied twice.
+#[test]
+fn resend_after_a_lost_remote_ack_applies_once_on_every_engine() {
+    let (_, bundle) = fixture();
+    let cuts = cut_theta_bands(&bundle.theta, 2);
+    let band_engine = |j: usize| {
+        let (lo, hi) = band_bounds(&cuts, j);
+        let slice = bundle.slice_theta_band(lo, hi);
+        Arc::new(ServingEngine::new(slice, EngineConfig::default()))
+    };
+    let (local, remote_engine) = (band_engine(0), band_engine(1));
+    let flaky = FlakyPeer::new(Arc::clone(&remote_engine) as Arc<dyn PeerTransport>);
+    let router = RouterNode::new(
+        Arc::clone(&bundle.theta),
+        cuts.clone(),
+        vec![
+            ShardRoute::Local(Arc::clone(&local)),
+            ShardRoute::Remote(Arc::clone(&flaky) as Arc<dyn PeerTransport>),
+        ],
+    );
+    let send = || router.ingest_keyed(Some("lost-ack"), UserId(0), ItemId(1), 4.0);
+
+    flaky.fail_ingest_acks(1);
+    send().expect_err("a lost ack must not be acknowledged");
+    assert_eq!(local.stats().ingested, 1);
+    assert_eq!(remote_engine.stats().ingested, 1, "applied, ack lost");
+
+    let ack = send().expect("the resend is acknowledged");
+    assert_eq!(ack, IngestAck::Deduplicated, "every route already had it");
+    assert_eq!(local.stats().ingested, 1, "local applied once");
+    assert_eq!(remote_engine.stats().ingested, 1, "remote applied once");
+}
+
+/// The router's key WAL holds only fully acknowledged keys, as
+/// generation-0 stubs. A stub of any other generation — written when the
+/// router also logged keys only its local slices had applied — must not
+/// short-circuit a resend: that resend is what repairs the routes still
+/// missing the interaction.
+#[test]
+fn router_replay_short_circuits_only_fully_acknowledged_stubs() {
+    let path = scratch("router_stub_generations");
+    let (mut wal, _, _) = Wal::open(&path).unwrap();
+    for (generation, key) in [(0, "fully-acked"), (1, "local-only")] {
+        let key = key.to_string();
+        wal.append(&WalRecord::Key { generation, key }).unwrap();
+    }
+    drop(wal);
+    let (_, bundle) = fixture();
+    let engine = Arc::new(ServingEngine::new(bundle.clone(), EngineConfig::default()));
+    let routes = vec![ShardRoute::Local(Arc::clone(&engine))];
+    let router =
+        RouterNode::with_wal(Arc::clone(&bundle.theta), Vec::new(), routes, &path).unwrap();
+
+    let ack = router.ingest_keyed(Some("fully-acked"), UserId(0), ItemId(1), 4.0);
+    assert_eq!(ack, Ok(IngestAck::Deduplicated));
+    assert_eq!(
+        engine.stats().ingested,
+        0,
+        "short-circuited before dispatch"
+    );
+    let ack = router.ingest_keyed(Some("local-only"), UserId(0), ItemId(1), 4.0);
+    assert_eq!(ack, Ok(IngestAck::Applied), "a resend repairs");
+    assert_eq!(engine.stats().ingested, 1);
     std::fs::remove_file(&path).ok();
 }
 
