@@ -44,7 +44,8 @@ use ganc_dataset::UserId;
 use ganc_obs::{Background, Counter, Histogram, ObsHub, TraceData, TraceEvent, WindowStats};
 use ganc_serve::refit::{RefitController, RefitOutcome, Refitter};
 use ganc_serve::{
-    CadenceConfig, EngineStats, FitConfig, RequestOptions, ServingEngine, ShardInfo, ShardedEngine,
+    CadenceConfig, DedupStats, EngineStats, FitConfig, RequestOptions, ServingEngine, ShardInfo,
+    ShardedEngine,
 };
 use std::io;
 use std::panic::AssertUnwindSafe;
@@ -365,20 +366,11 @@ impl App {
                     body.insert("pending_ingests", Value::from(e.pending_ingests()));
                     // WAL footprint, when a durable log is attached: how
                     // many acknowledged-but-uncompacted records a crash
-                    // would replay, their on-disk size, and the dedup
-                    // window's retention contract — keys beyond `window`
-                    // distinct successors are forgotten (`evictions`
-                    // counts them), after which a resend re-applies.
+                    // would replay, their on-disk size, and the engine's
+                    // dedup window — the one the WAL's keys re-arm.
                     if let Some(w) = e.wal_stats() {
                         body.insert("wal", obj! { "records" => w.records, "bytes" => w.bytes });
-                        body.insert(
-                            "dedup",
-                            obj! {
-                                "window" => w.dedup_window,
-                                "len" => w.dedup_keys,
-                                "evictions" => w.dedup_evictions,
-                            },
-                        );
+                        body.insert("dedup", dedup_body(e.dedup_stats()));
                     }
                 }
                 if let Frontend::Router(r) = &self.frontend {
@@ -391,19 +383,10 @@ impl App {
                         "degraded_bands",
                         Value::Array(degraded.into_iter().map(Value::from).collect()),
                     );
-                    // The fan-out dedup window's retention contract (same
-                    // shape as the WAL one): an evicted key only loses its
-                    // resend short-circuit — the engines behind the routes
-                    // still dedup it in their own windows.
-                    let (window, len, evictions) = r.dedup_stats();
-                    body.insert(
-                        "dedup",
-                        obj! {
-                            "window" => window,
-                            "len" => len,
-                            "evictions" => evictions,
-                        },
-                    );
+                    // The fan-out dedup window: an evicted key only loses
+                    // its resend short-circuit — the engines behind the
+                    // routes still dedup it in their own windows.
+                    body.insert("dedup", dedup_body(r.dedup_stats()));
                 }
                 if let Some(controller) = &self.controller {
                     body.insert(
@@ -734,6 +717,14 @@ fn window_value(w: WindowStats) -> Value {
         "mean_novelty_bits" => w.mean_novelty_bits,
         "long_tail_share" => w.long_tail_share,
     }
+}
+
+/// A dedup window's retention contract as `/v1/healthz` reports it (a
+/// durable sharded engine's and a router's): keys beyond `window`
+/// distinct successors are forgotten (`evictions` counts them), after
+/// which a resend re-applies.
+fn dedup_body(d: DedupStats) -> Value {
+    obj! { "window" => d.window, "len" => d.len, "evictions" => d.evictions }
 }
 
 /// One trace event as JSON: `{seq, at_us, kind, data: {...}}`.

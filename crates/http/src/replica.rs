@@ -68,8 +68,8 @@ pub struct ReplicaConfig {
     /// Attempts per replica for the keyed ingest fan-out (min 1). Retries
     /// are safe precisely because every fan-out entry carries an
     /// idempotency key: a replica that applied the ingest but lost the
-    /// acknowledgement dedups the retry — a `ServingEngine` in its memory
-    /// window, a durable `ShardedEngine` in its WAL's.
+    /// acknowledgement dedups the retry in its engine's own window — a
+    /// `ServingEngine`'s or a `ShardedEngine`'s, with or without a WAL.
     pub ingest_retries: u32,
 }
 

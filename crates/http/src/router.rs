@@ -48,8 +48,8 @@ use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Background, Counter, Histogram, ObsHub, WindowStats, WindowWire};
 use ganc_serve::{
-    band_batch, BandFault, BandMap, DedupWindow, IngestAck, RequestOptions, ServingEngine, Wal,
-    WalRecord, DEDUP_WINDOW,
+    band_batch, BandFault, BandMap, DedupStats, DedupWindow, IngestAck, RequestOptions,
+    ServingEngine, Wal, WalRecord, DEDUP_WINDOW,
 };
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
@@ -462,14 +462,12 @@ impl RouterNode {
         (bands, union.map(|w| w.stats()))
     }
 
-    /// The fan-out dedup window's retention contract for `/v1/healthz`:
-    /// (capacity, keys currently remembered, keys forgotten to the cap).
+    /// The fan-out dedup window's retention contract for `/v1/healthz`.
     /// A key evicted here is only a lost *short-circuit* — the engines
     /// behind the routes still dedup it on resend while their own windows
     /// hold it.
-    pub fn dedup_stats(&self) -> (usize, usize, u64) {
-        let w = self.ingest_keys.lock().unwrap();
-        (w.cap(), w.len(), w.evictions())
+    pub fn dedup_stats(&self) -> DedupStats {
+        self.ingest_keys.lock().unwrap().stats()
     }
 
     /// Bands running below full replication (some replica ejected), from
@@ -598,7 +596,7 @@ impl PeerTransport for RouterNode {
                     "invalid idempotency key: {msg}"
                 )));
             }
-            if self.ingest_keys.lock().unwrap().contains(k) {
+            if self.ingest_keys.lock().unwrap().resent(k) {
                 return Ok(IngestAck::Deduplicated);
             }
         }

@@ -200,8 +200,8 @@ pub(crate) fn fan_out_ingest<'a, P: PeerTransport + ?Sized + 'a>(
 /// an engine mounts wherever a peer does — behind a server, as a router
 /// band, under the injection doubles in [`crate::testing`] — and fan-out
 /// and coalescing are provable without sockets. A keyed ingest dedups in
-/// the engine's own memory window, as a durable [`ShardedEngine`]'s does
-/// in its WAL's.
+/// the engine's own memory window, as a [`ShardedEngine`]'s does in its
+/// own, with or without a WAL.
 impl PeerTransport for ServingEngine {
     fn label(&self) -> String {
         "in-process:single".to_string()
@@ -244,8 +244,9 @@ impl PeerTransport for ServingEngine {
 }
 
 /// A [`ShardedEngine`] as an in-process peer, like [`ServingEngine`]'s
-/// impl; a keyed ingest dedups through its WAL window when a durable log
-/// is attached.
+/// impl; a keyed ingest dedups in the engine's one window, which survives
+/// refit swaps and, when a durable log is attached, restarts too (the WAL
+/// replays its keys).
 impl PeerTransport for ShardedEngine {
     fn label(&self) -> String {
         "in-process:sharded".to_string()

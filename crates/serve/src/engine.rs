@@ -50,7 +50,6 @@
 use crate::bundle::{make_scorer_with_mask, BoundModel, CoverageState, FittedModel, ModelBundle};
 use crate::lru::LruCache;
 use crate::obs::EngineObs;
-use crate::wal::{DedupWindow, IngestAck, DEDUP_WINDOW};
 use ganc_core::accuracy::AccuracyScorer;
 use ganc_core::query::{candidate_runs, fused_select_runs, RequestOptions, RerankMode};
 use ganc_dataset::{Interactions, ItemId, UserId};
@@ -63,7 +62,7 @@ use ganc_rerank::pra::Pra;
 use ganc_rerank::rbt::{Rbt, RbtCriterion};
 use ganc_rerank::Reranker;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Duration;
@@ -134,6 +133,97 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// How many distinct idempotency keys a dedup window remembers: a
+/// [`ServingEngine`]'s, a [`crate::ShardedEngine`]'s (a durable one's by
+/// default, [`crate::DurableConfig::new`]) and a router's.
+pub const DEDUP_WINDOW: usize = 4096;
+
+/// What an acknowledged ingest did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IngestAck {
+    /// The interaction was applied (and logged, on durable nodes).
+    Applied,
+    /// The idempotency key was already acknowledged: nothing changed.
+    Deduplicated,
+}
+
+/// A dedup window's numbers, for `/v1/healthz` and tests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DedupStats {
+    /// The retention bound: how many distinct keys the window holds
+    /// before the oldest is forgotten.
+    pub window: usize,
+    /// Keys currently remembered.
+    pub len: usize,
+    /// Keys forgotten so far because `window` newer distinct keys arrived.
+    /// A nonzero value means a sufficiently delayed retry could re-apply
+    /// — the retention contract surfaced by `/v1/healthz`.
+    pub evictions: u64,
+    /// Resends [`DedupWindow::resent`] has answered.
+    pub hits: u64,
+}
+
+/// Bounded FIFO window of recently acknowledged idempotency keys. Each key
+/// is stored once, shared by the lookup set and the eviction queue.
+#[derive(Debug)]
+pub struct DedupWindow {
+    seen: HashSet<Arc<str>>,
+    order: VecDeque<Arc<str>>,
+    /// Kept current by every call.
+    stats: DedupStats,
+}
+
+impl DedupWindow {
+    /// A window remembering up to `cap` keys (clamped to ≥ 1).
+    pub fn new(cap: usize) -> DedupWindow {
+        DedupWindow {
+            seen: HashSet::new(),
+            order: VecDeque::new(),
+            stats: DedupStats {
+                window: cap.max(1),
+                ..DedupStats::default()
+            },
+        }
+    }
+
+    /// Is `key` inside the window? Asked of an ingest about to apply:
+    /// `true` means it is a resend to answer [`IngestAck::Deduplicated`],
+    /// and is counted as a hit.
+    pub fn resent(&mut self, key: &str) -> bool {
+        let resent = self.seen.contains(key);
+        self.stats.hits += u64::from(resent);
+        resent
+    }
+
+    /// Record `key`; returns `false` (and changes nothing) if it was
+    /// already present. At capacity the oldest key falls out.
+    pub fn observe(&mut self, key: &str) -> bool {
+        if self.seen.contains(key) {
+            return false;
+        }
+        if self.order.len() == self.stats.window {
+            let oldest = self.order.pop_front().expect("a full window holds a key");
+            self.seen.remove(&oldest);
+            self.stats.evictions += 1;
+        }
+        let key: Arc<str> = Arc::from(key);
+        self.seen.insert(Arc::clone(&key));
+        self.order.push_back(key);
+        self.stats.len = self.order.len();
+        true
+    }
+
+    /// Keys currently remembered, oldest first.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.order.iter().map(|k| &**k)
+    }
+
+    /// The window's retention contract and hit count.
+    pub fn stats(&self) -> DedupStats {
+        self.stats
+    }
+}
 
 /// Model-side state guarded by the engine's `RwLock`.
 struct EngineState {
@@ -1081,6 +1171,21 @@ mod tests {
             }
             _ => panic!("expected Pop model"),
         }
+    }
+
+    #[test]
+    fn dedup_window_is_bounded_fifo() {
+        let mut w = DedupWindow::new(2);
+        assert!(w.observe("a"));
+        assert!(!w.observe("a"), "duplicate detected");
+        assert!(w.observe("b"));
+        assert!(w.observe("c"), "capacity evicts the oldest");
+        assert!(!w.resent("a"), "a fell out of the window");
+        assert!(w.resent("b") && w.resent("c"));
+        assert_eq!(w.keys().collect::<Vec<_>>(), vec!["b", "c"]);
+        let stats = w.stats();
+        assert_eq!((stats.window, stats.len, stats.evictions), (2, 2, 1));
+        assert_eq!(stats.hits, 2, "only answered resends are hits");
     }
 
     /// A keyed resend is a no-op across a swap — pool, popularity, cache

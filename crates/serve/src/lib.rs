@@ -72,7 +72,8 @@ pub use band::{band_batch, BandFault, BandMap};
 pub use batch::{BatchConfig, BatchSource, CoalescedAnswer, Coalescer, MicroBatcher};
 pub use bundle::{make_scorer, BoundModel, CoverageState, FitConfig, FittedModel, ModelBundle};
 pub use engine::{
-    build_reranker, EngineBatch, EngineConfig, EngineStats, ServeError, ServingEngine, SlotAnswer,
+    build_reranker, DedupStats, DedupWindow, EngineBatch, EngineConfig, EngineStats, IngestAck,
+    ServeError, ServingEngine, SlotAnswer, DEDUP_WINDOW,
 };
 pub use ganc_core::query::{RequestOptions, RerankMode};
 pub use lru::LruCache;
@@ -85,7 +86,7 @@ pub use shard::{
     save_shard_artifacts, shard_artifact_path, ShardConfig, ShardInfo, ShardPlan, ShardedEngine,
 };
 pub use wal::{
-    crc32, decode_stream, encode_record, validate_key, DedupWindow, DurableConfig, DurableLog,
-    IngestAck, SyncPolicy, Wal, WalRecord, WalReplaySummary, WalStats, DEDUP_WINDOW, MAX_KEY_LEN,
-    MAX_PAYLOAD, WAL_MAGIC, WAL_VERSION,
+    crc32, decode_stream, encode_record, validate_key, DurableConfig, DurableLog, Recovered,
+    SyncPolicy, Wal, WalRecord, WalReplaySummary, WalStats, MAX_KEY_LEN, MAX_PAYLOAD, WAL_MAGIC,
+    WAL_VERSION,
 };

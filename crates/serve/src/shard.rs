@@ -22,6 +22,9 @@
 //! ingesting user's candidate exclusion only matters on the shard that
 //! serves them. Output is byte-identical to an unsharded engine by
 //! construction, which `tests/shard_equivalence.rs` checks exhaustively.
+//! So is the keyed half: a resend dedups in the engine's one window, with
+//! or without a WAL — the window outlives refit swaps, and a durable
+//! engine re-arms it from the keys its WAL replays.
 //!
 //! Placement, batch splitting and the cross-band fold are the router's
 //! too, so they live in [`crate::band`]: each generation holds one
@@ -34,10 +37,13 @@
 
 use crate::band::{band_batch, BandMap};
 use crate::bundle::{FitConfig, ModelBundle};
-use crate::engine::{EngineBatch, EngineConfig, EngineStats, ServeError, ServingEngine};
+use crate::engine::{
+    DedupStats, DedupWindow, EngineBatch, EngineConfig, EngineStats, IngestAck, ServeError,
+    ServingEngine, DEDUP_WINDOW,
+};
 use crate::refit::{merge_interactions, RefitOutcome, Refitter};
 use crate::saveload::{PersistError, SaveLoad};
-use crate::wal::{DurableConfig, DurableLog, IngestAck, WalReplaySummary, WalStats};
+use crate::wal::{DurableConfig, DurableLog, Recovered, WalReplaySummary, WalStats};
 use ganc_core::query::{band_bounds, cut_theta_bands, RequestOptions};
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Counter, Gauge, ObsHub, TraceData, WindowStats, WindowWire};
@@ -211,9 +217,17 @@ pub struct ShardedEngine {
     /// window span to thread onto every generation's band engines, plus
     /// refit lifecycle counters.
     obs: OnceLock<ShardObs>,
-    /// Optional durability ([`ShardedEngine::attach_durable`]): the WAL +
-    /// dedup window every acknowledged ingest goes through. Set only under
-    /// the shard-set write lock.
+    /// Idempotency keys of the keyed ingests this engine applied, across
+    /// refit swaps; re-armed from the WAL's keys by
+    /// [`ShardedEngine::attach_durable`]. An ingest locks it under the
+    /// shard-set write lock, and only when keyed.
+    keys: Mutex<DedupWindow>,
+    /// `ganc_wal_dedup_hits_total`, once both observability and a durable
+    /// log are attached ([`ShardedEngine::attach_wal_obs`]).
+    wal_dedup_hits: OnceLock<Arc<Counter>>,
+    /// Optional durability ([`ShardedEngine::attach_durable`]): the WAL
+    /// every acknowledged ingest goes through. Set only under the
+    /// shard-set write lock.
     durable: OnceLock<DurableLog>,
 }
 
@@ -276,15 +290,16 @@ impl ShardObs {
     }
 }
 
-// Lock discipline: outer `set` lock before `ingest_log`, and outer before
-// any inner engine lock. Requests hold the outer read side; ingests and
-// refit swaps take the outer write side — an ingest mutates *every* shard,
-// and holding the write lock is what keeps a multi-shard batch from
-// observing some shards pre-ingest and others post-ingest (the same batch
-// atomicity the unsharded engine gets from its single state lock). An
-// ingest holds it from WAL append to refit-log push, so a WAL compaction
-// — persist lock, then `set` read, then `ingest_log`, then the WAL's own
-// mutex — sees every appended ingest in the log it rewrites from.
+// Lock discipline: outer `set` lock before `ingest_log` or `keys`, and
+// outer before any inner engine lock. Requests hold the outer read side;
+// ingests and refit swaps take the outer write side — an ingest mutates
+// *every* shard, and holding the write lock is what keeps a multi-shard
+// batch from observing some shards pre-ingest and others post-ingest (the
+// same batch atomicity the unsharded engine gets from its single state
+// lock). An ingest holds it from key check to refit-log push, so a WAL
+// compaction — persist lock, then `set` read, then `ingest_log` and
+// `keys`, then the WAL's own mutex — sees every appended ingest and key in
+// the log and window it rewrites from.
 impl ShardedEngine {
     /// Shard a fitted bundle and start serving.
     pub fn new(bundle: ModelBundle, cfg: ShardConfig) -> ShardedEngine {
@@ -295,6 +310,8 @@ impl ShardedEngine {
             engine_cfg: cfg.engine,
             plan: cfg.plan,
             obs: OnceLock::new(),
+            keys: Mutex::new(DedupWindow::new(DEDUP_WINDOW)),
+            wal_dedup_hits: OnceLock::new(),
             durable: OnceLock::new(),
         }
     }
@@ -310,19 +327,34 @@ impl ShardedEngine {
         obs.generation_gauge.set(set.generation as f64);
         drop(set);
         let _ = self.obs.set(obs);
-        // Either attach order works: whichever of obs/durable arrives
-        // second threads the WAL counters through.
+        self.attach_wal_obs();
+    }
+
+    /// Thread the `ganc_wal_*` counters onto the hub once both
+    /// observability and a durable log are attached — either attach order
+    /// works, whichever arrives second calls through. The log registers its
+    /// own; the dedup-hit counter is this engine's window's, caught up
+    /// under the window lock so no hit is lost or counted twice.
+    fn attach_wal_obs(&self) {
         if let (Some(obs), Some(durable)) = (self.obs.get(), self.durable.get()) {
             durable.attach_obs(Arc::clone(&obs.hub));
+            let metrics = &obs.hub.metrics;
+            let help = "Keyed ingests answered from the dedup window";
+            let hits = metrics.counter("ganc_wal_dedup_hits_total", help, &[]);
+            let keys = self.keys.lock().unwrap();
+            if self.wal_dedup_hits.set(Arc::clone(&hits)).is_ok() {
+                hits.add(keys.stats().hits);
+            }
         }
     }
 
     /// Attach a write-ahead log: open (or create) the WAL at `cfg.path`,
-    /// replay whatever survives through the normal ingest path, and route
-    /// every subsequent ingest through the log before acknowledgement.
-    /// One-shot; must happen before serving starts: a second attach is
-    /// refused before it opens anything. Returns what the startup replay
-    /// recovered.
+    /// replay whatever survives through the normal ingest path, re-arm the
+    /// dedup window (`cfg.dedup_window` keys) from the replayed keys, and
+    /// route every subsequent ingest through the log before
+    /// acknowledgement. One-shot; must happen before serving starts: a
+    /// second attach is refused before it opens anything. Returns what the
+    /// startup replay recovered.
     ///
     /// Fails with `InvalidData` if a recovered interaction is outside the
     /// bundle's id space — a WAL paired with the wrong artifact is a
@@ -334,27 +366,36 @@ impl ShardedEngine {
         if self.durable.get().is_some() {
             return Err(std::io::Error::other("durable log already attached"));
         }
+        let mut keys = DedupWindow::new(cfg.dedup_window);
         let (log, recovered) = DurableLog::open(cfg)?;
+        let interactions = &recovered.interactions;
         // Recovered interactions re-enter the refit log and the shards
         // like an ingest, but are not re-appended: they are in the WAL.
-        set.apply(&recovered).map_err(|e| {
+        set.apply(interactions).map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("WAL record outside the artifact's id space: {e}"),
             )
         })?;
-        self.ingest_log.lock().unwrap().extend(&recovered);
+        self.ingest_log.lock().unwrap().extend(interactions);
+        for key in &recovered.keys {
+            keys.observe(key);
+        }
+        *self.keys.lock().unwrap() = keys;
         let summary = log.replay_summary();
         let _ = self.durable.set(log);
-        if let (Some(obs), Some(durable)) = (self.obs.get(), self.durable.get()) {
-            durable.attach_obs(Arc::clone(&obs.hub));
-        }
+        self.attach_wal_obs();
         Ok(summary)
     }
 
     /// WAL counters and sizes, when a durable log is attached.
     pub fn wal_stats(&self) -> Option<WalStats> {
         self.durable.get().map(|d| d.stats())
+    }
+
+    /// The dedup window's retention contract and hit count.
+    pub fn dedup_stats(&self) -> DedupStats {
+        self.keys.lock().unwrap().stats()
     }
 
     /// Per-band rolling-window metrics plus their cross-band aggregate
@@ -453,11 +494,15 @@ impl ShardedEngine {
         self.ingest_keyed(None, user, item, rating).map(|_| ())
     }
 
-    /// Like [`ShardedEngine::ingest`], with an optional idempotency key.
-    /// On a durable engine the interaction hits the WAL before anything
-    /// else (and before the caller is acknowledged); a key already inside
-    /// the dedup window short-circuits to
-    /// [`IngestAck::Deduplicated`] without touching the log or any shard.
+    /// Like [`ShardedEngine::ingest`], with an optional idempotency key: a
+    /// key this engine applied among the last [`DEDUP_WINDOW`] keyed
+    /// ingests (`DurableConfig::dedup_window` on a durable engine) answers
+    /// [`IngestAck::Deduplicated`] and changes nothing — no WAL record,
+    /// pool, popularity count, cache entry or counter. Otherwise, on a
+    /// durable engine, the interaction hits the WAL before anything else
+    /// (and before the caller is acknowledged). Ids are checked first and
+    /// a key is remembered only once its WAL append succeeded, so a
+    /// rejected ingest never consumes its key.
     // The guard is never written *through* (shard mutation goes via the
     // inner engines' own locks); the write side is held purely for its
     // exclusion against in-flight batches.
@@ -474,6 +519,13 @@ impl ShardedEngine {
         // a rejected ingest leaves neither the WAL, the log, nor any shard
         // modified.
         set.check(user, item)?;
+        let mut keys = key.map(|k| (k, self.keys.lock().unwrap()));
+        if keys.as_mut().is_some_and(|(k, keys)| keys.resent(k)) {
+            if let Some(hits) = self.wal_dedup_hits.get() {
+                hits.inc();
+            }
+            return Ok(IngestAck::Deduplicated);
+        }
         // WAL first (still under the outer write lock, so WAL order, log
         // order, and shard application order all agree), then the refit
         // log, then the shards: a refit swap can never observe the shards
@@ -482,11 +534,12 @@ impl ShardedEngine {
         // the oracle tolerates because applying it is what the client
         // retry would have done anyway.
         if let Some(durable) = self.durable.get() {
-            match durable.append(key, set.generation, user, item, rating) {
-                Ok(IngestAck::Deduplicated) => return Ok(IngestAck::Deduplicated),
-                Ok(IngestAck::Applied) => {}
-                Err(_) => return Err(ServeError::Durability),
-            }
+            durable
+                .append(key, set.generation, user, item, rating)
+                .map_err(|_| ServeError::Durability)?;
+        }
+        if let Some((k, mut keys)) = keys {
+            keys.observe(k);
         }
         self.ingest_log.lock().unwrap().push((user, item, rating));
         set.apply(&[(user, item, rating)])?;
@@ -652,13 +705,14 @@ impl ShardedEngine {
 
     /// The refit pass's persist step for the pass that installed
     /// `generation`: save its bundle as the artifact, then compact the WAL
-    /// to the refit log's survivors. One pass at a time (the persist lock),
-    /// and only while `generation` is installed: an overtaken pass must
-    /// neither land its older artifact over a newer one nor rewrite the
-    /// WAL from a newer generation's log. Without an artifact path the WAL
-    /// is the consumed ingests' only durable copy and stays whole. A
-    /// failure only delays compaction; what the WAL still holds replays
-    /// harmlessly (the merge is last-rating-wins).
+    /// to the dedup window's keys and the refit log's survivors. One pass
+    /// at a time (the persist lock), and only while `generation` is
+    /// installed: an overtaken pass must neither land its older artifact
+    /// over a newer one nor rewrite the WAL from a newer generation's log.
+    /// Without an artifact path the WAL is the consumed ingests' only
+    /// durable copy and stays whole. A failure only delays compaction; what
+    /// the WAL still holds replays harmlessly (the merge is
+    /// last-rating-wins).
     pub(crate) fn persist_refit(&self, generation: u64, bundle: &ModelBundle) {
         let durable = self.durable.get();
         let Some((durable, path)) = durable.and_then(|d| Some((d, d.artifact_path()?))) else {
@@ -668,11 +722,15 @@ impl ShardedEngine {
         if self.generation() != generation || bundle.save(path).is_err() {
             return;
         }
-        // Under the read lock no ingest lands between reading the
+        // Under the read lock no ingest lands between reading the keys and
         // survivors and rewriting the file.
         let set = self.set.read().unwrap();
         if set.generation == generation {
-            let _ = durable.truncate(&self.ingest_log.lock().unwrap(), generation);
+            let keep = Recovered {
+                interactions: self.ingest_log.lock().unwrap().clone(),
+                keys: self.keys.lock().unwrap().keys().map(String::from).collect(),
+            };
+            let _ = durable.truncate(keep, generation);
         }
     }
 }
@@ -827,6 +885,66 @@ mod tests {
             Err(ServeError::UnknownUser(bad))
         );
         assert_eq!(sharded.pending_ingests(), 1, "rejected ingest not logged");
+    }
+
+    /// `engine::tests::keyed_resend_dedups_across_a_swap_until_its_key_is_evicted`
+    /// on a WAL-less sharded engine: a keyed resend is a no-op across a
+    /// refit swap — pool, popularity, cache, counters and refit log
+    /// untouched on every band — until `DEDUP_WINDOW` newer keys evict its
+    /// key, after which it applies again.
+    #[test]
+    fn keyed_resend_dedups_across_a_refit_swap_until_its_key_is_evicted() {
+        let sharded = ShardedEngine::new(bundle(CoverageKind::Static), ShardConfig::quantile(3));
+        let u = UserId(1);
+        let item = sharded.recommend(u).unwrap()[0];
+        let ingest = |key: &str| sharded.ingest_keyed(Some(key), u, item, 5.0);
+        assert_eq!(ingest("k-0"), Ok(IngestAck::Applied));
+        let fitter = |train: &ganc_dataset::Interactions| {
+            let theta = GeneralizedConfig::default().estimate(train);
+            (FittedModel::Pop(MostPopular::fit(train)), theta)
+        };
+        let cfg = FitConfig {
+            coverage: CoverageKind::Static,
+            sample_size: 12,
+            ..FitConfig::new(5)
+        };
+        let outcome = sharded.refit_once(&fitter, &cfg);
+        assert!(matches!(
+            outcome,
+            RefitOutcome::Swapped { generation: 1, .. }
+        ));
+
+        // Serve (and cache) every user on the new generation.
+        let lists = |s: &ShardedEngine| -> Vec<_> {
+            (0..s.n_users())
+                .map(|q| s.recommend(UserId(q)).unwrap())
+                .collect()
+        };
+        let served = lists(&sharded);
+        let popularity = |s: &ShardedEngine| -> Vec<_> {
+            let set = s.set.read().unwrap();
+            let state =
+                |e: &ServingEngine| e.with_bundle(|b| (b.model.clone(), b.coverage.clone()));
+            set.engines.iter().map(state).collect()
+        };
+        let (stats, before) = (sharded.stats(), popularity(&sharded));
+        assert_eq!(ingest("k-0"), Ok(IngestAck::Deduplicated));
+        assert_eq!(sharded.stats(), stats, "no counter moved");
+        assert_eq!(sharded.pending_ingests(), 0, "the refit log grew");
+        assert_eq!(popularity(&sharded), before, "no popularity moved");
+        let cached = Some((Arc::clone(&served[u.idx()]), 1));
+        assert_eq!(sharded.recommend_cached(u), cached, "the cached list stays");
+        assert_eq!(lists(&sharded), served, "no pool moved");
+
+        for k in 1..DEDUP_WINDOW {
+            assert_eq!(ingest(&format!("k-{k}")), Ok(IngestAck::Applied));
+        }
+        assert_eq!(ingest("k-0"), Ok(IngestAck::Deduplicated), "still inside");
+        let applied = sharded.pending_ingests();
+        assert_eq!(ingest("k-newest"), Ok(IngestAck::Applied), "evicts k-0");
+        assert_eq!(ingest("k-0"), Ok(IngestAck::Applied), "k-0 applies again");
+        assert_eq!(sharded.pending_ingests(), applied + 2);
+        assert_eq!(sharded.dedup_stats().hits, 2);
     }
 
     #[test]

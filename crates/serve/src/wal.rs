@@ -12,29 +12,32 @@
 //!   startup. Replay recovers the longest valid record prefix: a torn tail
 //!   or a flipped bit stops the replay cleanly at the first bad record —
 //!   never a panic, never a garbage interaction applied.
-//! * **Exactly-once** — ingests may carry an idempotency key; a bounded
-//!   dedup window remembers recently acknowledged keys, and the window
-//!   itself is persisted in the WAL (keys ride on their ingest records;
-//!   truncation rewrites the window as key-only stubs), so a retried or
-//!   replayed request is a no-op **across restarts** too.
+//! * **Exactly-once** — ingests may carry an idempotency key. The engine
+//!   that applies an ingest decides whether its key is a resend, in its
+//!   own dedup window; the log only keeps the keys (they ride on their
+//!   ingest records; truncation rewrites the keys the engine hands it as
+//!   key-only stubs) and hands them back on replay, so the engine re-arms
+//!   its window and a retried request is a no-op **across restarts** too.
 //!
-//! The log keeps no list of unrefitted ingests: the sharded engine's refit
-//! log is that list, and a compaction hands its survivors (the ingests the
-//! persisted artifact does not hold) to [`DurableLog::truncate`]. The
-//! rewrite is atomic (write a fresh log beside the live one, then `rename`
-//! over it) and holds one `Key` stub per remembered key, in window order,
-//! then the survivors without keys — replay re-arms the same window and
-//! re-applies the same interactions. [`Wal::open`] refuses, untouched, a
+//! The log keeps no list of unrefitted ingests and no window of keys: the
+//! sharded engine's refit log and dedup window are those, and a compaction
+//! hands [`DurableLog::truncate`] what the next replay must recover — the
+//! window's keys and the log's survivors (the ingests the persisted
+//! artifact does not hold). The rewrite is atomic (write a fresh log beside
+//! the live one, then `rename` over it) and holds one `Key` stub per
+//! remembered key, in window order, then the survivors without keys —
+//! replay returns the same keys in the same order and the same
+//! interactions. [`Wal::open`] refuses, untouched, a
 //! file that is not such a log. Process-death durability (the oracle in
 //! `tests/wal_recovery.rs` SIGKILLs a node mid-storm) comes from the
 //! ack-after-append discipline alone; **power-loss** durability is the
 //! [`SyncPolicy`] knob on [`DurableConfig`] — `fdatasync` per append,
 //! clock-driven group commit, or the OS-flush-only default.
 
+use crate::engine::DEDUP_WINDOW;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::clock::{Background, Clock, SystemClock};
 use ganc_obs::{Counter, ObsHub, TraceData};
-use std::collections::{HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -63,11 +66,6 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024;
 
 /// Longest idempotency key accepted anywhere in the stack.
 pub const MAX_KEY_LEN: usize = 128;
-
-/// How many distinct idempotency keys a dedup window remembers: a
-/// [`crate::ServingEngine`]'s, a durable log's by default
-/// ([`DurableConfig::new`]) and a router's.
-pub const DEDUP_WINDOW: usize = 4096;
 
 /// Validate an idempotency key at ingress: 1..=[`MAX_KEY_LEN`] bytes of
 /// visible ASCII (`0x21..=0x7E`).
@@ -126,7 +124,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// An acknowledged ingest not yet covered by a persisted refit.
-    /// Replay re-applies it and (when keyed) re-arms the dedup window.
+    /// Replay re-applies it and (when keyed) hands its key back.
     Ingest {
         /// Shard-set generation at acknowledgement time (diagnostic).
         generation: u64,
@@ -139,9 +137,9 @@ pub enum WalRecord {
         /// Idempotency key the ingest carried, if any.
         key: Option<String>,
     },
-    /// A dedup-key stub, one per remembered key after a compaction: replay
-    /// only re-arms the dedup window (an interaction the persisted
-    /// artifact lacks follows as a keyless `Ingest`).
+    /// A dedup-key stub, one per key the engine remembered at a
+    /// compaction: replay only hands the key back (an interaction the
+    /// persisted artifact lacks follows as a keyless `Ingest`).
     Key {
         /// Generation whose truncation wrote the stub.
         generation: u64,
@@ -457,91 +455,7 @@ impl Wal {
     }
 }
 
-// --------------------------------------------------------- dedup window
-
-/// Bounded FIFO window of recently acknowledged idempotency keys. Each key
-/// is stored once, shared by the lookup set and the eviction queue.
-#[derive(Debug)]
-pub struct DedupWindow {
-    cap: usize,
-    seen: HashSet<Arc<str>>,
-    order: VecDeque<Arc<str>>,
-    evictions: u64,
-}
-
-impl DedupWindow {
-    /// A window remembering up to `cap` keys (clamped to ≥ 1).
-    pub fn new(cap: usize) -> DedupWindow {
-        DedupWindow {
-            cap: cap.max(1),
-            seen: HashSet::new(),
-            order: VecDeque::new(),
-            evictions: 0,
-        }
-    }
-
-    /// Is `key` inside the window?
-    pub fn contains(&self, key: &str) -> bool {
-        self.seen.contains(key)
-    }
-
-    /// Record `key`; returns `false` (and changes nothing) if it was
-    /// already present. At capacity the oldest key falls out.
-    pub fn observe(&mut self, key: &str) -> bool {
-        if self.seen.contains(key) {
-            return false;
-        }
-        if self.order.len() == self.cap {
-            if let Some(evicted) = self.order.pop_front() {
-                self.seen.remove(&evicted);
-                self.evictions += 1;
-            }
-        }
-        let key: Arc<str> = Arc::from(key);
-        self.seen.insert(Arc::clone(&key));
-        self.order.push_back(key);
-        true
-    }
-
-    /// Keys currently remembered, oldest first.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.order.iter().map(|k| &**k)
-    }
-
-    /// Keys currently remembered.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Is the window empty?
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// The retention bound: how many distinct keys the window holds
-    /// before the oldest is forgotten.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Keys forgotten so far because `cap` newer distinct keys arrived.
-    /// A nonzero value means a sufficiently delayed retry could re-apply
-    /// — the retention contract surfaced by `/v1/healthz`.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-}
-
 // ---------------------------------------------------------- durable log
-
-/// What an acknowledged ingest did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestAck {
-    /// The interaction was applied (and logged, on durable nodes).
-    Applied,
-    /// The idempotency key was already acknowledged: nothing changed.
-    Deduplicated,
-}
 
 /// When acknowledged appends reach **stable storage**, closing (or
 /// bounding) the power-loss window that [`Wal::append`]'s OS-level flush
@@ -573,8 +487,8 @@ pub enum SyncPolicy {
 pub struct DurableConfig {
     /// WAL file path.
     pub path: PathBuf,
-    /// Dedup-window capacity (keys remembered across truncations and
-    /// restarts).
+    /// Capacity of the attaching engine's dedup window, re-armed from the
+    /// log's keys (keys remembered across truncations and restarts).
     pub dedup_window: usize,
     /// When set, a refit swap persists the refitted bundle here (atomic
     /// write-beside + rename) *before* truncating the WAL, so every
@@ -603,7 +517,6 @@ impl DurableConfig {
 
 struct DurableInner {
     wal: Wal,
-    window: DedupWindow,
     /// When the log last reached stable storage (clock time), for
     /// [`SyncPolicy::Interval`] group commit.
     last_sync: Duration,
@@ -633,7 +546,6 @@ struct WalObs {
     appends: Arc<Counter>,
     replayed: Arc<Counter>,
     truncations: Arc<Counter>,
-    dedup_hits: Arc<Counter>,
 }
 
 /// A point-in-time view of the durable log, for `/v1/healthz` and stats.
@@ -649,14 +561,6 @@ pub struct WalStats {
     pub replayed: u64,
     /// Truncations (refit compactions) performed.
     pub truncations: u64,
-    /// Keyed ingests answered from the dedup window (no-ops).
-    pub dedup_hits: u64,
-    /// Keys currently inside the dedup window.
-    pub dedup_keys: usize,
-    /// The dedup window's retention bound (capacity in distinct keys).
-    pub dedup_window: usize,
-    /// Keys the dedup window has forgotten to make room for newer ones.
-    pub dedup_evictions: u64,
     /// Device syncs (`fdatasync`) issued by the [`SyncPolicy`]. Always 0
     /// under [`SyncPolicy::Flush`]; equals `appends` under
     /// [`SyncPolicy::PerAppend`]; counts group commits under
@@ -664,8 +568,10 @@ pub struct WalStats {
     pub syncs: u64,
 }
 
-/// The WAL + dedup window + counters bundle a durable node threads through
-/// its ingest path. Thread-safe; one per node.
+/// The WAL + sync policy + counters bundle a durable node threads through
+/// its ingest path. It decides nothing about keys: it writes the ones it is
+/// given and hands them back on replay, and the engine's dedup window
+/// decides which ingests reach it. Thread-safe; one per node.
 pub struct DurableLog {
     inner: Arc<Mutex<DurableInner>>,
     artifact_path: Option<PathBuf>,
@@ -676,20 +582,26 @@ pub struct DurableLog {
     clock: Arc<dyn Clock>,
     appends: AtomicU64,
     truncations: AtomicU64,
-    dedup_hits: AtomicU64,
     obs: OnceLock<WalObs>,
     /// The [`SyncPolicy::Interval`] flusher (no other policy has one);
     /// stopped and joined when the log drops.
     _flusher: Option<Background>,
 }
 
-/// The interactions a WAL replay recovered, in log order.
-pub type Recovered = Vec<(UserId, ItemId, f32)>;
+/// What a WAL replay recovered, each in log order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Recovered {
+    /// The interactions to re-apply.
+    pub interactions: Vec<(UserId, ItemId, f32)>,
+    /// The idempotency keys to re-arm a dedup window with, key stubs and
+    /// keyed ingests alike.
+    pub keys: Vec<String>,
+}
 
 impl DurableLog {
-    /// Open the log, replaying what survives: returns the handle plus the
-    /// recovered interactions, which the caller must re-apply through its
-    /// normal ingest path (the dedup window is already re-armed).
+    /// Open the log, replaying what survives: returns the handle plus what
+    /// it recovered, whose interactions the caller must re-apply through
+    /// its normal ingest path and whose keys it must remember.
     pub fn open(cfg: DurableConfig) -> io::Result<(DurableLog, Recovered)> {
         DurableLog::open_with_clock(cfg, Arc::new(SystemClock::new()))
     }
@@ -702,8 +614,7 @@ impl DurableLog {
         clock: Arc<dyn Clock>,
     ) -> io::Result<(DurableLog, Recovered)> {
         let (wal, records, replay) = Wal::open(&cfg.path)?;
-        let mut window = DedupWindow::new(cfg.dedup_window);
-        let mut recovered = Vec::new();
+        let mut recovered = Recovered::default();
         for rec in records {
             match rec {
                 WalRecord::Ingest {
@@ -713,20 +624,15 @@ impl DurableLog {
                     key,
                     ..
                 } => {
-                    if let Some(k) = key {
-                        window.observe(&k);
-                    }
-                    recovered.push((user, item, rating));
+                    recovered.keys.extend(key);
+                    recovered.interactions.push((user, item, rating));
                 }
-                WalRecord::Key { key, .. } => {
-                    window.observe(&key);
-                }
+                WalRecord::Key { key, .. } => recovered.keys.push(key),
             }
         }
         let last_sync = clock.now();
         let inner = Arc::new(Mutex::new(DurableInner {
             wal,
-            window,
             last_sync,
             dirty: false,
             syncs: 0,
@@ -760,7 +666,6 @@ impl DurableLog {
             clock,
             appends: AtomicU64::new(0),
             truncations: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
             obs: OnceLock::new(),
             _flusher: flusher,
         };
@@ -783,11 +688,11 @@ impl DurableLog {
         self.replay
     }
 
-    /// Log one acknowledged ingest *before* the caller applies it.
-    /// [`IngestAck::Deduplicated`] means the key was already acknowledged:
-    /// the caller must skip the apply entirely. A key that fails
-    /// [`validate_key`] is rejected (`InvalidInput`) before anything is
-    /// written — every appended record is guaranteed decodable on replay.
+    /// Log one acknowledged ingest, with its key, *before* the caller
+    /// applies it; whether the ingest is a resend is the caller's decision,
+    /// made first. A key that fails [`validate_key`] is rejected
+    /// (`InvalidInput`) before anything is written — every appended record
+    /// is guaranteed decodable on replay.
     pub fn append(
         &self,
         key: Option<&str>,
@@ -795,20 +700,11 @@ impl DurableLog {
         user: UserId,
         item: ItemId,
         rating: f32,
-    ) -> io::Result<IngestAck> {
+    ) -> io::Result<()> {
         if let Some(k) = key {
             validate_key(k).map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
         }
         let mut inner = self.inner.lock().unwrap();
-        if let Some(k) = key {
-            if inner.window.contains(k) {
-                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = self.obs.get() {
-                    obs.dedup_hits.inc();
-                }
-                return Ok(IngestAck::Deduplicated);
-            }
-        }
         inner.wal.append(&WalRecord::Ingest {
             generation,
             user,
@@ -829,31 +725,28 @@ impl DurableLog {
             }
             SyncPolicy::Interval(every) => inner.sync_if_due(self.clock.now(), every)?,
         }
-        if let Some(k) = key {
-            inner.window.observe(k);
-        }
         self.appends.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = self.obs.get() {
             obs.appends.inc();
         }
-        Ok(IngestAck::Applied)
+        Ok(())
     }
 
     /// Compact after a refit swap whose bundle is persisted: rewrite the
-    /// log as one `Key` stub per remembered key (window order), then the
-    /// `survivors` — the acknowledged ingests the persisted artifact does
-    /// not hold — without keys, so a replay re-arms the same window and
-    /// re-applies exactly the survivors. Atomic; the caller must keep
-    /// appends out until it returns, or a racing record would be lost.
-    pub fn truncate(&self, survivors: &[(UserId, ItemId, f32)], generation: u64) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
-        let stubs = inner.window.keys().map(|k| WalRecord::Key {
-            generation,
-            key: k.to_string(),
-        });
-        let whole = survivors
-            .iter()
-            .map(|&(user, item, rating)| WalRecord::Ingest {
+    /// log so that a replay recovers exactly `keep` — one `Key` stub per
+    /// key the engine remembers (in its window's order), then the
+    /// survivors, the acknowledged ingests the persisted artifact does not
+    /// hold, without keys. Atomic; the caller must keep appends out until
+    /// it returns, or a racing record would be lost.
+    pub fn truncate(&self, keep: Recovered, generation: u64) -> io::Result<()> {
+        let stubs = keep
+            .keys
+            .into_iter()
+            .map(|key| WalRecord::Key { generation, key });
+        let whole = keep
+            .interactions
+            .into_iter()
+            .map(|(user, item, rating)| WalRecord::Ingest {
                 generation,
                 user,
                 item,
@@ -862,7 +755,7 @@ impl DurableLog {
             });
         let recs: Vec<WalRecord> = stubs.chain(whole).collect();
         let retained = recs.len() as u64;
-        inner.wal.rewrite(&recs)?;
+        self.inner.lock().unwrap().wal.rewrite(&recs)?;
         self.truncations.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = self.obs.get() {
             obs.truncations.inc();
@@ -877,8 +770,9 @@ impl DurableLog {
         Ok(())
     }
 
-    /// Register `ganc_wal_*` counters and emit the startup-replay trace
-    /// event. One-shot; later calls are no-ops.
+    /// Register the log's `ganc_wal_*` counters (the dedup-hit one belongs
+    /// to the engine's window) and emit the startup-replay trace event.
+    /// One-shot; later calls are no-ops.
     pub fn attach_obs(&self, hub: Arc<ObsHub>) {
         let m = &hub.metrics;
         let obs = WalObs {
@@ -893,11 +787,6 @@ impl DurableLog {
                 "WAL compactions after refit swaps",
                 &[],
             ),
-            dedup_hits: m.counter(
-                "ganc_wal_dedup_hits_total",
-                "Keyed ingests answered from the dedup window",
-                &[],
-            ),
             hub: Arc::clone(&hub),
         };
         if self.obs.set(obs).is_ok() {
@@ -907,7 +796,6 @@ impl DurableLog {
             obs.replayed.add(self.replay.records);
             obs.truncations
                 .add(self.truncations.load(Ordering::Relaxed));
-            obs.dedup_hits.add(self.dedup_hits.load(Ordering::Relaxed));
             obs.hub.trace.record(
                 obs.hub.now_us(),
                 TraceData::WalReplay {
@@ -928,10 +816,6 @@ impl DurableLog {
             appends: self.appends.load(Ordering::Relaxed),
             replayed: self.replay.records,
             truncations: self.truncations.load(Ordering::Relaxed),
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            dedup_keys: inner.window.len(),
-            dedup_window: inner.window.cap(),
-            dedup_evictions: inner.window.evictions(),
             syncs: inner.syncs,
         }
     }
@@ -1059,50 +943,50 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn dedup_window_is_bounded_fifo() {
-        let mut w = DedupWindow::new(2);
-        assert!(w.observe("a"));
-        assert!(!w.observe("a"), "duplicate detected");
-        assert!(w.observe("b"));
-        assert!(w.observe("c"), "capacity evicts the oldest");
-        assert!(!w.contains("a"), "a fell out of the window");
-        assert!(w.contains("b") && w.contains("c"));
-        assert_eq!(w.keys().collect::<Vec<_>>(), vec!["b", "c"]);
-    }
-
+    /// The keys an engine dedups with survive a reopen and a compaction:
+    /// replay hands back every key the log was given, in log order — the
+    /// stubs of a truncation first, in the window order the engine handed
+    /// them over.
     #[test]
     fn durable_log_dedups_across_reopen_and_truncation() {
         let path = tmp("durable");
         let cfg = DurableConfig::new(&path);
         let (log, recovered) = DurableLog::open(cfg.clone()).unwrap();
-        assert!(recovered.is_empty());
-        let ack = |log: &DurableLog, key: Option<&str>, u: u32| {
+        assert_eq!(recovered, Recovered::default());
+        let append = |log: &DurableLog, key: Option<&str>, u: u32| {
             log.append(key, 0, UserId(u), ItemId(1), 5.0).unwrap()
         };
-        assert_eq!(ack(&log, Some("k1"), 0), IngestAck::Applied);
-        assert_eq!(ack(&log, Some("k1"), 0), IngestAck::Deduplicated);
-        assert_eq!(ack(&log, None, 1), IngestAck::Applied);
-        assert_eq!(ack(&log, Some("k2"), 2), IngestAck::Applied);
+        append(&log, Some("k1"), 0);
+        append(&log, None, 1);
+        append(&log, Some("k2"), 2);
         assert_eq!(log.stats().appends, 3);
-        assert_eq!(log.stats().dedup_hits, 1);
-
-        // Refit consumed the first two ingests; k2's record raced it.
-        log.truncate(&[(UserId(2), ItemId(1), 5.0)], 1).unwrap();
-        let stats = log.stats();
-        assert_eq!(stats.truncations, 1);
-        // k1 and k2 stubs + k2's interaction, keyless.
-        assert_eq!(stats.records, 3);
-        assert_eq!(ack(&log, Some("k1"), 0), IngestAck::Deduplicated);
-        assert_eq!(ack(&log, Some("k2"), 2), IngestAck::Deduplicated);
         drop(log);
 
-        // Reopen: only the racer replays, both keys still dedup.
-        let (log, recovered) = DurableLog::open(cfg).unwrap();
-        assert_eq!(recovered, vec![(UserId(2), ItemId(1), 5.0)]);
-        assert_eq!(ack(&log, Some("k1"), 0), IngestAck::Deduplicated);
-        assert_eq!(ack(&log, Some("k2"), 0), IngestAck::Deduplicated);
-        assert_eq!(ack(&log, Some("k3"), 3), IngestAck::Applied);
+        // Reopen: every ingest replays, and both keys come back.
+        let (log, recovered) = DurableLog::open(cfg.clone()).unwrap();
+        let rated = |u: u32| (UserId(u), ItemId(1), 5.0);
+        assert_eq!(recovered.interactions, vec![rated(0), rated(1), rated(2)]);
+        assert_eq!(recovered.keys, ["k1", "k2"]);
+
+        // Refit consumed the first two ingests; k2's record raced it. The
+        // engine's window holds an older key ahead of both.
+        let keep = Recovered {
+            interactions: vec![rated(2)],
+            keys: ["k0", "k1", "k2"].map(String::from).to_vec(),
+        };
+        log.truncate(keep, 1).unwrap();
+        let stats = log.stats();
+        assert_eq!(stats.truncations, 1);
+        // Three stubs + k2's interaction, keyless.
+        assert_eq!(stats.records, 4);
+        append(&log, Some("k3"), 3);
+        drop(log);
+
+        // Reopen: the racer and the later ingest replay; the keys come
+        // back stubs first, in window order.
+        let (_, recovered) = DurableLog::open(cfg).unwrap();
+        assert_eq!(recovered.interactions, vec![rated(2), rated(3)]);
+        assert_eq!(recovered.keys, ["k0", "k1", "k2", "k3"]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1142,22 +1026,15 @@ mod tests {
         }
         assert_eq!(log.stats().appends, 0, "nothing may reach the file");
 
-        // A max-length valid key appends, replays, and still dedups.
+        // A max-length valid key appends and replays, key and all.
         let max = "k".repeat(MAX_KEY_LEN);
-        assert_eq!(
-            log.append(Some(&max), 0, UserId(1), ItemId(2), 3.0)
-                .unwrap(),
-            IngestAck::Applied
-        );
+        log.append(Some(&max), 0, UserId(1), ItemId(2), 3.0)
+            .unwrap();
         drop(log);
         let (log, recovered) = DurableLog::open(cfg).unwrap();
-        assert_eq!(recovered, vec![(UserId(1), ItemId(2), 3.0)]);
+        assert_eq!(recovered.interactions, vec![(UserId(1), ItemId(2), 3.0)]);
+        assert_eq!(recovered.keys, [max]);
         assert!(!log.replay_summary().corrupted);
-        assert_eq!(
-            log.append(Some(&max), 0, UserId(1), ItemId(2), 3.0)
-                .unwrap(),
-            IngestAck::Deduplicated
-        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1184,12 +1061,6 @@ mod tests {
         }
         let stats = log.stats();
         assert_eq!((stats.appends, stats.syncs), (3, 3), "one sync per ack");
-        // A deduplicated resend writes nothing, so it must sync nothing.
-        log.append(Some("k1"), 0, UserId(0), ItemId(9), 3.0)
-            .unwrap();
-        log.append(Some("k1"), 0, UserId(0), ItemId(9), 3.0)
-            .unwrap();
-        assert_eq!(log.stats().syncs, 4);
         std::fs::remove_file(&path).ok();
     }
 

@@ -14,18 +14,20 @@
 
 use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
-use ganc::http::http1::read_response;
+use ganc::http::http1::{read_response, write_response};
 use ganc::http::{Frontend, HttpClient, HttpServer, ServerConfig};
 use ganc::obs::{Clock, ManualClock, ObsHub, TraceData};
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
-use ganc::serve::{EngineConfig, FitConfig, FittedModel, ModelBundle, ServingEngine};
+use ganc::serve::{
+    EngineConfig, FitConfig, FittedModel, ModelBundle, ServingEngine, ShardConfig, ShardedEngine,
+};
 use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn fixture_engine() -> Arc<ServingEngine> {
+fn fixture_bundle() -> ModelBundle {
     let data = DatasetProfile::tiny().generate(7);
     let split = data.split_per_user(0.5, 3).unwrap();
     let theta = GeneralizedConfig::default().estimate(&split.train);
@@ -35,8 +37,12 @@ fn fixture_engine() -> Arc<ServingEngine> {
         sample_size: 12,
         ..FitConfig::new(5)
     };
+    ModelBundle::fit(FittedModel::Pop(pop), theta, split.train, &cfg)
+}
+
+fn fixture_engine() -> Arc<ServingEngine> {
     Arc::new(ServingEngine::new(
-        ModelBundle::fit(FittedModel::Pop(pop), theta, split.train, &cfg),
+        fixture_bundle(),
         EngineConfig::default(),
     ))
 }
@@ -337,4 +343,86 @@ fn graceful_shutdown_closes_idle_connections_and_joins() {
         }),
         "a stopped server must not serve new connections"
     );
+}
+
+/// The resend `HttpClient::request_keyed` makes when its reused
+/// connection dies before the answer arrives is a no-op on a WAL-less
+/// sharded front. A relay between client and server passes the first
+/// answer on its first connection, swallows the second — the server has
+/// already applied that keyed ingest — and closes the connection; the
+/// client's retry on a fresh connection is answered `"deduplicated":true`,
+/// and nothing the first send moved moves again.
+#[test]
+fn a_keyed_retry_after_a_lost_answer_is_deduplicated_by_a_sharded_front() {
+    let engine = Arc::new(ShardedEngine::new(
+        fixture_bundle(),
+        ShardConfig::quantile(2),
+    ));
+    let frontend = Frontend::Sharded(Arc::clone(&engine));
+    let server = HttpServer::bind(frontend, None, ServerConfig::default(), "127.0.0.1:0").unwrap();
+    let upstream = server.local_addr();
+    let relay = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = relay.local_addr().unwrap().to_string();
+    let relay = std::thread::spawn(move || {
+        // Which answer to swallow, per accepted connection.
+        for (lose, conn) in [Some(1), None].into_iter().zip(relay.incoming()) {
+            let client = conn.unwrap();
+            let server = TcpStream::connect(upstream).unwrap();
+            let (mut requests, mut to_server) =
+                (client.try_clone().unwrap(), server.try_clone().unwrap());
+            // Requests pass through until the client hangs up, which the
+            // server then sees too.
+            let forward = std::thread::spawn(move || {
+                let _ = std::io::copy(&mut requests, &mut to_server);
+                let _ = to_server.shutdown(Shutdown::Write);
+            });
+            let mut answers = BufReader::new(server);
+            for n in 0.. {
+                let Ok(resp) = read_response(&mut answers) else {
+                    break;
+                };
+                if lose == Some(n) {
+                    break;
+                }
+                write_response(&mut &client, resp.status, &resp.body, resp.keep_alive).unwrap();
+            }
+            let _ = client.shutdown(Shutdown::Both);
+            forward.join().unwrap();
+        }
+    });
+
+    let mut client = HttpClient::new(addr);
+    // The connection the ingest reuses.
+    assert_eq!(
+        client.request("GET", "/v1/healthz", None).unwrap().status,
+        200
+    );
+    let body = "{\"user\":1,\"item\":2,\"rating\":5.0}";
+    let resend = |client: &mut HttpClient| {
+        let resp = client
+            .request_keyed("POST", "/v1/ingest", Some(body), "lost-answer")
+            .unwrap();
+        assert_eq!(resp.status, 200);
+        String::from_utf8(resp.body).unwrap()
+    };
+    assert_eq!(
+        resend(&mut client),
+        "{\"ok\":true,\"deduplicated\":true}",
+        "the retry re-applied the ingest"
+    );
+    let applied = engine.stats();
+    assert_eq!(
+        applied.ingested,
+        engine.shards() as u64,
+        "one apply per band"
+    );
+    assert_eq!(engine.pending_ingests(), 1);
+    // A further resend, on the relay's pass-through connection.
+    assert_eq!(resend(&mut client), "{\"ok\":true,\"deduplicated\":true}");
+    assert_eq!(engine.stats(), applied, "a counter moved");
+    assert_eq!(engine.pending_ingests(), 1);
+    assert_eq!(engine.dedup_stats().hits, 2);
+
+    drop(client);
+    relay.join().unwrap();
 }

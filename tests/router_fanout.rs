@@ -410,12 +410,15 @@ fn unknown_users_stay_in_slot_under_parallel_dispatch() {
 /// the same list, generation, typed rejection and ingest ack however it is
 /// mounted — called directly, as a `dyn PeerTransport`, as a router's
 /// `Local` or `Remote` band, as a one-member replica group, or behind a
-/// router that is itself another router's `Remote` band.
+/// router that is itself another router's `Remote` band — and a WAL-less
+/// sharded engine over the same bundle, called directly or as a `Remote`
+/// band, answers alike, a keyed resend included.
 #[test]
 fn a_mount_does_not_change_an_answer() {
     let bundle = fixture_bundle();
     let n_users = bundle.n_users();
     let engine = || Arc::new(ServingEngine::new(bundle.clone(), EngineConfig::default()));
+    let sharded = || Arc::new(ShardedEngine::new(bundle.clone(), ShardConfig::quantile(3)));
     let one_band = |route: ShardRoute| -> Arc<RouterNode> {
         let theta = Arc::clone(&bundle.theta);
         Arc::new(RouterNode::new(theta, Vec::new(), vec![route]))
@@ -432,6 +435,11 @@ fn a_mount_does_not_change_an_answer() {
         (
             "router under a router",
             one_band(ShardRoute::Remote(one_band(ShardRoute::Remote(engine())))),
+        ),
+        ("WAL-less ShardedEngine as dyn PeerTransport", sharded()),
+        (
+            "ShardRoute::Remote over a WAL-less ShardedEngine",
+            one_band(ShardRoute::Remote(sharded())),
         ),
     ];
     let reference = engine();
@@ -480,18 +488,34 @@ fn a_mount_does_not_change_an_answer() {
     };
     compare_reads("before any ingest");
 
-    // Ingests: an applied one (keyed and unkeyed) and both typed rejections.
+    // Ingests: an applied one (keyed and unkeyed), both typed rejections,
+    // and a keyed resend of the first, which every mount dedups.
+    let (applied, deduplicated) = (Ok(IngestAck::Applied), Ok(IngestAck::Deduplicated));
     let writes = [
-        (Some("mount-0"), UserId(3), ItemId(1)),
-        (None, UserId(0), ItemId(2)),
-        (Some("mount-1"), stranger, ItemId(1)),
-        (Some("mount-2"), UserId(3), ItemId(u32::MAX)),
+        (Some("mount-0"), UserId(3), ItemId(1), applied),
+        (None, UserId(0), ItemId(2), applied),
+        (
+            Some("mount-1"),
+            stranger,
+            ItemId(1),
+            Err(ServeError::UnknownUser(stranger)),
+        ),
+        (
+            Some("mount-2"),
+            UserId(3),
+            ItemId(u32::MAX),
+            Err(ServeError::UnknownItem(ItemId(u32::MAX))),
+        ),
+        (Some("mount-0"), UserId(3), ItemId(1), deduplicated),
     ];
-    for (key, user, item) in writes {
-        let want = reference
-            .ingest(user, item, 5.0)
-            .map(|()| IngestAck::Applied)
-            .map_err(BackendError::Serve);
+    for (key, user, item, ack) in writes {
+        let want = reference.ingest_keyed(key, user, item, 5.0);
+        assert_eq!(
+            want, ack,
+            "reference, ingest by user {} of {}",
+            user.0, item.0
+        );
+        let want = want.map_err(BackendError::Serve);
         for (mount, peer) in &mounts {
             let got = peer.ingest_keyed(key, user, item, 5.0);
             assert_eq!(
@@ -504,7 +528,7 @@ fn a_mount_does_not_change_an_answer() {
     assert_eq!(
         reference.stats().ingested,
         2,
-        "two of the four writes apply"
+        "two of the five writes apply; the resend is answered `Deduplicated`"
     );
     compare_reads("after the ingests");
 }

@@ -618,8 +618,8 @@ fn flaky_replica_keyed_ingest_fan_out_is_exactly_once() {
     }
     // Replica 0 absorbed the two resends; replica 1 additionally absorbed
     // the retry after its lost ack.
-    assert_eq!(e0.wal_stats().unwrap().dedup_hits, 2);
-    assert_eq!(e1.wal_stats().unwrap().dedup_hits, 3);
+    assert_eq!(e0.dedup_stats().hits, 2);
+    assert_eq!(e1.dedup_stats().hits, 3);
     let _ = std::fs::remove_file(p0);
     let _ = std::fs::remove_file(p1);
 }

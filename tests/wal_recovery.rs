@@ -42,7 +42,8 @@ use ganc::recommender::item_avg::ItemAvg;
 use ganc::serve::refit::{merge_interactions, RefitOutcome, Refitter};
 use ganc::serve::{
     decode_stream, encode_record, DurableConfig, DurableLog, EngineConfig, FitConfig, FittedModel,
-    IngestAck, ModelBundle, SaveLoad, ServingEngine, ShardConfig, ShardedEngine, Wal, WalRecord,
+    IngestAck, ModelBundle, Recovered, SaveLoad, ServingEngine, ShardConfig, ShardedEngine, Wal,
+    WalRecord,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -236,68 +237,64 @@ proptest! {
 // 2. Durable-log semantics across reopen
 // ---------------------------------------------------------------------------
 
-/// Keys acknowledged before a restart still dedup after it, and pending
+/// Keys acknowledged before a restart come back from the replay, in log
+/// order, for the engine to re-arm its dedup window with, and pending
 /// records replay 1:1.
 #[test]
 fn dedup_and_pending_survive_reopen() {
     let path = scratch("reopen");
+    let keys: Vec<String> = (0..4).map(|k| format!("r{k}")).collect();
     {
         let (log, recovered) = DurableLog::open(DurableConfig::new(&path)).unwrap();
-        assert!(recovered.is_empty(), "fresh log recovered something");
-        for k in 0..4u32 {
-            let ack = log
-                .append(Some(&format!("r{k}")), 0, UserId(k), ItemId(k), 2.0)
-                .unwrap();
-            assert_eq!(ack, IngestAck::Applied);
+        assert_eq!(
+            recovered,
+            Recovered::default(),
+            "fresh log recovered something"
+        );
+        for (k, key) in (0..4u32).zip(&keys) {
+            log.append(Some(key), 0, UserId(k), ItemId(k), 2.0).unwrap();
         }
     }
     let (log, recovered) = DurableLog::open(DurableConfig::new(&path)).unwrap();
     let expect: Vec<(UserId, ItemId, f32)> = (0..4).map(|k| (UserId(k), ItemId(k), 2.0)).collect();
-    assert_eq!(recovered, expect);
+    assert_eq!(recovered.interactions, expect);
     assert!(!log.replay_summary().corrupted);
-    for k in 0..4u32 {
-        let ack = log
-            .append(Some(&format!("r{k}")), 1, UserId(k), ItemId(k), 2.0)
-            .unwrap();
-        assert_eq!(ack, IngestAck::Deduplicated, "key r{k} forgot its ack");
-    }
-    assert_eq!(log.stats().dedup_hits, 4);
+    assert_eq!(recovered.keys, keys, "an acknowledged key was forgotten");
     std::fs::remove_file(&path).ok();
 }
 
-/// Truncation keeps racing ingests whole, shrinks consumed keys to stubs,
-/// and both halves survive a reopen: racers replay, every key still
-/// dedups.
+/// Truncation keeps racing ingests whole, writes the keys the engine hands
+/// it as stubs, and both halves survive a reopen: racers replay, and every
+/// key comes back in the window order it was handed over.
 #[test]
 fn truncate_retains_racers_and_remembers_consumed_keys() {
     let path = scratch("truncate");
+    let window: Vec<String> = (0..5).map(|k| format!("t{k}")).collect();
     {
         let (log, _) = DurableLog::open(DurableConfig::new(&path)).unwrap();
-        for k in 0..5u32 {
-            log.append(Some(&format!("t{k}")), 0, UserId(k), ItemId(k), 1.5)
-                .unwrap();
+        for (k, key) in (0..5u32).zip(&window) {
+            log.append(Some(key), 0, UserId(k), ItemId(k), 1.5).unwrap();
         }
         // A refit consumed the first 3; records 3 and 4 raced it.
-        let survivors: Vec<(UserId, ItemId, f32)> =
-            (3..5).map(|k| (UserId(k), ItemId(k), 1.5)).collect();
-        log.truncate(&survivors, 7).unwrap();
+        let keep = Recovered {
+            interactions: (3..5).map(|k| (UserId(k), ItemId(k), 1.5)).collect(),
+            keys: window.clone(),
+        };
+        log.truncate(keep, 7).unwrap();
         let stats = log.stats();
         assert_eq!(stats.truncations, 1);
         assert_eq!(stats.records, 7, "5 key stubs + 2 keyless racers");
     }
-    let (log, recovered) = DurableLog::open(DurableConfig::new(&path)).unwrap();
+    let (_, recovered) = DurableLog::open(DurableConfig::new(&path)).unwrap();
     let racers: Vec<(UserId, ItemId, f32)> = (3..5).map(|k| (UserId(k), ItemId(k), 1.5)).collect();
-    assert_eq!(recovered, racers, "only racers re-apply after a refit");
-    for k in 0..5u32 {
-        let ack = log
-            .append(Some(&format!("t{k}")), 8, UserId(k), ItemId(k), 1.5)
-            .unwrap();
-        assert_eq!(
-            ack,
-            IngestAck::Deduplicated,
-            "key t{k} must dedup whether consumed or racing"
-        );
-    }
+    assert_eq!(
+        recovered.interactions, racers,
+        "only racers re-apply after a refit"
+    );
+    assert_eq!(
+        recovered.keys, window,
+        "every key must come back, consumed or racing"
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -866,7 +863,8 @@ fn missing_wal_is_a_clean_cold_start() {
     assert_eq!((replay.records, replay.bytes), (0, 0));
     assert!(!replay.corrupted);
     let stats = engine.wal_stats().expect("stats after attach");
-    assert_eq!((stats.records, stats.appends, stats.dedup_hits), (0, 0, 0));
+    assert_eq!((stats.records, stats.appends), (0, 0));
+    assert_eq!(engine.dedup_stats().hits, 0);
     std::fs::remove_file(&path).ok();
 }
 
