@@ -3,11 +3,21 @@
 //! The paper's offline trade-off metrics — catalog coverage@N, mean
 //! novelty (−log₂ observation probability), long-tail share — become
 //! live sliding-window signals here. Each served list contributes its
-//! item set at a clock-seam timestamp; entries expire exactly when
+//! item set at a clock-seam timestamp; lists expire exactly when
 //! `now ≥ at + window`. All aggregates (item frequencies, distinct
-//! count, novelty sum, tail hits) are maintained incrementally, so
-//! `observe` and `stats` are O(list length + expired work) — amortized
-//! O(1) per served item — never a rescan of the window.
+//! count, list count, novelty sum, tail hits) are maintained
+//! incrementally, so `observe` and `stats` are O(list length + expired
+//! work) — amortized O(1) per served item — never a rescan of the window.
+//!
+//! Storage is flat: every live served item id sits in one `VecDeque<u32>`,
+//! oldest first, beside one 40-byte entry per **distinct timestamp** (its
+//! list count, item count, novelty and tail sums). A list observed at the
+//! same µs as the newest entry merges into it — every list of one
+//! timestamp expires at the same instant, so expiry stays exact. A served
+//! list therefore costs 4 B per item plus at most one entry, observing
+//! allocates nothing once the two buffers have grown to the window's
+//! steady state, and dropping a window frees two buffers, not one per
+//! list.
 //!
 //! Novelty is pre-quantized per item to integer **micro-bits**
 //! (`round(−log₂ p × 1e6)`), so the running sum subtracts exactly on
@@ -138,10 +148,13 @@ fn finalize(
     }
 }
 
+/// Every list observed at one timestamp, summarized: its items are the
+/// next `items` ids of the window's flat id queue.
 #[derive(Debug)]
 struct Entry {
     at_us: u64,
-    items: Vec<u32>,
+    lists: u64,
+    items: u64,
     novelty_microbits: u64,
     tail_hits: u64,
 }
@@ -154,13 +167,16 @@ struct Entry {
 pub struct RollingWindow {
     window_us: u64,
     n_items: usize,
+    /// One entry per distinct live timestamp, oldest first.
     entries: VecDeque<Entry>,
+    /// Every live served item id, in entry order.
+    ids: VecDeque<u32>,
     /// Per-item live frequency inside the window.
     freq: Vec<u32>,
     distinct: usize,
+    lists: u64,
     novelty_microbits: u64,
     tail_hits: u64,
-    items: u64,
 }
 
 impl RollingWindow {
@@ -170,20 +186,16 @@ impl RollingWindow {
             window_us: (window.as_micros() as u64).max(1),
             n_items,
             entries: VecDeque::new(),
+            ids: VecDeque::new(),
             freq: vec![0; n_items],
             distinct: 0,
+            lists: 0,
             novelty_microbits: 0,
             tail_hits: 0,
-            items: 0,
         }
     }
 
-    /// The window span in microseconds.
-    pub fn window_us(&self) -> u64 {
-        self.window_us
-    }
-
-    /// Drop every entry with `at + window <= now` — an entry recorded at
+    /// Drop every entry with `at + window <= now` — a list recorded at
     /// `t` is live for `now ∈ [t, t + window)` and expires exactly at
     /// the boundary.
     fn expire(&mut self, now_us: u64) {
@@ -192,31 +204,38 @@ impl RollingWindow {
                 break;
             }
             let entry = self.entries.pop_front().unwrap();
-            for &item in &entry.items {
+            for item in self.ids.drain(..entry.items as usize) {
                 let f = &mut self.freq[item as usize];
                 *f -= 1;
                 if *f == 0 {
                     self.distinct -= 1;
                 }
             }
+            self.lists -= entry.lists;
             self.novelty_microbits -= entry.novelty_microbits;
             self.tail_hits -= entry.tail_hits;
-            self.items -= entry.items.len() as u64;
         }
     }
 
-    /// Record one served top-N list at time `at_us`. The window keeps
-    /// `list` until it expires, so it is taken by value: the caller's
-    /// allocation (made outside any lock) is the only one.
+    /// Record one served top-N list at time `at_us`. The ids are appended
+    /// to the window's flat queue straight from `list`, so a caller can
+    /// stream them from its own list: nothing is staged.
     ///
     /// Timestamps must be non-decreasing (they come from one monotonic
     /// clock seam per engine).
-    pub fn observe(&mut self, at_us: u64, list: Vec<u32>, catalog: &CatalogProfile) {
+    pub fn observe(
+        &mut self,
+        at_us: u64,
+        list: impl IntoIterator<Item = u32>,
+        catalog: &CatalogProfile,
+    ) {
         debug_assert_eq!(catalog.n_items(), self.n_items);
         self.expire(at_us);
+        let before = self.ids.len();
+        self.ids.extend(list);
         let mut novelty = 0u64;
         let mut tail = 0u64;
-        for &item in &list {
+        for &item in self.ids.range(before..) {
             let f = &mut self.freq[item as usize];
             if *f == 0 {
                 self.distinct += 1;
@@ -225,15 +244,25 @@ impl RollingWindow {
             novelty += catalog.novelty_microbits(item);
             tail += catalog.is_tail(item) as u64;
         }
+        let items = (self.ids.len() - before) as u64;
+        self.lists += 1;
         self.novelty_microbits += novelty;
         self.tail_hits += tail;
-        self.items += list.len() as u64;
-        self.entries.push_back(Entry {
-            at_us,
-            items: list,
-            novelty_microbits: novelty,
-            tail_hits: tail,
-        });
+        match self.entries.back_mut() {
+            Some(back) if back.at_us == at_us => {
+                back.lists += 1;
+                back.items += items;
+                back.novelty_microbits += novelty;
+                back.tail_hits += tail;
+            }
+            _ => self.entries.push_back(Entry {
+                at_us,
+                lists: 1,
+                items,
+                novelty_microbits: novelty,
+                tail_hits: tail,
+            }),
+        }
     }
 
     /// Current window metrics as of `now_us` (expires stale entries
@@ -241,8 +270,8 @@ impl RollingWindow {
     pub fn stats(&mut self, now_us: u64) -> WindowStats {
         self.expire(now_us);
         finalize(
-            self.entries.len() as u64,
-            self.items,
+            self.lists,
+            self.ids.len() as u64,
             self.distinct,
             self.n_items,
             self.novelty_microbits,
@@ -256,8 +285,8 @@ impl RollingWindow {
         self.expire(now_us);
         WindowWire {
             n_items: self.n_items,
-            lists: self.entries.len() as u64,
-            items: self.items,
+            lists: self.lists,
+            items: self.ids.len() as u64,
             novelty_microbits: self.novelty_microbits,
             tail_hits: self.tail_hits,
             distinct: (0..self.n_items as u32)
@@ -375,6 +404,43 @@ mod tests {
         let s = w.stats(150);
         assert_eq!(s.lists, 0);
         assert_eq!(s, WindowStats::empty());
+    }
+
+    /// Deterministic lists of 1–3 ids over the 4-item catalog.
+    fn lists(count: u32) -> Vec<Vec<u32>> {
+        (0..count)
+            .map(|i| (0..1 + i % 3).map(|j| (i * 7 + j) % 4).collect())
+            .collect()
+    }
+
+    #[test]
+    fn lists_at_one_timestamp_share_one_entry_and_expire_together() {
+        let cat = catalog();
+        let (t, span) = (500, 100);
+        let mut w = RollingWindow::new(Duration::from_micros(span), 4);
+        for list in lists(1000) {
+            w.observe(t, list, &cat);
+        }
+        assert_eq!(w.entries.len(), 1, "one entry per distinct timestamp");
+        assert_eq!(w.stats(t).lists, 1000);
+        assert_eq!(w.stats(t + span - 1).lists, 1000, "live at t + w - 1");
+        assert_eq!(w.stats(t + span), WindowStats::empty(), "all gone at t + w");
+        assert!(w.entries.is_empty() && w.ids.is_empty());
+    }
+
+    #[test]
+    fn merged_entries_export_the_wire_of_one_entry_per_list() {
+        let cat = catalog();
+        let (t, span) = (500, 10_000);
+        let window = || RollingWindow::new(Duration::from_micros(span), 4);
+        let (mut merged, mut spread) = (window(), window());
+        for (at, list) in (t..).zip(lists(1000)) {
+            merged.observe(t, list.iter().copied(), &cat);
+            spread.observe(at, list, &cat);
+        }
+        assert_eq!((merged.entries.len(), spread.entries.len()), (1, 1000));
+        let now = t + 999;
+        assert_eq!(merged.wire(now), spread.wire(now));
     }
 
     #[test]

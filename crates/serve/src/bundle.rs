@@ -316,9 +316,11 @@ pub struct ModelBundle {
     pub train: Arc<Interactions>,
 }
 
-// Field by field as the derive would, then the cross-field checks the
-// serving path indexes by: a factor model is shaped for this train set,
-// θ holds one value per train user, and every seed list names one.
+// Field by field as the derive would, then the checks the serving path
+// relies on: lists of at least one item, a factor model shaped for this
+// train set, θ holding one value in [0, 1] per train user (the range every
+// estimator produces; NaN is outside it), and every seed list naming a
+// train user.
 impl<'de> Deserialize<'de> for ModelBundle {
     fn deserialize<D: Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
         let bundle = ModelBundle {
@@ -331,12 +333,18 @@ impl<'de> Deserialize<'de> for ModelBundle {
             seed_lists: Deserialize::deserialize(d)?,
             train: Deserialize::deserialize(d)?,
         };
+        if bundle.n == 0 {
+            return Err(d.invalid("list size n ≥ 1"));
+        }
         let served = (bundle.n_users() as usize, bundle.n_items() as usize);
         if matches!(bundle.model.factor_shape(), Some(Ok(shape)) if shape != served) {
             return Err(d.invalid("factor model shape for this train set"));
         }
         if bundle.theta.len() != served.0 {
             return Err(d.invalid("one θ per train user"));
+        }
+        if !bundle.theta.iter().all(|t| (0.0..=1.0).contains(t)) {
+            return Err(d.invalid("θ in [0, 1]"));
         }
         if bundle.seed_lists.iter().any(|(u, _)| u.idx() >= served.0) {
             return Err(d.invalid("seed list user in the train set"));

@@ -9,6 +9,12 @@
 //! the cost `ci/stack_guard.py` bounds at ≤ 1.15× the un-instrumented
 //! cold path (`obs.miss_overhead_us` over `serve.engine.miss_us`).
 //!
+//! That mutex hold copies the served list's ids straight from the
+//! engine's shared list into the window's flat id queue: a hit (recorded
+//! on the event-loop thread) allocates nothing, a batch stages nothing,
+//! and a hot-swap builds its fresh window before taking the lock and frees
+//! the old one after releasing it, so no hit waits behind a free.
+//!
 //! Lock discipline: every `EngineObs` lock is a leaf — taken after the
 //! engine's state/cache locks, never before, and never while calling back
 //! into the engine.
@@ -41,11 +47,6 @@ pub(crate) fn catalog_profile(bundle: &ModelBundle) -> CatalogProfile {
     )
 }
 
-/// A served list as the window stores it: the raw item indices, owned.
-fn raw_ids(list: &[ItemId]) -> Vec<u32> {
-    list.iter().map(|i| i.0).collect()
-}
-
 /// The rolling window plus the catalog profile it scores against. The
 /// profile is frozen per bundle generation (rebuilt on hot-swap, *not* on
 /// every ingest — novelty attribution stays stable between fits, exactly
@@ -53,6 +54,17 @@ fn raw_ids(list: &[ItemId]) -> Vec<u32> {
 struct WindowState {
     window: RollingWindow,
     catalog: Arc<CatalogProfile>,
+}
+
+impl WindowState {
+    /// An empty window of `span` over `bundle`'s catalog.
+    fn new(span: Duration, bundle: &ModelBundle) -> WindowState {
+        let catalog = Arc::new(catalog_profile(bundle));
+        WindowState {
+            window: RollingWindow::new(span, catalog.n_items()),
+            catalog,
+        }
+    }
 }
 
 /// Per-engine observability handles. Cheap to use, built once per attach.
@@ -73,6 +85,9 @@ pub(crate) struct EngineObs {
     novelty_gauge: Arc<Gauge>,
     tail_gauge: Arc<Gauge>,
     lists_gauge: Arc<Gauge>,
+    /// The rolling window's span, kept outside the lock so a hot-swap can
+    /// build the replacement window before taking it.
+    span: Duration,
     window: Mutex<WindowState>,
 }
 
@@ -84,7 +99,7 @@ impl EngineObs {
     pub(crate) fn new(
         hub: Arc<ObsHub>,
         band: Option<u32>,
-        window: Duration,
+        span: Duration,
         bundle: &ModelBundle,
         generation: u64,
     ) -> EngineObs {
@@ -169,11 +184,7 @@ impl EngineObs {
             "Served lists currently inside the rolling window",
             &with_band(&band_label, &[]),
         );
-        let catalog = Arc::new(catalog_profile(bundle));
-        let window = Mutex::new(WindowState {
-            window: RollingWindow::new(window, catalog.n_items()),
-            catalog,
-        });
+        let window = Mutex::new(WindowState::new(span, bundle));
         EngineObs {
             hub,
             band,
@@ -191,6 +202,7 @@ impl EngineObs {
             novelty_gauge,
             tail_gauge,
             lists_gauge,
+            span,
             window,
         }
     }
@@ -201,13 +213,9 @@ impl EngineObs {
     }
 
     fn observe_list(&self, at_us: u64, list: &[ItemId]) {
-        // The list's one allocation (the window keeps it until it
-        // expires) happens before the lock: hits record on the event-loop
-        // thread, which must not allocate while holding up `/v1/stats`.
-        let items = raw_ids(list);
         let mut state = self.window.lock().unwrap();
         let WindowState { window, catalog } = &mut *state;
-        window.observe(at_us, items, catalog);
+        window.observe(at_us, list.iter().map(|i| i.0), catalog);
     }
 
     /// One single-user request served (hit or computed).
@@ -255,22 +263,15 @@ impl EngineObs {
         self.batch_us.observe_us(elapsed);
         self.batch_users_total.add(results.len() as u64);
         let mut errors = 0u64;
-        let lists: Vec<Vec<u32>> = results
-            .iter()
-            .filter_map(|r| match r {
-                Some(Ok(list)) => Some(raw_ids(list)),
-                Some(Err(_)) => {
-                    errors += 1;
-                    None
-                }
-                None => None,
-            })
-            .collect();
         {
             let mut state = self.window.lock().unwrap();
             let WindowState { window, catalog } = &mut *state;
-            for items in lists {
-                window.observe(now, items, catalog);
+            for result in results {
+                match result {
+                    Some(Ok(list)) => window.observe(now, list.iter().map(|i| i.0), catalog),
+                    Some(Err(_)) => errors += 1,
+                    None => {}
+                }
             }
         }
         self.error_total.add(errors);
@@ -302,19 +303,14 @@ impl EngineObs {
     /// the catalog profile against the new bundle, and reset the window —
     /// the new generation serves a new point on the trade-off curve, and
     /// mixing pre-swap lists into its coverage/novelty attribution would
-    /// blur exactly the signal the window exists to isolate.
+    /// blur exactly the signal the window exists to isolate. The fresh
+    /// window is built before the lock and the old one freed after it.
     pub(crate) fn record_swap(&self, generation: u64, bundle: &ModelBundle) {
         self.swap_total.inc();
         self.generation_gauge.set(generation as f64);
-        let catalog = Arc::new(catalog_profile(bundle));
-        {
-            let mut state = self.window.lock().unwrap();
-            state.window = RollingWindow::new(
-                Duration::from_micros(state.window.window_us()),
-                catalog.n_items(),
-            );
-            state.catalog = catalog;
-        }
+        let fresh = WindowState::new(self.span, bundle);
+        let old = std::mem::replace(&mut *self.window.lock().unwrap(), fresh);
+        drop(old);
         self.hub.trace.record(
             self.hub.now_us(),
             TraceData::BundleSwap {

@@ -2,9 +2,10 @@
 //! coverage kind, every other format version — the retired v1 and v2
 //! included — is refused by the version gate instead of misread, and a
 //! factor model whose shapes disagree (with each other or with the train
-//! set), a θ vector not one per train user, or a seed list naming a user
-//! outside the train set is refused at decode instead of panicking later
-//! in the serving path.
+//! set), a θ vector not one per train user or holding a θ outside [0, 1]
+//! (NaN included), a list size of zero, or a seed list naming a user
+//! outside the train set is refused at decode instead of panicking or
+//! misranking later in the serving path.
 
 use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
@@ -215,16 +216,58 @@ fn assert_bundle_refused(bytes: &[u8], what: &str) {
     }
 }
 
+/// Offset of θ's length prefix: θ is the one `n_users`-long f64 vector
+/// starting with θ(0).
+fn theta_at(bytes: &[u8], theta: &[f64]) -> usize {
+    let head = [(theta.len() as u64).to_le_bytes(), theta[0].to_le_bytes()].concat();
+    find_once(bytes, &head)
+}
+
 #[test]
 fn a_theta_vector_not_one_per_train_user_is_refused_at_decode() {
     let (train, theta) = fixture();
     let bytes = fit(&train, &theta, CoverageKind::Static)
         .to_bytes()
         .unwrap();
-    // θ is the one `n_users`-long f64 vector starting with θ(0).
-    let head = [(theta.len() as u64).to_le_bytes(), theta[0].to_le_bytes()].concat();
-    let end = find_once(&bytes, &head) + 8 + 8 * theta.len();
+    let end = theta_at(&bytes, &theta) + 8 + 8 * theta.len();
     assert_bundle_refused(&drop_last(&bytes, end, theta.len()), "θ one short");
+}
+
+/// A bundle's bytes with θ(0) hand-edited to `value`.
+fn with_first_theta(value: f64) -> Vec<u8> {
+    let (train, theta) = fixture();
+    let mut bytes = fit(&train, &theta, CoverageKind::Static)
+        .to_bytes()
+        .unwrap();
+    let at = theta_at(&bytes, &theta) + 8;
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn a_theta_above_one_is_refused_at_decode() {
+    let edge = ModelBundle::from_bytes(&with_first_theta(1.0)).unwrap();
+    assert_eq!(edge.theta[0], 1.0, "the edit lands on θ(0); 1 is in range");
+    assert_bundle_refused(&with_first_theta(1.5), "θ(0) = 1.5");
+}
+
+#[test]
+fn a_nan_theta_is_refused_at_decode() {
+    assert_bundle_refused(&with_first_theta(f64::NAN), "θ(0) = NaN");
+}
+
+#[test]
+fn a_zero_list_size_is_refused_at_decode() {
+    let (train, theta) = fixture();
+    let bundle = fit(&train, &theta, CoverageKind::Random);
+    let mut bytes = bundle.to_bytes().unwrap();
+    // The model name, then `n`.
+    let name = bundle.model_name.as_bytes();
+    let len = (name.len() as u64).to_le_bytes();
+    let head = [&len[..], name, &(bundle.n as u64).to_le_bytes()].concat();
+    let at = find_once(&bytes, &head) + 8 + name.len();
+    bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+    assert_bundle_refused(&bytes, "n = 0");
 }
 
 #[test]
