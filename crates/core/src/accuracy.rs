@@ -6,6 +6,9 @@
 //!   paper's "normalize the predicted rating vectors of all users".
 //! * Pop "does not score items", so the paper defines a binary indicator:
 //!   `a(i) = 1` iff `i` is in Pop's own top-N set — [`TopNIndicator`].
+//!
+//! [`make_scorer`] (and [`make_scorer_with_mask`] on the serving path) is
+//! the one place an [`AccuracyMode`] picks its adapter.
 
 use ganc_dataset::{Interactions, UserId};
 use ganc_recommender::topn::{select_top_n, train_item_mask, unseen_train_candidates};
@@ -108,6 +111,36 @@ impl AccuracyScorer for TopNIndicator<'_> {
         for item in top {
             out[item.idx()] = 1.0;
         }
+    }
+}
+
+/// Adapt a base recommender to `[0, 1]` accuracy scores per `mode`: the
+/// adaptation both the batch path ([`crate::build_topn`]) and a fitted
+/// bundle apply.
+pub fn make_scorer<'a>(
+    rec: &'a dyn Recommender,
+    mode: AccuracyMode,
+    train: &'a Interactions,
+    n: usize,
+) -> Box<dyn AccuracyScorer + 'a> {
+    match mode {
+        AccuracyMode::Normalized => Box::new(NormalizedScores::new(rec)),
+        AccuracyMode::TopNIndicator => Box::new(TopNIndicator::new(rec, train, n)),
+    }
+}
+
+/// Like [`make_scorer`], borrowing an already-computed item mask so the
+/// per-request serving path never re-walks the train set to rebuild it.
+pub fn make_scorer_with_mask<'a>(
+    rec: &'a dyn Recommender,
+    mode: AccuracyMode,
+    train: &'a Interactions,
+    in_train: &'a [bool],
+    n: usize,
+) -> Box<dyn AccuracyScorer + 'a> {
+    match mode {
+        AccuracyMode::Normalized => Box::new(NormalizedScores::new(rec)),
+        AccuracyMode::TopNIndicator => Box::new(TopNIndicator::with_mask(rec, train, in_train, n)),
     }
 }
 

@@ -1,5 +1,6 @@
-//! The GANC builder: assemble `GANC(ARec, θ, CRec)` and produce a top-N
-//! collection (§III, Eq. III.1–III.2).
+//! One GANC run, `GANC(ARec, θ, CRec)` (§III, Eq. III.1–III.2): the
+//! [`FitConfig`] that describes it, and [`build_topn`], the batch path that
+//! produces its top-N collection.
 //!
 //! With `Rand` or `Stat` coverage the user value functions are independent
 //! and optimized exactly, per user, in parallel. With `Dyn` the users are
@@ -8,7 +9,7 @@
 //! [`crate::query::UserQuery`] scorer, so the hot path is shared and
 //! "served output equals batch output" holds by construction.
 
-use crate::accuracy::{AccuracyMode, AccuracyScorer, NormalizedScores, TopNIndicator};
+use crate::accuracy::{make_scorer, AccuracyMode, AccuracyScorer};
 use crate::coverage::{CoverageKind, RandCoverage, StatCoverage};
 use crate::oslg::{oslg_topn, OslgConfig, UserOrdering};
 use crate::query::{CoverageProvider, UserQuery};
@@ -16,39 +17,14 @@ use ganc_dataset::{Interactions, ItemId};
 use ganc_recommender::topn::{per_user_lists, train_item_mask};
 use ganc_recommender::Recommender;
 
-/// A produced top-N collection: one list per user.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopNLists {
-    n: usize,
-    lists: Vec<Vec<ItemId>>,
-}
-
-impl TopNLists {
-    /// Wrap raw lists.
-    pub fn new(n: usize, lists: Vec<Vec<ItemId>>) -> TopNLists {
-        TopNLists { n, lists }
-    }
-
-    /// List size `N` the collection was built for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Per-user lists, indexed by user id.
-    pub fn lists(&self) -> &[Vec<ItemId>] {
-        &self.lists
-    }
-
-    /// Consume into the raw lists.
-    pub fn into_lists(self) -> Vec<Vec<ItemId>> {
-        self.lists
-    }
-}
-
-/// Builder for GANC runs.
+/// The one description of a GANC run: every parameter §III and
+/// Algorithm 1 fix besides the base recommender and θ. The batch path
+/// ([`build_topn`]) and the serving path (`ganc_serve::ModelBundle::fit`)
+/// both read it, so a bundle fitted from a config serves exactly the lists
+/// [`build_topn`] produces from the same config.
 ///
 /// ```
-/// use ganc_core::{CoverageKind, GancBuilder};
+/// use ganc_core::{build_topn, CoverageKind, FitConfig};
 /// use ganc_dataset::synth::DatasetProfile;
 /// use ganc_preference::GeneralizedConfig;
 /// use ganc_recommender::pop::MostPopular;
@@ -57,138 +33,103 @@ impl TopNLists {
 /// let split = data.split_per_user(0.5, 2).unwrap();
 /// let theta = GeneralizedConfig::default().estimate(&split.train);
 /// let pop = MostPopular::fit(&split.train);
-/// let top = GancBuilder::new(5)
-///     .coverage(CoverageKind::Dynamic)
-///     .sample_size(20)
-///     .build_topn(&pop, &theta, &split.train, 7);
-/// assert_eq!(top.lists().len(), split.train.n_users() as usize);
+/// let cfg = FitConfig {
+///     coverage: CoverageKind::Dynamic,
+///     sample_size: 20,
+///     seed: 7,
+///     ..FitConfig::new(5)
+/// };
+/// let lists = build_topn(&pop, &theta, &split.train, &cfg, 2);
+/// assert_eq!(lists.len(), split.train.n_users() as usize);
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct GancBuilder {
-    n: usize,
-    coverage: CoverageKind,
-    accuracy_mode: AccuracyMode,
-    sample_size: usize,
-    ordering: UserOrdering,
-    threads: usize,
+pub struct FitConfig {
+    /// Recommendation list size `N`.
+    pub n: usize,
+    /// Coverage recommender kind.
+    pub coverage: CoverageKind,
+    /// Accuracy adaptation of the base model.
+    pub accuracy_mode: AccuracyMode,
+    /// OSLG sample size `S` (Dyn only).
+    pub sample_size: usize,
+    /// OSLG sequential ordering (Dyn only).
+    pub ordering: UserOrdering,
+    /// Seed for KDE sampling (Dyn) and Rand coverage.
+    pub seed: u64,
 }
 
-impl GancBuilder {
-    /// A builder for top-`n` recommendation with the paper's defaults:
-    /// Dyn coverage, normalized accuracy scores, `S = 500`.
-    pub fn new(n: usize) -> GancBuilder {
-        GancBuilder {
+impl FitConfig {
+    /// The paper's defaults: Dyn coverage, normalized accuracy scores,
+    /// `S = 500`, increasing-θ order. The only place they are written.
+    pub fn new(n: usize) -> FitConfig {
+        FitConfig {
             n,
             coverage: CoverageKind::Dynamic,
             accuracy_mode: AccuracyMode::Normalized,
             sample_size: 500,
             ordering: UserOrdering::IncreasingTheta,
-            threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
+            seed: 0x0000_0516,
         }
     }
 
-    /// Choose the coverage recommender (`Rand` / `Stat` / `Dyn`).
-    pub fn coverage(mut self, kind: CoverageKind) -> Self {
-        self.coverage = kind;
-        self
-    }
-
-    /// Choose how the base recommender becomes `[0,1]` accuracy scores.
-    pub fn accuracy_mode(mut self, mode: AccuracyMode) -> Self {
-        self.accuracy_mode = mode;
-        self
-    }
-
-    /// OSLG sample size `S` (only used with Dyn coverage).
-    pub fn sample_size(mut self, s: usize) -> Self {
-        self.sample_size = s;
-        self
-    }
-
-    /// Sequential ordering (ablation hook; default increasing θ).
-    pub fn ordering(mut self, ordering: UserOrdering) -> Self {
-        self.ordering = ordering;
-        self
-    }
-
-    /// Worker threads for parallel phases.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Run GANC over a base recommender, adapting it per the configured
-    /// [`AccuracyMode`].
-    pub fn build_topn(
-        &self,
-        base: &dyn Recommender,
-        theta: &[f64],
-        train: &Interactions,
-        seed: u64,
-    ) -> TopNLists {
-        match self.accuracy_mode {
-            AccuracyMode::Normalized => {
-                let scorer = NormalizedScores::new(base);
-                self.build_topn_with_scorer(&scorer, theta, train, seed)
-            }
-            AccuracyMode::TopNIndicator => {
-                let scorer = TopNIndicator::new(base, train, self.n);
-                self.build_topn_with_scorer(&scorer, theta, train, seed)
-            }
+    /// The OSLG run this config describes, with `threads` workers for the
+    /// parallel phase.
+    pub fn oslg(&self, threads: usize) -> OslgConfig {
+        OslgConfig {
+            n: self.n,
+            sample_size: self.sample_size,
+            ordering: self.ordering,
+            threads,
+            seed: self.seed,
         }
     }
+}
 
-    /// Run GANC over an already-adapted accuracy scorer.
-    pub fn build_topn_with_scorer(
-        &self,
-        arec: &dyn AccuracyScorer,
-        theta: &[f64],
-        train: &Interactions,
-        seed: u64,
-    ) -> TopNLists {
-        let lists = match self.coverage {
-            CoverageKind::Dynamic => {
-                let cfg = OslgConfig {
-                    n: self.n,
-                    sample_size: self.sample_size,
-                    ordering: self.ordering,
-                    threads: self.threads,
-                    seed,
-                };
-                oslg_topn(arec, theta, train, &cfg)
-            }
-            CoverageKind::Static => {
-                let stat = StatCoverage::fit(train);
-                self.independent_topn(arec, theta, train, &stat)
-            }
-            CoverageKind::Random => {
-                let rand = RandCoverage::new(seed);
-                self.independent_topn(arec, theta, train, &rand)
-            }
-        };
-        TopNLists::new(self.n, lists)
+/// Run GANC over a base recommender as `cfg` describes, on `threads`
+/// workers; one list per user, indexed by user id. The lists do not depend
+/// on `threads`.
+pub fn build_topn(
+    base: &dyn Recommender,
+    theta: &[f64],
+    train: &Interactions,
+    cfg: &FitConfig,
+    threads: usize,
+) -> Vec<Vec<ItemId>> {
+    let arec = make_scorer(base, cfg.accuracy_mode, train, cfg.n);
+    let threads = threads.max(1);
+    match cfg.coverage {
+        CoverageKind::Dynamic => oslg_topn(arec.as_ref(), theta, train, &cfg.oslg(threads)),
+        CoverageKind::Static => {
+            let stat = StatCoverage::fit(train);
+            independent_topn(arec.as_ref(), theta, train, cfg.n, threads, &stat)
+        }
+        CoverageKind::Random => {
+            let rand = RandCoverage::new(cfg.seed);
+            independent_topn(arec.as_ref(), theta, train, cfg.n, threads, &rand)
+        }
     }
+}
 
-    /// Exact per-user optimization for decoupled coverage recommenders,
-    /// parallel over user chunks. Each worker runs the same
-    /// [`UserQuery`] computation the online serving path uses.
-    fn independent_topn(
-        &self,
-        arec: &dyn AccuracyScorer,
-        theta: &[f64],
-        train: &Interactions,
-        coverage: &(dyn CoverageProvider + Sync),
-    ) -> Vec<Vec<ItemId>> {
-        let n_users = train.n_users() as usize;
-        assert_eq!(theta.len(), n_users, "one θ per user required");
-        let in_train = train_item_mask(train);
-        per_user_lists(
-            n_users,
-            self.threads,
-            || UserQuery::new(arec, train, &in_train, self.n),
-            |query, u| Some(query.topn(u, theta[u.idx()], coverage)),
-        )
-    }
+/// Exact per-user optimization for decoupled coverage recommenders,
+/// parallel over user chunks. Each worker runs the same [`UserQuery`]
+/// computation the online serving path uses.
+fn independent_topn(
+    arec: &dyn AccuracyScorer,
+    theta: &[f64],
+    train: &Interactions,
+    n: usize,
+    threads: usize,
+    coverage: &(dyn CoverageProvider + Sync),
+) -> Vec<Vec<ItemId>> {
+    let n_users = train.n_users() as usize;
+    assert_eq!(theta.len(), n_users, "one θ per user required");
+    let in_train = train_item_mask(train);
+    per_user_lists(
+        n_users,
+        threads,
+        || UserQuery::new(arec, train, &in_train, n),
+        |query, u| Some(query.topn(u, theta[u.idx()], coverage)),
+    )
 }
 
 #[cfg(test)]
@@ -199,12 +140,27 @@ mod tests {
     use ganc_preference::GeneralizedConfig;
     use ganc_recommender::pop::MostPopular;
 
+    const ALL_KINDS: [CoverageKind; 3] = [
+        CoverageKind::Random,
+        CoverageKind::Static,
+        CoverageKind::Dynamic,
+    ];
+
     fn setup() -> (Interactions, Vec<f64>, MostPopular) {
         let data = DatasetProfile::small().generate(21);
         let split = data.split_per_user(0.5, 1).unwrap();
         let theta = GeneralizedConfig::default().estimate(&split.train);
         let pop = MostPopular::fit(&split.train);
         (split.train, theta, pop)
+    }
+
+    fn cfg(coverage: CoverageKind, sample_size: usize, seed: u64) -> FitConfig {
+        FitConfig {
+            coverage,
+            sample_size,
+            seed,
+            ..FitConfig::new(5)
+        }
     }
 
     fn distinct_items(lists: &[Vec<ItemId>]) -> usize {
@@ -218,17 +174,10 @@ mod tests {
     #[test]
     fn all_coverage_kinds_produce_valid_collections() {
         let (train, theta, pop) = setup();
-        for kind in [
-            CoverageKind::Random,
-            CoverageKind::Static,
-            CoverageKind::Dynamic,
-        ] {
-            let top = GancBuilder::new(5)
-                .coverage(kind)
-                .sample_size(50)
-                .build_topn(&pop, &theta, &train, 3);
-            assert_eq!(top.lists().len(), train.n_users() as usize);
-            for (u, list) in top.lists().iter().enumerate() {
+        for kind in ALL_KINDS {
+            let lists = build_topn(&pop, &theta, &train, &cfg(kind, 50, 3), 4);
+            assert_eq!(lists.len(), train.n_users() as usize);
+            for (u, list) in lists.iter().enumerate() {
                 assert_eq!(list.len(), 5, "{:?} user {u}", kind);
                 for item in list {
                     assert!(!train.contains(UserId(u as u32), *item));
@@ -242,16 +191,9 @@ mod tests {
         let (train, theta, pop) = setup();
         let pure = ganc_recommender::topn::generate_topn_lists(&pop, &train, 5, 2);
         let base_cov = distinct_items(&pure);
-        for kind in [
-            CoverageKind::Random,
-            CoverageKind::Static,
-            CoverageKind::Dynamic,
-        ] {
-            let top = GancBuilder::new(5)
-                .coverage(kind)
-                .sample_size(60)
-                .build_topn(&pop, &theta, &train, 3);
-            let cov = distinct_items(top.lists());
+        for kind in ALL_KINDS {
+            let lists = build_topn(&pop, &theta, &train, &cfg(kind, 60, 3), 4);
+            let cov = distinct_items(&lists);
             assert!(
                 cov > base_cov,
                 "{kind:?}: coverage {cov} should beat pure ARec {base_cov}"
@@ -266,14 +208,9 @@ mod tests {
         // observation that Stat "is generally not a strong coverage
         // recommender".
         let (train, theta, pop) = setup();
-        let build = |kind| {
-            GancBuilder::new(5)
-                .coverage(kind)
-                .sample_size(60)
-                .build_topn(&pop, &theta, &train, 3)
-        };
-        let dyn_cov = distinct_items(build(CoverageKind::Dynamic).lists());
-        let stat_cov = distinct_items(build(CoverageKind::Static).lists());
+        let build = |kind| build_topn(&pop, &theta, &train, &cfg(kind, 60, 3), 4);
+        let dyn_cov = distinct_items(&build(CoverageKind::Dynamic));
+        let stat_cov = distinct_items(&build(CoverageKind::Static));
         assert!(
             dyn_cov > stat_cov,
             "Dyn coverage {dyn_cov} should beat Stat {stat_cov}"
@@ -283,32 +220,34 @@ mod tests {
     #[test]
     fn indicator_mode_works_with_pop() {
         let (train, theta, pop) = setup();
-        let top = GancBuilder::new(5)
-            .accuracy_mode(AccuracyMode::TopNIndicator)
-            .sample_size(40)
-            .build_topn(&pop, &theta, &train, 5);
-        assert_eq!(top.n(), 5);
-        assert_eq!(top.lists().len(), train.n_users() as usize);
-    }
-
-    #[test]
-    fn builder_is_deterministic() {
-        let (train, theta, pop) = setup();
-        let mk = || {
-            GancBuilder::new(5)
-                .coverage(CoverageKind::Dynamic)
-                .sample_size(30)
-                .threads(2)
-                .build_topn(&pop, &theta, &train, 11)
+        let cfg = FitConfig {
+            accuracy_mode: AccuracyMode::TopNIndicator,
+            sample_size: 40,
+            seed: 5,
+            ..FitConfig::new(5)
         };
-        assert_eq!(mk(), mk());
+        let lists = build_topn(&pop, &theta, &train, &cfg, 4);
+        assert!(lists.iter().all(|l| l.len() == 5));
+        assert_eq!(lists.len(), train.n_users() as usize);
     }
 
+    /// The lists are a function of the config alone: every coverage kind ×
+    /// accuracy mode builds the same collection on one worker and on three.
     #[test]
-    fn into_lists_round_trip() {
-        let lists = vec![vec![ItemId(1)], vec![]];
-        let top = TopNLists::new(1, lists.clone());
-        assert_eq!(top.n(), 1);
-        assert_eq!(top.into_lists(), lists);
+    fn lists_do_not_depend_on_the_thread_count() {
+        let (train, theta, pop) = setup();
+        for kind in ALL_KINDS {
+            for mode in [AccuracyMode::Normalized, AccuracyMode::TopNIndicator] {
+                let cfg = FitConfig {
+                    accuracy_mode: mode,
+                    ..cfg(kind, 30, 11)
+                };
+                assert_eq!(
+                    build_topn(&pop, &theta, &train, &cfg, 1),
+                    build_topn(&pop, &theta, &train, &cfg, 3),
+                    "{kind:?} × {mode:?}"
+                );
+            }
+        }
     }
 }

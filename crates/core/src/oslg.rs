@@ -20,6 +20,7 @@
 
 use crate::accuracy::AccuracyScorer;
 use crate::coverage::{CoverageSnapshots, DynCoverage};
+use crate::ganc::FitConfig;
 use crate::query::UserQuery;
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_preference::kde::sample_users_by_kde;
@@ -35,7 +36,8 @@ pub enum UserOrdering {
     Arbitrary,
 }
 
-/// Configuration of one OSLG run.
+/// Configuration of one OSLG run; a GANC run's comes from
+/// [`FitConfig::oslg`].
 #[derive(Debug, Clone, Copy)]
 pub struct OslgConfig {
     /// Recommendation list size `N`.
@@ -52,15 +54,10 @@ pub struct OslgConfig {
 }
 
 impl OslgConfig {
-    /// Paper defaults: `S = 500`, increasing-θ order.
+    /// The paper's defaults ([`FitConfig::new`]: `S = 500`, increasing-θ
+    /// order), one worker per available CPU.
     pub fn new(n: usize) -> OslgConfig {
-        OslgConfig {
-            n,
-            sample_size: 500,
-            ordering: UserOrdering::IncreasingTheta,
-            threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
-            seed: 0x0000_0516,
-        }
+        FitConfig::new(n).oslg(std::thread::available_parallelism().map_or(4, |p| p.get()))
     }
 }
 

@@ -16,7 +16,7 @@ use crate::models::{ganc_runs, train_psvd};
 use crate::tables::{f4, TextTable};
 use ganc_core::accuracy::NormalizedScores;
 use ganc_core::oslg::{assignment_order_objective, oslg_topn, OslgConfig, UserOrdering};
-use ganc_core::{AccuracyMode, CoverageKind};
+use ganc_core::FitConfig;
 use ganc_dataset::UserId;
 use ganc_metrics::{evaluate_topn, TopNMetrics};
 use ganc_preference::simple::theta_constant;
@@ -116,16 +116,12 @@ pub fn run(cfg: &ExpConfig) -> String {
         };
         let mut t = TextTable::new(&["θ model", "F@5", "Coverage@5", "Gini@5"]);
         let mut evaluate = |label: String, theta: &[f64]| {
-            let runs = ganc_runs(
-                &psvd,
-                AccuracyMode::Normalized,
-                theta,
-                &bundle,
-                5,
-                CoverageKind::Dynamic,
-                sample,
-                cfg,
-            );
+            let fit = FitConfig {
+                sample_size: sample,
+                seed: cfg.seed,
+                ..FitConfig::new(5)
+            };
+            let runs = ganc_runs(&psvd, theta, &bundle, &fit, cfg);
             let per_run: Vec<TopNMetrics> =
                 runs.iter().map(|r| evaluate_topn(r, &bundle.ctx)).collect();
             let m = TopNMetrics::mean(&per_run);

@@ -10,7 +10,7 @@
 //! Prints a Table IV-style comparison of the base RSVD ranking against
 //! GANC(RSVD, θ^G, Dyn) and GANC(Pop, θ^G, Dyn).
 
-use ganc_core::{AccuracyMode, CoverageKind, GancBuilder};
+use ganc_core::{build_topn, AccuracyMode, FitConfig};
 use ganc_dataset::dataset::RatingScale;
 use ganc_dataset::io::{filter_min_ratings, load_path};
 use ganc_metrics::{evaluate_topn, EvalContext, TopN};
@@ -120,18 +120,18 @@ fn main() {
             TopN::new(args.n, generate_topn_lists(&pop, train, args.n, 4)),
         ),
     ];
-    let ganc_rsvd = GancBuilder::new(args.n)
-        .coverage(CoverageKind::Dynamic)
-        .sample_size(args.sample)
-        .build_topn(&rsvd, &theta, train, args.seed)
-        .into_lists();
+    let fit = FitConfig {
+        sample_size: args.sample,
+        seed: args.seed,
+        ..FitConfig::new(args.n)
+    };
+    let ganc_rsvd = build_topn(&rsvd, &theta, train, &fit, 4);
     rows.push(("GANC(RSVD, θG, Dyn)".into(), TopN::new(args.n, ganc_rsvd)));
-    let ganc_pop = GancBuilder::new(args.n)
-        .coverage(CoverageKind::Dynamic)
-        .accuracy_mode(AccuracyMode::TopNIndicator)
-        .sample_size(args.sample)
-        .build_topn(&pop, &theta, train, args.seed)
-        .into_lists();
+    let fit = FitConfig {
+        accuracy_mode: AccuracyMode::TopNIndicator,
+        ..fit
+    };
+    let ganc_pop = build_topn(&pop, &theta, train, &fit, 4);
     rows.push(("GANC(Pop, θG, Dyn)".into(), TopN::new(args.n, ganc_pop)));
 
     println!(

@@ -9,7 +9,7 @@
 use crate::context::{DataBundle, ExpConfig, Scale};
 use crate::models::{ganc_runs, mean_of, train_psvd, train_rsvd};
 use crate::tables::{f4, TextTable};
-use ganc_core::{AccuracyMode, CoverageKind};
+use ganc_core::{AccuracyMode, FitConfig};
 use ganc_metrics::{coverage, evaluate_topn};
 use ganc_preference::GeneralizedConfig;
 use ganc_recommender::pop::MostPopular;
@@ -48,16 +48,13 @@ pub fn run(cfg: &ExpConfig, dataset: &str) -> String {
         let mut t = TextTable::new(&["S", "F-measure@5", "Coverage@5"]);
         let mut series = Vec::new();
         for s in sample_sizes(cfg) {
-            let runs = ganc_runs(
-                arec,
-                mode,
-                &theta,
-                &bundle,
-                5,
-                CoverageKind::Dynamic,
-                s,
-                cfg,
-            );
+            let fit = FitConfig {
+                accuracy_mode: mode,
+                sample_size: s,
+                seed: cfg.seed,
+                ..FitConfig::new(5)
+            };
+            let runs = ganc_runs(arec, &theta, &bundle, &fit, cfg);
             let f = mean_of(&runs, |r| evaluate_topn(r, &bundle.ctx).f_measure);
             let c = mean_of(&runs, |r| coverage::coverage(r, train.n_items()));
             series.push((s, f, c));

@@ -11,7 +11,7 @@
 use crate::context::{DataBundle, ExpConfig, Scale};
 use crate::models::{ganc_runs, train_psvd, train_rsvd};
 use crate::tables::{f4, TextTable};
-use ganc_core::{AccuracyMode, CoverageKind};
+use ganc_core::{AccuracyMode, FitConfig};
 use ganc_dataset::stats::LongTail;
 use ganc_metrics::{evaluate_topn, TopN, TopNMetrics};
 use ganc_preference::simple::{theta_constant, theta_normalized, theta_random};
@@ -86,16 +86,13 @@ pub fn run(cfg: &ExpConfig) -> String {
                 f4(m.gini),
             ]);
             for (label, theta) in &theta_variants {
-                let runs = ganc_runs(
-                    arec,
-                    mode,
-                    theta,
-                    &bundle,
-                    n,
-                    CoverageKind::Dynamic,
+                let fit = FitConfig {
+                    accuracy_mode: mode,
                     sample_size,
-                    cfg,
-                );
+                    seed: cfg.seed,
+                    ..FitConfig::new(n)
+                };
+                let runs = ganc_runs(arec, theta, &bundle, &fit, cfg);
                 let m = mean_metrics(&runs, &bundle);
                 t.row(vec![
                     format!("GANC(·, {label}, Dyn)"),

@@ -11,7 +11,7 @@
 use crate::context::{DataBundle, ExpConfig, Scale};
 use crate::models::{arec_choice, ganc_runs, mean_of, train_psvd, train_rankmf, train_rsvd};
 use crate::tables::{f4, TextTable};
-use ganc_core::CoverageKind;
+use ganc_core::{CoverageKind, FitConfig};
 use ganc_metrics::{evaluate_topn, TopN};
 use ganc_preference::GeneralizedConfig;
 use ganc_recommender::pop::MostPopular;
@@ -88,7 +88,14 @@ pub fn run(cfg: &ExpConfig) -> String {
             CoverageKind::Static,
             CoverageKind::Random,
         ] {
-            let runs = ganc_runs(arec, arec_mode, &theta, &bundle, N, kind, sample_size, cfg);
+            let fit = FitConfig {
+                coverage: kind,
+                accuracy_mode: arec_mode,
+                sample_size,
+                seed: cfg.seed,
+                ..FitConfig::new(N)
+            };
+            let runs = ganc_runs(arec, &theta, &bundle, &fit, cfg);
             let [f, c, l] = means(&runs);
             add(format!("GANC({arec_name}, θG, {})", kind.label()), f, c, l);
         }

@@ -2,7 +2,7 @@
 //! paper's hyper-parameters (Appendix A, Table V).
 
 use crate::context::{DataBundle, ExpConfig, Scale};
-use ganc_core::{AccuracyMode, CoverageKind, GancBuilder};
+use ganc_core::{build_topn, AccuracyMode, FitConfig};
 use ganc_metrics::TopN;
 use ganc_recommender::psvd::Psvd;
 use ganc_recommender::rankmf::{RankMf, RankMfConfig};
@@ -78,34 +78,24 @@ pub fn arec_choice(bundle: &DataBundle) -> (&'static str, AccuracyMode) {
     }
 }
 
-/// Run a GANC variant `runs` times (varying the seed) and return the
-/// per-run [`TopN`] collections. Callers average the metric rows.
-#[allow(clippy::too_many_arguments)]
+/// Run the GANC variant `fit` describes `runs` times, run `r` seeded with
+/// `fit.seed ^ r << 8`, and return the per-run [`TopN`] collections.
+/// Callers average the metric rows.
 pub fn ganc_runs(
     base: &dyn Recommender,
-    mode: AccuracyMode,
     theta: &[f64],
     bundle: &DataBundle,
-    n: usize,
-    coverage: CoverageKind,
-    sample_size: usize,
+    fit: &FitConfig,
     cfg: &ExpConfig,
 ) -> Vec<TopN> {
     (0..cfg.runs.max(1))
         .map(|run| {
-            let lists = GancBuilder::new(n)
-                .coverage(coverage)
-                .accuracy_mode(mode)
-                .sample_size(sample_size)
-                .threads(cfg.threads)
-                .build_topn(
-                    base,
-                    theta,
-                    &bundle.split.train,
-                    cfg.seed ^ (run as u64) << 8,
-                )
-                .into_lists();
-            TopN::new(n, lists)
+            let fit = FitConfig {
+                seed: fit.seed ^ (run as u64) << 8,
+                ..*fit
+            };
+            let lists = build_topn(base, theta, &bundle.split.train, &fit, cfg.threads);
+            TopN::new(fit.n, lists)
         })
         .collect()
 }
@@ -168,16 +158,12 @@ mod tests {
         let b = DataBundle::prepare(&cfg, "ml-100k");
         let pop = ganc_recommender::pop::MostPopular::fit(&b.split.train);
         let theta = vec![0.5; b.split.train.n_users() as usize];
-        let runs = ganc_runs(
-            &pop,
-            AccuracyMode::Normalized,
-            &theta,
-            &b,
-            5,
-            CoverageKind::Dynamic,
-            30,
-            &cfg,
-        );
+        let fit = FitConfig {
+            sample_size: 30,
+            seed: cfg.seed,
+            ..FitConfig::new(5)
+        };
+        let runs = ganc_runs(&pop, &theta, &b, &fit, &cfg);
         assert_eq!(runs.len(), 2);
         for topn in &runs {
             assert_eq!(topn.contract_violation(&b.split.train), None);

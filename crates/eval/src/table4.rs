@@ -9,7 +9,7 @@
 use crate::context::{DataBundle, ExpConfig, Scale};
 use crate::models::{ganc_runs, train_rsvd};
 use crate::tables::{f4, table4_ranks, TextTable};
-use ganc_core::{AccuracyMode, CoverageKind};
+use ganc_core::FitConfig;
 use ganc_metrics::{evaluate_topn, TopN, TopNMetrics};
 use ganc_preference::tfidf::theta_tfidf;
 use ganc_preference::GeneralizedConfig;
@@ -84,16 +84,12 @@ fn evaluate_dataset(cfg: &ExpConfig, bundle: &DataBundle) -> Vec<Row> {
         ("θT", theta_tfidf(train)),
         ("θG", GeneralizedConfig::default().estimate(train)),
     ] {
-        let runs = ganc_runs(
-            &rsvd,
-            AccuracyMode::Normalized,
-            &theta,
-            bundle,
-            N,
-            CoverageKind::Dynamic,
+        let fit = FitConfig {
             sample_size,
-            cfg,
-        );
+            seed: cfg.seed,
+            ..FitConfig::new(N)
+        };
+        let runs = ganc_runs(&rsvd, &theta, bundle, &fit, cfg);
         let per_run: Vec<TopNMetrics> =
             runs.iter().map(|r| evaluate_topn(r, &bundle.ctx)).collect();
         rows.push(Row {

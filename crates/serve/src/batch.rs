@@ -268,8 +268,9 @@ impl MicroBatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::{FitConfig, FittedModel, ModelBundle};
+    use crate::bundle::{FittedModel, ModelBundle};
     use crate::engine::EngineConfig;
+    use ganc_core::FitConfig;
     use ganc_dataset::synth::DatasetProfile;
     use ganc_preference::GeneralizedConfig;
     use ganc_recommender::pop::MostPopular;

@@ -8,10 +8,11 @@
 //! pools. Loading a bundle is sufficient to serve any user without
 //! re-running the batch optimizer.
 
-use ganc_core::accuracy::{AccuracyMode, AccuracyScorer, NormalizedScores, TopNIndicator};
+use ganc_core::accuracy::{make_scorer, AccuracyMode};
 use ganc_core::coverage::{CoverageKind, CoverageSnapshots, RandCoverage, StatCoverage};
-use ganc_core::oslg::{oslg_seed_phase, OslgConfig, UserOrdering};
+use ganc_core::oslg::oslg_seed_phase;
 use ganc_core::query::CoverageProvider;
+use ganc_core::FitConfig;
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_recommender::item_avg::ItemAvg;
 use ganc_recommender::knn::{ItemKnn, ItemKnnRecommender};
@@ -217,68 +218,6 @@ impl<'de> Deserialize<'de> for CoverageState {
     }
 }
 
-/// Adapt a base recommender to `[0,1]` accuracy scores per the mode —
-/// the same adaptation [`ganc_core::GancBuilder::build_topn`] applies.
-pub fn make_scorer<'a>(
-    rec: &'a dyn Recommender,
-    mode: AccuracyMode,
-    train: &'a Interactions,
-    n: usize,
-) -> Box<dyn AccuracyScorer + 'a> {
-    match mode {
-        AccuracyMode::Normalized => Box::new(NormalizedScores::new(rec)),
-        AccuracyMode::TopNIndicator => Box::new(TopNIndicator::new(rec, train, n)),
-    }
-}
-
-/// Like [`make_scorer`], borrowing an already-computed item mask so the
-/// per-request serving path never re-walks the train set to rebuild it.
-pub fn make_scorer_with_mask<'a>(
-    rec: &'a dyn Recommender,
-    mode: AccuracyMode,
-    train: &'a Interactions,
-    in_train: &'a [bool],
-    n: usize,
-) -> Box<dyn AccuracyScorer + 'a> {
-    match mode {
-        AccuracyMode::Normalized => Box::new(NormalizedScores::new(rec)),
-        AccuracyMode::TopNIndicator => Box::new(TopNIndicator::with_mask(rec, train, in_train, n)),
-    }
-}
-
-/// How a bundle is fitted: mirrors [`ganc_core::GancBuilder`]'s knobs so
-/// bundle serving reproduces batch output exactly.
-#[derive(Debug, Clone, Copy)]
-pub struct FitConfig {
-    /// Recommendation list size `N`.
-    pub n: usize,
-    /// Coverage recommender kind.
-    pub coverage: CoverageKind,
-    /// Accuracy adaptation of the base model.
-    pub accuracy_mode: AccuracyMode,
-    /// OSLG sample size `S` (Dyn only).
-    pub sample_size: usize,
-    /// OSLG sequential ordering (Dyn only).
-    pub ordering: UserOrdering,
-    /// Seed for KDE sampling (Dyn) and Rand coverage.
-    pub seed: u64,
-}
-
-impl FitConfig {
-    /// Paper defaults matching `GancBuilder::new(n)`: Dyn coverage,
-    /// normalized accuracy, `S = 500`, increasing-θ order.
-    pub fn new(n: usize) -> FitConfig {
-        FitConfig {
-            n,
-            coverage: CoverageKind::Dynamic,
-            accuracy_mode: AccuracyMode::Normalized,
-            sample_size: 500,
-            ordering: UserOrdering::IncreasingTheta,
-            seed: 0x0000_0516,
-        }
-    }
-}
-
 /// Everything needed to serve GANC top-N requests, frozen at fit time.
 ///
 /// Persist with [`crate::SaveLoad`] (format v3: `Dyn` coverage snapshots
@@ -319,8 +258,10 @@ pub struct ModelBundle {
 // Field by field as the derive would, then the checks the serving path
 // relies on: lists of at least one item, a factor model shaped for this
 // train set, θ holding one value in [0, 1] per train user (the range every
-// estimator produces; NaN is outside it), and every seed list naming a
-// train user.
+// estimator produces; NaN is outside it), every seed list naming a train
+// user and at most `n` catalogue items (it is served verbatim), and a
+// `Stat` score vector or `Dyn` snapshot store sized for this catalogue
+// (the fused selection indexes it by item id).
 impl<'de> Deserialize<'de> for ModelBundle {
     fn deserialize<D: Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
         let bundle = ModelBundle {
@@ -346,8 +287,24 @@ impl<'de> Deserialize<'de> for ModelBundle {
         if !bundle.theta.iter().all(|t| (0.0..=1.0).contains(t)) {
             return Err(d.invalid("θ in [0, 1]"));
         }
-        if bundle.seed_lists.iter().any(|(u, _)| u.idx() >= served.0) {
-            return Err(d.invalid("seed list user in the train set"));
+        for (u, list) in &bundle.seed_lists {
+            if u.idx() >= served.0 {
+                return Err(d.invalid("seed list user in the train set"));
+            }
+            if list.len() > bundle.n {
+                return Err(d.invalid("seed list of at most n items"));
+            }
+            if list.iter().any(|i| i.idx() >= served.1) {
+                return Err(d.invalid("seed list item in the catalogue"));
+            }
+        }
+        let coverage_items = match &bundle.coverage {
+            CoverageState::Random(_) => served.1,
+            CoverageState::Static(stat) => stat.scores().len(),
+            CoverageState::Dynamic(snaps) => snaps.n_items(),
+        };
+        if coverage_items != served.1 {
+            return Err(d.invalid("coverage state sized for this catalogue"));
         }
         Ok(bundle)
     }
@@ -377,14 +334,7 @@ impl ModelBundle {
             CoverageKind::Dynamic => {
                 let bound = model.bind(&train);
                 let scorer = make_scorer(&bound, cfg.accuracy_mode, &train, cfg.n);
-                let oslg_cfg = OslgConfig {
-                    n: cfg.n,
-                    sample_size: cfg.sample_size,
-                    ordering: cfg.ordering,
-                    threads: 1,
-                    seed: cfg.seed,
-                };
-                let seed = oslg_seed_phase(scorer.as_ref(), &theta, &train, &oslg_cfg);
+                let seed = oslg_seed_phase(scorer.as_ref(), &theta, &train, &cfg.oslg(1));
                 // Batch output keeps the final draw per sampled user.
                 let mut last: HashMap<u32, Vec<ItemId>> = HashMap::new();
                 for (u, list) in seed.assignments {

@@ -47,10 +47,10 @@
 //! [`ServingEngine::recommend_batch`] holds one read lock across the whole
 //! batch — cache hits included — so a batch is always single-generation.
 
-use crate::bundle::{make_scorer_with_mask, BoundModel, CoverageState, FittedModel, ModelBundle};
+use crate::bundle::{BoundModel, CoverageState, FittedModel, ModelBundle};
 use crate::lru::LruCache;
 use crate::obs::EngineObs;
-use ganc_core::accuracy::AccuracyScorer;
+use ganc_core::accuracy::{make_scorer_with_mask, AccuracyScorer};
 use ganc_core::query::{candidate_runs, fused_select_runs, RequestOptions, RerankMode};
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_obs::{ObsHub, WindowStats, WindowWire};
@@ -931,8 +931,8 @@ impl ServingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::FitConfig;
     use ganc_core::coverage::CoverageKind;
+    use ganc_core::FitConfig;
     use ganc_dataset::synth::DatasetProfile;
     use ganc_preference::GeneralizedConfig;
 

@@ -70,12 +70,13 @@ pub mod wal;
 
 pub use band::{band_batch, BandFault, BandMap};
 pub use batch::{BatchConfig, BatchSource, CoalescedAnswer, Coalescer, MicroBatcher};
-pub use bundle::{make_scorer, BoundModel, CoverageState, FitConfig, FittedModel, ModelBundle};
+pub use bundle::{BoundModel, CoverageState, FittedModel, ModelBundle};
 pub use engine::{
     build_reranker, DedupStats, DedupWindow, EngineBatch, EngineConfig, EngineStats, IngestAck,
     ServeError, ServingEngine, SlotAnswer, DEDUP_WINDOW,
 };
 pub use ganc_core::query::{RequestOptions, RerankMode};
+pub use ganc_core::{make_scorer, FitConfig};
 pub use lru::LruCache;
 pub use refit::{
     merge_interactions, AdaptiveCadence, CadenceConfig, Clock, ManualClock, RefitController,

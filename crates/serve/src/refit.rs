@@ -29,8 +29,9 @@
 //! log it drains; this module holds the merge, the adaptive cadence and
 //! the background [`RefitController`].
 
-use crate::bundle::{FitConfig, FittedModel, ModelBundle};
+use crate::bundle::{FittedModel, ModelBundle};
 use crate::shard::ShardedEngine;
+use ganc_core::FitConfig;
 use ganc_dataset::dataset::Rating;
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_obs::clock::Background;

@@ -36,7 +36,7 @@
 //! round-trip away (the router's remote bands).
 
 use crate::band::{band_batch, BandMap};
-use crate::bundle::{FitConfig, ModelBundle};
+use crate::bundle::ModelBundle;
 use crate::engine::{
     DedupStats, DedupWindow, EngineBatch, EngineConfig, EngineStats, IngestAck, ServeError,
     ServingEngine, DEDUP_WINDOW,
@@ -45,6 +45,7 @@ use crate::refit::{merge_interactions, RefitOutcome, Refitter};
 use crate::saveload::{PersistError, SaveLoad};
 use crate::wal::{DurableConfig, DurableLog, Recovered, WalReplaySummary, WalStats};
 use ganc_core::query::{band_bounds, cut_theta_bands, RequestOptions};
+use ganc_core::FitConfig;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::{Counter, Gauge, ObsHub, TraceData, WindowStats, WindowWire};
 use std::convert::Infallible;
@@ -768,8 +769,9 @@ pub fn save_shard_artifacts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::{FitConfig, FittedModel};
+    use crate::bundle::FittedModel;
     use ganc_core::coverage::CoverageKind;
+    use ganc_core::FitConfig;
     use ganc_dataset::synth::DatasetProfile;
     use ganc_preference::GeneralizedConfig;
     use ganc_recommender::pop::MostPopular;

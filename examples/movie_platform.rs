@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example movie_platform`
 
-use ganc::core::{AccuracyMode, CoverageKind, GancBuilder};
+use ganc::core::{build_topn, FitConfig};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::metrics::{evaluate_topn, EvalContext, TopN};
 use ganc::preference::tfidf::theta_tfidf;
@@ -74,12 +74,12 @@ fn main() {
         ("θT", theta_tfidf(train)),
         ("θG", GeneralizedConfig::default().estimate(train)),
     ] {
-        let lists = GancBuilder::new(N)
-            .coverage(CoverageKind::Dynamic)
-            .accuracy_mode(AccuracyMode::Normalized)
-            .sample_size(120)
-            .build_topn(&rsvd, &theta, train, 5)
-            .into_lists();
+        let fit = FitConfig {
+            sample_size: 120,
+            seed: 5,
+            ..FitConfig::new(N)
+        };
+        let lists = build_topn(&rsvd, &theta, train, &fit, 4);
         report.push((format!("GANC(RSVD, {label}, Dyn)"), TopN::new(N, lists)));
     }
 

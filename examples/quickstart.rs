@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use ganc::core::{CoverageKind, GancBuilder};
+use ganc::core::{build_topn, FitConfig};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::metrics::{evaluate_topn, EvalContext, TopN};
 use ganc::preference::GeneralizedConfig;
@@ -47,14 +47,12 @@ fn main() {
     let n = 10;
     let ctx = EvalContext::new(&split.train, &split.test);
     let raw = TopN::new(n, generate_topn_lists(&rsvd, &split.train, n, 4));
-    let ganc = TopN::new(
-        n,
-        GancBuilder::new(n)
-            .coverage(CoverageKind::Dynamic)
-            .sample_size(100)
-            .build_topn(&rsvd, &theta, &split.train, 0xC0FFEE)
-            .into_lists(),
-    );
+    let fit = FitConfig {
+        sample_size: 100,
+        seed: 0xC0FFEE,
+        ..FitConfig::new(n)
+    };
+    let ganc = TopN::new(n, build_topn(&rsvd, &theta, &split.train, &fit, 4));
     let m_raw = evaluate_topn(&raw, &ctx);
     let m_ganc = evaluate_topn(&ganc, &ctx);
     println!("\n{:<22} {:>9} {:>9}", "metric", "RSVD", "GANC");

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example sparse_twitter`
 
-use ganc::core::{AccuracyMode, CoverageKind, GancBuilder};
+use ganc::core::{build_topn, AccuracyMode, FitConfig};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::metrics::{evaluate_topn, EvalContext, TopN};
 use ganc::preference::GeneralizedConfig;
@@ -66,12 +66,13 @@ fn main() {
     }
     // GANC with Pop as the plugged-in accuracy recommender (paper's sparse
     // recipe) — personalization enters purely through θ^G.
-    let lists = GancBuilder::new(N)
-        .coverage(CoverageKind::Dynamic)
-        .accuracy_mode(AccuracyMode::TopNIndicator)
-        .sample_size(150)
-        .build_topn(&pop, &theta, train, 1)
-        .into_lists();
+    let fit = FitConfig {
+        accuracy_mode: AccuracyMode::TopNIndicator,
+        sample_size: 150,
+        seed: 1,
+        ..FitConfig::new(N)
+    };
+    let lists = build_topn(&pop, &theta, train, &fit, 4);
     rows.push(("GANC(Pop, θG, Dyn)".into(), TopN::new(N, lists)));
 
     println!(

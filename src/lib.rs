@@ -32,7 +32,7 @@
 //! use ganc::dataset::synth::DatasetProfile;
 //! use ganc::preference::generalized::GeneralizedConfig;
 //! use ganc::recommender::pop::MostPopular;
-//! use ganc::core::{CoverageKind, GancBuilder};
+//! use ganc::core::{build_topn, FitConfig};
 //!
 //! // 1. Data: a small synthetic catalog with real-world popularity skew.
 //! let data = DatasetProfile::tiny().generate(42);
@@ -41,12 +41,12 @@
 //! // 2. Learn per-user long-tail preference θ^G from the train set.
 //! let theta = GeneralizedConfig::default().estimate(&split.train);
 //!
-//! // 3. Re-rank a base recommender with GANC(ARec, θ^G, Dyn).
+//! // 3. Re-rank a base recommender with GANC(ARec, θ^G, Dyn); one
+//! //    `FitConfig` describes the run, at the paper's defaults here.
 //! let arec = MostPopular::fit(&split.train);
-//! let top = GancBuilder::new(10)
-//!     .coverage(CoverageKind::Dynamic)
-//!     .build_topn(&arec, &theta, &split.train, 0xC0FFEE);
-//! assert_eq!(top.lists().len(), split.train.n_users() as usize);
+//! let cfg = FitConfig { seed: 0xC0FFEE, ..FitConfig::new(10) };
+//! let lists = build_topn(&arec, &theta, &split.train, &cfg, 4);
+//! assert_eq!(lists.len(), split.train.n_users() as usize);
 //! ```
 //!
 //! ## Serving: fit → save → load → serve
@@ -68,7 +68,9 @@
 //! let theta = GeneralizedConfig::default().estimate(&split.train);
 //! let pop = MostPopular::fit(&split.train);
 //!
-//! // Fit once (OSLG sequential phase only), persist, reload, serve.
+//! // Fit once (OSLG sequential phase only), persist, reload, serve. The
+//! // same `FitConfig` given to `ganc::core::build_topn` yields the lists
+//! // this engine serves.
 //! let cfg = FitConfig { sample_size: 20, ..FitConfig::new(10) };
 //! let bundle = ModelBundle::fit(FittedModel::Pop(pop), theta, split.train, &cfg);
 //! let restored = ModelBundle::from_bytes(&bundle.to_bytes().unwrap()).unwrap();

@@ -3,19 +3,23 @@
 //! included — is refused by the version gate instead of misread, and a
 //! factor model whose shapes disagree (with each other or with the train
 //! set), a θ vector not one per train user or holding a θ outside [0, 1]
-//! (NaN included), a list size of zero, or a seed list naming a user
-//! outside the train set is refused at decode instead of panicking or
-//! misranking later in the serving path.
+//! (NaN included), a list size of zero, a seed list naming a user outside
+//! the train set, an item outside the catalogue or more than `n` items, or
+//! a `Stat` score vector or `Dyn` snapshot store sized for another
+//! catalogue is refused at decode instead of panicking or misranking later
+//! in the serving path.
 
 use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
-use ganc::dataset::Interactions;
+use ganc::dataset::{Interactions, ItemId};
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::recommender::psvd::Psvd;
 use ganc::recommender::rankmf::{RankMf, RankMfConfig};
 use ganc::recommender::rsvd::{Rsvd, RsvdConfig};
-use ganc::serve::{FitConfig, FittedModel, ModelBundle, PersistError, SaveLoad, FORMAT_VERSION};
+use ganc::serve::{
+    CoverageState, FitConfig, FittedModel, ModelBundle, PersistError, SaveLoad, FORMAT_VERSION,
+};
 
 fn fixture() -> (Interactions, Vec<f64>) {
     let data = DatasetProfile::small().generate(64);
@@ -287,4 +291,77 @@ fn a_seed_list_naming_a_user_outside_the_train_set_is_refused_at_decode() {
     let mut edited = bytes.clone();
     edited[at..at + 4].copy_from_slice(&train.n_users().to_le_bytes());
     assert_bundle_refused(&edited, "a seed list for user n_users");
+}
+
+#[test]
+fn a_seed_list_outside_the_catalogue_or_longer_than_n_is_refused_at_decode() {
+    let (train, theta) = fixture();
+    let bundle = fit(&train, &theta, CoverageKind::Dynamic);
+    assert!(bundle.seed_lists.iter().all(|(_, l)| l.len() <= bundle.n));
+    let bytes = bundle.to_bytes().unwrap();
+    assert_eq!(ModelBundle::from_bytes(&bytes).unwrap(), bundle);
+
+    let mut foreign_item = bundle.clone();
+    foreign_item.seed_lists[0].1[0] = ItemId(train.n_items());
+    assert_bundle_refused(
+        &foreign_item.to_bytes().unwrap(),
+        "a seed list naming item n_items",
+    );
+
+    let mut too_long = bundle.clone();
+    let list = &mut too_long.seed_lists[0].1;
+    let unlisted = (0..train.n_items())
+        .map(ItemId)
+        .find(|i| !list.contains(i))
+        .unwrap();
+    list.push(unlisted);
+    assert_bundle_refused(&too_long.to_bytes().unwrap(), "a seed list of n + 1 items");
+}
+
+/// `bundle` with its coverage state swapped for the same kind's state
+/// fitted on another catalogue.
+fn with_foreign_coverage(kind: CoverageKind) -> (ModelBundle, ModelBundle) {
+    let (train, theta) = fixture();
+    let other = tiny_train();
+    assert_ne!(other.n_items(), train.n_items());
+    let other_theta = GeneralizedConfig::default().estimate(&other);
+    let bundle = fit(&train, &theta, kind);
+    let mut foreign = bundle.clone();
+    foreign.coverage = fit(&other, &other_theta, kind).coverage;
+    (bundle, foreign)
+}
+
+#[test]
+fn a_stat_score_vector_for_another_catalogue_is_refused_at_decode() {
+    let (bundle, foreign) = with_foreign_coverage(CoverageKind::Static);
+    let restored = ModelBundle::from_bytes(&bundle.to_bytes().unwrap()).unwrap();
+    assert_eq!(restored, bundle);
+    match &foreign.coverage {
+        CoverageState::Static(stat) => {
+            assert_ne!(stat.scores().len(), bundle.n_items() as usize);
+        }
+        other => panic!("expected Stat coverage, got {:?}", other.kind()),
+    }
+    assert_bundle_refused(
+        &foreign.to_bytes().unwrap(),
+        "a Stat score vector for another catalogue",
+    );
+}
+
+#[test]
+fn a_dyn_snapshot_store_for_another_catalogue_is_refused_at_decode() {
+    let (bundle, foreign) = with_foreign_coverage(CoverageKind::Dynamic);
+    let restored = ModelBundle::from_bytes(&bundle.to_bytes().unwrap()).unwrap();
+    assert_eq!(restored, bundle);
+    match &foreign.coverage {
+        CoverageState::Dynamic(snaps) => {
+            assert!(!snaps.is_empty());
+            assert_ne!(snaps.n_items(), bundle.n_items() as usize);
+        }
+        other => panic!("expected Dyn coverage, got {:?}", other.kind()),
+    }
+    assert_bundle_refused(
+        &foreign.to_bytes().unwrap(),
+        "a Dyn snapshot store for another catalogue",
+    );
 }

@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests spanning every crate: data generation → split
 //! → preference estimation → base recommenders → GANC → metrics.
 
-use ganc::core::{AccuracyMode, CoverageKind, GancBuilder};
+use ganc::core::{build_topn, AccuracyMode, CoverageKind, FitConfig};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::UserId;
 use ganc::metrics::{evaluate_topn, EvalContext, TopN};
@@ -26,15 +26,13 @@ fn ganc_improves_coverage_while_keeping_reasonable_accuracy() {
     let n = 5;
     let pop = MostPopular::fit(&split.train);
     let raw = TopN::new(n, generate_topn_lists(&pop, &split.train, n, 2));
-    let ganc = TopN::new(
-        n,
-        GancBuilder::new(n)
-            .coverage(CoverageKind::Dynamic)
-            .accuracy_mode(AccuracyMode::TopNIndicator)
-            .sample_size(80)
-            .build_topn(&pop, &theta, &split.train, 5)
-            .into_lists(),
-    );
+    let fit = FitConfig {
+        accuracy_mode: AccuracyMode::TopNIndicator,
+        sample_size: 80,
+        seed: 5,
+        ..FitConfig::new(n)
+    };
+    let ganc = TopN::new(n, build_topn(&pop, &theta, &split.train, &fit, 4));
     let m_raw = evaluate_topn(&raw, &ctx);
     let m_ganc = evaluate_topn(&ganc, &ctx);
     assert!(
@@ -109,14 +107,13 @@ fn metrics_are_bounded_for_all_coverage_kinds() {
         CoverageKind::Static,
         CoverageKind::Dynamic,
     ] {
-        let topn = TopN::new(
-            5,
-            GancBuilder::new(5)
-                .coverage(kind)
-                .sample_size(50)
-                .build_topn(&pop, &theta, &split.train, 9)
-                .into_lists(),
-        );
+        let fit = FitConfig {
+            coverage: kind,
+            sample_size: 50,
+            seed: 9,
+            ..FitConfig::new(5)
+        };
+        let topn = TopN::new(5, build_topn(&pop, &theta, &split.train, &fit, 4));
         let m = evaluate_topn(&topn, &ctx);
         for (name, v) in [
             ("precision", m.precision),
@@ -142,13 +139,12 @@ fn mt_style_zero_to_ten_data_flows_through() {
     let ctx = EvalContext::new(&split.train, &split.test);
     let theta = GeneralizedConfig::default().estimate(&split.train);
     let pop = MostPopular::fit(&split.train);
-    let topn = TopN::new(
-        5,
-        GancBuilder::new(5)
-            .sample_size(20)
-            .build_topn(&pop, &theta, &split.train, 2)
-            .into_lists(),
-    );
+    let fit = FitConfig {
+        sample_size: 20,
+        seed: 2,
+        ..FitConfig::new(5)
+    };
+    let topn = TopN::new(5, build_topn(&pop, &theta, &split.train, &fit, 4));
     let m = evaluate_topn(&topn, &ctx);
     assert!(m.coverage > 0.0);
 }

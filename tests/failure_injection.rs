@@ -2,7 +2,7 @@
 //! empty users, single-item catalogs, constant ratings, exhausted
 //! candidate pools, κ edge cases, and users missing from test.
 
-use ganc::core::{CoverageKind, GancBuilder};
+use ganc::core::{build_topn, CoverageKind, FitConfig};
 use ganc::dataset::dataset::{DatasetBuilder, RatingScale};
 use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::eval::fig7_8::topn_under_protocol;
@@ -30,10 +30,13 @@ fn single_item_catalog() {
     // everyone has seen the only item → all lists empty, nothing panics
     assert!(lists.iter().all(|l| l.is_empty()));
     let theta = GeneralizedConfig::default().estimate(&split.train);
-    let top = GancBuilder::new(5)
-        .sample_size(2)
-        .build_topn(&pop, &theta, &split.train, 1);
-    assert!(top.lists().iter().all(|l| l.is_empty()));
+    let fit = FitConfig {
+        sample_size: 2,
+        seed: 1,
+        ..FitConfig::new(5)
+    };
+    let top = build_topn(&pop, &theta, &split.train, &fit, 4);
+    assert!(top.iter().all(|l| l.is_empty()));
 }
 
 /// Users present in the id space but with no train ratings.
@@ -138,11 +141,14 @@ fn theta_extremes_are_safe() {
             CoverageKind::Static,
             CoverageKind::Dynamic,
         ] {
-            let top = GancBuilder::new(3)
-                .coverage(kind)
-                .sample_size(4)
-                .build_topn(&pop, &theta, &m, 7);
-            assert_eq!(top.lists().len(), m.n_users() as usize);
+            let fit = FitConfig {
+                coverage: kind,
+                sample_size: 4,
+                seed: 7,
+                ..FitConfig::new(3)
+            };
+            let top = build_topn(&pop, &theta, &m, &fit, 4);
+            assert_eq!(top.len(), m.n_users() as usize);
         }
     }
 }
@@ -185,11 +191,13 @@ fn zero_users_yield_empty_collections() {
         assert!(generate_topn_lists(&pop, &train, 3, threads).is_empty());
         assert!(rerank_all(&rbt, &pop, &train, 3, threads).is_empty());
         for kind in [CoverageKind::Static, CoverageKind::Dynamic] {
-            let top = GancBuilder::new(3)
-                .coverage(kind)
-                .threads(threads)
-                .build_topn(&pop, &[], &train, 1);
-            assert!(top.lists().is_empty(), "{kind:?} at {threads} threads");
+            let fit = FitConfig {
+                coverage: kind,
+                seed: 1,
+                ..FitConfig::new(3)
+            };
+            let top = build_topn(&pop, &[], &train, &fit, threads);
+            assert!(top.is_empty(), "{kind:?} at {threads} threads");
         }
         for protocol in [RankingProtocol::AllUnrated, RankingProtocol::RatedTestItems] {
             let top = topn_under_protocol(&pop, &train, &train, protocol, 3, threads);

@@ -3,7 +3,7 @@
 
 use ganc::core::accuracy::{AccuracyScorer, NormalizedScores};
 use ganc::core::oslg::{assignment_order_objective, oslg_topn, OslgConfig, UserOrdering};
-use ganc::core::{CoverageKind, GancBuilder};
+use ganc::core::{build_topn, FitConfig};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::UserId;
 use ganc::preference::GeneralizedConfig;
@@ -60,11 +60,12 @@ fn personalization_sends_tail_items_to_tail_seeking_users() {
     let theta: Vec<f64> = (0..n_users)
         .map(|u| if u < n_users / 2 { 0.05 } else { 0.95 })
         .collect();
-    let lists = GancBuilder::new(5)
-        .coverage(CoverageKind::Dynamic)
-        .sample_size(n_users)
-        .build_topn(&pop, &theta, train, 3)
-        .into_lists();
+    let fit = FitConfig {
+        sample_size: n_users,
+        seed: 3,
+        ..FitConfig::new(5)
+    };
+    let lists = build_topn(&pop, &theta, train, &fit, 4);
     let popularity = train.item_popularity();
     let mean_pop_of = |range: std::ops::Range<usize>| -> f64 {
         let mut sum = 0.0;
@@ -93,11 +94,12 @@ fn snapshots_discount_already_recommended_items_for_later_users() {
     let (split, theta, pop) = setup();
     let train = &split.train;
     let n_users = train.n_users() as usize;
-    let lists = GancBuilder::new(5)
-        .coverage(CoverageKind::Dynamic)
-        .sample_size(n_users)
-        .build_topn(&pop, &theta, train, 7)
-        .into_lists();
+    let fit = FitConfig {
+        sample_size: n_users,
+        seed: 7,
+        ..FitConfig::new(5)
+    };
+    let lists = build_topn(&pop, &theta, train, &fit, 4);
     // recommendation frequency across all users
     let mut freq = vec![0u32; train.n_items() as usize];
     for l in &lists {

@@ -11,7 +11,6 @@
 
 use ganc::core::coverage::CoverageKind;
 use ganc::core::query::shard_of;
-use ganc::core::{AccuracyMode, UserOrdering};
 use ganc::dataset::dataset::{DatasetBuilder, RatingScale};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
@@ -34,7 +33,6 @@ use std::sync::Arc;
 const N_USERS: u32 = 10;
 const N_ITEMS: u32 = 22;
 const N: usize = 5;
-const SEED: u64 = 0x0000_0516;
 const BAND_COUNTS: [usize; 3] = [1, 2, 4];
 const ALL_KINDS: [CoverageKind; 3] = [
     CoverageKind::Random,
@@ -63,12 +61,9 @@ fn arb_theta() -> impl Strategy<Value = Vec<f64>> {
 
 fn fit_cfg(kind: CoverageKind) -> FitConfig {
     FitConfig {
-        n: N,
         coverage: kind,
-        accuracy_mode: AccuracyMode::Normalized,
         sample_size: 10,
-        ordering: UserOrdering::IncreasingTheta,
-        seed: SEED,
+        ..FitConfig::new(N)
     }
 }
 

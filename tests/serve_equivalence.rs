@@ -1,11 +1,12 @@
 //! The acceptance property of the serving subsystem: a single-user query
-//! served from a fitted [`ModelBundle`] equals the batch
-//! `GancBuilder::build_topn` output for that user — tolerance-exact, for
-//! every coverage kind, including Dyn's coupled optimizer (sampled users
-//! serve their sequential-phase lists; everyone else runs the same
-//! nearest-snapshot query the batch parallel phase runs).
+//! served from a fitted [`ModelBundle`] equals the batch [`build_topn`]
+//! output for that user, both built from one [`FitConfig`] —
+//! tolerance-exact, for every coverage kind, including Dyn's coupled
+//! optimizer (sampled users serve their sequential-phase lists; everyone
+//! else runs the same nearest-snapshot query the batch parallel phase
+//! runs).
 
-use ganc::core::{AccuracyMode, CoverageKind, GancBuilder, UserOrdering};
+use ganc::core::{build_topn, AccuracyMode, CoverageKind};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, UserId};
 use ganc::preference::generalized::GeneralizedConfig;
@@ -15,7 +16,6 @@ use ganc::serve::{EngineConfig, FitConfig, FittedModel, ModelBundle, ServingEngi
 
 const N: usize = 5;
 const SAMPLE: usize = 25;
-const SEED: u64 = 0x0000_0516; // OslgConfig::new's default, shared by FitConfig
 
 fn fixture() -> (Interactions, Vec<f64>) {
     let data = DatasetProfile::small().generate(321);
@@ -26,24 +26,14 @@ fn fixture() -> (Interactions, Vec<f64>) {
 
 fn check_equivalence(model: FittedModel, kind: CoverageKind, mode: AccuracyMode) {
     let (train, theta) = fixture();
-    let builder = GancBuilder::new(N)
-        .coverage(kind)
-        .accuracy_mode(mode)
-        .sample_size(SAMPLE);
     let cfg = FitConfig {
-        n: N,
         coverage: kind,
         accuracy_mode: mode,
         sample_size: SAMPLE,
-        ordering: UserOrdering::IncreasingTheta,
-        seed: SEED,
+        ..FitConfig::new(N)
     };
 
-    let bound = model.bind(&train);
-    let batch = {
-        let rec: &dyn ganc::recommender::Recommender = &bound;
-        builder.build_topn(rec, &theta, &train, SEED)
-    };
+    let batch = build_topn(&model.bind(&train), &theta, &train, &cfg, 4);
     let bundle = ModelBundle::fit(model, theta, train.clone(), &cfg);
     let engine = ServingEngine::new(bundle, EngineConfig::default());
 
@@ -51,7 +41,7 @@ fn check_equivalence(model: FittedModel, kind: CoverageKind, mode: AccuracyMode)
         let served = engine.recommend(UserId(u)).unwrap();
         assert_eq!(
             served.as_slice(),
-            batch.lists()[u as usize].as_slice(),
+            batch[u as usize].as_slice(),
             "{kind:?}/{mode:?}: user {u} served list diverges from batch"
         );
     }
@@ -121,14 +111,11 @@ fn single_user_queries_match_batch_dynamic_personalized_model() {
 fn batched_serving_matches_batch_output() {
     let (train, theta) = fixture();
     let pop = MostPopular::fit(&train);
-    let batch = GancBuilder::new(N)
-        .coverage(CoverageKind::Dynamic)
-        .sample_size(SAMPLE)
-        .build_topn(&pop, &theta, &train, SEED);
     let cfg = FitConfig {
         sample_size: SAMPLE,
         ..FitConfig::new(N)
     };
+    let batch = build_topn(&pop, &theta, &train, &cfg, 4);
     let bundle = ModelBundle::fit(FittedModel::Pop(pop), theta, train.clone(), &cfg);
     let engine = ServingEngine::new(bundle, EngineConfig::default());
     let users: Vec<UserId> = (0..train.n_users()).map(UserId).collect();
@@ -136,7 +123,7 @@ fn batched_serving_matches_batch_output() {
     for (u, got) in users.iter().zip(answers) {
         assert_eq!(
             got.unwrap().as_slice(),
-            batch.lists()[u.idx()].as_slice(),
+            batch[u.idx()].as_slice(),
             "user {u:?}"
         );
     }

@@ -9,7 +9,7 @@
 //! `shard_of`, and `slice_theta_band`'s θ filter) agree.
 
 use ganc::core::query::{band_bounds, shard_of};
-use ganc::core::{AccuracyMode, CoverageKind, GancBuilder, UserOrdering};
+use ganc::core::{build_topn, AccuracyMode, CoverageKind};
 use ganc::dataset::dataset::{DatasetBuilder, RatingScale};
 use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::preference::generalized::GeneralizedConfig;
@@ -24,7 +24,6 @@ const N_USERS: u32 = 12;
 const N_ITEMS: u32 = 26;
 const N: usize = 5;
 const SAMPLE: usize = 10;
-const SEED: u64 = 0x0000_0516; // OslgConfig::new's default, shared by FitConfig
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 const ALL_KINDS: [CoverageKind; 3] = [
@@ -57,12 +56,9 @@ fn arb_theta() -> impl Strategy<Value = Vec<f64>> {
 
 fn fit_cfg(kind: CoverageKind) -> FitConfig {
     FitConfig {
-        n: N,
         coverage: kind,
-        accuracy_mode: AccuracyMode::Normalized,
         sample_size: SAMPLE,
-        ordering: UserOrdering::IncreasingTheta,
-        seed: SEED,
+        ..FitConfig::new(N)
     }
 }
 
@@ -76,21 +72,19 @@ fn check_kind(
     plans: &[ShardPlan],
 ) {
     let users: Vec<UserId> = (0..N_USERS).map(UserId).collect();
-    let batch = GancBuilder::new(N)
-        .coverage(kind)
-        .sample_size(SAMPLE)
-        .build_topn(&MostPopular::fit(train), theta, train, SEED);
+    let cfg = fit_cfg(kind);
+    let batch = build_topn(&MostPopular::fit(train), theta, train, &cfg, 4);
     let bundle = ModelBundle::fit(
         FittedModel::Pop(MostPopular::fit(train)),
         theta.to_vec(),
         train.clone(),
-        &fit_cfg(kind),
+        &cfg,
     );
     let single = ServingEngine::new(bundle.clone(), EngineConfig::default());
     for u in &users {
         assert_eq!(
             single.recommend(*u).unwrap().as_slice(),
-            batch.lists()[u.idx()].as_slice(),
+            batch[u.idx()].as_slice(),
             "{kind:?}: unsharded engine diverges from batch for {u:?}"
         );
     }
@@ -112,7 +106,7 @@ fn check_kind(
         for u in &users {
             assert_eq!(
                 engine.recommend(*u).unwrap().as_slice(),
-                batch.lists()[u.idx()].as_slice(),
+                batch[u.idx()].as_slice(),
                 "{kind:?}/{plan:?}: sharded single request diverges for {u:?}"
             );
         }
@@ -123,7 +117,7 @@ fn check_kind(
         for (u, got) in users.iter().zip(&answers) {
             assert_eq!(
                 got.as_ref().unwrap().as_slice(),
-                batch.lists()[u.idx()].as_slice(),
+                batch[u.idx()].as_slice(),
                 "{kind:?}/{plan:?}: sharded batch diverges for {u:?}"
             );
         }
@@ -262,14 +256,11 @@ fn sharded_matches_batch_on_skewed_profile() {
     let split = data.split_per_user(0.5, 5).unwrap();
     let train = split.train;
     let theta = GeneralizedConfig::default().estimate(&train);
-    let batch = GancBuilder::new(N)
-        .coverage(CoverageKind::Dynamic)
-        .sample_size(25)
-        .build_topn(&MostPopular::fit(&train), &theta, &train, SEED);
     let cfg = FitConfig {
         sample_size: 25,
         ..fit_cfg(CoverageKind::Dynamic)
     };
+    let batch = build_topn(&MostPopular::fit(&train), &theta, &train, &cfg, 4);
     let bundle = ModelBundle::fit(
         FittedModel::Pop(MostPopular::fit(&train)),
         theta,
@@ -283,7 +274,7 @@ fn sharded_matches_batch_on_skewed_profile() {
         for (u, got) in users.iter().zip(answers) {
             assert_eq!(
                 got.unwrap().as_slice(),
-                batch.lists()[u.idx()].as_slice(),
+                batch[u.idx()].as_slice(),
                 "S={shards} user {u:?}"
             );
         }
@@ -297,16 +288,12 @@ fn sharded_matches_batch_in_indicator_mode() {
     let split = data.split_per_user(0.5, 3).unwrap();
     let train = split.train;
     let theta = GeneralizedConfig::default().estimate(&train);
-    let batch = GancBuilder::new(N)
-        .coverage(CoverageKind::Dynamic)
-        .accuracy_mode(AccuracyMode::TopNIndicator)
-        .sample_size(20)
-        .build_topn(&MostPopular::fit(&train), &theta, &train, SEED);
     let cfg = FitConfig {
         accuracy_mode: AccuracyMode::TopNIndicator,
         sample_size: 20,
         ..fit_cfg(CoverageKind::Dynamic)
     };
+    let batch = build_topn(&MostPopular::fit(&train), &theta, &train, &cfg, 4);
     let bundle = ModelBundle::fit(
         FittedModel::Pop(MostPopular::fit(&train)),
         theta,
@@ -317,7 +304,7 @@ fn sharded_matches_batch_in_indicator_mode() {
     for u in 0..train.n_users() {
         assert_eq!(
             engine.recommend(UserId(u)).unwrap().as_slice(),
-            batch.lists()[u as usize].as_slice(),
+            batch[u as usize].as_slice(),
             "user {u}"
         );
     }
