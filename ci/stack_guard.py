@@ -36,9 +36,11 @@ def violations(result):
     """Each guarded property of one traced result that does not hold."""
     m = {name: metric["value"] for name, metric in result["metrics"].items()}
     miss = m["serve.engine.miss_us"]  # un-instrumented in-process cold recommend
+    hit = m["serve.engine.hit_ns"]  # un-instrumented in-process cached recommend
     ratios = [
         ("sharded / unsharded cold p50", m["serve.shard.miss_us"] / miss, 2.0),
         ("instrumented / bare cold p50", (miss + m["obs.miss_overhead_us"]) / miss, 1.15),
+        ("instrumented / bare hit", (hit + m["obs.hit_overhead_ns"]) / hit, 3.0),
     ]
     if result["workload"] in ("http_hot", "router_mixed"):  # the two that serve over HTTP
         ratios.append(("loopback / in-process", (miss + m["http.server.self_us"]) / miss, 10.0))

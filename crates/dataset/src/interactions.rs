@@ -10,7 +10,8 @@ use crate::dataset::Rating;
 use crate::{ItemId, UserId};
 
 /// One compressed-sparse orientation: `ptr` has `n_rows + 1` offsets into the
-/// parallel `idx`/`val` arrays.
+/// parallel `idx`/`val` arrays. Decoded only inside [`Interactions`], which
+/// knows the dimensions to check it against ([`Csr::check`]).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 struct Csr {
     ptr: Box<[u32]>,
@@ -77,6 +78,37 @@ impl Csr {
         }
     }
 
+    /// The invariant every row read relies on, for an `n_rows × n_cols`
+    /// orientation: `n_rows + 1` offsets rising from 0 to the entry count,
+    /// one value per entry, and each row's column ids strictly increasing
+    /// (sorted for binary search, no duplicates) and below `n_cols`.
+    /// `Err` names the first clause that fails.
+    fn check(&self, n_rows: u32, n_cols: u32) -> Result<(), &'static str> {
+        if self.ptr.len() != n_rows as usize + 1 {
+            return Err("CSR offsets: one per row plus one");
+        }
+        if self.ptr[0] != 0 {
+            return Err("CSR offsets starting at 0");
+        }
+        if self.ptr.windows(2).any(|w| w[0] > w[1]) {
+            return Err("CSR offsets that never fall");
+        }
+        if self.ptr[n_rows as usize] as usize != self.idx.len() || self.idx.len() != self.val.len()
+        {
+            return Err("CSR offsets ending at the entry count, one value per entry");
+        }
+        for r in 0..n_rows as usize {
+            let (cols, _) = self.row(r);
+            if cols.windows(2).any(|w| w[0] >= w[1]) {
+                return Err("CSR column ids strictly increasing within a row");
+            }
+            if cols.last().is_some_and(|&c| c >= n_cols) {
+                return Err("CSR column ids inside the matrix");
+            }
+        }
+        Ok(())
+    }
+
     #[inline]
     fn row(&self, r: usize) -> (&[u32], &[f32]) {
         let lo = self.ptr[r] as usize;
@@ -91,12 +123,34 @@ impl Csr {
 }
 
 /// Immutable user×item interaction matrix with both orientations.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Interactions {
     n_users: u32,
     n_items: u32,
     by_user: Csr,
     by_item: Csr,
+}
+
+// Field by field as the derive would, then the checks every row and column
+// read relies on: each orientation is a well-formed CSR matrix of the
+// declared dimensions, and the two hold the same number of ratings.
+impl<'de> serde::Deserialize<'de> for Interactions {
+    fn deserialize<D: serde::Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
+        let m = Interactions {
+            n_users: serde::Deserialize::deserialize(d)?,
+            n_items: serde::Deserialize::deserialize(d)?,
+            by_user: serde::Deserialize::deserialize(d)?,
+            by_item: serde::Deserialize::deserialize(d)?,
+        };
+        m.by_user
+            .check(m.n_users, m.n_items)
+            .and_then(|()| m.by_item.check(m.n_items, m.n_users))
+            .map_err(|what| d.invalid(what))?;
+        if m.by_user.idx.len() != m.by_item.idx.len() {
+            return Err(d.invalid("one rating count for both orientations"));
+        }
+        Ok(m)
+    }
 }
 
 impl Interactions {
@@ -312,6 +366,82 @@ mod tests {
         assert_eq!(seen, vec![true, false, true]);
         m.clear_seen(UserId(0), &mut seen);
         assert_eq!(seen, vec![false, false, false]);
+    }
+
+    /// `m` after `edit`, through an encode and a decode.
+    fn decoded(
+        m: &Interactions,
+        edit: impl Fn(&mut Interactions),
+    ) -> bincode::Result<Interactions> {
+        let mut edited = m.clone();
+        edit(&mut edited);
+        bincode::deserialize(&bincode::serialize(&edited).unwrap())
+    }
+
+    /// `edit` makes the decode fail on the clause named `what`.
+    fn assert_refused(what: &str, edit: impl Fn(&mut Interactions)) {
+        match decoded(&sample(), edit) {
+            Err(e) => assert!(e.to_string().contains(what), "{what}: refused with {e}"),
+            Ok(_) => panic!("{what}: decoded a matrix a row read would misread"),
+        }
+    }
+
+    #[test]
+    fn a_well_formed_matrix_round_trips() {
+        let m = sample();
+        assert_eq!(decoded(&m, |_| {}).unwrap(), m);
+        // by_user's offsets: users 0, 1, 2 rated 2, 1, 2 items.
+        assert_eq!(&*m.by_user.ptr, &[0, 2, 3, 5]);
+    }
+
+    #[test]
+    fn offsets_not_one_per_row_plus_one_are_refused() {
+        assert_refused("one per row plus one", |m| {
+            m.by_user.ptr = m.by_user.ptr[..3].into();
+        });
+    }
+
+    #[test]
+    fn offsets_not_starting_at_zero_are_refused() {
+        assert_refused("starting at 0", |m| m.by_user.ptr[0] = 1);
+    }
+
+    #[test]
+    fn falling_offsets_are_refused() {
+        assert_refused("never fall", |m| m.by_user.ptr[2] = 1);
+    }
+
+    #[test]
+    fn offsets_not_ending_at_the_entry_count_are_refused() {
+        assert_refused("ending at the entry count", |m| m.by_user.ptr[3] = 4);
+        assert_refused("one value per entry", |m| {
+            m.by_item.val = m.by_item.val[..4].into();
+        });
+    }
+
+    #[test]
+    fn unsorted_or_repeated_column_ids_are_refused() {
+        // User 0's row is items [0, 2].
+        assert_refused("strictly increasing", |m| m.by_user.idx.swap(0, 1));
+        assert_refused("strictly increasing", |m| m.by_user.idx[1] = 0);
+    }
+
+    #[test]
+    fn column_ids_outside_the_matrix_are_refused() {
+        // User 2's row is items [0, 1]; there are 3 items.
+        assert_refused("inside the matrix", |m| m.by_user.idx[4] = 3);
+        assert_refused("inside the matrix", |m| m.by_item.idx[4] = 3);
+    }
+
+    #[test]
+    fn orientations_disagreeing_on_the_rating_count_are_refused() {
+        // Item 0's column is users [0, 1, 2]: drop user 2 from it, leaving
+        // a well-formed item-major orientation of 4 ratings.
+        assert_refused("one rating count", |m| {
+            m.by_item.ptr = vec![0, 2, 3, 4].into();
+            m.by_item.idx = vec![0, 1, 2, 0].into();
+            m.by_item.val = m.by_item.val[1..].into();
+        });
     }
 
     #[test]

@@ -21,6 +21,17 @@
 //! crossing a threshold) is therefore noticed at the step's next deadline —
 //! under a hand-moved clock, the next time the test moves it — not at the
 //! next wall slice.
+//!
+//! **Two readings of one clock.** [`Clock::now`] is precise and is what a
+//! duration is measured with: a latency is a pair of `now` reads.
+//! [`Clock::coarse`] is for *stamps* — when a list entered a rolling
+//! window, when a trace event happened — where a few milliseconds of error
+//! do not matter but a read on every served request does. A
+//! [`SystemClock`] answers it from the kernel's coarse monotonic clock
+//! (one vDSO read, no system call, about a quarter of a precise read), so a
+//! stamp has the resolution of one kernel tick (1–10 ms) and is never
+//! ahead of a later `now`. Every other clock answers `coarse` with `now`,
+//! so under a [`ManualClock`] stamps stay exact.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -33,6 +44,12 @@ pub trait Clock: Send + Sync + 'static {
     /// Monotonic elapsed time since the clock's origin.
     fn now(&self) -> Duration;
 
+    /// [`Clock::now`] at kernel-tick resolution, for timestamps rather than
+    /// durations (see the module doc). Never ahead of a later `now`.
+    fn coarse(&self) -> Duration {
+        self.now()
+    }
+
     /// How long a thread may block in wall time before [`Clock::now`] can
     /// have reached `until` (zero once it has). Waiters re-read `now`
     /// after blocking this long; see the module doc.
@@ -43,6 +60,10 @@ pub trait Clock: Send + Sync + 'static {
 #[derive(Debug)]
 pub struct SystemClock {
     origin: Instant,
+    /// The origin on the kernel's monotonic clock (the base `Instant`
+    /// reads), read just after `origin`: what [`Clock::coarse`] counts from.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    mono_origin: Duration,
 }
 
 impl SystemClock {
@@ -51,6 +72,8 @@ impl SystemClock {
     pub fn new() -> SystemClock {
         SystemClock {
             origin: Instant::now(),
+            #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+            mono_origin: kernel_clock::read(kernel_clock::MONOTONIC),
         }
     }
 }
@@ -60,8 +83,51 @@ impl Clock for SystemClock {
         self.origin.elapsed()
     }
 
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn coarse(&self) -> Duration {
+        kernel_clock::read(kernel_clock::MONOTONIC_COARSE).saturating_sub(self.mono_origin)
+    }
+
     fn wall_until(&self, until: Duration) -> Duration {
         until.saturating_sub(self.now())
+    }
+}
+
+/// The kernel's monotonic clocks, read through the C library's vDSO-backed
+/// `clock_gettime` (the vendored `polling` shim binds libc the same way).
+/// Other targets answer [`Clock::coarse`] with the precise clock.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+mod kernel_clock {
+    use std::os::raw::{c_int, c_long};
+    use std::time::Duration;
+
+    pub(super) const MONOTONIC: c_int = 1;
+    pub(super) const MONOTONIC_COARSE: c_int = 6;
+
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+
+    extern "C" {
+        fn clock_gettime(clock_id: c_int, tp: *mut Timespec) -> c_int;
+    }
+
+    /// One read of clock `id` as time since the kernel's boot-time origin.
+    pub(super) fn read(id: c_int) -> Duration {
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` is a live, writable `struct timespec`: on 64-bit
+        // Linux (the only targets this module is built for) `time_t` and
+        // `long` are both 64-bit, so `Timespec` has its layout. `id` is one
+        // of the two clock ids above, which every Linux kernel supports, so
+        // the call writes `ts` and nothing else.
+        let rc = unsafe { clock_gettime(id, &mut ts) };
+        debug_assert_eq!(rc, 0, "clock_gettime({id}) failed");
+        Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
     }
 }
 
@@ -193,6 +259,33 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn system_coarse_is_monotone_and_trails_now_by_at_most_a_tick() {
+        let c = SystemClock::new();
+        let mut last = c.coarse();
+        for _ in 0..1_000 {
+            let coarse = c.coarse();
+            let now = c.now();
+            assert!(coarse >= last, "coarse went back: {coarse:?} < {last:?}");
+            assert!(
+                coarse <= now,
+                "coarse {coarse:?} ahead of a later now {now:?}"
+            );
+            assert!(
+                now - coarse < Duration::from_millis(50),
+                "coarse {coarse:?} trails now {now:?} by more than 50 ms"
+            );
+            last = coarse;
+        }
+    }
+
+    #[test]
+    fn manual_coarse_is_exact() {
+        let c = ManualClock::new();
+        c.advance(Duration::from_micros(1_234));
+        assert_eq!(c.coarse(), c.now());
     }
 
     #[test]

@@ -64,9 +64,16 @@ impl ObsHub {
         &self.clock
     }
 
-    /// Current time in microseconds since the clock origin.
+    /// Current time in microseconds since the clock origin: what a
+    /// duration is measured with.
     pub fn now_us(&self) -> u64 {
         self.clock.now().as_micros() as u64
+    }
+
+    /// [`ObsHub::now_us`] at kernel-tick resolution ([`Clock::coarse`]):
+    /// what a window entry or a trace event is stamped with.
+    pub fn coarse_us(&self) -> u64 {
+        self.clock.coarse().as_micros() as u64
     }
 
     /// Next unique request id (1-based).
@@ -87,6 +94,7 @@ mod tests {
         assert_eq!(hub.now_us(), 0);
         clock.advance(Duration::from_millis(2));
         assert_eq!(hub.now_us(), 2000);
+        assert_eq!(hub.coarse_us(), 2000, "a manual clock's stamps are exact");
         hub.trace
             .record(hub.now_us(), TraceData::RefitSwapped { generation: 1 });
         assert_eq!(hub.trace.snapshot()[0].at_us, 2000);

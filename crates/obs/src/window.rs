@@ -12,8 +12,9 @@
 //! Storage is flat: every live served item id sits in one `VecDeque<u32>`,
 //! oldest first, beside one 40-byte entry per **distinct timestamp** (its
 //! list count, item count, novelty and tail sums). A list observed at the
-//! same µs as the newest entry merges into it — every list of one
-//! timestamp expires at the same instant, so expiry stays exact. A served
+//! newest entry's stamp merges into it — every list of one timestamp
+//! expires at the same instant, so expiry stays exact. Engines stamp with
+//! the kernel's coarse clock, so one entry holds a whole tick's lists. A served
 //! list therefore costs 4 B per item plus at most one entry, observing
 //! allocates nothing once the two buffers have grown to the window's
 //! steady state, and dropping a window frees two buffers, not one per
@@ -221,8 +222,10 @@ impl RollingWindow {
     /// to the window's flat queue straight from `list`, so a caller can
     /// stream them from its own list: nothing is staged.
     ///
-    /// Timestamps must be non-decreasing (they come from one monotonic
-    /// clock seam per engine).
+    /// A stamp older than the newest entry's — concurrent recorders stamp
+    /// before they take the window's lock — is raised to that entry's, so
+    /// the list merges into it: entries stay in stamp order and each
+    /// expires exactly on time.
     pub fn observe(
         &mut self,
         at_us: u64,
@@ -230,6 +233,10 @@ impl RollingWindow {
         catalog: &CatalogProfile,
     ) {
         debug_assert_eq!(catalog.n_items(), self.n_items);
+        let at_us = self
+            .entries
+            .back()
+            .map_or(at_us, |back| at_us.max(back.at_us));
         self.expire(at_us);
         let before = self.ids.len();
         self.ids.extend(list);
@@ -441,6 +448,26 @@ mod tests {
         assert_eq!((merged.entries.len(), spread.entries.len()), (1, 1000));
         let now = t + 999;
         assert_eq!(merged.wire(now), spread.wire(now));
+    }
+
+    #[test]
+    fn a_stamp_older_than_the_newest_entry_merges_into_it() {
+        let cat = catalog();
+        let span = 100;
+        let window = || RollingWindow::new(Duration::from_micros(span), 4);
+        let (mut late, mut both_at_10) = (window(), window());
+        late.observe(10, vec![0, 2], &cat);
+        late.observe(5, vec![1], &cat);
+        both_at_10.observe(10, vec![0, 2], &cat);
+        both_at_10.observe(10, vec![1], &cat);
+        assert_eq!(late.entries.len(), 1, "the late list joins the entry at 10");
+        assert_eq!(late.wire(10), both_at_10.wire(10));
+        assert_eq!(late.stats(10 + span - 1).lists, 2, "live at 10 + w - 1");
+        assert_eq!(
+            late.stats(10 + span),
+            WindowStats::empty(),
+            "gone at 10 + w"
+        );
     }
 
     #[test]

@@ -612,13 +612,18 @@ impl ServingEngine {
         opts: &RequestOptions,
     ) -> Result<(Arc<Vec<ItemId>>, u64), ServeError> {
         let obs = self.obs.get();
-        let t0 = obs.map_or(0, |o| o.now_us());
         let cacheable = opts.is_default();
-        if cacheable {
-            if let Some(hit) = self.hit(self.cache.lock().unwrap(), user, t0) {
+        let sampled = if cacheable {
+            let sampled = obs.and_then(|o| o.sample());
+            if let Some(hit) = self.hit(self.cache.lock().unwrap(), user, sampled) {
                 return Ok(hit);
             }
-        }
+            sampled
+        } else {
+            None
+        };
+        // Every miss is timed: an unsampled one from here, past the probe.
+        let t0 = sampled.unwrap_or_else(|| obs.map_or(0, |o| o.now_us()));
         let state = self.state.read().unwrap();
         if user.idx() >= state.bundle.n_users() as usize {
             if let Some(o) = obs {
@@ -639,28 +644,28 @@ impl ServingEngine {
                 .insert(user.0, (state.generation, Arc::clone(&list)));
         }
         if let Some(o) = obs {
-            o.record_request(t0, user.0, state.generation, false, &list);
+            o.record_request(t0, user.0, state.generation, &list);
         }
         Ok((list, state.generation))
     }
 
     /// The hit fast path: `user`'s cached default-options response, counted
-    /// and recorded as a served hit. Never touches the model state. The
-    /// caller decides how the cache lock was obtained; it is released
-    /// before anything is recorded.
+    /// and recorded as a served hit (timed from `t0_us` when the request was
+    /// sampled). Never touches the model state. The caller decides how the
+    /// cache lock was obtained; it is released before anything is recorded.
     #[inline]
     fn hit(
         &self,
         mut cache: MutexGuard<'_, LruCache<u32, CachedList>>,
         user: UserId,
-        t0_us: u64,
+        t0_us: Option<u64>,
     ) -> Option<(Arc<Vec<ItemId>>, u64)> {
         let &(generation, ref list) = cache.get(&user.0)?;
         let list = Arc::clone(list);
         drop(cache);
         self.hits.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = self.obs.get() {
-            o.record_request(t0_us, user.0, generation, true, &list);
+            o.record_hit(t0_us, user.0, generation, &list);
         }
         Some((list, generation))
     }
@@ -671,10 +676,10 @@ impl ServingEngine {
     /// hit, counted and recorded exactly as the blocking path records it.
     /// `None` means "ask `recommend_with_traced`" — the user is not cached,
     /// is unknown, or the cache lock is held right now — and records
-    /// nothing.
+    /// nothing but its turn in the 1-in-64 hit sampler.
     pub fn recommend_cached(&self, user: UserId) -> Option<(Arc<Vec<ItemId>>, u64)> {
-        let t0 = self.obs.get().map_or(0, |o| o.now_us());
-        self.hit(self.cache.try_lock().ok()?, user, t0)
+        let sampled = self.obs.get().and_then(|o| o.sample());
+        self.hit(self.cache.try_lock().ok()?, user, sampled)
     }
 
     /// Answer a batch of requests, fanning cache misses across worker
@@ -931,6 +936,7 @@ impl ServingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::HIT_SAMPLE;
     use ganc_core::coverage::CoverageKind;
     use ganc_core::FitConfig;
     use ganc_dataset::synth::DatasetProfile;
@@ -948,6 +954,61 @@ mod tests {
         };
         let bundle = ModelBundle::fit(FittedModel::Pop(pop), theta, split.train, &cfg);
         ServingEngine::new(bundle, EngineConfig::default())
+    }
+
+    /// The value of the exposition line that starts `series `.
+    fn exposed(text: &str, series: &str) -> f64 {
+        let prefix = format!("{series} ");
+        let line = text.lines().find(|l| l.starts_with(&prefix));
+        let line = line.unwrap_or_else(|| panic!("{series} missing from:\n{text}"));
+        line[prefix.len()..].parse().unwrap()
+    }
+
+    #[test]
+    fn hits_are_counted_exactly_but_timed_and_traced_one_in_hit_sample() {
+        use ganc_obs::{ManualClock, TraceData};
+        let clock = Arc::new(ManualClock::new());
+        let hub = ObsHub::with_clock(clock.clone());
+        let e = engine(CoverageKind::Dynamic);
+        e.attach_obs(Arc::clone(&hub), None, Duration::from_secs(300));
+        let (u, v) = (UserId(0), UserId(1));
+
+        // Request 0 (sampled) misses; requests 1..=130 hit; request 131
+        // (not sampled) misses; probes 132..=195 hit. Sampled: 0, 64, 128
+        // and 192, so three of the 194 hits.
+        e.recommend(u).unwrap();
+        for _ in 0..130 {
+            clock.advance(Duration::from_micros(7));
+            e.recommend(u).unwrap();
+        }
+        e.recommend(v).unwrap();
+        for _ in 0..64 {
+            assert!(e.recommend_cached(u).is_some());
+        }
+        let (hits, misses) = (194, 2);
+        let picked = |k: &u64| k.is_multiple_of(HIT_SAMPLE);
+        let sampled_hits = (1..=130).chain(132..=195).filter(picked).count();
+        assert_eq!(sampled_hits, 3);
+
+        let text = hub.metrics.render();
+        for (result, total, timed) in [("hit", hits, sampled_hits), ("miss", misses, misses)] {
+            let labels = format!("{{band=\"all\",result=\"{result}\"}}");
+            let counted = exposed(&text, &format!("ganc_engine_requests_total{labels}"));
+            assert_eq!(counted, total as f64, "{result}s are counted exactly");
+            let timed_count = exposed(&text, &format!("ganc_engine_request_us_count{labels}"));
+            assert_eq!(timed_count, timed as f64, "{result}s timed");
+        }
+        let help = format!("hits are timed 1 in {HIT_SAMPLE}, so a hit series' _count is a sample");
+        assert!(text.contains(&help), "the HELP text names the sampling");
+        let traced = |hit: bool| {
+            let events = hub.trace.snapshot().into_iter();
+            events
+                .filter(|ev| matches!(ev.data, TraceData::Request { cache_hit, .. } if cache_hit == hit))
+                .count()
+        };
+        assert_eq!((traced(true), traced(false)), (sampled_hits, misses));
+        // Every served list entered the window, sampled or not.
+        assert_eq!(e.window_stats().unwrap().lists, (hits + misses) as u64);
     }
 
     #[test]

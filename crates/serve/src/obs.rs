@@ -4,10 +4,15 @@
 //!
 //! Attachment is optional and one-shot (`OnceLock`): an un-attached
 //! engine pays one atomic load per request and nothing else. When
-//! attached, the hot path adds two clock reads, a histogram observation,
-//! a counter bump, and one short mutex hold to feed the rolling window —
-//! the cost `ci/stack_guard.py` bounds at ≤ 1.15× the un-instrumented
-//! cold path (`obs.miss_overhead_us` over `serve.engine.miss_us`).
+//! attached, a cache hit adds one coarse clock read (the kernel-tick stamp
+//! of its window entry, [`ObsHub::coarse_us`]), a counter bump and one
+//! short mutex hold to feed the rolling window. One request in
+//! [`HIT_SAMPLE`] on the cacheable path is also timed — a precise clock
+//! read before the cache probe and one after — and, if it hits, lands in
+//! the hit latency histogram and the trace; a miss is always timed and
+//! traced. The miss's cost is what `ci/stack_guard.py` bounds at ≤ 1.15×
+//! the un-instrumented cold path (`obs.miss_overhead_us` over
+//! `serve.engine.miss_us`), the hit's at ≤ 3× the bare hit.
 //!
 //! That mutex hold copies the served list's ids straight from the
 //! engine's shared list into the window's flat id queue: a hit (recorded
@@ -27,8 +32,20 @@ use ganc_obs::{
     CatalogProfile, Counter, Gauge, Histogram, ObsHub, RollingWindow, TraceData, WindowStats,
     WindowWire,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// One request in this many on the cacheable path is timed, and a timed
+/// hit is the only hit that reaches the latency histogram and the trace.
+/// A hit costs ≈ 50 ns, inside the histogram's first bucket, so timing
+/// every one would record almost nothing at twice the clock reads.
+pub(crate) const HIT_SAMPLE: u64 = 64;
+
+/// HELP text of `ganc_engine_request_us`: both outcomes share one series
+/// name, so one text.
+const REQUEST_US_HELP: &str = "Engine request latency by cache outcome (microseconds); \
+    hits are timed 1 in 64, so a hit series' _count is a sample count";
 
 /// Tail mass for the long-tail split: the classic Pareto cut (tail = items
 /// outside the most-popular set holding 80% of interaction mass), matching
@@ -85,6 +102,8 @@ pub(crate) struct EngineObs {
     novelty_gauge: Arc<Gauge>,
     tail_gauge: Arc<Gauge>,
     lists_gauge: Arc<Gauge>,
+    /// Cacheable requests seen, for picking one in [`HIT_SAMPLE`].
+    cacheable: AtomicU64,
     /// The rolling window's span, kept outside the lock so a hot-swap can
     /// build the replacement window before taking it.
     span: Duration,
@@ -115,12 +134,12 @@ impl EngineObs {
         let m = &hub.metrics;
         let hit_us = m.histogram(
             "ganc_engine_request_us",
-            "Engine request latency by cache outcome (microseconds)",
+            REQUEST_US_HELP,
             &with_band(&band_label, &[("result", "hit")]),
         );
         let miss_us = m.histogram(
             "ganc_engine_request_us",
-            "Engine request latency by cache outcome (microseconds)",
+            REQUEST_US_HELP,
             &with_band(&band_label, &[("result", "miss")]),
         );
         let batch_us = m.histogram(
@@ -202,14 +221,23 @@ impl EngineObs {
             novelty_gauge,
             tail_gauge,
             lists_gauge,
+            cacheable: AtomicU64::new(0),
             span,
             window,
         }
     }
 
-    /// Clock read for stage timing.
+    /// Precise clock read: the start of a timed stage.
     pub(crate) fn now_us(&self) -> u64 {
         self.hub.now_us()
+    }
+
+    /// Count one request on the cacheable path, before its cache probe:
+    /// the first and every [`HIT_SAMPLE`]th after it is timed, and gets
+    /// its start time here; the rest get `None`.
+    pub(crate) fn sample(&self) -> Option<u64> {
+        let k = self.cacheable.fetch_add(1, Ordering::Relaxed);
+        k.is_multiple_of(HIT_SAMPLE).then(|| self.hub.now_us())
     }
 
     fn observe_list(&self, at_us: u64, list: &[ItemId]) {
@@ -218,36 +246,48 @@ impl EngineObs {
         window.observe(at_us, list.iter().map(|i| i.0), catalog);
     }
 
-    /// One single-user request served (hit or computed).
-    pub(crate) fn record_request(
-        &self,
-        t0_us: u64,
-        user: u32,
-        generation: u64,
-        cache_hit: bool,
-        list: &[ItemId],
-    ) {
-        let now = self.hub.now_us();
-        let elapsed = now.saturating_sub(t0_us);
-        if cache_hit {
-            self.hit_us.observe_us(elapsed);
-            self.hit_total.inc();
-        } else {
-            self.miss_us.observe_us(elapsed);
-            self.miss_total.inc();
-        }
-        self.observe_list(now, list);
+    fn trace_request(&self, at_us: u64, user: u32, generation: u64, hit: bool, elapsed_us: u64) {
         self.hub.trace.record(
-            now,
+            at_us,
             TraceData::Request {
                 request_id: 0,
                 user,
                 generation,
                 band: self.band,
-                cache_hit,
-                elapsed_us: elapsed,
+                cache_hit: hit,
+                elapsed_us,
             },
         );
+    }
+
+    /// One single-user request computed (a miss), timed from `t0_us`.
+    pub(crate) fn record_request(&self, t0_us: u64, user: u32, generation: u64, list: &[ItemId]) {
+        let elapsed = self.hub.now_us().saturating_sub(t0_us);
+        self.miss_us.observe_us(elapsed);
+        self.miss_total.inc();
+        let at = self.hub.coarse_us();
+        self.observe_list(at, list);
+        self.trace_request(at, user, generation, false, elapsed);
+    }
+
+    /// One single-user request answered from the cache. Counted and
+    /// windowed always; timed and traced only when [`EngineObs::sample`]
+    /// picked it (`t0_us` is its start).
+    pub(crate) fn record_hit(
+        &self,
+        t0_us: Option<u64>,
+        user: u32,
+        generation: u64,
+        list: &[ItemId],
+    ) {
+        self.hit_total.inc();
+        let at = self.hub.coarse_us();
+        self.observe_list(at, list);
+        if let Some(t0) = t0_us {
+            let elapsed = self.hub.now_us().saturating_sub(t0);
+            self.hit_us.observe_us(elapsed);
+            self.trace_request(at, user, generation, true, elapsed);
+        }
     }
 
     /// One rejected request (unknown user/item).
@@ -258,8 +298,8 @@ impl EngineObs {
     /// One batch served: per-list window observations, batch latency, and
     /// per-result error attribution.
     pub(crate) fn record_batch(&self, t0_us: u64, generation: u64, results: &[Option<SlotAnswer>]) {
-        let now = self.hub.now_us();
-        let elapsed = now.saturating_sub(t0_us);
+        let elapsed = self.hub.now_us().saturating_sub(t0_us);
+        let now = self.hub.coarse_us();
         self.batch_us.observe_us(elapsed);
         self.batch_users_total.add(results.len() as u64);
         let mut errors = 0u64;
@@ -290,7 +330,7 @@ impl EngineObs {
     pub(crate) fn record_ingest(&self, user: u32, item: u32) {
         self.ingest_total.inc();
         self.hub.trace.record(
-            self.hub.now_us(),
+            self.hub.coarse_us(),
             TraceData::Ingest {
                 user,
                 item,
@@ -312,7 +352,7 @@ impl EngineObs {
         let old = std::mem::replace(&mut *self.window.lock().unwrap(), fresh);
         drop(old);
         self.hub.trace.record(
-            self.hub.now_us(),
+            self.hub.coarse_us(),
             TraceData::BundleSwap {
                 band: self.band,
                 generation,
@@ -323,7 +363,7 @@ impl EngineObs {
     /// Current rolling-window metrics; also publishes them as gauges so
     /// `/v1/metrics` and `/v1/stats` agree.
     pub(crate) fn window_stats(&self) -> WindowStats {
-        let now = self.hub.now_us();
+        let now = self.hub.coarse_us();
         let stats = self.window.lock().unwrap().window.stats(now);
         self.publish(stats);
         stats
@@ -333,7 +373,7 @@ impl EngineObs {
     /// (what `GET /v1/window` answers and every cross-band union folds),
     /// publishing the gauges alongside.
     pub(crate) fn window_wire(&self) -> WindowWire {
-        let now = self.hub.now_us();
+        let now = self.hub.coarse_us();
         let wire = self.window.lock().unwrap().window.wire(now);
         self.publish(wire.stats());
         wire

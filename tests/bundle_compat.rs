@@ -6,12 +6,12 @@
 //! (NaN included), a list size of zero, a seed list naming a user outside
 //! the train set, an item outside the catalogue or more than `n` items, or
 //! a `Stat` score vector or `Dyn` snapshot store sized for another
-//! catalogue is refused at decode instead of panicking or misranking later
-//! in the serving path.
+//! catalogue, or a train matrix whose offsets fall, is refused at decode
+//! instead of panicking or misranking later in the serving path.
 
 use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
-use ganc::dataset::{Interactions, ItemId};
+use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::recommender::psvd::Psvd;
@@ -364,4 +364,32 @@ fn a_dyn_snapshot_store_for_another_catalogue_is_refused_at_decode() {
         &foreign.to_bytes().unwrap(),
         "a Dyn snapshot store for another catalogue",
     );
+}
+
+#[test]
+fn a_train_matrix_with_falling_offsets_is_refused_at_decode() {
+    let (train, theta) = fixture();
+    let bytes = fit(&train, &theta, CoverageKind::Static)
+        .to_bytes()
+        .unwrap();
+    // The train set closes the bundle: its dimensions, then the user-major
+    // offsets' length and first three offsets.
+    let (d0, d1) = (
+        train.user_degree(UserId(0)) as u32,
+        train.user_degree(UserId(1)) as u32,
+    );
+    let head = [
+        &train.n_users().to_le_bytes()[..],
+        &train.n_items().to_le_bytes(),
+        &(train.n_users() as u64 + 1).to_le_bytes(),
+        &0u32.to_le_bytes(),
+        &d0.to_le_bytes(),
+        &(d0 + d1).to_le_bytes(),
+    ]
+    .concat();
+    let at = find_once(&bytes, &head) + 4 + 4 + 8 + 4;
+    let mut edited = bytes.clone();
+    // User 0's row now ends after user 1's.
+    edited[at..at + 4].copy_from_slice(&(d0 + d1 + 1).to_le_bytes());
+    assert_bundle_refused(&edited, "a train offset above the next one");
 }
