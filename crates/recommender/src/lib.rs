@@ -7,19 +7,15 @@
 //! |-------|-----------|--------|
 //! | [`pop::MostPopular`] | non-personalized accuracy champion | `pop` |
 //! | [`random::RandomRec`] | coverage champion / control | `random` |
-//! | [`item_avg::ItemAvg`] | average-rating baseline (RBT's Avg criterion) | `item_avg` |
 //! | [`rsvd::Rsvd`] | Regularized SVD — SGD matrix factorization (LIBMF stand-in) | `rsvd` |
 //! | [`psvd::Psvd`] | PureSVD via randomized truncated SVD (PSVD10/PSVD100) | `psvd` |
 //! | [`rankmf::RankMf`] | pairwise ranking MF (CoFiRank/CofiR100 stand-in) | `rankmf` |
-//! | [`knn::ItemKnn`] | item-based kNN (§VI neighbourhood models; library extension) | `knn` |
 //!
 //! Every model implements [`Recommender`]: it fills a dense per-item score
 //! buffer for one user, and the [`topn`] module turns score buffers into
 //! top-N lists under a candidate mask (protocol handling lives in
 //! `ganc-metrics`; parallel list generation lives here).
 
-pub mod item_avg;
-pub mod knn;
 pub mod pop;
 pub mod psvd;
 pub mod random;
@@ -50,10 +46,9 @@ pub trait Recommender: Send + Sync {
         false
     }
 
-    /// Whether [`Recommender::score_items`] ignores the user (Pop,
-    /// ItemAvg). Serving engines exploit this to compute the per-user
-    /// normalized accuracy vector once per model version instead of once
-    /// per request.
+    /// Whether [`Recommender::score_items`] ignores the user (Pop).
+    /// Serving engines exploit this to compute the per-user normalized
+    /// accuracy vector once per model version instead of once per request.
     fn scores_are_user_independent(&self) -> bool {
         false
     }

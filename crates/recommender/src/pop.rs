@@ -44,6 +44,11 @@ impl MostPopular {
         self.scores[item.idx()] += 1.0;
     }
 
+    /// Catalogue size: the number of items scored.
+    pub fn n_items(&self) -> usize {
+        self.scores.len()
+    }
+
     /// The popularity score of one item (its rating count).
     pub fn popularity_score(&self, item: ganc_dataset::ItemId) -> f64 {
         self.scores[item.idx()]

@@ -14,8 +14,6 @@ use ganc_core::oslg::oslg_seed_phase;
 use ganc_core::query::CoverageProvider;
 use ganc_core::FitConfig;
 use ganc_dataset::{Interactions, ItemId, UserId};
-use ganc_recommender::item_avg::ItemAvg;
-use ganc_recommender::knn::{ItemKnn, ItemKnnRecommender};
 use ganc_recommender::pop::MostPopular;
 use ganc_recommender::psvd::Psvd;
 use ganc_recommender::rankmf::RankMf;
@@ -25,18 +23,12 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// An owned, serializable fitted base recommender.
-///
-/// The one model whose scoring needs the train set at request time
-/// (item-kNN) is bound to it lazily by [`FittedModel::bind`].
+/// An owned, serializable fitted base recommender: one of the paper's
+/// accuracy recommenders (§IV-A).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FittedModel {
     /// Most-popular (§III-A's non-personalized accuracy champion).
     Pop(MostPopular),
-    /// Damped item-average ratings.
-    ItemAvg(ItemAvg),
-    /// Item-based kNN.
-    ItemKnn(ItemKnn),
     /// Regularized SVD (SGD matrix factorization).
     Rsvd(Rsvd),
     /// PureSVD via randomized truncated SVD.
@@ -45,75 +37,56 @@ pub enum FittedModel {
     RankMf(RankMf),
 }
 
-/// A [`FittedModel`] bound to train interactions, usable as a
-/// [`Recommender`] for scoring.
-pub enum BoundModel<'a> {
-    /// Models that score from their own state alone.
-    Owned(&'a dyn Recommender),
-    /// Item-kNN, which reads the user's train row at request time.
-    Knn(ItemKnnRecommender<'a>),
-}
+/// A [`FittedModel`] as a [`Recommender`] for scoring.
+#[derive(Clone, Copy)]
+pub struct BoundModel<'a>(&'a dyn Recommender);
 
 impl Recommender for BoundModel<'_> {
     fn name(&self) -> String {
-        match self {
-            BoundModel::Owned(m) => m.name(),
-            BoundModel::Knn(m) => m.name(),
-        }
+        self.0.name()
     }
 
     fn score_items(&self, user: UserId, out: &mut [f64]) {
-        match self {
-            BoundModel::Owned(m) => m.score_items(user, out),
-            BoundModel::Knn(m) => m.score_items(user, out),
-        }
+        self.0.score_items(user, out)
     }
 
     fn predicts_ratings(&self) -> bool {
-        match self {
-            BoundModel::Owned(m) => m.predicts_ratings(),
-            BoundModel::Knn(m) => m.predicts_ratings(),
-        }
+        self.0.predicts_ratings()
     }
 
     fn scores_are_user_independent(&self) -> bool {
-        match self {
-            BoundModel::Owned(m) => m.scores_are_user_independent(),
-            BoundModel::Knn(m) => m.scores_are_user_independent(),
-        }
+        self.0.scores_are_user_independent()
     }
 }
 
 impl FittedModel {
-    /// Bind to the train set for scoring.
-    pub fn bind<'a>(&'a self, train: &'a Interactions) -> BoundModel<'a> {
-        match self {
-            FittedModel::Pop(m) => BoundModel::Owned(m),
-            FittedModel::ItemAvg(m) => BoundModel::Owned(m),
-            FittedModel::ItemKnn(m) => BoundModel::Knn(ItemKnnRecommender::new(m, train)),
-            FittedModel::Rsvd(m) => BoundModel::Owned(m),
-            FittedModel::Psvd(m) => BoundModel::Owned(m),
-            FittedModel::RankMf(m) => BoundModel::Owned(m),
-        }
+    /// The model as a [`Recommender`]. Every model scores from its own
+    /// state alone, so `_train` is not read.
+    pub fn bind<'a>(&'a self, _train: &'a Interactions) -> BoundModel<'a> {
+        BoundModel(match self {
+            FittedModel::Pop(m) => m,
+            FittedModel::Rsvd(m) => m,
+            FittedModel::Psvd(m) => m,
+            FittedModel::RankMf(m) => m,
+        })
     }
 
-    /// For the three factor models, the `(n_users, n_items)` their factor
-    /// matrices are shaped for, or which part disagrees; `None` for the
-    /// models without factors.
-    fn factor_shape(&self) -> Option<Result<(usize, usize), &'static str>> {
-        match self {
-            FittedModel::Rsvd(m) => Some(m.shape()),
-            FittedModel::Psvd(m) => Some(m.shape()),
-            FittedModel::RankMf(m) => Some(m.shape()),
-            FittedModel::Pop(_) | FittedModel::ItemAvg(_) | FittedModel::ItemKnn(_) => None,
-        }
+    /// The `(n_users, n_items)` the model scores, or which part of it
+    /// disagrees. Pop scores every user alike, so it names no user count.
+    fn scored_shape(&self) -> Result<(Option<usize>, usize), &'static str> {
+        let factors = match self {
+            FittedModel::Pop(m) => return Ok((None, m.n_items())),
+            FittedModel::Rsvd(m) => m.shape(),
+            FittedModel::Psvd(m) => m.shape(),
+            FittedModel::RankMf(m) => m.shape(),
+        };
+        factors.map(|(users, items)| (Some(users), items))
     }
 
     fn variant_index(&self) -> u32 {
+        // Tags 1 and 2 are retired: decode refuses them, so no model reuses them.
         match self {
             FittedModel::Pop(_) => 0,
-            FittedModel::ItemAvg(_) => 1,
-            FittedModel::ItemKnn(_) => 2,
             FittedModel::Rsvd(_) => 3,
             FittedModel::Psvd(_) => 4,
             FittedModel::RankMf(_) => 5,
@@ -128,8 +101,6 @@ impl Serialize for FittedModel {
         s.put_variant(self.variant_index())?;
         match self {
             FittedModel::Pop(m) => m.serialize(s),
-            FittedModel::ItemAvg(m) => m.serialize(s),
-            FittedModel::ItemKnn(m) => m.serialize(s),
             FittedModel::Rsvd(m) => m.serialize(s),
             FittedModel::Psvd(m) => m.serialize(s),
             FittedModel::RankMf(m) => m.serialize(s),
@@ -141,8 +112,6 @@ impl<'de> Deserialize<'de> for FittedModel {
     fn deserialize<D: Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
         let model = match d.get_variant()? {
             0 => FittedModel::Pop(MostPopular::deserialize(d)?),
-            1 => FittedModel::ItemAvg(ItemAvg::deserialize(d)?),
-            2 => FittedModel::ItemKnn(ItemKnn::deserialize(d)?),
             3 => FittedModel::Rsvd(Rsvd::deserialize(d)?),
             4 => FittedModel::Psvd(Psvd::deserialize(d)?),
             5 => FittedModel::RankMf(RankMf::deserialize(d)?),
@@ -150,9 +119,7 @@ impl<'de> Deserialize<'de> for FittedModel {
         };
         // The scoring kernel indexes the factor matrices by their shapes:
         // a model whose parts disagree is refused here, not panicked on there.
-        if let Some(Err(what)) = model.factor_shape() {
-            return Err(d.invalid(what));
-        }
+        model.scored_shape().map_err(|what| d.invalid(what))?;
         Ok(model)
     }
 }
@@ -248,20 +215,20 @@ pub struct ModelBundle {
     /// user, sorted by user id). Served verbatim so bundle output matches
     /// batch output for sampled users too. Empty for Rand/Stat.
     pub seed_lists: Vec<(UserId, Vec<ItemId>)>,
-    /// The train interactions: candidate pools (`I^R \ I_u^R`) and the
-    /// per-user rows kNN scoring reads. Shared across θ-band slices — the
-    /// train set is the largest replicated component, and nothing mutates
-    /// it after fit.
+    /// The train interactions: candidate pools (`I^R \ I_u^R`). Shared
+    /// across θ-band slices — the train set is the largest replicated
+    /// component, and nothing mutates it after fit.
     pub train: Arc<Interactions>,
 }
 
 // Field by field as the derive would, then the checks the serving path
-// relies on: lists of at least one item, a factor model shaped for this
-// train set, θ holding one value in [0, 1] per train user (the range every
-// estimator produces; NaN is outside it), every seed list naming a train
-// user and at most `n` catalogue items (it is served verbatim), and a
-// `Stat` score vector or `Dyn` snapshot store sized for this catalogue
-// (the fused selection indexes it by item id).
+// relies on: lists of at least one item, a base model scoring this train
+// set's catalogue (and, for a factor model, its users), θ holding one
+// value in [0, 1] per train user (the range every estimator produces; NaN
+// is outside it), every seed list naming a train user and at most `n`
+// catalogue items (it is served verbatim), and a `Stat` score vector or
+// `Dyn` snapshot store sized for this catalogue (the fused selection
+// indexes it by item id).
 impl<'de> Deserialize<'de> for ModelBundle {
     fn deserialize<D: Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
         let bundle = ModelBundle {
@@ -278,8 +245,11 @@ impl<'de> Deserialize<'de> for ModelBundle {
             return Err(d.invalid("list size n ≥ 1"));
         }
         let served = (bundle.n_users() as usize, bundle.n_items() as usize);
-        if matches!(bundle.model.factor_shape(), Some(Ok(shape)) if shape != served) {
-            return Err(d.invalid("factor model shape for this train set"));
+        let fits = |(users, items): (Option<usize>, usize)| {
+            items == served.1 && users.is_none_or(|u| u == served.0)
+        };
+        if !bundle.model.scored_shape().is_ok_and(fits) {
+            return Err(d.invalid("base model shape for this train set"));
         }
         if bundle.theta.len() != served.0 {
             return Err(d.invalid("one θ per train user"));

@@ -21,7 +21,7 @@ use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::Interactions;
 use ganc::http::{Frontend, HttpClient, HttpServer, RefitHook, ServerConfig};
 use ganc::preference::generalized::GeneralizedConfig;
-use ganc::recommender::item_avg::ItemAvg;
+use ganc::recommender::psvd::Psvd;
 use ganc::serve::refit::Refitter;
 use ganc::serve::{CadenceConfig, FitConfig, FittedModel, ModelBundle, ShardConfig, ShardedEngine};
 use std::sync::Arc;
@@ -38,7 +38,7 @@ fn fit_cfg() -> FitConfig {
 fn fitter() -> Arc<Refitter> {
     Arc::new(|train: &Interactions| {
         (
-            FittedModel::ItemAvg(ItemAvg::fit(train, 5.0)),
+            FittedModel::Psvd(Psvd::train(train, 8, 3)),
             GeneralizedConfig::default().estimate(train),
         )
     })

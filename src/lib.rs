@@ -11,7 +11,7 @@
 //!   ([`ganc_metrics`])
 //! * [`preference`] — user long-tail novelty preference models θ
 //!   ([`ganc_preference`])
-//! * [`recommender`] — base recommenders: Pop, Rand, ItemAvg, RSVD, PSVD,
+//! * [`recommender`] — base recommenders: Pop, Rand, RSVD, PSVD,
 //!   RankMF ([`ganc_recommender`])
 //! * [`core`] — the GANC framework and the OSLG optimizer ([`ganc_core`])
 //! * [`rerank`] — the RBT / 5D / PRA baselines ([`ganc_rerank`])

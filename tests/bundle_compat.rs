@@ -1,8 +1,10 @@
 //! Artifact format compatibility: the v3 envelope round-trips for every
 //! coverage kind, every other format version — the retired v1 and v2
-//! included — is refused by the version gate instead of misread, and a
-//! factor model whose shapes disagree (with each other or with the train
-//! set), a θ vector not one per train user or holding a θ outside [0, 1]
+//! included — is refused by the version gate instead of misread, a model
+//! variant tag naming no model (the retired tags 1 and 2 included) is
+//! refused, and a factor model whose shapes disagree (with each other or
+//! with the train set), a Pop score vector sized for another catalogue, a
+//! θ vector not one per train user or holding a θ outside [0, 1]
 //! (NaN included), a list size of zero, a seed list naming a user outside
 //! the train set, an item outside the catalogue or more than `n` items, or
 //! a `Stat` score vector or `Dyn` snapshot store sized for another
@@ -204,10 +206,40 @@ fn a_bundle_whose_factor_model_fits_another_catalogue_is_refused_at_decode() {
     );
 
     let foreign = FittedModel::Psvd(Psvd::train(&other, K, 1));
-    let bytes = ModelBundle::fit(foreign, theta, train, &cfg)
+    let bytes = ModelBundle::fit(foreign, theta.clone(), train.clone(), &cfg)
         .to_bytes()
         .unwrap();
     assert_bundle_refused(&bytes, "a foreign catalogue's factor model");
+
+    // Pop scores by copying its vector into a catalogue-sized buffer; Stat
+    // coverage is the other kind that fits without scoring.
+    for kind in [CoverageKind::Random, CoverageKind::Static] {
+        let cfg = FitConfig {
+            coverage: kind,
+            ..FitConfig::new(5)
+        };
+        let foreign = FittedModel::Pop(MostPopular::fit(&other));
+        let bytes = ModelBundle::fit(foreign, theta.clone(), train.clone(), &cfg)
+            .to_bytes()
+            .unwrap();
+        assert_bundle_refused(&bytes, &format!("a foreign catalogue's Pop, {kind:?}"));
+    }
+}
+
+#[test]
+fn a_model_variant_tag_naming_no_model_is_refused_at_decode() {
+    let (train, theta) = fixture();
+    let bytes = fit(&train, &theta, CoverageKind::Static)
+        .to_bytes()
+        .unwrap();
+    // The model's variant tag follows θ; Pop's is 0.
+    let at = theta_at(&bytes, &theta) + 8 + 8 * theta.len();
+    assert_eq!(bytes[at..at + 4], 0u32.to_le_bytes());
+    for tag in [1u32, 2, 6] {
+        let mut edited = bytes.clone();
+        edited[at..at + 4].copy_from_slice(&tag.to_le_bytes());
+        assert_bundle_refused(&edited, &format!("model variant tag {tag}"));
+    }
 }
 
 /// A bundle's bytes that decode to a bundle the serving path would index

@@ -21,8 +21,6 @@ use ganc::http::{
 };
 use ganc::obs::ObsHub;
 use ganc::preference::generalized::GeneralizedConfig;
-use ganc::recommender::item_avg::ItemAvg;
-use ganc::recommender::knn::{ItemKnn, ItemKnnConfig};
 use ganc::recommender::pop::MostPopular;
 use ganc::recommender::psvd::Psvd;
 use ganc::recommender::rankmf::{RankMf, RankMfConfig};
@@ -55,8 +53,6 @@ fn fit_every_model(train: &Interactions) -> Vec<FittedModel> {
     };
     vec![
         FittedModel::Pop(MostPopular::fit(train)),
-        FittedModel::ItemAvg(ItemAvg::fit(train, 5.0)),
-        FittedModel::ItemKnn(ItemKnn::fit(train, ItemKnnConfig::default())),
         FittedModel::Rsvd(Rsvd::train(train, small_mf)),
         FittedModel::Psvd(Psvd::train(train, 8, 3)),
         FittedModel::RankMf(RankMf::train(train, small_rank)),
@@ -110,7 +106,7 @@ fn assert_all_users_match(
     }
 }
 
-/// All 6 base models × Stat/Dyn over an unsharded front: HTTP bytes ==
+/// All 4 base models × Stat/Dyn over an unsharded front: HTTP bytes ==
 /// in-process `recommend_traced` output, generation tag included.
 #[test]
 fn http_matches_in_process_for_every_model_and_coverage() {
@@ -119,8 +115,6 @@ fn http_matches_in_process_for_every_model_and_coverage() {
         for model in fit_every_model(&train) {
             let name = match &model {
                 FittedModel::Pop(_) => "Pop",
-                FittedModel::ItemAvg(_) => "ItemAvg",
-                FittedModel::ItemKnn(_) => "ItemKnn",
                 FittedModel::Rsvd(_) => "RSVD",
                 FittedModel::Psvd(_) => "PSVD",
                 FittedModel::RankMf(_) => "RankMF",

@@ -5,8 +5,9 @@
 //! the socket), every batch response must be single-generation, and
 //! ingests racing a swap must survive into the post-churn fit.
 //!
-//! Same attribution trick as the in-process suite: an ItemAvg base model
-//! makes non-ingested users' lists constant within a generation, so each
+//! Same attribution trick as the in-process suite: a base model that
+//! ingest never mutates (PureSVD; only Pop is bumped on ingest) makes
+//! non-ingested users' lists constant within a generation, so each
 //! observed (user, generation, items) triple either matches that
 //! generation's reference output or proves a tear.
 
@@ -16,7 +17,7 @@ use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::http::{wire, Frontend, HttpClient, HttpServer, RefitHook, Response, ServerConfig};
 use ganc::obs::ObsHub;
 use ganc::preference::generalized::GeneralizedConfig;
-use ganc::recommender::item_avg::ItemAvg;
+use ganc::recommender::psvd::Psvd;
 use ganc::serve::refit::{merge_interactions, Refitter};
 use ganc::serve::{
     EngineConfig, FitConfig, FittedModel, ModelBundle, ServingEngine, ShardConfig, ShardedEngine,
@@ -36,10 +37,10 @@ fn fit_cfg() -> FitConfig {
     }
 }
 
-fn item_avg_fitter() -> Arc<Refitter> {
+fn psvd_fitter() -> Arc<Refitter> {
     Arc::new(|train: &Interactions| {
         (
-            FittedModel::ItemAvg(ItemAvg::fit(train, 5.0)),
+            FittedModel::Psvd(Psvd::train(train, 8, 3)),
             GeneralizedConfig::default().estimate(train),
         )
     })
@@ -49,7 +50,7 @@ fn fixture() -> (Interactions, ModelBundle) {
     let data = DatasetProfile::tiny().generate(77);
     let split = data.split_per_user(0.5, 6).unwrap();
     let train = split.train;
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let (model, theta) = fitter(&train);
     let bundle = ModelBundle::fit(model, theta, train.clone(), &fit_cfg());
     (train, bundle)
@@ -80,7 +81,7 @@ fn http_swap_stress_has_no_torn_reads() {
 
     let engine = Arc::new(ShardedEngine::new(bundle.clone(), ShardConfig::quantile(3)));
     let hook = RefitHook {
-        fitter: item_avg_fitter(),
+        fitter: psvd_fitter(),
         cfg: fit_cfg(),
         cadence: None,
     };
@@ -245,7 +246,7 @@ fn http_ingests_survive_swaps_and_match_from_scratch_fit() {
     let (train, bundle) = fixture();
     let n_users = bundle.n_users();
     let engine = Arc::new(ShardedEngine::new(bundle, ShardConfig::quantile(2)));
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let hook = RefitHook {
         fitter: Arc::clone(&fitter),
         cfg: fit_cfg(),
@@ -337,7 +338,7 @@ fn ingest_and_swap_are_followed_by_a_worker_miss_never_a_stale_inline_hit() {
     let server = HttpServer::bind(
         Frontend::Sharded(Arc::clone(&engine)),
         Some(RefitHook {
-            fitter: item_avg_fitter(),
+            fitter: psvd_fitter(),
             cfg: fit_cfg(),
             cadence: None,
         }),
@@ -436,7 +437,7 @@ fn refit_endpoint_requires_hook_and_sharded_front() {
     let server = HttpServer::bind(
         Frontend::Single(Arc::clone(&single)),
         Some(RefitHook {
-            fitter: item_avg_fitter(),
+            fitter: psvd_fitter(),
             cfg: fit_cfg(),
             cadence: None,
         }),

@@ -18,7 +18,7 @@ use ganc::obs::{
     bucket_bounds_us, CatalogProfile, Clock, ManualClock, MetricsRegistry, ObsHub, RollingWindow,
 };
 use ganc::preference::generalized::GeneralizedConfig;
-use ganc::recommender::item_avg::ItemAvg;
+use ganc::recommender::psvd::Psvd;
 use ganc::serve::refit::Refitter;
 use ganc::serve::{
     BatchConfig, CadenceConfig, DurableConfig, EngineConfig, FitConfig, FittedModel, ModelBundle,
@@ -43,7 +43,7 @@ fn fit_cfg() -> FitConfig {
 fn fitter() -> Arc<Refitter> {
     Arc::new(|train: &Interactions| {
         (
-            FittedModel::ItemAvg(ItemAvg::fit(train, 5.0)),
+            FittedModel::Psvd(Psvd::train(train, 8, 3)),
             GeneralizedConfig::default().estimate(train),
         )
     })

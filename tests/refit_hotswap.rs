@@ -5,18 +5,20 @@
 //! output must equal a from-scratch `ModelBundle::fit` on the same
 //! accumulated interactions, and ingests racing a swap must never be lost.
 //!
-//! The stress fixtures use an ItemAvg base model: ingestion then perturbs
-//! only the ingested user's own output (candidate exclusion), so any user
-//! outside the designated ingest set has a *constant* expected list per
-//! generation — which is what lets readers attribute every observed
-//! response to a generation and detect tearing exactly.
+//! The stress fixtures rely on one property of their base model (PureSVD):
+//! it is a base model that ingest never mutates (only Pop is bumped on
+//! ingest). Ingestion then perturbs only the ingested user's own output
+//! (candidate exclusion), so any user outside the designated ingest set has
+//! a *constant* expected list per generation — which is what lets readers
+//! attribute every observed response to a generation and detect tearing
+//! exactly.
 
 use ganc::core::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::preference::generalized::GeneralizedConfig;
-use ganc::recommender::item_avg::ItemAvg;
 use ganc::recommender::pop::MostPopular;
+use ganc::recommender::psvd::Psvd;
 use ganc::serve::refit::{merge_interactions, RefitOutcome, Refitter};
 use ganc::serve::{
     CadenceConfig, EngineConfig, FitConfig, FittedModel, ModelBundle, RefitController,
@@ -37,10 +39,10 @@ fn fit_cfg() -> FitConfig {
     }
 }
 
-fn item_avg_fitter() -> Arc<Refitter> {
+fn psvd_fitter() -> Arc<Refitter> {
     Arc::new(|train: &Interactions| {
         (
-            FittedModel::ItemAvg(ItemAvg::fit(train, 5.0)),
+            FittedModel::Psvd(Psvd::train(train, 8, 3)),
             GeneralizedConfig::default().estimate(train),
         )
     })
@@ -50,7 +52,7 @@ fn fixture() -> (Interactions, ModelBundle) {
     let data = DatasetProfile::tiny().generate(13);
     let split = data.split_per_user(0.5, 4).unwrap();
     let train = split.train;
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let (model, theta) = fitter(&train);
     let bundle = ModelBundle::fit(model, theta, train.clone(), &fit_cfg());
     (train, bundle)
@@ -86,7 +88,7 @@ fn concurrent_swap_stress_has_no_torn_reads() {
         .unwrap()
         .insert(0, expected_lists(bundle, n_users));
     let stop = Arc::new(AtomicBool::new(false));
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let cfg = fit_cfg();
 
     std::thread::scope(|scope| {
@@ -197,7 +199,7 @@ fn racing_ingests_survive_swaps_and_match_from_scratch_fit() {
     let (train, bundle) = fixture();
     let n_users = bundle.n_users();
     let engine = Arc::new(ShardedEngine::new(bundle, ShardConfig::quantile(2)));
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let cfg = fit_cfg();
 
     // Single ingester thread (its send order defines last-wins), racing a
@@ -262,7 +264,7 @@ fn controller_swaps_under_load_stay_consistent() {
     let n_users = bundle.n_users();
     let reader_users: Vec<UserId> = (0..n_users - 2).map(UserId).collect();
     let engine = Arc::new(ShardedEngine::new(bundle, ShardConfig::quantile(3)));
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let cfg = fit_cfg();
     // Anything pending is refitted after 1 ms: the tightest cadence.
     let mut controller = RefitController::spawn_adaptive(

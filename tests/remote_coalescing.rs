@@ -18,8 +18,8 @@ use ganc::http::{
     BackendError, CoalescedShard, Frontend, HttpServer, PeerTransport, RemoteShard, ServerConfig,
 };
 use ganc::preference::generalized::GeneralizedConfig;
-use ganc::recommender::item_avg::ItemAvg;
 use ganc::recommender::pop::MostPopular;
+use ganc::recommender::psvd::Psvd;
 use ganc::serve::refit::Refitter;
 use ganc::serve::{
     BatchConfig, EngineConfig, FitConfig, FittedModel, ModelBundle, ServeError, ServingEngine,
@@ -48,10 +48,10 @@ fn pop_bundle() -> ModelBundle {
     ModelBundle::fit(FittedModel::Pop(pop), theta, split.train, &fit_cfg())
 }
 
-fn item_avg_fitter() -> Arc<Refitter> {
+fn psvd_fitter() -> Arc<Refitter> {
     Arc::new(|train: &Interactions| {
         (
-            FittedModel::ItemAvg(ItemAvg::fit(train, 5.0)),
+            FittedModel::Psvd(Psvd::train(train, 8, 3)),
             GeneralizedConfig::default().estimate(train),
         )
     })
@@ -191,7 +191,7 @@ fn coalesced_batches_are_never_mixed_generation_under_refit_churn() {
     let data = DatasetProfile::tiny().generate(77);
     let split = data.split_per_user(0.5, 6).unwrap();
     let train = split.train;
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let (model, theta) = fitter(&train);
     let bundle = ModelBundle::fit(model, theta, train, &fit_cfg());
     let n_users = bundle.n_users();

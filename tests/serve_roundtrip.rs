@@ -7,8 +7,6 @@ use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, UserId};
 use ganc::preference::generalized::GeneralizedConfig;
-use ganc::recommender::item_avg::ItemAvg;
-use ganc::recommender::knn::{ItemKnn, ItemKnnConfig};
 use ganc::recommender::pop::MostPopular;
 use ganc::recommender::psvd::Psvd;
 use ganc::recommender::rankmf::{RankMf, RankMfConfig};
@@ -37,8 +35,6 @@ fn fit_every_model(train: &Interactions) -> Vec<FittedModel> {
     };
     vec![
         FittedModel::Pop(MostPopular::fit(train)),
-        FittedModel::ItemAvg(ItemAvg::fit(train, 5.0)),
-        FittedModel::ItemKnn(ItemKnn::fit(train, ItemKnnConfig::default())),
         FittedModel::Rsvd(Rsvd::train(train, small_mf)),
         FittedModel::Psvd(Psvd::train(train, 8, 3)),
         FittedModel::RankMf(RankMf::train(train, small_rank)),

@@ -38,7 +38,7 @@ use ganc::http::{
     ShardRoute,
 };
 use ganc::preference::generalized::GeneralizedConfig;
-use ganc::recommender::item_avg::ItemAvg;
+use ganc::recommender::psvd::Psvd;
 use ganc::serve::refit::{merge_interactions, RefitOutcome, Refitter};
 use ganc::serve::{
     decode_stream, encode_record, DurableConfig, DurableLog, EngineConfig, FitConfig, FittedModel,
@@ -64,10 +64,10 @@ fn fit_cfg() -> FitConfig {
     }
 }
 
-fn item_avg_fitter() -> Arc<Refitter> {
+fn psvd_fitter() -> Arc<Refitter> {
     Arc::new(|train: &Interactions| {
         (
-            FittedModel::ItemAvg(ItemAvg::fit(train, 5.0)),
+            FittedModel::Psvd(Psvd::train(train, 8, 3)),
             GeneralizedConfig::default().estimate(train),
         )
     })
@@ -77,7 +77,7 @@ fn fixture() -> (Interactions, ModelBundle) {
     let data = DatasetProfile::tiny().generate(29);
     let split = data.split_per_user(0.5, 6).unwrap();
     let train = split.train;
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let (model, theta) = fitter(&train);
     let bundle = ModelBundle::fit(model, theta, train.clone(), &fit_cfg());
     (train, bundle)
@@ -97,7 +97,7 @@ fn scratch(name: &str) -> PathBuf {
 /// `sent`, in send order (merge is last-rating-wins).
 fn oracle_engine(train: &Interactions, sent: &[(UserId, ItemId, f32)]) -> ServingEngine {
     let accumulated = merge_interactions(train, sent);
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let (model, theta) = fitter(&accumulated);
     ServingEngine::new(
         ModelBundle::fit(model, theta, accumulated, &fit_cfg()),
@@ -342,7 +342,7 @@ fn crash_recovery_matches_from_scratch_fit() {
         "dedup no-ops must not grow the log"
     );
 
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let outcome = revived.refit_once(fitter.as_ref(), &fit_cfg());
     assert!(matches!(outcome, RefitOutcome::Swapped { .. }));
     assert_matches_oracle(
@@ -375,7 +375,7 @@ fn refit_without_artifact_path_keeps_wal_records() {
         assert_eq!(ack, IngestAck::Applied);
     }
 
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let outcome = engine.refit_once(fitter.as_ref(), &fit_cfg());
     assert!(matches!(outcome, RefitOutcome::Swapped { .. }));
     let stats = engine.wal_stats().expect("stats after attach");
@@ -431,7 +431,7 @@ fn torn_tail_applies_exactly_the_intact_prefix() {
     assert_eq!(replay.records, 11, "the torn record must not replay");
     assert!(replay.corrupted, "the tear must be reported");
 
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     revived.refit_once(fitter.as_ref(), &fit_cfg());
     assert_matches_oracle(
         &revived,
@@ -465,7 +465,7 @@ fn double_apply_after_unpersisted_truncate_self_heals() {
     // The "persisted artifact": a from-scratch fit that already contains
     // the storm — exactly what refit persisted before the crash.
     let accumulated = merge_interactions(&train, &sent);
-    let fitter = item_avg_fitter();
+    let fitter = psvd_fitter();
     let (model, theta) = fitter(&accumulated);
     let refitted = ModelBundle::fit(model, theta, accumulated, &fit_cfg());
 
@@ -747,7 +747,7 @@ proptest! {
     ) {
         let (wal, artifact) = (scratch("schedule_wal"), scratch("schedule_artifact"));
         let (_, base) = fixture();
-        let fitter = item_avg_fitter();
+        let fitter = psvd_fitter();
         let mut live = rebuild(&base, &wal, &artifact);
         // The window the schedule should have left, and every fresh key.
         let mut window: VecDeque<String> = VecDeque::new();
@@ -891,7 +891,7 @@ fn child_node_entrypoint() {
     let server = HttpServer::bind(
         Frontend::Sharded(engine),
         Some(RefitHook {
-            fitter: item_avg_fitter(),
+            fitter: psvd_fitter(),
             cfg: fit_cfg(),
             cadence: None,
         }),
