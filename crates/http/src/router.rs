@@ -22,7 +22,9 @@
 //! serving from the full bundle ([`ganc_serve::ModelBundle::slice_theta_band`]),
 //! so a router over any local/remote mix produces exactly the lists an
 //! in-process [`ganc_serve::ShardedEngine`] produces — which
-//! `tests/http_equivalence.rs` asserts across a real two-node topology.
+//! `tests/deployment_oracle.rs` asserts for routers over local slices,
+//! over nodes loaded from per-band artifacts behind HTTP, over a replicated
+//! band and over routers.
 //!
 //! Placement and the batch fan-out are [`ganc_serve::band`]'s, the same an
 //! in-process [`ganc_serve::ShardedEngine`] runs: one [`BandMap`] built
@@ -34,13 +36,15 @@
 //! live on remote nodes; an all-local batch runs its bands in sequence,
 //! each local engine already spreading its sub-batch over its own workers.
 //! Ordering, error selection, and the generation-skew check are therefore
-//! byte-for-byte identical to the sequential reference
-//! ([`RouterNode::recommend_batch_with_traced_sequential`], the same fold
-//! with every band treated as in-process), which `tests/router_fanout.rs`
-//! proves under injected slow/flaky/reordered peers. The one observable
-//! difference is side effects on the wire: the sequential path stops
-//! dispatching at the first failed band, the parallel path has already
-//! started the rest (read-only calls, so nothing diverges).
+//! byte-for-byte identical to the sequential dispatch
+//! ([`RouterNode::recommend_batch_traced_sequential`], the same fold with
+//! every band treated as in-process, at default options), which
+//! `tests/router_fanout.rs` proves under injected slow/flaky/reordered
+//! peers, comparing answers under every option shape with an in-process
+//! `ShardedEngine`. The one observable difference is side effects on the
+//! wire: the sequential path stops dispatching at the first failed band,
+//! the parallel path has already started the rest (read-only calls, so
+//! nothing diverges).
 
 use crate::replica::{ReplicaConfig, ReplicaSet, ReplicaStats, BAND_AVAILABILITY_SERIES};
 use crate::transport::{fan_out_ingest, BatchAnswer, PeerTransport, SingleAnswer};
@@ -361,25 +365,15 @@ impl RouterNode {
         &self.routes
     }
 
-    /// [`RouterNode::recommend_batch_with_traced_sequential`] at default
-    /// options.
-    pub fn recommend_batch_traced_sequential(&self, users: &[UserId]) -> BatchAnswer {
-        self.recommend_batch_with_traced_sequential(users, &RequestOptions::default())
-    }
-
-    /// The sequential reference dispatch: identical splitting, folding,
-    /// error selection, and skew detection, with bands visited one after
-    /// another (and no band dispatched after a failure). The parallel
+    /// The sequential dispatch at default options: identical splitting,
+    /// folding, error selection, and skew detection, with bands visited one
+    /// after another (and no band dispatched after a failure). The parallel
     /// path's response must be byte-identical to this — the equivalence
     /// `tests/router_fanout.rs` pins under injected adversarial timing —
     /// and the throughput bench uses it as the baseline the fan-out must
     /// beat.
-    pub fn recommend_batch_with_traced_sequential(
-        &self,
-        users: &[UserId],
-        opts: &RequestOptions,
-    ) -> BatchAnswer {
-        self.fold_batch(users, opts, false)
+    pub fn recommend_batch_traced_sequential(&self, users: &[UserId]) -> BatchAnswer {
+        self.fold_batch(users, &RequestOptions::default(), false)
     }
 
     /// The one batch fold behind both dispatch strategies ([`band_batch`]);

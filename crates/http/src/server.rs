@@ -13,7 +13,7 @@
 //! *request* and the bytes it occupied, a *fatal* framing violation, or a
 //! stream its peer *closed*. Where a request ends is decided there and nowhere in
 //! this module, which only moves bytes and acts on the answer;
-//! `tests/http_equivalence.rs` and `tests/http_protocol.rs` pin the
+//! `tests/deployment_oracle.rs` and `tests/http_protocol.rs` pin the
 //! resulting response bytes and close-vs-keep decisions.
 //!
 //! A complete request is answered in one of two places, by the same code

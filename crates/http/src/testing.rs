@@ -9,7 +9,8 @@
 //! arrivals are released LIFO. No sleeps, no sockets, same
 //! [`PeerTransport`] seam production uses, so `tests/router_fanout.rs` and
 //! `tests/remote_coalescing.rs` can pin byte-equivalence under timings a
-//! real network only produces by accident.
+//! real network only produces by accident (timing-free equivalence across
+//! every deployment shape is `tests/deployment_oracle.rs`'s).
 //!
 //! One wrapper, [`Injected`], holds the only [`PeerTransport`] impl: it
 //! forwards every call to an inner `Arc<dyn PeerTransport>` — usually an

@@ -7,14 +7,15 @@
 //! [`crate::RemoteShard`] (real HTTP) in [`crate::client`],
 //! [`crate::RouterNode`] and `Arc<`[`crate::ReplicaSet`]`>` beside their
 //! types. The server's handlers and the router's band dispatch call it and
-//! nothing else, so a θ-band answers the same list wherever it is mounted.
-//! It is also the seam that makes the router's concurrency testable: the
-//! deterministic fault/latency doubles in [`crate::testing`] implement the
-//! same trait to inject slow, flaky, or reordered peers without real
-//! sockets or sleeps — `tests/router_fanout.rs` and
-//! `tests/remote_coalescing.rs` prove the parallel fan-out and the
-//! coalescer byte-equivalent to their naive counterparts under that
-//! adversarial timing.
+//! nothing else, so a θ-band answers the same list wherever it is mounted
+//! — `tests/deployment_oracle.rs` replays one schedule against every mount
+//! as one trait call per shape. It is also the seam that makes the router's
+//! concurrency testable: the deterministic fault/latency doubles in
+//! [`crate::testing`] implement the same trait to inject slow, flaky, or
+//! reordered peers without real sockets or sleeps — `tests/router_fanout.rs`
+//! and `tests/remote_coalescing.rs` prove the parallel fan-out equal to an
+//! in-process sharded engine and the coalescer equal to uncoalesced calls
+//! under that adversarial timing.
 
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};

@@ -21,7 +21,8 @@
 //! popularity is global state every replica tracks, while the
 //! ingesting user's candidate exclusion only matters on the shard that
 //! serves them. Output is byte-identical to an unsharded engine by
-//! construction, which `tests/shard_equivalence.rs` checks exhaustively.
+//! construction, which `tests/deployment_oracle.rs` checks through ingests,
+//! resends and refits.
 //! So is the keyed half: a resend dedups in the engine's one window, with
 //! or without a WAL — the window outlives refit swaps, and a durable
 //! engine re-arms it from the keys its WAL replays.

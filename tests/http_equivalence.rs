@@ -1,34 +1,29 @@
 //! Socket-level equivalence: responses served over HTTP must be
 //! *byte-identical* to what the in-process engines produce — across every
 //! base model, Stat/Dyn coverage, sharded and unsharded fronts, generation
-//! tags included. The expected bodies are built by hand from the traced
-//! in-process output, so the wire format itself is pinned, not just the
-//! parsed payload.
-//!
-//! The final test is the acceptance criterion for multi-node serving: node
-//! B loads a `bundle.shard1.ganc` slice and serves its θ-band over HTTP;
-//! node A routes to it through `RemoteShard` (its other band local); node
-//! A's responses are byte-identical to a server fronting a single-process
-//! `ShardedEngine`.
+//! tags included. The deployment oracle (`tests/deployment_oracle.rs`)
+//! checks every answer of its HTTP front against bodies it builds by hand
+//! from the in-process answer, so the wire format itself is pinned, and
+//! routes bands to `Frontend::Single` nodes loaded from per-band artifact
+//! files; the first five tests here are pinned draws of it. The rest pin
+//! what only a server shows: inline cache answers, `?n=` and `/v1/stats`.
+
+mod oracle;
 
 use ganc::core::coverage::CoverageKind;
 use ganc::core::query::{cut_theta_bands, shard_of};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::http::{
-    Frontend, HttpClient, HttpServer, PeerTransport, RemoteShard, RouterNode, ServerConfig,
-    ShardRoute,
+    Frontend, HttpClient, HttpServer, PeerTransport, RouterNode, ServerConfig, ShardRoute,
 };
 use ganc::obs::ObsHub;
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
-use ganc::recommender::psvd::Psvd;
-use ganc::recommender::rankmf::{RankMf, RankMfConfig};
-use ganc::recommender::rsvd::{Rsvd, RsvdConfig};
 use ganc::serve::{
-    EngineConfig, FitConfig, FittedModel, ModelBundle, SaveLoad, ServingEngine, ShardConfig,
-    ShardedEngine,
+    EngineConfig, FitConfig, FittedModel, ModelBundle, ServingEngine, ShardConfig, ShardedEngine,
 };
+use oracle::*;
 use std::sync::Arc;
 
 const N: usize = 5;
@@ -38,25 +33,6 @@ fn fixture() -> (Interactions, Vec<f64>) {
     let split = data.split_per_user(0.5, 3).unwrap();
     let theta = GeneralizedConfig::default().estimate(&split.train);
     (split.train, theta)
-}
-
-fn fit_every_model(train: &Interactions) -> Vec<FittedModel> {
-    let small_mf = RsvdConfig {
-        factors: 8,
-        epochs: 4,
-        ..RsvdConfig::default()
-    };
-    let small_rank = RankMfConfig {
-        factors: 8,
-        epochs: 3,
-        ..RankMfConfig::default()
-    };
-    vec![
-        FittedModel::Pop(MostPopular::fit(train)),
-        FittedModel::Rsvd(Rsvd::train(train, small_mf)),
-        FittedModel::Psvd(Psvd::train(train, 8, 3)),
-        FittedModel::RankMf(RankMf::train(train, small_rank)),
-    ]
 }
 
 fn bundle_for(model: FittedModel, kind: CoverageKind) -> ModelBundle {
@@ -86,170 +62,72 @@ fn expected_recommend_body(user: u32, generation: u64, items: &[ItemId]) -> Stri
     )
 }
 
-fn assert_all_users_match(
-    client: &mut HttpClient,
-    n_users: u32,
-    label: &str,
-    expect: impl Fn(UserId) -> (Arc<Vec<ItemId>>, u64),
-) {
-    for u in 0..n_users {
-        let (list, generation) = expect(UserId(u));
-        let resp = client
-            .request("GET", &format!("/v1/recommend/{u}"), None)
-            .expect("http round-trip");
-        assert_eq!(resp.status, 200, "{label}: user {u}");
-        assert_eq!(
-            String::from_utf8(resp.body).unwrap(),
-            expected_recommend_body(u, generation, &list),
-            "{label}: user {u} body is not byte-identical"
-        );
+/// `steps(setup)` for every base model × Stat/Dyn on the tiny fixture.
+fn every_model_and_coverage(steps: impl Fn(&Setup) -> Vec<Step>) {
+    for coverage in [Static, Dynamic] {
+        for base in Base::ALL {
+            let setup = fixture_setup(base, coverage);
+            check(setup, steps(&setup));
+        }
     }
 }
 
-/// All 4 base models × Stat/Dyn over an unsharded front: HTTP bytes ==
-/// in-process `recommend_traced` output, generation tag included.
+fn fixture_setup(base: Base, coverage: CoverageKind) -> Setup {
+    Setup::of(Tiny(97), base, coverage, Normalized)
+}
+
+/// All 4 base models × Stat/Dyn: every user's HTTP body equals the
+/// in-process answer, generation tag included.
 #[test]
 fn http_matches_in_process_for_every_model_and_coverage() {
-    let (train, _) = fixture();
-    for kind in [CoverageKind::Static, CoverageKind::Dynamic] {
-        for model in fit_every_model(&train) {
-            let name = match &model {
-                FittedModel::Pop(_) => "Pop",
-                FittedModel::Rsvd(_) => "RSVD",
-                FittedModel::Psvd(_) => "PSVD",
-                FittedModel::RankMf(_) => "RankMF",
-            };
-            let engine = Arc::new(ServingEngine::new(
-                bundle_for(model, kind),
-                EngineConfig::default(),
-            ));
-            let (_server, mut client) = serve(Frontend::Single(Arc::clone(&engine)));
-            assert_all_users_match(
-                &mut client,
-                engine.n_users(),
-                &format!("{name}/{kind:?}"),
-                |u| engine.recommend_traced(u).unwrap(),
-            );
-        }
-    }
+    every_model_and_coverage(every_user);
 }
 
-/// Same property through an in-process sharded front.
+/// The same through a batch straddling every band of the sharded front.
 #[test]
 fn http_matches_in_process_sharded() {
-    let (train, _) = fixture();
-    for kind in [CoverageKind::Static, CoverageKind::Dynamic] {
-        for model in fit_every_model(&train) {
-            let engine = Arc::new(ShardedEngine::new(
-                bundle_for(model, kind),
-                ShardConfig::quantile(3),
-            ));
-            let (_server, mut client) = serve(Frontend::Sharded(Arc::clone(&engine)));
-            assert_all_users_match(
-                &mut client,
-                engine.n_users(),
-                &format!("sharded/{kind:?}"),
-                |u| engine.recommend_traced(u).unwrap(),
-            );
-        }
-    }
+    every_model_and_coverage(|setup| vec![one_batch(setup)]);
 }
 
-/// The batch endpoint routes through `recommend_batch_traced`: one
-/// generation for the whole batch, slots in request order, unknown users
-/// reported in-slot.
+/// The batch endpoint: one generation for the whole batch, slots in
+/// request order, unknown users reported in-slot.
 #[test]
 fn http_batch_matches_in_process_and_reports_one_generation() {
-    let engine = Arc::new(ShardedEngine::new(
-        bundle_for(
-            FittedModel::Pop(MostPopular::fit(&fixture().0)),
-            CoverageKind::Dynamic,
-        ),
-        ShardConfig::quantile(2),
-    ));
-    let n_users = engine.n_users();
-    let (_server, mut client) = serve(Frontend::Sharded(Arc::clone(&engine)));
-
-    let bad = n_users + 7;
-    let ids: Vec<String> = (0..n_users).chain([bad]).map(|u| u.to_string()).collect();
-    let body = format!("{{\"users\":[{}]}}", ids.join(","));
-    let resp = client
-        .request("POST", "/v1/recommend:batch", Some(&body))
-        .unwrap();
-    assert_eq!(resp.status, 200);
-
-    let users: Vec<UserId> = (0..n_users).chain([bad]).map(UserId).collect();
-    let (answers, generation) = engine.recommend_batch_traced(&users);
-    let slots: Vec<String> = users
-        .iter()
-        .zip(&answers)
-        .map(|(u, answer)| match answer {
-            Ok(list) => {
-                let items: Vec<String> = list.iter().map(|i| i.0.to_string()).collect();
-                format!("{{\"user\":{},\"items\":[{}]}}", u.0, items.join(","))
-            }
-            Err(_) => format!(
-                "{{\"error\":\"unknown user {0}\",\"unknown_user\":{0}}}",
-                u.0
-            ),
-        })
-        .collect();
-    let expected = format!(
-        "{{\"generation\":{generation},\"results\":[{}]}}",
-        slots.join(",")
+    let setup = fixture_setup(Pop, Dynamic);
+    let n = setup.data.dims().0;
+    check(
+        setup,
+        vec![Batch(vec![2, n + 7, 0, 2, n], Plain), one_batch(&setup)],
     );
-    assert_eq!(String::from_utf8(resp.body).unwrap(), expected);
 }
 
-/// Generation tags over HTTP follow a hot swap: the server shares the
-/// engine, so a swap is visible on the very next request, and the body is
-/// byte-identical to the new generation's in-process output.
+/// Generation tags over HTTP follow a refit: every front bumps the
+/// generation, and the bodies are the new generation's output.
 #[test]
 fn generation_tags_follow_hot_swap_over_http() {
-    let (train, theta) = fixture();
-    let cfg = FitConfig {
-        coverage: CoverageKind::Static,
-        sample_size: 12,
-        ..FitConfig::new(N)
-    };
-    let a = ModelBundle::fit(
-        FittedModel::Pop(MostPopular::fit(&train)),
-        theta.clone(),
-        train.clone(),
-        &cfg,
-    );
-    let b = ModelBundle::fit(
-        FittedModel::Pop(MostPopular::fit(&train)),
-        vec![1.0; theta.len()],
-        train.clone(),
-        &cfg,
-    );
-    let engine = Arc::new(ServingEngine::new(a, EngineConfig::default()));
-    let (_server, mut client) = serve(Frontend::Single(Arc::clone(&engine)));
+    let setup = fixture_setup(Pop, Static);
+    let steps = vec![
+        Get(0, Plain),
+        Ingest(Some(1), 0, 5, 5),
+        Refit,
+        Get(0, Plain),
+        one_batch(&setup),
+        Refit,
+        Get(0, Plain),
+    ];
+    check(setup, steps);
+}
 
-    let before = client.request("GET", "/v1/recommend/0", None).unwrap();
-    let (list0, g0) = engine.recommend_traced(UserId(0)).unwrap();
-    assert_eq!(
-        String::from_utf8(before.body).unwrap(),
-        expected_recommend_body(0, g0, &list0)
-    );
-    assert_eq!(g0, 0);
-
-    assert_eq!(engine.swap_bundle(b), 1);
-    let after = client.request("GET", "/v1/recommend/0", None).unwrap();
-    let (list1, g1) = engine.recommend_traced(UserId(0)).unwrap();
-    assert_eq!(g1, 1, "swap must bump the served generation");
-    assert_eq!(
-        String::from_utf8(after.body).unwrap(),
-        expected_recommend_body(0, g1, &list1)
-    );
-    assert_ne!(list0, list1, "θ flip must change the served list");
-
-    let health = client.request("GET", "/v1/healthz", None).unwrap();
-    assert_eq!(
-        String::from_utf8(health.body).unwrap(),
-        "{\"ok\":true,\"generation\":1}"
-    );
+/// **Acceptance criterion**: nodes load their band's persisted
+/// `bundle.shardK.ganc` slice and serve it over HTTP; a router over them
+/// answers byte-identically to a single-process `ShardedEngine` — for
+/// every user, every band, and batches that straddle the remote hops.
+#[test]
+fn two_node_remote_shard_deployment_matches_single_process() {
+    let setup = fixture_setup(Pop, Dynamic);
+    let mut steps = every_user(&setup);
+    steps.push(one_batch(&setup));
+    check(setup, steps);
 }
 
 /// `?n=` serves a prefix of the bundle's top-N without recomputing.
@@ -456,86 +334,4 @@ fn stats_report_cache_and_shard_map() {
     // ±∞ band edges encode as null.
     assert!(shards[0]["theta_lo"].is_null());
     assert!(shards[2]["theta_hi"].is_null());
-}
-
-/// **Acceptance criterion**: a real two-node deployment. Node B loads the
-/// persisted `bundle.shard1.ganc` slice and serves its θ-band over HTTP;
-/// node A serves band 0 locally and routes band 1 to B via `RemoteShard`.
-/// Node A's HTTP responses are byte-identical to a server fronting a
-/// single-process `ShardedEngine` over the full bundle — for every user,
-/// both bands, plus batches that straddle the remote hop.
-#[test]
-fn two_node_remote_shard_deployment_matches_single_process() {
-    let bundle = bundle_for(
-        FittedModel::Pop(MostPopular::fit(&fixture().0)),
-        CoverageKind::Dynamic,
-    );
-    let n_users = bundle.n_users();
-
-    // Reference: single-process sharded engine behind HTTP.
-    let reference = Arc::new(ShardedEngine::new(bundle.clone(), ShardConfig::quantile(2)));
-    let (_ref_server, mut ref_client) = serve(Frontend::Sharded(Arc::clone(&reference)));
-
-    // Deployment artifacts: one slice per node.
-    let dir = std::env::temp_dir().join("ganc_http_two_node");
-    std::fs::create_dir_all(&dir).unwrap();
-    let base = dir.join("bundle.ganc");
-    let paths = reference.save_shard_artifacts(&base).unwrap();
-    assert_eq!(paths.len(), 2);
-    assert!(paths[1].ends_with("bundle.shard1.ganc"));
-
-    // Node B: loads shard 1's artifact, serves it as a plain single engine.
-    let slice_b = ModelBundle::load(&paths[1]).unwrap();
-    let node_b_engine = Arc::new(ServingEngine::new(slice_b, EngineConfig::default()));
-    let (node_b, _) = serve(Frontend::Single(node_b_engine));
-
-    // Node A: band 0 local (from shard 0's artifact), band 1 remote via B.
-    let slice_a = ModelBundle::load(&paths[0]).unwrap();
-    let cuts: Vec<f64> = reference.shard_info()[1..]
-        .iter()
-        .map(|i| i.theta_lo)
-        .collect();
-    let theta = Arc::clone(&slice_a.theta);
-    let local = Arc::new(ServingEngine::new(slice_a, EngineConfig::default()));
-    let remote = RemoteShard::connect(node_b.local_addr().to_string()).expect("node B reachable");
-    let router = Arc::new(RouterNode::new(
-        theta,
-        cuts,
-        vec![ShardRoute::Local(local), ShardRoute::remote(remote)],
-    ));
-    assert_eq!(router.shards(), 2);
-    let (_node_a, mut client_a) = serve(Frontend::Router(Arc::clone(&router)));
-
-    // Every user: node A's bytes == the single-process server's bytes.
-    for u in 0..n_users {
-        let path = format!("/v1/recommend/{u}");
-        let via_router = client_a.request("GET", &path, None).unwrap();
-        let via_reference = ref_client.request("GET", &path, None).unwrap();
-        assert_eq!(via_router.status, 200, "user {u}");
-        assert_eq!(
-            String::from_utf8(via_router.body).unwrap(),
-            String::from_utf8(via_reference.body).unwrap(),
-            "user {u}: two-node response diverges from single-process"
-        );
-    }
-
-    // Batches that straddle the remote hop: byte-identical too.
-    let ids: Vec<String> = (0..n_users).rev().map(|u| u.to_string()).collect();
-    let body = format!("{{\"users\":[{}]}}", ids.join(","));
-    let via_router = client_a
-        .request("POST", "/v1/recommend:batch", Some(&body))
-        .unwrap();
-    let via_reference = ref_client
-        .request("POST", "/v1/recommend:batch", Some(&body))
-        .unwrap();
-    assert_eq!(via_router.status, 200);
-    assert_eq!(
-        String::from_utf8(via_router.body).unwrap(),
-        String::from_utf8(via_reference.body).unwrap(),
-        "two-node batch diverges from single-process"
-    );
-
-    for p in paths {
-        std::fs::remove_file(p).ok();
-    }
 }

@@ -1,6 +1,6 @@
-//! The parallel router fan-out is **byte-identical** to the sequential
-//! reference dispatch — under adversarial timing, not just on a quiet
-//! loopback. The deterministic doubles from `ganc::http::testing` inject
+//! The parallel router fan-out is **byte-identical** to an in-process
+//! `ShardedEngine` and to the sequential dispatch — under adversarial
+//! timing, not just on a quiet loopback. The deterministic doubles from `ganc::http::testing` inject
 //! the adversities as pure synchronization (no sleeps, no sockets):
 //!
 //! * [`SlowPeer`] — an arbitrary band provably answers *after* every other
@@ -16,20 +16,22 @@
 //! Compared surfaces: per-slot lists, per-slot errors, ordering, the
 //! batch's generation tag, and (for the HTTP case) the raw response bytes.
 
+mod oracle;
+
 use ganc::core::coverage::CoverageKind;
 use ganc::core::query::{band_bounds, cut_theta_bands, shard_of};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{ItemId, UserId};
 use ganc::http::testing::{FlakyPeer, Ledger, LedgerPeer, ReorderGate, ReorderingPeer, SlowPeer};
 use ganc::http::{
-    BackendError, Frontend, HttpClient, HttpServer, PeerTransport, ReplicaConfig, ReplicaSet,
-    RouterNode, ServerConfig, ShardRoute,
+    BackendError, Frontend, HttpClient, HttpServer, PeerTransport, ReplicaConfig, RouterNode,
+    ServerConfig, ShardRoute,
 };
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::serve::{
-    EngineConfig, FitConfig, FittedModel, IngestAck, ModelBundle, RequestOptions, RerankMode,
-    ServeError, ServingEngine, ShardConfig, ShardedEngine,
+    EngineConfig, FitConfig, FittedModel, ModelBundle, RequestOptions, RerankMode, ServeError,
+    ServingEngine, ShardConfig, ShardedEngine,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -177,8 +179,8 @@ proptest! {
     /// Across band counts {1,2,4,7}, arbitrary batches (straddling bands,
     /// duplicates, unknown users), every option shape, and an arbitrary
     /// provably-last band: the parallel fan-out's slots, ordering,
-    /// per-slot errors, and generation tag are identical to the
-    /// sequential reference.
+    /// per-slot errors, and generation tag are identical to an in-process
+    /// `ShardedEngine` over the same bundle and cuts.
     #[test]
     fn parallel_fanout_matches_sequential_under_a_slow_band(
         s_idx in 0usize..BAND_COUNTS.len(),
@@ -188,9 +190,10 @@ proptest! {
     ) {
         let bands = BAND_COUNTS[s_idx];
         let h = Harness::build(bands);
+        let sharded = ShardedEngine::new(fixture_bundle().clone(), ShardConfig::quantile(bands));
         // 0..60 over a 50-user fixture: unknown users ride along in-slot.
         let users: Vec<UserId> = raw_users.iter().map(|&u| UserId(u)).collect();
-        let sequential = h.router.recommend_batch_with_traced_sequential(&users, &opts);
+        let expected = sharded.recommend_batch_with_traced(&users, &opts);
         let slow_band = slow_pick % bands;
         // A θ override collapses the batch onto the one band owning that
         // θ: no other band ever completes, so there is nothing to wait for.
@@ -199,12 +202,11 @@ proptest! {
         }
         let parallel = h.router.recommend_batch_with_traced(&users, &opts);
         h.slow[slow_band].delay_until(0);
-        let context = format!("bands={bands} slow={slow_band} opts={opts:?} users={raw_users:?}");
-        match (&sequential, &parallel) {
-            (Ok(_), Ok(_)) => {}
-            (seq, par) => prop_assert!(false, "healthy bands must answer: {seq:?} vs {par:?}"),
-        }
-        assert_equivalent(sequential, parallel, &context);
+        prop_assert_eq!(
+            parallel,
+            Ok(expected),
+            "bands={} slow={} opts={:?} users={:?}", bands, slow_band, opts, raw_users
+        );
     }
 }
 
@@ -406,131 +408,44 @@ fn unknown_users_stay_in_slot_under_parallel_dispatch() {
     assert_equivalent(sequential, parallel, "unknown users in-slot");
 }
 
-/// The serving stack's promise, as a table: the same fitted slice answers
-/// the same list, generation, typed rejection and ingest ack however it is
-/// mounted — called directly, as a `dyn PeerTransport`, as a router's
-/// `Local` or `Remote` band, as a one-member replica group, or behind a
-/// router that is itself another router's `Remote` band — and a WAL-less
-/// sharded engine over the same bundle, called directly or as a `Remote`
-/// band, answers alike, a keyed resend included.
+/// The serving stack's promise, as a table: the same fitted bundle
+/// answers the same list, generation, typed rejection and ingest ack
+/// however it is mounted — a pinned draw of the deployment oracle
+/// (`tests/deployment_oracle.rs`), whose shapes include an engine as a
+/// `dyn PeerTransport`, a router's `Local` and `Remote` bands, a one-member
+/// replica group, a router under a router and WAL-less sharded engines:
+/// reads under default options, a θ override and an exclusion, then an
+/// applied keyed and unkeyed ingest, both typed rejections and a keyed
+/// resend every mount dedups, then the reads again.
 #[test]
 fn a_mount_does_not_change_an_answer() {
-    let bundle = fixture_bundle();
-    let n_users = bundle.n_users();
-    let engine = || Arc::new(ServingEngine::new(bundle.clone(), EngineConfig::default()));
-    let sharded = || Arc::new(ShardedEngine::new(bundle.clone(), ShardConfig::quantile(3)));
-    let one_band = |route: ShardRoute| -> Arc<RouterNode> {
-        let theta = Arc::clone(&bundle.theta);
-        Arc::new(RouterNode::new(theta, Vec::new(), vec![route]))
-    };
-    // Every mount over an engine of its own, so each sees the same history.
-    let mounts: Vec<(&str, Arc<dyn PeerTransport>)> = vec![
-        ("engine as dyn PeerTransport", engine()),
-        ("ShardRoute::Local", one_band(ShardRoute::Local(engine()))),
-        ("ShardRoute::Remote", one_band(ShardRoute::Remote(engine()))),
-        (
-            "one-member ReplicaSet",
-            Arc::new(ReplicaSet::new(vec![engine()], ReplicaConfig::default())),
-        ),
-        (
-            "router under a router",
-            one_band(ShardRoute::Remote(one_band(ShardRoute::Remote(engine())))),
-        ),
-        ("WAL-less ShardedEngine as dyn PeerTransport", sharded()),
-        (
-            "ShardRoute::Remote over a WAL-less ShardedEngine",
-            one_band(ShardRoute::Remote(sharded())),
-        ),
-    ];
-    let reference = engine();
-
-    let mut excluding = RequestOptions::default();
-    excluding.set_exclude(
-        reference.recommend(UserId(3)).unwrap()[..2]
-            .iter()
-            .map(|i| i.0)
-            .collect(),
+    let setup = oracle::Setup::of(
+        oracle::Tiny(41),
+        oracle::Pop,
+        oracle::Dynamic,
+        oracle::Normalized,
     );
-    let request_shapes = [
-        ("default options", RequestOptions::default()),
-        (
-            "θ override",
-            RequestOptions {
-                theta: Some(0.9),
-                ..RequestOptions::default()
-            },
-        ),
-        ("exclusion", excluding),
-    ];
-    let stranger = UserId(n_users + 3);
-    let batch = [UserId(3), stranger, UserId(0), UserId(3)];
-    let compare_reads = |when: &str| {
-        for (shape, opts) in &request_shapes {
-            for user in [UserId(0), UserId(3), stranger] {
-                let want = reference
-                    .recommend_with_traced(user, opts)
-                    .map_err(BackendError::Serve);
-                for (mount, peer) in &mounts {
-                    let got = peer.recommend_with_traced(user, opts);
-                    assert_eq!(got, want, "{mount}, {shape}, user {}, {when}", user.0);
-                }
+    let stranger = setup.data.dims().0 + 3;
+    let reads = || {
+        let mut steps = Vec::new();
+        for opt in [oracle::Plain, oracle::Theta(7), oracle::Exclude(vec![1, 2])] {
+            for user in [0, 3, stranger] {
+                steps.push(oracle::Get(user, opt.clone()));
             }
-            let want = reference.recommend_batch_with_traced(&batch, opts);
-            assert_eq!(want.0[1], Err(ServeError::UnknownUser(stranger)));
-            for (mount, peer) in &mounts {
-                let got = peer.recommend_batch_with_traced(&batch, opts);
-                assert_eq!(got, Ok(want.clone()), "{mount}, {shape} batch, {when}");
-            }
+            steps.push(oracle::Batch(vec![3, stranger, 0, 3], opt));
         }
-        for (mount, peer) in &mounts {
-            assert_eq!(peer.generation(), Ok(reference.generation()), "{mount}");
-        }
+        steps
     };
-    compare_reads("before any ingest");
-
-    // Ingests: an applied one (keyed and unkeyed), both typed rejections,
-    // and a keyed resend of the first, which every mount dedups.
-    let (applied, deduplicated) = (Ok(IngestAck::Applied), Ok(IngestAck::Deduplicated));
-    let writes = [
-        (Some("mount-0"), UserId(3), ItemId(1), applied),
-        (None, UserId(0), ItemId(2), applied),
-        (
-            Some("mount-1"),
-            stranger,
-            ItemId(1),
-            Err(ServeError::UnknownUser(stranger)),
-        ),
-        (
-            Some("mount-2"),
-            UserId(3),
-            ItemId(u32::MAX),
-            Err(ServeError::UnknownItem(ItemId(u32::MAX))),
-        ),
-        (Some("mount-0"), UserId(3), ItemId(1), deduplicated),
-    ];
-    for (key, user, item, ack) in writes {
-        let want = reference.ingest_keyed(key, user, item, 5.0);
-        assert_eq!(
-            want, ack,
-            "reference, ingest by user {} of {}",
-            user.0, item.0
-        );
-        let want = want.map_err(BackendError::Serve);
-        for (mount, peer) in &mounts {
-            let got = peer.ingest_keyed(key, user, item, 5.0);
-            assert_eq!(
-                got, want,
-                "{mount}, ingest by user {} of {}",
-                user.0, item.0
-            );
-        }
-    }
-    assert_eq!(
-        reference.stats().ingested,
-        2,
-        "two of the five writes apply; the resend is answered `Deduplicated`"
-    );
-    compare_reads("after the ingests");
+    let mut steps = reads();
+    steps.extend([
+        oracle::Ingest(Some(0), 3, 1, 5),
+        oracle::Ingest(None, 0, 2, 5),
+        oracle::Ingest(Some(1), stranger, 1, 5),
+        oracle::Ingest(Some(2), 3, u32::MAX, 5),
+        oracle::Ingest(Some(0), 3, 1, 5),
+    ]);
+    steps.extend(reads());
+    oracle::check(setup, steps);
 }
 
 /// What an operator sees of a mount is its *mount*, not the type behind

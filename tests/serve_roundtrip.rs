@@ -1,17 +1,20 @@
 //! Artifact round-trip properties: for every base recommender and both
 //! stateful coverage kinds, save → load must reproduce the exact top-N
-//! output of the original fitted state. Seeded-RNG cases stand in for
-//! proptest shrinking: each scenario runs over several generated datasets.
+//! output of the original fitted state (a pinned draw of the deployment
+//! oracle, `tests/deployment_oracle.rs`), components round-trip alone, and
+//! damaged artifacts are refused.
 
-use ganc::core::coverage::CoverageKind;
+mod oracle;
+
 use ganc::dataset::synth::DatasetProfile;
-use ganc::dataset::{Interactions, UserId};
+use ganc::dataset::Interactions;
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::recommender::psvd::Psvd;
 use ganc::recommender::rankmf::{RankMf, RankMfConfig};
 use ganc::recommender::rsvd::{Rsvd, RsvdConfig};
-use ganc::serve::{EngineConfig, FitConfig, FittedModel, ModelBundle, SaveLoad, ServingEngine};
+use ganc::serve::{FitConfig, FittedModel, ModelBundle, SaveLoad};
+use oracle::{check, one_batch, Base, Dynamic, Normalized, Setup, Static, Tiny};
 
 const DATA_SEEDS: [u64; 3] = [11, 47, 2026];
 
@@ -42,34 +45,15 @@ fn fit_every_model(train: &Interactions) -> Vec<FittedModel> {
 }
 
 /// save → load → identical top-N for every recommender × coverage kind ×
-/// dataset seed.
+/// dataset seed: the deployment oracle's reloaded bundle equals the saved
+/// one and answers a batch of every user as the engine over the original.
 #[test]
 fn loaded_bundles_serve_identical_lists() {
-    for data_seed in DATA_SEEDS {
-        let (train, theta) = fixture(data_seed);
-        for model in fit_every_model(&train) {
-            for kind in [CoverageKind::Static, CoverageKind::Dynamic] {
-                let cfg = FitConfig {
-                    coverage: kind,
-                    sample_size: 15,
-                    ..FitConfig::new(5)
-                };
-                let bundle = ModelBundle::fit(model.clone(), theta.clone(), train.clone(), &cfg);
-                let name = bundle.model_name.clone();
-                let restored = ModelBundle::from_bytes(&bundle.to_bytes().unwrap())
-                    .unwrap_or_else(|e| panic!("{name}/{kind:?}/seed{data_seed}: {e}"));
-                assert_eq!(restored, bundle, "{name}/{kind:?}/seed{data_seed}");
-
-                let original = ServingEngine::new(bundle, EngineConfig::default());
-                let loaded = ServingEngine::new(restored, EngineConfig::default());
-                for u in 0..train.n_users() {
-                    let a = original.recommend(UserId(u)).unwrap();
-                    let b = loaded.recommend(UserId(u)).unwrap();
-                    assert_eq!(
-                        a, b,
-                        "{name}/{kind:?}/seed{data_seed}: user {u} diverged after reload"
-                    );
-                }
+    for seed in DATA_SEEDS {
+        for base in Base::ALL {
+            for coverage in [Static, Dynamic] {
+                let setup = Setup::of(Tiny(seed), base, coverage, Normalized);
+                check(setup, vec![one_batch(&setup)]);
             }
         }
     }

@@ -1,176 +1,45 @@
 //! The sharding acceptance property: a [`ShardedEngine`] — users
 //! partitioned into θ bands, each shard holding only its band's snapshot
 //! sub-range — produces **byte-identical** top-N output to a single
-//! [`ServingEngine`] over the same bundle, and to the batch OSLG optimizer,
-//! for random datasets, every coverage kind, shard counts S ∈ {1, 2, 4, 7},
-//! uneven explicit band cuts (including duplicate cuts that leave bands
-//! empty), and after online ingestion — and the encodings of band
-//! membership (the [`BandMap`] both cross-band layers place users with,
-//! `shard_of`, and `slice_theta_band`'s θ filter) agree.
+//! engine over the same bundle, and to the batch OSLG optimizer, for
+//! every coverage kind, shard counts 1–4, uneven explicit band cuts
+//! (including a duplicate cut that leaves a band empty), and after online
+//! ingestion (pinned draws of the deployment oracle,
+//! `tests/deployment_oracle.rs`, which generates the rest) — and the
+//! encodings of band membership (the [`BandMap`] both cross-band layers
+//! place users with, `shard_of`, and `slice_theta_band`'s θ filter) agree.
+
+mod oracle;
 
 use ganc::core::query::{band_bounds, shard_of};
-use ganc::core::{build_topn, AccuracyMode, CoverageKind};
-use ganc::dataset::dataset::{DatasetBuilder, RatingScale};
-use ganc::dataset::{Interactions, ItemId, UserId};
+use ganc::dataset::UserId;
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::serve::{
-    BandMap, EngineConfig, FitConfig, FittedModel, ModelBundle, ServeError, ServingEngine,
-    ShardConfig, ShardPlan, ShardedEngine,
+    BandMap, FitConfig, FittedModel, ModelBundle, ServeError, ShardConfig, ShardedEngine,
 };
+use oracle::*;
 use proptest::prelude::*;
 
-const N_USERS: u32 = 12;
-const N_ITEMS: u32 = 26;
-const N: usize = 5;
-const SAMPLE: usize = 10;
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-const ALL_KINDS: [CoverageKind; 3] = [
-    CoverageKind::Random,
-    CoverageKind::Static,
-    CoverageKind::Dynamic,
-];
-
-/// Random small rating matrices over a fixed catalog (items may go
-/// unrated, exercising the train-mask exclusion).
-fn arb_train() -> impl Strategy<Value = Interactions> {
-    proptest::collection::vec((0u32..N_USERS, 0u32..N_ITEMS, 1u32..=5), 10..140).prop_map(
-        |triples| {
-            let mut b = DatasetBuilder::new("shard", RatingScale::stars_1_5());
-            for (u, i, r) in triples {
-                b.push(UserId(u), ItemId(i), r as f32).unwrap();
-            }
-            let d = b.build().unwrap();
-            Interactions::from_ratings(N_USERS, N_ITEMS, d.ratings())
-        },
-    )
-}
-
-/// Per-user θ drawn from a coarse grid, so duplicate θ values are common
-/// and quantile cuts frequently land exactly on a duplicated θ.
-fn arb_theta() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(0u32..=8, (N_USERS as usize)..(N_USERS as usize + 1))
-        .prop_map(|grid| grid.into_iter().map(|k| k as f64 / 8.0).collect())
-}
-
-fn fit_cfg(kind: CoverageKind) -> FitConfig {
-    FitConfig {
-        coverage: kind,
-        sample_size: SAMPLE,
-        ..FitConfig::new(N)
-    }
-}
-
-/// Sharded == unsharded == batch OSLG, then (sharded == unsharded) again
-/// after both engines ingest the same interaction stream.
-fn check_kind(
-    train: &Interactions,
-    theta: &[f64],
-    kind: CoverageKind,
-    ingests: &[(u32, u32)],
-    plans: &[ShardPlan],
-) {
-    let users: Vec<UserId> = (0..N_USERS).map(UserId).collect();
-    let cfg = fit_cfg(kind);
-    let batch = build_topn(&MostPopular::fit(train), theta, train, &cfg, 4);
-    let bundle = ModelBundle::fit(
-        FittedModel::Pop(MostPopular::fit(train)),
-        theta.to_vec(),
-        train.clone(),
-        &cfg,
-    );
-    let single = ServingEngine::new(bundle.clone(), EngineConfig::default());
-    for u in &users {
-        assert_eq!(
-            single.recommend(*u).unwrap().as_slice(),
-            batch[u.idx()].as_slice(),
-            "{kind:?}: unsharded engine diverges from batch for {u:?}"
-        );
-    }
-
-    let sharded: Vec<ShardedEngine> = plans
-        .iter()
-        .map(|plan| {
-            ShardedEngine::new(
-                bundle.clone(),
-                ShardConfig {
-                    plan: plan.clone(),
-                    engine: EngineConfig::default(),
-                },
-            )
-        })
-        .collect();
-    for (engine, plan) in sharded.iter().zip(plans) {
-        // Single-request path against the batch reference.
-        for u in &users {
-            assert_eq!(
-                engine.recommend(*u).unwrap().as_slice(),
-                batch[u.idx()].as_slice(),
-                "{kind:?}/{plan:?}: sharded single request diverges for {u:?}"
-            );
-        }
-        // Batch path, split across shards.
-        engine.flush_cache();
-        let (answers, generation) = engine.recommend_batch_traced(&users);
-        assert_eq!(generation, 0);
-        for (u, got) in users.iter().zip(&answers) {
-            assert_eq!(
-                got.as_ref().unwrap().as_slice(),
-                batch[u.idx()].as_slice(),
-                "{kind:?}/{plan:?}: sharded batch diverges for {u:?}"
-            );
-        }
-    }
-
-    // Ingest the same stream everywhere; sharded must track unsharded
-    // exactly (the batch optimizer has no ingest path to compare against).
-    for &(u, i) in ingests {
-        let (u, i) = (UserId(u % N_USERS), ItemId(i % N_ITEMS));
-        single.ingest(u, i, 4.0).unwrap();
-        for engine in &sharded {
-            engine.ingest(u, i, 4.0).unwrap();
-        }
-    }
-    if !ingests.is_empty() {
-        single.flush_cache();
-        for (engine, plan) in sharded.iter().zip(plans) {
-            engine.flush_cache();
-            for u in &users {
-                assert_eq!(
-                    engine.recommend(*u).unwrap(),
-                    single.recommend(*u).unwrap(),
-                    "{kind:?}/{plan:?}: sharded diverges after ingestion for {u:?}"
-                );
-            }
-        }
-    }
-}
-
-fn all_plans() -> Vec<ShardPlan> {
-    let mut plans: Vec<ShardPlan> = SHARD_COUNTS
-        .iter()
-        .map(|&s| ShardPlan::Quantile(s))
-        .collect();
-    // Uneven hand cuts: a sliver band, a duplicate cut (empty band), and a
-    // cut exactly on a θ-grid value duplicates can land on.
-    plans.push(ShardPlan::Explicit(vec![0.03, 0.5, 0.5, 0.875]));
-    plans
-}
-
-proptest! {
-    /// The headline property: for random data, random (duplicate-heavy) θ,
-    /// every coverage kind, S ∈ {1,2,4,7} and uneven explicit cuts, the
-    /// sharded engine is byte-identical to the unsharded engine and the
-    /// batch optimizer — before and after a random ingest stream.
-    #[test]
-    fn sharded_equals_unsharded_equals_batch(
-        train in arb_train(),
-        theta in arb_theta(),
-        ingests in proptest::collection::vec((0u32..N_USERS, 0u32..N_ITEMS), 0..5),
-    ) {
-        for kind in ALL_KINDS {
-            check_kind(&train, &theta, kind, &ingests, &all_plans());
+/// Generated data with duplicate-heavy θ on a 1/8 grid: every user, a
+/// batch, an ingest stream (one of them resent, one of an unknown item),
+/// every user again — for every coverage kind.
+#[test]
+fn sharded_equals_unsharded_equals_batch() {
+    for seed in 0..4 {
+        for coverage in [Random, Static, Dynamic] {
+            let setup = Setup::of(Grid(seed), Pop, coverage, Normalized);
+            let mut steps = every_user(&setup);
+            steps.push(one_batch(&setup));
+            steps.extend([
+                Ingest(Some(1), 0, 3, 4),
+                Ingest(None, 5, 3, 4),
+                Ingest(Some(2), 11, 25, 2),
+                Ingest(Some(1), 0, 3, 4),
+                Ingest(None, 7, 26, 4),
+            ]);
+            steps.extend(every_user(&setup));
+            check(setup, steps);
         }
     }
 }
@@ -248,66 +117,19 @@ proptest! {
     }
 }
 
-/// A realistic skewed dataset with KDE-estimated θ (the serving fixture the
-/// other acceptance suites use), all shard counts, Dyn coverage.
+/// A realistic skewed dataset with KDE-estimated θ, Dyn coverage: one
+/// batch of every user through every shard count.
 #[test]
 fn sharded_matches_batch_on_skewed_profile() {
-    let data = ganc::dataset::synth::DatasetProfile::small().generate(321);
-    let split = data.split_per_user(0.5, 5).unwrap();
-    let train = split.train;
-    let theta = GeneralizedConfig::default().estimate(&train);
-    let cfg = FitConfig {
-        sample_size: 25,
-        ..fit_cfg(CoverageKind::Dynamic)
-    };
-    let batch = build_topn(&MostPopular::fit(&train), &theta, &train, &cfg, 4);
-    let bundle = ModelBundle::fit(
-        FittedModel::Pop(MostPopular::fit(&train)),
-        theta,
-        train.clone(),
-        &cfg,
-    );
-    for shards in SHARD_COUNTS {
-        let engine = ShardedEngine::new(bundle.clone(), ShardConfig::quantile(shards));
-        let users: Vec<UserId> = (0..train.n_users()).map(UserId).collect();
-        let answers = engine.recommend_batch_traced(&users).0;
-        for (u, got) in users.iter().zip(answers) {
-            assert_eq!(
-                got.unwrap().as_slice(),
-                batch[u.idx()].as_slice(),
-                "S={shards} user {u:?}"
-            );
-        }
-    }
+    let setup = Setup::of(Small(321), Pop, Dynamic, Normalized);
+    check(setup, vec![one_batch(&setup)]);
 }
 
 /// TopN-indicator accuracy adaptation through the sharded path.
 #[test]
 fn sharded_matches_batch_in_indicator_mode() {
-    let data = ganc::dataset::synth::DatasetProfile::small().generate(99);
-    let split = data.split_per_user(0.5, 3).unwrap();
-    let train = split.train;
-    let theta = GeneralizedConfig::default().estimate(&train);
-    let cfg = FitConfig {
-        accuracy_mode: AccuracyMode::TopNIndicator,
-        sample_size: 20,
-        ..fit_cfg(CoverageKind::Dynamic)
-    };
-    let batch = build_topn(&MostPopular::fit(&train), &theta, &train, &cfg, 4);
-    let bundle = ModelBundle::fit(
-        FittedModel::Pop(MostPopular::fit(&train)),
-        theta,
-        train.clone(),
-        &cfg,
-    );
-    let engine = ShardedEngine::new(bundle, ShardConfig::quantile(4));
-    for u in 0..train.n_users() {
-        assert_eq!(
-            engine.recommend(UserId(u)).unwrap().as_slice(),
-            batch[u as usize].as_slice(),
-            "user {u}"
-        );
-    }
+    let setup = Setup::of(Tiny(99), Pop, Dynamic, TopNIndicator);
+    check(setup, every_user(&setup));
 }
 
 /// Band metadata sanity on the skewed profile: every user lands in exactly
@@ -321,7 +143,7 @@ fn shard_layout_tiles_theta_axis() {
     let theta = GeneralizedConfig::default().estimate(&train);
     let cfg = FitConfig {
         sample_size: 40,
-        ..fit_cfg(CoverageKind::Dynamic)
+        ..FitConfig::new(5)
     };
     let bundle = ModelBundle::fit(
         FittedModel::Pop(MostPopular::fit(&train)),
