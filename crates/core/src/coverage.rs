@@ -271,8 +271,8 @@ impl DynCoverage {
 }
 
 // Hand-written serde: only the counts travel on the wire (the cached score
-// vector is derived state, rebuilt on decode). This keeps the wire shape
-// identical to the format-v1 encoding, so old artifacts stay readable.
+// vector is derived state, rebuilt on decode), so the artifact carries
+// exactly the state a fit produced and nothing recomputable.
 impl Serialize for DynCoverage {
     fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
         self.counts.serialize(s)
@@ -702,9 +702,12 @@ impl Default for CoverageSnapshots {
     }
 }
 
-/// Wire sentinel: the first `u64` of every payload. (Format v1 began with
-/// the θ vector length, which `u64::MAX` could never be; the value is kept
-/// so the v2 byte layout is unchanged.)
+/// Wire sentinel: the first `u64` of every payload. Decode refuses a
+/// payload that does not start with it, so bytes that are not a snapshot
+/// store — a misaligned read of the artifact, or a store written in another
+/// layout — fail at the first word instead of being read as θs and deltas.
+/// (The artifact's envelope refuses every format version but the current
+/// one before this is read.)
 const DELTA_WIRE_SENTINEL: u64 = u64::MAX;
 
 // Hand-written serde: the sentinel, catalog size, θs, the chain

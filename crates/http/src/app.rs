@@ -97,7 +97,8 @@ pub struct RefitHook {
 
 /// Per-request metric handles, resolved once at bind: the hot path then
 /// touches atomics only, never the registry's lock (which `/v1/metrics`
-/// holds while it renders — a wait the event-loop thread must not inherit).
+/// holds while it collects the series to render — a wait the event-loop
+/// thread must not inherit).
 struct HttpObs {
     parse_us: Arc<Histogram>,
     dispatch_us: Arc<Histogram>,
@@ -105,6 +106,9 @@ struct HttpObs {
     /// `ganc_http_requests_total{endpoint, status="200"}` per routable
     /// endpoint; every other status is get-or-create at the call.
     ok_total: Vec<(&'static str, Arc<Counter>)>,
+    /// `ganc_request_overrides_total{kind}` for the kinds `n`, `theta`,
+    /// `exclude` and `rerank`, in that order.
+    overrides: [Arc<Counter>; 4],
 }
 
 /// Endpoint labels [`App::route`] can answer 200 under. A label missing
@@ -139,6 +143,13 @@ impl HttpObs {
                 .iter()
                 .map(|&endpoint| (endpoint, requests_total(hub, endpoint, StatusCode::OK)))
                 .collect(),
+            overrides: ["n", "theta", "exclude", "rerank"].map(|kind| {
+                hub.metrics.counter(
+                    "ganc_request_overrides_total",
+                    "Per-request trade-off controls accepted, by kind",
+                    &[("kind", kind)],
+                )
+            }),
         }
     }
 }
@@ -434,27 +445,16 @@ impl App {
     /// any engine-level override is set. Called only when at least one
     /// control was parsed, so default traffic pays nothing.
     fn note_overrides(&self, n: bool, opts: &RequestOptions) {
-        let bump = |kind: &str| {
-            self.hub
-                .metrics
-                .counter(
-                    "ganc_request_overrides_total",
-                    "Per-request trade-off controls accepted, by kind",
-                    &[("kind", kind)],
-                )
-                .inc();
-        };
-        if n {
-            bump("n");
-        }
-        if opts.theta.is_some() {
-            bump("theta");
-        }
-        if !opts.exclude.is_empty() {
-            bump("exclude");
-        }
-        if opts.rerank.is_some() {
-            bump("rerank");
+        let present = [
+            n,
+            opts.theta.is_some(),
+            !opts.exclude.is_empty(),
+            opts.rerank.is_some(),
+        ];
+        for (counter, present) in self.http.overrides.iter().zip(present) {
+            if present {
+                counter.inc();
+            }
         }
         // `?n=` is presentation-only truncation — it never reaches an
         // engine, so it counts above but doesn't trace as an override.

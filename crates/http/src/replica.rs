@@ -47,7 +47,7 @@
 use crate::transport::{fan_out_ingest, BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
-use ganc_obs::{Background, Clock, Counter, ObsHub, SystemClock, TraceData};
+use ganc_obs::{Background, Clock, ObsHub, SystemClock, TraceData};
 use ganc_serve::{IngestAck, RequestOptions};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
@@ -85,7 +85,7 @@ impl Default for ReplicaConfig {
 }
 
 /// Point-in-time view of one band's replica group, for `/v1/stats`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplicaStats {
     /// Replicas configured.
     pub replicas: usize,
@@ -110,37 +110,12 @@ struct Replica {
     consecutive_failures: AtomicU32,
 }
 
-/// The band-availability counters, `(name, help)` in [`ReplicaObs`] field
-/// order. The router registers them at zero for every band and a replica
-/// group fetches the same atomics back (the registry keys on name +
-/// labels), so both read this one table.
-pub(crate) const BAND_AVAILABILITY_SERIES: [(&str, &str); 4] = [
-    (
-        "ganc_router_band_hedges_total",
-        "Hedged router dispatches, by band",
-    ),
-    (
-        "ganc_router_band_failovers_total",
-        "Dispatches retried on another replica, by band",
-    ),
-    (
-        "ganc_router_band_ejections_total",
-        "Replicas ejected by the consecutive-failure breaker, by band",
-    ),
-    (
-        "ganc_router_band_restores_total",
-        "Ejected replicas restored by a health probe, by band",
-    ),
-];
-
-/// Registry handles + trace sink, attached once by the router.
+/// The trace sink and the band it records for, attached once by the
+/// router. The availability counts are this set's own ([`ReplicaStats`]),
+/// which the router's series read.
 struct ReplicaObs {
     hub: Arc<ObsHub>,
     band: u32,
-    hedges: Arc<Counter>,
-    failovers: Arc<Counter>,
-    ejections: Arc<Counter>,
-    restores: Arc<Counter>,
 }
 
 /// A band's replica group. Construct with [`ReplicaSet::new`] (production
@@ -236,24 +211,10 @@ impl ReplicaSet {
         }
     }
 
-    /// Attach counters (shared with the router's pre-registered series)
-    /// and the trace sink. One-shot; later calls are ignored.
-    pub(crate) fn attach_obs(&self, hub: Arc<ObsHub>, band: u32, kind: &'static str) {
-        if self.obs.get().is_some() {
-            return;
-        }
-        let band_label = band.to_string();
-        let labels: Vec<(&str, &str)> = vec![("band", &band_label), ("kind", kind)];
-        let [hedges, failovers, ejections, restores] =
-            BAND_AVAILABILITY_SERIES.map(|(name, help)| hub.metrics.counter(name, help, &labels));
-        let _ = self.obs.set(ReplicaObs {
-            hub,
-            band,
-            hedges,
-            failovers,
-            ejections,
-            restores,
-        });
+    /// Attach the trace sink, recording as `band`. One-shot; later calls
+    /// are ignored.
+    pub(crate) fn attach_obs(&self, hub: Arc<ObsHub>, band: u32) {
+        let _ = self.obs.set(ReplicaObs { hub, band });
     }
 
     /// Dispatch order: the rotation ring starting at the primary,
@@ -298,18 +259,13 @@ impl ReplicaSet {
         let r = &self.replicas[idx];
         let failures = r.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
         if failures >= self.cfg.failure_threshold && r.healthy.swap(false, Ordering::SeqCst) {
-            self.ejections.fetch_add(1, Ordering::SeqCst);
-            if let Some(obs) = self.obs.get() {
-                obs.ejections.inc();
-                obs.hub.trace.record(
-                    obs.hub.now_us(),
-                    TraceData::ReplicaEjected {
-                        band: obs.band,
-                        replica: idx as u32,
-                        failures,
-                    },
-                );
-            }
+            let replica = idx as u32;
+            let ejected = |band| TraceData::ReplicaEjected {
+                band,
+                replica,
+                failures,
+            };
+            self.note(&self.ejections, ejected);
             // Rotate the primary off the ejected replica so the next
             // dispatch starts healthy.
             if self.primary.load(Ordering::SeqCst) == idx {
@@ -320,48 +276,39 @@ impl ReplicaSet {
         }
     }
 
-    fn note_restore(&self, idx: usize) {
-        self.restores.fetch_add(1, Ordering::SeqCst);
+    /// Count one availability event on `count` and trace it for the band.
+    fn note(&self, count: &AtomicU64, event: impl FnOnce(u32) -> TraceData) {
+        count.fetch_add(1, Ordering::SeqCst);
         if let Some(obs) = self.obs.get() {
-            obs.restores.inc();
-            obs.hub.trace.record(
-                obs.hub.now_us(),
-                TraceData::ReplicaRestored {
-                    band: obs.band,
-                    replica: idx as u32,
-                },
-            );
+            obs.hub.trace.record(obs.hub.now_us(), event(obs.band));
         }
+    }
+
+    fn note_restore(&self, idx: usize) {
+        let replica = idx as u32;
+        self.note(&self.restores, |band| TraceData::ReplicaRestored {
+            band,
+            replica,
+        });
     }
 
     fn note_failover(&self, from: usize, to: usize) {
-        self.failovers.fetch_add(1, Ordering::SeqCst);
-        if let Some(obs) = self.obs.get() {
-            obs.failovers.inc();
-            obs.hub.trace.record(
-                obs.hub.now_us(),
-                TraceData::BandFailover {
-                    band: obs.band,
-                    from: from as u32,
-                    to: to as u32,
-                },
-            );
-        }
+        let (from, to) = (from as u32, to as u32);
+        self.note(&self.failovers, |band| TraceData::BandFailover {
+            band,
+            from,
+            to,
+        });
     }
 
     fn note_hedge(&self, primary: usize, hedge: usize) {
-        self.hedges.fetch_add(1, Ordering::SeqCst);
-        if let Some(obs) = self.obs.get() {
-            obs.hedges.inc();
-            obs.hub.trace.record(
-                obs.hub.now_us(),
-                TraceData::BandHedge {
-                    band: obs.band,
-                    primary: primary as u32,
-                    hedge: hedge as u32,
-                },
-            );
-        }
+        let (primary, hedge) = (primary as u32, hedge as u32);
+        let hedged = |band| TraceData::BandHedge {
+            band,
+            primary,
+            hedge,
+        };
+        self.note(&self.hedges, hedged);
     }
 
     /// One synchronous attempt on `idx`, breaker-accounted.

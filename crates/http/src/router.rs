@@ -46,7 +46,7 @@
 //! the parallel path has already started the rest (read-only calls, so
 //! nothing diverges).
 
-use crate::replica::{ReplicaConfig, ReplicaSet, ReplicaStats, BAND_AVAILABILITY_SERIES};
+use crate::replica::{ReplicaConfig, ReplicaSet, ReplicaStats};
 use crate::transport::{fan_out_ingest, BatchAnswer, PeerTransport, SingleAnswer};
 use crate::BackendError;
 use ganc_dataset::{ItemId, UserId};
@@ -139,18 +139,43 @@ impl ShardRoute {
             None => ReplicaStats {
                 replicas: 1,
                 healthy: 1,
-                primary: 0,
-                hedges: 0,
-                failovers: 0,
-                ejections: 0,
-                restores: 0,
+                ..ReplicaStats::default()
             },
         }
     }
 }
 
+/// The band-availability series, `(name, help)` in [`availability`]'s
+/// order, read from each band's [`ShardRoute::replica_view`] when
+/// `/v1/metrics` renders: a replica group's own counts, and zeros for a
+/// single-backend band.
+const BAND_AVAILABILITY_SERIES: [(&str, &str); 4] = [
+    (
+        "ganc_router_band_hedges_total",
+        "Hedged router dispatches, by band",
+    ),
+    (
+        "ganc_router_band_failovers_total",
+        "Dispatches retried on another replica, by band",
+    ),
+    (
+        "ganc_router_band_ejections_total",
+        "Replicas ejected by the consecutive-failure breaker, by band",
+    ),
+    (
+        "ganc_router_band_restores_total",
+        "Ejected replicas restored by a health probe, by band",
+    ),
+];
+
+/// A band's availability counts, in [`BAND_AVAILABILITY_SERIES`] order.
+fn availability(route: &ShardRoute) -> [u64; 4] {
+    let s = route.replica_view();
+    [s.hedges, s.failovers, s.ejections, s.restores]
+}
+
 /// Per-band router metric handles: dispatch latency and error attribution
-/// for every route, plus the availability counters replica groups bump.
+/// for every route.
 struct BandObs {
     dispatch_us: Arc<Histogram>,
     errors: Arc<Counter>,
@@ -163,7 +188,7 @@ struct RouterObs {
 }
 
 impl RouterObs {
-    fn new(hub: Arc<ObsHub>, routes: &[ShardRoute]) -> RouterObs {
+    fn new(hub: Arc<ObsHub>, routes: &Arc<[ShardRoute]>) -> RouterObs {
         let bands = routes
             .iter()
             .enumerate()
@@ -180,12 +205,11 @@ impl RouterObs {
                     "Router dispatches that failed, by band",
                     &labels,
                 );
-                // Availability series, registered at zero for *every*
-                // band so dashboards stay stable: replica groups fetch
-                // the same handles (registry keying is name + labels)
-                // and bump them; single-backend bands stay pinned at 0.
-                for (name, help) in BAND_AVAILABILITY_SERIES {
-                    hub.metrics.counter(name, help, &labels);
+                // Held weakly: local routes' engines hold the hub.
+                for (k, (name, help)) in BAND_AVAILABILITY_SERIES.into_iter().enumerate() {
+                    let routes = Arc::downgrade(routes);
+                    let read = move || routes.upgrade().map_or(0, |r| availability(&r[j])[k]);
+                    hub.metrics.read_counter(name, help, &labels, read);
                 }
                 BandObs {
                     dispatch_us,
@@ -202,7 +226,8 @@ pub struct RouterNode {
     /// Where every user of the full population is served; one route per
     /// band.
     map: BandMap,
-    routes: Vec<ShardRoute>,
+    /// Shared with the band-availability series, which read them.
+    routes: Arc<[ShardRoute]>,
     obs: OnceLock<RouterObs>,
     /// Client-supplied idempotency keys whose fan-out fully succeeded:
     /// a resend of such a key is a no-op at the router, before any
@@ -255,7 +280,7 @@ impl RouterNode {
         };
         RouterNode {
             map: BandMap::new(&theta, cuts),
-            routes,
+            routes: routes.into(),
             obs: OnceLock::new(),
             ingest_keys: Mutex::new(DedupWindow::new(DEDUP_WINDOW)),
             wal: None,
@@ -309,9 +334,7 @@ impl RouterNode {
                 ShardRoute::Local(engine) => {
                     engine.attach_obs(Arc::clone(&hub), Some(j as u32), window);
                 }
-                ShardRoute::Replicas(set) => {
-                    set.attach_obs(Arc::clone(&hub), j as u32, route.kind());
-                }
+                ShardRoute::Replicas(set) => set.attach_obs(Arc::clone(&hub), j as u32),
                 ShardRoute::Remote(_) => {}
             }
         }

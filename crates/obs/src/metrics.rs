@@ -6,6 +6,11 @@
 //! locks. The registry's `RwLock` is only taken when a handle is first
 //! created or when `/v1/metrics` renders — never per-request once the
 //! handles are cached by the instrumented component.
+//!
+//! A count or a state a component already keeps is not copied into a
+//! handle: [`MetricsRegistry::read_counter`] / [`MetricsRegistry::read_gauge`]
+//! register a series whose value is read from its owner when the registry
+//! renders, so the exposition and the owner's own view are one number.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,12 +147,19 @@ impl MetricKind {
     }
 }
 
+/// A series value read from its owner at render.
+type Read = Arc<dyn Fn() -> f64 + Send + Sync>;
+
+#[derive(Clone)]
 enum Series {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
+    /// One reader per registration of the key; renders their sum.
+    Read(Vec<Read>),
 }
 
+#[derive(Clone)]
 struct Family {
     help: &'static str,
     kind: MetricKind,
@@ -232,19 +244,18 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn series<T, F, G>(
+    /// Run `at` on the series `name{labels}`, creating it (and its family)
+    /// with `make` when absent. Panics if `name` is registered as another
+    /// kind.
+    fn with_series<R>(
         &self,
         name: &str,
         help: &'static str,
         kind: MetricKind,
         labels: &[(&str, &str)],
-        make: F,
-        cast: G,
-    ) -> Arc<T>
-    where
-        F: FnOnce() -> Series,
-        G: Fn(&Series) -> Option<Arc<T>>,
-    {
+        make: impl FnOnce() -> Series,
+        at: impl FnOnce(&mut Series) -> Option<R>,
+    ) -> R {
         assert!(valid_name(name), "invalid metric name {name:?}");
         let key = label_key(labels);
         let mut families = self.families.write().unwrap();
@@ -259,12 +270,65 @@ impl MetricsRegistry {
             family.kind
         );
         let series = family.series.entry(key).or_insert_with(make);
-        cast(series).expect("kind checked above")
+        at(series).unwrap_or_else(|| panic!("{name} is registered both stored and read"))
+    }
+
+    /// Register `name{labels}` as `read`, called at every render after the
+    /// registry's lock is released. A key registered more than once
+    /// renders the sum of its reads, as get-or-create handles share one
+    /// atomic.
+    fn read_series(
+        &self,
+        name: &str,
+        help: &'static str,
+        kind: MetricKind,
+        labels: &[(&str, &str)],
+        read: Read,
+    ) {
+        let add = |s: &mut Series| match s {
+            Series::Read(readers) => {
+                readers.push(read);
+                Some(())
+            }
+            _ => None,
+        };
+        self.with_series(name, help, kind, labels, || Series::Read(Vec::new()), add);
+    }
+
+    /// Register the counter `name{labels}` as `read`: the count its owner
+    /// keeps for its own view, rendered without a copy. The registry keeps
+    /// `read` as long as it lives, so `read` may hold a count cell
+    /// strongly — the count then outlives its component, as a
+    /// get-or-create [`Counter`] does — but must hold weakly anything that
+    /// holds this registry, or neither is ever freed.
+    pub fn read_counter(
+        &self,
+        name: &str,
+        help: &'static str,
+        labels: &[(&str, &str)],
+        read: impl Fn() -> u64 + Send + Sync + 'static,
+    ) {
+        let read = Arc::new(move || read() as f64);
+        self.read_series(name, help, MetricKind::Counter, labels, read);
+    }
+
+    /// Register the gauge `name{labels}` as `read`: its owner's current
+    /// state, read at each render instead of pushed. The same ownership
+    /// rule as [`MetricsRegistry::read_counter`]; a state owner held
+    /// weakly reads 0 once it is gone.
+    pub fn read_gauge(
+        &self,
+        name: &str,
+        help: &'static str,
+        labels: &[(&str, &str)],
+        read: impl Fn() -> f64 + Send + Sync + 'static,
+    ) {
+        self.read_series(name, help, MetricKind::Gauge, labels, Arc::new(read));
     }
 
     /// Get or create the counter `name` with `labels`.
     pub fn counter(&self, name: &str, help: &'static str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        self.series(
+        self.with_series(
             name,
             help,
             MetricKind::Counter,
@@ -279,7 +343,7 @@ impl MetricsRegistry {
 
     /// Get or create the gauge `name` with `labels`.
     pub fn gauge(&self, name: &str, help: &'static str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.series(
+        self.with_series(
             name,
             help,
             MetricKind::Gauge,
@@ -299,7 +363,7 @@ impl MetricsRegistry {
         help: &'static str,
         labels: &[(&str, &str)],
     ) -> Arc<Histogram> {
-        self.series(
+        self.with_series(
             name,
             help,
             MetricKind::Histogram,
@@ -313,10 +377,13 @@ impl MetricsRegistry {
     }
 
     /// Render every registered metric in Prometheus text exposition
-    /// format. Family and series order is deterministic (sorted).
+    /// format. Family and series order is deterministic (sorted). The
+    /// series are collected under the registry's lock and read after it is
+    /// released: a read series may take its owner's locks, and an owner may
+    /// be registering a series while it holds them.
     pub fn render(&self) -> String {
         let bounds = bucket_bounds_us();
-        let families = self.families.read().unwrap();
+        let families = self.families.read().unwrap().clone();
         let mut out = String::new();
         for (name, family) in families.iter() {
             out.push_str(&format!("# HELP {name} {}\n", family.help));
@@ -328,6 +395,10 @@ impl MetricsRegistry {
                     }
                     Series::Gauge(g) => {
                         out.push_str(&format!("{name}{labels} {}\n", format_value(g.get())));
+                    }
+                    Series::Read(readers) => {
+                        let v: f64 = readers.iter().map(|read| read()).sum();
+                        out.push_str(&format!("{name}{labels} {}\n", format_value(v)));
                     }
                     Series::Histogram(h) => {
                         let counts = h.bucket_counts();
@@ -419,6 +490,57 @@ mod tests {
             .inc();
         let text = reg.render();
         assert!(text.contains("p=\"a\\\"b\\\\c\\nd\""));
+    }
+
+    #[test]
+    fn read_series_render_their_owners_now_summed_per_key() {
+        let reg = MetricsRegistry::new();
+        let a = Arc::new(AtomicU64::new(3));
+        let b = Arc::new(AtomicU64::new(4));
+        for owner in [&a, &b] {
+            let owner = Arc::clone(owner);
+            let read = move || owner.load(Ordering::Relaxed);
+            reg.read_counter("ganc_r_total", "h", &[("band", "0")], read);
+        }
+        let state = Arc::new(AtomicU64::new(5));
+        let weak = Arc::downgrade(&state);
+        let read = move || {
+            weak.upgrade()
+                .map_or(0.0, |s| s.load(Ordering::Relaxed) as f64 / 2.0)
+        };
+        reg.read_gauge("ganc_r_gauge", "h", &[], read);
+        a.store(5, Ordering::Relaxed);
+        let text = reg.render();
+        assert!(text.contains("# TYPE ganc_r_total counter"));
+        assert!(text.contains("ganc_r_total{band=\"0\"} 9"), "{text}");
+        assert!(text.contains("ganc_r_gauge 2.5"), "{text}");
+        // A count held strongly outlives its owner's handle; a state held
+        // weakly reads 0 once it is gone.
+        drop((a, state));
+        let text = reg.render();
+        assert!(text.contains("ganc_r_total{band=\"0\"} 9"), "{text}");
+        assert!(text.contains("ganc_r_gauge 0"), "{text}");
+    }
+
+    #[test]
+    fn a_read_series_may_use_the_registry_while_it_renders() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let weak = Arc::downgrade(&reg);
+        reg.read_counter("ganc_reentrant_total", "h", &[], move || {
+            let reg = weak.upgrade().unwrap();
+            reg.counter("ganc_inner_total", "h", &[]).inc();
+            1
+        });
+        assert!(reg.render().contains("ganc_reentrant_total 1"));
+        assert!(reg.render().contains("ganc_inner_total 1"));
+    }
+
+    #[test]
+    #[should_panic(expected = "registered both stored and read")]
+    fn a_key_is_either_stored_or_read() {
+        let reg = MetricsRegistry::new();
+        reg.read_counter("ganc_both_total", "h", &[], || 0);
+        reg.counter("ganc_both_total", "h", &[]);
     }
 
     #[test]

@@ -95,14 +95,16 @@ impl Default for EngineConfig {
     }
 }
 
-/// A snapshot of the engine's counters.
+/// A snapshot of the engine's counters — the same counts `/v1/metrics`
+/// renders. A batch counts each of its slots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Requests answered from the response cache.
     pub cache_hits: u64,
     /// Requests that computed a fresh list.
     pub cache_misses: u64,
-    /// Interactions ingested.
+    /// Interactions ingested. A sharded engine applies each ingest to
+    /// every band and counts one apply per band.
     pub ingested: u64,
     /// Cache entries invalidated by ingestion.
     pub invalidated: u64,
@@ -503,22 +505,40 @@ impl Accuracy<'_> {
     }
 }
 
+/// An engine's event counts: one count per event, read by
+/// [`ServingEngine::stats`] and by `/v1/metrics` alike.
+#[derive(Default)]
+pub(crate) struct Counts {
+    pub(crate) hits: AtomicU64,
+    pub(crate) misses: AtomicU64,
+    pub(crate) ingested: AtomicU64,
+    pub(crate) invalidated: AtomicU64,
+}
+
+/// What an engine counts and observes, apart from the bundle it serves.
+/// It outlives [`ServingEngine::swap_bundle`], and a sharded band hands
+/// its one tally to the engine of every generation it installs, so a
+/// band's counters and window outlive refits too.
+#[derive(Clone, Default)]
+pub(crate) struct Tally {
+    pub(crate) counts: Arc<Counts>,
+    pub(crate) obs: Arc<OnceLock<EngineObs>>,
+}
+
 /// A thread-safe online server over one [`ModelBundle`].
 pub struct ServingEngine {
     state: RwLock<EngineState>,
     cache: Mutex<LruCache<u32, CachedList>>,
     threads: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    ingested: AtomicU64,
-    invalidated: AtomicU64,
     /// Idempotency keys of the keyed ingests this engine applied, across
     /// swaps; locked only under the state write lock.
     keys: Mutex<DedupWindow>,
-    /// Optional observability handles ([`ServingEngine::attach_obs`]).
-    /// Un-attached engines pay one atomic load per request and nothing
+    /// Shared with the `/v1/metrics` series that read it ([`Tally`]).
+    counts: Arc<Counts>,
+    /// Optional observability ([`ServingEngine::attach_obs`]). An
+    /// un-attached engine pays one atomic load per request and nothing
     /// else; attachment is one-shot.
-    obs: OnceLock<Arc<EngineObs>>,
+    obs: Arc<OnceLock<EngineObs>>,
 }
 
 // Lock discipline: `state` before `cache` or `keys`, or `cache` alone.
@@ -531,29 +551,33 @@ pub struct ServingEngine {
 impl ServingEngine {
     /// Start serving a bundle.
     pub fn new(bundle: ModelBundle, cfg: EngineConfig) -> ServingEngine {
-        ServingEngine::at_generation(bundle, cfg, 0)
+        ServingEngine::with_tally(bundle, cfg, 0, Tally::default())
     }
 
-    /// Start serving a bundle as `generation` — how a sharded engine's
-    /// bands are built at their shard set's generation, so what they
-    /// report (responses, trace events, the generation gauge) is the
-    /// generation they serve.
-    pub(crate) fn at_generation(
+    /// Start serving a bundle as `generation` on `tally` — how a sharded
+    /// engine's bands are built at their shard set's generation, so what
+    /// they report (responses, trace events, the generation gauge) is the
+    /// generation they serve, and counted on the band's one tally.
+    pub(crate) fn with_tally(
         bundle: ModelBundle,
         cfg: EngineConfig,
         generation: u64,
+        tally: Tally,
     ) -> ServingEngine {
         ServingEngine {
             state: RwLock::new(EngineState::new(bundle, generation)),
             cache: Mutex::new(LruCache::new(cfg.cache_capacity)),
             threads: cfg.threads.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            ingested: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
             keys: Mutex::new(DedupWindow::new(DEDUP_WINDOW)),
-            obs: OnceLock::new(),
+            counts: tally.counts,
+            obs: tally.obs,
         }
+    }
+
+    /// The counts and observability this engine records on.
+    pub(crate) fn tally(&self) -> Tally {
+        let (counts, obs) = (Arc::clone(&self.counts), Arc::clone(&self.obs));
+        Tally { counts, obs }
     }
 
     /// Attach observability: register this engine's metric series on `hub`
@@ -564,7 +588,18 @@ impl ServingEngine {
         let state = self.state.read().unwrap();
         let obs = EngineObs::new(hub, band, window, &state.bundle, state.generation);
         drop(state);
-        let _ = self.obs.set(Arc::new(obs));
+        if self.obs.set(obs).is_ok() {
+            EngineObs::register_reads(&self.tally());
+        }
+    }
+
+    /// Restart the window for the generation this engine serves: a
+    /// sharded band's refit install is its [`ServingEngine::swap_bundle`].
+    pub(crate) fn restart_window(&self) {
+        let state = self.state.read().unwrap();
+        if let Some(o) = self.obs.get() {
+            o.record_swap(state.generation, &state.bundle);
+        }
     }
 
     /// Current rolling-window metrics, when observability is attached.
@@ -631,7 +666,7 @@ impl ServingEngine {
             }
             return Err(ServeError::UnknownUser(user));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counts.misses.fetch_add(1, Ordering::Relaxed);
         let bound = state.bundle.model.bind(&state.bundle.train);
         let list = Arc::new(state.list(&mut state.accuracy(&bound), user, opts, cacheable));
         if cacheable {
@@ -663,7 +698,7 @@ impl ServingEngine {
         let &(generation, ref list) = cache.get(&user.0)?;
         let list = Arc::clone(list);
         drop(cache);
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.counts.hits.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = self.obs.get() {
             o.record_hit(t0_us, user.0, generation, &list);
         }
@@ -733,7 +768,8 @@ impl ServingEngine {
         } else {
             miss_idx.extend(0..users.len());
         }
-        self.hits
+        self.counts
+            .hits
             .fetch_add((users.len() - miss_idx.len()) as u64, Ordering::Relaxed);
         // Reject unknown users up front so the miss counter only covers
         // requests that actually compute (matching `recommend`).
@@ -747,7 +783,8 @@ impl ServingEngine {
             }
         });
         if !miss_idx.is_empty() {
-            self.misses
+            self.counts
+                .misses
                 .fetch_add(miss_idx.len() as u64, Ordering::Relaxed);
             // The misses fan out over the worker threads; each worker
             // resolves its accuracy source — scorer and score buffer, or the
@@ -812,6 +849,26 @@ impl ServingEngine {
         if key.is_some_and(|k| !self.keys.lock().unwrap().observe(k)) {
             return Ok(IngestAck::Deduplicated);
         }
+        self.apply(&mut state, user, item);
+        drop(state);
+        self.counts.ingested.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = self.obs.get() {
+            o.record_ingest(user.0, item.0);
+        }
+        Ok(IngestAck::Applied)
+    }
+
+    /// Apply an interaction this engine's tally already counted — a refit
+    /// install replaying the ingests that raced its fit onto the band's
+    /// next engine — without counting or tracing it again. The caller
+    /// checked the ids.
+    pub(crate) fn replay(&self, user: UserId, item: ItemId) {
+        self.apply(&mut self.state.write().unwrap(), user, item);
+    }
+
+    /// An ingest's effect on the model state and the cache, under the
+    /// state write lock.
+    fn apply(&self, state: &mut EngineState, user: UserId, item: ItemId) {
         if !state.bundle.train.contains(user, item) {
             let extra = &mut state.extra_seen[user.idx()];
             if let Err(pos) = extra.binary_search(&item.0) {
@@ -861,14 +918,8 @@ impl ServingEngine {
         // either finished (and its entry is removed here) or starts after
         // this write completes (and computes the post-ingest list).
         if self.cache.lock().unwrap().remove_entry(&user.0).is_some() {
-            self.invalidated.fetch_add(1, Ordering::Relaxed);
+            self.counts.invalidated.fetch_add(1, Ordering::Relaxed);
         }
-        drop(state);
-        self.ingested.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs.get() {
-            o.record_ingest(user.0, item.0);
-        }
-        Ok(IngestAck::Applied)
     }
 
     /// Atomically replace the fitted state with a freshly fitted bundle —
@@ -906,11 +957,12 @@ impl ServingEngine {
 
     /// Counter snapshot.
     pub fn stats(&self) -> EngineStats {
+        let t = &self.counts;
         EngineStats {
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            cache_misses: self.misses.load(Ordering::Relaxed),
-            ingested: self.ingested.load(Ordering::Relaxed),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
+            cache_hits: t.hits.load(Ordering::Relaxed),
+            cache_misses: t.misses.load(Ordering::Relaxed),
+            ingested: t.ingested.load(Ordering::Relaxed),
+            invalidated: t.invalidated.load(Ordering::Relaxed),
             cached: self.cache.lock().unwrap().len(),
         }
     }

@@ -5,8 +5,9 @@
 //! Attachment is optional and one-shot (`OnceLock`): an un-attached
 //! engine pays one atomic load per request and nothing else. When
 //! attached, a cache hit adds one coarse clock read (the kernel-tick stamp
-//! of its window entry, [`ObsHub::coarse_us`]), a counter bump and one
-//! short mutex hold to feed the rolling window. One request in
+//! of its window entry, [`ObsHub::coarse_us`]) and one short mutex hold to
+//! feed the rolling window; the hit itself is counted once, by the
+//! engine's [`Tally`], which `/v1/metrics` reads. One request in
 //! [`HIT_SAMPLE`] on the cacheable path is also timed — a precise clock
 //! read before the cache probe and one after — and, if it hits, lands in
 //! the hit latency histogram and the trace; a miss is always timed and
@@ -20,17 +21,22 @@
 //! and a hot-swap builds its fresh window before taking the lock and frees
 //! the old one after releasing it, so no hit waits behind a free.
 //!
+//! What the engine already counts or holds is not copied here: the
+//! request and ingest counters, the served generation and the window
+//! gauges are series read from the [`Tally`] when `/v1/metrics` renders
+//! ([`EngineObs::register_reads`]). The counters here count only what the
+//! engine does not: errors, batch slots and swaps.
+//!
 //! Lock discipline: every `EngineObs` lock is a leaf — taken after the
 //! engine's state/cache locks, never before, and never while calling back
 //! into the engine.
 
 use crate::bundle::ModelBundle;
-use crate::engine::SlotAnswer;
+use crate::engine::{Counts, SlotAnswer, Tally};
 use ganc_dataset::stats::LongTail;
 use ganc_dataset::ItemId;
 use ganc_obs::{
-    CatalogProfile, Counter, Gauge, Histogram, ObsHub, RollingWindow, TraceData, WindowStats,
-    WindowWire,
+    CatalogProfile, Counter, Histogram, ObsHub, RollingWindow, TraceData, WindowStats, WindowWire,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -64,24 +70,86 @@ pub(crate) fn catalog_profile(bundle: &ModelBundle) -> CatalogProfile {
     )
 }
 
-/// The rolling window plus the catalog profile it scores against. The
-/// profile is frozen per bundle generation (rebuilt on hot-swap, *not* on
-/// every ingest — novelty attribution stays stable between fits, exactly
-/// like the fitted Pop scores the paper's metrics are defined over).
+/// The rolling window, the catalog profile it scores against, and the
+/// bundle generation whose lists it holds. The profile is frozen per
+/// bundle generation (rebuilt on hot-swap, *not* on every ingest — novelty
+/// attribution stays stable between fits, exactly like the fitted Pop
+/// scores the paper's metrics are defined over).
 struct WindowState {
     window: RollingWindow,
     catalog: Arc<CatalogProfile>,
+    generation: u64,
 }
 
 impl WindowState {
     /// An empty window of `span` over `bundle`'s catalog.
-    fn new(span: Duration, bundle: &ModelBundle) -> WindowState {
+    fn new(span: Duration, bundle: &ModelBundle, generation: u64) -> WindowState {
         let catalog = Arc::new(catalog_profile(bundle));
         WindowState {
             window: RollingWindow::new(span, catalog.n_items()),
             catalog,
+            generation,
         }
     }
+
+    /// Record one served list, streaming its ids into the window.
+    fn observe(&mut self, at_us: u64, list: &[ItemId]) {
+        let ids = list.iter().map(|i| i.0);
+        self.window.observe(at_us, ids, &self.catalog);
+    }
+}
+
+/// HELP texts of the engine's series that share one name across labels,
+/// or whose text outgrows a line.
+const REQUESTS_HELP: &str = "Engine requests by cache outcome (a batch counts each slot)";
+const BATCH_US_HELP: &str = "Engine batch latency (microseconds)";
+const ERRORS_HELP: &str = "Requests rejected by the engine (unknown user/item)";
+const BATCH_USERS_HELP: &str = "Users served through the batch path";
+
+/// A gauge's name, HELP text and read.
+type ReadGauge = (&'static str, &'static str, fn(&EngineObs) -> f64);
+
+/// The gauges read from an attached engine's [`EngineObs`] at render:
+/// the served generation and the rolling window.
+const READ_GAUGES: [ReadGauge; 5] = [
+    (
+        "ganc_engine_generation",
+        "Bundle generation currently served",
+        |o| o.generation() as f64,
+    ),
+    (
+        "ganc_window_coverage",
+        "Rolling catalog coverage@N over served lists",
+        |o| o.window_stats().coverage,
+    ),
+    (
+        "ganc_window_novelty_bits",
+        "Rolling mean novelty of served items (-log2 popularity, bits)",
+        |o| o.window_stats().mean_novelty_bits,
+    ),
+    (
+        "ganc_window_long_tail_share",
+        "Rolling share of served items from the long tail",
+        |o| o.window_stats().long_tail_share,
+    ),
+    (
+        "ganc_window_lists",
+        "Served lists currently inside the rolling window",
+        |o| o.window_stats().lists as f64,
+    ),
+];
+
+/// The `band` label value: the band's index, or `all` for an unbanded
+/// engine.
+fn band_label(band: Option<u32>) -> String {
+    band.map_or_else(|| "all".to_string(), |j| j.to_string())
+}
+
+/// `band` first, then `extra`.
+fn with_band<'a>(band: &'a str, extra: &[(&'a str, &'a str)]) -> Vec<(&'a str, &'a str)> {
+    let mut l = vec![("band", band)];
+    l.extend_from_slice(extra);
+    l
 }
 
 /// Per-engine observability handles. Cheap to use, built once per attach.
@@ -91,17 +159,9 @@ pub(crate) struct EngineObs {
     hit_us: Arc<Histogram>,
     miss_us: Arc<Histogram>,
     batch_us: Arc<Histogram>,
-    hit_total: Arc<Counter>,
-    miss_total: Arc<Counter>,
     error_total: Arc<Counter>,
     batch_users_total: Arc<Counter>,
-    ingest_total: Arc<Counter>,
     swap_total: Arc<Counter>,
-    generation_gauge: Arc<Gauge>,
-    coverage_gauge: Arc<Gauge>,
-    novelty_gauge: Arc<Gauge>,
-    tail_gauge: Arc<Gauge>,
-    lists_gauge: Arc<Gauge>,
     /// Cacheable requests seen, for picking one in [`HIT_SAMPLE`].
     cacheable: AtomicU64,
     /// The rolling window's span, kept outside the lock so a hot-swap can
@@ -111,10 +171,9 @@ pub(crate) struct EngineObs {
 }
 
 impl EngineObs {
-    /// Register this engine's metric series (idempotent: re-attaching the
-    /// same band after a refit returns the same underlying atomics, so
-    /// counters survive hot-swaps) and seed the rolling window from the
-    /// served bundle.
+    /// Register this engine's stored metric series and seed the rolling
+    /// window from the served bundle. The series read from the engine's
+    /// tally are [`EngineObs::register_reads`]'s.
     pub(crate) fn new(
         hub: Arc<ObsHub>,
         band: Option<u32>,
@@ -122,108 +181,26 @@ impl EngineObs {
         bundle: &ModelBundle,
         generation: u64,
     ) -> EngineObs {
-        let band_label = match band {
-            Some(j) => j.to_string(),
-            None => "all".to_string(),
-        };
-        fn with_band<'a>(band: &'a str, extra: &[(&'a str, &'a str)]) -> Vec<(&'a str, &'a str)> {
-            let mut l = vec![("band", band)];
-            l.extend_from_slice(extra);
-            l
-        }
+        let band_label = band_label(band);
+        let labels = with_band(&band_label, &[]);
         let m = &hub.metrics;
-        let hit_us = m.histogram(
-            "ganc_engine_request_us",
-            REQUEST_US_HELP,
-            &with_band(&band_label, &[("result", "hit")]),
-        );
-        let miss_us = m.histogram(
-            "ganc_engine_request_us",
-            REQUEST_US_HELP,
-            &with_band(&band_label, &[("result", "miss")]),
-        );
-        let batch_us = m.histogram(
-            "ganc_engine_batch_us",
-            "Engine batch latency (microseconds)",
-            &with_band(&band_label, &[]),
-        );
-        let hit_total = m.counter(
-            "ganc_engine_requests_total",
-            "Engine requests by cache outcome",
-            &with_band(&band_label, &[("result", "hit")]),
-        );
-        let miss_total = m.counter(
-            "ganc_engine_requests_total",
-            "Engine requests by cache outcome",
-            &with_band(&band_label, &[("result", "miss")]),
-        );
-        let error_total = m.counter(
-            "ganc_engine_errors_total",
-            "Requests rejected by the engine (unknown user/item)",
-            &with_band(&band_label, &[]),
-        );
-        let batch_users_total = m.counter(
-            "ganc_engine_batch_users_total",
-            "Users served through the batch path",
-            &with_band(&band_label, &[]),
-        );
-        let ingest_total = m.counter(
-            "ganc_engine_ingest_total",
-            "Interactions ingested",
-            &with_band(&band_label, &[]),
-        );
-        let swap_total = m.counter(
-            "ganc_engine_swap_total",
-            "Bundle hot-swaps completed",
-            &with_band(&band_label, &[]),
-        );
-        let generation_gauge = m.gauge(
-            "ganc_engine_generation",
-            "Bundle generation currently served",
-            &with_band(&band_label, &[]),
-        );
-        generation_gauge.set(generation as f64);
-        let coverage_gauge = m.gauge(
-            "ganc_window_coverage",
-            "Rolling catalog coverage@N over served lists",
-            &with_band(&band_label, &[]),
-        );
-        let novelty_gauge = m.gauge(
-            "ganc_window_novelty_bits",
-            "Rolling mean novelty of served items (-log2 popularity, bits)",
-            &with_band(&band_label, &[]),
-        );
-        let tail_gauge = m.gauge(
-            "ganc_window_long_tail_share",
-            "Rolling share of served items from the long tail",
-            &with_band(&band_label, &[]),
-        );
-        let lists_gauge = m.gauge(
-            "ganc_window_lists",
-            "Served lists currently inside the rolling window",
-            &with_band(&band_label, &[]),
-        );
-        let window = Mutex::new(WindowState::new(span, bundle));
+        let request_us = |result| {
+            let labels = with_band(&band_label, &[("result", result)]);
+            m.histogram("ganc_engine_request_us", REQUEST_US_HELP, &labels)
+        };
+        let counter = |name, help| m.counter(name, help, &labels);
         EngineObs {
-            hub,
-            band,
-            hit_us,
-            miss_us,
-            batch_us,
-            hit_total,
-            miss_total,
-            error_total,
-            batch_users_total,
-            ingest_total,
-            swap_total,
-            generation_gauge,
-            coverage_gauge,
-            novelty_gauge,
-            tail_gauge,
-            lists_gauge,
+            hit_us: request_us("hit"),
+            miss_us: request_us("miss"),
+            batch_us: m.histogram("ganc_engine_batch_us", BATCH_US_HELP, &labels),
+            error_total: counter("ganc_engine_errors_total", ERRORS_HELP),
+            batch_users_total: counter("ganc_engine_batch_users_total", BATCH_USERS_HELP),
+            swap_total: counter("ganc_engine_swap_total", "Bundle hot-swaps completed"),
             cacheable: AtomicU64::new(0),
             span,
-            window,
+            window: Mutex::new(WindowState::new(span, bundle, generation)),
+            band,
+            hub,
         }
     }
 
@@ -241,9 +218,7 @@ impl EngineObs {
     }
 
     fn observe_list(&self, at_us: u64, list: &[ItemId]) {
-        let mut state = self.window.lock().unwrap();
-        let WindowState { window, catalog } = &mut *state;
-        window.observe(at_us, list.iter().map(|i| i.0), catalog);
+        self.window.lock().unwrap().observe(at_us, list);
     }
 
     fn trace_request(&self, at_us: u64, user: u32, generation: u64, hit: bool, elapsed_us: u64) {
@@ -264,15 +239,14 @@ impl EngineObs {
     pub(crate) fn record_request(&self, t0_us: u64, user: u32, generation: u64, list: &[ItemId]) {
         let elapsed = self.hub.now_us().saturating_sub(t0_us);
         self.miss_us.observe_us(elapsed);
-        self.miss_total.inc();
         let at = self.hub.coarse_us();
         self.observe_list(at, list);
         self.trace_request(at, user, generation, false, elapsed);
     }
 
-    /// One single-user request answered from the cache. Counted and
-    /// windowed always; timed and traced only when [`EngineObs::sample`]
-    /// picked it (`t0_us` is its start).
+    /// One single-user request answered from the cache (the tally counted
+    /// it). Windowed always; timed and traced only when
+    /// [`EngineObs::sample`] picked it (`t0_us` is its start).
     pub(crate) fn record_hit(
         &self,
         t0_us: Option<u64>,
@@ -280,7 +254,6 @@ impl EngineObs {
         generation: u64,
         list: &[ItemId],
     ) {
-        self.hit_total.inc();
         let at = self.hub.coarse_us();
         self.observe_list(at, list);
         if let Some(t0) = t0_us {
@@ -305,10 +278,9 @@ impl EngineObs {
         let mut errors = 0u64;
         {
             let mut state = self.window.lock().unwrap();
-            let WindowState { window, catalog } = &mut *state;
             for result in results {
                 match result {
-                    Some(Ok(list)) => window.observe(now, list.iter().map(|i| i.0), catalog),
+                    Some(Ok(list)) => state.observe(now, list),
                     Some(Err(_)) => errors += 1,
                     None => {}
                 }
@@ -326,9 +298,8 @@ impl EngineObs {
         );
     }
 
-    /// One accepted ingest.
+    /// One accepted ingest (the tally counted it).
     pub(crate) fn record_ingest(&self, user: u32, item: u32) {
-        self.ingest_total.inc();
         self.hub.trace.record(
             self.hub.coarse_us(),
             TraceData::Ingest {
@@ -339,16 +310,15 @@ impl EngineObs {
         );
     }
 
-    /// A bundle hot-swap completed: bump the generation gauge, refreeze
-    /// the catalog profile against the new bundle, and reset the window —
-    /// the new generation serves a new point on the trade-off curve, and
-    /// mixing pre-swap lists into its coverage/novelty attribution would
-    /// blur exactly the signal the window exists to isolate. The fresh
-    /// window is built before the lock and the old one freed after it.
+    /// A bundle hot-swap to `generation` completed: refreeze the catalog
+    /// profile against the new bundle and reset the window — the new
+    /// generation serves a new point on the trade-off curve, and mixing
+    /// pre-swap lists into its coverage/novelty attribution would blur
+    /// exactly the signal the window exists to isolate. The fresh window is
+    /// built before the lock and the old one freed after it.
     pub(crate) fn record_swap(&self, generation: u64, bundle: &ModelBundle) {
         self.swap_total.inc();
-        self.generation_gauge.set(generation as f64);
-        let fresh = WindowState::new(self.span, bundle);
+        let fresh = WindowState::new(self.span, bundle, generation);
         let old = std::mem::replace(&mut *self.window.lock().unwrap(), fresh);
         drop(old);
         self.hub.trace.record(
@@ -360,29 +330,56 @@ impl EngineObs {
         );
     }
 
-    /// Current rolling-window metrics; also publishes them as gauges so
-    /// `/v1/metrics` and `/v1/stats` agree.
+    /// The generation whose lists the window holds: the one served.
+    fn generation(&self) -> u64 {
+        self.window.lock().unwrap().generation
+    }
+
+    /// Current rolling-window metrics.
     pub(crate) fn window_stats(&self) -> WindowStats {
         let now = self.hub.coarse_us();
-        let stats = self.window.lock().unwrap().window.stats(now);
-        self.publish(stats);
-        stats
+        self.window.lock().unwrap().window.stats(now)
     }
 
     /// Expire + export this engine's window as a transportable summary
-    /// (what `GET /v1/window` answers and every cross-band union folds),
-    /// publishing the gauges alongside.
+    /// (what `GET /v1/window` answers and every cross-band union folds).
     pub(crate) fn window_wire(&self) -> WindowWire {
         let now = self.hub.coarse_us();
-        let wire = self.window.lock().unwrap().window.wire(now);
-        self.publish(wire.stats());
-        wire
+        self.window.lock().unwrap().window.wire(now)
     }
 
-    fn publish(&self, stats: WindowStats) {
-        self.coverage_gauge.set(stats.coverage);
-        self.novelty_gauge.set(stats.mean_novelty_bits);
-        self.tail_gauge.set(stats.long_tail_share);
-        self.lists_gauge.set(stats.lists as f64);
+    /// Register the series `/v1/metrics` reads from `tally` when it
+    /// renders: the request and ingest counts (held like a registry
+    /// counter, so they outlive the engine), the served generation and the
+    /// rolling window (held weakly: this obs holds the hub). Called once,
+    /// by the attach that set `tally.obs`.
+    pub(crate) fn register_reads(tally: &Tally) {
+        let obs = tally
+            .obs
+            .get()
+            .expect("registered by the attach that set it");
+        let band = band_label(obs.band);
+        let m = &obs.hub.metrics;
+        let count = |c: fn(&Counts) -> &AtomicU64| {
+            let counts = Arc::clone(&tally.counts);
+            move || c(&counts).load(Ordering::Relaxed)
+        };
+        for (result, c) in [("hit", count(|c| &c.hits)), ("miss", count(|c| &c.misses))] {
+            let labels = with_band(&band, &[("result", result)]);
+            m.read_counter("ganc_engine_requests_total", REQUESTS_HELP, &labels, c);
+        }
+        let labels = with_band(&band, &[]);
+        let ingested = count(|c| &c.ingested);
+        m.read_counter(
+            "ganc_engine_ingest_total",
+            "Interactions ingested",
+            &labels,
+            ingested,
+        );
+        for (name, help, read) in READ_GAUGES {
+            let obs = Arc::downgrade(&tally.obs);
+            let read = move || obs.upgrade().and_then(|o| o.get().map(read)).unwrap_or(0.0);
+            m.read_gauge(name, help, &labels, read);
+        }
     }
 }

@@ -40,7 +40,7 @@ use crate::band::{band_batch, BandMap};
 use crate::bundle::ModelBundle;
 use crate::engine::{
     DedupStats, DedupWindow, EngineBatch, EngineConfig, EngineStats, IngestAck, ServeError,
-    ServingEngine, DEDUP_WINDOW,
+    ServingEngine, Tally, DEDUP_WINDOW,
 };
 use crate::refit::{merge_interactions, RefitOutcome, Refitter};
 use crate::saveload::{PersistError, SaveLoad};
@@ -48,7 +48,7 @@ use crate::wal::{DurableConfig, DurableLog, Recovered, WalReplaySummary, WalStat
 use ganc_core::query::{band_bounds, cut_theta_bands, RequestOptions};
 use ganc_core::FitConfig;
 use ganc_dataset::{ItemId, UserId};
-use ganc_obs::{Counter, Gauge, ObsHub, TraceData, WindowStats, WindowWire};
+use ganc_obs::{Counter, ObsHub, TraceData, WindowStats, WindowWire};
 use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -120,7 +120,8 @@ pub struct ShardInfo {
 /// One generation's complete shard topology. Swapped wholesale under the
 /// outer lock so a refit replaces every shard atomically.
 struct ShardSet {
-    /// One engine per band, built at this set's generation.
+    /// One engine per band, built at this set's generation on the band's
+    /// tally (its counters and window, which outlive the generation).
     engines: Vec<ServingEngine>,
     info: Vec<ShardInfo>,
     /// Where each user is served this generation: their home band under
@@ -135,11 +136,15 @@ struct ShardSet {
 }
 
 impl ShardSet {
+    /// Band `j`'s engine records on `tally(j)`: a fresh tally at
+    /// construction, the band's own at every refit (a plan cuts the same
+    /// number of bands every generation).
     fn build(
         bundle: Arc<ModelBundle>,
         plan: &ShardPlan,
         engine_cfg: EngineConfig,
         generation: u64,
+        tally: impl Fn(usize) -> Tally,
     ) -> ShardSet {
         let map = BandMap::new(&bundle.theta, plan.cuts(&bundle.theta));
         let mut engines = Vec::with_capacity(map.bands());
@@ -161,7 +166,8 @@ impl ShardSet {
                 snapshots,
                 coverage_bytes,
             });
-            engines.push(ServingEngine::at_generation(sliced, engine_cfg, generation));
+            let engine = ServingEngine::with_tally(sliced, engine_cfg, generation, tally(j));
+            engines.push(engine);
         }
         ShardSet {
             engines,
@@ -184,106 +190,84 @@ impl ShardSet {
     }
 
     /// Apply acknowledged ingests to every shard, in order — a fresh one,
-    /// a WAL's recovered records, or the ingests a refit's fit did not
-    /// see — all or nothing: an id outside this generation refuses the lot
+    /// a WAL's recovered records, or (`counted`: false) the ingests a
+    /// refit's fit did not see, which the bands counted when they arrived —
+    /// all or nothing: an id outside this generation refuses the lot
     /// before any shard moves. The popularity bump is global state all
     /// replicas must track; the candidate exclusion only matters on the
     /// owner shard but is consistent everywhere.
-    fn apply(&self, ingests: &[(UserId, ItemId, f32)]) -> Result<(), ServeError> {
+    fn apply(&self, ingests: &[(UserId, ItemId, f32)], counted: bool) -> Result<(), ServeError> {
         for &(u, i, _) in ingests {
             self.check(u, i)?;
         }
         for &(u, i, r) in ingests {
             for engine in &self.engines {
-                engine.ingest(u, i, r)?;
+                if counted {
+                    engine.ingest(u, i, r)?;
+                } else {
+                    engine.replay(u, i);
+                }
             }
         }
         Ok(())
+    }
+
+    /// Each band's tally, in band order.
+    fn tallies(&self) -> Vec<Tally> {
+        self.engines.iter().map(ServingEngine::tally).collect()
     }
 }
 
 /// A θ-band sharded serving engine: byte-identical output to a single
 /// [`ServingEngine`] over the same bundle, with per-band coverage state.
 pub struct ShardedEngine {
-    set: RwLock<ShardSet>,
+    /// Shared with the `ganc_shard_generation` series, which reads it.
+    set: Arc<RwLock<ShardSet>>,
     /// Interactions ingested since the current baseline bundle was fitted,
     /// in arrival order: the refit pass's input, and on a durable engine
     /// the only list of acknowledged ingests no persisted artifact holds.
-    ingest_log: Mutex<Vec<(UserId, ItemId, f32)>>,
+    /// Shared with the `ganc_refit_pending_ingests` series.
+    ingest_log: Arc<Mutex<Vec<(UserId, ItemId, f32)>>>,
     /// Persist lock: one refit pass at a time saves its artifact and
     /// compacts the WAL ([`ShardedEngine::persist_refit`]).
     persist: Mutex<()>,
     engine_cfg: EngineConfig,
     plan: ShardPlan,
     /// Optional observability ([`ShardedEngine::attach_obs`]): the hub and
-    /// window span to thread onto every generation's band engines, plus
-    /// refit lifecycle counters.
+    /// the refit lifecycle counters.
     obs: OnceLock<ShardObs>,
     /// Idempotency keys of the keyed ingests this engine applied, across
     /// refit swaps; re-armed from the WAL's keys by
     /// [`ShardedEngine::attach_durable`]. An ingest locks it under the
-    /// shard-set write lock, and only when keyed.
-    keys: Mutex<DedupWindow>,
-    /// `ganc_wal_dedup_hits_total`, once both observability and a durable
-    /// log are attached ([`ShardedEngine::attach_wal_obs`]).
-    wal_dedup_hits: OnceLock<Arc<Counter>>,
+    /// shard-set write lock, and only when keyed. Shared with the
+    /// `ganc_wal_dedup_hits_total` series, which reads its hit count.
+    keys: Arc<Mutex<DedupWindow>>,
     /// Optional durability ([`ShardedEngine::attach_durable`]): the WAL
     /// every acknowledged ingest goes through. Set only under the
     /// shard-set write lock.
     durable: OnceLock<DurableLog>,
 }
 
-/// Shard-level observability state: what every new generation's engines
-/// are attached with, plus the refit lifecycle instruments.
+const REFIT_SWAPPED_HELP: &str = "Refit passes that installed a new generation";
+const REFIT_RACED_HELP: &str = "Refit passes discarded after losing the install race";
+
+/// Shard-level observability state: the hub and the refit lifecycle
+/// counters, which nothing else counts.
 struct ShardObs {
     hub: Arc<ObsHub>,
-    window: Duration,
     refit_started: Arc<Counter>,
     refit_swapped: Arc<Counter>,
     refit_raced: Arc<Counter>,
-    pending_gauge: Arc<Gauge>,
-    generation_gauge: Arc<Gauge>,
 }
 
 impl ShardObs {
-    fn new(hub: Arc<ObsHub>, window: Duration) -> ShardObs {
-        let m = &hub.metrics;
-        let refit_started = m.counter("ganc_refit_started_total", "Refit passes started", &[]);
-        let refit_swapped = m.counter(
-            "ganc_refit_swapped_total",
-            "Refit passes that installed a new generation",
-            &[],
-        );
-        let refit_raced = m.counter(
-            "ganc_refit_raced_total",
-            "Refit passes discarded after losing the install race",
-            &[],
-        );
-        let pending_gauge = m.gauge(
-            "ganc_refit_pending_ingests",
-            "Ingest-log entries awaiting the next refit",
-            &[],
-        );
-        let generation_gauge = m.gauge(
-            "ganc_shard_generation",
-            "Shard-set generation currently served",
-            &[],
-        );
+    fn new(hub: Arc<ObsHub>) -> ShardObs {
+        let counter = |name, help| hub.metrics.counter(name, help, &[]);
         ShardObs {
+            refit_started: counter("ganc_refit_started_total", "Refit passes started"),
+            refit_swapped: counter("ganc_refit_swapped_total", REFIT_SWAPPED_HELP),
+            refit_raced: counter("ganc_refit_raced_total", REFIT_RACED_HELP),
             hub,
-            window,
-            refit_started,
-            refit_swapped,
-            refit_raced,
-            pending_gauge,
-            generation_gauge,
-        }
-    }
-
-    /// Attach per-band engine observability to a shard set's engines.
-    fn attach_engines(&self, set: &ShardSet) {
-        for (j, engine) in set.engines.iter().enumerate() {
-            engine.attach_obs(Arc::clone(&self.hub), Some(j as u32), self.window);
         }
     }
 
@@ -305,47 +289,62 @@ impl ShardObs {
 impl ShardedEngine {
     /// Shard a fitted bundle and start serving.
     pub fn new(bundle: ModelBundle, cfg: ShardConfig) -> ShardedEngine {
+        let set = ShardSet::build(Arc::new(bundle), &cfg.plan, cfg.engine, 0, |_| {
+            Tally::default()
+        });
         ShardedEngine {
-            set: RwLock::new(ShardSet::build(Arc::new(bundle), &cfg.plan, cfg.engine, 0)),
-            ingest_log: Mutex::new(Vec::new()),
+            set: Arc::new(RwLock::new(set)),
+            ingest_log: Arc::default(),
             persist: Mutex::new(()),
             engine_cfg: cfg.engine,
             plan: cfg.plan,
             obs: OnceLock::new(),
-            keys: Mutex::new(DedupWindow::new(DEDUP_WINDOW)),
-            wal_dedup_hits: OnceLock::new(),
+            keys: Arc::new(Mutex::new(DedupWindow::new(DEDUP_WINDOW))),
             durable: OnceLock::new(),
         }
     }
 
     /// Attach observability: per-band metric series and rolling windows on
-    /// the current generation's engines (re-attached automatically to every
-    /// generation a refit installs), plus refit lifecycle counters and
-    /// trace events on `hub`. One-shot; a second attach is a no-op.
+    /// the bands (a band keeps both across the refits that follow), the
+    /// pending-ingest and generation series, plus refit lifecycle counters
+    /// and trace events on `hub`. One-shot; a second attach is a no-op.
     pub fn attach_obs(&self, hub: Arc<ObsHub>, window: Duration) {
-        let obs = ShardObs::new(hub, window);
+        if self.obs.set(ShardObs::new(Arc::clone(&hub))).is_err() {
+            return;
+        }
         let set = self.set.read().unwrap();
-        obs.attach_engines(&set);
-        obs.generation_gauge.set(set.generation as f64);
+        for (j, engine) in set.engines.iter().enumerate() {
+            engine.attach_obs(Arc::clone(&hub), Some(j as u32), window);
+        }
         drop(set);
-        let _ = self.obs.set(obs);
+        // The generation is read weakly: the set's engines hold the hub.
+        let m = &hub.metrics;
+        let help = "Ingest-log entries awaiting the next refit";
+        let log = Arc::clone(&self.ingest_log);
+        let pending = move || log.lock().unwrap().len() as f64;
+        m.read_gauge("ganc_refit_pending_ingests", help, &[], pending);
+        let help = "Shard-set generation currently served";
+        let set = Arc::downgrade(&self.set);
+        let generation = move || {
+            set.upgrade()
+                .map_or(0.0, |s| s.read().unwrap().generation as f64)
+        };
+        m.read_gauge("ganc_shard_generation", help, &[], generation);
         self.attach_wal_obs();
     }
 
-    /// Thread the `ganc_wal_*` counters onto the hub once both
-    /// observability and a durable log are attached — either attach order
-    /// works, whichever arrives second calls through. The log registers its
-    /// own; the dedup-hit counter is this engine's window's, caught up
-    /// under the window lock so no hit is lost or counted twice.
+    /// Register the `ganc_wal_*` series once both observability and a
+    /// durable log are attached — either attach order works, whichever
+    /// arrives second calls through. The log registers its own; the
+    /// dedup-hit count is this engine's window's.
     fn attach_wal_obs(&self) {
         if let (Some(obs), Some(durable)) = (self.obs.get(), self.durable.get()) {
-            durable.attach_obs(Arc::clone(&obs.hub));
-            let metrics = &obs.hub.metrics;
-            let help = "Keyed ingests answered from the dedup window";
-            let hits = metrics.counter("ganc_wal_dedup_hits_total", help, &[]);
-            let keys = self.keys.lock().unwrap();
-            if self.wal_dedup_hits.set(Arc::clone(&hits)).is_ok() {
-                hits.add(keys.stats().hits);
+            if durable.attach_obs(Arc::clone(&obs.hub)) {
+                let help = "Keyed ingests answered from the dedup window";
+                let keys = Arc::clone(&self.keys);
+                let hits = move || keys.lock().unwrap().stats().hits;
+                let m = &obs.hub.metrics;
+                m.read_counter("ganc_wal_dedup_hits_total", help, &[], hits);
             }
         }
     }
@@ -373,7 +372,7 @@ impl ShardedEngine {
         let interactions = &recovered.interactions;
         // Recovered interactions re-enter the refit log and the shards
         // like an ingest, but are not re-appended: they are in the WAL.
-        set.apply(interactions).map_err(|e| {
+        set.apply(interactions, true).map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("WAL record outside the artifact's id space: {e}"),
@@ -523,9 +522,6 @@ impl ShardedEngine {
         set.check(user, item)?;
         let mut keys = key.map(|k| (k, self.keys.lock().unwrap()));
         if keys.as_mut().is_some_and(|(k, keys)| keys.resent(k)) {
-            if let Some(hits) = self.wal_dedup_hits.get() {
-                hits.inc();
-            }
             return Ok(IngestAck::Deduplicated);
         }
         // WAL first (still under the outer write lock, so WAL order, log
@@ -544,7 +540,7 @@ impl ShardedEngine {
             keys.observe(k);
         }
         self.ingest_log.lock().unwrap().push((user, item, rating));
-        set.apply(&[(user, item, rating)])?;
+        set.apply(&[(user, item, rating)], true)?;
         Ok(IngestAck::Applied)
     }
 
@@ -571,7 +567,8 @@ impl ShardedEngine {
         self.set.read().unwrap().info.clone()
     }
 
-    /// Aggregate counters across all shards of the current generation.
+    /// Aggregate counters across all bands: a band's counters outlive the
+    /// refits that replace its engine.
     pub fn stats(&self) -> EngineStats {
         let set = self.set.read().unwrap();
         let mut total = EngineStats::default();
@@ -629,7 +626,6 @@ impl ShardedEngine {
         if let Some(obs) = obs {
             let pending = log.len() as u64;
             obs.refit_started.inc();
-            obs.pending_gauge.set(pending as f64);
             obs.trace(TraceData::RefitStarted {
                 generation,
                 pending,
@@ -648,8 +644,6 @@ impl ShardedEngine {
         };
         if let Some(obs) = obs {
             obs.refit_swapped.inc();
-            obs.generation_gauge.set(generation as f64);
-            obs.pending_gauge.set(self.pending_ingests() as f64);
             obs.trace(TraceData::RefitSwapped { generation });
         }
         self.persist_refit(generation, &bundle);
@@ -678,14 +672,13 @@ impl ShardedEngine {
     ) -> Option<u64> {
         // Build the new topology outside the write lock: slicing and
         // engine construction are the expensive part, and the old
-        // generation keeps serving throughout.
-        let new_set = ShardSet::build(bundle, &self.plan, self.engine_cfg, expected_generation + 1);
-        // Thread observability onto the new generation's engines before
-        // they go live (same metric series as the outgoing generation —
-        // the registry hands back the existing per-band atomics).
-        if let Some(obs) = self.obs.get() {
-            obs.attach_engines(&new_set);
-        }
+        // generation keeps serving throughout. Each band's engine records
+        // on the band's tally.
+        let tallies = self.set.read().unwrap().tallies();
+        let generation = expected_generation + 1;
+        let new_set = ShardSet::build(bundle, &self.plan, self.engine_cfg, generation, |j| {
+            tallies[j].clone()
+        });
         let mut set = self.set.write().unwrap();
         if set.generation != expected_generation {
             return None;
@@ -698,9 +691,12 @@ impl ShardedEngine {
         // in the new shards immediately. The refitted bundle spans the
         // same id space, so entries the old generation accepted replay.
         new_set
-            .apply(&log)
+            .apply(&log, false)
             .expect("refit bundle must cover previously accepted ids");
-        let generation = new_set.generation;
+        // Each band's window restarts in place, as a `swap_bundle` does.
+        for engine in &new_set.engines {
+            engine.restart_window();
+        }
         *set = new_set;
         Some(generation)
     }

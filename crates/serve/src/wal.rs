@@ -37,7 +37,7 @@
 use crate::engine::DEDUP_WINDOW;
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::clock::{Background, Clock, SystemClock};
-use ganc_obs::{Counter, ObsHub, TraceData};
+use ganc_obs::{ObsHub, TraceData};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -526,6 +526,14 @@ struct DurableInner {
     syncs: u64,
 }
 
+/// The log's event counts ([`WalStats`]), shared with the `ganc_wal_*`
+/// series that read them.
+#[derive(Default)]
+struct WalCounts {
+    appends: AtomicU64,
+    truncations: AtomicU64,
+}
+
 impl DurableInner {
     /// Group commit: `fdatasync` when something was appended since the
     /// last sync and that sync is at least `every` old at `now`.
@@ -538,14 +546,6 @@ impl DurableInner {
         }
         Ok(())
     }
-}
-
-/// WAL metric handles, registered at [`DurableLog::attach_obs`].
-struct WalObs {
-    hub: Arc<ObsHub>,
-    appends: Arc<Counter>,
-    replayed: Arc<Counter>,
-    truncations: Arc<Counter>,
 }
 
 /// A point-in-time view of the durable log, for `/v1/healthz` and stats.
@@ -580,9 +580,9 @@ pub struct DurableLog {
     /// Clock the [`SyncPolicy::Interval`] group commit reads; injected so
     /// tests drive the interval deterministically.
     clock: Arc<dyn Clock>,
-    appends: AtomicU64,
-    truncations: AtomicU64,
-    obs: OnceLock<WalObs>,
+    counts: Arc<WalCounts>,
+    /// The trace sink, once [`DurableLog::attach_obs`] ran.
+    obs: OnceLock<Arc<ObsHub>>,
     /// The [`SyncPolicy::Interval`] flusher (no other policy has one);
     /// stopped and joined when the log drops.
     _flusher: Option<Background>,
@@ -664,8 +664,7 @@ impl DurableLog {
             replay,
             sync_policy: cfg.sync_policy,
             clock,
-            appends: AtomicU64::new(0),
-            truncations: AtomicU64::new(0),
+            counts: Arc::default(),
             obs: OnceLock::new(),
             _flusher: flusher,
         };
@@ -725,10 +724,7 @@ impl DurableLog {
             }
             SyncPolicy::Interval(every) => inner.sync_if_due(self.clock.now(), every)?,
         }
-        self.appends.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = self.obs.get() {
-            obs.appends.inc();
-        }
+        self.counts.appends.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -756,11 +752,10 @@ impl DurableLog {
         let recs: Vec<WalRecord> = stubs.chain(whole).collect();
         let retained = recs.len() as u64;
         self.inner.lock().unwrap().wal.rewrite(&recs)?;
-        self.truncations.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = self.obs.get() {
-            obs.truncations.inc();
-            obs.hub.trace.record(
-                obs.hub.now_us(),
+        self.counts.truncations.fetch_add(1, Ordering::Relaxed);
+        if let Some(hub) = self.obs.get() {
+            hub.trace.record(
+                hub.now_us(),
                 TraceData::WalTruncate {
                     retained,
                     generation,
@@ -770,41 +765,36 @@ impl DurableLog {
         Ok(())
     }
 
-    /// Register the log's `ganc_wal_*` counters (the dedup-hit one belongs
-    /// to the engine's window) and emit the startup-replay trace event.
-    /// One-shot; later calls are no-ops.
-    pub fn attach_obs(&self, hub: Arc<ObsHub>) {
-        let m = &hub.metrics;
-        let obs = WalObs {
-            appends: m.counter("ganc_wal_appends_total", "WAL records appended", &[]),
-            replayed: m.counter(
-                "ganc_wal_replayed_total",
-                "WAL records recovered by startup replay",
-                &[],
-            ),
-            truncations: m.counter(
-                "ganc_wal_truncations_total",
-                "WAL compactions after refit swaps",
-                &[],
-            ),
-            hub: Arc::clone(&hub),
-        };
-        if self.obs.set(obs).is_ok() {
-            let obs = self.obs.get().expect("just set");
-            // Catch the counters up with whatever happened pre-attach.
-            obs.appends.add(self.appends.load(Ordering::Relaxed));
-            obs.replayed.add(self.replay.records);
-            obs.truncations
-                .add(self.truncations.load(Ordering::Relaxed));
-            obs.hub.trace.record(
-                obs.hub.now_us(),
-                TraceData::WalReplay {
-                    records: self.replay.records,
-                    bytes: self.replay.bytes,
-                    corrupted: self.replay.corrupted,
-                },
-            );
+    /// Register the log's `ganc_wal_*` series, read from its own counts
+    /// when `/v1/metrics` renders (the dedup-hit one belongs to the
+    /// engine's window), and emit the startup-replay trace event.
+    /// One-shot: `true` for the call that attached, later calls are no-ops.
+    pub fn attach_obs(&self, hub: Arc<ObsHub>) -> bool {
+        if self.obs.set(Arc::clone(&hub)).is_err() {
+            return false;
         }
+        let m = &hub.metrics;
+        let read = |count: fn(&WalCounts) -> &AtomicU64| {
+            let counts = Arc::clone(&self.counts);
+            move || count(&counts).load(Ordering::Relaxed)
+        };
+        let help = "WAL records appended";
+        m.read_counter("ganc_wal_appends_total", help, &[], read(|c| &c.appends));
+        let help = "WAL compactions after refit swaps";
+        let truncations = read(|c| &c.truncations);
+        m.read_counter("ganc_wal_truncations_total", help, &[], truncations);
+        let replayed = self.replay.records;
+        let help = "WAL records recovered by startup replay";
+        m.read_counter("ganc_wal_replayed_total", help, &[], move || replayed);
+        hub.trace.record(
+            hub.now_us(),
+            TraceData::WalReplay {
+                records: self.replay.records,
+                bytes: self.replay.bytes,
+                corrupted: self.replay.corrupted,
+            },
+        );
+        true
     }
 
     /// Current counters and sizes.
@@ -813,9 +803,9 @@ impl DurableLog {
         WalStats {
             records: inner.wal.records(),
             bytes: inner.wal.bytes(),
-            appends: self.appends.load(Ordering::Relaxed),
+            appends: self.counts.appends.load(Ordering::Relaxed),
             replayed: self.replay.records,
-            truncations: self.truncations.load(Ordering::Relaxed),
+            truncations: self.counts.truncations.load(Ordering::Relaxed),
             syncs: inner.syncs,
         }
     }

@@ -1065,3 +1065,148 @@ fn stats_windows_and_metrics_gauges_agree() {
         .2;
     assert_eq!(gauge, coverage, "stats and metrics publish the same window");
 }
+
+// ------------------------------------------------ one count per event
+
+/// A three-band sharded engine behind HTTP, with `/admin/refit` wired.
+fn sharded_server(seed: u64) -> (Arc<ShardedEngine>, HttpServer, HttpClient) {
+    let engine = Arc::new(ShardedEngine::new(
+        fixture_bundle(seed),
+        ShardConfig::quantile(3),
+    ));
+    let hook = RefitHook {
+        fitter: fitter(),
+        cfg: fit_cfg(),
+        cadence: None,
+    };
+    let server = HttpServer::bind(
+        Frontend::Sharded(Arc::clone(&engine)),
+        Some(hook),
+        ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let client = HttpClient::new(server.local_addr().to_string());
+    (engine, server, client)
+}
+
+/// The sum over every band of the `name` samples whose labels contain
+/// `labels` — what one scrape reports for the whole engine.
+fn scraped(client: &mut HttpClient, name: &str, labels: &str) -> f64 {
+    let resp = client.request("GET", "/v1/metrics", None).unwrap();
+    assert_eq!(resp.status, 200);
+    let samples = parse_prometheus(std::str::from_utf8(&resp.body).unwrap());
+    let matching: Vec<f64> = samples
+        .iter()
+        .filter(|(n, l, _)| n == name && l.contains(labels))
+        .map(|s| s.2)
+        .collect();
+    assert!(!matching.is_empty(), "{name}{{{labels}}} missing");
+    matching.iter().sum()
+}
+
+/// A scrape on its own reads the engine's live state: the lists inside the
+/// rolling windows and the ingests awaiting a refit, with no `/v1/stats`
+/// call beforehand to push them.
+#[test]
+fn a_scrape_alone_reads_the_live_window_and_pending_ingests() {
+    let (engine, _server, mut client) = sharded_server(211);
+    let users = engine.n_users().min(20);
+    for u in 0..users {
+        let resp = client
+            .request("GET", &format!("/v1/recommend/{u}"), None)
+            .unwrap();
+        assert_eq!(resp.status, 200);
+    }
+    for k in 0..7u32 {
+        let body = format!("{{\"user\":{k},\"item\":{},\"rating\":4.0}}", k + 1);
+        let resp = client.request("POST", "/v1/ingest", Some(&body)).unwrap();
+        assert_eq!(resp.status, 200);
+    }
+    assert_eq!(engine.pending_ingests(), 7);
+    assert_eq!(scraped(&mut client, "ganc_window_lists", ""), users as f64);
+    assert_eq!(scraped(&mut client, "ganc_refit_pending_ingests", ""), 7.0);
+}
+
+/// A sharded engine's counters belong to its bands, not to one
+/// generation: `stats()`, `/v1/stats`' cache block and the request metric
+/// keep counting across `POST /admin/refit`.
+#[test]
+fn sharded_stats_keep_counting_across_a_refit() {
+    let (engine, _server, mut client) = sharded_server(223);
+    let users = engine.n_users().min(10);
+    for _ in 0..2 {
+        for u in 0..users {
+            let resp = client
+                .request("GET", &format!("/v1/recommend/{u}"), None)
+                .unwrap();
+            assert_eq!(resp.status, 200);
+        }
+    }
+    let resp = client
+        .request(
+            "POST",
+            "/v1/ingest",
+            Some("{\"user\":1,\"item\":2,\"rating\":4.0}"),
+        )
+        .unwrap();
+    assert_eq!(resp.status, 200);
+    let before = engine.stats();
+    assert_eq!(
+        (before.cache_hits, before.cache_misses),
+        (users as u64, users as u64)
+    );
+    assert_eq!(
+        before.ingested,
+        engine.shards() as u64,
+        "one apply per band"
+    );
+
+    let refit = client.request("POST", "/admin/refit", None).unwrap();
+    assert_eq!(refit.status, 200);
+    assert_eq!(engine.generation(), 1);
+    let after = engine.stats();
+    assert_eq!(
+        (after.cache_hits, after.cache_misses, after.ingested),
+        (before.cache_hits, before.cache_misses, before.ingested),
+        "a refit reset the counters"
+    );
+    let stats = get_json(&mut client, "/v1/stats");
+    assert_eq!(stats["cache"]["hits"].as_u64(), Some(users as u64));
+    assert_eq!(stats["cache"]["misses"].as_u64(), Some(users as u64));
+    assert_eq!(stats["ingested"].as_u64(), Some(before.ingested));
+
+    // The next request counts on top, in both views.
+    let resp = client.request("GET", "/v1/recommend/0", None).unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(engine.stats().cache_misses, users as u64 + 1);
+    let misses = scraped(&mut client, "ganc_engine_requests_total", "result=\"miss\"");
+    assert_eq!(misses, (users + 1) as f64);
+}
+
+/// A batch's slots count in `ganc_engine_requests_total` exactly as they
+/// count in `/v1/stats`: one count per event, read by both.
+#[test]
+fn batch_slots_count_once_in_stats_and_metrics() {
+    let (engine, _server, mut client) = sharded_server(227);
+    let users: Vec<String> = (0..engine.n_users().min(10))
+        .map(|u| u.to_string())
+        .collect();
+    let body = format!("{{\"users\":[{}]}}", users.join(","));
+    for _ in 0..2 {
+        let resp = client
+            .request("POST", "/v1/recommend:batch", Some(&body))
+            .unwrap();
+        assert_eq!(resp.status, 200);
+    }
+    let stats = get_json(&mut client, "/v1/stats");
+    let hits = stats["cache"]["hits"].as_u64().unwrap();
+    let misses = stats["cache"]["misses"].as_u64().unwrap();
+    assert_eq!((hits, misses), (users.len() as u64, users.len() as u64));
+    let metric = |client: &mut HttpClient, result: &str| {
+        let labels = format!("result=\"{result}\"");
+        scraped(client, "ganc_engine_requests_total", &labels)
+    };
+    assert_eq!(metric(&mut client, "hit"), hits as f64);
+    assert_eq!(metric(&mut client, "miss"), misses as f64);
+}
