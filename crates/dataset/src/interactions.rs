@@ -20,34 +20,51 @@ struct Csr {
 }
 
 impl Csr {
-    fn from_triplets(n_rows: u32, rows: &[u32], cols: &[u32], vals: &[f32]) -> Csr {
-        debug_assert_eq!(rows.len(), cols.len());
-        debug_assert_eq!(rows.len(), vals.len());
-        let nnz = rows.len();
-        let mut counts = vec![0u32; n_rows as usize + 1];
-        for &r in rows {
-            counts[r as usize + 1] += 1;
+    /// Counting-sort `(row, col, value)` triplets into `n_rows` rows, then
+    /// sort each row by column id. Reads `triplets` twice (count, place).
+    fn from_triplets<I>(n_rows: u32, triplets: I) -> Csr
+    where
+        I: Iterator<Item = (u32, u32, f32)> + Clone,
+    {
+        let mut ptr = vec![0u32; n_rows as usize + 1];
+        for (r, _, _) in triplets.clone() {
+            ptr[r as usize + 1] += 1;
         }
-        for k in 1..counts.len() {
-            counts[k] += counts[k - 1];
+        for k in 1..ptr.len() {
+            ptr[k] += ptr[k - 1];
         }
-        let ptr: Box<[u32]> = counts.clone().into_boxed_slice();
+        let nnz = ptr[n_rows as usize] as usize;
         let mut idx = vec![0u32; nnz].into_boxed_slice();
         let mut val = vec![0f32; nnz].into_boxed_slice();
-        let mut cursor = counts;
-        for k in 0..nnz {
-            let r = rows[k] as usize;
-            let at = cursor[r] as usize;
-            idx[at] = cols[k];
-            val[at] = vals[k];
-            cursor[r] += 1;
+        let mut cursor = ptr.clone();
+        for (r, c, v) in triplets {
+            let at = cursor[r as usize] as usize;
+            idx[at] = c;
+            val[at] = v;
+            cursor[r as usize] += 1;
         }
         // Sort each row by column id for binary-searchable lookups. Rows are
         // typically short, so insertion locality dominates; a per-row sort of
         // index/value pairs is cheap and happens once.
-        let mut csr = Csr { ptr, idx, val };
+        let mut csr = Csr {
+            ptr: ptr.into_boxed_slice(),
+            idx,
+            val,
+        };
         csr.sort_rows();
         csr
+    }
+
+    /// The other orientation, with `n_cols` rows: row `c` lists every row
+    /// holding column `c`. Rows are read in order, so each result row comes
+    /// out sorted.
+    fn transpose(&self, n_cols: u32) -> Csr {
+        let entries = (0..self.ptr.len() - 1).flat_map(|r| {
+            let (cols, vals) = self.row(r);
+            let entry = move |(&c, &v)| (c, r as u32, v);
+            cols.iter().zip(vals).map(entry)
+        });
+        Csr::from_triplets(n_cols, entries)
     }
 
     fn sort_rows(&mut self) {
@@ -157,11 +174,9 @@ impl Interactions {
     /// Build from `(user, item, rating)` triplets. Duplicates must have been
     /// resolved upstream ([`crate::DatasetBuilder`] does this).
     pub fn from_ratings(n_users: u32, n_items: u32, ratings: &[Rating]) -> Interactions {
-        let users: Vec<u32> = ratings.iter().map(|r| r.user.0).collect();
-        let items: Vec<u32> = ratings.iter().map(|r| r.item.0).collect();
-        let vals: Vec<f32> = ratings.iter().map(|r| r.value).collect();
-        let by_user = Csr::from_triplets(n_users, &users, &items, &vals);
-        let by_item = Csr::from_triplets(n_items, &items, &users, &vals);
+        let triplets = ratings.iter().map(|r| (r.user.0, r.item.0, r.value));
+        let by_user = Csr::from_triplets(n_users, triplets);
+        let by_item = by_user.transpose(n_items);
         Interactions {
             n_users,
             n_items,

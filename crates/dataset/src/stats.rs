@@ -195,11 +195,20 @@ impl TableTwoRow {
 /// Normalize a vector to `[0, 1]` with the paper's min–max rule
 /// `x_i ← (x_i − min x) / (max x − min x)` (§II-A). Constant vectors map to
 /// all-zeros.
+///
+/// The extrema are those of a serial `f64::min` / `f64::max` scan, bit for
+/// bit: a NaN never wins (it maps to NaN; an all-NaN or empty vector has no
+/// span and maps to zeros), and ±∞ compete like any value. They are taken
+/// in 8 independent compare-select lanes folded at the end, so the scan
+/// vectorises. Every non-zero extremum has one bit pattern whatever
+/// the scan order; a zero extremum where both +0.0 and −0.0 occur is the
+/// one case where order picks the sign, so it is taken by the serial scan.
 pub fn min_max_normalize(xs: &mut [f64]) {
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &x in xs.iter() {
-        lo = lo.min(x);
-        hi = hi.max(x);
+    let (mut lo, mut hi) = lane_min_max(xs);
+    // A zero extremum, and the other zero's sign occurs too.
+    let ambiguous = |z: f64| z == 0.0 && xs.iter().any(|&x| x == 0.0 && x.to_bits() != z.to_bits());
+    if ambiguous(lo) || ambiguous(hi) {
+        (lo, hi) = serial_min_max(xs);
     }
     let span = hi - lo;
     if !span.is_finite() || span <= 0.0 {
@@ -211,11 +220,67 @@ pub fn min_max_normalize(xs: &mut [f64]) {
     }
 }
 
+/// Lanes of [`lane_min_max`]: 8 `f64`s fill one AVX-512, two AVX or four
+/// SSE2 registers.
+const LANES: usize = 8;
+
+/// `(min, max)` over `xs` in [`LANES`] compare-select lanes, `(+∞, −∞)`
+/// when empty.
+fn lane_min_max(xs: &[f64]) -> (f64, f64) {
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(chunk) {
+            (*l, *h) = (lower(*l, x), higher(*h, x));
+        }
+    }
+    for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(chunks.remainder()) {
+        (*l, *h) = (lower(*l, x), higher(*h, x));
+    }
+    let lo = lo.into_iter().fold(f64::INFINITY, lower);
+    let hi = hi.into_iter().fold(f64::NEG_INFINITY, higher);
+    (lo, hi)
+}
+
+/// `x` if it is below `acc`, else `acc`: a NaN compares false, so it never
+/// replaces `acc`, and a tie keeps `acc`.
+#[inline]
+fn lower(acc: f64, x: f64) -> f64 {
+    if x < acc {
+        x
+    } else {
+        acc
+    }
+}
+
+/// `x` if it is above `acc`, else `acc` (as [`lower`]).
+#[inline]
+fn higher(acc: f64, x: f64) -> f64 {
+    if x > acc {
+        x
+    } else {
+        acc
+    }
+}
+
+/// `(min, max)` over `xs` by a serial `f64::min` / `f64::max` scan: what
+/// [`min_max_normalize`] reads when scan order picks a zero's sign.
+fn serial_min_max(xs: &[f64]) -> (f64, f64) {
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for &x in xs {
+        lo = lo.min(x);
+        hi = hi.max(x);
+    }
+    (lo, hi)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::{DatasetBuilder, RatingScale};
     use crate::{ItemId, UserId};
+    use proptest::prelude::*;
 
     /// 10 ratings: item 0 gets 8 (head), items 1 and 2 get 1 each (tail).
     fn skewed() -> Interactions {
@@ -311,6 +376,89 @@ mod tests {
         let mut ys = vec![1.0, 3.0, 5.0];
         min_max_normalize(&mut ys);
         assert_eq!(ys, vec![0.0, 0.5, 1.0]);
+    }
+
+    /// The scan `min_max_normalize` had before its lanes: the oracle it
+    /// must match bit for bit.
+    fn serial_normalize(xs: &mut [f64]) {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &x in xs.iter() {
+            lo = lo.min(x);
+            hi = hi.max(x);
+        }
+        let span = hi - lo;
+        if !span.is_finite() || span <= 0.0 {
+            xs.iter_mut().for_each(|x| *x = 0.0);
+            return;
+        }
+        for x in xs.iter_mut() {
+            *x = (*x - lo) / span;
+        }
+    }
+
+    /// One generated entry: NaN, ±∞ and ±0.0 each one draw in ten, else a
+    /// finite value on either side of zero.
+    fn entry((pick, raw): (u32, u32)) -> f64 {
+        match pick {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => 0.0,
+            4 => -0.0,
+            _ => (raw as f64 - 500.0) / 7.0,
+        }
+    }
+
+    proptest! {
+        /// Every slice (lengths 0–40, so every remainder mod 8, at every
+        /// lane offset) of a generated vector, and of the same vector held
+        /// constant, normalises to the serial scan's bits. `zeros` in 0..2
+        /// lifts every negative entry to −0.0, so zero minima of both signs,
+        /// spread over the lanes, are drawn: the minimum's sign is what
+        /// reaches the output, as the sign of a normalised −0.0.
+        #[test]
+        fn lanes_match_the_serial_scan_bit_for_bit(
+            picks in collection::vec((0u32..10, 0u32..1000), 40..41),
+            zeros in 0u32..4,
+        ) {
+            let mut xs: Vec<f64> = picks.into_iter().map(entry).collect();
+            if zeros < 2 {
+                xs.iter_mut().filter(|x| **x < 0.0).for_each(|x| *x = -0.0);
+            }
+            let constant = vec![xs[0]; xs.len()];
+            for v in [&xs, &constant] {
+                for (start, end) in (0..=v.len()).flat_map(|a| (a..=v.len()).map(move |b| (a, b))) {
+                    let (mut got, mut want) = (v[start..end].to_vec(), v[start..end].to_vec());
+                    min_max_normalize(&mut got);
+                    serial_normalize(&mut want);
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?}", &v[start..end]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_extremum_of_both_signs_takes_the_serial_sign() {
+        // Each zero is first in its lane, and the lanes fold in lane
+        // order: without the serial scan the minimum would be lane 0's
+        // zero, whichever the scan meets first, and the −0.0 entry would
+        // normalise to the other zero.
+        let (p, m) = (0.0, -0.0);
+        for xs in [
+            [1.0, m, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, p],
+            [1.0, p, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, m],
+            [f64::NAN, m, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, p],
+        ] {
+            let (mut got, mut want) = (xs.to_vec(), xs.to_vec());
+            min_max_normalize(&mut got);
+            serial_normalize(&mut want);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{xs:?}");
+        }
+        let mut nan_only = [f64::NAN; 9];
+        min_max_normalize(&mut nan_only);
+        assert_eq!(nan_only, [0.0; 9], "no span: a NaN never wins");
     }
 
     #[test]

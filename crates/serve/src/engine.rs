@@ -49,11 +49,11 @@
 
 use crate::bundle::{BoundModel, CoverageState, FittedModel, ModelBundle};
 use crate::lru::LruCache;
-use crate::obs::EngineObs;
+use crate::obs::{catalog_profile, EngineObs};
 use ganc_core::accuracy::{make_scorer_with_mask, AccuracyScorer};
 use ganc_core::query::{candidate_runs, fused_select_runs, RequestOptions, RerankMode};
 use ganc_dataset::{Interactions, ItemId, UserId};
-use ganc_obs::{ObsHub, WindowStats, WindowWire};
+use ganc_obs::{CatalogProfile, ObsHub, WindowStats, WindowWire};
 use ganc_recommender::pop::MostPopular;
 use ganc_recommender::topn::{lists_for, train_item_mask};
 use ganc_recommender::Recommender;
@@ -586,20 +586,47 @@ impl ServingEngine {
     /// served lists. One-shot; a second attach is a no-op.
     pub fn attach_obs(&self, hub: Arc<ObsHub>, band: Option<u32>, window: Duration) {
         let state = self.state.read().unwrap();
-        let obs = EngineObs::new(hub, band, window, &state.bundle, state.generation);
+        let catalog = catalog_profile(&state.bundle);
+        let obs = EngineObs::new(hub, band, window, catalog, state.generation);
         drop(state);
+        self.set_obs(obs);
+    }
+
+    /// [`ServingEngine::attach_obs`] over the served generation's catalog
+    /// profile, already built: a sharded engine builds one for all its
+    /// bands, and holds its shard set still while it attaches them.
+    pub(crate) fn attach_obs_over(
+        &self,
+        hub: Arc<ObsHub>,
+        band: Option<u32>,
+        window: Duration,
+        catalog: Arc<CatalogProfile>,
+    ) {
+        let generation = self.generation();
+        self.set_obs(EngineObs::new(hub, band, window, catalog, generation));
+    }
+
+    fn set_obs(&self, obs: EngineObs) {
         if self.obs.set(obs).is_ok() {
             EngineObs::register_reads(&self.tally());
         }
     }
 
-    /// Restart the window for the generation this engine serves: a
-    /// sharded band's refit install is its [`ServingEngine::swap_bundle`].
-    pub(crate) fn restart_window(&self) {
+    /// Restart the window for the generation this engine serves, over that
+    /// generation's `catalog`: a sharded band's refit install is its
+    /// [`ServingEngine::swap_bundle`].
+    pub(crate) fn restart_window(&self, catalog: Arc<CatalogProfile>) {
         let state = self.state.read().unwrap();
         if let Some(o) = self.obs.get() {
-            o.record_swap(state.generation, &state.bundle);
+            o.record_swap(state.generation, catalog);
         }
+    }
+
+    /// The catalog profile the rolling window scores against, when
+    /// observability is attached.
+    #[cfg(test)]
+    pub(crate) fn catalog(&self) -> Option<Arc<CatalogProfile>> {
+        self.obs.get().map(|o| o.catalog())
     }
 
     /// Current rolling-window metrics, when observability is attached.
@@ -937,7 +964,7 @@ impl ServingEngine {
         // Record under the write lock (obs locks are leaves) so the swap
         // event and the catalog refreeze are atomic with the swap itself.
         if let Some(o) = self.obs.get() {
-            o.record_swap(generation, &state.bundle);
+            o.record_swap(generation, catalog_profile(&state.bundle));
         }
         drop(state);
         generation

@@ -60,14 +60,16 @@ const TAIL_MASS: f64 = 0.2;
 
 /// Build the frozen per-item catalog facts (novelty micro-bits, long-tail
 /// membership) for one bundle generation. Reads the already-loaded train
-/// popularity; holds **no** reference into the bundle afterwards.
-pub(crate) fn catalog_profile(bundle: &ModelBundle) -> CatalogProfile {
+/// popularity; holds **no** reference into the bundle afterwards. It reads
+/// only the train set, which every θ band of a generation shares, so a
+/// sharded engine builds one per generation and hands it to every band.
+pub(crate) fn catalog_profile(bundle: &ModelBundle) -> Arc<CatalogProfile> {
     let tail = LongTail::from_train(&bundle.train, TAIL_MASS);
-    CatalogProfile::from_popularity(
+    Arc::new(CatalogProfile::from_popularity(
         &bundle.train.item_popularity(),
         bundle.train.n_users(),
         tail.mask().to_vec(),
-    )
+    ))
 }
 
 /// The rolling window, the catalog profile it scores against, and the
@@ -82,9 +84,8 @@ struct WindowState {
 }
 
 impl WindowState {
-    /// An empty window of `span` over `bundle`'s catalog.
-    fn new(span: Duration, bundle: &ModelBundle, generation: u64) -> WindowState {
-        let catalog = Arc::new(catalog_profile(bundle));
+    /// An empty window of `span` over `catalog`.
+    fn new(span: Duration, catalog: Arc<CatalogProfile>, generation: u64) -> WindowState {
         WindowState {
             window: RollingWindow::new(span, catalog.n_items()),
             catalog,
@@ -171,14 +172,14 @@ pub(crate) struct EngineObs {
 }
 
 impl EngineObs {
-    /// Register this engine's stored metric series and seed the rolling
-    /// window from the served bundle. The series read from the engine's
-    /// tally are [`EngineObs::register_reads`]'s.
+    /// Register this engine's stored metric series and start the rolling
+    /// window over the served generation's `catalog`. The series read from
+    /// the engine's tally are [`EngineObs::register_reads`]'s.
     pub(crate) fn new(
         hub: Arc<ObsHub>,
         band: Option<u32>,
         span: Duration,
-        bundle: &ModelBundle,
+        catalog: Arc<CatalogProfile>,
         generation: u64,
     ) -> EngineObs {
         let band_label = band_label(band);
@@ -198,7 +199,7 @@ impl EngineObs {
             swap_total: counter("ganc_engine_swap_total", "Bundle hot-swaps completed"),
             cacheable: AtomicU64::new(0),
             span,
-            window: Mutex::new(WindowState::new(span, bundle, generation)),
+            window: Mutex::new(WindowState::new(span, catalog, generation)),
             band,
             hub,
         }
@@ -310,15 +311,15 @@ impl EngineObs {
         );
     }
 
-    /// A bundle hot-swap to `generation` completed: refreeze the catalog
-    /// profile against the new bundle and reset the window — the new
-    /// generation serves a new point on the trade-off curve, and mixing
-    /// pre-swap lists into its coverage/novelty attribution would blur
-    /// exactly the signal the window exists to isolate. The fresh window is
-    /// built before the lock and the old one freed after it.
-    pub(crate) fn record_swap(&self, generation: u64, bundle: &ModelBundle) {
+    /// A bundle hot-swap to `generation` completed: score against the new
+    /// bundle's frozen `catalog` and reset the window — the new generation
+    /// serves a new point on the trade-off curve, and mixing pre-swap lists
+    /// into its coverage/novelty attribution would blur exactly the signal
+    /// the window exists to isolate. The fresh window is built before the
+    /// lock and the old one freed after it.
+    pub(crate) fn record_swap(&self, generation: u64, catalog: Arc<CatalogProfile>) {
         self.swap_total.inc();
-        let fresh = WindowState::new(self.span, bundle, generation);
+        let fresh = WindowState::new(self.span, catalog, generation);
         let old = std::mem::replace(&mut *self.window.lock().unwrap(), fresh);
         drop(old);
         self.hub.trace.record(
@@ -328,6 +329,12 @@ impl EngineObs {
                 generation,
             },
         );
+    }
+
+    /// The catalog profile the window scores against.
+    #[cfg(test)]
+    pub(crate) fn catalog(&self) -> Arc<CatalogProfile> {
+        Arc::clone(&self.window.lock().unwrap().catalog)
     }
 
     /// The generation whose lists the window holds: the one served.

@@ -35,7 +35,6 @@ use ganc_core::FitConfig;
 use ganc_dataset::dataset::Rating;
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_obs::clock::Background;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,30 +52,49 @@ pub type Refitter = dyn Fn(&Interactions) -> (FittedModel, Vec<f64>) + Send + Sy
 
 /// The train set plus everything ingested since it was frozen, as one
 /// deduplicated interaction matrix: a re-rated `(user, item)` pair keeps
-/// the latest rating. This is the "accumulated interactions" a refit (and
-/// the from-scratch fit the tests compare against) runs on.
+/// the rating that arrived last. This is the "accumulated interactions" a
+/// refit (and the from-scratch fit the tests compare against) runs on.
+///
+/// Costs O(nnz + L log L) for a log of L ingests, with no per-rating hash:
+/// the log is stably sorted by `(user, item)`, so the last element of a
+/// run of one pair is its latest rating, and each user's run is merged
+/// into that user's train row (already sorted by item) in one pass.
+///
+/// Panics if an ingest names a user or an item outside `base`'s catalogue.
 pub fn merge_interactions(base: &Interactions, ingested: &[(UserId, ItemId, f32)]) -> Interactions {
-    let mut ratings: Vec<Rating> = base
-        .iter()
-        .map(|(user, item, value)| Rating { user, item, value })
-        .collect();
-    let mut at: HashMap<(u32, u32), usize> = ratings
-        .iter()
-        .enumerate()
-        .map(|(k, r)| ((r.user.0, r.item.0), k))
-        .collect();
-    for &(user, item, value) in ingested {
-        match at.entry((user.0, item.0)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                ratings[*e.get()].value = value;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(ratings.len());
+    let (n_users, n_items) = (base.n_users(), base.n_items());
+    let mut log = ingested.to_vec();
+    log.sort_by_key(|&(user, item, _)| (user, item));
+    let mut ratings = Vec::with_capacity(base.nnz() + log.len());
+    let mut runs = log.chunk_by(|a, b| a.0 == b.0).peekable();
+    for user in (0..n_users).map(UserId) {
+        let (items, values) = base.user_row(user);
+        let rating = |(&item, &value)| Rating {
+            user,
+            item: ItemId(item),
+            value,
+        };
+        let mut row = items.iter().zip(values).map(rating).peekable();
+        if let Some(run) = runs.next_if(|run| run[0].0 == user) {
+            for pair in run.chunk_by(|a, b| a.1 == b.1) {
+                let &(_, item, value) = pair.last().expect("a run is never empty");
+                assert!(
+                    item.0 < n_items,
+                    "ingested {item:?} outside {n_items} items"
+                );
+                while let Some(kept) = row.next_if(|r| r.item < item) {
+                    ratings.push(kept);
+                }
+                row.next_if(|r| r.item == item);
                 ratings.push(Rating { user, item, value });
             }
         }
+        ratings.extend(row);
     }
-    Interactions::from_ratings(base.n_users(), base.n_items(), &ratings)
+    if let Some(run) = runs.next() {
+        panic!("ingested {:?} outside {n_users} users", run[0].0);
+    }
+    Interactions::from_ratings(n_users, n_items, &ratings)
 }
 
 /// What one refit pass ([`ShardedEngine::refit_once`]) did.
@@ -256,6 +274,7 @@ mod tests {
     use ganc_dataset::synth::DatasetProfile;
     use ganc_preference::GeneralizedConfig;
     use ganc_recommender::pop::MostPopular;
+    use proptest::prelude::*;
 
     fn fixture() -> (Interactions, FitConfig) {
         let data = DatasetProfile::tiny().generate(5);
@@ -298,6 +317,97 @@ mod tests {
         assert_eq!(merged.get(u, fresh), Some(2.5));
         // No ingests: merge is the identity.
         assert_eq!(merge_interactions(&train, &[]), train);
+    }
+
+    /// The hashed merge `merge_interactions` had before its sorted runs:
+    /// the oracle it must equal.
+    fn hashed_merge(base: &Interactions, ingested: &[(UserId, ItemId, f32)]) -> Interactions {
+        let mut ratings: Vec<Rating> = base
+            .iter()
+            .map(|(user, item, value)| Rating { user, item, value })
+            .collect();
+        let mut at: std::collections::HashMap<(u32, u32), usize> = ratings
+            .iter()
+            .enumerate()
+            .map(|(k, r)| ((r.user.0, r.item.0), k))
+            .collect();
+        for &(user, item, value) in ingested {
+            match at.entry((user.0, item.0)) {
+                std::collections::hash_map::Entry::Occupied(e) => {
+                    ratings[*e.get()].value = value;
+                }
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(ratings.len());
+                    ratings.push(Rating { user, item, value });
+                }
+            }
+        }
+        Interactions::from_ratings(base.n_users(), base.n_items(), &ratings)
+    }
+
+    proptest! {
+        /// Generated base matrices (`empty` blanks a user's row; `last`
+        /// gives the last user one) and logs (`edits`: a pair already in
+        /// train or a fresh one, rated 1–4 times, the log shuffled by
+        /// `order`, empty in one case in 24) merge to the oracle's
+        /// matrix, and an empty log to the base itself.
+        #[test]
+        fn sorted_merge_equals_the_hashed_merge(
+            shape in (1u32..7, 1u32..10, 0u32..64, 0u32..2),
+            cells in collection::vec((0u32..64, 0u32..64, 1u32..6), 0..30),
+            edits in collection::vec((0u32..2, 0u32..64, (0u32..64, 1u32..5), 0u32..1000), 0..24),
+            order in collection::vec(0u32..1000, 96..97),
+        ) {
+            let (n_users, n_items, empty, last) = shape;
+            let mut pairs = std::collections::BTreeMap::new();
+            for (u, i, v) in cells {
+                let u = u % n_users;
+                if empty >> u & 1 == 0 {
+                    pairs.entry((u, i % n_items)).or_insert(v as f32);
+                }
+            }
+            if last == 1 {
+                pairs.entry((n_users - 1, 0)).or_insert(3.0);
+            }
+            let ratings: Vec<Rating> = pairs
+                .iter()
+                .map(|(&(u, i), &value)| Rating { user: UserId(u), item: ItemId(i), value })
+                .collect();
+            let base = Interactions::from_ratings(n_users, n_items, &ratings);
+            let mut log = Vec::new();
+            for (kind, a, (b, times), seed) in edits {
+                let (u, i) = match (kind, ratings.len()) {
+                    (0, n) if n > 0 => {
+                        let r = ratings[a as usize % n];
+                        (r.user.0, r.item.0)
+                    }
+                    _ => (a % n_users, b % n_items),
+                };
+                for t in 0..times {
+                    let value = ((seed + t) % 9) as f32 * 0.5 + 1.0;
+                    log.push((UserId(u), ItemId(i), value));
+                }
+            }
+            let mut keyed: Vec<_> = log.into_iter().enumerate().collect();
+            keyed.sort_by_key(|&(k, _)| order[k]);
+            let log: Vec<_> = keyed.into_iter().map(|(_, entry)| entry).collect();
+            prop_assert_eq!(merge_interactions(&base, &log), hashed_merge(&base, &log));
+            prop_assert_eq!(merge_interactions(&base, &[]), base);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn merging_a_user_outside_the_catalogue_panics() {
+        let (train, _) = fixture();
+        merge_interactions(&train, &[(UserId(train.n_users()), ItemId(0), 4.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn merging_an_item_outside_the_catalogue_panics() {
+        let (train, _) = fixture();
+        merge_interactions(&train, &[(UserId(0), ItemId(train.n_items()), 4.0)]);
     }
 
     #[test]

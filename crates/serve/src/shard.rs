@@ -42,6 +42,7 @@ use crate::engine::{
     DedupStats, DedupWindow, EngineBatch, EngineConfig, EngineStats, IngestAck, ServeError,
     ServingEngine, Tally, DEDUP_WINDOW,
 };
+use crate::obs::catalog_profile;
 use crate::refit::{merge_interactions, RefitOutcome, Refitter};
 use crate::saveload::{PersistError, SaveLoad};
 use crate::wal::{DurableConfig, DurableLog, Recovered, WalReplaySummary, WalStats};
@@ -313,8 +314,10 @@ impl ShardedEngine {
             return;
         }
         let set = self.set.read().unwrap();
+        let catalog = catalog_profile(&set.bundle);
         for (j, engine) in set.engines.iter().enumerate() {
-            engine.attach_obs(Arc::clone(&hub), Some(j as u32), window);
+            let catalog = Arc::clone(&catalog);
+            engine.attach_obs_over(Arc::clone(&hub), Some(j as u32), window, catalog);
         }
         drop(set);
         // The generation is read weakly: the set's engines hold the hub.
@@ -670,10 +673,11 @@ impl ShardedEngine {
         bundle: Arc<ModelBundle>,
         consumed: usize,
     ) -> Option<u64> {
-        // Build the new topology outside the write lock: slicing and
-        // engine construction are the expensive part, and the old
-        // generation keeps serving throughout. Each band's engine records
-        // on the band's tally.
+        // Build the new topology outside the write lock: slicing, engine
+        // construction and the bands' one catalog profile are the
+        // expensive part, and the old generation keeps serving throughout.
+        // Each band's engine records on the band's tally.
+        let catalog = self.obs.get().map(|_| catalog_profile(&bundle));
         let tallies = self.set.read().unwrap().tallies();
         let generation = expected_generation + 1;
         let new_set = ShardSet::build(bundle, &self.plan, self.engine_cfg, generation, |j| {
@@ -693,9 +697,13 @@ impl ShardedEngine {
         new_set
             .apply(&log, false)
             .expect("refit bundle must cover previously accepted ids");
-        // Each band's window restarts in place, as a `swap_bundle` does.
-        for engine in &new_set.engines {
-            engine.restart_window();
+        // Each band's window restarts in place, as a `swap_bundle` does (on
+        // a profile built here only if observability attached mid-fit).
+        let catalog = catalog.or_else(|| self.obs.get().map(|_| catalog_profile(&new_set.bundle)));
+        if let Some(catalog) = &catalog {
+            for engine in &new_set.engines {
+                engine.restart_window(Arc::clone(catalog));
+            }
         }
         *set = new_set;
         Some(generation)
@@ -804,6 +812,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_band_of_a_generation_shares_one_catalog_profile() {
+        let b = bundle(CoverageKind::Dynamic);
+        let sharded = ShardedEngine::new(b, ShardConfig::quantile(3));
+        sharded.attach_obs(ObsHub::new(), Duration::from_secs(60));
+        let profiles = || -> Vec<_> {
+            let set = sharded.set.read().unwrap();
+            set.engines.iter().map(|e| e.catalog().unwrap()).collect()
+        };
+        let attached = profiles();
+        assert_eq!(attached.len(), 3);
+        assert!(attached.iter().all(|p| Arc::ptr_eq(p, &attached[0])));
+
+        let u = UserId(0);
+        sharded
+            .ingest(u, sharded.recommend(u).unwrap()[0], 5.0)
+            .unwrap();
+        let fitter = |train: &ganc_dataset::Interactions| {
+            let theta = GeneralizedConfig::default().estimate(train);
+            (FittedModel::Pop(MostPopular::fit(train)), theta)
+        };
+        let cfg = FitConfig {
+            coverage: CoverageKind::Dynamic,
+            sample_size: 12,
+            ..FitConfig::new(5)
+        };
+        let outcome = sharded.refit_once(&fitter, &cfg);
+        assert!(matches!(
+            outcome,
+            RefitOutcome::Swapped { generation: 1, .. }
+        ));
+        let refitted = profiles();
+        assert!(refitted.iter().all(|p| Arc::ptr_eq(p, &refitted[0])));
+        assert!(
+            !Arc::ptr_eq(&refitted[0], &attached[0]),
+            "one per generation"
+        );
     }
 
     #[test]
