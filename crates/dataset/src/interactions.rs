@@ -1,15 +1,17 @@
-//! Immutable CSR interaction matrices with user-major and item-major views.
+//! Immutable user-major CSR interaction matrices.
 //!
 //! Every algorithm in the workspace reads interaction data through this type:
-//! `row(u)` gives `I_u^R` (the items rated by `u`) and `col(i)` gives `U_i^R`
-//! (the users who rated `i`) — the two index sets the paper's notation
-//! revolves around (§II-A). Both views are materialized once at construction
-//! so hot loops never search or hash.
+//! `user_row(u)` gives `I_u^R` (the items rated by `u`), materialized once at
+//! construction so hot loops never search or hash. The per-item facts the
+//! paper reads off `U_i^R` (§II-A) — popularity `f_i^R`, mean ratings, and
+//! the per-item sums of θ^G's w-step and the 5D baseline — are reductions,
+//! each taken in one pass over the rows, which visits every item's raters in
+//! ascending user order.
 
 use crate::dataset::Rating;
 use crate::{ItemId, UserId};
 
-/// One compressed-sparse orientation: `ptr` has `n_rows + 1` offsets into the
+/// A compressed-sparse row matrix: `ptr` has `n_rows + 1` offsets into the
 /// parallel `idx`/`val` arrays. Decoded only inside [`Interactions`], which
 /// knows the dimensions to check it against ([`Csr::check`]).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -55,18 +57,6 @@ impl Csr {
         csr
     }
 
-    /// The other orientation, with `n_cols` rows: row `c` lists every row
-    /// holding column `c`. Rows are read in order, so each result row comes
-    /// out sorted.
-    fn transpose(&self, n_cols: u32) -> Csr {
-        let entries = (0..self.ptr.len() - 1).flat_map(|r| {
-            let (cols, vals) = self.row(r);
-            let entry = move |(&c, &v)| (c, r as u32, v);
-            cols.iter().zip(vals).map(entry)
-        });
-        Csr::from_triplets(n_cols, entries)
-    }
-
     fn sort_rows(&mut self) {
         let n_rows = self.ptr.len() - 1;
         let mut scratch: Vec<(u32, f32)> = Vec::new();
@@ -96,7 +86,7 @@ impl Csr {
     }
 
     /// The invariant every row read relies on, for an `n_rows × n_cols`
-    /// orientation: `n_rows + 1` offsets rising from 0 to the entry count,
+    /// matrix: `n_rows + 1` offsets rising from 0 to the entry count,
     /// one value per entry, and each row's column ids strictly increasing
     /// (sorted for binary search, no duplicates) and below `n_cols`.
     /// `Err` names the first clause that fails.
@@ -139,33 +129,27 @@ impl Csr {
     }
 }
 
-/// Immutable user×item interaction matrix with both orientations.
+/// Immutable user×item interaction matrix, stored user-major.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Interactions {
     n_users: u32,
     n_items: u32,
     by_user: Csr,
-    by_item: Csr,
 }
 
-// Field by field as the derive would, then the checks every row and column
-// read relies on: each orientation is a well-formed CSR matrix of the
-// declared dimensions, and the two hold the same number of ratings.
+// Field by field as the derive would, then the check every row read and
+// per-item pass relies on: a well-formed CSR matrix of the declared
+// dimensions.
 impl<'de> serde::Deserialize<'de> for Interactions {
     fn deserialize<D: serde::Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
         let m = Interactions {
             n_users: serde::Deserialize::deserialize(d)?,
             n_items: serde::Deserialize::deserialize(d)?,
             by_user: serde::Deserialize::deserialize(d)?,
-            by_item: serde::Deserialize::deserialize(d)?,
         };
         m.by_user
             .check(m.n_users, m.n_items)
-            .and_then(|()| m.by_item.check(m.n_items, m.n_users))
             .map_err(|what| d.invalid(what))?;
-        if m.by_user.idx.len() != m.by_item.idx.len() {
-            return Err(d.invalid("one rating count for both orientations"));
-        }
         Ok(m)
     }
 }
@@ -175,13 +159,10 @@ impl Interactions {
     /// resolved upstream ([`crate::DatasetBuilder`] does this).
     pub fn from_ratings(n_users: u32, n_items: u32, ratings: &[Rating]) -> Interactions {
         let triplets = ratings.iter().map(|r| (r.user.0, r.item.0, r.value));
-        let by_user = Csr::from_triplets(n_users, triplets);
-        let by_item = by_user.transpose(n_items);
         Interactions {
             n_users,
             n_items,
-            by_user,
-            by_item,
+            by_user: Csr::from_triplets(n_users, triplets),
         }
     }
 
@@ -209,22 +190,10 @@ impl Interactions {
         self.by_user.row(u.idx())
     }
 
-    /// Users who rated `i` with their ratings — `U_i^R` (sorted by user id).
-    #[inline]
-    pub fn item_col(&self, i: ItemId) -> (&[u32], &[f32]) {
-        self.by_item.row(i.idx())
-    }
-
     /// `|I_u^R|`: the user's activity.
     #[inline]
     pub fn user_degree(&self, u: UserId) -> usize {
         self.by_user.row_len(u.idx())
-    }
-
-    /// `|U_i^R|`: the item's popularity `f_i^R`.
-    #[inline]
-    pub fn item_degree(&self, i: ItemId) -> usize {
-        self.by_item.row_len(i.idx())
     }
 
     /// Look up a single rating, if present (binary search in the user's row).
@@ -260,24 +229,30 @@ impl Interactions {
     }
 
     /// Per-item mean rating, `NaN`-free: items with no ratings get `fallback`.
+    /// One pass over the rows: each item's sum starts at `-0.0` and adds its
+    /// ratings in ascending user order, as `Iterator::sum` over the item's
+    /// raters would.
     pub fn item_means(&self, fallback: f64) -> Vec<f64> {
-        (0..self.n_items)
-            .map(|i| {
-                let (_, vals) = self.by_item.row(i as usize);
-                if vals.is_empty() {
-                    fallback
-                } else {
-                    vals.iter().map(|&v| v as f64).sum::<f64>() / vals.len() as f64
-                }
-            })
+        let mut sums = vec![-0.0f64; self.n_items as usize];
+        let mut counts = vec![0u32; self.n_items as usize];
+        for (&i, &v) in self.by_user.idx.iter().zip(self.by_user.val.iter()) {
+            sums[i as usize] += v as f64;
+            counts[i as usize] += 1;
+        }
+        sums.iter()
+            .zip(&counts)
+            .map(|(&s, &c)| if c == 0 { fallback } else { s / c as f64 })
             .collect()
     }
 
-    /// Per-item popularity vector `f^R` (Table III / §II-A).
+    /// Per-item popularity vector `f^R` (Table III / §II-A): one counting
+    /// pass over every stored rating, so a caller takes it once and keeps it.
     pub fn item_popularity(&self) -> Vec<u32> {
-        (0..self.n_items)
-            .map(|i| self.by_item.row_len(i as usize) as u32)
-            .collect()
+        let mut pop = vec![0u32; self.n_items as usize];
+        for &i in self.by_user.idx.iter() {
+            pop[i as usize] += 1;
+        }
+        pop
     }
 
     /// Per-user activity vector `|I_u^R|`.
@@ -286,30 +261,13 @@ impl Interactions {
             .map(|u| self.by_user.row_len(u as usize) as u32)
             .collect()
     }
-
-    /// Mark the items of `u` in a reusable bitmap-like buffer (`true` =
-    /// seen). Callers keep one buffer per thread to avoid reallocating.
-    pub fn mark_seen(&self, u: UserId, seen: &mut [bool]) {
-        debug_assert_eq!(seen.len(), self.n_items as usize);
-        let (items, _) = self.user_row(u);
-        for &i in items {
-            seen[i as usize] = true;
-        }
-    }
-
-    /// Clear the marks set by [`Interactions::mark_seen`].
-    pub fn clear_seen(&self, u: UserId, seen: &mut [bool]) {
-        let (items, _) = self.user_row(u);
-        for &i in items {
-            seen[i as usize] = false;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::{DatasetBuilder, RatingScale};
+    use proptest::prelude::*;
 
     fn sample() -> Interactions {
         let mut b = DatasetBuilder::new("t", RatingScale::stars_1_5());
@@ -326,23 +284,21 @@ mod tests {
     }
 
     #[test]
-    fn rows_and_cols_agree() {
+    fn rows_hold_each_users_ratings_sorted_by_item() {
         let m = sample();
         assert_eq!(m.nnz(), 5);
         let (items, vals) = m.user_row(UserId(0));
         assert_eq!(items, &[0, 2]);
         assert_eq!(vals, &[5.0, 3.0]);
-        let (users, vals) = m.item_col(ItemId(0));
-        assert_eq!(users, &[0, 1, 2]);
-        assert_eq!(vals, &[5.0, 4.0, 1.0]);
+        let (items, vals) = m.user_row(UserId(2));
+        assert_eq!(items, &[0, 1]);
+        assert_eq!(vals, &[1.0, 2.0]);
     }
 
     #[test]
     fn degrees_match() {
         let m = sample();
         assert_eq!(m.user_degree(UserId(2)), 2);
-        assert_eq!(m.item_degree(ItemId(0)), 3);
-        assert_eq!(m.item_degree(ItemId(1)), 1);
         assert_eq!(m.item_popularity(), vec![3, 1, 1]);
         assert_eq!(m.user_activity(), vec![2, 1, 2]);
     }
@@ -373,14 +329,60 @@ mod tests {
         assert_eq!(means[2], 3.0);
     }
 
-    #[test]
-    fn mark_and_clear_seen_round_trip() {
-        let m = sample();
-        let mut seen = vec![false; m.n_items() as usize];
-        m.mark_seen(UserId(0), &mut seen);
-        assert_eq!(seen, vec![true, false, true]);
-        m.clear_seen(UserId(0), &mut seen);
-        assert_eq!(seen, vec![false, false, false]);
+    /// Random 14 × 12 matrices whose ratings never touch users 5 and 13
+    /// nor items 4 and 11: every draw has empty rows and empty columns, in
+    /// the middle and at the end. Ratings arrive in draw order, so rows are
+    /// sorted at construction.
+    fn arb_holed() -> impl Strategy<Value = Interactions> {
+        proptest::collection::vec((0u32..12, 0u32..10, 1u32..=10), 0..80).prop_map(|draws| {
+            let mut seen = std::collections::HashSet::new();
+            let ratings: Vec<Rating> = draws
+                .into_iter()
+                .map(|(u, i, r)| Rating {
+                    user: UserId(u + u32::from(u >= 5)),
+                    item: ItemId(i + u32::from(i >= 4)),
+                    value: r as f32 / 2.0,
+                })
+                .filter(|r| seen.insert((r.user, r.item)))
+                .collect();
+            Interactions::from_ratings(14, 12, &ratings)
+        })
+    }
+
+    /// The item-major reference: each item's raters with their ratings, in
+    /// ascending user order, read back from the user-major triplets.
+    fn columns(m: &Interactions) -> Vec<Vec<(u32, f32)>> {
+        let mut cols = vec![Vec::new(); m.n_items() as usize];
+        for (u, i, v) in m.iter() {
+            cols[i.idx()].push((u.0, v));
+        }
+        cols
+    }
+
+    proptest! {
+        #[test]
+        fn item_popularity_matches_an_item_major_reference(m in arb_holed()) {
+            let want: Vec<u32> = columns(&m).iter().map(|c| c.len() as u32).collect();
+            prop_assert_eq!(m.item_popularity(), want);
+        }
+
+        #[test]
+        fn item_means_match_an_item_major_reference_bit_for_bit(m in arb_holed()) {
+            for fallback in [0.0, -0.0, 2.5] {
+                let want: Vec<u64> = columns(&m)
+                    .iter()
+                    .map(|col| {
+                        if col.is_empty() {
+                            return f64::to_bits(fallback);
+                        }
+                        let sum: f64 = col.iter().map(|&(_, v)| v as f64).sum();
+                        (sum / col.len() as f64).to_bits()
+                    })
+                    .collect();
+                let got: Vec<u64> = m.item_means(fallback).iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     /// `m` after `edit`, through an encode and a decode.
@@ -430,7 +432,7 @@ mod tests {
     fn offsets_not_ending_at_the_entry_count_are_refused() {
         assert_refused("ending at the entry count", |m| m.by_user.ptr[3] = 4);
         assert_refused("one value per entry", |m| {
-            m.by_item.val = m.by_item.val[..4].into();
+            m.by_user.val = m.by_user.val[..4].into();
         });
     }
 
@@ -445,18 +447,6 @@ mod tests {
     fn column_ids_outside_the_matrix_are_refused() {
         // User 2's row is items [0, 1]; there are 3 items.
         assert_refused("inside the matrix", |m| m.by_user.idx[4] = 3);
-        assert_refused("inside the matrix", |m| m.by_item.idx[4] = 3);
-    }
-
-    #[test]
-    fn orientations_disagreeing_on_the_rating_count_are_refused() {
-        // Item 0's column is users [0, 1, 2]: drop user 2 from it, leaving
-        // a well-formed item-major orientation of 4 ratings.
-        assert_refused("one rating count", |m| {
-            m.by_item.ptr = vec![0, 2, 3, 4].into();
-            m.by_item.idx = vec![0, 1, 2, 0].into();
-            m.by_item.val = m.by_item.val[1..].into();
-        });
     }
 
     #[test]

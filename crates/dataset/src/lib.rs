@@ -11,8 +11,8 @@
 //!
 //! * [`Dataset`] — an owned collection of `(user, item, rating)` triplets
 //!   with dense `u32` id spaces and a [`RatingScale`].
-//! * [`Interactions`] — an immutable CSR matrix over those triplets with both
-//!   user-major and item-major views; this is what every algorithm consumes.
+//! * [`Interactions`] — an immutable user-major CSR matrix over those
+//!   triplets; this is what every algorithm consumes.
 //! * [`TrainTest`] — the per-user ratio split (`κ` in the paper, §IV-A).
 //! * [`stats::LongTail`] — the Pareto 80/20 long-tail item set `L` (§II-A).
 //! * [`synth::DatasetProfile`] — calibrated synthetic generators standing in

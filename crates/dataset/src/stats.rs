@@ -15,17 +15,20 @@ pub struct LongTail {
 }
 
 impl LongTail {
-    /// Compute `L` from a train set using the Pareto principle (80/20 rule);
-    /// `tail_mass` is the fraction of total ratings generated by the tail
-    /// (0.2 in the paper).
-    pub fn from_train(train: &Interactions, tail_mass: f64) -> LongTail {
-        let pop = train.item_popularity();
+    /// The paper's tail mass: the tail generates 20% of all train ratings.
+    pub const PARETO: f64 = 0.2;
+
+    /// Compute `L` from a train set's item popularity
+    /// ([`Interactions::item_popularity`]) using the Pareto principle (80/20
+    /// rule); `tail_mass` is the fraction of total ratings generated by the
+    /// tail ([`LongTail::PARETO`] in the paper).
+    pub fn from_popularity(pop: &[u32], tail_mass: f64) -> LongTail {
         let total: u64 = pop.iter().map(|&p| p as u64).sum();
-        let mut order: Vec<u32> = (0..train.n_items()).collect();
+        let mut order: Vec<u32> = (0..pop.len() as u32).collect();
         // Decreasing popularity; ties broken by item id for determinism.
         order.sort_by_key(|&i| (std::cmp::Reverse(pop[i as usize]), i));
         let head_mass = ((1.0 - tail_mass) * total as f64).ceil() as u64;
-        let mut mask = vec![false; train.n_items() as usize];
+        let mut mask = vec![false; pop.len()];
         let mut cum = 0u64;
         let mut count = 0usize;
         for &i in &order {
@@ -46,7 +49,7 @@ impl LongTail {
 
     /// Default Pareto 80/20 computation used throughout the paper.
     pub fn pareto(train: &Interactions) -> LongTail {
-        LongTail::from_train(train, 0.2)
+        LongTail::from_popularity(&train.item_popularity(), LongTail::PARETO)
     }
 
     /// Whether `i` is a long-tail item.
@@ -69,9 +72,9 @@ impl LongTail {
 
     /// Long-tail percentage `L% = |L| / |I^R| × 100` over items that appear
     /// in train (Table II). Items with zero train ratings are excluded from
-    /// the denominator, matching the paper's `I^R`.
-    pub fn percent_of(&self, train: &Interactions) -> f64 {
-        let pop = train.item_popularity();
+    /// the denominator, matching the paper's `I^R`. `pop` is the train
+    /// set's [`Interactions::item_popularity`].
+    pub fn percent_of(&self, pop: &[u32]) -> f64 {
         let rated: usize = pop.iter().filter(|&&p| p > 0).count();
         let tail_rated: usize = (0..pop.len())
             .filter(|&i| pop[i] > 0 && self.mask[i])
@@ -178,14 +181,15 @@ impl TableTwoRow {
         split: &crate::TrainTest,
         tau: u32,
     ) -> TableTwoRow {
-        let lt = LongTail::pareto(&split.train);
+        let pop = split.train.item_popularity();
+        let lt = LongTail::from_popularity(&pop, LongTail::PARETO);
         TableTwoRow {
             name: name.to_string(),
             n_ratings: data.n_ratings(),
             n_users: data.n_users(),
             n_items: data.n_items(),
             density_percent: data.density_percent(),
-            long_tail_percent: lt.percent_of(&split.train),
+            long_tail_percent: lt.percent_of(&pop),
             kappa: split.kappa,
             tau,
         }
@@ -308,7 +312,7 @@ mod tests {
         let m = skewed();
         let lt = LongTail::pareto(&m);
         // 2 tail items out of 3 rated items.
-        assert!((lt.percent_of(&m) - 200.0 / 3.0).abs() < 1e-9);
+        assert!((lt.percent_of(&m.item_popularity()) - 200.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -328,14 +332,14 @@ mod tests {
     #[test]
     fn tail_mass_zero_means_no_tail() {
         let m = skewed();
-        let lt = LongTail::from_train(&m, 0.0);
+        let lt = LongTail::from_popularity(&m.item_popularity(), 0.0);
         assert!(lt.is_empty());
     }
 
     #[test]
     fn tail_mass_one_means_everything() {
         let m = skewed();
-        let lt = LongTail::from_train(&m, 1.0);
+        let lt = LongTail::from_popularity(&m.item_popularity(), 1.0);
         assert_eq!(lt.len(), m.n_items() as usize);
     }
 

@@ -514,7 +514,7 @@ mod tests {
         let d = DatasetProfile::small().generate(23);
         let split = d.split_per_user(0.5, 1).unwrap();
         let lt = LongTail::pareto(&split.train);
-        let pct = lt.percent_of(&split.train);
+        let pct = lt.percent_of(&split.train.item_popularity());
         assert!(
             (40.0..99.0).contains(&pct),
             "long-tail percentage {pct:.1} out of plausible band"
@@ -554,7 +554,7 @@ mod tests {
                 p.name,
                 d.n_ratings(),
                 d.density_percent(),
-                lt.percent_of(&split.train),
+                lt.percent_of(&split.train.item_popularity()),
             );
         }
     }
@@ -576,7 +576,7 @@ mod tests {
                     "{:<14} s={:.1} L%={:>5.1}",
                     p.name,
                     s,
-                    lt.percent_of(&split.train),
+                    lt.percent_of(&split.train.item_popularity()),
                 );
             }
         }

@@ -18,6 +18,10 @@ use tinyjson::Value;
 const BACKOFF_FLOOR: Duration = Duration::from_millis(50);
 /// Reconnect backoff ceiling (penalty doubles per consecutive failure).
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
+/// Per-operation read timeout.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// Dial timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Dial penalty after a failed connect: while `until` is in the future,
 /// connect attempts fail immediately instead of re-dialing the dead peer.
@@ -37,8 +41,6 @@ struct Backoff {
 /// behind a black-holed connect.
 pub struct HttpClient {
     addr: String,
-    timeout: Duration,
-    connect_timeout: Duration,
     backoff: Option<Backoff>,
     conn: Option<BufReader<TcpStream>>,
 }
@@ -48,23 +50,9 @@ impl HttpClient {
     pub fn new(addr: impl Into<String>) -> HttpClient {
         HttpClient {
             addr: addr.into(),
-            timeout: Duration::from_secs(10),
-            connect_timeout: Duration::from_secs(2),
             backoff: None,
             conn: None,
         }
-    }
-
-    /// Replace the per-operation read timeout (default 10s).
-    pub fn with_timeout(mut self, timeout: Duration) -> HttpClient {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Replace the dial timeout (default 2s).
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> HttpClient {
-        self.connect_timeout = timeout;
-        self
     }
 
     fn connect(&mut self) -> io::Result<BufReader<TcpStream>> {
@@ -101,9 +89,9 @@ impl HttpClient {
     fn try_connect(&self) -> io::Result<BufReader<TcpStream>> {
         let mut last: Option<io::Error> = None;
         for addr in self.addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&addr, self.connect_timeout) {
+            match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
                 Ok(stream) => {
-                    stream.set_read_timeout(Some(self.timeout))?;
+                    stream.set_read_timeout(Some(READ_TIMEOUT))?;
                     stream.set_nodelay(true)?;
                     return Ok(BufReader::new(stream));
                 }
@@ -246,19 +234,9 @@ impl RemoteShard {
     /// `GET /v1/healthz` round-trip.
     pub fn connect(addr: impl Into<String>) -> Result<RemoteShard, BackendError> {
         let addr = addr.into();
-        RemoteShard::connect_with(HttpClient::new(addr.clone()), addr)
-    }
-
-    /// Like [`RemoteShard::connect`], but over a caller-configured client
-    /// — e.g. tightened read/connect timeouts for a replicated band where
-    /// a hung peer should fail over fast.
-    pub fn connect_with(
-        client: HttpClient,
-        addr: impl Into<String>,
-    ) -> Result<RemoteShard, BackendError> {
         let shard = RemoteShard {
-            client: Mutex::new(client),
-            addr: addr.into(),
+            client: Mutex::new(HttpClient::new(addr.clone())),
+            addr,
         };
         shard.generation()?;
         Ok(shard)
@@ -366,8 +344,7 @@ mod tests {
 
     #[test]
     fn failed_dial_arms_capped_doubling_backoff_and_fails_fast() {
-        let mut client =
-            HttpClient::new(dead_addr()).with_connect_timeout(Duration::from_millis(200));
+        let mut client = HttpClient::new(dead_addr());
         let first = client.connect().unwrap_err();
         assert!(
             !first.to_string().contains("backoff"),

@@ -38,10 +38,11 @@ impl EvalContext {
         relevance_threshold: f32,
         beta: f64,
     ) -> EvalContext {
+        let train_popularity = train.item_popularity();
         EvalContext {
             relevance: RelevanceSets::from_test(test, relevance_threshold),
-            train_popularity: train.item_popularity(),
-            long_tail: LongTail::pareto(train),
+            long_tail: LongTail::from_popularity(&train_popularity, LongTail::PARETO),
+            train_popularity,
             n_items: train.n_items(),
             beta,
         }

@@ -65,31 +65,36 @@ impl GeneralizedConfig {
 
     /// Full alternating optimization with diagnostics.
     pub fn run(&self, train: &Interactions) -> GeneralizedResult {
-        let tui = ThetaUi::from_train(train);
+        let popularity = train.item_popularity();
+        let tui = ThetaUi::with_popularity(train, &popularity);
         let n_items = train.n_items() as usize;
         // Initialize with θ^T (w ≡ 1 in Eq. II.6).
         let mut theta = theta_tfidf_with(train, &tui);
         let mut weights = vec![1.0f64; n_items];
+        let mut mediocrity = vec![0.0f64; n_items];
         let mut iterations = 0;
         let mut final_delta = f64::INFINITY;
         for it in 0..self.max_iters {
             iterations = it + 1;
             // --- w-step (Eq. II.5): w_i = λ / ε_i ---
-            for (i, w) in weights.iter_mut().enumerate() {
-                let (users, vals) = train.item_col(ItemId(i as u32));
-                if users.is_empty() {
-                    *w = 1.0;
-                    continue;
+            // One pass over the rows adds each item's raters in ascending
+            // user order.
+            mediocrity.fill(0.0);
+            for (u, &t_u) in theta.iter().enumerate() {
+                let (items, vals) = train.user_row(UserId(u as u32));
+                for (&i, &r) in items.iter().zip(vals) {
+                    let d = tui.value(ItemId(i), r) - t_u;
+                    mediocrity[i as usize] += 1.0 - d * d;
                 }
-                let mut mediocrity = 0.0;
-                for (&u, &r) in users.iter().zip(vals) {
-                    let t_ui = tui.value(ItemId(i as u32), r);
-                    let d = t_ui - theta[u as usize];
-                    mediocrity += 1.0 - d * d;
-                }
+            }
+            for ((w, &eps), &f) in weights.iter_mut().zip(&mediocrity).zip(&popularity) {
                 // θ_ui and θ^G both live in [0,1] so each term is ≥ 0; the
                 // guard only protects against an all-extreme corner case.
-                *w = self.lambda / mediocrity.max(1e-9);
+                *w = if f == 0 {
+                    1.0
+                } else {
+                    self.lambda / eps.max(1e-9)
+                };
             }
             // --- θ-step (Eq. II.6): weighted average of θ_ui ---
             let mut delta = 0.0f64;

@@ -23,10 +23,16 @@ pub struct ThetaUi {
 impl ThetaUi {
     /// Precompute projection constants from a train set.
     pub fn from_train(train: &Interactions) -> ThetaUi {
+        ThetaUi::with_popularity(train, &train.item_popularity())
+    }
+
+    /// [`ThetaUi::from_train`] over the train set's already counted
+    /// [`Interactions::item_popularity`].
+    pub(crate) fn with_popularity(train: &Interactions, popularity: &[u32]) -> ThetaUi {
         let n_users = train.n_users() as f64;
-        let log_factor: Vec<f64> = (0..train.n_items())
-            .map(|i| {
-                let pop = train.item_degree(ItemId(i));
+        let log_factor: Vec<f64> = popularity
+            .iter()
+            .map(|&pop| {
                 if pop == 0 {
                     0.0
                 } else {

@@ -62,6 +62,12 @@ impl FiveD {
     ) -> FiveD {
         let n_items = train.n_items() as usize;
         let popularity = train.item_popularity();
+        // Each item's rating mass, summed over its raters in ascending user
+        // order by one pass over the rows.
+        let mut rating_mass = vec![-0.0f64; n_items];
+        for (_, i, v) in train.iter() {
+            rating_mass[i.idx()] += v as f64;
+        }
         // Two-phase resource allocation with heat-conduction (HeatS-style)
         // degree normalization on both sides of the bipartite graph: every
         // item starts with resource proportional to its rating mass *per
@@ -69,48 +75,44 @@ impl FiveD {
         // items average their raters' heat. Double degree-normalization is
         // the classic long-tail-promoting kernel — tail items loved by
         // low-activity users end up with the highest worth.
-        let initial: Vec<f64> = (0..n_items)
-            .map(|i| {
-                let (_, vals) = train.item_col(ItemId(i as u32));
-                if vals.is_empty() {
+        let initial: Vec<f64> = rating_mass
+            .iter()
+            .zip(&popularity)
+            .map(|(&mass, &f)| {
+                if f == 0 {
                     return 0.0;
                 }
-                let mean: f64 = vals.iter().map(|&v| v as f64).sum::<f64>() / vals.len() as f64;
-                mean / (vals.len() as f64)
+                let mean = mass / f as f64;
+                mean / f as f64
             })
             .collect();
-        let user_heat: Vec<f64> = (0..train.n_users())
-            .map(|u| {
-                let (items, _) = train.user_row(UserId(u));
-                if items.is_empty() {
-                    return 0.0;
-                }
-                let s: f64 = items.iter().map(|&i| initial[i as usize]).sum();
-                s / items.len() as f64
-            })
-            .collect();
-        let mut second: Vec<f64> = (0..n_items)
-            .map(|i| {
-                let (users, _) = train.item_col(ItemId(i as u32));
-                if users.is_empty() {
-                    return 0.0;
-                }
-                let s: f64 = users.iter().map(|&u| user_heat[u as usize]).sum();
-                s / users.len() as f64
-            })
+        let mut heat = vec![-0.0f64; n_items];
+        for u in 0..train.n_users() {
+            let (items, _) = train.user_row(UserId(u));
+            if items.is_empty() {
+                continue;
+            }
+            let s: f64 = items.iter().map(|&i| initial[i as usize]).sum();
+            let user_heat = s / items.len() as f64;
+            for &i in items {
+                heat[i as usize] += user_heat;
+            }
+        }
+        let mut second: Vec<f64> = heat
+            .iter()
+            .zip(&popularity)
+            .map(|(&h, &f)| if f == 0 { 0.0 } else { h / f as f64 })
             .collect();
         ganc_dataset::stats::min_max_normalize(&mut second);
         // Quality: damped mean rating, normalized.
         let mu = train.global_mean();
-        let mut quality: Vec<f64> = (0..train.n_items())
-            .map(|i| {
-                let (_, vals) = train.item_col(ItemId(i));
-                let sum: f64 = vals.iter().map(|&v| v as f64).sum();
-                (sum + 3.0 * mu) / (vals.len() as f64 + 3.0)
-            })
+        let mut quality: Vec<f64> = rating_mass
+            .iter()
+            .zip(&popularity)
+            .map(|(&mass, &f)| (mass + 3.0 * mu) / (f as f64 + 3.0))
             .collect();
         ganc_dataset::stats::min_max_normalize(&mut quality);
-        let lt = LongTail::pareto(train);
+        let lt = LongTail::from_popularity(&popularity, LongTail::PARETO);
         FiveD {
             base_name: base_name.to_string(),
             accuracy_filter,
@@ -220,7 +222,63 @@ impl Reranker for FiveD {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{bits, column_sum, columns, holed};
+    use ganc_dataset::stats::min_max_normalize;
     use ganc_dataset::{DatasetBuilder, RatingScale};
+
+    #[test]
+    fn per_item_criteria_match_an_item_major_reference_bit_for_bit() {
+        for seed in 1..=4 {
+            let train = holed(seed);
+            let cols = columns(&train);
+            let initial: Vec<f64> = cols
+                .iter()
+                .map(|c| {
+                    if c.is_empty() {
+                        return 0.0;
+                    }
+                    let mean = column_sum(c) / c.len() as f64;
+                    mean / c.len() as f64
+                })
+                .collect();
+            let user_heat: Vec<f64> = (0..train.n_users())
+                .map(|u| {
+                    let (items, _) = train.user_row(UserId(u));
+                    if items.is_empty() {
+                        return 0.0;
+                    }
+                    let s: f64 = items.iter().map(|&i| initial[i as usize]).sum();
+                    s / items.len() as f64
+                })
+                .collect();
+            let mut resource: Vec<f64> = cols
+                .iter()
+                .map(|c| {
+                    if c.is_empty() {
+                        return 0.0;
+                    }
+                    let s: f64 = c.iter().map(|&(u, _)| user_heat[u as usize]).sum();
+                    s / c.len() as f64
+                })
+                .collect();
+            min_max_normalize(&mut resource);
+            let mu = train.global_mean();
+            let mut quality: Vec<f64> = cols
+                .iter()
+                .map(|c| (column_sum(c) + 3.0 * mu) / (c.len() as f64 + 3.0))
+                .collect();
+            min_max_normalize(&mut quality);
+            let popularity: Vec<u32> = cols.iter().map(|c| c.len() as u32).collect();
+            assert!(popularity.contains(&0), "seed {seed}: no empty column");
+
+            let fd = FiveD::new(&train, "X");
+            assert_eq!(bits(&fd.resource), bits(&resource), "seed {seed}");
+            assert_eq!(bits(&fd.quality), bits(&quality), "seed {seed}");
+            assert_eq!(fd.popularity, popularity, "seed {seed}");
+            let tail = LongTail::from_popularity(&popularity, LongTail::PARETO);
+            assert_eq!(fd.long_tail, tail.mask(), "seed {seed}");
+        }
+    }
 
     /// Strong head item 0 (12 raters), tail items 1..=3.
     fn train() -> Interactions {

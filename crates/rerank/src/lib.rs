@@ -136,3 +136,47 @@ mod tests {
         assert_eq!(a, b2);
     }
 }
+
+/// The item-major reference the re-rankers' per-item facts are checked
+/// against, bit for bit.
+#[cfg(test)]
+mod reference {
+    use ganc_dataset::synth::DatasetProfile;
+    use ganc_dataset::{Interactions, ItemId, Rating, UserId};
+
+    /// A synthetic train set with an empty user row and an empty item
+    /// column spliced into the middle of each id space, and one more of
+    /// each at the end.
+    pub(crate) fn holed(seed: u64) -> Interactions {
+        let m = DatasetProfile::tiny().generate(seed).interactions();
+        let (mid_user, mid_item) = (m.n_users() / 2, m.n_items() / 2);
+        let ratings: Vec<Rating> = m
+            .iter()
+            .map(|(u, i, value)| Rating {
+                user: UserId(u.0 + u32::from(u.0 >= mid_user)),
+                item: ItemId(i.0 + u32::from(i.0 >= mid_item)),
+                value,
+            })
+            .collect();
+        Interactions::from_ratings(m.n_users() + 2, m.n_items() + 2, &ratings)
+    }
+
+    /// Each item's raters with their ratings, in ascending user order, read
+    /// back from the user-major triplets.
+    pub(crate) fn columns(m: &Interactions) -> Vec<Vec<(u32, f32)>> {
+        let mut cols = vec![Vec::new(); m.n_items() as usize];
+        for (u, i, v) in m.iter() {
+            cols[i.idx()].push((u.0, v));
+        }
+        cols
+    }
+
+    /// Each item's ratings summed down its column.
+    pub(crate) fn column_sum(col: &[(u32, f32)]) -> f64 {
+        col.iter().map(|&(_, v)| v as f64).sum()
+    }
+
+    pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+}

@@ -133,7 +133,31 @@ impl Reranker for Rbt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{bits, column_sum, columns, holed};
     use ganc_dataset::{DatasetBuilder, RatingScale};
+
+    #[test]
+    fn item_means_and_popularity_match_an_item_major_reference_bit_for_bit() {
+        for seed in 1..=4 {
+            let train = holed(seed);
+            let cols = columns(&train);
+            let means: Vec<f64> = cols
+                .iter()
+                .map(|c| {
+                    if c.is_empty() {
+                        0.0
+                    } else {
+                        column_sum(c) / c.len() as f64
+                    }
+                })
+                .collect();
+            let popularity: Vec<u32> = cols.iter().map(|c| c.len() as u32).collect();
+            assert!(popularity.contains(&0), "seed {seed}: no empty column");
+            let rbt = Rbt::new(&train, RbtCriterion::Popularity, "X");
+            assert_eq!(bits(&rbt.item_means), bits(&means), "seed {seed}");
+            assert_eq!(rbt.popularity, popularity, "seed {seed}");
+        }
+    }
 
     /// popularity: item0=4, item1=2, item2=1, item3=1;
     /// means: item0=2.0, item1=5.0, item2=4.0, item3=3.0

@@ -187,9 +187,10 @@ impl<'de> Deserialize<'de> for CoverageState {
 
 /// Everything needed to serve GANC top-N requests, frozen at fit time.
 ///
-/// Persist with [`crate::SaveLoad`] (format v3: `Dyn` coverage snapshots
+/// Persist with [`crate::SaveLoad`] (format v4: `Dyn` coverage snapshots
 /// travel as `O(|I| + S·N)` sparse deltas instead of `S` dense count
-/// vectors, factor models' item factors as `k × n_items`); serve with
+/// vectors, factor models' item factors as `k × n_items`, the train set as
+/// its user-major CSR alone); serve with
 /// [`crate::engine::ServingEngine`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct ModelBundle {

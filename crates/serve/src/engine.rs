@@ -55,7 +55,7 @@ use ganc_core::query::{candidate_runs, fused_select_runs, RequestOptions, Rerank
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_obs::{CatalogProfile, ObsHub, WindowStats, WindowWire};
 use ganc_recommender::pop::MostPopular;
-use ganc_recommender::topn::{lists_for, train_item_mask};
+use ganc_recommender::topn::lists_for;
 use ganc_recommender::Recommender;
 use ganc_rerank::five_d::FiveD;
 use ganc_rerank::pra::Pra;
@@ -317,8 +317,8 @@ fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 
 impl EngineState {
     fn new(bundle: ModelBundle, generation: u64) -> EngineState {
-        let in_train = train_item_mask(&bundle.train);
         let pop_counts = bundle.train.item_popularity();
+        let in_train: Vec<bool> = pop_counts.iter().map(|&f| f > 0).collect();
         let extra_seen = vec![Vec::new(); bundle.train.n_users() as usize];
         let seed_index = bundle
             .seed_lists

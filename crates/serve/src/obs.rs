@@ -53,20 +53,17 @@ pub(crate) const HIT_SAMPLE: u64 = 64;
 const REQUEST_US_HELP: &str = "Engine request latency by cache outcome (microseconds); \
     hits are timed 1 in 64, so a hit series' _count is a sample count";
 
-/// Tail mass for the long-tail split: the classic Pareto cut (tail = items
-/// outside the most-popular set holding 80% of interaction mass), matching
-/// `ganc_dataset::stats::LongTail::pareto`.
-const TAIL_MASS: f64 = 0.2;
-
 /// Build the frozen per-item catalog facts (novelty micro-bits, long-tail
-/// membership) for one bundle generation. Reads the already-loaded train
-/// popularity; holds **no** reference into the bundle afterwards. It reads
-/// only the train set, which every θ band of a generation shares, so a
-/// sharded engine builds one per generation and hands it to every band.
+/// membership at the paper's Pareto cut) for one bundle generation, from one
+/// count of the train popularity; holds **no** reference into the bundle
+/// afterwards. It reads only the train set, which every θ band of a
+/// generation shares, so a sharded engine builds one per generation and
+/// hands it to every band.
 pub(crate) fn catalog_profile(bundle: &ModelBundle) -> Arc<CatalogProfile> {
-    let tail = LongTail::from_train(&bundle.train, TAIL_MASS);
+    let popularity = bundle.train.item_popularity();
+    let tail = LongTail::from_popularity(&popularity, LongTail::PARETO);
     Arc::new(CatalogProfile::from_popularity(
-        &bundle.train.item_popularity(),
+        &popularity,
         bundle.train.n_users(),
         tail.mask().to_vec(),
     ))

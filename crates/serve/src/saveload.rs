@@ -20,11 +20,15 @@ pub const MAGIC: [u8; 4] = *b"GANC";
 /// v2: coverage snapshots are delta-encoded (`O(|I| + S·N)` bytes instead
 /// of `O(S·|I|)` dense count vectors).
 ///
-/// v3 (this build): PSVD, RSVD and RankMF store their item factors
-/// transposed (`k × n_items`) and their user factors as a matrix; a v2
-/// payload read as v3 would hand the scoring kernel an `n_items × k`
-/// matrix, so the gate refuses it.
-pub const FORMAT_VERSION: u16 = 3;
+/// v3: PSVD, RSVD and RankMF store their item factors transposed
+/// (`k × n_items`) and their user factors as a matrix; a v2 payload read as
+/// v3 would hand the scoring kernel an `n_items × k` matrix, so the gate
+/// refuses it.
+///
+/// v4 (this build): a train set stores only its user-major CSR. A v3
+/// payload also carries the item-major transpose, which a v4 reader does
+/// not expect, so the gate refuses it.
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Replace the file at `path` with `bytes` atomically: write a sibling
 /// `<name>.tmp`, `sync_data` it, `rename` it over `path`. A crash or an
@@ -173,8 +177,8 @@ mod tests {
     #[test]
     fn version_mismatch_rejected() {
         let mut bytes = vec![7.0f64].to_bytes().unwrap();
-        // A later generation, the pre-release 0, and the retired v1 and v2.
-        for other in [99u8, 0, 1, 2] {
+        // A later generation, the pre-release 0, and the retired v1–v3.
+        for other in [99u8, 0, 1, 2, 3] {
             bytes[4] = other;
             match Vec::<f64>::from_bytes(&bytes) {
                 Err(PersistError::VersionMismatch { found, expected }) => {

@@ -33,12 +33,13 @@ fn main() {
     let data = DatasetProfile::medium().generate(77);
     let split = data.split_per_user(0.5, 5).unwrap();
     let train = &split.train;
-    let lt = LongTail::pareto(train);
+    let popularity = train.item_popularity();
+    let lt = LongTail::from_popularity(&popularity, LongTail::PARETO);
     println!(
         "{} users, {} items, long tail = {:.1}% of rated items\n",
         train.n_users(),
         train.n_items(),
-        lt.percent_of(train)
+        lt.percent_of(&popularity)
     );
 
     let ta = theta_activity(train);

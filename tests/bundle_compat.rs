@@ -1,5 +1,5 @@
-//! Artifact format compatibility: the v3 envelope round-trips for every
-//! coverage kind, every other format version — the retired v1 and v2
+//! Artifact format compatibility: the v4 envelope round-trips for every
+//! coverage kind, every other format version — the retired v1, v2 and v3
 //! included — is refused by the version gate instead of misread, a model
 //! variant tag naming no model (the retired tags 1 and 2 included) is
 //! refused, and a factor model whose shapes disagree (with each other or
@@ -45,7 +45,7 @@ fn fit(train: &Interactions, theta: &[f64], kind: CoverageKind) -> ModelBundle {
 }
 
 #[test]
-fn v3_bundles_round_trip_for_every_coverage_kind() {
+fn v4_bundles_round_trip_for_every_coverage_kind() {
     let (train, theta) = fixture();
     for kind in [
         CoverageKind::Random,
@@ -65,9 +65,9 @@ fn unsupported_versions_still_rejected() {
     let (train, theta) = fixture();
     let bundle = fit(&train, &theta, CoverageKind::Static);
     let mut bytes = bundle.to_bytes().unwrap();
-    // v2 stored item factors `n_items × k`; read as v3 they would be
-    // scored as `k × n_items`.
-    for found in [FORMAT_VERSION + 1, 2, 1, 0] {
+    // v3 carried the train set's item-major transpose too; v2 stored item
+    // factors `n_items × k`, which read now would be scored as `k × n_items`.
+    for found in [FORMAT_VERSION + 1, 3, 2, 1, 0] {
         bytes[4..6].copy_from_slice(&found.to_le_bytes());
         match ModelBundle::from_bytes(&bytes).map(|_| ()) {
             Err(PersistError::VersionMismatch { found: f, expected }) => {

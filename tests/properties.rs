@@ -3,7 +3,7 @@
 //! split conservation, selection correctness, and estimator ranges.
 
 use ganc::core::coverage::DynCoverage;
-use ganc::dataset::dataset::{DatasetBuilder, RatingScale};
+use ganc::dataset::dataset::{DatasetBuilder, Rating, RatingScale};
 use ganc::dataset::stats::LongTail;
 use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::metrics::coverage::gini_of_frequencies;
@@ -22,6 +22,113 @@ fn arb_dataset() -> impl Strategy<Value = Interactions> {
         }
         b.build().unwrap().interactions()
     })
+}
+
+/// Random 14 users × 12 items whose ratings never touch users 5 and 13 nor
+/// items 4 and 11: every draw has empty rows and empty columns, in the
+/// middle and at the end.
+fn arb_holed_dataset() -> impl Strategy<Value = Interactions> {
+    proptest::collection::vec((0u32..12, 0u32..10, 1u32..=5), 0..120).prop_map(|draws| {
+        let mut seen = std::collections::HashSet::new();
+        let ratings: Vec<Rating> = draws
+            .into_iter()
+            .map(|(u, i, r)| Rating {
+                user: UserId(u + u32::from(u >= 5)),
+                item: ItemId(i + u32::from(i >= 4)),
+                value: r as f32,
+            })
+            .filter(|r| seen.insert((r.user, r.item)))
+            .collect();
+        Interactions::from_ratings(14, 12, &ratings)
+    })
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// θ^T, and θ^G's θ and weights, as a walk down an item-major copy of
+/// `train` computes them: the IDF factor from each column's length, and
+/// each item's mediocrity summed down its column in ascending user order.
+fn reference_thetas(
+    train: &Interactions,
+    cfg: &GeneralizedConfig,
+) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let mut cols: Vec<Vec<(u32, f32)>> = vec![Vec::new(); train.n_items() as usize];
+    for (u, i, r) in train.iter() {
+        cols[i.idx()].push((u.0, r));
+    }
+    let n_users = train.n_users() as f64;
+    let log_factor: Vec<f64> = cols
+        .iter()
+        .map(|c| {
+            if c.is_empty() {
+                0.0
+            } else {
+                (n_users / c.len() as f64).ln()
+            }
+        })
+        .collect();
+    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (_, i, r) in train.iter() {
+        let raw = r as f64 * log_factor[i.idx()];
+        min = min.min(raw);
+        max = max.max(raw);
+    }
+    if !min.is_finite() {
+        (min, max) = (0.0, 1.0);
+    }
+    let span = (max - min).max(1e-12);
+    let value = |i: usize, r: f32| ((r as f64 * log_factor[i] - min) / span).clamp(0.0, 1.0);
+    let tfidf: Vec<f64> = (0..train.n_users())
+        .map(|u| {
+            let (items, vals) = train.user_row(UserId(u));
+            if items.is_empty() {
+                return 0.0;
+            }
+            let sum: f64 = items
+                .iter()
+                .zip(vals)
+                .map(|(&i, &r)| value(i as usize, r))
+                .sum();
+            sum / items.len() as f64
+        })
+        .collect();
+    let mut theta = tfidf.clone();
+    let mut weights = vec![1.0f64; cols.len()];
+    for _ in 0..cfg.max_iters {
+        for (i, w) in weights.iter_mut().enumerate() {
+            if cols[i].is_empty() {
+                *w = 1.0;
+                continue;
+            }
+            let mut mediocrity = 0.0;
+            for &(u, r) in &cols[i] {
+                let d = value(i, r) - theta[u as usize];
+                mediocrity += 1.0 - d * d;
+            }
+            *w = cfg.lambda / mediocrity.max(1e-9);
+        }
+        let mut delta = 0.0f64;
+        for (u, t) in theta.iter_mut().enumerate() {
+            let (items, vals) = train.user_row(UserId(u as u32));
+            if items.is_empty() {
+                continue;
+            }
+            let (mut num, mut den) = (0.0, 0.0);
+            for (&i, &r) in items.iter().zip(vals) {
+                num += weights[i as usize] * value(i as usize, r);
+                den += weights[i as usize];
+            }
+            let new = if den > 0.0 { num / den } else { *t };
+            delta = delta.max((new - *t).abs());
+            *t = new;
+        }
+        if delta < cfg.tol {
+            break;
+        }
+    }
+    (tfidf, theta, weights)
 }
 
 proptest! {
@@ -135,24 +242,16 @@ proptest! {
         );
     }
 
-    /// Interactions round-trip: user-major and item-major views agree.
+    /// θ^T and θ^G (its θ and its weights) read per-item facts in one pass
+    /// over the rows; each is bit-identical to the column walk over an
+    /// item-major copy, on matrices with empty rows and empty columns.
     #[test]
-    fn csr_views_agree(train in arb_dataset()) {
-        for u in 0..train.n_users() {
-            let (items, vals) = train.user_row(UserId(u));
-            for (&i, &v) in items.iter().zip(vals) {
-                let (users, uvals) = train.item_col(ItemId(i));
-                let k = users.binary_search(&u).expect("row entry must exist in column view");
-                prop_assert_eq!(uvals[k], v);
-            }
-        }
-        let by_rows: usize = (0..train.n_users())
-            .map(|u| train.user_degree(UserId(u)))
-            .sum();
-        let by_cols: usize = (0..train.n_items())
-            .map(|i| train.item_degree(ItemId(i)))
-            .sum();
-        prop_assert_eq!(by_rows, train.nnz());
-        prop_assert_eq!(by_cols, train.nnz());
+    fn theta_estimators_match_an_item_major_reference_bit_for_bit(train in arb_holed_dataset()) {
+        let cfg = GeneralizedConfig { max_iters: 8, ..GeneralizedConfig::default() };
+        let (tfidf, theta, weights) = reference_thetas(&train, &cfg);
+        let got = cfg.run(&train);
+        prop_assert_eq!(bits(&theta_tfidf(&train)), bits(&tfidf));
+        prop_assert_eq!(bits(&got.theta), bits(&theta));
+        prop_assert_eq!(bits(&got.weights), bits(&weights));
     }
 }
