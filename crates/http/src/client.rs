@@ -8,6 +8,7 @@ use crate::{wire, BackendError};
 use ganc_dataset::{ItemId, UserId};
 use ganc_obs::WindowWire;
 use ganc_serve::{IngestAck, RequestOptions};
+use std::fmt::Write as _;
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
@@ -204,21 +205,33 @@ fn send_request(
         ganc_serve::wal::validate_key(k)
             .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
     }
-    let key_header = key
-        .map(|k| format!("Idempotency-Key: {k}\r\n"))
-        .unwrap_or_default();
-    let head = if body.is_empty() && method == "GET" {
-        format!("{method} {path_and_query} HTTP/1.1\r\n{key_header}Connection: keep-alive\r\n\r\n")
-    } else {
-        format!(
-            "{method} {path_and_query} HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{key_header}Connection: keep-alive\r\n\r\n",
-            body.len()
-        )
-    };
     let stream = conn.get_mut();
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(&request_bytes(method, path_and_query, body, key))?;
     stream.flush()
+}
+
+/// One request's bytes, head then body, for a single write: the socket is
+/// `TCP_NODELAY`, so a head and a body written apart leave as two segments.
+/// A body-less GET carries no content headers.
+fn request_bytes(method: &str, path_and_query: &str, body: &str, key: Option<&str>) -> Vec<u8> {
+    // The head's fixed text is about 120 bytes.
+    let variable = path_and_query.len() + key.map_or(0, str::len) + body.len();
+    let mut out = String::with_capacity(128 + variable);
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{method} {path_and_query} HTTP/1.1\r\n");
+    if !(body.is_empty() && method == "GET") {
+        let len = body.len();
+        let _ = write!(
+            out,
+            "Content-Type: application/json\r\nContent-Length: {len}\r\n"
+        );
+    }
+    if let Some(k) = key {
+        let _ = write!(out, "Idempotency-Key: {k}\r\n");
+    }
+    out.push_str("Connection: keep-alive\r\n\r\n");
+    out.push_str(body);
+    out.into_bytes()
 }
 
 /// Typed client for a peer node serving one θ-band slice (or any other
@@ -388,6 +401,45 @@ mod tests {
         }
         assert!(client.conn.is_none(), "refusal must precede dialing");
         assert!(client.backoff.is_none(), "no dial, no backoff penalty");
+    }
+
+    /// The reference: the head and the body formatted apart, then joined.
+    fn head_then_body(method: &str, path: &str, body: &str, key: Option<&str>) -> Vec<u8> {
+        let key_header = key
+            .map(|k| format!("Idempotency-Key: {k}\r\n"))
+            .unwrap_or_default();
+        let head = if body.is_empty() && method == "GET" {
+            format!("{method} {path} HTTP/1.1\r\n{key_header}Connection: keep-alive\r\n\r\n")
+        } else {
+            format!(
+                "{method} {path} HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{key_header}Connection: keep-alive\r\n\r\n",
+                body.len()
+            )
+        };
+        [head.as_bytes(), body.as_bytes()].concat()
+    }
+
+    #[test]
+    fn one_write_carries_the_head_then_the_body_byte_for_byte() {
+        let ingest = r#"{"user":3,"item":7}"#;
+        let cases = [
+            ("GET", "/v1/recommend/12", "", None),
+            ("GET", "/v1/recommend/12?n=5&mode=ganc", "", None),
+            ("GET", "/v1/healthz", "", Some("k-1")),
+            ("GET", "/v1/odd", "{}", None),
+            ("POST", "/v1/ingest", ingest, None),
+            ("POST", "/v1/ingest", ingest, Some("batch-42_x")),
+            ("POST", "/v1/recommend:batch", r#"{"users":[1,2,3]}"#, None),
+            ("POST", "/v1/refit", "", None),
+            ("POST", "/v1/ingest", "é✓", Some("k")),
+        ];
+        for (method, path, body, key) in cases {
+            assert_eq!(
+                request_bytes(method, path, body, key),
+                head_then_body(method, path, body, key),
+                "{method} {path} {body:?} {key:?}"
+            );
+        }
     }
 
     #[test]

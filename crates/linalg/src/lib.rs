@@ -8,6 +8,11 @@
 //!   a `k × n_items` matrix, bit-identical to a per-item dot product).
 //! * [`qr::thin_qr`] — thin QR via modified Gram–Schmidt with
 //!   re-orthogonalization (numerically robust enough for range finding).
+//!   Column `c`'s second round and column `c + 1`'s first run as two
+//!   interleaved dot chains in one pass over each earlier column; each
+//!   vector still takes the same projections in the same order, summed left
+//!   to right from `-0.0`, so `Q` is bit-identical to the one-column-at-a-
+//!   time loop (pinned by `qr::tests` with `to_bits()`).
 //! * [`eig::symmetric_eigen`] — cyclic Jacobi eigendecomposition of small
 //!   symmetric matrices.
 //! * [`svd::randomized_svd`] — Halko–Martinsson–Tropp randomized truncated

@@ -19,8 +19,8 @@
 //! With all weights equal this degenerates to `θ^T`, which is also the
 //! initialization.
 
-use crate::tfidf::{theta_tfidf_with, ThetaUi};
-use ganc_dataset::{Interactions, ItemId, UserId};
+use crate::tfidf::{theta_tfidf_of, ThetaUi};
+use ganc_dataset::{Interactions, UserId};
 
 /// Configuration of the alternating optimizer.
 #[derive(Debug, Clone, Copy)]
@@ -66,10 +66,21 @@ impl GeneralizedConfig {
     /// Full alternating optimization with diagnostics.
     pub fn run(&self, train: &Interactions) -> GeneralizedResult {
         let popularity = train.item_popularity();
-        let tui = ThetaUi::with_popularity(train, &popularity);
+        // θ_ui is fixed for the run: take it once, in row order, for the
+        // initialization and both steps of every iteration.
+        let values = ThetaUi::with_popularity(train, &popularity).row_values(train);
+        let rows = || {
+            let mut rest = &values[..];
+            (0..train.n_users()).map(move |u| {
+                let (items, _) = train.user_row(UserId(u));
+                let (row, tail) = rest.split_at(items.len());
+                rest = tail;
+                (items, row)
+            })
+        };
         let n_items = train.n_items() as usize;
         // Initialize with θ^T (w ≡ 1 in Eq. II.6).
-        let mut theta = theta_tfidf_with(train, &tui);
+        let mut theta = theta_tfidf_of(train, &values);
         let mut weights = vec![1.0f64; n_items];
         let mut mediocrity = vec![0.0f64; n_items];
         let mut iterations = 0;
@@ -80,10 +91,9 @@ impl GeneralizedConfig {
             // One pass over the rows adds each item's raters in ascending
             // user order.
             mediocrity.fill(0.0);
-            for (u, &t_u) in theta.iter().enumerate() {
-                let (items, vals) = train.user_row(UserId(u as u32));
-                for (&i, &r) in items.iter().zip(vals) {
-                    let d = tui.value(ItemId(i), r) - t_u;
+            for (&t_u, (items, row)) in theta.iter().zip(rows()) {
+                for (&i, &t_ui) in items.iter().zip(row) {
+                    let d = t_ui - t_u;
                     mediocrity[i as usize] += 1.0 - d * d;
                 }
             }
@@ -98,16 +108,15 @@ impl GeneralizedConfig {
             }
             // --- θ-step (Eq. II.6): weighted average of θ_ui ---
             let mut delta = 0.0f64;
-            for (u, t) in theta.iter_mut().enumerate() {
-                let (items, vals) = train.user_row(UserId(u as u32));
+            for (t, (items, row)) in theta.iter_mut().zip(rows()) {
                 if items.is_empty() {
                     continue;
                 }
                 let mut num = 0.0;
                 let mut den = 0.0;
-                for (&i, &r) in items.iter().zip(vals) {
+                for (&i, &t_ui) in items.iter().zip(row) {
                     let w = weights[i as usize];
-                    num += w * tui.value(ItemId(i), r);
+                    num += w * t_ui;
                     den += w;
                 }
                 let new = if den > 0.0 { num / den } else { *t };
@@ -132,7 +141,7 @@ impl GeneralizedConfig {
 mod tests {
     use super::*;
     use ganc_dataset::synth::DatasetProfile;
-    use ganc_dataset::{DatasetBuilder, RatingScale};
+    use ganc_dataset::{DatasetBuilder, ItemId, RatingScale};
 
     fn fixture() -> Interactions {
         let mut b = DatasetBuilder::new("t", RatingScale::stars_1_5());

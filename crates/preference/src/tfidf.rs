@@ -65,6 +65,12 @@ impl ThetaUi {
         let raw = rating as f64 * self.log_factor[item.idx()];
         ((raw - self.min) / self.span).clamp(0.0, 1.0)
     }
+
+    /// `θ_ui` for every rating of the train set, in row order (user-major,
+    /// each row sorted by item): what `θ^T` and every `θ^G` step read.
+    pub(crate) fn row_values(&self, train: &Interactions) -> Vec<f64> {
+        train.iter().map(|(_, i, r)| self.value(i, r)).collect()
+    }
 }
 
 /// TFIDF-based measure `θ^T_u = (1/|I_u^R|) Σ_i θ_ui` (Eq. II.2–II.3), on
@@ -72,23 +78,21 @@ impl ThetaUi {
 /// ratings get 0.
 pub fn theta_tfidf(train: &Interactions) -> Vec<f64> {
     let tui = ThetaUi::from_train(train);
-    theta_tfidf_with(train, &tui)
+    theta_tfidf_of(train, &tui.row_values(train))
 }
 
-/// Same as [`theta_tfidf`] but reusing precomputed projection machinery.
-pub fn theta_tfidf_with(train: &Interactions, tui: &ThetaUi) -> Vec<f64> {
+/// [`theta_tfidf`] over the train set's `θ_ui`, given in row order
+/// ([`ThetaUi::row_values`]).
+pub(crate) fn theta_tfidf_of(train: &Interactions, values: &[f64]) -> Vec<f64> {
+    let mut rest = values;
     (0..train.n_users())
         .map(|u| {
-            let (items, vals) = train.user_row(UserId(u));
-            if items.is_empty() {
+            let (row, tail) = rest.split_at(train.user_degree(UserId(u)));
+            rest = tail;
+            if row.is_empty() {
                 return 0.0;
             }
-            let sum: f64 = items
-                .iter()
-                .zip(vals)
-                .map(|(&i, &r)| tui.value(ItemId(i), r))
-                .sum();
-            sum / items.len() as f64
+            row.iter().sum::<f64>() / row.len() as f64
         })
         .collect()
 }

@@ -316,8 +316,9 @@ fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 }
 
 impl EngineState {
-    fn new(bundle: ModelBundle, generation: u64) -> EngineState {
-        let pop_counts = bundle.train.item_popularity();
+    /// `pop_counts` is the bundle's train popularity, counted once by the
+    /// caller.
+    fn new(bundle: ModelBundle, generation: u64, pop_counts: Vec<u32>) -> EngineState {
         let in_train: Vec<bool> = pop_counts.iter().map(|&f| f > 0).collect();
         let extra_seen = vec![Vec::new(); bundle.train.n_users() as usize];
         let seed_index = bundle
@@ -551,21 +552,24 @@ pub struct ServingEngine {
 impl ServingEngine {
     /// Start serving a bundle.
     pub fn new(bundle: ModelBundle, cfg: EngineConfig) -> ServingEngine {
-        ServingEngine::with_tally(bundle, cfg, 0, Tally::default())
+        let popularity = bundle.train.item_popularity();
+        ServingEngine::with_tally(bundle, cfg, 0, Tally::default(), popularity)
     }
 
     /// Start serving a bundle as `generation` on `tally` — how a sharded
     /// engine's bands are built at their shard set's generation, so what
     /// they report (responses, trace events, the generation gauge) is the
     /// generation they serve, and counted on the band's one tally.
+    /// `popularity` is the bundle's train popularity.
     pub(crate) fn with_tally(
         bundle: ModelBundle,
         cfg: EngineConfig,
         generation: u64,
         tally: Tally,
+        popularity: Vec<u32>,
     ) -> ServingEngine {
         ServingEngine {
-            state: RwLock::new(EngineState::new(bundle, generation)),
+            state: RwLock::new(EngineState::new(bundle, generation, popularity)),
             cache: Mutex::new(LruCache::new(cfg.cache_capacity)),
             threads: cfg.threads.max(1),
             keys: Mutex::new(DedupWindow::new(DEDUP_WINDOW)),
@@ -586,7 +590,8 @@ impl ServingEngine {
     /// served lists. One-shot; a second attach is a no-op.
     pub fn attach_obs(&self, hub: Arc<ObsHub>, band: Option<u32>, window: Duration) {
         let state = self.state.read().unwrap();
-        let catalog = catalog_profile(&state.bundle);
+        let train = &state.bundle.train;
+        let catalog = catalog_profile(&train.item_popularity(), train.n_users());
         let obs = EngineObs::new(hub, band, window, catalog, state.generation);
         drop(state);
         self.set_obs(obs);
@@ -957,14 +962,20 @@ impl ServingEngine {
     /// never serve a previous generation's cached list. Returns the new
     /// generation.
     pub fn swap_bundle(&self, bundle: ModelBundle) -> u64 {
+        // One popularity count, taken before the write lock, serves the
+        // new state and its catalog profile.
+        let popularity = bundle.train.item_popularity();
         let mut state = self.state.write().unwrap();
         let generation = state.generation + 1;
-        *state = EngineState::new(bundle, generation);
+        *state = EngineState::new(bundle, generation, popularity);
         self.cache.lock().unwrap().clear();
         // Record under the write lock (obs locks are leaves) so the swap
         // event and the catalog refreeze are atomic with the swap itself.
+        // Nothing is ingested before the lock drops, so the live counts
+        // are still the train popularity.
         if let Some(o) = self.obs.get() {
-            o.record_swap(generation, catalog_profile(&state.bundle));
+            let n_users = state.bundle.train.n_users();
+            o.record_swap(generation, catalog_profile(&state.pop_counts, n_users));
         }
         drop(state);
         generation

@@ -31,7 +31,6 @@
 //! engine's state/cache locks, never before, and never while calling back
 //! into the engine.
 
-use crate::bundle::ModelBundle;
 use crate::engine::{Counts, SlotAnswer, Tally};
 use ganc_dataset::stats::LongTail;
 use ganc_dataset::ItemId;
@@ -54,17 +53,16 @@ const REQUEST_US_HELP: &str = "Engine request latency by cache outcome (microsec
     hits are timed 1 in 64, so a hit series' _count is a sample count";
 
 /// Build the frozen per-item catalog facts (novelty micro-bits, long-tail
-/// membership at the paper's Pareto cut) for one bundle generation, from one
-/// count of the train popularity; holds **no** reference into the bundle
-/// afterwards. It reads only the train set, which every θ band of a
-/// generation shares, so a sharded engine builds one per generation and
-/// hands it to every band.
-pub(crate) fn catalog_profile(bundle: &ModelBundle) -> Arc<CatalogProfile> {
-    let popularity = bundle.train.item_popularity();
-    let tail = LongTail::from_popularity(&popularity, LongTail::PARETO);
+/// membership at the paper's Pareto cut) for one bundle generation from its
+/// train set's `popularity` (counted once by the caller, who also hands it
+/// to the engine state) and `n_users`. It reads only the train set, which
+/// every θ band of a generation shares, so a sharded engine builds one per
+/// generation and hands it to every band.
+pub(crate) fn catalog_profile(popularity: &[u32], n_users: u32) -> Arc<CatalogProfile> {
+    let tail = LongTail::from_popularity(popularity, LongTail::PARETO);
     Arc::new(CatalogProfile::from_popularity(
-        &popularity,
-        bundle.train.n_users(),
+        popularity,
+        n_users,
         tail.mask().to_vec(),
     ))
 }

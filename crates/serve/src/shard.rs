@@ -142,6 +142,7 @@ impl ShardSet {
     /// number of bands every generation).
     fn build(
         bundle: Arc<ModelBundle>,
+        popularity: &[u32],
         plan: &ShardPlan,
         engine_cfg: EngineConfig,
         generation: u64,
@@ -167,7 +168,13 @@ impl ShardSet {
                 snapshots,
                 coverage_bytes,
             });
-            let engine = ServingEngine::with_tally(sliced, engine_cfg, generation, tally(j));
+            let engine = ServingEngine::with_tally(
+                sliced,
+                engine_cfg,
+                generation,
+                tally(j),
+                popularity.to_vec(),
+            );
             engines.push(engine);
         }
         ShardSet {
@@ -290,9 +297,15 @@ impl ShardObs {
 impl ShardedEngine {
     /// Shard a fitted bundle and start serving.
     pub fn new(bundle: ModelBundle, cfg: ShardConfig) -> ShardedEngine {
-        let set = ShardSet::build(Arc::new(bundle), &cfg.plan, cfg.engine, 0, |_| {
-            Tally::default()
-        });
+        let popularity = bundle.train.item_popularity();
+        let set = ShardSet::build(
+            Arc::new(bundle),
+            &popularity,
+            &cfg.plan,
+            cfg.engine,
+            0,
+            |_| Tally::default(),
+        );
         ShardedEngine {
             set: Arc::new(RwLock::new(set)),
             ingest_log: Arc::default(),
@@ -314,7 +327,8 @@ impl ShardedEngine {
             return;
         }
         let set = self.set.read().unwrap();
-        let catalog = catalog_profile(&set.bundle);
+        let train = &set.bundle.train;
+        let catalog = catalog_profile(&train.item_popularity(), train.n_users());
         for (j, engine) in set.engines.iter().enumerate() {
             let catalog = Arc::clone(&catalog);
             engine.attach_obs_over(Arc::clone(&hub), Some(j as u32), window, catalog);
@@ -677,12 +691,24 @@ impl ShardedEngine {
         // construction and the bands' one catalog profile are the
         // expensive part, and the old generation keeps serving throughout.
         // Each band's engine records on the band's tally.
-        let catalog = self.obs.get().map(|_| catalog_profile(&bundle));
+        // One popularity count per generation serves every band and the
+        // catalog profile.
+        let popularity = bundle.train.item_popularity();
+        let n_users = bundle.train.n_users();
+        let catalog = self
+            .obs
+            .get()
+            .map(|_| catalog_profile(&popularity, n_users));
         let tallies = self.set.read().unwrap().tallies();
         let generation = expected_generation + 1;
-        let new_set = ShardSet::build(bundle, &self.plan, self.engine_cfg, generation, |j| {
-            tallies[j].clone()
-        });
+        let new_set = ShardSet::build(
+            bundle,
+            &popularity,
+            &self.plan,
+            self.engine_cfg,
+            generation,
+            |j| tallies[j].clone(),
+        );
         let mut set = self.set.write().unwrap();
         if set.generation != expected_generation {
             return None;
@@ -699,7 +725,11 @@ impl ShardedEngine {
             .expect("refit bundle must cover previously accepted ids");
         // Each band's window restarts in place, as a `swap_bundle` does (on
         // a profile built here only if observability attached mid-fit).
-        let catalog = catalog.or_else(|| self.obs.get().map(|_| catalog_profile(&new_set.bundle)));
+        let catalog = catalog.or_else(|| {
+            self.obs
+                .get()
+                .map(|_| catalog_profile(&popularity, n_users))
+        });
         if let Some(catalog) = &catalog {
             for engine in &new_set.engines {
                 engine.restart_window(Arc::clone(catalog));
