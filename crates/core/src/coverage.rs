@@ -4,14 +4,16 @@
 //!
 //! The serving hot path never fills a full-catalog coverage buffer: every
 //! coverage state hands out a [`CoverageView`] — a cheap per-request view
-//! that scores *candidate items only*. `Stat` and `Dyn` keep their
-//! `1/√(f+1)` score vectors cached (updated incrementally on writes, so
-//! reads never pay a sqrt pass), and the OSLG frequency snapshots are
-//! stored delta-encoded (§III-C produces consecutive snapshots that differ
-//! by exactly the N items just assigned) with periodic dense checkpoints
-//! for `O(N·√S)`-style reconstruction instead of `O(S·|I|)` dense storage.
+//! that scores *candidate items only*. [`CoverageView::fill`], which writes
+//! every item's score, is the one dense reference the fused path is checked
+//! against. `Stat` and `Dyn` keep their `1/√(f+1)` score vectors cached
+//! (updated incrementally on writes, so reads never pay a sqrt pass), and
+//! the OSLG frequency snapshots are stored delta-encoded (§III-C produces
+//! consecutive snapshots that differ by exactly the N items just assigned)
+//! with periodic dense checkpoints for `O(N·√S)`-style reconstruction
+//! instead of `O(S·|I|)` dense storage.
 
-use ganc_dataset::{Interactions, ItemId, UserId};
+use ganc_dataset::{Interactions, ItemId};
 use ganc_recommender::random::unit_hash;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::TryReserveError;
@@ -47,11 +49,7 @@ impl CoverageKind {
 
 /// One request's resolved coverage scores, consumed candidate-by-candidate
 /// by the fused scorer in [`crate::query::UserQuery`] — no full-catalog
-/// buffer is ever materialized.
-///
-/// Items must be scored in **ascending item id** order (the candidate
-/// iterators guarantee this); [`CoverageView::scorer`] returns the cursor
-/// that exploits it.
+/// buffer is ever materialized on that path.
 #[derive(Debug)]
 pub enum CoverageView<'a> {
     /// A cached dense score vector (Stat, Dyn, snapshot checkpoints).
@@ -73,9 +71,9 @@ pub enum CoverageView<'a> {
     },
 }
 
-impl<'a> CoverageView<'a> {
-    /// Random-access score of one item (tests and one-off lookups; the hot
-    /// path uses [`CoverageView::scorer`]).
+impl CoverageView<'_> {
+    /// Random-access score of one item (tests and one-off lookups; the fused
+    /// path walks the view in ascending item order instead).
     pub fn score_at(&self, item: u32) -> f64 {
         match self {
             CoverageView::Dense(s) => s[item as usize],
@@ -89,37 +87,11 @@ impl<'a> CoverageView<'a> {
         }
     }
 
-    /// A sequential scoring cursor. Items **must** be queried in ascending
-    /// id order; the overlay merge then costs `O(|overlay|)` for the whole
-    /// request instead of a binary search per candidate.
-    pub fn scorer<'v>(&'v self) -> ViewScorer<'v, 'a> {
-        ViewScorer { view: self, pos: 0 }
-    }
-}
-
-/// Sequential cursor over a [`CoverageView`] (ascending item ids).
-#[derive(Debug)]
-pub struct ViewScorer<'v, 'a> {
-    view: &'v CoverageView<'a>,
-    pos: usize,
-}
-
-impl ViewScorer<'_, '_> {
-    /// Coverage score of `item`; `item` must not decrease across calls.
-    #[inline]
-    pub fn score(&mut self, item: u32) -> f64 {
-        match self.view {
-            CoverageView::Dense(s) => s[item as usize],
-            CoverageView::Hashed { seed, user } => unit_hash(*seed, *user, item),
-            CoverageView::Patched { base, overlay } => {
-                while self.pos < overlay.len() && overlay[self.pos].0 < item {
-                    self.pos += 1;
-                }
-                match overlay.get(self.pos) {
-                    Some(&(i, s)) if i == item => s,
-                    _ => base[item as usize],
-                }
-            }
+    /// Write [`CoverageView::score_at`] of every item `0..out.len()` into
+    /// `out`: the dense reference the fused path is checked against.
+    pub fn fill(&self, out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = self.score_at(i as u32);
         }
     }
 }
@@ -128,28 +100,13 @@ impl ViewScorer<'_, '_> {
 /// The paper redraws per run; vary the seed across runs to reproduce that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RandCoverage {
-    seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl RandCoverage {
     /// Create with a run seed.
     pub fn new(seed: u64) -> RandCoverage {
         RandCoverage { seed }
-    }
-
-    /// Fill the coverage score buffer for one user.
-    pub fn scores_for(&self, user: UserId, out: &mut [f64]) {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = unit_hash(self.seed, user.0, i as u32);
-        }
-    }
-
-    /// The per-request view (hashes on demand, no buffer).
-    pub fn view_for(&self, user: UserId) -> CoverageView<'_> {
-        CoverageView::Hashed {
-            seed: self.seed,
-            user: user.0,
-        }
     }
 }
 
@@ -222,14 +179,6 @@ impl DynCoverage {
         }
     }
 
-    /// Resume from a stored assignment-frequency snapshot (OSLG's `F(θ_s)`).
-    pub fn from_snapshot(counts: &[u32]) -> DynCoverage {
-        DynCoverage {
-            scores: counts.iter().map(|&f| gain(f)).collect(),
-            counts: counts.to_vec(),
-        }
-    }
-
     /// Current score of one item.
     #[inline]
     pub fn score(&self, item: ItemId) -> f64 {
@@ -240,11 +189,6 @@ impl DynCoverage {
     #[inline]
     pub fn scores(&self) -> &[f64] {
         &self.scores
-    }
-
-    /// Fill a score buffer for the current state.
-    pub fn scores_into(&self, out: &mut [f64]) {
-        out.copy_from_slice(&self.scores);
     }
 
     /// Record an assigned top-N set (Algorithm 1, line 7): N count bumps
@@ -267,22 +211,6 @@ impl DynCoverage {
     #[inline]
     pub fn frequency(&self, item: ItemId) -> u32 {
         self.counts[item.idx()]
-    }
-}
-
-// Hand-written serde: only the counts travel on the wire (the cached score
-// vector is derived state, rebuilt on decode), so the artifact carries
-// exactly the state a fit produced and nothing recomputable.
-impl Serialize for DynCoverage {
-    fn serialize<S: Serializer>(&self, s: &mut S) -> Result<(), S::Error> {
-        self.counts.serialize(s)
-    }
-}
-
-impl<'de> Deserialize<'de> for DynCoverage {
-    fn deserialize<D: Deserializer<'de>>(d: &mut D) -> Result<Self, D::Error> {
-        let counts = Vec::<u32>::deserialize(d)?;
-        Ok(DynCoverage::from_snapshot(&counts))
     }
 }
 
@@ -593,12 +521,6 @@ impl CoverageSnapshots {
         counts
     }
 
-    /// Reconstruct the dense assignment frequencies of the snapshot
-    /// nearest to `t`.
-    pub fn counts_near(&self, t: f64) -> Vec<u32> {
-        self.counts_at(self.nearest_idx(t))
-    }
-
     /// The per-request coverage view of the snapshot nearest to `t`: its
     /// segment checkpoint's score slice plus the snapshot's precomputed
     /// sparse overlay — an index lookup, nothing is reconstructed. Scores
@@ -614,22 +536,6 @@ impl CoverageSnapshots {
                 base: &cp.scores,
                 overlay,
             }
-        }
-    }
-
-    /// Fill `out` with coverage scores `1/√(f+1)` from the snapshot nearest
-    /// to `t` (the dense reference path; the fused scorer uses
-    /// [`CoverageSnapshots::view_near`]).
-    pub fn scores_near(&self, t: f64, out: &mut [f64]) {
-        match self.view_near(t) {
-            CoverageView::Dense(scores) => out.copy_from_slice(scores),
-            CoverageView::Patched { base, overlay } => {
-                out.copy_from_slice(base);
-                for &(i, s) in overlay {
-                    out[i as usize] = s;
-                }
-            }
-            CoverageView::Hashed { .. } => unreachable!("snapshots are never hashed"),
         }
     }
 
@@ -784,7 +690,8 @@ impl<'de> Deserialize<'de> for CoverageSnapshots {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ganc_dataset::{DatasetBuilder, RatingScale};
+    use crate::query::CoverageProvider;
+    use ganc_dataset::{DatasetBuilder, RatingScale, UserId};
 
     fn train() -> Interactions {
         let mut b = DatasetBuilder::new("t", RatingScale::stars_1_5());
@@ -852,11 +759,12 @@ mod tests {
     fn snapshot_round_trips() {
         let mut c = DynCoverage::new(3);
         c.observe(&[ItemId(1), ItemId(2), ItemId(1)]);
-        let snap = c.snapshot();
-        let resumed = DynCoverage::from_snapshot(&snap);
-        assert_eq!(resumed.frequency(ItemId(1)), 2);
-        assert_eq!(resumed.score(ItemId(1)), c.score(ItemId(1)));
-        assert_eq!(resumed, c);
+        let mut stored = CoverageSnapshots::new();
+        stored.push(0.5, &c.snapshot());
+        let resumed = stored.counts_at(stored.nearest_idx(0.5));
+        assert_eq!(resumed[1], 2);
+        assert_eq!(stored.view_near(0.5).score_at(1), c.score(ItemId(1)));
+        assert_eq!(resumed, c.snapshot().to_vec());
     }
 
     #[test]
@@ -864,17 +772,14 @@ mod tests {
         let c = RandCoverage::new(9);
         let mut a = vec![0.0; 8];
         let mut b = vec![0.0; 8];
-        c.scores_for(UserId(0), &mut a);
-        c.scores_for(UserId(0), &mut b);
+        c.view(UserId(0), 0.0).fill(&mut a);
+        c.view(UserId(0), 0.0).fill(&mut b);
         assert_eq!(a, b);
-        c.scores_for(UserId(1), &mut b);
+        c.view(UserId(1), 0.0).fill(&mut b);
         assert_ne!(a, b);
         assert!(a.iter().all(|&x| (0.0..1.0).contains(&x)));
-        let view = c.view_for(UserId(0));
-        let mut cursor = view.scorer();
         for (i, &dense) in a.iter().enumerate() {
-            assert_eq!(cursor.score(i as u32), dense);
-            assert_eq!(view.score_at(i as u32), dense);
+            assert_eq!(unit_hash(9, 0, i as u32), dense);
         }
     }
 
@@ -900,7 +805,7 @@ mod tests {
         assert_eq!(s.nearest_idx(0.65), 1);
         // Exact tie 0.25 between 0.1 and 0.4 prefers the lower θ.
         assert_eq!(s.nearest_idx(0.25), 0);
-        assert_eq!(s.counts_near(0.95), &[0, 0, 1]);
+        assert_eq!(s.counts_at(s.nearest_idx(0.95)), &[0, 0, 1]);
     }
 
     #[test]
@@ -911,7 +816,7 @@ mod tests {
         s.push(0.5, &[5]);
         s.sort_by_theta();
         assert_eq!(s.thetas(), &[0.2, 0.5, 0.8]);
-        assert_eq!(s.counts_near(0.19), &[2]);
+        assert_eq!(s.counts_at(s.nearest_idx(0.19)), &[2]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
     }
@@ -921,7 +826,7 @@ mod tests {
         let mut s = CoverageSnapshots::new();
         s.push(0.5, &[0, 3, 8]);
         let mut buf = vec![0.0; 3];
-        s.scores_near(0.5, &mut buf);
+        s.view_near(0.5).fill(&mut buf);
         assert_eq!(buf, vec![1.0, 0.5, 1.0 / 3.0]);
     }
 
@@ -945,8 +850,8 @@ mod tests {
             assert_eq!(dense.counts_at(k), sparse.counts_at(k));
             let mut a = vec![0.0; 5];
             let mut b = vec![0.0; 5];
-            dense.scores_near(t, &mut a);
-            sparse.scores_near(t, &mut b);
+            dense.view_near(t).fill(&mut a);
+            sparse.view_near(t).fill(&mut b);
             assert_eq!(a, b);
         }
     }
@@ -969,12 +874,11 @@ mod tests {
         let mut dense = vec![0.0; n_items as usize];
         for q in 0..=20 {
             let t = q as f64 / 20.0;
-            s.scores_near(t, &mut dense);
-            let view = s.view_near(t);
-            let mut cursor = view.scorer();
+            s.view_near(t).fill(&mut dense);
+            let counts = s.counts_at(s.nearest_idx(t));
             for i in 0..n_items {
-                assert_eq!(view.score_at(i), dense[i as usize], "t={t} item {i}");
-                assert_eq!(cursor.score(i), dense[i as usize], "t={t} item {i}");
+                let expect = gain(counts[i as usize]);
+                assert_eq!(dense[i as usize], expect, "t={t} item {i}");
             }
         }
     }
@@ -1050,18 +954,26 @@ mod tests {
     }
 
     /// A chain long enough to cross several dense-checkpoint boundaries,
-    /// with enough θ spread to cut bands anywhere.
-    fn chain_fixture(n_items: u32, steps: usize) -> CoverageSnapshots {
+    /// with enough θ spread to cut bands anywhere. Step `k` is pushed at θ
+    /// rank `k·stride mod steps`: stride 1 pushes in increasing θ, as OSLG
+    /// does; a stride coprime to `steps` pushes in shuffled θ and sorts
+    /// afterwards, as the `UserOrdering::Arbitrary` ablation does, so
+    /// neighbours in θ order sit anywhere in the chain and a band slice
+    /// re-encodes deltas of both signs.
+    fn chain_fixture(n_items: u32, steps: usize, stride: usize) -> CoverageSnapshots {
         let mut s = CoverageSnapshots::for_items(n_items);
-        let mut cov = DynCoverage::new(n_items);
         for k in 0..steps {
             let list = [
                 ItemId((k as u32 * 7) % n_items),
                 ItemId((k as u32 * 11 + 3) % n_items),
             ];
-            cov.observe(&list);
-            s.push_assigned(k as f64 / steps as f64, &list);
+            s.push_assigned(((k * stride) % steps) as f64 / steps as f64, &list);
         }
+        s.sort_by_theta();
+        assert!(
+            s.thetas().windows(2).all(|w| w[0] < w[1]),
+            "stride {stride} must be coprime to {steps} steps"
+        );
         s
     }
 
@@ -1081,19 +993,19 @@ mod tests {
                 continue;
             }
             assert_eq!(
-                full.counts_near(t),
-                slice.counts_near(t),
+                full.counts_at(full.nearest_idx(t)),
+                slice.counts_at(slice.nearest_idx(t)),
                 "counts diverge at θ={t} for band [{lo}, {hi})"
             );
-            full.scores_near(t, &mut a);
-            slice.scores_near(t, &mut b);
+            full.view_near(t).fill(&mut a);
+            slice.view_near(t).fill(&mut b);
             assert_eq!(a, b, "scores diverge at θ={t} for band [{lo}, {hi})");
         }
     }
 
     #[test]
     fn extract_empty_range_yields_empty_store() {
-        let full = chain_fixture(13, 10);
+        let full = chain_fixture(13, 10, 1);
         let empty = full.extract_range(4..4);
         assert!(empty.is_empty());
         assert_eq!(empty.len(), 0);
@@ -1106,7 +1018,7 @@ mod tests {
         // valid single-snapshot slice: band_range always keeps the boundary
         // snapshot both neighbors share, and resolving the cut θ through
         // the slice must match the full store exactly.
-        let full = chain_fixture(13, 20);
+        let full = chain_fixture(13, 20, 1);
         let cut = full.thetas()[7];
         let slice = full.slice_band(cut, cut);
         assert_eq!(slice.len(), 1, "degenerate band keeps exactly one");
@@ -1116,9 +1028,12 @@ mod tests {
         let mut a = vec![0.0; full.n_items()];
         let mut b = vec![0.0; full.n_items()];
         for probe in [cut, f64::NEG_INFINITY, f64::INFINITY] {
-            assert_eq!(slice.counts_near(probe), full.counts_near(cut));
-            slice.scores_near(probe, &mut a);
-            full.scores_near(cut, &mut b);
+            assert_eq!(
+                slice.counts_at(slice.nearest_idx(probe)),
+                full.counts_at(full.nearest_idx(cut))
+            );
+            slice.view_near(probe).fill(&mut a);
+            full.view_near(cut).fill(&mut b);
             assert_eq!(a, b, "probe {probe} diverges");
         }
     }
@@ -1127,30 +1042,34 @@ mod tests {
     fn band_spanning_checkpoint_boundary_is_exact() {
         // CHECKPOINT_EVERY = 16: bands straddling chain steps 15|16 and
         // 31|32 force reconstruction across checkpoint segments.
-        let full = chain_fixture(17, 3 * CHECKPOINT_EVERY + 5);
-        let th = full.thetas();
-        for (a, b) in [
-            (CHECKPOINT_EVERY - 3, CHECKPOINT_EVERY + 3),
-            (2 * CHECKPOINT_EVERY - 1, 2 * CHECKPOINT_EVERY + 1),
-            (1, 3 * CHECKPOINT_EVERY + 2),
-        ] {
-            assert_band_equivalent(&full, th[a], th[b]);
+        let steps = 3 * CHECKPOINT_EVERY + 5;
+        for full in [chain_fixture(17, steps, 1), chain_fixture(17, steps, 37)] {
+            let th = full.thetas();
+            for (a, b) in [
+                (CHECKPOINT_EVERY - 3, CHECKPOINT_EVERY + 3),
+                (2 * CHECKPOINT_EVERY - 1, 2 * CHECKPOINT_EVERY + 1),
+                (1, 3 * CHECKPOINT_EVERY + 2),
+            ] {
+                assert_band_equivalent(&full, th[a], th[b]);
+            }
         }
     }
 
     #[test]
     fn single_snapshot_band_is_exact() {
-        let full = chain_fixture(13, 40);
-        // A band tight enough that only one snapshot is nearest-reachable.
-        let th = full.thetas();
-        let mid = (th[20] + th[21]) / 2.0;
-        let slice = full.slice_band(th[20], mid.min(th[21]));
-        assert!(slice.len() <= 2);
-        assert_band_equivalent(&full, th[20], (th[20] + th[21]) / 2.0);
-        // Whole-store band and open-ended bands stay exact too.
-        assert_band_equivalent(&full, f64::NEG_INFINITY, 0.3);
-        assert_band_equivalent(&full, 0.7, f64::INFINITY);
-        assert_band_equivalent(&full, f64::NEG_INFINITY, f64::INFINITY);
+        let shuffled = chain_fixture(13, 3 * CHECKPOINT_EVERY + 5, 37);
+        for full in [chain_fixture(13, 40, 1), shuffled] {
+            // A band tight enough that only one snapshot is nearest-reachable.
+            let th = full.thetas();
+            let mid = (th[20] + th[21]) / 2.0;
+            let slice = full.slice_band(th[20], mid.min(th[21]));
+            assert!(slice.len() <= 2);
+            assert_band_equivalent(&full, th[20], (th[20] + th[21]) / 2.0);
+            // Whole-store band and open-ended bands stay exact too.
+            assert_band_equivalent(&full, f64::NEG_INFINITY, 0.3);
+            assert_band_equivalent(&full, 0.7, f64::INFINITY);
+            assert_band_equivalent(&full, f64::NEG_INFINITY, f64::INFINITY);
+        }
     }
 
     #[test]
@@ -1173,12 +1092,15 @@ mod tests {
         // The cut θ itself belongs to the upper band and must hit the
         // *first* duplicate (lower tie rule) through the slice as well.
         let upper = full.slice_band(cut, f64::INFINITY);
-        assert_eq!(upper.counts_near(cut), full.counts_near(cut));
+        assert_eq!(
+            upper.counts_at(upper.nearest_idx(cut)),
+            full.counts_at(full.nearest_idx(cut))
+        );
     }
 
     #[test]
     fn band_slices_round_trip_the_wire() {
-        let full = chain_fixture(19, 50);
+        let full = chain_fixture(19, 50, 1);
         let slice = full.slice_band(0.2, 0.6);
         let bytes = bincode::serialize(&slice).unwrap();
         let restored: CoverageSnapshots = bincode::deserialize(&bytes).unwrap();
@@ -1190,7 +1112,7 @@ mod tests {
         let mut c = DynCoverage::new(4);
         c.observe(&[ItemId(2)]);
         let mut buf = vec![0.0; 4];
-        c.scores_into(&mut buf);
+        c.view(UserId(0), 0.0).fill(&mut buf);
         for (i, &s) in buf.iter().enumerate() {
             assert_eq!(s, c.score(ItemId(i as u32)));
         }

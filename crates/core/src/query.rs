@@ -22,8 +22,9 @@
 //! or another run list, never another code path. No dense coverage buffer
 //! is filled, no combined-score buffer is written, and non-candidate items
 //! (the user's seen set) are never scored. The result is bit-identical to
-//! the three-buffer reference computation ([`combine_into`] over dense
-//! fills), which the property suite checks.
+//! the three-buffer reference computation ([`combine_into`] over the
+//! accuracy fill and the dense coverage reference [`CoverageView::fill`]),
+//! which the property suite checks.
 
 use crate::accuracy::AccuracyScorer;
 use crate::coverage::{CoverageSnapshots, CoverageView, DynCoverage, RandCoverage, StatCoverage};
@@ -41,29 +42,20 @@ pub trait CoverageProvider: Sync {
     /// `theta_u`. Cheap: every state hands out borrowed slices or hash
     /// parameters (snapshot overlays are precomputed at push/load time).
     fn view(&self, user: UserId, theta_u: f64) -> CoverageView<'_>;
-
-    /// Fill dense per-item coverage scores for a request — the reference
-    /// path the fused scorer is checked against.
-    fn coverage_into(&self, user: UserId, theta_u: f64, out: &mut [f64]);
 }
 
 impl CoverageProvider for StatCoverage {
     fn view(&self, _user: UserId, _theta_u: f64) -> CoverageView<'_> {
         CoverageView::Dense(self.scores())
     }
-
-    fn coverage_into(&self, _user: UserId, _theta_u: f64, out: &mut [f64]) {
-        out.copy_from_slice(self.scores());
-    }
 }
 
 impl CoverageProvider for RandCoverage {
     fn view(&self, user: UserId, _theta_u: f64) -> CoverageView<'_> {
-        self.view_for(user)
-    }
-
-    fn coverage_into(&self, user: UserId, _theta_u: f64, out: &mut [f64]) {
-        self.scores_for(user, out);
+        CoverageView::Hashed {
+            seed: self.seed,
+            user: user.0,
+        }
     }
 }
 
@@ -71,19 +63,11 @@ impl CoverageProvider for DynCoverage {
     fn view(&self, _user: UserId, _theta_u: f64) -> CoverageView<'_> {
         CoverageView::Dense(self.scores())
     }
-
-    fn coverage_into(&self, _user: UserId, _theta_u: f64, out: &mut [f64]) {
-        self.scores_into(out);
-    }
 }
 
 impl CoverageProvider for CoverageSnapshots {
     fn view(&self, _user: UserId, theta_u: f64) -> CoverageView<'_> {
         self.view_near(theta_u)
-    }
-
-    fn coverage_into(&self, _user: UserId, theta_u: f64, out: &mut [f64]) {
-        self.scores_near(theta_u, out);
     }
 }
 
@@ -435,7 +419,7 @@ impl<'a> UserQuery<'a> {
     ///
     /// Fused candidate-only scoring: after the accuracy fill, each
     /// candidate is scored and offered to the bounded selection heap in a
-    /// single pass. Runs ascend, which lets the coverage cursor merge any
+    /// single pass. Runs ascend, which lets [`fused_select_runs`] merge any
     /// sparse overlay in `O(|overlay|)` total.
     pub fn topn_with_runs(
         &mut self,
@@ -482,7 +466,7 @@ mod tests {
         let mut c = vec![0.0; n_items];
         let mut s = vec![0.0; n_items];
         arec.accuracy_scores(user, &mut a);
-        coverage.coverage_into(user, theta_u, &mut c);
+        coverage.view(user, theta_u).fill(&mut c);
         combine_into(theta_u, &a, &c, &mut s);
         select_top_n(&s, unseen_train_candidates(train, in_train, user), n)
     }
@@ -659,7 +643,7 @@ mod tests {
         let mut c = vec![0.0; n_items];
         let mut s = vec![0.0; n_items];
         arec.accuracy_scores(UserId(2), &mut a);
-        cov.scores_into(&mut c);
+        cov.view(UserId(2), theta[2]).fill(&mut c);
         combine_into(theta[2], &a, &c, &mut s);
         let manual = select_top_n(&s, unseen_train_candidates(&train, &in_train, UserId(2)), 5);
         assert_eq!(via_provider, manual);

@@ -51,6 +51,7 @@ use std::io;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use tinyjson::{obj, Value};
 
 /// The engine a server fronts: single-node, in-process sharded, or a
@@ -110,6 +111,10 @@ struct HttpObs {
     /// `exclude` and `rerank`, in that order.
     overrides: [Arc<Counter>; 4],
 }
+
+/// Width of the rolling beyond-accuracy window `/v1/stats` and the
+/// `ganc_window_*` gauges report over.
+const STATS_WINDOW: Duration = Duration::from_secs(300);
 
 /// Endpoint labels [`App::route`] can answer 200 under. A label missing
 /// here is still counted, through the get-or-create fallback.
@@ -202,9 +207,9 @@ impl App {
         let cadence = refit.as_ref().and_then(|hook| Some((hook, hook.cadence?)));
         let (mut controller, mut probes) = (None, Vec::new());
         match &frontend {
-            Frontend::Single(e) => e.attach_obs(Arc::clone(&hub), None, cfg.stats_window),
+            Frontend::Single(e) => e.attach_obs(Arc::clone(&hub), None, STATS_WINDOW),
             Frontend::Sharded(e) => {
-                e.attach_obs(Arc::clone(&hub), cfg.stats_window);
+                e.attach_obs(Arc::clone(&hub), STATS_WINDOW);
                 controller = cadence.map(|(hook, cadence)| {
                     RefitController::spawn_adaptive(
                         Arc::clone(e),
@@ -216,7 +221,7 @@ impl App {
                 });
             }
             Frontend::Router(r) => {
-                r.attach_obs(Arc::clone(&hub), cfg.stats_window);
+                r.attach_obs(Arc::clone(&hub), STATS_WINDOW);
                 probes = r.spawn_probes();
             }
         }
@@ -595,7 +600,7 @@ impl App {
         };
         let window = aggregate.map(|aggregate| {
             obj! {
-                "seconds" => self.cfg.stats_window.as_secs_f64(),
+                "seconds" => STATS_WINDOW.as_secs_f64(),
                 "aggregate" => window_value(aggregate),
                 "bands" => Value::Array(
                     bands

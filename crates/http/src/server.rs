@@ -127,9 +127,6 @@ pub struct ServerConfig {
     /// bind time; tests inject a `ManualClock` hub here to make timing and
     /// window expiry deterministic.
     pub obs: Option<Arc<ObsHub>>,
-    /// Width of the rolling beyond-accuracy window `/v1/stats` and the
-    /// `ganc_window_*` gauges report over.
-    pub stats_window: Duration,
 }
 
 impl Default for ServerConfig {
@@ -144,7 +141,6 @@ impl Default for ServerConfig {
             request_deadline: Duration::from_secs(30),
             max_connections: 16_384,
             obs: None,
-            stats_window: Duration::from_secs(300),
         }
     }
 }

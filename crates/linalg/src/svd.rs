@@ -44,16 +44,18 @@ impl LinOp for DMat {
     }
 }
 
+/// Extra columns sampled beyond the rank for accuracy (`p`).
+const OVERSAMPLE: usize = 10;
+
+/// Power (subspace) iterations `q`; 2 is enough for rating matrices whose
+/// spectra decay slowly.
+const POWER_ITERS: usize = 2;
+
 /// Configuration of the randomized range finder.
 #[derive(Debug, Clone, Copy)]
 pub struct SvdConfig {
     /// Number of singular triplets to keep (`k`).
     pub rank: usize,
-    /// Extra columns sampled beyond `rank` for accuracy (`p`, default 10).
-    pub oversample: usize,
-    /// Power (subspace) iterations `q`; 2 is enough for rating matrices
-    /// whose spectra decay slowly.
-    pub power_iters: usize,
     /// RNG seed for the Gaussian test matrix.
     pub seed: u64,
 }
@@ -63,8 +65,6 @@ impl SvdConfig {
     pub fn with_rank(rank: usize) -> SvdConfig {
         SvdConfig {
             rank,
-            oversample: 10,
-            power_iters: 2,
             seed: 0x05EE_D57D,
         }
     }
@@ -106,12 +106,12 @@ pub fn randomized_svd<A: LinOp>(a: &A, config: SvdConfig) -> Svd {
     let n = a.cols();
     assert!(m > 0 && n > 0, "operator must be non-empty");
     let k = config.rank.max(1).min(m.min(n));
-    let sketch = (k + config.oversample).min(m.min(n));
+    let sketch = (k + OVERSAMPLE).min(m.min(n));
     let mut rng = StdRng::seed_from_u64(config.seed);
     let omega = DMat::from_fn(n, sketch, |_, _| ganc_gaussian(&mut rng));
     // Stage A: range finding with power iterations.
     let mut q = thin_qr(&a.apply(&omega));
-    for _ in 0..config.power_iters {
+    for _ in 0..POWER_ITERS {
         let z = thin_qr(&a.apply_t(&q));
         q = thin_qr(&a.apply(&z));
     }

@@ -25,21 +25,20 @@ use ganc_dataset::{Interactions, UserId};
 /// Configuration of the alternating optimizer.
 #[derive(Debug, Clone, Copy)]
 pub struct GeneralizedConfig {
-    /// Regularization weight λ₁ (the paper sets 1).
-    pub lambda: f64,
     /// Maximum alternating iterations.
     pub max_iters: usize,
+}
+
+impl GeneralizedConfig {
+    /// Regularization weight λ₁ (the paper sets 1).
+    pub const LAMBDA: f64 = 1.0;
     /// Convergence tolerance on `max_u |Δθ^G_u|`.
-    pub tol: f64,
+    pub const TOL: f64 = 1e-6;
 }
 
 impl Default for GeneralizedConfig {
     fn default() -> Self {
-        GeneralizedConfig {
-            lambda: 1.0,
-            max_iters: 50,
-            tol: 1e-6,
-        }
+        GeneralizedConfig { max_iters: 50 }
     }
 }
 
@@ -103,7 +102,7 @@ impl GeneralizedConfig {
                 *w = if f == 0 {
                     1.0
                 } else {
-                    self.lambda / eps.max(1e-9)
+                    Self::LAMBDA / eps.max(1e-9)
                 };
             }
             // --- θ-step (Eq. II.6): weighted average of θ_ui ---
@@ -124,7 +123,7 @@ impl GeneralizedConfig {
                 *t = new;
             }
             final_delta = delta;
-            if delta < self.tol {
+            if delta < Self::TOL {
                 break;
             }
         }
@@ -234,10 +233,7 @@ mod tests {
     #[test]
     fn respects_iteration_budget() {
         let m = fixture();
-        let cfg = GeneralizedConfig {
-            max_iters: 1,
-            ..Default::default()
-        };
+        let cfg = GeneralizedConfig { max_iters: 1 };
         let res = cfg.run(&m);
         assert_eq!(res.iterations, 1);
     }

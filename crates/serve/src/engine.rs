@@ -77,11 +77,12 @@ pub type SlotAnswer = Result<Arc<Vec<ItemId>>, ServeError>;
 /// plus the single bundle generation the whole batch was served from.
 pub type EngineBatch = (Vec<SlotAnswer>, u64);
 
+/// Maximum cached responses per engine (LRU-evicted beyond this).
+const CACHE_CAPACITY: usize = 16_384;
+
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Maximum cached responses (LRU-evicted beyond this).
-    pub cache_capacity: usize,
     /// Worker threads for batched requests.
     pub threads: usize,
 }
@@ -89,7 +90,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
-            cache_capacity: 16_384,
             threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
         }
     }
@@ -570,7 +570,7 @@ impl ServingEngine {
     ) -> ServingEngine {
         ServingEngine {
             state: RwLock::new(EngineState::new(bundle, generation, popularity)),
-            cache: Mutex::new(LruCache::new(cfg.cache_capacity)),
+            cache: Mutex::new(LruCache::new(CACHE_CAPACITY)),
             threads: cfg.threads.max(1),
             keys: Mutex::new(DedupWindow::new(DEDUP_WINDOW)),
             counts: tally.counts,
@@ -625,13 +625,6 @@ impl ServingEngine {
         if let Some(o) = self.obs.get() {
             o.record_swap(state.generation, catalog);
         }
-    }
-
-    /// The catalog profile the rolling window scores against, when
-    /// observability is attached.
-    #[cfg(test)]
-    pub(crate) fn catalog(&self) -> Option<Arc<CatalogProfile>> {
-        self.obs.get().map(|o| o.catalog())
     }
 
     /// Current rolling-window metrics, when observability is attached.
@@ -1014,10 +1007,18 @@ impl ServingEngine {
     pub fn n_users(&self) -> u32 {
         self.state.read().unwrap().bundle.n_users()
     }
+}
+
+#[cfg(test)]
+impl ServingEngine {
+    /// The catalog profile the rolling window scores against, when
+    /// observability is attached.
+    pub(crate) fn catalog(&self) -> Option<Arc<CatalogProfile>> {
+        self.obs.get().map(|o| o.catalog())
+    }
 
     /// Run `f` against the currently served bundle (crate-internal: the
     /// sharding layer uses it to verify allocation sharing across slices).
-    #[cfg(test)]
     pub(crate) fn with_bundle<R>(&self, f: impl FnOnce(&ModelBundle) -> R) -> R {
         f(&self.state.read().unwrap().bundle)
     }

@@ -79,8 +79,7 @@ pub use ganc_core::query::{RequestOptions, RerankMode};
 pub use ganc_core::{make_scorer, FitConfig};
 pub use lru::LruCache;
 pub use refit::{
-    merge_interactions, AdaptiveCadence, CadenceConfig, Clock, ManualClock, RefitController,
-    RefitOutcome, Refitter, SystemClock,
+    merge_interactions, AdaptiveCadence, CadenceConfig, RefitController, RefitOutcome, Refitter,
 };
 pub use saveload::{PersistError, SaveLoad, FORMAT_VERSION, MAGIC};
 pub use shard::{

@@ -326,12 +326,6 @@ impl EngineObs {
         );
     }
 
-    /// The catalog profile the window scores against.
-    #[cfg(test)]
-    pub(crate) fn catalog(&self) -> Arc<CatalogProfile> {
-        Arc::clone(&self.window.lock().unwrap().catalog)
-    }
-
     /// The generation whose lists the window holds: the one served.
     fn generation(&self) -> u64 {
         self.window.lock().unwrap().generation
@@ -383,5 +377,13 @@ impl EngineObs {
             let read = move || obs.upgrade().and_then(|o| o.get().map(read)).unwrap_or(0.0);
             m.read_gauge(name, help, &labels, read);
         }
+    }
+}
+
+#[cfg(test)]
+impl EngineObs {
+    /// The catalog profile the window scores against.
+    pub(crate) fn catalog(&self) -> Arc<CatalogProfile> {
+        Arc::clone(&self.window.lock().unwrap().catalog)
     }
 }

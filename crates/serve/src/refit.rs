@@ -34,16 +34,10 @@ use crate::shard::ShardedEngine;
 use ganc_core::FitConfig;
 use ganc_dataset::dataset::Rating;
 use ganc_dataset::{Interactions, ItemId, UserId};
-use ganc_obs::clock::Background;
+use ganc_obs::clock::{Background, Clock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-// The clock seam moved to `ganc-obs` in the observability PR so metrics,
-// trace timestamps, rolling windows, and the refit cadence all read the
-// same injectable time source; re-exported here so existing
-// `ganc_serve::refit::{Clock, ...}` paths keep working.
-pub use ganc_obs::clock::{Clock, ManualClock, SystemClock};
 
 /// Refits the model-side state from an accumulated train set: returns the
 /// fitted base model and the per-user θ estimates the next generation
@@ -272,6 +266,7 @@ mod tests {
     use crate::wal::DurableConfig;
     use ganc_core::coverage::CoverageKind;
     use ganc_dataset::synth::DatasetProfile;
+    use ganc_obs::clock::{ManualClock, SystemClock};
     use ganc_preference::GeneralizedConfig;
     use ganc_recommender::pop::MostPopular;
     use proptest::prelude::*;

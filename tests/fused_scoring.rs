@@ -48,7 +48,7 @@ fn naive_topn(
     let mut c = vec![0.0; n_items];
     let mut s = vec![0.0; n_items];
     arec.accuracy_scores(user, &mut a);
-    coverage.coverage_into(user, theta_u, &mut c);
+    coverage.view(user, theta_u).fill(&mut c);
     combine_into(theta_u, &a, &c, &mut s);
     let candidates = unseen_train_candidates(train, in_train, user)
         .filter(|i| extra_seen.binary_search(i).is_err());

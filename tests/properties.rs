@@ -107,7 +107,7 @@ fn reference_thetas(
                 let d = value(i, r) - theta[u as usize];
                 mediocrity += 1.0 - d * d;
             }
-            *w = cfg.lambda / mediocrity.max(1e-9);
+            *w = GeneralizedConfig::LAMBDA / mediocrity.max(1e-9);
         }
         let mut delta = 0.0f64;
         for (u, t) in theta.iter_mut().enumerate() {
@@ -124,7 +124,7 @@ fn reference_thetas(
             delta = delta.max((new - *t).abs());
             *t = new;
         }
-        if delta < cfg.tol {
+        if delta < GeneralizedConfig::TOL {
             break;
         }
     }
@@ -247,7 +247,7 @@ proptest! {
     /// item-major copy, on matrices with empty rows and empty columns.
     #[test]
     fn theta_estimators_match_an_item_major_reference_bit_for_bit(train in arb_holed_dataset()) {
-        let cfg = GeneralizedConfig { max_iters: 8, ..GeneralizedConfig::default() };
+        let cfg = GeneralizedConfig { max_iters: 8 };
         let (tfidf, theta, weights) = reference_thetas(&train, &cfg);
         let got = cfg.run(&train);
         prop_assert_eq!(bits(&theta_tfidf(&train)), bits(&tfidf));

@@ -16,13 +16,14 @@
 use ganc::core::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
+use ganc::obs::SystemClock;
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::pop::MostPopular;
 use ganc::recommender::psvd::Psvd;
 use ganc::serve::refit::{merge_interactions, RefitOutcome, Refitter};
 use ganc::serve::{
     CadenceConfig, EngineConfig, FitConfig, FittedModel, ModelBundle, RefitController,
-    ServingEngine, ShardConfig, ShardedEngine, SystemClock,
+    ServingEngine, ShardConfig, ShardedEngine,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -490,10 +490,7 @@ fn batch_override_matches_singles_and_flags_unknown_users() {
         for threads in [1, 4] {
             for bands in BAND_COUNTS {
                 let cfg = ShardConfig {
-                    engine: EngineConfig {
-                        threads,
-                        ..EngineConfig::default()
-                    },
+                    engine: EngineConfig { threads },
                     ..ShardConfig::quantile(bands)
                 };
                 let engine = ShardedEngine::new(bundle.clone(), cfg);
