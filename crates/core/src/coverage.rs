@@ -200,18 +200,6 @@ impl DynCoverage {
             self.scores[k] = gain(self.counts[k]);
         }
     }
-
-    /// Snapshot the assignment frequencies (Algorithm 1, line 8 stores
-    /// `F(θ_u) ← f`).
-    pub fn snapshot(&self) -> Box<[u32]> {
-        self.counts.clone().into_boxed_slice()
-    }
-
-    /// Current assignment frequency of an item (`f_i^A`).
-    #[inline]
-    pub fn frequency(&self, item: ItemId) -> u32 {
-        self.counts[item.idx()]
-    }
 }
 
 /// Dense state every this many chain steps. Reconstruction of an arbitrary
@@ -749,7 +737,7 @@ mod tests {
         let mut c = DynCoverage::new(4);
         c.observe(&[ItemId(2), ItemId(2), ItemId(0)]);
         for i in 0..4u32 {
-            let f = c.frequency(ItemId(i));
+            let f = c.counts[i as usize];
             assert_eq!(c.score(ItemId(i)), 1.0 / ((f as f64) + 1.0).sqrt());
         }
         assert_eq!(c.scores()[2], c.score(ItemId(2)));
@@ -760,11 +748,11 @@ mod tests {
         let mut c = DynCoverage::new(3);
         c.observe(&[ItemId(1), ItemId(2), ItemId(1)]);
         let mut stored = CoverageSnapshots::new();
-        stored.push(0.5, &c.snapshot());
+        stored.push(0.5, &c.counts);
         let resumed = stored.counts_at(stored.nearest_idx(0.5));
         assert_eq!(resumed[1], 2);
         assert_eq!(stored.view_near(0.5).score_at(1), c.score(ItemId(1)));
-        assert_eq!(resumed, c.snapshot().to_vec());
+        assert_eq!(resumed, c.counts);
     }
 
     #[test]
@@ -796,7 +784,7 @@ mod tests {
         for (t, item) in [(0.1, 0u32), (0.4, 1), (0.9, 2)] {
             let mut c = DynCoverage::new(3);
             c.observe(&[ItemId(item)]);
-            s.push(t, &c.snapshot());
+            s.push(t, &c.counts);
         }
         assert_eq!(s.nearest_idx(0.0), 0);
         assert_eq!(s.nearest_idx(0.3), 1);
@@ -843,7 +831,7 @@ mod tests {
         for (k, list) in lists.iter().enumerate() {
             cov.observe(list);
             let t = 0.1 + 0.3 * k as f64;
-            dense.push(t, &cov.snapshot());
+            dense.push(t, &cov.counts);
             sparse.push_assigned(t, list);
         }
         for (k, t) in [(0usize, 0.1f64), (1, 0.4), (2, 0.7)] {

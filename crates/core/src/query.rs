@@ -634,7 +634,9 @@ mod tests {
         let mut snaps = CoverageSnapshots::new();
         let mut cov = DynCoverage::new(train.n_items());
         cov.observe(&[ItemId(0), ItemId(0), ItemId(1)]);
-        snaps.push(0.5, &cov.snapshot());
+        let mut counts = vec![0; n_items];
+        (counts[0], counts[1]) = (2, 1);
+        snaps.push(0.5, &counts);
         let mut q = UserQuery::new(&arec, &train, &in_train, 5);
         let via_provider = q.topn(UserId(2), theta[2], &snaps);
 

@@ -139,11 +139,6 @@ pub fn beta<R: Rng + ?Sized>(rng: &mut R, a: f64, b: f64) -> f64 {
     }
 }
 
-/// Zipf-like power-law weights `w_k = (k+1)^(-s)` for `k` in `0..n`.
-pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
-    (0..n).map(|k| ((k + 1) as f64).powf(-s)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,15 +217,6 @@ mod tests {
         assert!(xs.iter().all(|&x| (0.0..=1.0).contains(&x)));
         let mean = xs.iter().sum::<f64>() / n as f64;
         assert!((mean - 2.0 / 7.0).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn zipf_weights_decrease() {
-        let w = zipf_weights(5, 1.0);
-        assert_eq!(w.len(), 5);
-        assert!(w.windows(2).all(|p| p[0] > p[1]));
-        assert!((w[0] - 1.0).abs() < 1e-12);
-        assert!((w[4] - 0.2).abs() < 1e-12);
     }
 
     #[test]

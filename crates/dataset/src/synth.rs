@@ -179,17 +179,6 @@ impl DatasetProfile {
         }
     }
 
-    /// The five calibrated paper profiles, in Table II order.
-    pub fn all_paper() -> Vec<DatasetProfile> {
-        vec![
-            DatasetProfile::ml_100k(),
-            DatasetProfile::ml_1m(),
-            DatasetProfile::ml_10m(),
-            DatasetProfile::mt_200k(),
-            DatasetProfile::netflix(),
-        ]
-    }
-
     /// A minuscule profile for unit tests and doc examples (~50 users).
     pub fn tiny() -> DatasetProfile {
         DatasetProfile {
@@ -419,6 +408,20 @@ impl Generator {
             }
         }
         builder.build().expect("generator always emits ratings")
+    }
+}
+
+#[cfg(test)]
+impl DatasetProfile {
+    /// The five calibrated paper profiles, in Table II order.
+    fn all_paper() -> Vec<DatasetProfile> {
+        vec![
+            DatasetProfile::ml_100k(),
+            DatasetProfile::ml_1m(),
+            DatasetProfile::ml_10m(),
+            DatasetProfile::mt_200k(),
+            DatasetProfile::netflix(),
+        ]
     }
 }
 

@@ -44,14 +44,6 @@ impl Default for ExpConfig {
 }
 
 impl ExpConfig {
-    /// The five paper dataset profiles at the configured scale.
-    pub fn profiles(&self) -> Vec<DatasetProfile> {
-        DatasetProfile::all_paper()
-            .into_iter()
-            .map(|p| self.scaled(p))
-            .collect()
-    }
-
     /// One profile by its Table II short name (`ml-100k`, `ml-1m`,
     /// `ml-10m`, `mt-200k`, `netflix`).
     pub fn profile(&self, short: &str) -> DatasetProfile {

@@ -273,7 +273,7 @@ impl RemoteShard {
 }
 
 /// A `RemoteShard` *is* the production peer transport; the router only
-/// ever sees the trait, so injection doubles ([`crate::testing`]) and the
+/// ever sees the trait, so injection doubles (`tests/doubles`) and the
 /// coalescing wrapper ([`crate::CoalescedShard`]) slot in without the
 /// router changing. Every body and query string is [`crate::wire`]'s.
 impl PeerTransport for RemoteShard {

@@ -34,14 +34,15 @@
 //!    sub-batches go out in parallel only when a touched band is not
 //!    local (byte-identical to the sequential reference), and band windows
 //!    meet in the one `ganc_obs::WindowWire::union` `/v1/stats` renders.
-//! 5. **Serving seam** ([`transport`], [`testing`]) — the [`PeerTransport`]
-//!    trait is the one serving surface, and every backend type implements
-//!    it itself, once: `ganc_serve::ServingEngine` and
+//! 5. **Serving seam** ([`transport`]) — the [`PeerTransport`] trait is
+//!    the one serving surface, and every backend type implements it
+//!    itself, once: `ganc_serve::ServingEngine` and
 //!    `ganc_serve::ShardedEngine` (in-process), [`RemoteShard`] (over
 //!    HTTP), [`CoalescedShard`] (micro-batching concurrent singles into one
-//!    wire call), [`RouterNode`], `Arc<`[`ReplicaSet`]`>`, and the
-//!    deterministic fault/latency-injection doubles for the test suites
-//!    (one wrapper, [`testing::Injected`], with before/after hooks). The
+//!    wire call), [`RouterNode`] and `Arc<`[`ReplicaSet`]`>`; the test
+//!    suites' deterministic fault/latency-injection doubles
+//!    (`tests/doubles`: one wrapper, `Injected`, with before/after hooks)
+//!    implement it from outside the crate, through public API alone. The
 //!    server's handlers and the router's band dispatch both call a
 //!    `&dyn PeerTransport` and never ask which kind is behind it, so any
 //!    node mounts anywhere: an engine as a `Remote` band, a router under a
@@ -103,7 +104,6 @@ pub mod http1;
 pub mod replica;
 pub mod router;
 pub mod server;
-pub mod testing;
 pub mod transport;
 pub mod wire;
 

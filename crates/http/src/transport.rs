@@ -11,7 +11,7 @@
 //! — `tests/deployment_oracle.rs` replays one schedule against every mount
 //! as one trait call per shape. It is also the seam that makes the router's
 //! concurrency testable: the deterministic fault/latency doubles in
-//! [`crate::testing`] implement the same trait to inject slow, flaky, or
+//! `tests/doubles` implement the same trait to inject slow, flaky, or
 //! reordered peers without real sockets or sleeps — `tests/router_fanout.rs`
 //! and `tests/remote_coalescing.rs` prove the parallel fan-out equal to an
 //! in-process sharded engine and the coalescer equal to uncoalesced calls
@@ -199,7 +199,7 @@ pub(crate) fn fan_out_ingest<'a, P: PeerTransport + ?Sized + 'a>(
 /// A [`ServingEngine`] is its own in-process peer: each method is the
 /// inherent one with [`ServeError`] widened to [`BackendError::Serve`], so
 /// an engine mounts wherever a peer does — behind a server, as a router
-/// band, under the injection doubles in [`crate::testing`] — and fan-out
+/// band, under the injection doubles in `tests/doubles` — and fan-out
 /// and coalescing are provable without sockets. A keyed ingest dedups in
 /// the engine's own memory window, as a [`ShardedEngine`]'s does in its
 /// own, with or without a WAL.

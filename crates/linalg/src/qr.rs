@@ -127,17 +127,14 @@ fn fill_in(basis: &[f64], m: usize) -> (Vec<f64>, f64) {
     (v, norm)
 }
 
-/// Max absolute deviation of `qᵀq` from the identity — a test/debug helper
-/// for orthonormality.
-pub fn orthonormality_error(q: &DMat) -> f64 {
-    let gram = q.t_matmul(q);
-    let eye = DMat::identity(q.cols());
-    gram.max_abs_diff(&eye)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Max absolute deviation of `qᵀq` from the identity.
+    fn orthonormality_error(q: &DMat) -> f64 {
+        q.t_matmul(q).max_abs_diff(&DMat::identity(q.cols()))
+    }
 
     /// The textbook schedule `thin_qr` pipelines: one column at a time, two
     /// full MGS rounds, then the norm. Kept as the bit-identity reference.

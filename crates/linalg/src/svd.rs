@@ -81,16 +81,6 @@ pub struct Svd {
     pub v: DMat,
 }
 
-impl Svd {
-    /// Reconstruct the rank-`k` approximation (test/debug helper; dense).
-    pub fn reconstruct(&self) -> DMat {
-        let mut us = self.u.clone();
-        us.scale_cols(&self.s);
-        let vt = self.v.transpose();
-        us.matmul(&vt)
-    }
-}
-
 /// Compute a randomized truncated SVD of `a`.
 ///
 /// Algorithm (Halko et al. 2011, Alg. 4.4 + 5.1 adapted to a Gram-matrix
@@ -155,6 +145,13 @@ fn ganc_gaussian(rng: &mut StdRng) -> f64 {
 mod tests {
     use super::*;
 
+    /// The dense rank-`k` approximation `U diag(s) Vᵀ`.
+    fn reconstruct(svd: &Svd) -> DMat {
+        let mut us = svd.u.clone();
+        us.scale_cols(&svd.s);
+        us.matmul(&svd.v.transpose())
+    }
+
     /// Build a matrix with known singular values via U diag(s) Vᵀ where U, V
     /// come from QR of fixed matrices.
     fn planted(m: usize, n: usize, svals: &[f64]) -> DMat {
@@ -179,7 +176,7 @@ mod tests {
     fn low_rank_reconstruction_is_exact() {
         let a = planted(30, 20, &[4.0, 2.0]);
         let svd = randomized_svd(&a, SvdConfig::with_rank(2));
-        assert!(svd.reconstruct().max_abs_diff(&a) < 1e-8);
+        assert!(reconstruct(&svd).max_abs_diff(&a) < 1e-8);
     }
 
     #[test]
@@ -190,7 +187,7 @@ mod tests {
         assert!((svd.s[0] - 9.0).abs() < 1e-6);
         assert!((svd.s[1] - 3.0).abs() < 1e-6);
         // Error of the rank-2 approximation is the dropped σ₃ = 0.5.
-        let err = svd.reconstruct().max_abs_diff(&a);
+        let err = reconstruct(&svd).max_abs_diff(&a);
         assert!(err < 0.5, "error {err} should be bounded by dropped σ");
     }
 

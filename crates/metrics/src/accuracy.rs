@@ -37,11 +37,6 @@ impl RelevanceSets {
         &self.per_user[u.idx()]
     }
 
-    /// Number of users with at least one relevant test item.
-    pub fn users_with_relevant(&self) -> usize {
-        self.per_user.iter().filter(|v| !v.is_empty()).count()
-    }
-
     /// Number of hits: `|I_u^{T+} ∩ P_u|`.
     pub fn hits(&self, u: UserId, list: &[ganc_dataset::ItemId]) -> usize {
         let rel = self.of(u);
@@ -158,7 +153,6 @@ mod tests {
         let rel = RelevanceSets::from_test(&test_set(), 4.0);
         assert_eq!(rel.of(UserId(0)), &[1, 2]);
         assert_eq!(rel.of(UserId(1)), &[3]);
-        assert_eq!(rel.users_with_relevant(), 2);
     }
 
     #[test]

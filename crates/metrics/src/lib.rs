@@ -8,11 +8,10 @@
 //!   β = 0.5 ([`longtail`]).
 //! * **Coverage** — Coverage@N and the Gini coefficient of the
 //!   recommendation-frequency distribution ([`coverage`]).
-//! * **Rating-prediction error** — RMSE / MAE ([`rating`]), used by the
+//! * **Rating-prediction error** — RMSE ([`rating`]), used by the
 //!   Appendix A hyper-parameter study (Table V).
-//! * **Popularity-based novelty** — mean self-information and expected
-//!   popularity complement ([`novelty`]; library extension beyond
-//!   Table III).
+//! * **Popularity-based novelty** — mean self-information ([`novelty`];
+//!   library extension beyond Table III).
 //! * **Test ranking protocols** ([`protocol`]) — "all unrated items" vs
 //!   "rated test-items" (§IV-A and Appendix C), which Figures 7–8 show can
 //!   swing measured accuracy by an order of magnitude.

@@ -1,22 +1,20 @@
-//! Popularity-based novelty measures beyond Table III.
+//! A popularity-based novelty measure beyond Table III.
 //!
 //! The paper quantifies novelty through LTAccuracy; the wider
 //! beyond-accuracy literature it cites (Castells, Hurley & Vargas,
-//! Recommender Systems Handbook ch. 26) standardizes two popularity-based
-//! measures that downstream users of this library will expect:
-//!
-//! * **Mean self-information** (MSI, a.k.a. surprisal): the average
-//!   `−log₂ p(i)` of recommended items, where `p(i)` is the fraction of
-//!   users who rated `i` in train. Recommending items nobody has seen is
-//!   maximally "surprising".
-//! * **Expected popularity complement** (EPC): the average `1 − p(i)` —
-//!   a bounded [0, 1] novelty score that moves linearly with popularity.
+//! Recommender Systems Handbook ch. 26) standardizes **mean
+//! self-information** (MSI, a.k.a. surprisal): the average `−log₂ p(i)` of
+//! recommended items, where `p(i)` is the fraction of users who rated `i`
+//! in train. Recommending items nobody has seen is maximally "surprising".
+//! It is the definition a served window's `mean_novelty_bits` follows
+//! (`ganc_obs::window`), and the reference `tests/observability.rs`
+//! compares that figure against.
 
 use crate::topn::TopN;
 use ganc_dataset::Interactions;
 
 /// Per-item observation probability `p(i) = |U_i^R| / |U|`, the basis of
-/// both measures. Items never rated get the floor `1 / (|U| + 1)`.
+/// the measure. Items never rated get the floor `1 / (|U| + 1)`.
 pub fn observation_probability(train: &Interactions) -> Vec<f64> {
     let n_users = train.n_users() as f64;
     train
@@ -41,24 +39,6 @@ pub fn mean_self_information(topn: &TopN, p_obs: &[f64]) -> f64 {
     for list in topn.lists() {
         for item in list {
             sum += -(p_obs[item.idx()].log2());
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        sum / count as f64
-    }
-}
-
-/// Expected popularity complement:
-/// `EPC = (1/Σ|P_u|) Σ_u Σ_{i∈P_u} (1 − p(i))`, in `[0, 1]`.
-pub fn expected_popularity_complement(topn: &TopN, p_obs: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for list in topn.lists() {
-        for item in list {
-            sum += 1.0 - p_obs[item.idx()].min(1.0);
             count += 1;
         }
     }
@@ -104,25 +84,11 @@ mod tests {
     }
 
     #[test]
-    fn epc_is_bounded_and_monotone() {
-        let tr = train();
-        let p = observation_probability(&tr);
-        let popular = TopN::new(1, vec![vec![ItemId(0)], vec![], vec![], vec![]]);
-        let rare = TopN::new(1, vec![vec![ItemId(1)], vec![], vec![], vec![]]);
-        let e_pop = expected_popularity_complement(&popular, &p);
-        let e_rare = expected_popularity_complement(&rare, &p);
-        assert_eq!(e_pop, 0.0);
-        assert!((e_rare - 0.75).abs() < 1e-12);
-        assert!(e_rare > e_pop);
-    }
-
-    #[test]
     fn empty_collection_scores_zero() {
         let tr = train();
         let p = observation_probability(&tr);
         let empty = TopN::empty(5, 4);
         assert_eq!(mean_self_information(&empty, &p), 0.0);
-        assert_eq!(expected_popularity_complement(&empty, &p), 0.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Rating-prediction error metrics (RMSE / MAE), used by the Appendix A
+//! Rating-prediction error (RMSE), used by the Appendix A
 //! hyper-parameter study (Table V) and RSVD validation.
 
 use ganc_dataset::{Interactions, ItemId, UserId};
@@ -16,21 +16,6 @@ pub fn rmse<F: FnMut(UserId, ItemId) -> f64>(held_out: &Interactions, mut predic
         0.0
     } else {
         (sum / count as f64).sqrt()
-    }
-}
-
-/// Mean absolute error of a predictor over a held-out interaction set.
-pub fn mae<F: FnMut(UserId, ItemId) -> f64>(held_out: &Interactions, mut predict: F) -> f64 {
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for (u, i, r) in held_out.iter() {
-        sum += (predict(u, i) - r as f64).abs();
-        count += 1;
-    }
-    if count == 0 {
-        0.0
-    } else {
-        sum / count as f64
     }
 }
 
@@ -52,17 +37,14 @@ mod tests {
         let h = held_out();
         let href = &h;
         assert_eq!(rmse(href, |u, i| href.get(u, i).unwrap() as f64), 0.0);
-        assert_eq!(mae(href, |u, i| href.get(u, i).unwrap() as f64), 0.0);
     }
 
     #[test]
     fn constant_predictor_hand_computed() {
         let h = held_out();
-        // predict 3.0: errors 1, -1, 2 → rmse = sqrt(6/3) = sqrt(2), mae = 4/3
+        // predict 3.0: errors 1, -1, 2 → rmse = sqrt(6/3) = sqrt(2)
         let r = rmse(&h, |_, _| 3.0);
-        let m = mae(&h, |_, _| 3.0);
         assert!((r - 2.0f64.sqrt()).abs() < 1e-12);
-        assert!((m - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -72,20 +54,5 @@ mod tests {
         let d = b.build().unwrap();
         let split = d.split_per_user(1.0, 1).unwrap();
         assert_eq!(rmse(&split.test, |_, _| 3.0), 0.0);
-        assert_eq!(mae(&split.test, |_, _| 3.0), 0.0);
-    }
-
-    #[test]
-    fn rmse_penalizes_outliers_more() {
-        let h = held_out();
-        // Biased predictor with one large error.
-        let f = |u: UserId, i: ItemId| {
-            if u.0 == 1 {
-                1.0
-            } else {
-                h.get(u, i).unwrap() as f64
-            }
-        };
-        assert!(rmse(&h, f) > mae(&h, f));
     }
 }

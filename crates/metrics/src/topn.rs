@@ -20,14 +20,6 @@ impl TopN {
         TopN { n, lists }
     }
 
-    /// An empty collection for `n_users` users.
-    pub fn empty(n: usize, n_users: usize) -> TopN {
-        TopN {
-            n,
-            lists: vec![Vec::new(); n_users],
-        }
-    }
-
     /// The target list length `N`.
     #[inline]
     pub fn n(&self) -> usize {
@@ -50,11 +42,6 @@ impl TopN {
     #[inline]
     pub fn list(&self, u: UserId) -> &[ItemId] {
         &self.lists[u.idx()]
-    }
-
-    /// Replace one user's list (used by sequential optimizers).
-    pub fn set_list(&mut self, u: UserId, list: Vec<ItemId>) {
-        self.lists[u.idx()] = list;
     }
 
     /// Recommendation frequency of every item across the collection — the
@@ -93,6 +80,17 @@ impl TopN {
             }
         }
         None
+    }
+}
+
+#[cfg(test)]
+impl TopN {
+    /// An empty collection for `n_users` users.
+    pub(crate) fn empty(n: usize, n_users: usize) -> TopN {
+        TopN {
+            n,
+            lists: vec![Vec::new(); n_users],
+        }
     }
 }
 
@@ -143,13 +141,5 @@ mod tests {
         let t = TopN::new(1, vec![vec![ItemId(1), ItemId(2)], vec![]]);
         let msg = t.contract_violation(&train()).unwrap();
         assert!(msg.contains("length"));
-    }
-
-    #[test]
-    fn set_list_replaces() {
-        let mut t = TopN::empty(2, 2);
-        t.set_list(UserId(1), vec![ItemId(2)]);
-        assert_eq!(t.list(UserId(1)), &[ItemId(2)]);
-        assert!(t.list(UserId(0)).is_empty());
     }
 }

@@ -97,7 +97,7 @@ mod tests {
         assert_eq!(hub.coarse_us(), 2000, "a manual clock's stamps are exact");
         hub.trace
             .record(hub.now_us(), TraceData::RefitSwapped { generation: 1 });
-        assert_eq!(hub.trace.snapshot()[0].at_us, 2000);
+        assert_eq!(hub.trace.drain()[0].at_us, 2000);
     }
 
     #[test]

@@ -257,11 +257,6 @@ impl TraceRing {
         self.events.lock().unwrap().drain(..).collect()
     }
 
-    /// Copy the buffered events without consuming them.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().unwrap().iter().cloned().collect()
-    }
-
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
         self.events.lock().unwrap().len()
@@ -297,21 +292,5 @@ mod tests {
         assert!(ring.is_empty());
         // Draining does not reset the dropped count.
         assert_eq!(ring.dropped(), 1);
-    }
-
-    #[test]
-    fn snapshot_leaves_events_in_place() {
-        let ring = TraceRing::new();
-        ring.record(
-            5,
-            TraceData::Ingest {
-                user: 1,
-                item: 2,
-                band: Some(0),
-            },
-        );
-        assert_eq!(ring.snapshot().len(), 1);
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.snapshot()[0].data.kind(), "ingest");
     }
 }

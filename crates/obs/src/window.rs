@@ -107,19 +107,6 @@ pub struct WindowStats {
     pub long_tail_share: f64,
 }
 
-impl WindowStats {
-    /// The all-zero snapshot of an empty window.
-    pub fn empty() -> WindowStats {
-        WindowStats {
-            lists: 0,
-            items: 0,
-            coverage: 0.0,
-            mean_novelty_bits: 0.0,
-            long_tail_share: 0.0,
-        }
-    }
-}
-
 fn finalize(
     lists: u64,
     items: u64,
@@ -378,6 +365,20 @@ impl WindowWire {
             .filter(|&i| served[i as usize])
             .collect();
         (stats, Some(union))
+    }
+}
+
+#[cfg(test)]
+impl WindowStats {
+    /// The all-zero snapshot of an empty window.
+    fn empty() -> WindowStats {
+        WindowStats {
+            lists: 0,
+            items: 0,
+            coverage: 0.0,
+            mean_novelty_bits: 0.0,
+            long_tail_share: 0.0,
+        }
     }
 }
 

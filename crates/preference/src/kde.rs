@@ -75,11 +75,6 @@ impl Kde {
         let center = self.samples[idx];
         center + self.bandwidth * gaussian(rng)
     }
-
-    /// Draw `k` values.
-    pub fn sample_n(&self, rng: &mut StdRng, k: usize) -> Vec<f64> {
-        (0..k).map(|_| self.sample(rng)).collect()
-    }
 }
 
 /// Select `sample_size` distinct users whose θ values are distributed like
@@ -200,7 +195,7 @@ mod tests {
             .collect();
         let kde = Kde::fit(&data);
         let mut rng = StdRng::seed_from_u64(2);
-        let draws = kde.sample_n(&mut rng, 10_000);
+        let draws: Vec<f64> = (0..10_000).map(|_| kde.sample(&mut rng)).collect();
         let near = |c: f64| draws.iter().filter(|&&d| (d - c).abs() < 0.15).count();
         let lo = near(0.2);
         let hi = near(0.8);

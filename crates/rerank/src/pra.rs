@@ -74,11 +74,6 @@ impl Pra {
             deviation,
         }
     }
-
-    /// The tendency target of one user (test hook).
-    pub fn target_of(&self, u: UserId) -> f64 {
-        self.target[u.idx()]
-    }
 }
 
 impl Reranker for Pra {
@@ -233,7 +228,7 @@ mod tests {
         let m = train();
         let pra = Pra::new(&m, "X", 10);
         // user 3 rated popular items only; user 9 rated a tail item.
-        assert!(pra.target_of(UserId(3)) > pra.target_of(UserId(9)));
+        assert!(pra.target[3] > pra.target[9]);
     }
 
     #[test]

@@ -1091,9 +1091,10 @@ mod tests {
         }
         let help = format!("hits are timed 1 in {HIT_SAMPLE}, so a hit series' _count is a sample");
         assert!(text.contains(&help), "the HELP text names the sampling");
+        let events = hub.trace.drain();
         let traced = |hit: bool| {
-            let events = hub.trace.snapshot().into_iter();
             events
+                .iter()
                 .filter(|ev| matches!(ev.data, TraceData::Request { cache_hit, .. } if cache_hit == hit))
                 .count()
         };

@@ -20,12 +20,18 @@
 //! ingest. A double is a `Hooks` impl over its state, plus a constructor
 //! and its control methods on the wrapper; a suite that needs a fault none
 //! of them injects writes its own hooks and [`Injected::wrap`]s them.
+//!
+//! Shared the way `tests/oracle/mod.rs` is: each suite that needs a double
+//! declares `mod doubles;` and uses only some of them.
 
-use crate::transport::{BatchAnswer, IngestBatchAnswer, IngestEntry, PeerTransport, SingleAnswer};
-use crate::BackendError;
-use ganc_dataset::{ItemId, UserId};
-use ganc_obs::WindowWire;
-use ganc_serve::{IngestAck, RequestOptions};
+#![allow(dead_code)]
+
+use ganc::dataset::{ItemId, UserId};
+use ganc::http::{
+    BackendError, BatchAnswer, IngestBatchAnswer, IngestEntry, PeerTransport, SingleAnswer,
+};
+use ganc::obs::WindowWire;
+use ganc::serve::{IngestAck, RequestOptions};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 

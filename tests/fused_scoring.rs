@@ -67,20 +67,18 @@ fn check_all_providers(train: &Interactions, thetas: &[f64], extra_seen: &[u32],
     // Snapshots built two ways: sparse increments in θ order, and dense
     // out-of-order pushes followed by a sort.
     let mut snaps = CoverageSnapshots::for_items(train.n_items());
-    let mut cov = DynCoverage::new(train.n_items());
     for (k, t) in [0.1, 0.35, 0.6, 0.85].iter().enumerate() {
         let list = [
             ItemId((k as u32 * 3) % N_ITEMS),
             ItemId((k as u32 * 7 + 2) % N_ITEMS),
         ];
-        cov.observe(&list);
         snaps.push_assigned(*t, &list);
     }
     let mut snaps_sorted = CoverageSnapshots::new();
-    let mut cov2 = DynCoverage::new(train.n_items());
+    let mut counts = vec![0u32; train.n_items() as usize];
     for (t, item) in [(0.7, 3u32), (0.2, 9), (0.5, 1)] {
-        cov2.observe(&[ItemId(item % N_ITEMS)]);
-        snaps_sorted.push(t, &cov2.snapshot());
+        counts[(item % N_ITEMS) as usize] += 1;
+        snaps_sorted.push(t, &counts);
     }
     snaps_sorted.sort_by_theta();
 
@@ -146,11 +144,9 @@ fn fused_matches_naive_across_checkpoint_boundaries() {
     let in_train = train_item_mask(&train);
 
     let mut snaps = CoverageSnapshots::for_items(N_ITEMS);
-    let mut cov = DynCoverage::new(N_ITEMS);
     let steps = 200;
     for k in 0..steps {
         let list = [ItemId((k * 11) % N_ITEMS), ItemId((k * 13 + 1) % N_ITEMS)];
-        cov.observe(&list);
         snaps.push_assigned(k as f64 / steps as f64, &list);
     }
 

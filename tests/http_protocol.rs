@@ -6,6 +6,8 @@
 //! semantically bad requests keep it, and the server stays fully
 //! serviceable for the next connection either way.
 
+mod doubles;
+
 use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
 use ganc::http::http1;
@@ -488,8 +490,8 @@ fn pipelined_cached_burst_answers_in_order_and_yields_to_other_connections() {
 /// positional error — while per-user rejections stay in-slot 200s.
 #[test]
 fn failed_band_carries_its_index_in_the_error_body() {
+    use doubles::FlakyPeer;
     use ganc::core::query::cut_theta_bands;
-    use ganc::http::testing::FlakyPeer;
     use ganc::http::{PeerTransport, RouterNode, ShardRoute};
 
     let b = bundle();
@@ -557,8 +559,8 @@ fn failed_band_carries_its_index_in_the_error_body() {
 /// and the healthy healthz body.
 #[test]
 fn healthz_reports_degraded_bands_until_a_probe_restores() {
+    use doubles::FlakyPeer;
     use ganc::core::query::cut_theta_bands;
-    use ganc::http::testing::FlakyPeer;
     use ganc::http::{PeerTransport, ReplicaConfig, ReplicaSet, RouterNode, ShardRoute};
     use ganc::obs::{Clock, ManualClock};
 

@@ -5,15 +5,19 @@
 //! surface — `/v1/metrics`, `/v1/trace`, the expanded `/v1/stats`, and
 //! `/v1/healthz` with a live background adaptive-refit controller.
 
+mod doubles;
+
+use doubles::{FlakyPeer, GatedPeer};
 use ganc::core::coverage::CoverageKind;
 use ganc::core::query::{band_bounds, cut_theta_bands, shard_of};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
-use ganc::http::testing::{FlakyPeer, GatedPeer};
 use ganc::http::{
     CoalescedShard, Frontend, HttpClient, HttpServer, PeerTransport, RefitHook, RemoteShard,
     ReplicaConfig, ReplicaSet, RouterNode, ServerConfig, ShardRoute,
 };
+use ganc::metrics::novelty::{mean_self_information, observation_probability};
+use ganc::metrics::topn::TopN;
 use ganc::obs::{
     bucket_bounds_us, CatalogProfile, Clock, ManualClock, MetricsRegistry, ObsHub, RollingWindow,
 };
@@ -342,6 +346,32 @@ fn engine_window_stats_deterministic_under_manual_clock() {
     let expired = engine.window_stats().unwrap();
     assert_eq!(expired.lists, 0, "whole window expires at the boundary");
     assert_eq!(expired.coverage, 0.0);
+}
+
+/// The served novelty is the paper-metric novelty: an engine's window
+/// reports the mean self-information `ganc::metrics::novelty` computes
+/// over the same lists and the same train set, up to the window's per-item
+/// micro-bit rounding.
+#[test]
+fn served_novelty_equals_the_metric_over_the_same_lists() {
+    let bundle = fixture_bundle(27);
+    let train = Arc::clone(&bundle.train);
+    let engine = ServingEngine::new(bundle, EngineConfig::default());
+    let (_clock, hub) = manual_hub();
+    engine.attach_obs(hub, None, Duration::from_secs(60));
+
+    let lists: Vec<Vec<ItemId>> = (0..train.n_users())
+        .map(|u| engine.recommend(UserId(u)).unwrap().to_vec())
+        .collect();
+    let served = engine.window_stats().expect("obs attached");
+    let p_obs = observation_probability(&train);
+    let metric = mean_self_information(&TopN::new(N, lists), &p_obs);
+    assert!(metric > 0.0);
+    assert!(
+        (served.mean_novelty_bits - metric).abs() < 1e-6,
+        "served {} bits, metric {metric} bits",
+        served.mean_novelty_bits
+    );
 }
 
 /// The sharded aggregate is a true cross-band union — distinct items are

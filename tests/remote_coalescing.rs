@@ -6,14 +6,16 @@
 //! the linger is bounded, and shutdown flushes instead of dropping.
 //!
 //! Determinism: the congestion that forces coalescing is injected with the
-//! `ganc::http::testing` doubles (a gate parks the wire while a backlog
+//! doubles of `tests/doubles` (a gate parks the wire while a backlog
 //! piles up — condition variables, not sleeps), and the churn equivalence
 //! uses the per-generation attribution trick from `tests/refit_hotswap.rs`.
 
+mod doubles;
+
+use doubles::{FlakyPeer, GatedPeer, RecordingPeer};
 use ganc::core::coverage::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
-use ganc::http::testing::{FlakyPeer, GatedPeer, RecordingPeer};
 use ganc::http::{
     BackendError, CoalescedShard, Frontend, HttpServer, PeerTransport, RemoteShard, ServerConfig,
 };

@@ -9,12 +9,14 @@
 //! must never be served to a later default request. Both directions are
 //! pinned here via cache-hit counters and list identity.
 
+mod doubles;
+
+use doubles::RecordingPeer;
 use ganc::core::coverage::CoverageKind;
 use ganc::core::query::shard_of;
 use ganc::dataset::dataset::{DatasetBuilder, RatingScale};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
-use ganc::http::testing::RecordingPeer;
 use ganc::http::{
     CoalescedShard, Frontend, HttpServer, PeerTransport, RemoteShard, ReplicaConfig, ReplicaSet,
     RouterNode, ServerConfig, ShardRoute,

@@ -1,6 +1,6 @@
 //! The parallel router fan-out is **byte-identical** to an in-process
 //! `ShardedEngine` and to the sequential dispatch — under adversarial
-//! timing, not just on a quiet loopback. The deterministic doubles from `ganc::http::testing` inject
+//! timing, not just on a quiet loopback. The deterministic doubles from `tests/doubles` inject
 //! the adversities as pure synchronization (no sleeps, no sockets):
 //!
 //! * [`SlowPeer`] — an arbitrary band provably answers *after* every other
@@ -16,13 +16,14 @@
 //! Compared surfaces: per-slot lists, per-slot errors, ordering, the
 //! batch's generation tag, and (for the HTTP case) the raw response bytes.
 
+mod doubles;
 mod oracle;
 
+use doubles::{FlakyPeer, Ledger, LedgerPeer, ReorderGate, ReorderingPeer, SlowPeer};
 use ganc::core::coverage::CoverageKind;
 use ganc::core::query::{band_bounds, cut_theta_bands, shard_of};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{ItemId, UserId};
-use ganc::http::testing::{FlakyPeer, Ledger, LedgerPeer, ReorderGate, ReorderingPeer, SlowPeer};
 use ganc::http::{
     BackendError, Frontend, HttpClient, HttpServer, PeerTransport, ReplicaConfig, RouterNode,
     ServerConfig, ShardRoute,

@@ -1,6 +1,6 @@
 //! Replicated θ-bands are **byte-identical** to single-backend routes —
 //! under every injected fault class, not just on a healthy loopback. The
-//! deterministic doubles from `ganc::http::testing` inject the faults as
+//! deterministic doubles from `tests/doubles` inject the faults as
 //! pure synchronization (no sleeps, no sockets):
 //!
 //! * a **parked primary** ([`GatedPeer`] closed) forces a hedge — with a
@@ -18,11 +18,13 @@
 //! batch's generation tag, replica-set counters, and (for the HTTP case)
 //! the raw response bytes.
 
+mod doubles;
+
+use doubles::{FlakyPeer, GatedPeer, Hooks, Injected, RecordingPeer};
 use ganc::core::coverage::CoverageKind;
 use ganc::core::query::{band_bounds, cut_theta_bands, shard_of};
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{ItemId, UserId};
-use ganc::http::testing::{FlakyPeer, GatedPeer, Hooks, Injected, RecordingPeer};
 use ganc::http::{
     BackendError, CoalescedShard, Frontend, HttpClient, HttpServer, IngestEntry, PeerTransport,
     RemoteShard, ReplicaConfig, ReplicaSet, RouterNode, ServerConfig, ShardRoute,

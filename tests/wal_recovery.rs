@@ -28,11 +28,13 @@
 //!    same WAL + artifact, re-sent the full storm under the same keys,
 //!    refit, and compared user-by-user against the oracle.
 
+mod doubles;
+
+use doubles::FlakyPeer;
 use ganc::core::query::{band_bounds, cut_theta_bands};
 use ganc::core::CoverageKind;
 use ganc::dataset::synth::DatasetProfile;
 use ganc::dataset::{Interactions, ItemId, UserId};
-use ganc::http::testing::FlakyPeer;
 use ganc::http::{
     Frontend, HttpClient, HttpServer, PeerTransport, RefitHook, RouterNode, ServerConfig,
     ShardRoute,
