@@ -14,9 +14,12 @@ comments and string literals stripped. The one exception is an entry of
 without a reason, one naming no `pub fn` of that file, or one whose
 function has gained a caller fails too.
 
-A name is matched as a word, so a caller is any line naming it: a method
-sharing its name with another item's (`new`, `len`, ...) is always
-"called". The scan is a floor on dead API, not a proof of use.
+A free function's name is matched as a word, so a caller is any line
+naming it. A `pub fn` inside an `impl` block is called only where its name
+follows `.` or `::` (a method call, `Type::name`, `Self::name`), so a
+field, a local or a free function of the same name does not count; a
+method sharing its name with another type's method (`new`, `len`, ...) is
+still always "called". The scan is a floor on dead API, not a proof of use.
 """
 import pathlib, re, sys
 
@@ -35,6 +38,8 @@ COMMENT = r"//[^\n]*|/\*.*?\*/"
 # are each read as what they are.
 TOKEN = re.compile(LITERAL + "|" + COMMENT, re.S)
 WORD = re.compile(r"\b[A-Za-z_]\w*")
+PATH_OR_METHOD = re.compile(r"(?:\.|::)\s*([A-Za-z_]\w*)")
+IMPL = re.compile(r"^\s*(?:unsafe\s+)?impl\b")
 
 
 def files(dirs):
@@ -60,15 +65,28 @@ def strip(lines):
 
 
 def main():
-    defs = []  # (path, line number, name)
+    defs = []  # (path, line number, name, inside an impl)
     called = set()  # names on a line that defines no function of that name
+    qualified = set()  # of those, the ones named after `.` or `::`
     defining = set(files(DEFINING))
     for path in files(CALLING):
         rel = path.relative_to(ROOT).as_posix()
+        depth, impls = 0, []  # brace depth; the depths impl blocks opened at
         for number, line in enumerate(strip(product_half(path)), 1):
+            if IMPL.match(line):
+                impls.append(depth)
             if path in defining and (m := PUB_FN.match(line)):
-                defs.append((rel, number, m.group(1)))
-            called |= set(WORD.findall(line)) - set(FN.findall(line))
+                defs.append((rel, number, m.group(1), bool(impls)))
+            defined_here = set(FN.findall(line))
+            called |= set(WORD.findall(line)) - defined_here
+            qualified |= set(PATH_OR_METHOD.findall(line)) - defined_here
+            for ch in line:
+                if ch == "{":
+                    depth += 1
+                elif ch == "}":
+                    depth -= 1
+                    if impls and depth == impls[-1]:
+                        impls.pop()
 
     allowed, fail = {}, False
     allow = ALLOW.read_text().splitlines() if ALLOW.exists() else []
@@ -83,16 +101,23 @@ def main():
             continue
         allowed[tuple(fields)] = number
 
-    defined = {(rel, name) for rel, _, name in defs}
+    def has_caller(name, in_impl):
+        return name in (qualified if in_impl else called)
+
+    defined = {(rel, name): in_impl for rel, _, name, in_impl in defs}
     for (rel, name), number in allowed.items():
         if (rel, name) not in defined:
             print(f"ci/pub_callers.allow:{number}: {rel} defines no product `pub fn {name}`")
             fail = True
-        elif name in called:
+        elif has_caller(name, defined[rel, name]):
             print(f"ci/pub_callers.allow:{number}: `{name}` has a caller now; drop the entry")
             fail = True
 
-    dead = [(rel, n, name) for rel, n, name in defs if name not in called and (rel, name) not in allowed]
+    dead = [
+        (rel, n, name)
+        for rel, n, name, in_impl in defs
+        if not has_caller(name, in_impl) and (rel, name) not in allowed
+    ]
     for rel, number, name in dead:
         print(f"{rel}:{number}: `pub fn {name}` has no caller outside tests")
     print(f"{len(defs)} product `pub fn`s, {len(allowed)} allowed, {len(dead)} without a caller")

@@ -5,13 +5,15 @@
 //!   per-user min–max normalization of the raw score vector, matching the
 //!   paper's "normalize the predicted rating vectors of all users".
 //! * Pop "does not score items", so the paper defines a binary indicator:
-//!   `a(i) = 1` iff `i` is in Pop's own top-N set — [`TopNIndicator`].
+//!   `a(i) = 1` iff `i` is in Pop's own top-N set — [`TopNIndicator`]. That
+//!   set ranks the same candidate pool as every other list, the unrated
+//!   train items ([`Interactions::for_each_candidate_run`]).
 //!
 //! [`make_scorer`] (and [`make_scorer_with_mask`] on the serving path) is
 //! the one place an [`AccuracyMode`] picks its adapter.
 
 use ganc_dataset::{Interactions, UserId};
-use ganc_recommender::topn::{select_top_n, train_item_mask, unseen_train_candidates};
+use ganc_recommender::topn::{non_train_items, select_unseen, train_item_mask};
 use ganc_recommender::Recommender;
 
 /// How a base recommender is adapted to `[0, 1]` accuracy scores.
@@ -61,7 +63,8 @@ impl AccuracyScorer for NormalizedScores<'_> {
 pub struct TopNIndicator<'a> {
     base: &'a dyn Recommender,
     train: &'a Interactions,
-    in_train: std::borrow::Cow<'a, [bool]>,
+    /// Sorted ids of the items with no train rating.
+    non_train: std::borrow::Cow<'a, [u32]>,
     n: usize,
 }
 
@@ -71,25 +74,26 @@ impl<'a> TopNIndicator<'a> {
         TopNIndicator {
             base,
             train,
-            in_train: std::borrow::Cow::Owned(train_item_mask(train)),
+            non_train: std::borrow::Cow::Owned(non_train_items(&train_item_mask(train))),
             n,
         }
     }
 
-    /// Like [`TopNIndicator::new`], borrowing an already-computed item mask
-    /// (from [`ganc_recommender::topn::train_item_mask`]) instead of
-    /// rebuilding it — the serving path constructs one adapter per request
-    /// and must not re-walk the train set each time.
+    /// Like [`TopNIndicator::new`], borrowing the already-computed sorted
+    /// ids of the items with no train rating (from
+    /// [`ganc_recommender::topn::non_train_items`]) instead of rebuilding
+    /// them — the serving path constructs one adapter per request and must
+    /// not re-walk the train set each time.
     pub fn with_mask(
         base: &'a dyn Recommender,
         train: &'a Interactions,
-        in_train: &'a [bool],
+        non_train: &'a [u32],
         n: usize,
     ) -> TopNIndicator<'a> {
         TopNIndicator {
             base,
             train,
-            in_train: std::borrow::Cow::Borrowed(in_train),
+            non_train: std::borrow::Cow::Borrowed(non_train),
             n,
         }
     }
@@ -102,12 +106,8 @@ impl AccuracyScorer for TopNIndicator<'_> {
 
     fn accuracy_scores(&self, user: UserId, out: &mut [f64]) {
         self.base.score_items(user, out);
-        let top = select_top_n(
-            out,
-            unseen_train_candidates(self.train, self.in_train.as_ref(), user),
-            self.n,
-        );
-        out.iter_mut().for_each(|o| *o = 0.0);
+        let top = select_unseen(out, self.train, user, &self.non_train, self.n);
+        out.fill(0.0);
         for item in top {
             out[item.idx()] = 1.0;
         }
@@ -129,18 +129,19 @@ pub fn make_scorer<'a>(
     }
 }
 
-/// Like [`make_scorer`], borrowing an already-computed item mask so the
-/// per-request serving path never re-walks the train set to rebuild it.
+/// Like [`make_scorer`], borrowing the already-computed `non_train` ids
+/// ([`TopNIndicator::with_mask`]) so the per-request serving path never
+/// re-walks the train set to rebuild them.
 pub fn make_scorer_with_mask<'a>(
     rec: &'a dyn Recommender,
     mode: AccuracyMode,
     train: &'a Interactions,
-    in_train: &'a [bool],
+    non_train: &'a [u32],
     n: usize,
 ) -> Box<dyn AccuracyScorer + 'a> {
     match mode {
         AccuracyMode::Normalized => Box::new(NormalizedScores::new(rec)),
-        AccuracyMode::TopNIndicator => Box::new(TopNIndicator::with_mask(rec, train, in_train, n)),
+        AccuracyMode::TopNIndicator => Box::new(TopNIndicator::with_mask(rec, train, non_train, n)),
     }
 }
 

@@ -285,7 +285,7 @@ fn merge_delta(running: &mut Vec<(u32, i64)>, delta: &[(u32, i64)]) {
 /// just assigned, so the store keeps **sparse signed deltas** in push
 /// order (the *chain*) instead of `S` dense count vectors — `O(|I| + S·N)`
 /// memory and serialized bytes instead of `O(S·|I|)`. Dense
-/// count+score checkpoints every [`CHECKPOINT_EVERY`] chain steps (derived
+/// count+score checkpoints every `CHECKPOINT_EVERY` (16) chain steps (derived
 /// state, rebuilt on load) bound per-request reconstruction to a bounded
 /// sparse overlay on top of a checkpoint. θ order is a permutation
 /// (`chain`) over the chain, so [`CoverageSnapshots::sort_by_theta`] never

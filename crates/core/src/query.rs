@@ -16,10 +16,12 @@
 //! is irreducible: per-user normalization needs the whole vector) and then
 //! walks its candidate pool straight into the selection heap, evaluating
 //! `(1−θ)a + θc` per candidate against a [`CoverageView`]. The pool is
-//! data: [`candidate_runs`] is its only definition (ascending `[lo, hi)`
-//! id runs), and [`fused_select_runs`] is the only function that scores
-//! it — a θ override or an extra exclusion is the same call with another θ
-//! or another run list, never another code path. No dense coverage buffer
+//! data: the unrated train items as ascending `[lo, hi)` id runs, defined
+//! once by [`Interactions::for_each_candidate_run`] (the walk every list
+//! in the workspace ranks) and collected here by [`candidate_runs`]; and
+//! [`fused_select_runs`] is the only function that scores it — a θ
+//! override or an extra exclusion is the same call with another θ or
+//! another run list, never another code path. No dense coverage buffer
 //! is filled, no combined-score buffer is written, and non-candidate items
 //! (the user's seen set) are never scored. The result is bit-identical to
 //! the three-buffer reference computation ([`combine_into`] over the
@@ -30,7 +32,7 @@ use crate::accuracy::AccuracyScorer;
 use crate::coverage::{CoverageSnapshots, CoverageView, DynCoverage, RandCoverage, StatCoverage};
 use ganc_dataset::{Interactions, ItemId, UserId};
 use ganc_recommender::random::unit_hash;
-use ganc_recommender::topn::{for_each_candidate_run, TopNCollector};
+use ganc_recommender::topn::TopNCollector;
 
 /// Shared coverage state a single-user query scores against.
 ///
@@ -204,16 +206,15 @@ pub fn combine_into(theta_u: f64, a: &[f64], c: &[f64], out: &mut [f64]) {
 }
 
 /// The user's candidate pool — unseen train items minus `extra_seen` — as
-/// ascending, maximal `[lo, hi)` id runs: the only definition of the pool,
-/// and the data [`fused_select_runs`] scores.
+/// the ascending, maximal `[lo, hi)` id runs of
+/// [`Interactions::for_each_candidate_run`]: the data [`fused_select_runs`]
+/// scores.
 ///
 /// `non_train` is the sorted complement of the train-item mask
 /// ([`ganc_recommender::topn::non_train_items`]) — request-independent, so
-/// callers compute it once and the candidate space becomes contiguous id
-/// runs with no per-item mask branch. The exclusion merge costs
-/// `O(|seen| + |extra_seen| + |non_train|)`; the runs only change when the
-/// user's exclusion state does (an ingested interaction), so callers that
-/// serve the same user repeatedly keep them and skip the merge.
+/// callers compute it once. The runs only change when the user's exclusion
+/// state does (an ingested interaction), so callers that serve the same
+/// user repeatedly keep them and skip the merge.
 pub fn candidate_runs(
     train: &Interactions,
     user: UserId,
@@ -221,23 +222,8 @@ pub fn candidate_runs(
     non_train: &[u32],
 ) -> Vec<(u32, u32)> {
     let mut runs = Vec::new();
-    candidate_runs_into(train, user, extra_seen, non_train, &mut runs);
+    train.for_each_candidate_run(user, extra_seen, non_train, |lo, hi| runs.push((lo, hi)));
     runs
-}
-
-/// [`candidate_runs`] into a reused buffer (cleared first).
-pub fn candidate_runs_into(
-    train: &Interactions,
-    user: UserId,
-    extra_seen: &[u32],
-    non_train: &[u32],
-    out: &mut Vec<(u32, u32)>,
-) {
-    debug_assert!(extra_seen.windows(2).all(|w| w[0] < w[1]));
-    out.clear();
-    for_each_candidate_run(train, user, extra_seen, non_train, |lo, hi| {
-        out.push((lo, hi));
-    });
 }
 
 /// The fused selection core, and the only scoring body: walk the candidate
@@ -379,41 +365,27 @@ impl<'a> UserQuery<'a> {
     }
 
     /// The user's top-N under `v_u = (1−θ_u)·a + θ_u·c` against the given
-    /// coverage state.
+    /// coverage state. The user's [`candidate_runs`] are built into the
+    /// owned scratch buffer.
     pub fn topn(
         &mut self,
         user: UserId,
         theta_u: f64,
         coverage: &dyn CoverageProvider,
     ) -> Vec<ItemId> {
-        self.topn_excluding(user, theta_u, coverage, &[])
-    }
-
-    /// Like [`UserQuery::topn`], additionally excluding `extra_seen`
-    /// (sorted, deduplicated item ids) from the candidate pool — the hook
-    /// for interactions ingested after the train snapshot was frozen. The
-    /// user's [`candidate_runs`] are built into the owned scratch buffer.
-    pub fn topn_excluding(
-        &mut self,
-        user: UserId,
-        theta_u: f64,
-        coverage: &dyn CoverageProvider,
-        extra_seen: &[u32],
-    ) -> Vec<ItemId> {
-        candidate_runs_into(
-            self.train,
-            user,
-            extra_seen,
-            &self.non_train,
-            &mut self.runs,
-        );
+        self.runs.clear();
+        let runs = &mut self.runs;
+        self.train
+            .for_each_candidate_run(user, &[], &self.non_train, |lo, hi| runs.push((lo, hi)));
         self.arec.accuracy_scores(user, &mut self.a_buf);
         let view = coverage.view(user, theta_u);
         fused_select_runs(self.n, theta_u, &self.a_buf, &view, &self.runs)
     }
 
     /// The user's top-N over a caller-supplied candidate pool: `runs` must
-    /// be this user's current [`candidate_runs`]. Callers serving many
+    /// be this user's current [`candidate_runs`], whose `extra_seen` holds
+    /// whatever else this request leaves out: ids ingested after the train
+    /// snapshot was frozen, request exclusions. Callers serving many
     /// requests per user keep the runs (they only change on ingest) and
     /// skip the exclusion merge.
     ///
@@ -441,7 +413,7 @@ mod tests {
     use ganc_dataset::synth::DatasetProfile;
     use ganc_preference::GeneralizedConfig;
     use ganc_recommender::pop::MostPopular;
-    use ganc_recommender::topn::{select_top_n, train_item_mask, unseen_train_candidates};
+    use ganc_recommender::topn::{non_train_items, select_top_n_scored, train_item_mask};
 
     fn setup() -> (Interactions, Vec<f64>, MostPopular) {
         let data = DatasetProfile::small().generate(33);
@@ -449,6 +421,21 @@ mod tests {
         let theta = GeneralizedConfig::default().estimate(&split.train);
         let pop = MostPopular::fit(&split.train);
         (split.train, theta, pop)
+    }
+
+    /// The user's pool by brute force: every train item they have not rated.
+    fn pool<'a>(
+        train: &'a Interactions,
+        in_train: &'a [bool],
+        user: UserId,
+    ) -> impl Iterator<Item = u32> + 'a {
+        (0..train.n_items())
+            .filter(move |&i| in_train[i as usize] && !train.contains(user, ItemId(i)))
+    }
+
+    /// The `n` best of `ids` by `scores`.
+    fn select(scores: &[f64], ids: impl Iterator<Item = u32>, n: usize) -> Vec<ItemId> {
+        select_top_n_scored(ids.map(|i| (i, scores[i as usize])), n)
     }
 
     /// The three-buffer reference scorer the fused path must match exactly.
@@ -468,7 +455,7 @@ mod tests {
         arec.accuracy_scores(user, &mut a);
         coverage.view(user, theta_u).fill(&mut c);
         combine_into(theta_u, &a, &c, &mut s);
-        select_top_n(&s, unseen_train_candidates(train, in_train, user), n)
+        select(&s, pool(train, in_train, user), n)
     }
 
     #[test]
@@ -517,7 +504,8 @@ mod tests {
         let base = q.topn(u, theta[1], &stat);
         let mut excluded: Vec<u32> = base.iter().map(|i| i.0).collect();
         excluded.sort_unstable();
-        let next = q.topn_excluding(u, theta[1], &stat, &excluded);
+        let runs = candidate_runs(&train, u, &excluded, &non_train_items(&in_train));
+        let next = q.topn_with_runs(u, theta[1], &stat, &runs);
         assert_eq!(next.len(), 5, "catalog is large enough to refill");
         for item in &next {
             assert!(!base.contains(item), "{item:?} was excluded");
@@ -553,7 +541,7 @@ mod tests {
     fn candidate_runs_are_the_unseen_train_pool_minus_extras() {
         let (train, _, _) = setup();
         let in_train = train_item_mask(&train);
-        let non_train = ganc_recommender::topn::non_train_items(&in_train);
+        let non_train = non_train_items(&in_train);
         let n_items = train.n_items();
         for u in (0..train.n_users()).step_by(13) {
             let user = UserId(u);
@@ -566,7 +554,7 @@ mod tests {
             let beyond = vec![0, 2, 9, n_items, n_items + 7, u32::MAX];
             for extra in [vec![], overlapping, beyond] {
                 let runs = candidate_runs(&train, user, &extra, &non_train);
-                let expect: Vec<u32> = unseen_train_candidates(&train, &in_train, user)
+                let expect: Vec<u32> = pool(&train, &in_train, user)
                     .filter(|i| extra.binary_search(i).is_err())
                     .collect();
                 let got: Vec<u32> = runs.iter().flat_map(|&(lo, hi)| lo..hi).collect();
@@ -647,7 +635,7 @@ mod tests {
         arec.accuracy_scores(UserId(2), &mut a);
         cov.view(UserId(2), theta[2]).fill(&mut c);
         combine_into(theta[2], &a, &c, &mut s);
-        let manual = select_top_n(&s, unseen_train_candidates(&train, &in_train, UserId(2)), 5);
+        let manual = select(&s, pool(&train, &in_train, UserId(2)), 5);
         assert_eq!(via_provider, manual);
     }
 }

@@ -83,14 +83,6 @@ impl RatingScale {
         }
         1.0 + 4.0 * (value - self.min) / (self.max - self.min)
     }
-
-    /// The relevance threshold on this scale corresponding to "rated highly"
-    /// (`r_ui >= 4` on the 1–5 scale, Table III discussion).
-    #[inline]
-    pub fn relevance_threshold(&self) -> f32 {
-        // 4 on [1,5] sits at 3/4 of the scale span.
-        self.min + 0.75 * (self.max - self.min)
-    }
 }
 
 impl Default for RatingScale {
@@ -365,13 +357,6 @@ mod tests {
         assert_eq!(s.to_one_five(0.0), 1.0);
         assert_eq!(s.to_one_five(10.0), 5.0);
         assert!((s.to_one_five(5.0) - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn relevance_threshold_is_four_on_star_scale() {
-        assert!((RatingScale::stars_1_5().relevance_threshold() - 4.0).abs() < 1e-6);
-        // 0..10 maps its threshold at 7.5.
-        assert!((RatingScale::zero_to_ten().relevance_threshold() - 7.5).abs() < 1e-6);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! paper reads off `U_i^R` (§II-A) — popularity `f_i^R`, mean ratings, and
 //! the per-item sums of θ^G's w-step and the 5D baseline — are reductions,
 //! each taken in one pass over the rows, which visits every item's raters in
-//! ascending user order.
+//! ascending user order. A user's candidate pool, the unrated train items
+//! `I^R \ I_u^R` every top-N list ranks, is defined here too, as id runs
+//! ([`Interactions::for_each_candidate_run`]).
 
 use crate::dataset::Rating;
 use crate::{ItemId, UserId};
@@ -208,6 +210,48 @@ impl Interactions {
         self.get(u, i).is_some()
     }
 
+    /// The user's candidate pool under the paper's main protocol (§IV-A):
+    /// the train items they have not rated, `I^R \ I_u^R`, less
+    /// `extra_seen`, handed to `run` as ascending, maximal, non-empty
+    /// `[lo, hi)` id runs. This is the one definition of the pool: every
+    /// list in the workspace, whether base model, re-ranker or GANC, batch
+    /// or served, ranks the ids of these runs.
+    ///
+    /// `non_train` is the sorted ids no train rating names (`I \ I^R`):
+    /// request-independent, so callers compute it once. `extra_seen` is
+    /// sorted and may repeat ids, name ids already seen, or run past the
+    /// catalog. The merge visits each excluded id once, so it costs
+    /// `O(|I_u^R| + |extra_seen| + |non_train|)` plus one call per run.
+    pub fn for_each_candidate_run(
+        &self,
+        user: UserId,
+        extra_seen: &[u32],
+        non_train: &[u32],
+        mut run: impl FnMut(u32, u32),
+    ) {
+        debug_assert!(extra_seen.windows(2).all(|w| w[0] <= w[1]));
+        let mut excluded = [self.user_row(user).0, extra_seen, non_train];
+        let mut lo = 0;
+        // The smallest id still excluded by any list ends the current run.
+        while let Some(&x) = excluded.iter().filter_map(|ids| ids.first()).min() {
+            if x >= self.n_items {
+                break;
+            }
+            if lo < x {
+                run(lo, x);
+            }
+            for ids in &mut excluded {
+                while ids.first() == Some(&x) {
+                    *ids = &ids[1..];
+                }
+            }
+            lo = x + 1;
+        }
+        if lo < self.n_items {
+            run(lo, self.n_items);
+        }
+    }
+
     /// Iterate all `(user, item, rating)` triplets in user-major order.
     pub fn iter(&self) -> impl Iterator<Item = (UserId, ItemId, f32)> + '_ {
         (0..self.n_users).flat_map(move |u| {
@@ -327,6 +371,32 @@ mod tests {
         assert!((means[0] - 10.0 / 3.0).abs() < 1e-9);
         assert_eq!(means[1], 2.0);
         assert_eq!(means[2], 3.0);
+    }
+
+    #[test]
+    fn candidate_runs_skip_seen_untrained_and_extra_ids() {
+        // `sample` shifted one item up in a 4 × 5 catalog: items 0 and 4
+        // have no rating, user 3 has none either.
+        let shifted: Vec<Rating> = sample()
+            .iter()
+            .map(|(user, i, value)| Rating {
+                user,
+                item: ItemId(i.0 + 1),
+                value,
+            })
+            .collect();
+        let m = Interactions::from_ratings(4, 5, &shifted);
+        let non_train = [0, 4];
+        let runs = |u: u32, extra: &[u32]| {
+            let mut runs = Vec::new();
+            m.for_each_candidate_run(UserId(u), extra, &non_train, |lo, hi| runs.push((lo, hi)));
+            runs
+        };
+        assert_eq!(runs(0, &[]), vec![(2, 3)]);
+        assert_eq!(runs(1, &[]), vec![(2, 4)]);
+        assert_eq!(runs(3, &[]), vec![(1, 4)]);
+        assert_eq!(runs(3, &[2, 2, 3, 9]), vec![(1, 2)]);
+        assert!(runs(2, &[3]).is_empty());
     }
 
     /// Random 14 × 12 matrices whose ratings never touch users 5 and 13

@@ -16,14 +16,19 @@ use ganc_metrics::{evaluate_topn, RankingProtocol, TopN};
 use ganc_recommender::pop::MostPopular;
 use ganc_recommender::random::RandomRec;
 use ganc_recommender::rsvd::{Rsvd, RsvdConfig};
-use ganc_recommender::topn::{per_user_lists, select_top_n, train_item_mask};
+use ganc_recommender::topn::{
+    non_train_items, per_user_lists, select_top_n_scored, train_item_mask,
+};
 use ganc_recommender::Recommender;
 
 const N: usize = 5;
 
-/// Generate top-N lists under an arbitrary ranking protocol (the
-/// all-unrated fast path lives in `ganc-recommender`; this generic version
-/// also serves the rated-test-items protocol).
+/// Generate top-N lists under an arbitrary ranking protocol: the
+/// protocol's candidates, ranked by [`select_top_n_scored`]. Under
+/// [`RankingProtocol::AllUnrated`] these are the lists of the all-unrated
+/// fast path in ganc-recommender (`topn::generate_topn_lists`), since both
+/// rank the ids of the one pool walk; this generic version also serves the
+/// rated-test-items protocol.
 pub fn topn_under_protocol(
     rec: &dyn Recommender,
     train: &Interactions,
@@ -33,15 +38,16 @@ pub fn topn_under_protocol(
     threads: usize,
 ) -> TopN {
     let n_items = train.n_items() as usize;
-    let in_train = train_item_mask(train);
+    let non_train = non_train_items(&train_item_mask(train));
     let lists = per_user_lists(
         train.n_users() as usize,
         threads,
         || (vec![0.0f64; n_items], Vec::<u32>::new()),
         |(scores, cands), u| {
             rec.score_items(u, scores);
-            protocol.candidates(train, test, &in_train, u, cands);
-            Some(select_top_n(scores, cands.iter().copied(), n))
+            protocol.candidates(train, test, &non_train, u, cands);
+            let scored = cands.iter().map(|&i| (i, scores[i as usize]));
+            Some(select_top_n_scored(scored, n))
         },
     );
     TopN::new(n, lists)

@@ -205,7 +205,7 @@ pub fn dot_column(p: &[f64], qt: &DMat, i: usize) -> f64 {
 
 /// `out[i] = dot_column(p, qt, i)` for every `i < out.len()`, bit for bit.
 ///
-/// Scores a tile of [`TILE`] columns per pass over the `k` rows of `qt`:
+/// Scores a tile of `TILE` (16) columns per pass over the `k` rows of `qt`:
 /// each column keeps its own accumulator and takes its products in the
 /// order `f = 0..k`, as [`dot_column`] does, so no sum is reassociated;
 /// the inner loop runs across the tile and vectorises. Columns past the

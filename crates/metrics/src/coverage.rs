@@ -16,7 +16,7 @@ pub fn coverage(topn: &TopN, n_items: u32) -> f64 {
 }
 
 /// Gini@N over the recommendation-frequency distribution (Table III,
-/// Lorenz/Gini [39]):
+/// Lorenz/Gini \[39\]):
 ///
 /// ```text
 /// G = (1/|I|) · (|I| + 1 − 2 · Σ_j (|I|+1−j)·f[j] / Σ_j f[j])

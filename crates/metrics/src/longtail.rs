@@ -8,7 +8,7 @@ use ganc_dataset::UserId;
 
 /// LTAccuracy@N `= 1/(N·|U|) Σ_u |L ∩ P_u|` — the proportion of
 /// recommended items that are long-tail, i.e. unlikely to be already known
-/// (Table III; originally from the resource-allocation paper [20]).
+/// (Table III; originally from the resource-allocation paper \[20\]).
 pub fn lt_accuracy(topn: &TopN, long_tail: &LongTail) -> f64 {
     let users = topn.n_users();
     if users == 0 || topn.n() == 0 {
@@ -22,7 +22,7 @@ pub fn lt_accuracy(topn: &TopN, long_tail: &LongTail) -> f64 {
     hits as f64 / (topn.n() * users) as f64
 }
 
-/// Stratified Recall@N (Steck [36], Table III):
+/// Stratified Recall@N (Steck \[36\], Table III):
 ///
 /// ```text
 ///              Σ_u Σ_{i ∈ I_u^{T+} ∩ P_u} (1/f_i^R)^β

@@ -6,7 +6,9 @@
 //! * [`RankingProtocol::AllUnrated`] — rank every train item the user has
 //!   not rated, `I^R \ I_u^R`. This is the paper's main protocol: it mirrors
 //!   the production setting where the system must pick N items from the
-//!   whole catalog.
+//!   whole catalog. Its candidates are the ids of the one pool walk,
+//!   [`Interactions::for_each_candidate_run`], the same set every base
+//!   model, re-ranker and GANC list in the workspace ranks.
 //! * [`RankingProtocol::RatedTestItems`] — rank only the user's observed
 //!   test items `I_u^T`. Appendix C shows this inflates accuracy badly
 //!   (random guessing reaches F ≈ 0.25 on ML-1M) and rewards
@@ -26,32 +28,21 @@ pub enum RankingProtocol {
 impl RankingProtocol {
     /// Collect the candidate item ids for `u` under this protocol.
     ///
-    /// `in_train` must be the precomputed mask of items with at least one
-    /// train rating (`I^R`), reused across users; pass
-    /// `ganc_recommender::topn::train_item_mask`'s output.
+    /// `non_train` must be the precomputed sorted ids of the items with no
+    /// train rating (`I \ I^R`), reused across users; pass
+    /// `ganc_recommender::topn::non_train_items`'s output.
     pub fn candidates(
         &self,
         train: &Interactions,
         test: &Interactions,
-        in_train: &[bool],
+        non_train: &[u32],
         u: UserId,
         out: &mut Vec<u32>,
     ) {
         out.clear();
         match self {
             RankingProtocol::AllUnrated => {
-                let (seen, _) = train.user_row(u);
-                let mut seen_iter = seen.iter().copied().peekable();
-                for i in 0..train.n_items() {
-                    // `seen` is sorted, so march both sequences together.
-                    if seen_iter.peek() == Some(&i) {
-                        seen_iter.next();
-                        continue;
-                    }
-                    if in_train[i as usize] {
-                        out.push(i);
-                    }
-                }
+                train.for_each_candidate_run(u, &[], non_train, |lo, hi| out.extend(lo..hi));
             }
             RankingProtocol::RatedTestItems => {
                 let (items, _) = test.user_row(u);
@@ -73,7 +64,7 @@ impl RankingProtocol {
 mod tests {
     use super::*;
     use ganc_dataset::{DatasetBuilder, ItemId, RatingScale};
-    use ganc_recommender::topn::train_item_mask;
+    use ganc_recommender::topn::{non_train_items, train_item_mask};
 
     fn fixture() -> (Interactions, Interactions) {
         // items 0..=3; item 3 never rated in train.
@@ -98,9 +89,9 @@ mod tests {
     #[test]
     fn all_unrated_excludes_seen_and_untrained() {
         let (train, test) = fixture();
-        let mask = train_item_mask(&train);
+        let non_train = non_train_items(&train_item_mask(&train));
         let mut out = Vec::new();
-        RankingProtocol::AllUnrated.candidates(&train, &test, &mask, UserId(0), &mut out);
+        RankingProtocol::AllUnrated.candidates(&train, &test, &non_train, UserId(0), &mut out);
         // user0 saw {0,1}; item 3 IS in train (user1 rated it) → candidates {2,3}
         assert_eq!(out, vec![2, 3]);
     }
@@ -108,20 +99,20 @@ mod tests {
     #[test]
     fn all_unrated_full_catalog_when_nothing_seen() {
         let (train, test) = fixture();
-        let mask = train_item_mask(&train);
+        let non_train = non_train_items(&train_item_mask(&train));
         let mut out = Vec::new();
         // user id space includes a user with no train ratings? Add user 2 via
         // widened interactions: both users rated, so test user 1's view:
-        RankingProtocol::AllUnrated.candidates(&train, &test, &mask, UserId(1), &mut out);
+        RankingProtocol::AllUnrated.candidates(&train, &test, &non_train, UserId(1), &mut out);
         assert_eq!(out, vec![0, 1]);
     }
 
     #[test]
     fn rated_test_items_returns_test_row() {
         let (train, test) = fixture();
-        let mask = train_item_mask(&train);
+        let non_train = non_train_items(&train_item_mask(&train));
         let mut out = Vec::new();
-        RankingProtocol::RatedTestItems.candidates(&train, &test, &mask, UserId(0), &mut out);
+        RankingProtocol::RatedTestItems.candidates(&train, &test, &non_train, UserId(0), &mut out);
         assert_eq!(out, vec![2]);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Pop recommends the most-rated unseen items. It exploits the popularity
 //! bias of CF data, so it is a surprisingly strong accuracy baseline for
-//! ranking ([1], [5] in the paper) while having trivially low coverage and
+//! ranking (\[1\], \[5\] in the paper) while having trivially low coverage and
 //! novelty — exactly the trade-off GANC is built to correct.
 
 use crate::Recommender;
@@ -72,7 +72,7 @@ impl Recommender for MostPopular {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topn::{generate_topn_lists, select_top_n};
+    use crate::topn::{generate_topn_lists, select_top_n_scored};
     use ganc_dataset::{DatasetBuilder, ItemId, RatingScale};
 
     fn train() -> Interactions {
@@ -135,7 +135,7 @@ mod tests {
         let rec = MostPopular::fit(&m);
         let mut buf = vec![0.0; 3];
         rec.score_items(UserId(4), &mut buf);
-        let top = select_top_n(&buf, 0..3, 3);
+        let top = select_top_n_scored((0u32..).zip(buf), 3);
         assert_eq!(top, vec![ItemId(0), ItemId(1), ItemId(2)]);
     }
 }

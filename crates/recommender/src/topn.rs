@@ -1,5 +1,12 @@
-//! Top-N selection: deterministic partial selection from score buffers and
-//! parallel list generation for a whole user population.
+//! Top-N selection: the one bounded selector every list goes through
+//! ([`TopNCollector`]) and parallel list generation for a whole user
+//! population.
+//!
+//! A list ranks the user's candidate pool, the unrated train items
+//! `I^R \ I_u^R`, which ganc-dataset defines once as id runs
+//! ([`Interactions::for_each_candidate_run`]); callers offer the ids of
+//! those runs to a collector. The collector's total order means the set of
+//! candidates offered decides the list, not the order they arrive in.
 
 use crate::Recommender;
 use ganc_dataset::{Interactions, ItemId, UserId};
@@ -91,17 +98,6 @@ impl TopNCollector {
         }
     }
 
-    /// The current worst score that still makes the list, if the list is
-    /// already full.
-    #[inline]
-    pub fn threshold(&self) -> Option<f64> {
-        if self.heap.len() < self.n {
-            None
-        } else {
-            self.heap.peek().map(|r| r.0.score)
-        }
-    }
-
     /// The cached heap-minimum score (`NEG_INFINITY` while the list is
     /// filling): callers with an upper bound on future scores use it to
     /// skip candidates that cannot enter. A candidate whose score is
@@ -136,51 +132,14 @@ pub fn select_top_n_scored(scored: impl IntoIterator<Item = (u32, f64)>, n: usiz
     col.finish()
 }
 
-/// Select the `n` best items from a score buffer, restricted to candidate
-/// ids yielded by `candidates`. Returns items in descending score order.
-///
-/// Uses a bounded min-heap, so the cost is `O(|candidates| · log n)`.
-pub fn select_top_n(
-    scores: &[f64],
-    candidates: impl IntoIterator<Item = u32>,
-    n: usize,
-) -> Vec<ItemId> {
-    select_top_n_scored(
-        candidates
-            .into_iter()
-            .map(|item| (item, scores[item as usize])),
-        n,
-    )
-}
-
-/// Candidate iterator for the paper's main protocol: all train items the
-/// user has not rated (`I^R \ I_u^R`).
-///
-/// `in_train` is the item mask from [`train_item_mask`].
-pub fn unseen_train_candidates<'a>(
-    train: &'a Interactions,
-    in_train: &'a [bool],
-    u: UserId,
-) -> impl Iterator<Item = u32> + 'a {
-    let (seen, _) = train.user_row(u);
-    let mut seen_iter = seen.iter().copied().peekable();
-    (0..train.n_items()).filter(move |&i| {
-        if seen_iter.peek() == Some(&i) {
-            seen_iter.next();
-            return false;
-        }
-        in_train[i as usize]
-    })
-}
-
 /// Mask of items with at least one train rating.
 pub fn train_item_mask(train: &Interactions) -> Vec<bool> {
     train.item_popularity().iter().map(|&f| f > 0).collect()
 }
 
 /// The sorted ids of items with no train rating — the complement of
-/// [`train_item_mask`], precomputed once so the fused hot loop can treat
-/// "not in train" as one more exclusion list instead of a per-item branch.
+/// [`train_item_mask`], precomputed once: the `non_train` exclusion list of
+/// [`Interactions::for_each_candidate_run`].
 pub fn non_train_items(in_train: &[bool]) -> Vec<u32> {
     in_train
         .iter()
@@ -188,63 +147,6 @@ pub fn non_train_items(in_train: &[bool]) -> Vec<u32> {
         .filter(|(_, &t)| !t)
         .map(|(i, _)| i as u32)
         .collect()
-}
-
-/// Visit the user's candidate id space as maximal `[lo, hi)` runs that
-/// contain no train-seen, no `extra_seen`, and no `non_train` ids (all
-/// sorted). Every id inside a run is a true candidate.
-///
-/// Equivalent to [`unseen_train_candidates`] filtered by `extra_seen`, but
-/// shaped for the fused hot loop: the exclusion merge runs once per
-/// excluded id instead of once per catalog item, so the inner loops are
-/// branch-free range scans.
-pub fn for_each_candidate_run(
-    train: &Interactions,
-    user: UserId,
-    extra_seen: &[u32],
-    non_train: &[u32],
-    mut run: impl FnMut(u32, u32),
-) {
-    let (seen, _) = train.user_row(user);
-    let n_items = train.n_items();
-    let (mut ai, mut bi, mut ci) = (0usize, 0usize, 0usize);
-    let mut lo = 0u32;
-    loop {
-        let mut next: Option<u32> = None;
-        for head in [
-            seen.get(ai).copied(),
-            extra_seen.get(bi).copied(),
-            non_train.get(ci).copied(),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            next = Some(next.map_or(head, |n| n.min(head)));
-        }
-        match next {
-            Some(x) if x < n_items => {
-                if lo < x {
-                    run(lo, x);
-                }
-                while seen.get(ai) == Some(&x) {
-                    ai += 1;
-                }
-                while extra_seen.get(bi) == Some(&x) {
-                    bi += 1;
-                }
-                while non_train.get(ci) == Some(&x) {
-                    ci += 1;
-                }
-                lo = x + 1;
-            }
-            _ => {
-                if lo < n_items {
-                    run(lo, n_items);
-                }
-                return;
-            }
-        }
-    }
 }
 
 /// One list per id of `users`, computed in parallel: the ids are split into
@@ -303,6 +205,25 @@ pub fn per_user_lists<S>(
     })
 }
 
+/// The `n` best of the user's candidate pool by `scores`, a score per
+/// catalog item: each id of [`Interactions::for_each_candidate_run`]'s runs
+/// is offered to one [`TopNCollector`].
+pub fn select_unseen(
+    scores: &[f64],
+    train: &Interactions,
+    user: UserId,
+    non_train: &[u32],
+    n: usize,
+) -> Vec<ItemId> {
+    let mut col = TopNCollector::new(n);
+    train.for_each_candidate_run(user, &[], non_train, |lo, hi| {
+        for (off, &score) in scores[lo as usize..hi as usize].iter().enumerate() {
+            col.offer(lo + off as u32, score);
+        }
+    });
+    col.finish()
+}
+
 /// Generate top-N lists for every user under the all-unrated protocol,
 /// in parallel across `threads` OS threads ([`per_user_lists`]), one score
 /// buffer per thread.
@@ -313,18 +234,14 @@ pub fn generate_topn_lists(
     threads: usize,
 ) -> Vec<Vec<ItemId>> {
     let n_items = train.n_items() as usize;
-    let in_train = train_item_mask(train);
+    let non_train = non_train_items(&train_item_mask(train));
     per_user_lists(
         train.n_users() as usize,
         threads,
         || vec![0.0f64; n_items],
         |scores, u| {
             rec.score_items(u, scores);
-            Some(select_top_n(
-                scores,
-                unseen_train_candidates(train, &in_train, u),
-                n,
-            ))
+            Some(select_unseen(scores, train, u, &non_train, n))
         },
     )
 }
@@ -332,64 +249,79 @@ pub fn generate_topn_lists(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ganc_dataset::{DatasetBuilder, RatingScale};
+    use ganc_dataset::Rating;
+
+    /// Every id of `scores` with its score.
+    fn scored(scores: &[f64]) -> impl Iterator<Item = (u32, f64)> + '_ {
+        (0u32..).zip(scores.iter().copied())
+    }
 
     #[test]
     fn select_picks_best_in_order() {
-        let scores = vec![0.1, 0.9, 0.5, 0.7];
-        let top = select_top_n(&scores, 0..4, 2);
+        let top = select_top_n_scored(scored(&[0.1, 0.9, 0.5, 0.7]), 2);
         assert_eq!(top, vec![ItemId(1), ItemId(3)]);
     }
 
     #[test]
     fn select_breaks_ties_by_smaller_id() {
-        let scores = vec![0.5, 0.5, 0.5, 0.9];
-        let top = select_top_n(&scores, 0..4, 3);
+        let top = select_top_n_scored(scored(&[0.5, 0.5, 0.5, 0.9]), 3);
         assert_eq!(top, vec![ItemId(3), ItemId(0), ItemId(1)]);
     }
 
     #[test]
     fn select_respects_candidate_filter() {
-        let scores = vec![0.9, 0.8, 0.7];
-        let top = select_top_n(&scores, [1u32, 2], 2);
+        // User 0 rated item 0, so only items 1 and 2 compete.
+        let top = select_unseen(&[0.9, 0.8, 0.7], &small_train(), UserId(0), &[], 2);
         assert_eq!(top, vec![ItemId(1), ItemId(2)]);
     }
 
     #[test]
     fn scored_stream_matches_buffered_selection() {
-        let scores = vec![0.4, 0.9, 0.9, 0.1, 0.7];
-        let buffered = select_top_n(&scores, 0..5, 3);
-        let streamed = select_top_n_scored((0..5u32).map(|i| (i, scores[i as usize])), 3);
-        assert_eq!(buffered, streamed);
+        // A user with no ratings in a fully rated catalog ranks every id.
+        let scores = [0.4, 0.9, 0.9, 0.1, 0.7];
+        let m = train_of(2, 5, &[(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]);
+        let buffered = select_unseen(&scores, &m, UserId(1), &[], 3);
+        assert_eq!(buffered, select_top_n_scored(scored(&scores), 3));
         assert!(select_top_n_scored(std::iter::empty(), 0).is_empty());
     }
 
     #[test]
     fn select_handles_small_pools() {
-        let scores = vec![0.3, 0.2];
-        let top = select_top_n(&scores, 0..2, 10);
-        assert_eq!(top.len(), 2);
-        assert!(select_top_n(&scores, std::iter::empty(), 3).is_empty());
-        assert!(select_top_n(&scores, 0..2, 0).is_empty());
+        let scores = [0.3, 0.2];
+        assert_eq!(select_top_n_scored(scored(&scores), 10).len(), 2);
+        assert!(select_top_n_scored(std::iter::empty(), 3).is_empty());
+        assert!(select_top_n_scored(scored(&scores), 0).is_empty());
     }
 
+    /// A train set of `n_users × n_items` holding the `(user, item)` pairs.
+    fn train_of(n_users: u32, n_items: u32, pairs: &[(u32, u32)]) -> Interactions {
+        let ratings: Vec<Rating> = pairs
+            .iter()
+            .map(|&(u, i)| Rating {
+                user: UserId(u),
+                item: ItemId(i),
+                value: 5.0,
+            })
+            .collect();
+        Interactions::from_ratings(n_users, n_items, &ratings)
+    }
+
+    const SMALL: [(u32, u32); 4] = [(0, 0), (1, 1), (1, 2), (2, 2)];
+
     fn small_train() -> Interactions {
-        let mut b = DatasetBuilder::new("t", RatingScale::stars_1_5());
-        b.push(UserId(0), ItemId(0), 5.0).unwrap();
-        b.push(UserId(1), ItemId(1), 5.0).unwrap();
-        b.push(UserId(1), ItemId(2), 5.0).unwrap();
-        b.push(UserId(2), ItemId(2), 5.0).unwrap();
-        b.build().unwrap().interactions()
+        train_of(3, 3, &SMALL)
     }
 
     #[test]
     fn unseen_candidates_excludes_rated() {
-        let m = small_train();
-        let mask = train_item_mask(&m);
-        let c: Vec<u32> = unseen_train_candidates(&m, &mask, UserId(1)).collect();
-        assert_eq!(c, vec![0]);
-        let c0: Vec<u32> = unseen_train_candidates(&m, &mask, UserId(0)).collect();
-        assert_eq!(c0, vec![1, 2]);
+        // Item 3 has no train rating: it never competes.
+        let m = train_of(3, 4, &SMALL);
+        let non_train = non_train_items(&train_item_mask(&m));
+        assert_eq!(non_train, vec![3]);
+        let by_id = [0.0, 1.0, 2.0, 3.0];
+        let top = |u| select_unseen(&by_id, &m, UserId(u), &non_train, 4);
+        assert_eq!(top(1), vec![ItemId(0)]);
+        assert_eq!(top(0), vec![ItemId(2), ItemId(1)]);
     }
 
     struct ById;

@@ -24,7 +24,7 @@ pub mod pra;
 pub mod rbt;
 
 use ganc_dataset::{Interactions, ItemId, UserId};
-use ganc_recommender::topn::{per_user_lists, train_item_mask, unseen_train_candidates};
+use ganc_recommender::topn::{non_train_items, per_user_lists, train_item_mask};
 use ganc_recommender::Recommender;
 
 /// A post-processor of base-recommender scores for a single user.
@@ -48,7 +48,8 @@ pub trait Reranker: Send + Sync {
 
 /// Run a re-ranker over every user, computing base scores per user and
 /// parallelizing over user chunks. Candidates follow the paper's
-/// all-unrated-items protocol.
+/// all-unrated-items protocol: the ids of the user's
+/// [`Interactions::for_each_candidate_run`] runs.
 pub fn rerank_all(
     reranker: &dyn Reranker,
     base: &dyn Recommender,
@@ -57,7 +58,7 @@ pub fn rerank_all(
     threads: usize,
 ) -> Vec<Vec<ItemId>> {
     let n_items = train.n_items() as usize;
-    let in_train = train_item_mask(train);
+    let non_train = non_train_items(&train_item_mask(train));
     per_user_lists(
         train.n_users() as usize,
         threads,
@@ -65,7 +66,7 @@ pub fn rerank_all(
         |(scores, cands), u| {
             base.score_items(u, scores);
             cands.clear();
-            cands.extend(unseen_train_candidates(train, &in_train, u));
+            train.for_each_candidate_run(u, &[], &non_train, |lo, hi| cands.extend(lo..hi));
             Some(reranker.rerank(u, scores, cands, n))
         },
     )

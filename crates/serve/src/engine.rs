@@ -234,10 +234,8 @@ struct EngineState {
     /// [`ServingEngine::swap_bundle`]. Lives *inside* the lock so a reader
     /// observes the generation and the bundle it belongs to atomically.
     generation: u64,
-    /// Items with ≥1 train rating (the candidate mask), shared by workers.
-    in_train: Vec<bool>,
-    /// Sorted complement of `in_train` — the exclusion list the fused
-    /// candidate walk merges instead of testing a mask per item.
+    /// Sorted ids of the items with no train rating — the exclusion list
+    /// every candidate walk merges, shared by workers.
     non_train: Vec<u32>,
     /// Per-user items ingested after fit (sorted), excluded from candidates.
     extra_seen: Vec<Vec<u32>>,
@@ -347,7 +345,6 @@ impl EngineState {
         EngineState {
             bundle,
             generation,
-            in_train,
             non_train,
             extra_seen,
             pop_counts,
@@ -398,7 +395,7 @@ impl EngineState {
         match self.shared_accuracy() {
             Some(a) => Accuracy::Shared(a),
             None => Accuracy::PerUser(
-                make_scorer_with_mask(bound, b.accuracy_mode, &b.train, &self.in_train, b.n),
+                make_scorer_with_mask(bound, b.accuracy_mode, &b.train, &self.non_train, b.n),
                 vec![0.0; b.n_items() as usize],
             ),
         }

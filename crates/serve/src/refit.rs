@@ -209,7 +209,8 @@ impl RefitController {
     /// Start an adaptive controller: refit when `cadence_cfg` says so,
     /// judged against `clock` and the engine's pending-ingest count. Every
     /// decision and every wait reads only the injected clock, so a
-    /// [`ManualClock`] makes the firing pattern deterministic.
+    /// [`ManualClock`](ganc_obs::clock::ManualClock) makes the firing
+    /// pattern deterministic.
     pub fn spawn_adaptive(
         engine: Arc<ShardedEngine>,
         fitter: Arc<Refitter>,

@@ -15,7 +15,7 @@ use ganc::metrics::{evaluate_topn, EvalContext, RankingProtocol, TopN};
 use ganc::recommender::pop::MostPopular;
 use ganc::recommender::random::RandomRec;
 use ganc::recommender::rsvd::{Rsvd, RsvdConfig};
-use ganc::recommender::topn::{select_top_n, train_item_mask};
+use ganc::recommender::topn::{non_train_items, select_top_n_scored, train_item_mask};
 use ganc::recommender::Recommender;
 
 const N: usize = 5;
@@ -26,15 +26,15 @@ fn topn_under(
     protocol: RankingProtocol,
 ) -> TopN {
     let train = &split.train;
-    let mask = train_item_mask(train);
+    let non_train = non_train_items(&train_item_mask(train));
     let mut scores = vec![0.0f64; train.n_items() as usize];
     let mut cands: Vec<u32> = Vec::new();
     let lists = (0..train.n_users())
         .map(|u| {
             let u = UserId(u);
             rec.score_items(u, &mut scores);
-            protocol.candidates(train, &split.test, &mask, u, &mut cands);
-            select_top_n(&scores, cands.iter().copied(), N)
+            protocol.candidates(train, &split.test, &non_train, u, &mut cands);
+            select_top_n_scored(cands.iter().map(|&i| (i, scores[i as usize])), N)
         })
         .collect();
     TopN::new(N, lists)

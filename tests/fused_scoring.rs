@@ -6,11 +6,11 @@
 
 use ganc::core::accuracy::{AccuracyScorer, NormalizedScores};
 use ganc::core::coverage::{CoverageSnapshots, DynCoverage, RandCoverage, StatCoverage};
-use ganc::core::query::{combine_into, CoverageProvider, UserQuery};
+use ganc::core::query::{candidate_runs, combine_into, CoverageProvider, UserQuery};
 use ganc::dataset::dataset::{DatasetBuilder, RatingScale};
 use ganc::dataset::{Interactions, ItemId, UserId};
 use ganc::recommender::pop::MostPopular;
-use ganc::recommender::topn::{select_top_n, train_item_mask, unseen_train_candidates};
+use ganc::recommender::topn::{non_train_items, select_top_n_scored, train_item_mask};
 use proptest::prelude::*;
 
 const N_USERS: u32 = 10;
@@ -29,6 +29,52 @@ fn arb_train() -> impl Strategy<Value = Interactions> {
             Interactions::from_ratings(N_USERS, N_ITEMS, d.ratings())
         },
     )
+}
+
+/// The mask-based candidate iterator the run walk replaced, kept as the
+/// reference: all train items the user has not rated (`I^R \ I_u^R`).
+fn unseen_train_candidates<'a>(
+    train: &'a Interactions,
+    in_train: &'a [bool],
+    u: UserId,
+) -> impl Iterator<Item = u32> + 'a {
+    let (seen, _) = train.user_row(u);
+    let mut seen_iter = seen.iter().copied().peekable();
+    (0..train.n_items()).filter(move |&i| {
+        if seen_iter.peek() == Some(&i) {
+            seen_iter.next();
+            return false;
+        }
+        in_train[i as usize]
+    })
+}
+
+/// Buffered selection: the `n` best of `scores` over `candidates`.
+fn select_top_n(
+    scores: &[f64],
+    candidates: impl IntoIterator<Item = u32>,
+    n: usize,
+) -> Vec<ItemId> {
+    select_top_n_scored(
+        candidates
+            .into_iter()
+            .map(|item| (item, scores[item as usize])),
+        n,
+    )
+}
+
+/// The fused list with `extra_seen` (sorted) also left out of the pool.
+fn topn_excluding(
+    q: &mut UserQuery,
+    train: &Interactions,
+    user: UserId,
+    theta_u: f64,
+    coverage: &dyn CoverageProvider,
+    extra_seen: &[u32],
+) -> Vec<ItemId> {
+    let non_train = non_train_items(&train_item_mask(train));
+    let runs = candidate_runs(train, user, extra_seen, &non_train);
+    q.topn_with_runs(user, theta_u, coverage, &runs)
 }
 
 /// The three-buffer reference scorer the tentpole replaced.
@@ -87,7 +133,7 @@ fn check_all_providers(train: &Interactions, thetas: &[f64], extra_seen: &[u32],
     for provider in providers {
         for u in 0..train.n_users() {
             for &t in thetas {
-                let fused = q.topn_excluding(UserId(u), t, provider, extra_seen);
+                let fused = topn_excluding(&mut q, train, UserId(u), t, provider, extra_seen);
                 let naive = naive_topn(
                     &arec,
                     train,
@@ -154,7 +200,7 @@ fn fused_matches_naive_across_checkpoint_boundaries() {
     for u in 0..train.n_users() {
         for step in 0..=40 {
             let t = step as f64 / 40.0;
-            let fused = q.topn_excluding(UserId(u), t, &snaps, &[]);
+            let fused = q.topn(UserId(u), t, &snaps);
             let naive = naive_topn(&arec, &train, &in_train, UserId(u), t, &snaps, &[], 6);
             assert_eq!(fused, naive, "user {u} θ={t}");
         }
@@ -174,10 +220,10 @@ fn fused_exclusion_refill_matches_naive() {
     let stat = StatCoverage::fit(&train);
     let mut q = UserQuery::new(&arec, &train, &in_train, 5);
     for u in 0..train.n_users() {
-        let first = q.topn_excluding(UserId(u), 0.4, &stat, &[]);
+        let first = q.topn(UserId(u), 0.4, &stat);
         let mut extra: Vec<u32> = first.iter().map(|i| i.0).collect();
         extra.sort_unstable();
-        let fused = q.topn_excluding(UserId(u), 0.4, &stat, &extra);
+        let fused = topn_excluding(&mut q, &train, UserId(u), 0.4, &stat, &extra);
         let naive = naive_topn(&arec, &train, &in_train, UserId(u), 0.4, &stat, &extra, 5);
         assert_eq!(fused, naive, "user {u}");
         for item in &fused {

@@ -10,7 +10,7 @@ use ganc::metrics::coverage::gini_of_frequencies;
 use ganc::preference::simple::theta_normalized;
 use ganc::preference::tfidf::theta_tfidf;
 use ganc::preference::GeneralizedConfig;
-use ganc::recommender::topn::select_top_n;
+use ganc::recommender::topn::select_top_n_scored;
 use proptest::prelude::*;
 
 /// Random small rating datasets: up to 12 users × 10 items.
@@ -41,6 +41,20 @@ fn arb_holed_dataset() -> impl Strategy<Value = Interactions> {
             .collect();
         Interactions::from_ratings(14, 12, &ratings)
     })
+}
+
+/// Buffered selection: the `n` best of `scores` over `candidates`.
+fn select_top_n(
+    scores: &[f64],
+    candidates: impl IntoIterator<Item = u32>,
+    n: usize,
+) -> Vec<ItemId> {
+    select_top_n_scored(
+        candidates
+            .into_iter()
+            .map(|item| (item, scores[item as usize])),
+        n,
+    )
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
