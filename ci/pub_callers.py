@@ -15,11 +15,12 @@ without a reason, one naming no `pub fn` of that file, or one whose
 function has gained a caller fails too.
 
 A free function's name is matched as a word, so a caller is any line
-naming it. A `pub fn` inside an `impl` block is called only where its name
-follows `.` or `::` (a method call, `Type::name`, `Self::name`), so a
-field, a local or a free function of the same name does not count; a
-method sharing its name with another type's method (`new`, `len`, ...) is
-still always "called". The scan is a floor on dead API, not a proof of use.
+naming it. A `pub fn` inside an `impl` block is called only at `.name(`,
+`.name::<` or `::name` (a method call, `Type::name`, `Self::name`), so a
+field (`self.name`), a local or a free function of the same name does not
+count; a method sharing its name with another type's method (`new`, `len`,
+...) is still always "called". The scan is a floor on dead API, not a
+proof of use.
 """
 import pathlib, re, sys
 
@@ -38,7 +39,8 @@ COMMENT = r"//[^\n]*|/\*.*?\*/"
 # are each read as what they are.
 TOKEN = re.compile(LITERAL + "|" + COMMENT, re.S)
 WORD = re.compile(r"\b[A-Za-z_]\w*")
-PATH_OR_METHOD = re.compile(r"(?:\.|::)\s*([A-Za-z_]\w*)")
+# A method call (`.name(`, `.name::<`) or a path (`::name`).
+CALL_OR_PATH = re.compile(r"\.\s*([A-Za-z_]\w*)\s*(?=\(|::\s*<)|::\s*([A-Za-z_]\w*)")
 IMPL = re.compile(r"^\s*(?:unsafe\s+)?impl\b")
 
 
@@ -79,7 +81,7 @@ def main():
                 defs.append((rel, number, m.group(1), bool(impls)))
             defined_here = set(FN.findall(line))
             called |= set(WORD.findall(line)) - defined_here
-            qualified |= set(PATH_OR_METHOD.findall(line)) - defined_here
+            qualified |= {a or b for a, b in CALL_OR_PATH.findall(line)} - defined_here
             for ch in line:
                 if ch == "{":
                     depth += 1

@@ -527,11 +527,6 @@ impl CoverageSnapshots {
         }
     }
 
-    /// The stored θ values, ascending.
-    pub fn thetas(&self) -> &[f64] {
-        &self.thetas
-    }
-
     /// The inclusive range of sorted snapshot positions any query
     /// θ ∈ `[lo, hi]` can resolve to — the sub-range a θ-band shard must
     /// hold to answer its band's requests exactly like the full store.
@@ -672,6 +667,14 @@ impl<'de> Deserialize<'de> for CoverageSnapshots {
         out.rebuild_derived()
             .map_err(|_| d.invalid("CoverageSnapshots catalog size"))?;
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+impl CoverageSnapshots {
+    /// The stored θ values, ascending.
+    pub(crate) fn thetas(&self) -> &[f64] {
+        &self.thetas
     }
 }
 

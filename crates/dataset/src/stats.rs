@@ -11,7 +11,6 @@ use crate::{ItemId, UserId};
 pub struct LongTail {
     mask: Vec<bool>,
     count: usize,
-    tail_mass: f64,
 }
 
 impl LongTail {
@@ -40,11 +39,7 @@ impl LongTail {
             }
             cum += pop[i as usize] as u64;
         }
-        LongTail {
-            mask,
-            count,
-            tail_mass,
-        }
+        LongTail { mask, count }
     }
 
     /// Default Pareto 80/20 computation used throughout the paper.
@@ -90,12 +85,6 @@ impl LongTail {
     #[inline]
     pub fn mask(&self) -> &[bool] {
         &self.mask
-    }
-
-    /// The tail mass the set was computed with.
-    #[inline]
-    pub fn tail_mass(&self) -> f64 {
-        self.tail_mass
     }
 }
 

@@ -374,11 +374,6 @@ impl RouterNode {
         }
     }
 
-    /// Number of bands.
-    pub fn shards(&self) -> usize {
-        self.routes.len()
-    }
-
     /// Users this router can place.
     pub fn n_users(&self) -> u32 {
         self.map.n_users()

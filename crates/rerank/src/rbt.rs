@@ -75,11 +75,6 @@ impl Rbt {
             item_means: train.item_means(0.0),
         }
     }
-
-    /// The configured threshold `T_R`.
-    pub fn tr(&self) -> f64 {
-        self.tr
-    }
 }
 
 impl Reranker for Rbt {

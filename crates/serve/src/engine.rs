@@ -37,7 +37,11 @@
 //!
 //! Generation contract: [`ServingEngine::swap_bundle`] atomically replaces
 //! the fitted state (background refit publishes through it) and bumps the
-//! state's *generation*. Every response is computed entirely under one
+//! state's *generation*. Its body is the engine's one install path: a
+//! [`crate::ShardedEngine`] keeps one engine per band for the band's whole
+//! life and swaps each refit's slice into it the same way, so an engine's
+//! counters, dedup window and observability outlive every generation it
+//! serves. Every response is computed entirely under one
 //! read-lock hold, so it reflects exactly one generation — never a torn mix
 //! of two bundles — and the traced APIs report which. Cached responses are
 //! tagged with the generation that computed them and the whole cache is
@@ -314,9 +318,9 @@ fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 }
 
 impl EngineState {
-    /// `pop_counts` is the bundle's train popularity, counted once by the
-    /// caller.
-    fn new(bundle: ModelBundle, generation: u64, pop_counts: Vec<u32>) -> EngineState {
+    /// Generation 0 of `bundle`; `pop_counts` is its train popularity,
+    /// counted once by the caller.
+    fn new(bundle: ModelBundle, pop_counts: Vec<u32>) -> EngineState {
         let in_train: Vec<bool> = pop_counts.iter().map(|&f| f > 0).collect();
         let extra_seen = vec![Vec::new(); bundle.train.n_users() as usize];
         let seed_index = bundle
@@ -344,7 +348,7 @@ impl EngineState {
             .collect();
         EngineState {
             bundle,
-            generation,
+            generation: 0,
             non_train,
             extra_seen,
             pop_counts,
@@ -513,16 +517,6 @@ pub(crate) struct Counts {
     pub(crate) invalidated: AtomicU64,
 }
 
-/// What an engine counts and observes, apart from the bundle it serves.
-/// It outlives [`ServingEngine::swap_bundle`], and a sharded band hands
-/// its one tally to the engine of every generation it installs, so a
-/// band's counters and window outlive refits too.
-#[derive(Clone, Default)]
-pub(crate) struct Tally {
-    pub(crate) counts: Arc<Counts>,
-    pub(crate) obs: Arc<OnceLock<EngineObs>>,
-}
-
 /// A thread-safe online server over one [`ModelBundle`].
 pub struct ServingEngine {
     state: RwLock<EngineState>,
@@ -531,7 +525,8 @@ pub struct ServingEngine {
     /// Idempotency keys of the keyed ingests this engine applied, across
     /// swaps; locked only under the state write lock.
     keys: Mutex<DedupWindow>,
-    /// Shared with the `/v1/metrics` series that read it ([`Tally`]).
+    /// Outlives every install; shared with the `/v1/metrics` series that
+    /// read it.
     counts: Arc<Counts>,
     /// Optional observability ([`ServingEngine::attach_obs`]). An
     /// un-attached engine pays one atomic load per request and nothing
@@ -550,35 +545,24 @@ impl ServingEngine {
     /// Start serving a bundle.
     pub fn new(bundle: ModelBundle, cfg: EngineConfig) -> ServingEngine {
         let popularity = bundle.train.item_popularity();
-        ServingEngine::with_tally(bundle, cfg, 0, Tally::default(), popularity)
+        ServingEngine::with_popularity(bundle, cfg, popularity)
     }
 
-    /// Start serving a bundle as `generation` on `tally` — how a sharded
-    /// engine's bands are built at their shard set's generation, so what
-    /// they report (responses, trace events, the generation gauge) is the
-    /// generation they serve, and counted on the band's one tally.
-    /// `popularity` is the bundle's train popularity.
-    pub(crate) fn with_tally(
+    /// [`ServingEngine::new`] over the bundle's train `popularity`, already
+    /// counted: a sharded engine counts it once for all its bands.
+    pub(crate) fn with_popularity(
         bundle: ModelBundle,
         cfg: EngineConfig,
-        generation: u64,
-        tally: Tally,
         popularity: Vec<u32>,
     ) -> ServingEngine {
         ServingEngine {
-            state: RwLock::new(EngineState::new(bundle, generation, popularity)),
+            state: RwLock::new(EngineState::new(bundle, popularity)),
             cache: Mutex::new(LruCache::new(CACHE_CAPACITY)),
             threads: cfg.threads.max(1),
             keys: Mutex::new(DedupWindow::new(DEDUP_WINDOW)),
-            counts: tally.counts,
-            obs: tally.obs,
+            counts: Arc::default(),
+            obs: Arc::default(),
         }
-    }
-
-    /// The counts and observability this engine records on.
-    pub(crate) fn tally(&self) -> Tally {
-        let (counts, obs) = (Arc::clone(&self.counts), Arc::clone(&self.obs));
-        Tally { counts, obs }
     }
 
     /// Attach observability: register this engine's metric series on `hub`
@@ -610,17 +594,7 @@ impl ServingEngine {
 
     fn set_obs(&self, obs: EngineObs) {
         if self.obs.set(obs).is_ok() {
-            EngineObs::register_reads(&self.tally());
-        }
-    }
-
-    /// Restart the window for the generation this engine serves, over that
-    /// generation's `catalog`: a sharded band's refit install is its
-    /// [`ServingEngine::swap_bundle`].
-    pub(crate) fn restart_window(&self, catalog: Arc<CatalogProfile>) {
-        let state = self.state.read().unwrap();
-        if let Some(o) = self.obs.get() {
-            o.record_swap(state.generation, catalog);
+            EngineObs::register_reads(&self.counts, &self.obs);
         }
     }
 
@@ -880,9 +854,9 @@ impl ServingEngine {
         Ok(IngestAck::Applied)
     }
 
-    /// Apply an interaction this engine's tally already counted — a refit
-    /// install replaying the ingests that raced its fit onto the band's
-    /// next engine — without counting or tracing it again. The caller
+    /// Apply an interaction this engine already counted — a sharded refit
+    /// replaying the ingests that raced its fit onto the band's new
+    /// generation — without counting or tracing it again. The caller
     /// checked the ids.
     pub(crate) fn replay(&self, user: UserId, item: ItemId) {
         self.apply(&mut self.state.write().unwrap(), user, item);
@@ -952,12 +926,28 @@ impl ServingEngine {
     /// never serve a previous generation's cached list. Returns the new
     /// generation.
     pub fn swap_bundle(&self, bundle: ModelBundle) -> u64 {
-        // One popularity count, taken before the write lock, serves the
-        // new state and its catalog profile.
         let popularity = bundle.train.item_popularity();
+        self.install(bundle, popularity, None)
+    }
+
+    /// The one install body, of [`ServingEngine::swap_bundle`] and of a
+    /// sharded refit swapping a band's slice into the band's engine:
+    /// `bundle` becomes the next generation and the cache is cleared under
+    /// one write-lock hold. `popularity` is the bundle's train popularity,
+    /// counted once by the caller before the lock; with observability
+    /// attached the window restarts over `catalog`, the generation's
+    /// profile when the caller built one for several engines, else one
+    /// built here from `popularity`. Returns the new generation.
+    pub(crate) fn install(
+        &self,
+        bundle: ModelBundle,
+        popularity: Vec<u32>,
+        catalog: Option<Arc<CatalogProfile>>,
+    ) -> u64 {
+        let mut fresh = EngineState::new(bundle, popularity);
         let mut state = self.state.write().unwrap();
-        let generation = state.generation + 1;
-        *state = EngineState::new(bundle, generation, popularity);
+        fresh.generation = state.generation + 1;
+        let old = std::mem::replace(&mut *state, fresh);
         self.cache.lock().unwrap().clear();
         // Record under the write lock (obs locks are leaves) so the swap
         // event and the catalog refreeze are atomic with the swap itself.
@@ -965,9 +955,13 @@ impl ServingEngine {
         // are still the train popularity.
         if let Some(o) = self.obs.get() {
             let n_users = state.bundle.train.n_users();
-            o.record_swap(generation, catalog_profile(&state.pop_counts, n_users));
+            let catalog = catalog.unwrap_or_else(|| catalog_profile(&state.pop_counts, n_users));
+            o.record_swap(state.generation, catalog);
         }
+        let generation = state.generation;
+        // The old state is freed after the lock is released.
         drop(state);
+        drop(old);
         generation
     }
 

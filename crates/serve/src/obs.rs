@@ -7,7 +7,7 @@
 //! attached, a cache hit adds one coarse clock read (the kernel-tick stamp
 //! of its window entry, [`ObsHub::coarse_us`]) and one short mutex hold to
 //! feed the rolling window; the hit itself is counted once, by the
-//! engine's [`Tally`], which `/v1/metrics` reads. One request in
+//! engine's own counts, which `/v1/metrics` reads. One request in
 //! [`HIT_SAMPLE`] on the cacheable path is also timed — a precise clock
 //! read before the cache probe and one after — and, if it hits, lands in
 //! the hit latency histogram and the trace; a miss is always timed and
@@ -23,22 +23,25 @@
 //!
 //! What the engine already counts or holds is not copied here: the
 //! request and ingest counters, the served generation and the window
-//! gauges are series read from the [`Tally`] when `/v1/metrics` renders
-//! ([`EngineObs::register_reads`]). The counters here count only what the
-//! engine does not: errors, batch slots and swaps.
+//! gauges are series read from the engine's counts and this attachment
+//! when `/v1/metrics` renders ([`EngineObs::register_reads`]). The
+//! counters here count only what the engine does not: errors, batch slots
+//! and swaps. Both live as long as the engine, across every install
+//! ([`ServingEngine::swap_bundle`], or a sharded refit swapping a band's
+//! slice into the band's engine).
 //!
 //! Lock discipline: every `EngineObs` lock is a leaf — taken after the
 //! engine's state/cache locks, never before, and never while calling back
 //! into the engine.
 
-use crate::engine::{Counts, SlotAnswer, Tally};
+use crate::engine::{Counts, SlotAnswer};
 use ganc_dataset::stats::LongTail;
 use ganc_dataset::ItemId;
 use ganc_obs::{
     CatalogProfile, Counter, Histogram, ObsHub, RollingWindow, TraceData, WindowStats, WindowWire,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// One request in this many on the cacheable path is timed, and a timed
@@ -344,20 +347,17 @@ impl EngineObs {
         self.window.lock().unwrap().window.wire(now)
     }
 
-    /// Register the series `/v1/metrics` reads from `tally` when it
-    /// renders: the request and ingest counts (held like a registry
-    /// counter, so they outlive the engine), the served generation and the
-    /// rolling window (held weakly: this obs holds the hub). Called once,
-    /// by the attach that set `tally.obs`.
-    pub(crate) fn register_reads(tally: &Tally) {
-        let obs = tally
-            .obs
-            .get()
-            .expect("registered by the attach that set it");
+    /// Register the series `/v1/metrics` reads from an engine's `counts`
+    /// and `slot` when it renders: the request and ingest counts (held like
+    /// a registry counter, so they outlive the engine), the served
+    /// generation and the rolling window (held weakly: this obs holds the
+    /// hub). Called once, by the attach that set `slot`.
+    pub(crate) fn register_reads(counts: &Arc<Counts>, slot: &Arc<OnceLock<EngineObs>>) {
+        let obs = slot.get().expect("registered by the attach that set it");
         let band = band_label(obs.band);
         let m = &obs.hub.metrics;
         let count = |c: fn(&Counts) -> &AtomicU64| {
-            let counts = Arc::clone(&tally.counts);
+            let counts = Arc::clone(counts);
             move || c(&counts).load(Ordering::Relaxed)
         };
         for (result, c) in [("hit", count(|c| &c.hits)), ("miss", count(|c| &c.misses))] {
@@ -373,7 +373,7 @@ impl EngineObs {
             ingested,
         );
         for (name, help, read) in READ_GAUGES {
-            let obs = Arc::downgrade(&tally.obs);
+            let obs = Arc::downgrade(slot);
             let read = move || obs.upgrade().and_then(|o| o.get().map(read)).unwrap_or(0.0);
             m.read_gauge(name, help, &labels, read);
         }

@@ -13,12 +13,15 @@
 //! else.
 //!
 //! [`ShardedEngine`] runs the same topology in-process: one
-//! [`ServingEngine`] per band over a sliced bundle, an outer `RwLock` that
-//! makes bundle hot-swaps atomic across *all* shards (the refit pass,
-//! [`ShardedEngine::refit_once`], lives here beside the refit log it
-//! drains; [`crate::refit`] holds the merge, cadence and controller), and
-//! an ingest path that fans each interaction to every shard —
-//! popularity is global state every replica tracks, while the
+//! [`ServingEngine`] per band over a sliced bundle, built once and living
+//! as long as its band; an outer `RwLock` under which a refit swaps each
+//! band's next slice into the band's engine through the one install body
+//! [`ServingEngine::swap_bundle`] also uses, so a hot-swap is atomic
+//! across *all* shards and a band's counters and window simply outlive it
+//! (the refit pass, [`ShardedEngine::refit_once`], lives here beside the
+//! refit log it drains; [`crate::refit`] holds the merge, cadence and
+//! controller); and an ingest path that fans each interaction to every
+//! shard — popularity is global state every replica tracks, while the
 //! ingesting user's candidate exclusion only matters on the shard that
 //! serves them. Output is byte-identical to an unsharded engine by
 //! construction, which `tests/deployment_oracle.rs` checks through ingests,
@@ -40,7 +43,7 @@ use crate::band::{band_batch, BandMap};
 use crate::bundle::ModelBundle;
 use crate::engine::{
     DedupStats, DedupWindow, EngineBatch, EngineConfig, EngineStats, IngestAck, ServeError,
-    ServingEngine, Tally, DEDUP_WINDOW,
+    ServingEngine, DEDUP_WINDOW,
 };
 use crate::obs::catalog_profile;
 use crate::refit::{merge_interactions, RefitOutcome, Refitter};
@@ -118,11 +121,13 @@ pub struct ShardInfo {
     pub coverage_bytes: usize,
 }
 
-/// One generation's complete shard topology. Swapped wholesale under the
-/// outer lock so a refit replaces every shard atomically.
+/// The shard topology. A refit replaces its generation under the outer
+/// write lock: each band's slice goes into the band's engine, and the map,
+/// layout and baseline are replaced beside it.
 struct ShardSet {
-    /// One engine per band, built at this set's generation on the band's
-    /// tally (its counters and window, which outlive the generation).
+    /// One engine per band, built by [`ShardedEngine::new`] and living as
+    /// long as its band (so do its counters and window): every refit swaps
+    /// the band's next slice into it, keeping it at this set's generation.
     engines: Vec<ServingEngine>,
     info: Vec<ShardInfo>,
     /// Where each user is served this generation: their home band under
@@ -136,56 +141,38 @@ struct ShardSet {
     generation: u64,
 }
 
-impl ShardSet {
-    /// Band `j`'s engine records on `tally(j)`: a fresh tally at
-    /// construction, the band's own at every refit (a plan cuts the same
-    /// number of bands every generation).
-    fn build(
-        bundle: Arc<ModelBundle>,
-        popularity: &[u32],
-        plan: &ShardPlan,
-        engine_cfg: EngineConfig,
-        generation: u64,
-        tally: impl Fn(usize) -> Tally,
-    ) -> ShardSet {
-        let map = BandMap::new(&bundle.theta, plan.cuts(&bundle.theta));
-        let mut engines = Vec::with_capacity(map.bands());
-        let mut info = Vec::with_capacity(map.bands());
-        for j in 0..map.bands() {
-            let (lo, hi) = band_bounds(map.cuts(), j);
-            let sliced = bundle.slice_theta_band(lo, hi);
-            let snapshots = match &sliced.coverage {
-                crate::bundle::CoverageState::Dynamic(s) => s.len(),
-                _ => 0,
-            };
-            let coverage_bytes = bincode::serialize(&sliced.coverage)
-                .map(|b| b.len())
-                .unwrap_or(0);
-            info.push(ShardInfo {
-                theta_lo: lo,
-                theta_hi: hi,
-                users: map.users(j),
-                snapshots,
-                coverage_bytes,
-            });
-            let engine = ServingEngine::with_tally(
-                sliced,
-                engine_cfg,
-                generation,
-                tally(j),
-                popularity.to_vec(),
-            );
-            engines.push(engine);
-        }
-        ShardSet {
-            engines,
-            info,
-            map,
-            bundle,
-            generation,
-        }
+/// One generation's placement of `bundle` under `plan`, and each band's
+/// slice and layout, in band order.
+fn slice_bands(
+    bundle: &ModelBundle,
+    plan: &ShardPlan,
+) -> (BandMap, Vec<ModelBundle>, Vec<ShardInfo>) {
+    let map = BandMap::new(&bundle.theta, plan.cuts(&bundle.theta));
+    let mut slices = Vec::with_capacity(map.bands());
+    let mut info = Vec::with_capacity(map.bands());
+    for j in 0..map.bands() {
+        let (lo, hi) = band_bounds(map.cuts(), j);
+        let sliced = bundle.slice_theta_band(lo, hi);
+        let snapshots = match &sliced.coverage {
+            crate::bundle::CoverageState::Dynamic(s) => s.len(),
+            _ => 0,
+        };
+        let coverage_bytes = bincode::serialize(&sliced.coverage)
+            .map(|b| b.len())
+            .unwrap_or(0);
+        info.push(ShardInfo {
+            theta_lo: lo,
+            theta_hi: hi,
+            users: map.users(j),
+            snapshots,
+            coverage_bytes,
+        });
+        slices.push(sliced);
     }
+    (map, slices, info)
+}
 
+impl ShardSet {
     /// Refuse an interaction outside this generation's id space.
     fn check(&self, user: UserId, item: ItemId) -> Result<(), ServeError> {
         if user.idx() >= self.bundle.n_users() as usize {
@@ -219,11 +206,6 @@ impl ShardSet {
         }
         Ok(())
     }
-
-    /// Each band's tally, in band order.
-    fn tallies(&self) -> Vec<Tally> {
-        self.engines.iter().map(ServingEngine::tally).collect()
-    }
 }
 
 /// A θ-band sharded serving engine: byte-identical output to a single
@@ -239,7 +221,6 @@ pub struct ShardedEngine {
     /// Persist lock: one refit pass at a time saves its artifact and
     /// compacts the WAL ([`ShardedEngine::persist_refit`]).
     persist: Mutex<()>,
-    engine_cfg: EngineConfig,
     plan: ShardPlan,
     /// Optional observability ([`ShardedEngine::attach_obs`]): the hub and
     /// the refit lifecycle counters.
@@ -298,19 +279,22 @@ impl ShardedEngine {
     /// Shard a fitted bundle and start serving.
     pub fn new(bundle: ModelBundle, cfg: ShardConfig) -> ShardedEngine {
         let popularity = bundle.train.item_popularity();
-        let set = ShardSet::build(
-            Arc::new(bundle),
-            &popularity,
-            &cfg.plan,
-            cfg.engine,
-            0,
-            |_| Tally::default(),
-        );
+        let (map, slices, info) = slice_bands(&bundle, &cfg.plan);
+        let engines = slices
+            .into_iter()
+            .map(|s| ServingEngine::with_popularity(s, cfg.engine, popularity.clone()))
+            .collect();
+        let set = ShardSet {
+            engines,
+            info,
+            map,
+            bundle: Arc::new(bundle),
+            generation: 0,
+        };
         ShardedEngine {
             set: Arc::new(RwLock::new(set)),
             ingest_log: Arc::default(),
             persist: Mutex::new(()),
-            engine_cfg: cfg.engine,
             plan: cfg.plan,
             obs: OnceLock::new(),
             keys: Arc::new(Mutex::new(DedupWindow::new(DEDUP_WINDOW))),
@@ -319,7 +303,7 @@ impl ShardedEngine {
     }
 
     /// Attach observability: per-band metric series and rolling windows on
-    /// the bands (a band keeps both across the refits that follow), the
+    /// the band engines (which outlive the refits that follow), the
     /// pending-ingest and generation series, plus refit lifecycle counters
     /// and trace events on `hub`. One-shot; a second attach is a no-op.
     pub fn attach_obs(&self, hub: Arc<ObsHub>, window: Duration) {
@@ -447,9 +431,9 @@ impl ShardedEngine {
     }
 
     /// Answer one request, reporting the shard-set generation it was served
-    /// from. The band serves it under the same outer lock hold, and band
-    /// engines are built at their set's generation, so the pair is exact —
-    /// a concurrent refit swap can never tear it.
+    /// from. The band serves it under the same outer lock hold, and a band
+    /// engine takes each generation under the outer write lock, so the pair
+    /// is exact — a concurrent refit swap can never tear it.
     ///
     /// The user's home band serves the request unless `opts` carries a θ
     /// override, which the generation's [`BandMap`] routes to the band that
@@ -574,18 +558,13 @@ impl ShardedEngine {
         self.set.read().unwrap().generation
     }
 
-    /// Number of shards in the current generation.
-    pub fn shards(&self) -> usize {
-        self.set.read().unwrap().engines.len()
-    }
-
     /// Static per-shard layout of the current generation.
     pub fn shard_info(&self) -> Vec<ShardInfo> {
         self.set.read().unwrap().info.clone()
     }
 
     /// Aggregate counters across all bands: a band's counters outlive the
-    /// refits that replace its engine.
+    /// refits that swap its slices.
     pub fn stats(&self) -> EngineStats {
         let set = self.set.read().unwrap();
         let mut total = EngineStats::default();
@@ -678,65 +657,52 @@ impl ShardedEngine {
     /// The refit pass's install step: atomically install a refitted
     /// bundle. `consumed` is how many log entries the refit merged; the
     /// remainder (ingests that raced the background fit) is replayed onto
-    /// the new shards before they go live. Returns the new generation, or
-    /// `None` if `expected_generation` no longer matches (a competing swap
-    /// won).
+    /// the new generation before the write lock drops. Returns the new
+    /// generation, or `None` if `expected_generation` no longer matches (a
+    /// competing swap won).
     pub(crate) fn install_refit(
         &self,
         expected_generation: u64,
         bundle: Arc<ModelBundle>,
         consumed: usize,
     ) -> Option<u64> {
-        // Build the new topology outside the write lock: slicing, engine
-        // construction and the bands' one catalog profile are the
-        // expensive part, and the old generation keeps serving throughout.
-        // Each band's engine records on the band's tally.
-        // One popularity count per generation serves every band and the
-        // catalog profile.
+        // Placement, slicing, the band layout, and the generation's one
+        // popularity count and catalog profile (for every band) are built
+        // outside the write lock, while the old generation keeps serving.
         let popularity = bundle.train.item_popularity();
         let n_users = bundle.train.n_users();
-        let catalog = self
-            .obs
-            .get()
-            .map(|_| catalog_profile(&popularity, n_users));
-        let tallies = self.set.read().unwrap().tallies();
-        let generation = expected_generation + 1;
-        let new_set = ShardSet::build(
-            bundle,
-            &popularity,
-            &self.plan,
-            self.engine_cfg,
-            generation,
-            |j| tallies[j].clone(),
-        );
+        let profile = || catalog_profile(&popularity, n_users);
+        let catalog = self.obs.get().map(|_| profile());
+        let (map, slices, info) = slice_bands(&bundle, &self.plan);
         let mut set = self.set.write().unwrap();
         if set.generation != expected_generation {
             return None;
         }
+        // Observability that attached while the fit ran gets its profile
+        // here: the bands cannot attach until the write lock drops.
+        let catalog = catalog.or_else(|| self.obs.get().map(|_| profile()));
+        assert_eq!(
+            slices.len(),
+            set.engines.len(),
+            "a plan's band count is fixed"
+        );
+        for (engine, slice) in set.engines.iter().zip(slices) {
+            engine.install(slice, popularity.clone(), catalog.clone());
+        }
+        set.generation = expected_generation + 1;
+        set.map = map;
+        set.info = info;
+        set.bundle = bundle;
         let mut log = self.ingest_log.lock().unwrap();
         let consumed = consumed.min(log.len());
         log.drain(..consumed);
         // Replay ingests that arrived while the fit ran, so the swap loses
         // nothing: they stay in the log for the *next* refit and are live
-        // in the new shards immediately. The refitted bundle spans the
+        // in the new generation immediately. The refitted bundle spans the
         // same id space, so entries the old generation accepted replay.
-        new_set
-            .apply(&log, false)
+        set.apply(&log, false)
             .expect("refit bundle must cover previously accepted ids");
-        // Each band's window restarts in place, as a `swap_bundle` does (on
-        // a profile built here only if observability attached mid-fit).
-        let catalog = catalog.or_else(|| {
-            self.obs
-                .get()
-                .map(|_| catalog_profile(&popularity, n_users))
-        });
-        if let Some(catalog) = &catalog {
-            for engine in &new_set.engines {
-                engine.restart_window(Arc::clone(catalog));
-            }
-        }
-        *set = new_set;
-        Some(generation)
+        Some(set.generation)
     }
 
     /// The refit pass's persist step for the pass that installed
@@ -1071,7 +1037,7 @@ mod tests {
             engine: EngineConfig::default(),
         };
         let sharded = ShardedEngine::new(b, cfg);
-        assert_eq!(sharded.shards(), 4);
+        assert_eq!(sharded.shard_info().len(), 4);
         for u in 0..sharded.n_users() {
             assert_eq!(
                 sharded.recommend(UserId(u)).unwrap(),
@@ -1182,7 +1148,7 @@ mod tests {
         let b = bundle(CoverageKind::Dynamic);
         let single = ServingEngine::new(b.clone(), EngineConfig::default());
         let sharded = ShardedEngine::new(b, ShardConfig::quantile(1));
-        assert_eq!(sharded.shards(), 1);
+        assert_eq!(sharded.shard_info().len(), 1);
         let users: Vec<UserId> = (0..sharded.n_users()).map(UserId).collect();
         let batch = sharded.recommend_batch_traced(&users).0;
         for (u, got) in users.iter().zip(batch) {

@@ -671,11 +671,6 @@ impl DurableLog {
         Ok((log, recovered))
     }
 
-    /// The configured power-loss sync policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync_policy
-    }
-
     /// Where a refit swap should persist the refitted bundle, when
     /// configured.
     pub fn artifact_path(&self) -> Option<&Path> {

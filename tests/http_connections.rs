@@ -413,7 +413,7 @@ fn a_keyed_retry_after_a_lost_answer_is_deduplicated_by_a_sharded_front() {
     let applied = engine.stats();
     assert_eq!(
         applied.ingested,
-        engine.shards() as u64,
+        engine.shard_info().len() as u64,
         "one apply per band"
     );
     assert_eq!(engine.pending_ingests(), 1);

@@ -20,10 +20,11 @@ use ganc::metrics::novelty::{mean_self_information, observation_probability};
 use ganc::metrics::topn::TopN;
 use ganc::obs::{
     bucket_bounds_us, CatalogProfile, Clock, ManualClock, MetricsRegistry, ObsHub, RollingWindow,
+    TraceData,
 };
 use ganc::preference::generalized::GeneralizedConfig;
 use ganc::recommender::psvd::Psvd;
-use ganc::serve::refit::Refitter;
+use ganc::serve::refit::{RefitOutcome, Refitter};
 use ganc::serve::{
     BatchConfig, CadenceConfig, DurableConfig, EngineConfig, FitConfig, FittedModel, ModelBundle,
     ServingEngine, ShardConfig, ShardedEngine,
@@ -1188,7 +1189,7 @@ fn sharded_stats_keep_counting_across_a_refit() {
     );
     assert_eq!(
         before.ingested,
-        engine.shards() as u64,
+        engine.shard_info().len() as u64,
         "one apply per band"
     );
 
@@ -1212,6 +1213,100 @@ fn sharded_stats_keep_counting_across_a_refit() {
     assert_eq!(engine.stats().cache_misses, users as u64 + 1);
     let misses = scraped(&mut client, "ganc_engine_requests_total", "result=\"miss\"");
     assert_eq!(misses, (users + 1) as f64);
+}
+
+/// A sharded refit swaps each band's slice into the engine that already
+/// serves the band: over two `refit_once` passes every band counts two
+/// swaps and serves generation 2, the trace holds one `bundle_swap` per
+/// band inside each pass's `refit_started` … `refit_swapped`, the request
+/// counts survive both passes, and each swap clears the band's cache.
+#[test]
+fn sharded_refits_swap_each_band_in_place() {
+    let (clock, hub) = manual_hub();
+    let engine = ShardedEngine::new(fixture_bundle(227), ShardConfig::quantile(3));
+    engine.attach_obs(Arc::clone(&hub), Duration::from_secs(60));
+    let bands = engine.shard_info().len();
+    assert_eq!(bands, 3);
+    let users = engine.n_users().min(12);
+    for _ in 0..2 {
+        for u in 0..users {
+            engine.recommend(UserId(u)).unwrap();
+        }
+    }
+    engine.ingest(UserId(1), ItemId(2), 4.0).unwrap();
+    let before = engine.stats();
+    assert_eq!(
+        (before.cache_hits, before.cache_misses),
+        (users as u64, users as u64)
+    );
+    hub.trace.drain();
+
+    let fitter = fitter();
+    for pass in 1..=2 {
+        clock.advance(Duration::from_millis(5));
+        match engine.refit_once(fitter.as_ref(), &fit_cfg()) {
+            RefitOutcome::Swapped { generation, .. } => assert_eq!(generation, pass),
+            RefitOutcome::Raced => panic!("refit raced with no competing swap"),
+        }
+        assert_eq!(engine.stats().cached, 0, "pass {pass} kept a cached list");
+    }
+    let after = engine.stats();
+    assert_eq!(
+        (after.cache_hits, after.cache_misses, after.ingested),
+        (before.cache_hits, before.cache_misses, before.ingested),
+        "a refit reset the counters"
+    );
+
+    let samples = parse_prometheus(&hub.metrics.render());
+    let series = |name: &str, labels: &str| -> f64 {
+        let found = samples.iter().find(|(n, l, _)| n == name && l == labels);
+        found
+            .unwrap_or_else(|| panic!("{name}{{{labels}}} missing"))
+            .2
+    };
+    let mut misses = 0.0;
+    for j in 0..bands {
+        let band = format!("band=\"{j}\"");
+        assert_eq!(series("ganc_engine_swap_total", &band), 2.0, "{band}");
+        assert_eq!(series("ganc_engine_generation", &band), 2.0, "{band}");
+        misses += series(
+            "ganc_engine_requests_total",
+            &format!("{band},result=\"miss\""),
+        );
+    }
+    assert_eq!(misses, users as f64);
+
+    // Each pass's swaps: one per band, at the pass's generation, between
+    // its `refit_started` and `refit_swapped`.
+    let events = hub.trace.drain();
+    let mut passes: Vec<Vec<(Option<u32>, u64)>> = Vec::new();
+    let mut open = false;
+    for e in &events {
+        match e.data {
+            TraceData::RefitStarted { .. } => {
+                assert!(!open, "refit_started inside a pass");
+                passes.push(Vec::new());
+                open = true;
+            }
+            TraceData::RefitSwapped { .. } => {
+                assert!(open, "refit_swapped outside a pass");
+                open = false;
+            }
+            TraceData::BundleSwap { band, generation } => {
+                assert!(open, "bundle_swap outside a refit pass");
+                passes.last_mut().unwrap().push((band, generation));
+            }
+            _ => {}
+        }
+    }
+    assert!(!open, "a pass never swapped");
+    let want = |g: u64| (0..bands as u32).map(|j| (Some(j), g)).collect::<Vec<_>>();
+    assert_eq!(passes, vec![want(1), want(2)]);
+
+    // The next request is a miss at the new generation, on top of the
+    // counts that came through.
+    assert_eq!(engine.recommend_traced(UserId(0)).unwrap().1, 2);
+    assert_eq!(engine.stats().cache_misses, users as u64 + 1);
 }
 
 /// A batch's slots count in `ganc_engine_requests_total` exactly as they
